@@ -147,7 +147,7 @@ class MultiCriteriaCompiler:
         engine = self._engines.get(key)
         if engine is None:
             lowering = self._lowerings.setdefault(
-                id(module), self.pipeline.lowering_cache())
+                id(module), LoweringCache(manager=self.pipeline.manager))
             engine = EvaluationEngine(
                 module, self.platform, [entry_function],
                 core=self.core, opp=self.opp,
@@ -263,10 +263,12 @@ class MultiCriteriaCompiler:
         opp = opp or self.opp
         properties: Dict[str, Dict[str, float]] = {}
         for task, function in variant.program.task_functions.items():
-            wcet = self._analysis.wcet(variant.program, function.name,
-                                       core=self.core, opp=opp)
-            wcec = self._analysis.wcec(variant.program, function.name,
-                                       core=self.core, opp=opp)
+            wcet = self._analysis.wcet(
+                variant.program, function.name, core=self.core, opp=opp,
+                path_sensitive=variant.config.path_sensitive)
+            wcec = self._analysis.wcec(
+                variant.program, function.name, core=self.core, opp=opp,
+                path_sensitive=variant.config.path_sensitive)
             properties[task] = {
                 "function": function.name,
                 "wcet_cycles": wcet.cycles,

@@ -3,32 +3,40 @@
 This package is the single entry point for evaluating compiler
 configurations during the multi-objective (energy/time/security) search.
 The seed code rebuilt and re-analysed every candidate from scratch; the
-engine memoises the pipeline at three stages so shared sub-structure is
-computed once:
+engine memoises the pipeline at four stages so shared sub-structure is
+computed once.  Every config key below comes from the pipeline's
+``PassManager`` (``canonical_key`` / ``stage_key`` / ``key_before``):
 
 ``CompilerConfig`` ──┐
                      ▼
-  [1] VariantCache ── canonical config key ──────────────► Variant
+  [1] VariantCache ── canonical key ───────────────────────► Variant
                      │ miss
                      ▼
-  [2] LoweringCache ─ AST-stage key (harden/fold/inline/unroll)
+  [2] IrStageCache ── ``ir`` stage key (AST + IR flags, path mode)
+                     │ hit: Program.clone() of the cached optimised IR
+                     │ miss ▼
+  [3] LoweringCache ─ ``lower`` stage key (harden/fold/inline/unroll),
+                     │ plus a pre-unroll table keyed before ``unroll-loops``
                      │ hit: Program.clone() of the cached lowered IR
                      │ miss: clone module → AST passes → lower
                      ▼
-      IR passes (DCE, strength reduction, SPM) on the private clone
+      IR passes (CSE, DCE, strength reduction, peephole) on the clone
                      ▼
-  [3] AnalysisCache ─ structural program fingerprint
+      backend pass (SPM allocation) on the private clone, per variant
+                     ▼
+  [4] AnalysisCache ─ structural program fingerprint
                      │ one StructuralCostEngine sweep fills the whole
                      │ per-function cycles/energy table per (core[, OPP]);
                      │ every further entry point, operating point or core
                      ▼ is a table lookup
               Variant (WCET, WCEC, security, code size)
 
-Stage [2] means configurations differing only in IR-level flags skip
-re-lowering; stage [3] means the WCET/Energy analysers' per-function results
-are reused across every variant sharing a program *and* across the
-coordination layer's per-core/per-OPP ETS sweeps (cycle bounds are
-frequency-independent, so DVFS sweeps reuse one cycles table).
+Stages [2] and [3] mean configurations differing only in backend or
+IR-level flags skip re-optimising or re-lowering; stage [4] means the
+WCET/Energy analysers' per-function results are reused across every
+variant sharing a program *and* across the coordination layer's
+per-core/per-OPP ETS sweeps (cycle bounds are frequency-independent, so
+DVFS sweeps reuse one cycles table).
 
 :class:`BatchEvaluator` evaluates whole populations at once (deduplicated,
 optionally over a process pool with a serial fallback), and
@@ -47,8 +55,6 @@ from repro.compiler.engine.cache import (
     IrStageCache,
     LoweringCache,
     VariantCache,
-    ast_stage_key,
-    canonical_key,
     disable_process_analysis_cache,
     enable_process_analysis_cache,
     process_analysis_cache,
@@ -92,8 +98,6 @@ __all__ = [
     "PersistError",
     "PersistentCacheStore",
     "VariantCache",
-    "ast_stage_key",
-    "canonical_key",
     "key_digest",
     "crowding_distance",
     "crowding_distance_reference",

@@ -25,7 +25,6 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.config import CompilerConfig
-from repro.compiler.engine.cache import canonical_key
 from repro.compiler.engine.evaluator import EvaluationEngine
 from repro.compiler.evaluate import Variant
 
@@ -75,10 +74,14 @@ class BatchEvaluator:
         """One variant per configuration, aligned with the input order."""
         if self.config_transform is not None:
             configs = [self.config_transform(config) for config in configs]
+        # Deduplicate by the engine's own variant-cache key, so the batch
+        # merges and splits configurations exactly as the engine caches do.
+        variants = self.engine.variants
         pending: Dict[tuple, CompilerConfig] = {}
         for config in configs:
-            if config not in self.engine.variants:
-                pending.setdefault(canonical_key(config), config)
+            key = variants.key(config)
+            if key not in pending and not variants.has_key(key):
+                pending[key] = config
 
         if pending and self.parallel and self._parallel_applicable():
             self._evaluate_parallel(list(pending.values()))

@@ -1,6 +1,9 @@
 """Staged caches for the batched variant-evaluation engine.
 
-Three cache stages, from coarsest to finest:
+Four cache stages, from coarsest to finest.  Every config-keyed stage
+takes its key from the pipeline's
+:class:`~repro.compiler.pipeline.PassManager`, so registering a
+configurable pass widens every downstream key:
 
 1. :class:`VariantCache` — fully evaluated :class:`Variant` objects keyed on
    the *canonical key* of their :class:`CompilerConfig`.  Configurations that
@@ -8,13 +11,15 @@ Three cache stages, from coarsest to finest:
    decoded from genes) share one entry, so revisited points of the search
    space cost a dictionary lookup across generations *and* across optimiser
    runs.
-2. :class:`LoweringCache` — lowered IR programs keyed on the *AST-stage key*:
-   the subset of configuration fields consumed before/during lowering
-   (hardening, constant folding, inlining, unrolling).  Configurations that
-   differ only in IR-level flags (CSE, DCE, strength reduction, peephole,
-   SPM allocation)
-   skip the clone/bound-inference/AST-pass/lowering pipeline entirely and
-   receive an independent :meth:`Program.clone` to run their IR passes on.
+2. :class:`LoweringCache` — lowered IR programs keyed on the ``lower``
+   stage key: the contributions of the passes that run before/during
+   lowering (hardening, constant folding, inlining, unrolling).
+   Configurations that differ only in IR-level flags (CSE, DCE, strength
+   reduction, peephole, SPM allocation) skip the
+   clone/bound-inference/AST-pass/lowering pipeline entirely and receive an
+   independent :meth:`Program.clone` to run their IR passes on.
+   :class:`IrStageCache` does the same one stage later, keyed on the ``ir``
+   stage key, for configurations differing only in the backend.
 3. :class:`AnalysisCache` — per-function worst-case cost tables keyed on a
    structural fingerprint of the analysed program.  One
    :class:`StructuralCostEngine` run computes every function's cycles (or
@@ -23,7 +28,7 @@ Three cache stages, from coarsest to finest:
    frequency-independent), the coordination layer's per-core sweeps — is a
    table lookup.
 
-All three stages are exact: cached results are bit-for-bit identical to what
+All stages are exact: cached results are bit-for-bit identical to what
 the uncached pipeline produces (covered by ``tests/test_engine.py``).
 
 Every cache accepts an optional ``max_entries`` cap: when set, the
@@ -41,8 +46,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import persist as _persist
@@ -60,9 +65,12 @@ from repro.ir.regions import (
     Region,
     SeqRegion,
 )
-from repro.wcet.analyzer import WCETAnalyzer, WCETResult
+from repro.wcet.analyzer import WCETResult
 from repro.wcet.paths import PathSensitiveMixin, PathStats
 from repro.wcet.structural import StructuralCostEngine
+
+if TYPE_CHECKING:
+    from repro.compiler.pipeline.manager import PassManager
 
 #: Attribute used to memoise a program's structural fingerprint.  The engine
 #: computes it only after all IR passes have run; the IR is immutable from
@@ -71,59 +79,6 @@ _FINGERPRINT_ATTR = "_engine_fingerprint"
 
 #: Local alias, avoids an attribute lookup in the block-cost hot loop.
 _CALL_OPCODE = Opcode.CALL
-
-
-#: Type of the key-derivation callables the caches accept: config -> tuple.
-KeyFn = Callable[[CompilerConfig], Tuple]
-
-
-def canonical_key(config: CompilerConfig) -> Tuple:
-    """Canonical cache key of a configuration (stock pass list).
-
-    Two configurations produce the same compiled variant iff their canonical
-    keys are equal; the key is simply the ordered tuple of every field (each
-    field toggles or parameterises exactly one pass).  The evaluation engine
-    keys its caches through :class:`~repro.compiler.pipeline.PassManager`
-    instead, so registered passes widen the keys automatically; this module-
-    level derivation is the stock-pass-list equivalent kept for direct cache
-    use and the batch deduplicator.
-    """
-    return (
-        config.constant_folding,
-        config.unroll_limit,
-        config.inline_simple_functions,
-        config.dead_code_elimination,
-        config.strength_reduction,
-        config.spm_allocation,
-        config.harden_security,
-        config.enable_cse,
-        config.enable_peephole,
-        config.path_sensitive,
-    )
-
-
-def ast_stage_key(config: CompilerConfig) -> Tuple:
-    """Cache key of the AST-level pipeline stage.
-
-    Only hardening, constant folding, inlining and unrolling run before the
-    IR is produced (see :func:`repro.compiler.evaluate.lower_with_ast_passes`),
-    so the lowered program is fully determined by these four fields.
-    """
-    return (
-        config.constant_folding,
-        config.unroll_limit,
-        config.inline_simple_functions,
-        config.harden_security,
-    )
-
-
-def pre_unroll_key(config: CompilerConfig) -> Tuple:
-    """Cache key of the AST passes that run before unrolling."""
-    return (
-        config.constant_folding,
-        config.inline_simple_functions,
-        config.harden_security,
-    )
 
 
 @dataclass
@@ -205,127 +160,66 @@ class _BoundedCacheMixin:
 class VariantCache(_BoundedCacheMixin):
     """Cross-generation cache of fully evaluated variants.
 
-    ``key_fn`` overrides the key derivation (the engine passes its pass
-    manager's ``canonical_key`` so the cache is keyed by the pass list).
+    Keyed by ``manager``'s full-pipeline key
+    (:meth:`~repro.compiler.pipeline.PassManager.canonical_key`; the stock
+    pass manager when omitted), so a registered pass widens the key.
     """
 
     def __init__(self, max_entries: Optional[int] = None,
-                 key_fn: Optional[KeyFn] = None):
+                 manager: Optional["PassManager"] = None):
         super().__init__(max_entries)
-        self._key = key_fn if key_fn is not None else canonical_key
+        if manager is None:
+            manager = _persist.stock_pass_manager()
+        #: The key derivation, public so batch deduplication shares it.
+        self.key = manager.canonical_key
         self._variants: "OrderedDict[Tuple, object]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._variants)
 
     def __contains__(self, config: CompilerConfig) -> bool:
-        return self._key(config) in self._variants
+        return self.key(config) in self._variants
+
+    def has_key(self, key: Tuple) -> bool:
+        """Whether a variant is cached under an already derived ``key``."""
+        return key in self._variants
 
     def get(self, config: CompilerConfig):
-        variant = self._touch(self._variants, self._key(config))
+        variant = self._touch(self._variants, self.key(config))
         if variant is not None:
             self.hits += 1
         return variant
 
     def put(self, config: CompilerConfig, variant) -> None:
         self.misses += 1
-        self._insert(self._variants, self._key(config), variant)
+        self._insert(self._variants, self.key(config), variant)
 
 
-class LoweringCache(_BoundedCacheMixin):
-    """Cache of lowered programs shared across IR-level flag combinations.
+class _ProgramStageCache(_BoundedCacheMixin):
+    """Programs after one pipeline stage, keyed by ``manager``'s stage key.
 
-    Stores the pristine post-lowering program per AST-stage key; ``get``
-    returns an independent clone so the caller's in-place IR passes cannot
-    corrupt the cached original.  ``max_entries`` bounds the lowered and the
-    pre-unroll tables independently (each holds at most that many entries).
-    ``key_fn``/``pre_unroll_key_fn`` override the key derivations (the
-    engine passes its pass manager's stage keys so the cache is keyed by
-    the registered pass list).
+    ``get`` returns an independent clone so the caller's in-place passes
+    cannot corrupt the cached original; ``put`` keeps a private pristine
+    copy.  Instruction sharing is safe: the IR passes are copy-on-write at
+    instruction granularity.  ``manager`` defaults to the stock pass manager.
     """
 
-    def __init__(self, max_entries: Optional[int] = None,
-                 key_fn: Optional[KeyFn] = None,
-                 pre_unroll_key_fn: Optional[KeyFn] = None):
-        super().__init__(max_entries)
-        self._key = key_fn if key_fn is not None else ast_stage_key
-        self._pre_unroll_key = (pre_unroll_key_fn
-                                if pre_unroll_key_fn is not None
-                                else pre_unroll_key)
-        self._lowered: "OrderedDict[Tuple, Tuple[Program, Dict[str, int]]]" \
-            = OrderedDict()
-        self._pre_unroll: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._lowered)
-
-    def stats(self) -> Dict[str, int]:
-        # The pre-unroll table holds full cloned modules — report it
-        # explicitly so operators sizing the cache see both tables.
-        stats = super().stats()
-        stats["pre_unroll_entries"] = len(self._pre_unroll)
-        return stats
-
-    def get_pre_unroll(self, config: CompilerConfig) -> Optional[Tuple]:
-        """The cached (module, statistics) pair before unrolling, if any.
-
-        The stored module is pristine — callers must clone it before
-        mutating (the engine always unrolls a fresh clone).
-        """
-        return self._touch(self._pre_unroll, self._pre_unroll_key(config))
-
-    def put_pre_unroll(self, config: CompilerConfig, module,
-                       statistics: Dict[str, int]) -> None:
-        self._insert(self._pre_unroll, self._pre_unroll_key(config),
-                     (module, dict(statistics)))
-
-    def get(self, config: CompilerConfig
-            ) -> Optional[Tuple[Program, Dict[str, int]]]:
-        entry = self._touch(self._lowered, self._key(config))
-        if entry is None:
-            return None
-        self.hits += 1
-        program, statistics = entry
-        return program.clone(share_instructions=True), dict(statistics)
-
-    def put(self, config: CompilerConfig, program: Program,
-            statistics: Dict[str, int]) -> None:
-        self.misses += 1
-        # Keep a private pristine copy; the caller mutates its own clone.
-        # Instruction sharing is safe: the IR passes are copy-on-write at
-        # instruction granularity.
-        self._insert(self._lowered, self._key(config),
-                     (program.clone(share_instructions=True),
-                      dict(statistics)))
-
-
-class IrStageCache(_BoundedCacheMixin):
-    """Cache of programs after the platform-independent IR passes.
-
-    Keyed on the AST-stage key plus the IR-stage flags (CSE, DCE, strength
-    reduction, peephole): the only remaining pass (scratchpad allocation)
-    runs last, so configurations differing only in ``spm_allocation`` share
-    everything up to here.  ``key_fn`` overrides the derivation (the engine
-    passes its pass manager's post-IR stage key).
-    """
+    #: The stage whose output the cache holds (see ``PassManager.stage_key``).
+    STAGE = ""
 
     def __init__(self, max_entries: Optional[int] = None,
-                 key_fn: Optional[KeyFn] = None):
+                 manager: Optional["PassManager"] = None):
         super().__init__(max_entries)
-        self._key = key_fn if key_fn is not None else self.key
+        self._manager = (manager if manager is not None
+                         else _persist.stock_pass_manager())
         self._programs: "OrderedDict[Tuple, Tuple[Program, Dict[str, int]]]" \
             = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._programs)
 
-    @staticmethod
-    def key(config: CompilerConfig) -> Tuple:
-        return ast_stage_key(config) + (config.enable_cse,
-                                        config.dead_code_elimination,
-                                        config.strength_reduction,
-                                        config.enable_peephole,
-                                        config.path_sensitive)
+    def _key(self, config: CompilerConfig) -> Tuple:
+        return self._manager.stage_key(config, self.STAGE)
 
     def get(self, config: CompilerConfig
             ) -> Optional[Tuple[Program, Dict[str, int]]]:
@@ -342,6 +236,59 @@ class IrStageCache(_BoundedCacheMixin):
         self._insert(self._programs, self._key(config),
                      (program.clone(share_instructions=True),
                       dict(statistics)))
+
+
+class LoweringCache(_ProgramStageCache):
+    """Cache of lowered programs shared across IR-level flag combinations.
+
+    Keyed by the ``lower`` stage key: configurations that differ only in
+    IR-level flags share one lowered program.  A second table holds the
+    module after the AST passes that run before ``unroll-loops``, shared
+    between configurations differing only in the unroll limit.
+    ``max_entries`` bounds the two tables independently (each holds at most
+    that many entries).
+    """
+
+    STAGE = "lower"
+
+    def __init__(self, max_entries: Optional[int] = None,
+                 manager: Optional["PassManager"] = None):
+        super().__init__(max_entries, manager)
+        self._pre_unroll: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+
+    def stats(self) -> Dict[str, int]:
+        # The pre-unroll table holds full cloned modules — report it
+        # explicitly so operators sizing the cache see both tables.
+        stats = super().stats()
+        stats["pre_unroll_entries"] = len(self._pre_unroll)
+        return stats
+
+    def _pre_unroll_key(self, config: CompilerConfig) -> Tuple:
+        return self._manager.key_before(config, "unroll-loops")
+
+    def get_pre_unroll(self, config: CompilerConfig) -> Optional[Tuple]:
+        """The cached (module, statistics) pair before unrolling, if any.
+
+        The stored module is pristine — callers must clone it before
+        mutating (the engine always unrolls a fresh clone).
+        """
+        return self._touch(self._pre_unroll, self._pre_unroll_key(config))
+
+    def put_pre_unroll(self, config: CompilerConfig, module,
+                       statistics: Dict[str, int]) -> None:
+        self._insert(self._pre_unroll, self._pre_unroll_key(config),
+                     (module, dict(statistics)))
+
+
+class IrStageCache(_ProgramStageCache):
+    """Cache of programs after the platform-independent IR passes.
+
+    Keyed by the ``ir`` stage key: only the backend (scratchpad allocation)
+    runs after it, so configurations differing only in ``spm_allocation``
+    share everything up to here.
+    """
+
+    STAGE = "ir"
 
 
 def _region_signature(region: Region) -> Tuple:
@@ -469,18 +416,15 @@ class AnalysisCache(_BoundedCacheMixin):
         self._checked: "OrderedDict[Tuple, bool]" = OrderedDict()
         self._cycle_tables: "OrderedDict[Tuple, Tuple[Dict[str, float], Dict[str, Exception]]]" = OrderedDict()
         self._energy_tables: "OrderedDict[Tuple, Tuple[Dict[str, float], Dict[str, Exception]]]" = OrderedDict()
-        self._wcet_analyzers: Dict[str, WCETAnalyzer] = {}
         self._energy_analyzers: Dict[str, EnergyAnalyzer] = {}
-        # Per-instruction cost memos.  A cycle cost depends only on the
-        # opcode and the fetch region of the enclosing function; an energy
-        # cost only on the opcode (and the operating point) — so each
-        # distinct cost is computed once per core ever, not once per
-        # instruction occurrence per program.
-        self._cycle_costs: Dict[str, Dict[Tuple, float]] = {}
-        self._energy_costs: Dict[Tuple, Dict[Tuple, float]] = {}
-        # Cross-program block-cost memos (call-free blocks only).
-        self._cycle_block_costs: Dict[str, Dict[Tuple, float]] = {}
-        self._energy_block_costs: Dict[Tuple, Dict[Tuple, float]] = {}
+        # Per-instruction cost memos, per (kind, core[, OPP]).  A cycle cost
+        # depends only on the opcode and the fetch region of the enclosing
+        # function; an energy cost only on the opcode (and the operating
+        # point) — so each distinct cost is computed once per core ever, not
+        # once per instruction occurrence per program.
+        self._instr_costs: Dict[Tuple, Dict] = {}
+        # Cross-program block-cost memos (call-free blocks only), same scopes.
+        self._block_costs: Dict[Tuple, Dict[Tuple, float]] = {}
         # Fingerprint -> digest memo for the persistent tier: canonicalising
         # a whole structural fingerprint costs more than one table analysis,
         # and every core/OPP table of a program shares the fingerprint — so
@@ -575,14 +519,8 @@ class AnalysisCache(_BoundedCacheMixin):
                 f"the dynamic profiling workflow for complex architectures")
         return core
 
-    def _wcet_analyzer(self, core: Core) -> WCETAnalyzer:
-        analyzer = self._wcet_analyzers.get(core.name)
-        if analyzer is None:
-            analyzer = WCETAnalyzer(self.platform, core=core)
-            self._wcet_analyzers[core.name] = analyzer
-        return analyzer
-
     def _energy_analyzer(self, core: Core) -> EnergyAnalyzer:
+        """The core's energy analyser; its ``.wcet`` prices cycles."""
         analyzer = self._energy_analyzers.get(core.name)
         if analyzer is None:
             analyzer = EnergyAnalyzer(self.platform, core=core)
@@ -631,47 +569,73 @@ class AnalysisCache(_BoundedCacheMixin):
             self._checked.popitem(last=False)
 
     # -- cost tables ------------------------------------------------------------
-    def _cycles(self, program: Program, core: Core,
-                path_sensitive: bool = False
-                ) -> Tuple[Dict[str, float], Dict[str, Exception]]:
+    def _table(self, program: Program, core: Core,
+               opp: Optional[OperatingPoint], path_sensitive: bool
+               ) -> Tuple[Dict[str, float], Dict[str, Exception]]:
+        """The per-function cost table of one analysis.
+
+        ``opp=None`` selects the cycles table (cycle bounds are
+        frequency-independent), an operating point the energy table.  The
+        default-mode keys (and on-disk digests) are unchanged; the
+        path-sensitive tables live under a widened key so both modes can
+        coexist without invalidating archived entries.
+        """
         fingerprint = program_fingerprint(program)
-        # The default-mode key (and on-disk digest) is unchanged; the
-        # path-sensitive tables live under a widened key so both modes can
-        # coexist without invalidating archived entries.
-        key = ((fingerprint, core.name, "paths") if path_sensitive
-               else (fingerprint, core.name))
-        entry = self._touch(self._cycle_tables, key)
+        if opp is None:
+            tables = self._cycle_tables
+            key = ((fingerprint, core.name, "paths") if path_sensitive
+                   else (fingerprint, core.name))
+        else:
+            tables = self._energy_tables
+            key = ((fingerprint, core.name, opp.label, "paths")
+                   if path_sensitive
+                   else (fingerprint, core.name, opp.label))
+        entry = self._touch(tables, key)
         if entry is not None:
             self.hits += 1
             return entry
         self.misses += 1
+        kind = "cycles" if opp is None else "energy"
         digest = None
         if self._store is not None:
-            scope = (core.name, "paths") if path_sensitive else (core.name,)
-            digest = self._table_digest("cycles", fingerprint, *scope)
+            # The on-disk scope is the in-memory key minus the fingerprint.
+            digest = self._table_digest(kind, fingerprint, *key[1:])
             entry = self._disk_get(digest)
             if entry is not None:
                 # A disk hit was validated by whichever process computed it,
                 # exactly like a memory hit skips re-validation.
-                self._insert(self._cycle_tables, key, entry)
+                self._insert(tables, key, entry)
                 return entry
         self._check_analysable(program, fingerprint)
-        analyzer = self._wcet_analyzer(core)
-        memo = self._cycle_costs.setdefault(core.name, {})
+        analyzer = self._energy_analyzer(core)
+        # Instruction and block costs are the same in both analysis modes,
+        # so their memos are scoped by kind, core and operating point only.
+        scope = ((kind, core.name) if opp is None
+                 else (kind, core.name, opp.label))
+        memo = self._instr_costs.setdefault(scope, {})
+        if opp is None:
+            wcet = analyzer.wcet
 
-        def instr_cycles(function, instr):
-            memo_key = (function.code_region, instr.opcode)
-            cost = memo.get(memo_key)
-            if cost is None:
-                cost = analyzer._instr_cycles(function, instr)
-                memo[memo_key] = cost
-            return cost
+            def instr_cost(function, instr):
+                memo_key = (function.code_region, instr.opcode)
+                cost = memo.get(memo_key)
+                if cost is None:
+                    cost = wcet._instr_cycles(function, instr)
+                    memo[memo_key] = cost
+                return cost
+        else:
+            def instr_cost(function, instr):
+                cost = memo.get(instr.opcode)
+                if cost is None:
+                    cost = analyzer._instr_energy(function, instr, opp)
+                    memo[instr.opcode] = cost
+                return cost
 
-        block_memo = self._cycle_block_costs.setdefault(core.name, {})
-        engine = (_PathSensitiveBlockMemoEngine(program, instr_cycles,
+        block_memo = self._block_costs.setdefault(scope, {})
+        engine = (_PathSensitiveBlockMemoEngine(program, instr_cost,
                                                 block_memo)
                   if path_sensitive
-                  else _BlockMemoCostEngine(program, instr_cycles, block_memo))
+                  else _BlockMemoCostEngine(program, instr_cost, block_memo))
         table: Dict[str, float] = {}
         errors: Dict[str, Exception] = {}
         for name in program.functions:
@@ -684,59 +648,7 @@ class AnalysisCache(_BoundedCacheMixin):
         if path_sensitive:
             self._note_path_stats(engine)
         entry = (table, errors)
-        self._insert(self._cycle_tables, key, entry)
-        if digest is not None:
-            self._store.put(digest, _persist.encode_analysis_entry(entry))
-        return entry
-
-    def _energy(self, program: Program, core: Core, opp: OperatingPoint,
-                path_sensitive: bool = False
-                ) -> Tuple[Dict[str, float], Dict[str, Exception]]:
-        fingerprint = program_fingerprint(program)
-        key = ((fingerprint, core.name, opp.label, "paths") if path_sensitive
-               else (fingerprint, core.name, opp.label))
-        entry = self._touch(self._energy_tables, key)
-        if entry is not None:
-            self.hits += 1
-            return entry
-        self.misses += 1
-        digest = None
-        if self._store is not None:
-            scope = ((core.name, opp.label, "paths") if path_sensitive
-                     else (core.name, opp.label))
-            digest = self._table_digest("energy", fingerprint, *scope)
-            entry = self._disk_get(digest)
-            if entry is not None:
-                self._insert(self._energy_tables, key, entry)
-                return entry
-        self._check_analysable(program, fingerprint)
-        analyzer = self._energy_analyzer(core)
-        memo = self._energy_costs.setdefault((core.name, opp.label), {})
-
-        def instr_energy(function, instr):
-            cost = memo.get(instr.opcode)
-            if cost is None:
-                cost = analyzer._instr_energy(function, instr, opp)
-                memo[instr.opcode] = cost
-            return cost
-
-        block_memo = self._energy_block_costs.setdefault(
-            (core.name, opp.label), {})
-        engine = (_PathSensitiveBlockMemoEngine(program, instr_energy,
-                                                block_memo)
-                  if path_sensitive
-                  else _BlockMemoCostEngine(program, instr_energy, block_memo))
-        table: Dict[str, float] = {}
-        errors: Dict[str, Exception] = {}
-        for name in program.functions:
-            try:
-                table[name] = engine.function_cost(name)
-            except AnalysisError as error:
-                errors[name] = error
-        if path_sensitive:
-            self._note_path_stats(engine)
-        entry = (table, errors)
-        self._insert(self._energy_tables, key, entry)
+        self._insert(tables, key, entry)
         if digest is not None:
             self._store.put(digest, _persist.encode_analysis_entry(entry))
         return entry
@@ -767,8 +679,7 @@ class AnalysisCache(_BoundedCacheMixin):
         core = core or self._default_core()
         opp = opp or core.nominal_opp
         with self._lock:
-            table, errors = self._cycles(program, core,
-                                         path_sensitive=path_sensitive)
+            table, errors = self._table(program, core, None, path_sensitive)
         cycles = self._entry_cost(program, function_name, table, errors)
         return WCETResult(
             function=function_name,
@@ -790,8 +701,7 @@ class AnalysisCache(_BoundedCacheMixin):
         core = core or self._default_core()
         opp = opp or core.nominal_opp
         with self._lock:
-            table, errors = self._energy(program, core, opp,
-                                         path_sensitive=path_sensitive)
+            table, errors = self._table(program, core, opp, path_sensitive)
             dynamic = self._entry_cost(program, function_name, table, errors)
             wcet_result = self.wcet(program, function_name, core=core, opp=opp,
                                     path_sensitive=path_sensitive)

@@ -7,7 +7,8 @@ against them through the staged caches of
 
 * the variant cache short-circuits revisited configurations entirely,
 * the lowering cache shares the lowered IR between configurations that
-  differ only in IR-level flags,
+  differ only in IR-level flags, and the IR-stage cache the optimised IR
+  between configurations that differ only in backend flags,
 * the analysis cache shares per-function WCET/WCEC tables between every
   query against the same compiled program (multiple task entries, DVFS
   sweeps, per-core ETS derivation).
@@ -83,11 +84,12 @@ class EvaluationEngine:
         # configurable pass widens every stage key automatically.
         self.analysis = (analysis_cache if analysis_cache is not None
                          else AnalysisCache(platform))
+        manager = self.pipeline.manager
         self.lowering = (lowering_cache if lowering_cache is not None
-                         else self.pipeline.lowering_cache())
-        self.ir_stage = self.pipeline.ir_stage_cache()
+                         else LoweringCache(manager=manager))
+        self.ir_stage = IrStageCache(manager=manager)
         self.variants = (variant_cache if variant_cache is not None
-                         else self.pipeline.variant_cache())
+                         else VariantCache(manager=manager))
 
     # -- statistics ------------------------------------------------------------
     @property

@@ -42,15 +42,19 @@ produces.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import os
 import re
 import threading
 import zlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import AnalysisError, TeamPlayError, UnboundedLoopError
+
+if TYPE_CHECKING:
+    from repro.compiler.pipeline.manager import PassManager
 
 try:  # pragma: no cover - import guard exercised only on non-POSIX hosts
     import fcntl
@@ -142,21 +146,23 @@ def key_digest(*parts) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_default_pass_list_key: Optional[Tuple[Tuple[str, str], ...]] = None
-
-
-def default_pass_list_key() -> Tuple[Tuple[str, str], ...]:
-    """Pass-list key of the stock pipeline, for stand-alone analysis caches.
+@functools.lru_cache(maxsize=None)
+def stock_pass_manager() -> "PassManager":
+    """The stock pipeline's pass manager, shared by every engine cache built
+    without one — treat it as read-only (registering a pass on it would
+    re-key all of them).
 
     Imported lazily: :mod:`repro.compiler.pipeline` imports back into the
     compiler package, so a module-level import would be circular from
     :mod:`repro.compiler.engine.cache`.
     """
-    global _default_pass_list_key
-    if _default_pass_list_key is None:
-        from repro.compiler.pipeline.manager import PassManager
-        _default_pass_list_key = PassManager().pass_list_key()
-    return _default_pass_list_key
+    from repro.compiler.pipeline.manager import PassManager
+    return PassManager()
+
+
+def default_pass_list_key() -> Tuple[Tuple[str, str], ...]:
+    """Pass-list key of the stock pipeline, for stand-alone analysis caches."""
+    return stock_pass_manager().pass_list_key()
 
 
 # ---------------------------------------------------------------------------

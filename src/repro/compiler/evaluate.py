@@ -1,9 +1,15 @@
-"""Building and evaluating compiled variants.
+"""Compiled variants and the uncached reference evaluation.
 
 A *variant* is the result of compiling the application under one
 :class:`CompilerConfig`: the lowered IR plus its statically analysed ETS
 properties (WCET, worst-case energy, optional security level, code size).
-The multi-objective search only ever talks to :func:`evaluate_config`.
+
+The search evaluates variants through
+:class:`~repro.compiler.engine.EvaluationEngine`, which memoises every
+stage.  :func:`evaluate_config` is the uncached reference: one
+:meth:`~repro.compiler.pipeline.CompilationPipeline.build` followed by the
+stock WCET/energy analysers, against which the tests check the engine bit
+for bit.
 """
 
 from __future__ import annotations
@@ -12,29 +18,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
-from repro.compiler.passes.ast_passes import (
-    fold_constants,
-    inline_simple_functions,
-    unroll_loops,
-)
-from repro.compiler.passes.ir_passes import (
-    eliminate_common_subexpressions,
-    eliminate_dead_code,
-    peephole_optimize,
-    strength_reduce,
-)
-from repro.compiler.passes.spm import INSTRUCTION_BYTES, allocate_scratchpad
+from repro.compiler.passes.spm import INSTRUCTION_BYTES
+from repro.compiler.pipeline import CompilationPipeline
 from repro.energy.static_analyzer import EnergyAnalyzer
 from repro.errors import CompilationError
 from repro.frontend import ast_nodes as ast
-from repro.frontend.lowering import lower_module
 from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.ir.cfg import Program
-from repro.security.transforms import harden_module
 from repro.wcet.analyzer import WCETAnalyzer
-from repro.wcet.loopbounds import infer_loop_bounds
 
 #: Optional callback scoring the security level of a compiled program.
 SecurityEvaluator = Callable[[Program, str], float]
@@ -84,119 +77,28 @@ class Variant:
         }
 
 
-def apply_pre_unroll_passes(module: ast.SourceModule, config: CompilerConfig
-                            ) -> Tuple[ast.SourceModule, Dict[str, int]]:
-    """Loop-bound inference plus the AST passes that run before unrolling.
-
-    Only hardening, constant folding and inlining are consumed here, so the
-    result is shared between configurations differing in ``unroll_limit``.
-    The input module is never modified; the returned module is a fresh clone.
-    """
-    working = ast.clone_module(module)
-    statistics: Dict[str, int] = {}
-
-    infer_loop_bounds(working)
-    if config.harden_security:
-        working, hardening = harden_module(working)
-        statistics["hardened_branches"] = hardening.transformed_count
-    if config.constant_folding:
-        statistics["constant_folds"] = fold_constants(working)
-    if config.inline_simple_functions:
-        statistics["inlined_calls"] = inline_simple_functions(working)
-    return working, statistics
-
-
-def unroll_and_lower(working: ast.SourceModule, config: CompilerConfig,
-                     statistics: Dict[str, int]) -> Program:
-    """Unroll (mutating ``working`` in place) and lower to IR."""
-    if config.unroll_limit:
-        statistics["unrolled_loops"] = unroll_loops(working, config.unroll_limit)
-        if config.constant_folding:
-            statistics["constant_folds"] = (statistics.get("constant_folds", 0)
-                                            + fold_constants(working))
-    return lower_module(working)
-
-
-def lower_with_ast_passes(module: ast.SourceModule, config: CompilerConfig
-                          ) -> Tuple[Program, Dict[str, int]]:
-    """Run the AST-level passes selected by ``config`` and lower to IR.
-
-    Only the AST-level knobs of ``config`` (security hardening, constant
-    folding, inlining, unrolling) influence the result — the IR-level passes
-    run separately in :func:`run_ir_passes`.  This split is what lets the
-    evaluation engine share one lowered program between configurations that
-    differ only in IR-level flags.
-
-    The input module is never modified; every build starts from a fresh clone.
-    """
-    working, statistics = apply_pre_unroll_passes(module, config)
-    return unroll_and_lower(working, config, statistics), statistics
-
-
-def run_ir_optimisations(program: Program,
-                         config: CompilerConfig) -> Dict[str, int]:
-    """Run the platform-independent IR passes in pipeline order.
-
-    CSE first (recomputations become copies while their producers are
-    live), then DCE and strength reduction in their historical order, then
-    the peephole cleanups — the same sequence as
-    :meth:`repro.compiler.pipeline.CompilationPipeline.ir_passes`.
-    """
-    statistics: Dict[str, int] = {}
-    if config.enable_cse:
-        statistics["cse_replacements"] = (
-            eliminate_common_subexpressions(program))
-    if config.dead_code_elimination:
-        statistics["dead_instructions"] = eliminate_dead_code(program)
-    if config.strength_reduction:
-        statistics["strength_reductions"] = strength_reduce(program)
-    if config.enable_peephole:
-        statistics["peephole_rewrites"] = peephole_optimize(program)
-    return statistics
-
-
-def run_spm_allocation(program: Program, config: CompilerConfig,
-                       platform: Platform) -> Dict[str, int]:
-    """Run the platform-dependent scratchpad allocation pass (always last)."""
-    statistics: Dict[str, int] = {}
-    if config.spm_allocation:
-        allocation = allocate_scratchpad(program, platform)
-        statistics["spm_functions"] = len(allocation.placed_functions)
-    return statistics
-
-
-def run_ir_passes(program: Program, config: CompilerConfig,
-                  platform: Platform) -> Dict[str, int]:
-    """Run the IR-level passes selected by ``config`` on ``program`` in place."""
-    statistics = run_ir_optimisations(program, config)
-    statistics.update(run_spm_allocation(program, config, platform))
-    return statistics
-
-
-def build_program(module: ast.SourceModule, config: CompilerConfig,
-                  platform: Platform) -> Tuple[Program, Dict[str, int]]:
-    """Apply the configuration's passes and lower to IR.
-
-    The input module is never modified; every build starts from a fresh clone.
-    """
-    program, statistics = lower_with_ast_passes(module, config)
-    statistics.update(run_ir_passes(program, config, platform))
-    return program, statistics
-
-
 def evaluate_config(module: ast.SourceModule, config: CompilerConfig,
                     platform: Platform, entry_function: str,
                     core: Optional[Core] = None,
                     opp: Optional[OperatingPoint] = None,
                     security_evaluator: Optional[SecurityEvaluator] = None,
                     name: Optional[str] = None) -> Variant:
-    """Compile ``module`` under ``config`` and statically analyse the result."""
-    program, statistics = build_program(module, config, platform)
+    """Compile ``module`` under ``config`` and statically analyse the result.
+
+    Uncached: the build runs every stage of a fresh
+    :class:`~repro.compiler.pipeline.CompilationPipeline` and the bounds
+    come from the stock analysers, so this is the reference the evaluation
+    engine's cached results are checked against.
+    """
+    program, statistics = CompilationPipeline(platform).build(module, config)
     if entry_function not in program.functions:
         raise CompilationError(f"entry function {entry_function!r} not found")
 
-    wcet = WCETAnalyzer(platform, core=core, opp=opp).analyze(program, entry_function)
-    wcec = EnergyAnalyzer(platform, core=core, opp=opp).analyze(program, entry_function)
+    wcet = WCETAnalyzer(platform, core=core, opp=opp,
+                        path_sensitive=config.path_sensitive
+                        ).analyze(program, entry_function)
+    wcec = EnergyAnalyzer(platform, core=core, opp=opp).analyze(
+        program, entry_function, path_sensitive=config.path_sensitive)
     security = (security_evaluator(program, entry_function)
                 if security_evaluator is not None else None)
     code_size = program.total_instructions * INSTRUCTION_BYTES

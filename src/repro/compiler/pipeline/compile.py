@@ -4,11 +4,9 @@ One :class:`CompilationPipeline` binds a platform and a
 :class:`~repro.compiler.pipeline.manager.PassManager` and exposes the
 compile path as *stage runs* over the registered pass list.  The evaluation
 engine drives the stages through its caches (each stage method corresponds
-to one cache boundary); :meth:`build` chains them for an uncached one-shot
-build.  All stage methods replay the exact semantics of the previously
-hand-sequenced call sites in :mod:`repro.compiler.evaluate` — same pass
-order, same clone points, same statistics keys — so routed and legacy
-builds are bit-for-bit identical.
+to one cache boundary, keyed by the manager's stage keys); :meth:`build`
+chains them for an uncached one-shot build — the only other build
+sequence, used by :func:`repro.compiler.evaluate.evaluate_config`.
 """
 
 from __future__ import annotations
@@ -146,34 +144,6 @@ class CompilationPipeline:
         statistics.update(self.ir_passes(program, config))
         statistics.update(self.backend_passes(program, config))
         return program, statistics
-
-    # ------------------------------------------------------ cache factories --
-    def lowering_cache(self, max_entries: Optional[int] = None):
-        """A :class:`~repro.compiler.engine.cache.LoweringCache` keyed by
-        this pipeline's pass list (pre-unroll prefix / post-lower stages)."""
-        from repro.compiler.engine.cache import LoweringCache
-        manager = self.manager
-        return LoweringCache(
-            max_entries=max_entries,
-            key_fn=lambda config: manager.stage_key(config, "lower"),
-            pre_unroll_key_fn=lambda config: manager.key_before(
-                config, _UNROLL_PASS))
-
-    def ir_stage_cache(self, max_entries: Optional[int] = None):
-        """An :class:`~repro.compiler.engine.cache.IrStageCache` keyed by
-        this pipeline's pass list through the IR stage."""
-        from repro.compiler.engine.cache import IrStageCache
-        manager = self.manager
-        return IrStageCache(
-            max_entries=max_entries,
-            key_fn=lambda config: manager.stage_key(config, "ir"))
-
-    def variant_cache(self, max_entries: Optional[int] = None):
-        """A :class:`~repro.compiler.engine.cache.VariantCache` keyed by the
-        full registered pass list."""
-        from repro.compiler.engine.cache import VariantCache
-        return VariantCache(max_entries=max_entries,
-                            key_fn=self.manager.canonical_key)
 
     # --------------------------------------------------------------- stats --
     def stats(self) -> Dict[str, Dict[str, object]]:

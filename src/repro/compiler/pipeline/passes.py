@@ -167,13 +167,12 @@ PATH_FEASIBILITY_PASS = "path-feasibility"
 def default_compile_passes() -> Tuple[Pass, ...]:
     """The stock pass list, in execution order.
 
-    Matches the hand-sequenced pipeline of
-    :mod:`repro.compiler.evaluate` exactly: loop-bound inference and the
-    pre-unroll AST passes (hardening, folding, inlining), unrolling (with a
-    second folding round, re-run by the pipeline when both are enabled),
-    lowering, the platform-independent IR passes (CSE before DCE so
-    downgraded copies can turn dead, strength reduction, peephole cleanups
-    last), and scratchpad allocation after all of them.
+    Loop-bound inference and the pre-unroll AST passes (hardening, folding,
+    inlining), unrolling (with a second folding round, re-run by the
+    pipeline when both are enabled), lowering, the platform-independent IR
+    passes (CSE before DCE so downgraded copies can turn dead, strength
+    reduction, peephole cleanups last), and scratchpad allocation after all
+    of them.
     """
     return (
         Pass(PARSE_PASS, "frontend"),

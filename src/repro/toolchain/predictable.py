@@ -115,7 +115,7 @@ class PredictableToolchain:
         engine = self._engines.get(key)
         if engine is None:
             lowering = self._lowerings.setdefault(
-                id(module), self.pipeline.lowering_cache())
+                id(module), LoweringCache(manager=self.pipeline.manager))
             engine = EvaluationEngine(
                 module, self.platform, list(entries.values()),
                 core=self.core,

@@ -19,12 +19,17 @@ from repro.compiler.engine import (
     process_analysis_cache,
     process_analysis_cache_stats,
 )
+from repro.compiler.pipeline import PassManager
 from repro.frontend import compile_source
 from repro.hw.presets import gr712rc, nucleo_stm32f091rc
 
 CONFIG_A = CompilerConfig.baseline()
 CONFIG_B = CompilerConfig.baseline().with_(spm_allocation=True)
 CONFIG_C = CompilerConfig.performance()
+
+#: The caches take their keys from a pass manager (the stock one when none
+#: is given); passing it explicitly keys these tests like the engine's caches.
+MANAGER = PassManager()
 
 
 class FakeProgram:
@@ -54,7 +59,7 @@ int work(int gain) {{
 
 class TestVariantCacheEviction:
     def test_lru_eviction_and_counters(self):
-        cache = VariantCache(max_entries=2)
+        cache = VariantCache(max_entries=2, manager=MANAGER)
         cache.put(CONFIG_A, "a")
         cache.put(CONFIG_B, "b")
         cache.put(CONFIG_C, "c")  # evicts A (least recently used)
@@ -65,7 +70,7 @@ class TestVariantCacheEviction:
         assert cache.get(CONFIG_C) == "c"
 
     def test_get_refreshes_recency(self):
-        cache = VariantCache(max_entries=2)
+        cache = VariantCache(max_entries=2, manager=MANAGER)
         cache.put(CONFIG_A, "a")
         cache.put(CONFIG_B, "b")
         assert cache.get(CONFIG_A) == "a"  # A is now most recently used
@@ -74,7 +79,7 @@ class TestVariantCacheEviction:
         assert CONFIG_B not in cache
 
     def test_stats_reporting(self):
-        cache = VariantCache(max_entries=1)
+        cache = VariantCache(max_entries=1, manager=MANAGER)
         cache.put(CONFIG_A, "a")
         cache.get(CONFIG_A)
         cache.put(CONFIG_B, "b")
@@ -92,12 +97,12 @@ class TestVariantCacheEviction:
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError, match="max_entries"):
-            VariantCache(max_entries=0)
+            VariantCache(max_entries=0, manager=MANAGER)
 
 
 class TestLoweringCacheEviction:
     def test_lowered_table_bounded(self):
-        cache = LoweringCache(max_entries=1)
+        cache = LoweringCache(max_entries=1, manager=MANAGER)
         cache.put(CONFIG_A, FakeProgram("a"), {"n": 1})
         cache.put(CONFIG_C, FakeProgram("c"), {"n": 2})  # different AST key
         assert len(cache) == 1
@@ -108,7 +113,7 @@ class TestLoweringCacheEviction:
         assert statistics == {"n": 2}
 
     def test_pre_unroll_table_bounded_independently(self):
-        cache = LoweringCache(max_entries=1)
+        cache = LoweringCache(max_entries=1, manager=MANAGER)
         cache.put_pre_unroll(CONFIG_A, FakeProgram("a"), {})
         # CONFIG_C differs in inlining, i.e. a different pre-unroll key.
         cache.put_pre_unroll(CONFIG_C, FakeProgram("c"), {})
@@ -116,7 +121,7 @@ class TestLoweringCacheEviction:
         assert cache.get_pre_unroll(CONFIG_C) is not None
 
     def test_stats_report_both_tables(self):
-        cache = LoweringCache(max_entries=4)
+        cache = LoweringCache(max_entries=4, manager=MANAGER)
         cache.put(CONFIG_A, FakeProgram("a"), {})
         cache.put_pre_unroll(CONFIG_A, FakeProgram("a"), {})
         cache.put_pre_unroll(CONFIG_C, FakeProgram("c"), {})
@@ -127,7 +132,7 @@ class TestLoweringCacheEviction:
 
 class TestIrStageCacheEviction:
     def test_bounded(self):
-        cache = IrStageCache(max_entries=1)
+        cache = IrStageCache(max_entries=1, manager=MANAGER)
         cache.put(CONFIG_A, FakeProgram("a"), {})
         # Different DCE/SR flags change the IR-stage key.
         cache.put(CONFIG_A.with_(strength_reduction=True), FakeProgram("b"), {})
@@ -265,7 +270,8 @@ class TestProcessWideAnalysisCache:
 
         platform = nucleo_stm32f091rc()
         engine = EvaluationEngine(parse(_source(16)), platform, ["work"],
-                                  variant_cache=VariantCache(max_entries=1))
+                                  variant_cache=VariantCache(
+                                      max_entries=1, manager=MANAGER))
         engine.evaluate(CONFIG_A)
         engine.evaluate(CONFIG_C)
         assert engine.stats.variant_evictions == 1

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.compiler.config import CompilerConfig
-from repro.compiler.evaluate import build_program, evaluate_config
+from repro.compiler.evaluate import evaluate_config
 from repro.compiler.passes.ast_passes import (
     fold_constants,
     inline_simple_functions,
@@ -18,6 +18,7 @@ from repro.compiler.passes.ir_passes import (
     strength_reduce,
 )
 from repro.compiler.passes.spm import allocate_scratchpad
+from repro.compiler.pipeline import CompilationPipeline
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lowering import compile_source, lower_module
 from repro.frontend.parser import parse
@@ -182,7 +183,8 @@ class TestIrPasses:
 class TestBuildAndEvaluate:
     def test_build_program_never_mutates_input(self, platform):
         module = parse(SOURCE)
-        build_program(module, CompilerConfig.performance(), platform)
+        CompilationPipeline(platform).build(module,
+                                            CompilerConfig.performance())
         # The original module still contains its loop and its call.
         kernel = module.function("kernel")
         assert any(isinstance(s, ast.For) for s in ast.walk_stmts(kernel.body))
@@ -196,7 +198,8 @@ class TestBuildAndEvaluate:
                                       dead_code_elimination=False),
                        CompilerConfig.baseline().with_(strength_reduction=True,
                                                        unroll_limit=16)):
-            program, _stats = build_program(module, config, platform)
+            program, _stats = CompilationPipeline(platform).build(module,
+                                                                  config)
             assert _simulate(program, platform, 6, data) == expected
 
     def test_performance_config_improves_wcet_and_energy(self, platform):
@@ -349,7 +352,7 @@ class TestCommonSubexpressionElimination:
         expected = _run_reference(6, data)
         config = CompilerConfig.performance().with_(enable_cse=True,
                                                     enable_peephole=True)
-        program, stats = build_program(module, config, platform)
+        program, stats = CompilationPipeline(platform).build(module, config)
         assert "cse_replacements" in stats
         assert "peephole_rewrites" in stats
         assert _simulate(program, platform, 6, data) == expected

@@ -1,14 +1,13 @@
 """Tests for the batched variant-evaluation engine and its staged caches."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import (
     BatchEvaluator,
     EvaluationEngine,
     VariantCache,
-    ast_stage_key,
-    canonical_key,
     program_fingerprint,
 )
 from repro.compiler.engine.batch import _evaluate_in_worker
@@ -16,6 +15,7 @@ from repro.compiler.evaluate import evaluate_config
 from repro.compiler.fpa import FlowerPollinationOptimizer
 from repro.compiler.nsga2 import Nsga2Optimizer
 from repro.errors import CompilationError
+from repro.compiler.pipeline import CompilationPipeline, PassManager
 from repro.frontend.parser import parse
 from repro.hw.presets import nucleo_stm32f091rc
 
@@ -33,13 +33,43 @@ int kernel(int gain) {
 }
 """
 
+#: Mutually exclusive range guards on ``gain``: the structural bound charges
+#: every guarded body each iteration, the path-sensitive one at most one.
+GUARDED_SOURCE = """
+int samples[8];
+
+#pragma teamplay task(guarded)
+int guarded(int gain) {
+    int acc = 0;
+    for (int i = 0; i < 8; i = i + 1) {
+        int value = samples[i];
+        if (gain > 12) {
+            acc = acc + value * gain;
+            acc = acc + gain * 5;
+        }
+        if (gain < 4) {
+            acc = acc - value * gain;
+            acc = acc - (value >> 1) * 7;
+        }
+        if (gain == 8) {
+            acc = acc + value * 11;
+        }
+    }
+    return acc;
+}
+"""
+
 CONFIGS = [
     CompilerConfig.baseline(),
     CompilerConfig.performance(),
     CompilerConfig.secure(),
     CompilerConfig.baseline().with_(strength_reduction=True),
     CompilerConfig.baseline().with_(spm_allocation=True),
+    CompilerConfig.baseline().with_(path_sensitive=True),
+    CompilerConfig.performance().with_(path_sensitive=True),
 ]
+
+MANAGER = PassManager()
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +80,13 @@ def platform():
 @pytest.fixture(scope="module")
 def module():
     return parse(SOURCE)
+
+
+# Shared across hypothesis examples (function-scoped fixtures are not):
+# revisited configurations exercise the engine's cache hits as well.
+_PLATFORM = nucleo_stm32f091rc()
+_GUARDED_MODULE = parse(GUARDED_SOURCE)
+_GUARDED_ENGINE = EvaluationEngine(_GUARDED_MODULE, _PLATFORM, ["guarded"])
 
 
 def engine_for(module, platform) -> EvaluationEngine:
@@ -74,29 +111,34 @@ def variant_key(variant):
 
 class TestCanonicalKeys:
     def test_equal_configs_share_a_key_regardless_of_construction(self):
+        key = MANAGER.canonical_key
         direct = CompilerConfig(constant_folding=True, unroll_limit=16,
                                 inline_simple_functions=True,
                                 dead_code_elimination=True,
                                 strength_reduction=True, spm_allocation=True,
                                 harden_security=False)
-        assert canonical_key(direct) == canonical_key(CompilerConfig.performance())
-        assert canonical_key(direct) == canonical_key(
-            CompilerConfig.performance().with_())
+        assert key(direct) == key(CompilerConfig.performance())
+        assert key(direct) == key(CompilerConfig.performance().with_())
         decoded = CompilerConfig.from_genes(direct.to_genes())
-        assert canonical_key(decoded) == canonical_key(direct)
+        assert key(decoded) == key(direct)
 
     def test_different_configs_have_different_keys(self):
-        keys = {canonical_key(config) for config in CONFIGS}
+        keys = {MANAGER.canonical_key(config) for config in CONFIGS}
         assert len(keys) == len(CONFIGS)
 
     def test_ast_stage_key_ignores_ir_level_flags(self):
+        def lowered(config):
+            return MANAGER.stage_key(config, "lower")
+
         base = CompilerConfig.baseline()
-        assert (ast_stage_key(base)
-                == ast_stage_key(base.with_(strength_reduction=True))
-                == ast_stage_key(base.with_(spm_allocation=True))
-                == ast_stage_key(base.with_(dead_code_elimination=False)))
-        assert ast_stage_key(base) != ast_stage_key(base.with_(unroll_limit=8))
-        assert ast_stage_key(base) != ast_stage_key(base.with_(harden_security=True))
+        assert (lowered(base)
+                == lowered(base.with_(strength_reduction=True))
+                == lowered(base.with_(spm_allocation=True))
+                == lowered(base.with_(dead_code_elimination=False))
+                == lowered(base.with_(enable_cse=True, enable_peephole=True))
+                == lowered(base.with_(path_sensitive=True)))
+        assert lowered(base) != lowered(base.with_(unroll_limit=8))
+        assert lowered(base) != lowered(base.with_(harden_security=True))
 
 
 class TestVariantCache:
@@ -143,13 +185,29 @@ class TestVariantCache:
 
 class TestBitForBitEquivalence:
     def test_cached_equals_uncached(self, module, platform):
-        engine = engine_for(module, platform)
-        for config in CONFIGS:
-            reference = evaluate_config(module, config, platform, "kernel")
-            cold = engine.evaluate(config)
-            warm = engine.evaluate(config)
-            assert variant_key(reference) == variant_key(cold)
-            assert warm is cold
+        for source_module, entry in ((module, "kernel"),
+                                     (_GUARDED_MODULE, "guarded")):
+            engine = EvaluationEngine(source_module, platform, [entry])
+            for config in CONFIGS:
+                reference = evaluate_config(source_module, config, platform,
+                                            entry)
+                cold = engine.evaluate(config)
+                warm = engine.evaluate(config)
+                assert variant_key(reference) == variant_key(cold)
+                assert warm is cold
+        # The guarded kernel is only a drift check if pruning tightens it.
+        base = CompilerConfig.baseline()
+        assert (engine.evaluate(base.with_(path_sensitive=True)).wcet_cycles
+                < engine.evaluate(base).wcet_cycles)
+
+    @given(genes=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10))
+    @settings(max_examples=25, deadline=None)
+    def test_engine_matches_reference_over_the_gene_space(self, genes):
+        config = CompilerConfig.from_genes(genes)
+        reference = evaluate_config(_GUARDED_MODULE, config, _PLATFORM,
+                                    "guarded")
+        assert variant_key(_GUARDED_ENGINE.evaluate(config)) \
+            == variant_key(reference)
 
     def test_batch_matches_sequential(self, module, platform):
         sequential = engine_for(module, platform)
@@ -181,6 +239,30 @@ class TestBitForBitEquivalence:
         results = BatchEvaluator(engine).evaluate([config, config.with_(), config])
         assert engine.variants.misses == 1
         assert results[0] is results[1] is results[2]
+
+    def test_parallel_dedup_uses_the_engine_key(self, module, platform):
+        # A pass list without scratchpad allocation makes the SPM flag
+        # irrelevant: the batch must hand the pool one configuration, not
+        # two that the engine would key identically.
+        manager = PassManager(
+            [p for p in PassManager().passes() if p.name != "spm-allocation"])
+        engine = EvaluationEngine(module, platform, ["kernel"],
+                                  pipeline=CompilationPipeline(platform,
+                                                               manager))
+        sent = []
+
+        class RecordingBatch(BatchEvaluator):
+            def _parallel_applicable(self):
+                return True
+
+            def _evaluate_parallel(self, configs):
+                sent.extend(configs)
+
+        base = CompilerConfig.baseline()
+        RecordingBatch(engine, parallel=True).evaluate(
+            [base, base.with_(spm_allocation=True)])
+        assert sent == [base]
+        assert engine.variants.misses == 1
 
 
 class TestEngineSafety:

@@ -25,7 +25,8 @@ IR-stage cache entry.
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.config import CompilerConfig
-from repro.compiler.engine.cache import IrStageCache, canonical_key
+from repro.compiler.engine.cache import IrStageCache
+from repro.compiler.pipeline import PassManager
 from repro.frontend.lowering import compile_source
 from repro.hw.presets import nucleo_stm32f091rc
 from repro.ir.cfg import BasicBlock, Function
@@ -346,11 +347,21 @@ class TestCacheKeyWidening:
     @given(config=base_configs())
     @settings(max_examples=30, deadline=None)
     def test_path_sensitive_flag_splits_cache_keys(self, config):
+        manager = PassManager()
         flipped = config.with_(path_sensitive=True)
-        assert canonical_key(config) != canonical_key(flipped)
-        assert IrStageCache.key(config) != IrStageCache.key(flipped)
+        assert manager.canonical_key(config) != manager.canonical_key(flipped)
+        assert manager.stage_key(config, "ir") \
+            != manager.stage_key(flipped, "ir")
+        # The flag enters at the path-feasibility pass: everything keyed
+        # before it (the whole lowered program) is shared between modes.
+        assert manager.key_before(config, "path-feasibility") \
+            == manager.key_before(flipped, "path-feasibility")
+        assert manager.stage_key(config, "lower") \
+            == manager.stage_key(flipped, "lower")
         # Everything else equal, the keys differ only in that flag.
-        assert canonical_key(config)[:-1] == canonical_key(flipped)[:-1]
+        differing = [a != b for a, b in zip(manager.canonical_key(config),
+                                            manager.canonical_key(flipped))]
+        assert differing.count(True) == 1
 
     def test_ir_stage_cache_misses_across_modes(self):
         program = compile_source("int f(int a) { return a + 1; }")

@@ -389,6 +389,30 @@ class TestAnalysisCacheDiskTier:
         assert cache.wcet(program_a, "work").cycles == expected_a
         assert cache.disk_hits == hits_before + 1
 
+    def test_table_digests_are_pinned(self):
+        # On-disk keys of one cycles table and one path-sensitive energy
+        # table: a directory warmed by an earlier build must keep hitting.
+        class RecordingStore:
+            def __init__(self):
+                self.digests = []
+
+            def get(self, digest):
+                return None
+
+            def put(self, digest, payload):
+                self.digests.append(digest)
+
+        store = RecordingStore()
+        cache = AnalysisCache(nucleo_stm32f091rc(), store=store)
+        program = compile_source(_source(16))
+        cache.wcet(program, "work")
+        cache.wcec(program, "work", path_sensitive=True)
+        cycles, energy_paths, _cycles_paths = store.digests
+        assert cycles == ("ff3914912db948171e21adecea48d7d6"
+                          "9692326c7530639a790b6725cc5bca01")
+        assert energy_paths == ("2953b40f7aaea0bf6e242ffb9503fd23"
+                                "5dbce13c90e3aeabed877d81e266c573")
+
     def test_multi_core_scopes_get_distinct_records(self, tmp_path):
         platform = gr712rc()
         program = compile_source(_source(16))

@@ -3,8 +3,9 @@
 Covers the declarative pass list (registration, ordering, enablement), the
 pass-list-derived stage-cache keys the engine caches use, the per-pass
 wall-time/invocation counters, and end-to-end equivalence: compiling
-through the pipeline produces bit-for-bit the variants the hand-sequenced
-call sites produced.
+through the engine's staged caches produces bit-for-bit the variants of
+the uncached reference build (``CompilationPipeline.build`` + the stock
+analysers), in both analysis modes.
 """
 
 import json
@@ -13,9 +14,8 @@ import pytest
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.driver import MultiCriteriaCompiler
-from repro.compiler.engine import IrStageCache, ast_stage_key, canonical_key
-from repro.compiler.engine.cache import pre_unroll_key
-from repro.compiler.evaluate import build_program, evaluate_config
+from repro.compiler.engine import EvaluationEngine, program_fingerprint
+from repro.compiler.evaluate import evaluate_config
 from repro.compiler.pipeline import (
     ANALYSIS_PASS,
     PARSE_PASS,
@@ -32,7 +32,7 @@ from repro.compiler.pipeline import (
 )
 from repro.errors import CompilationError
 from repro.frontend.parser import parse
-from repro.hw.presets import platform_by_name
+from repro.hw.presets import nucleo_stm32f091rc, platform_by_name
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import BuildOptions, ScenarioSpec
 from repro.usecases import camera_pill
@@ -49,7 +49,47 @@ CONFIGS = [
     CompilerConfig.baseline().with_(enable_peephole=True),
     CompilerConfig.performance().with_(enable_cse=True,
                                        enable_peephole=True),
+    CompilerConfig.baseline().with_(path_sensitive=True),
+    CompilerConfig.performance().with_(path_sensitive=True),
 ]
+
+#: The WP1 guard-heavy kernel (``benchmarks/test_bench_wcet_paths.py``) as a
+#: TeamPlay task: per iteration at most one of the range guards on ``gain``
+#: can hold, so infeasible-path pruning tightens its bound.
+GUARDED_TASK_SOURCE = """
+int samples[64];
+
+#pragma teamplay task(t)
+int task(int gain) {
+    int acc = 0;
+    for (int i = 0; i < 64; i = i + 1) {
+        int value = samples[i];
+        if (gain > 12) {
+            acc = acc + value * gain;
+            acc = acc + (value >> 2) * 3;
+            acc = acc + gain * 5;
+        }
+        if (gain < 4) {
+            acc = acc - value * gain;
+            acc = acc - (value >> 1) * 7;
+            acc = acc + gain * 9;
+            acc = acc - i;
+        }
+        if (gain == 8) {
+            acc = acc + value + i;
+            acc = acc + value * 11;
+        }
+        if (gain > 20) {
+            acc = acc + value * 13;
+        }
+        if (gain < 0) {
+            acc = acc - value * 17;
+            acc = acc - gain;
+        }
+    }
+    return acc;
+}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -131,25 +171,9 @@ class TestPassManager:
 
 
 # ---------------------------------------------------------------------------
-# Stage keys: derived from the pass list, same discrimination as legacy
+# Stage keys: derived from the pass list
 # ---------------------------------------------------------------------------
 class TestStageKeys:
-    def test_keys_discriminate_like_the_legacy_tuples(self):
-        manager = PassManager()
-        for kind, pipeline_fn, legacy_fn in [
-            ("pre-unroll",
-             lambda c: manager.key_before(c, "unroll-loops"), pre_unroll_key),
-            ("lowered",
-             lambda c: manager.stage_key(c, "lower"), ast_stage_key),
-            ("ir", lambda c: manager.stage_key(c, "ir"), IrStageCache.key),
-            ("canonical", manager.canonical_key, canonical_key),
-        ]:
-            for a in CONFIGS:
-                for b in CONFIGS:
-                    assert ((pipeline_fn(a) == pipeline_fn(b))
-                            == (legacy_fn(a) == legacy_fn(b))), \
-                        (kind, a.short_name(), b.short_name())
-
     def test_registered_pass_widens_downstream_keys(self):
         manager = PassManager()
         base = CompilerConfig.baseline()
@@ -220,31 +244,48 @@ class TestExecutionAndStats:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end equivalence: pipeline == hand-sequenced call sites
+# End-to-end equivalence: staged engine == uncached reference build
 # ---------------------------------------------------------------------------
 class TestPipelineEquivalence:
-    def test_build_matches_build_program(self, platform, module):
+    def test_build_matches_staged_engine_build(self, platform, module):
         pipeline = CompilationPipeline(platform)
+        engine = EvaluationEngine(module, platform, ["frame_packet"])
         for config in CONFIGS:
-            expected_program, expected_stats = build_program(
-                module, config, platform)
+            expected_program, expected_stats = engine._build(config)
             program, statistics = pipeline.build(module, config)
             assert statistics == expected_stats
-            from repro.compiler.engine import program_fingerprint
             assert program_fingerprint(program) \
                 == program_fingerprint(expected_program)
 
     def test_driver_variants_match_reference(self, platform, module):
         compiler = MultiCriteriaCompiler(platform)
-        for config in CONFIGS:
-            via_pipeline = compiler.compile(module, "frame_packet", config)
-            reference = evaluate_config(module, config, platform,
-                                        "frame_packet")
-            assert via_pipeline.wcet_cycles == reference.wcet_cycles
-            assert via_pipeline.wcet_time_s == reference.wcet_time_s
-            assert via_pipeline.energy_j == reference.energy_j
-            assert via_pipeline.code_size_bytes == reference.code_size_bytes
-            assert via_pipeline.pass_statistics == reference.pass_statistics
+        for source_module, entry in ((module, "frame_packet"),
+                                     (parse(GUARDED_TASK_SOURCE), "task")):
+            for config in CONFIGS:
+                via_pipeline = compiler.compile(source_module, entry, config)
+                reference = evaluate_config(source_module, config, platform,
+                                            entry)
+                assert via_pipeline.wcet_cycles == reference.wcet_cycles
+                assert via_pipeline.wcet_time_s == reference.wcet_time_s
+                assert via_pipeline.energy_j == reference.energy_j
+                assert via_pipeline.code_size_bytes \
+                    == reference.code_size_bytes
+                assert via_pipeline.pass_statistics \
+                    == reference.pass_statistics
+
+    def test_ets_rows_use_the_variant_analysis_mode(self):
+        board = nucleo_stm32f091rc()
+        compiler = MultiCriteriaCompiler(board)
+        config = CompilerConfig(path_sensitive=True)
+        variant = compiler.compile(GUARDED_TASK_SOURCE, "task", config)
+        row = compiler.task_properties(variant)["t"]
+        assert row["wcet_cycles"] == variant.wcet_cycles == 10713
+        assert row["energy_j"] == variant.energy_j
+        # The structural bound of the same program is looser: the row above
+        # really comes from the pruned analysis.
+        structural = compiler.compile(GUARDED_TASK_SOURCE, "task",
+                                      config.with_(path_sensitive=False))
+        assert structural.wcet_cycles > row["wcet_cycles"]
 
     def test_driver_reports_pipeline_stats(self, platform):
         compiler = MultiCriteriaCompiler(platform)
