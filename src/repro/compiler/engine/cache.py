@@ -307,6 +307,27 @@ def _region_signature(region: Region) -> Tuple:
     raise TypeError(f"unknown region type {type(region)!r}")  # pragma: no cover
 
 
+class _Fingerprint(tuple):
+    """A structural fingerprint that hashes its nested contents only once.
+
+    Equal to, and hashing like, the plain tuple it wraps.  Tuples do not
+    cache their hash, so every analysis-table lookup would otherwise re-hash
+    the whole nested fingerprint.  The stored hash is never pickled: string
+    hashes are salted per process, so unpickling recomputes it.
+    """
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return _Fingerprint, (tuple(self),)
+
+
 def program_fingerprint(program: Program) -> Tuple:
     """Structural fingerprint capturing everything the cost analyses read.
 
@@ -315,7 +336,9 @@ def program_fingerprint(program: Program) -> Tuple:
     function's placement (``code_region``), its region tree including loop
     bounds, and each block's instruction sequence (opcode, callee, accessed
     array).  Memoised on the program object — only fingerprint programs that
-    will no longer be mutated.
+    will no longer be mutated.  The nested tuple's hash is computed once,
+    when the fingerprint is built, and recomputed (never unpickled) after a
+    pickle round trip.
     """
     cached = getattr(program, _FINGERPRINT_ATTR, None)
     if cached is not None:
@@ -332,7 +355,7 @@ def program_fingerprint(program: Program) -> Tuple:
             blocks.append(tuple(signature))
         functions.append((name, function.code_region, function.entry,
                           _region_signature(function.region), tuple(blocks)))
-    fingerprint = tuple(functions)
+    fingerprint = _Fingerprint(functions)
     setattr(program, _FINGERPRINT_ATTR, fingerprint)
     return fingerprint
 
@@ -408,6 +431,7 @@ class AnalysisCache(_BoundedCacheMixin):
         self._pass_list_key = pass_list_key
         self.disk_hits = 0
         self.disk_misses = 0
+        self.disk_errors = 0
         # Serialises lookups *and* fills: the LRU bookkeeping is a compound
         # read-modify-write over OrderedDicts, and the process-wide shared
         # cache is queried concurrently by the evaluation service's worker
@@ -428,7 +452,9 @@ class AnalysisCache(_BoundedCacheMixin):
         # Fingerprint -> digest memo for the persistent tier: canonicalising
         # a whole structural fingerprint costs more than one table analysis,
         # and every core/OPP table of a program shares the fingerprint — so
-        # hash it once per program, not once per table.
+        # digest it once per program, not once per table.  The lookup itself
+        # is cheap: a fingerprint's hash is computed once when it is built
+        # and is never pickled (see ``_Fingerprint``).
         self._fingerprint_digests: Dict[Tuple, str] = {}
         # Path-feasibility counters, accumulated on computes only (memory and
         # disk hits reuse tables whose pruning already happened elsewhere).
@@ -442,6 +468,7 @@ class AnalysisCache(_BoundedCacheMixin):
         stats = super().stats()
         stats["disk_hits"] = self.disk_hits
         stats["disk_misses"] = self.disk_misses
+        stats["disk_errors"] = self.disk_errors
         stats["persistent"] = self._store is not None
         stats["path_units"] = self._path_totals.units
         stats["paths_enumerated"] = self._path_totals.paths_enumerated
@@ -503,7 +530,7 @@ class AnalysisCache(_BoundedCacheMixin):
             try:
                 entry = _persist.decode_analysis_entry(payload)
             except _persist.PersistError:
-                payload = None
+                pass
             else:
                 self.disk_hits += 1
                 return entry
@@ -514,7 +541,7 @@ class AnalysisCache(_BoundedCacheMixin):
     def _default_core(self) -> Core:
         core = next(iter(self.platform.predictable_cores), None)
         if core is None:
-                raise AnalysisError(
+            raise AnalysisError(
                 f"platform {self.platform.name!r} has no predictable core; use "
                 f"the dynamic profiling workflow for complex architectures")
         return core
@@ -650,7 +677,14 @@ class AnalysisCache(_BoundedCacheMixin):
         entry = (table, errors)
         self._insert(tables, key, entry)
         if digest is not None:
-            self._store.put(digest, _persist.encode_analysis_entry(entry))
+            try:
+                self._store.put(digest, _persist.encode_analysis_entry(entry))
+            except OSError:
+                # A failing disk tier (full, read-only, gone) must not fail
+                # the query: detach it from this cache and keep serving
+                # from memory, counted in ``stats()["disk_errors"]``.
+                self._store = None
+                self.disk_errors += 1
         return entry
 
     @staticmethod

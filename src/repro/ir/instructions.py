@@ -45,6 +45,11 @@ class Opcode(enum.Enum):
     SELECT = "select"    # dst <- cond ? a : b, constant time
     NOP = "nop"
 
+    # Members are singletons and compare by identity, so the C-level identity
+    # hash is sound and avoids a Python-level ``Enum.__hash__`` call on every
+    # opcode-keyed memo and set lookup.
+    __hash__ = object.__hash__
+
 
 #: Opcode -> instruction class used by the hardware cost tables.
 _CLASS_OF_OPCODE = {

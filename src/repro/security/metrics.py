@@ -73,9 +73,10 @@ def histogram_overlap(group_a: Sequence[float], group_b: Sequence[float],
         return 1.0
     lo = min(min(group_a), min(group_b))
     hi = max(max(group_a), max(group_b))
-    if math.isclose(lo, hi):
-        return 1.0
     width = (hi - lo) / bins
+    # A subnormal range (e.g. 0 vs 5e-324) underflows ``width`` to zero.
+    if math.isclose(lo, hi) or width == 0.0:
+        return 1.0
 
     def histogram(values: Sequence[float]) -> List[float]:
         counts = [0] * bins

@@ -14,14 +14,22 @@ Mirrors the journal's durability coverage for the cache store:
 * the store itself — cross-instance replay, torn-tail tolerance and repair,
   segment rolling, compaction (including another process detecting it and
   rebuilding), and concurrent multi-process writers,
-* the cache integration — LRU-evicted tables come back as disk hits, and the
+* the cache integration — LRU-evicted tables come back as disk hits, a
+  failing ``put`` detaches the store instead of failing the query, and the
   E1/E2/E3/E6 goldens stay bit-for-bit identical with the disk tier enabled,
-  including across a simulated restart that serves them from disk.
+  including across a simulated restart that serves them from disk,
+* fingerprint hashing — computed once per program, recomputed (never
+  carried) through pickle, including across processes with different
+  hash seeds.
 """
 
+import errno
 import json
 import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +40,7 @@ from repro.compiler.engine.cache import (
     enable_process_analysis_cache,
     process_analysis_cache_stats,
     process_cache_store,
+    program_fingerprint,
 )
 from repro.compiler.engine.persist import (
     PersistentCacheStore,
@@ -427,6 +436,133 @@ class TestAnalysisCacheDiskTier:
         # One cycles record per core plus one energy record per (core, OPP).
         expected = len(cores) + sum(len(c.operating_points) for c in cores)
         assert len(store) == expected
+
+    def test_disk_fault_on_put_detaches_the_store(self):
+        # A full disk must degrade the cache to memory-only, counted and
+        # visible, instead of failing the query.
+        class FullDiskStore:
+            def __init__(self):
+                self.gets = 0
+                self.puts = 0
+
+            def get(self, digest):
+                self.gets += 1
+                return None
+
+            def put(self, digest, payload):
+                self.puts += 1
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        platform = nucleo_stm32f091rc()
+        program = compile_source(_source(16))
+        other = compile_source(_source(24))
+        expected = AnalysisCache(platform).wcet(program, "work")
+        store = FullDiskStore()
+        cache = AnalysisCache(platform, store=store)
+
+        got = cache.wcet(program, "work")
+        assert got.cycles == expected.cycles
+        assert got.per_function_cycles == expected.per_function_cycles
+        assert cache.stats()["disk_errors"] == 1
+        assert not cache.stats()["persistent"]
+        touched = (store.gets, store.puts)
+        assert touched == (1, 1)
+        # Later misses are computed in memory without touching the store.
+        cache.wcec(program, "work")
+        cache.wcet(other, "work")
+        assert (store.gets, store.puts) == touched
+        assert cache.stats()["disk_errors"] == 1
+        assert cache.misses == 3
+
+
+# ---------------------------------------------------------------------------
+# Fingerprints hash once and never carry their hash through pickle
+# ---------------------------------------------------------------------------
+class _CountingStr(str):
+    """A string that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return str.__hash__(self)
+
+
+_PICKLE_PROGRAM = """
+import pickle, sys
+from repro.compiler.engine.cache import program_fingerprint
+from repro.frontend import compile_source
+program = compile_source({source!r})
+program_fingerprint(program)
+sys.stdout.buffer.write(pickle.dumps(program))
+"""
+
+_LOAD_AND_QUERY = """
+import pickle, sys
+from repro.compiler.engine import AnalysisCache
+from repro.frontend import compile_source
+from repro.hw.presets import nucleo_stm32f091rc
+loaded = pickle.loads(sys.stdin.buffer.read())
+cache = AnalysisCache(nucleo_stm32f091rc())
+cache.wcet(compile_source({source!r}), "work")
+cache.wcet(loaded, "work")
+print(cache.hits, cache.misses)
+"""
+
+
+class TestFingerprintHash:
+    def test_fingerprint_equals_and_hashes_like_a_plain_tuple(self):
+        fingerprint = program_fingerprint(compile_source(_source(16)))
+        plain = tuple(fingerprint)
+        assert fingerprint == plain and hash(fingerprint) == hash(plain)
+        assert key_digest(fingerprint) == key_digest(plain)
+
+    def test_pickled_fingerprint_recomputes_its_hash(self):
+        fingerprint = program_fingerprint(compile_source(_source(16)))
+        # Corrupt the stored hash: a pickle that carried it would keep it.
+        fingerprint._hash = 12345
+        loaded = pickle.loads(pickle.dumps(fingerprint))
+        assert loaded == fingerprint
+        assert hash(loaded) == hash(tuple(fingerprint))
+
+    def test_pickled_program_recomputes_its_memoised_fingerprint_hash(self):
+        program = compile_source(_source(16))
+        program_fingerprint(program)._hash = 12345
+        loaded = program_fingerprint(pickle.loads(pickle.dumps(program)))
+        assert hash(loaded) == hash(tuple(loaded))
+
+    def test_pickle_from_another_hash_seed_hits_in_memory(self):
+        # Pickled under one string-hash salt, loaded under another: a
+        # carried-over hash would miss the locally computed key.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+
+        def run(code, seed, stdin=None):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            return subprocess.run(
+                [sys.executable, "-c", code.format(source=_source(16))],
+                env=env, input=stdin, capture_output=True, check=True,
+                timeout=120).stdout
+
+        payload = run(_PICKLE_PROGRAM, 1)
+        hits, misses = run(_LOAD_AND_QUERY, 2, payload).split()
+        assert (int(hits), int(misses)) == (1, 1)
+
+    def test_warm_query_does_not_rehash_the_fingerprint(self):
+        program = compile_source(_source(16))
+        for function in program.functions.values():
+            function.code_region = _CountingStr(
+                function.code_region or "flash")
+        cache = AnalysisCache(nucleo_stm32f091rc())
+        cache.wcet(program, "work")
+        cache.wcec(program, "work")
+        _CountingStr.hashes = 0
+        cache.wcet(program, "work")
+        cache.wcec(program, "work")
+        assert cache.hits == 4
+        assert _CountingStr.hashes == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.compiler.engine.reference import (
     ObjectivePoint,
@@ -214,6 +214,8 @@ class TestMetricAndQuantisationBounds:
            b=st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False),
                       min_size=2, max_size=40))
     @settings(max_examples=40, deadline=None)
+    # Subnormal range: the histogram bin width underflowed to zero.
+    @example(a=[0.0, 0.0], b=[0.0, 5e-324])
     def test_security_scores_stay_in_unit_interval(self, a, b):
         assert 0.0 <= histogram_overlap(a, b) <= 1.0
         assert 0.0 <= indiscernibility_score({0: a, 1: b}) <= 1.0
