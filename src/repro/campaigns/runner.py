@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
@@ -403,12 +403,23 @@ class CampaignRunner:
     def _finish_stage(self, record: CampaignRecord, stage: StageRecord,
                       clock_start: float, state: StageState,
                       error: Optional[str]) -> None:
-        stage.state = state
-        stage.error = error
-        stage.finished_at = time.time()
-        stage.wall_s = time.monotonic() - clock_start
+        self._publish_stage(record, stage, state=state, error=error,
+                            finished_at=time.time(),
+                            wall_s=time.monotonic() - clock_start)
+
+    def _publish_stage(self, record: CampaignRecord, stage: StageRecord,
+                       **terminal) -> None:
+        """Journal ``stage`` with its ``terminal`` fields, then set them.
+
+        A GET sees the live record, so the event is appended first: a kill
+        between the two steps then leaves a journaled (resumable) stage,
+        never a terminal one nobody wrote down.
+        """
         if self.journal is not None:
-            self.journal.record_campaign_stage(record, stage)
+            self.journal.record_campaign_stage(record,
+                                               replace(stage, **terminal))
+        for name, value in terminal.items():
+            setattr(stage, name, value)
 
     def _finish(self, record: CampaignRecord,
                 failed_error: Optional[str]) -> None:
@@ -418,19 +429,19 @@ class CampaignRunner:
         now = time.time()
         for stage in record.stages:
             if stage.state in (StageState.PENDING, StageState.RUNNING):
-                stage.state = StageState.SKIPPED
-                stage.finished_at = now
-                if self.journal is not None:
-                    self.journal.record_campaign_stage(record, stage)
-        record.finished_at = now
+                self._publish_stage(record, stage, state=StageState.SKIPPED,
+                                    finished_at=now)
         if record.cancel_event.is_set():
-            record.state = CampaignState.CANCELLED
-            record.error = record.error or "cancelled"
+            terminal = {"state": CampaignState.CANCELLED,
+                        "error": record.error or "cancelled"}
         elif failed_error is not None:
-            record.state = CampaignState.FAILED
-            record.error = failed_error
+            terminal = {"state": CampaignState.FAILED, "error": failed_error}
         else:
-            record.state = CampaignState.SUCCEEDED
+            terminal = {"state": CampaignState.SUCCEEDED}
+        terminal["finished_at"] = now
+        # Journal before publishing, as for stages (see _publish_stage).
         if self.journal is not None:
-            self.journal.record_campaign_finish(record)
+            self.journal.record_campaign_finish(replace(record, **terminal))
+        for name, value in terminal.items():
+            setattr(record, name, value)
         record.done.set()

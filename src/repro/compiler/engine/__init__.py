@@ -42,9 +42,8 @@ DVFS sweeps reuse one cycles table).
 optionally over a process pool with a serial fallback), and
 :mod:`~repro.compiler.engine.vectorized` supplies the numpy-vectorised
 ``non_dominated_sort`` / ``crowding_distance`` / ``pareto_front`` used by
-both NSGA-II and the FPA optimiser — with the seed's pure-Python
-implementations retained in :mod:`~repro.compiler.engine.reference` as the
-property-tested oracle.
+both NSGA-II and the FPA optimiser (property-tested against the seed's
+pure-Python implementations, which live under ``tests/`` as the oracle).
 """
 
 from repro.compiler.engine.batch import BatchEvaluator
@@ -71,12 +70,6 @@ from repro.compiler.engine.persist import (
     key_digest,
     validate_cache_dir,
 )
-from repro.compiler.engine.reference import (
-    ObjectivePoint,
-    crowding_distance_reference,
-    non_dominated_sort_reference,
-    pareto_front_reference,
-)
 from repro.compiler.engine.vectorized import (
     crowding_distance,
     dominance_matrix,
@@ -93,22 +86,18 @@ __all__ = [
     "EvaluationEngine",
     "IrStageCache",
     "LoweringCache",
-    "ObjectivePoint",
     "PROCESS_CACHE_DEFAULT_MAX_ENTRIES",
     "PersistError",
     "PersistentCacheStore",
     "VariantCache",
     "key_digest",
     "crowding_distance",
-    "crowding_distance_reference",
     "disable_process_analysis_cache",
     "dominance_matrix",
     "enable_process_analysis_cache",
     "non_dominated_sort",
-    "non_dominated_sort_reference",
     "objectives_matrix",
     "pareto_front",
-    "pareto_front_reference",
     "process_analysis_cache",
     "process_analysis_cache_enabled",
     "process_analysis_cache_stats",

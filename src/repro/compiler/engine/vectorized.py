@@ -12,7 +12,7 @@ broadcasted comparison over the (N, K) objective matrix::
 
 Everything downstream (front peeling, crowding, archive filtering) consumes
 ``D`` with cheap vector reductions.  The results are **exactly** those of the
-pure-Python references kept in :mod:`repro.compiler.engine.reference` —
+seed's pure-Python double loops (kept as the oracle in ``tests/oracles.py``) —
 including front ordering, stable tie-breaking in the crowding sort and
 first-occurrence-wins deduplication — so the optimisers' Pareto archives are
 bit-for-bit unchanged for fixed seeds (property-tested in

@@ -8,10 +8,11 @@ models (work units ≈ MACs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Layer:
@@ -32,7 +33,19 @@ class Layer:
 
 @dataclass
 class Conv2D(Layer):
-    """Valid 2-D convolution with per-filter bias."""
+    """Valid 2-D convolution with per-filter bias.
+
+    ``forward`` is one im2col product: every receptive field becomes a row
+    of ``K = kh * kw * in_channels`` inputs (a strided
+    ``sliding_window_view``, no Python loop), and all rows are multiplied
+    by the ``(K, out_channels)`` weight matrix at once.  The rows are
+    stacked as ``(N, 1, K)`` rather than ``(N, K)`` on purpose: a batched
+    matmul runs the same one-row product per output pixel as a per-pixel
+    ``np.tensordot``, so outputs (and the trained parking detector) are
+    bit-identical to the direct convolution.  A single 2-D GEMM would block
+    the K-sum differently and change the last bits.  The output is always
+    ``float64``.
+    """
 
     weights: np.ndarray            # (kh, kw, in_channels, out_channels)
     bias: Optional[np.ndarray] = None
@@ -43,6 +56,10 @@ class Conv2D(Layer):
             raise ValueError("Conv2D weights must be 4-dimensional")
         if self.bias is None:
             self.bias = np.zeros(self.weights.shape[-1])
+        if np.shape(self.bias) != self.weights.shape[-1:]:
+            raise ValueError(
+                f"Conv2D bias must have shape {self.weights.shape[-1:]}, "
+                f"got {np.shape(self.bias)}")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
 
@@ -64,14 +81,16 @@ class Conv2D(Layer):
         out_w = (tensor.shape[1] - kw) // self.stride + 1
         if out_h <= 0 or out_w <= 0:
             raise ValueError("input smaller than the convolution kernel")
-        output = np.zeros((out_h, out_w, out_channels))
-        for row in range(out_h):
-            for col in range(out_w):
-                r0, c0 = row * self.stride, col * self.stride
-                patch = tensor[r0:r0 + kh, c0:c0 + kw, :]
-                output[row, col, :] = np.tensordot(
-                    patch, self.weights, axes=([0, 1, 2], [0, 1, 2])) + self.bias
-        return output
+        # (out_h, out_w, cin, kh, kw) views, reordered to match the
+        # (kh, kw, cin) layout of the weights' leading axes.
+        windows = sliding_window_view(tensor, (kh, kw), axis=(0, 1))
+        windows = windows[::self.stride, ::self.stride]
+        patches = windows.transpose(0, 1, 3, 4, 2).reshape(
+            out_h * out_w, 1, kh * kw * in_channels)
+        product = patches @ self.weights.reshape(-1, out_channels)
+        output = product[:, 0, :] + self.bias
+        return output.reshape(out_h, out_w, out_channels).astype(
+            np.float64, copy=False)
 
     def macs(self, input_shape: Tuple[int, ...]) -> int:
         kh, kw, in_channels, out_channels = self.weights.shape
@@ -95,11 +114,17 @@ class MaxPool2D(Layer):
 
     size: int = 2
 
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError("pool size must be at least 1")
+
     def forward(self, tensor: np.ndarray) -> np.ndarray:
         if tensor.ndim == 2:
             tensor = tensor[:, :, np.newaxis]
         height = tensor.shape[0] // self.size
         width = tensor.shape[1] // self.size
+        if height == 0 or width == 0:
+            raise ValueError("input smaller than the pooling window")
         trimmed = tensor[:height * self.size, :width * self.size, :]
         reshaped = trimmed.reshape(height, self.size, width, self.size,
                                    trimmed.shape[2])

@@ -98,6 +98,8 @@ class ParkingNet:
     def train(self, scenes: Sequence[ParkingScene], epochs: int = 200,
               learning_rate: float = 0.5) -> float:
         """Train the per-spot logistic classifier; returns final training loss."""
+        if not scenes:
+            raise ValueError("no training scenes")
         features = []
         labels = []
         for scene in scenes:

@@ -1,17 +1,25 @@
-"""Pure-Python reference implementations of the Pareto machinery.
+"""Slow, obviously-correct oracles for the vectorised code in ``src/``.
 
-These are the seed repository's original O(N²) double-loop implementations,
-retained verbatim as the behavioural oracle for the numpy-vectorised versions
-in :mod:`repro.compiler.engine.vectorized`.  The property tests in
-``tests/test_properties.py`` assert exact agreement (front composition *and*
-ordering, crowding tie-breaking, deduplication) on random objective vectors;
-the optimisers themselves only ever call the vectorised versions.
+Each function here is the original loop-based implementation that a faster
+version replaced.  The shipped package never calls them; the differential
+tests import this module by name and assert exact agreement:
+
+* the seed's O(N^2) double-loop Pareto machinery (``non_dominated_sort``,
+  ``crowding_distance``, ``pareto_front`` in
+  :mod:`repro.compiler.engine.vectorized`), checked in
+  ``tests/test_properties.py`` for front composition *and* ordering,
+  crowding tie-breaking and deduplication;
+* the per-output-pixel ``np.tensordot`` convolution that
+  :meth:`repro.dl.layers.Conv2D.forward` replaced with one batched matmul,
+  checked bit for bit in ``tests/test_dl.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import CompilationError
 
@@ -102,3 +110,20 @@ def pareto_front_reference(variants: Sequence) -> List:
             continue
         front.append(candidate)
     return front
+
+
+def conv2d_forward_reference(conv, tensor: np.ndarray) -> np.ndarray:
+    """``conv``'s output computed with one ``np.tensordot`` per output pixel."""
+    if tensor.ndim == 2:
+        tensor = tensor[:, :, np.newaxis]
+    kh, kw, _, out_channels = conv.weights.shape
+    out_h = (tensor.shape[0] - kh) // conv.stride + 1
+    out_w = (tensor.shape[1] - kw) // conv.stride + 1
+    output = np.zeros((out_h, out_w, out_channels))
+    for row in range(out_h):
+        for col in range(out_w):
+            r0, c0 = row * conv.stride, col * conv.stride
+            patch = tensor[r0:r0 + kh, c0:c0 + kw, :]
+            output[row, col, :] = np.tensordot(
+                patch, conv.weights, axes=([0, 1, 2], [0, 1, 2])) + conv.bias
+    return output

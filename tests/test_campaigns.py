@@ -797,3 +797,57 @@ class TestCampaignJournalEvents:
         assert kinds == ["campaign_submit", "campaign_stage",
                          "campaign_finish"]
         assert stats["replayed_campaign_events"] == 3
+
+    def test_terminal_events_are_journaled_before_they_are_published(
+            self, tmp_path, tiny_scenario, failing_custom):  # noqa: F811
+        # A GET must never show a terminal stage or campaign whose event a
+        # kill could still lose, so each event is appended while the live
+        # record still shows the previous state.
+        class PublishOrderJournal(JobJournal):
+            service = None
+
+            def __init__(self, path):
+                super().__init__(path)
+                self.seen = []
+
+            def record_campaign_stage(self, record, stage):
+                live = self.service.campaign_status(record.id)
+                self.seen.append((stage.name, stage.state.value,
+                                  live["stages"][stage.index]["state"]))
+                super().record_campaign_stage(record, stage)
+
+            def record_campaign_finish(self, record):
+                live = self.service.campaign_status(record.id)
+                self.seen.append(("campaign", record.state.value,
+                                  live["state"]))
+                super().record_campaign_finish(record)
+
+        campaign = CampaignSpec(name="camp-order", stages=(
+            StageSpec(name="search", requests=_requests(
+                tiny_scenario.name, (1, 2))),
+            StageSpec(name="boom",
+                      requests=(JobRequest(scenario=failing_custom.name),)),
+            StageSpec(name="never",
+                      requests=(JobRequest(scenario=tiny_scenario.name),)),
+        ))
+        journal = PublishOrderJournal(tmp_path / "journal.jsonl")
+        with EvaluationService(workers=1, journal=journal,
+                               shared_analysis_cache=False) as service:
+            journal.service = service
+            record = service.submit_campaign(campaign)
+            assert record.wait(300)
+            assert record.state is CampaignState.FAILED
+            assert [stage.state for stage in record.stages] == [
+                StageState.SUCCEEDED, StageState.FAILED, StageState.SKIPPED]
+        # Recorded on the campaign thread and checked here: an assertion
+        # raised there would only end that thread.
+        assert journal.seen == [
+            ("search", "succeeded", "running"),
+            ("boom", "failed", "running"),
+            ("never", "skipped", "pending"),
+            ("campaign", "failed", "running"),
+        ]
+        reloaded = JobJournal(tmp_path / "journal.jsonl")
+        reloaded.replay()
+        assert [event["event"] for event in reloaded.campaign_events()] == [
+            "campaign_submit"] + ["campaign_stage"] * 3 + ["campaign_finish"]

@@ -3,6 +3,7 @@ and the TeamPlay-C kernels)."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dl.dataset import ParkingDataset
 from repro.dl.kernels import (
@@ -17,7 +18,9 @@ from repro.errors import CompilationError
 from repro.frontend.lowering import compile_source
 from repro.hw.presets import nucleo_stm32f091rc
 from repro.sim.machine import Simulator
+from repro.usecases.deep_learning import parking_network
 from repro.wcet.analyzer import WCETAnalyzer
+from oracles import conv2d_forward_reference
 
 
 class TestLayers:
@@ -59,6 +62,24 @@ class TestLayers:
         with pytest.raises(ValueError):
             dense.forward(np.zeros(3))
 
+    def test_conv2d_rejects_bias_of_the_wrong_shape(self):
+        weights = np.zeros((3, 3, 1, 2))
+        for bias in (np.zeros(1), np.zeros(3), np.zeros((2, 1)),
+                     np.float64(0.5)):
+            with pytest.raises(ValueError, match="bias"):
+                Conv2D(weights=weights, bias=bias)
+        assert Conv2D(weights=weights, bias=np.ones(2)).bias.shape == (2,)
+
+    def test_max_pool_rejects_bad_sizes(self):
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="pool size"):
+                MaxPool2D(size=size)
+        with pytest.raises(ValueError, match="pooling window"):
+            MaxPool2D(size=3).forward(np.zeros((2, 5, 1)))
+        with pytest.raises(ValueError, match="pooling window"):
+            MaxPool2D(size=3).forward(np.zeros((5, 2)))
+        assert MaxPool2D(size=1).forward(np.ones((2, 3))).shape == (2, 3, 1)
+
     def test_sigmoid_stability(self):
         values = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
         assert values[0] == pytest.approx(0.0, abs=1e-12)
@@ -71,6 +92,70 @@ class TestLayers:
                                      Dense.from_random(2 * 6 * 6, 4)])
         assert network.macs((8, 8, 1)) == 6 * 6 * 2 * 9 + 4 * 72
         assert network.forward(np.zeros((8, 8))).shape == (4,)
+
+
+@st.composite
+def _conv_cases(draw):
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    in_channels = draw(st.integers(1, 4))
+    out_channels = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 3))
+    height, width = draw(st.integers(kh, 32)), draw(st.integers(kw, 32))
+    flat = in_channels == 1 and draw(st.booleans())
+    dtype = draw(st.sampled_from(["float64", "float32", "int64"]))
+    return (kh, kw, in_channels, out_channels, stride, height, width, flat,
+            dtype, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestConvMatchesPerPixelOracle:
+    """``Conv2D.forward`` is bit-identical to the per-pixel tensordot loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_conv_cases())
+    # Shrunk case on which a plain (N, K) @ (K, C) GEMM differs in the
+    # last bit.
+    @example((1, 1, 4, 1, 1, 1, 2, False, "float64", 4))
+    def test_forward_is_bit_identical_to_the_oracle(self, case):
+        (kh, kw, in_channels, out_channels, stride, height, width, flat,
+         dtype, seed) = case
+        rng = np.random.default_rng(seed)
+        conv = Conv2D(
+            weights=rng.normal(0.0, 1.0, (kh, kw, in_channels, out_channels)),
+            bias=rng.normal(0.0, 1.0, out_channels), stride=stride)
+        shape = (height, width) if flat else (height, width, in_channels)
+        if dtype == "int64":
+            tensor = rng.integers(-50, 50, shape)
+        else:
+            tensor = rng.normal(0.0, 1.0, shape).astype(dtype)
+        output = conv.forward(tensor)
+        expected = conv2d_forward_reference(conv, tensor)
+        assert output.dtype == expected.dtype == np.float64
+        assert np.array_equal(output, expected)
+
+    def test_trained_parking_detector_is_pinned(self):
+        # Float hex of the deployed detector's trained state, captured with
+        # the per-pixel convolution: a conv change that moves any bit of
+        # the features moves these.
+        network = parking_network()
+        state = {
+            "weights": network.classifier.weights.ravel(),
+            "bias": network.classifier.bias,
+            "mean": network._mean,
+            "std": network._std,
+        }
+        assert {name: [float(v).hex() for v in values]
+                for name, values in state.items()} == {
+            "weights": ["0x1.0cd45e8816bdfp+2", "0x1.98e340a638f34p+0",
+                        "0x1.a28cd11929881p-1"],
+            "bias": ["0x1.3b69cedf6caf2p-1"],
+            "mean": ["0x1.8e5eef57c78bbp-2", "0x1.4602d822bef40p-3",
+                     "0x1.5ffd2d1e91607p-4"],
+            "std": ["0x1.44c04c373c006p-3", "0x1.e56cf2443c05bp-5",
+                    "0x1.8e33b7a9a9bb9p-6"],
+        }
+        dataset = ParkingDataset(spots=8, seed=7)
+        loss = ParkingNet(dataset).train(dataset.batch(40))
+        assert float(loss).hex() == "0x1.c24c218711475p-6"
 
 
 class TestQuantisation:
@@ -123,6 +208,10 @@ class TestDatasetAndNetwork:
         assert accuracy >= 0.9
         scene = dataset.render([True] * 4 + [False] * 4)
         assert network.count_free_spots(scene.image) == pytest.approx(4, abs=1)
+
+    def test_training_without_scenes_is_rejected(self):
+        with pytest.raises(ValueError, match="no training scenes"):
+            ParkingNet(ParkingDataset(spots=4)).train([])
 
     def test_quantised_network_stays_accurate(self):
         dataset = ParkingDataset(spots=8, seed=5)

@@ -17,12 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.compiler.engine.reference import (
-    ObjectivePoint,
-    crowding_distance_reference,
-    non_dominated_sort_reference,
-    pareto_front_reference,
-)
 from repro.compiler.engine.vectorized import (
     crowding_distance,
     non_dominated_sort,
@@ -47,6 +41,12 @@ from repro.security.metrics import histogram_overlap, indiscernibility_score
 from repro.security.transforms import harden_module
 from repro.sim.machine import Simulator, _wrap
 from repro.wcet.analyzer import WCETAnalyzer
+from oracles import (
+    ObjectivePoint,
+    crowding_distance_reference,
+    non_dominated_sort_reference,
+    pareto_front_reference,
+)
 
 PLATFORM = nucleo_stm32f091rc()
 
