@@ -131,6 +131,13 @@ def _fold_stmt(stmt: ast.Stmt, counter: List[int]) -> None:
             _fold_stmt(stmt.update, counter)
         for child in stmt.body:
             _fold_stmt(child, counter)
+    elif isinstance(stmt, ast.Repeat):
+        # The body is shared by every copy: fold it once and count the
+        # folds once per copy, as if the copies were written out.
+        body_folds = [0]
+        for child in stmt.body:
+            _fold_stmt(child, body_folds)
+        counter[0] += body_folds[0] * stmt.count
     elif isinstance(stmt, ast.Return) and stmt.value is not None:
         stmt.value = _fold_expr(stmt.value, counter)
     elif isinstance(stmt, ast.ExprStmt):
@@ -171,10 +178,10 @@ def _unroll_body(body: List[ast.Stmt], limit: int, counter: List[int]) -> List[a
                 counter[0] += 1
                 if stmt.init is not None:
                     result.append(stmt.init)
-                for _ in range(bound):
-                    result.extend(ast.clone_stmt(s) for s in stmt.body)
-                    if stmt.update is not None:
-                        result.append(ast.clone_stmt(stmt.update))
+                body = list(stmt.body)
+                if stmt.update is not None:
+                    body.append(stmt.update)
+                result.append(ast.Repeat(bound, body, stmt.line))
                 continue
             result.append(stmt)
             continue
@@ -185,8 +192,10 @@ def _unroll_body(body: List[ast.Stmt], limit: int, counter: List[int]) -> List[a
 def unroll_loops(module: ast.SourceModule, limit: int) -> int:
     """Fully unroll counted loops with trip count ≤ ``limit``.
 
-    Returns the number of loops unrolled.  ``limit`` of zero disables the
-    pass.
+    Each unrolled loop becomes its init statement followed by one
+    :class:`~repro.frontend.ast_nodes.Repeat` of its body and update, which
+    lowering expands into ``bound`` copies of the body's IR.  Returns the
+    number of loops unrolled.  ``limit`` of zero disables the pass.
     """
     if limit <= 0:
         return 0

@@ -39,12 +39,15 @@ class Conv2D(Layer):
     of ``K = kh * kw * in_channels`` inputs (a strided
     ``sliding_window_view``, no Python loop), and all rows are multiplied
     by the ``(K, out_channels)`` weight matrix at once.  The rows are
-    stacked as ``(N, 1, K)`` rather than ``(N, K)`` on purpose: a batched
-    matmul runs the same one-row product per output pixel as a per-pixel
-    ``np.tensordot``, so outputs (and the trained parking detector) are
-    bit-identical to the direct convolution.  A single 2-D GEMM would block
-    the K-sum differently and change the last bits.  The output is always
-    ``float64``.
+    stacked as ``(out_h, out_w, 1, K)`` rather than ``(N, K)`` on purpose: a
+    batched matmul runs the same one-row product per output pixel as a
+    per-pixel ``np.tensordot``, so outputs (and the trained parking
+    detector) are bit-identical to the direct convolution.  A single 2-D
+    GEMM would block the K-sum differently and change the last bits.  The
+    two output axes stay separate so that merging ``(kh, kw, in_channels)``
+    into ``K`` copies exactly when the per-pixel patch reshape does: with
+    ``kw == in_channels == 1`` both sum a strided view, in the same order.
+    The output is always ``float64``.
     """
 
     weights: np.ndarray            # (kh, kw, in_channels, out_channels)
@@ -86,11 +89,10 @@ class Conv2D(Layer):
         windows = sliding_window_view(tensor, (kh, kw), axis=(0, 1))
         windows = windows[::self.stride, ::self.stride]
         patches = windows.transpose(0, 1, 3, 4, 2).reshape(
-            out_h * out_w, 1, kh * kw * in_channels)
+            out_h, out_w, 1, kh * kw * in_channels)
         product = patches @ self.weights.reshape(-1, out_channels)
-        output = product[:, 0, :] + self.bias
-        return output.reshape(out_h, out_w, out_channels).astype(
-            np.float64, copy=False)
+        output = product[:, :, 0, :] + self.bias
+        return output.astype(np.float64, copy=False)
 
     def macs(self, input_shape: Tuple[int, ...]) -> int:
         kh, kw, in_channels, out_channels = self.weights.shape

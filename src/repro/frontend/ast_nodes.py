@@ -4,6 +4,11 @@ The AST is intentionally plain: nodes carry data and no behaviour, so
 compiler passes (loop unrolling, inlining, constant folding, ladderisation)
 can be written as small transformation functions over it.
 
+One node never comes from the parser: :class:`Repeat`, which loop
+unrolling emits for ``count`` back-to-back copies of a body.  The body is
+stored once and lowering stamps its IR per copy; :func:`walk_stmts` visits
+it once, so a pass that mutates it changes every copy.
+
 Nodes are ``__slots__`` classes rather than dataclasses: the parser builds
 tens of thousands of them on every cold parse, and slot storage removes the
 per-instance ``__dict__`` (about half the memory and measurably faster
@@ -193,6 +198,25 @@ class For(_Node):
         self.line = line
 
 
+class Repeat(_Node):
+    """``count`` back-to-back copies of ``body``, as written out in sequence.
+
+    Emitted by full loop unrolling instead of ``count`` cloned bodies: the
+    body (including the loop's update statement) is stored once and
+    lowering stamps its IR ``count`` times.  A mutation of ``body`` applies
+    to every copy.
+    """
+
+    __slots__ = ("count", "body", "line")
+    _fields = __slots__
+
+    def __init__(self, count: int, body: Optional[List["Stmt"]] = None,
+                 line: int = 0):
+        self.count = count
+        self.body = [] if body is None else body
+        self.line = line
+
+
 class Return(_Node):
     __slots__ = ("value", "line")
     _fields = __slots__
@@ -211,7 +235,7 @@ class ExprStmt(_Node):
         self.line = line
 
 
-Stmt = Union[VarDecl, Assign, If, While, For, Return, ExprStmt]
+Stmt = Union[VarDecl, Assign, If, While, For, Repeat, Return, ExprStmt]
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +334,8 @@ def clone_stmt(stmt: Stmt) -> Stmt:
         update = clone_stmt(stmt.update) if stmt.update is not None else None
         return For(init, cond, update, [clone_stmt(s) for s in stmt.body],
                    stmt.bound, stmt.line)
+    if isinstance(stmt, Repeat):
+        return Repeat(stmt.count, [clone_stmt(s) for s in stmt.body], stmt.line)
     if isinstance(stmt, Return):
         value = clone_expr(stmt.value) if stmt.value is not None else None
         return Return(value, stmt.line)
@@ -350,13 +376,16 @@ def walk_expr(expr: Expr):
 
 
 def walk_stmts(stmts: List[Stmt]):
-    """Yield every statement in ``stmts``, recursively."""
+    """Yield every statement in ``stmts``, recursively.
+
+    A :class:`Repeat`'s body is visited once, not once per copy.
+    """
     for stmt in stmts:
         yield stmt
         if isinstance(stmt, If):
             yield from walk_stmts(stmt.then_body)
             yield from walk_stmts(stmt.else_body)
-        elif isinstance(stmt, While):
+        elif isinstance(stmt, (While, Repeat)):
             yield from walk_stmts(stmt.body)
         elif isinstance(stmt, For):
             if stmt.init is not None:
@@ -367,7 +396,10 @@ def walk_stmts(stmts: List[Stmt]):
 
 
 def stmt_expressions(stmt: Stmt) -> List[Expr]:
-    """Top-level expressions contained directly in ``stmt``."""
+    """Top-level expressions contained directly in ``stmt``.
+
+    A :class:`Repeat` has none: its expressions belong to its body.
+    """
     if isinstance(stmt, VarDecl):
         return [stmt.init] if stmt.init is not None else []
     if isinstance(stmt, Assign):

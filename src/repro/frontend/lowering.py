@@ -13,11 +13,21 @@ Semantics notes:
   is also convenient for the security transformations.
 * Arrays are either global or function-local; they cannot be passed as
   parameters (integers are passed by value).
+* Scalars live in registers named after them and temporaries in ``t<N>``.
+  A function that declares a scalar of that shape gets ``t.<N>``
+  temporaries instead (no identifier contains a dot), so the two never
+  share a register.
+* A :class:`~repro.frontend.ast_nodes.Repeat` (an unrolled loop) is lowered
+  once and its IR stamped for the remaining copies; the result is what
+  lowering every copy in sequence would give, label for label.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import re
+from itertools import islice
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FrontendError
 from repro.frontend import ast_nodes as ast
@@ -37,6 +47,9 @@ _BINOP_OPCODES = {
 
 _UNOP_OPCODES = {"-": Opcode.NEG, "~": Opcode.NOT, "!": Opcode.LNOT}
 
+#: Register names ``new_temp`` can produce with the default ``t`` prefix.
+_TEMP_SHAPED = re.compile(r"t[0-9]+")
+
 _COMPOUND_OPS = {
     "+=": Opcode.ADD, "-=": Opcode.SUB, "*=": Opcode.MUL, "/=": Opcode.DIV,
     "%=": Opcode.MOD, "&=": Opcode.AND, "|=": Opcode.OR, "^=": Opcode.XOR,
@@ -54,6 +67,12 @@ class _FunctionLowerer:
         self.function_names = set(function_names)
         self.fn = ircfg.Function(name=funcdef.name, params=list(funcdef.params))
         self.scalars = set(funcdef.params)
+        declared = set(funcdef.params)
+        declared.update(stmt.name for stmt in ast.walk_stmts(funcdef.body)
+                        if isinstance(stmt, ast.VarDecl)
+                        and stmt.array_size is None)
+        self.temp_prefix = ("t." if any(_TEMP_SHAPED.fullmatch(name)
+                                        for name in declared) else "t")
         self.temp_counter = 0
         self.label_counter = 0
         self.loop_counter = 0
@@ -65,7 +84,7 @@ class _FunctionLowerer:
 
     def new_temp(self) -> Reg:
         self.temp_counter += 1
-        return Reg(f"t{self.temp_counter}")
+        return Reg(f"{self.temp_prefix}{self.temp_counter}")
 
     def new_block(self, hint: str) -> ircfg.BasicBlock:
         self.label_counter += 1
@@ -157,6 +176,8 @@ class _FunctionLowerer:
             self._lower_while(stmt, seq)
         elif isinstance(stmt, ast.For):
             self._lower_for(stmt, seq)
+        elif isinstance(stmt, ast.Repeat):
+            self._lower_repeat(stmt, seq)
         else:  # pragma: no cover - defensive
             raise self._error(f"unsupported statement {type(stmt).__name__}")
 
@@ -295,6 +316,26 @@ class _FunctionLowerer:
                                        loop_id=self.loop_counter))
         self.current = exit_block
 
+    def _lower_repeat(self, stmt: ast.Repeat, seq: SeqRegion) -> None:
+        """Lower the body once, then stamp its IR for the other copies.
+
+        Arrays are function-scoped, so the body's array declarations take
+        effect once; a redeclaration within one body still raises.
+        """
+        start = self.current
+        first_instr = len(start.instrs)
+        first_child = len(seq.children)
+        temps, labels, loops = (self.temp_counter, self.label_counter,
+                                self.loop_counter)
+        for child in stmt.body:
+            self.lower_statement(child, seq)
+        if stmt.count > 1:
+            template = _BodyTemplate(self, start, first_instr,
+                                     seq.children[first_child:],
+                                     temps, labels, loops)
+            for _ in range(stmt.count - 1):
+                template.stamp(self, seq)
+
     # -- expressions ---------------------------------------------------------------------
     def _check_array(self, name: str, line: int) -> None:
         if name not in self.fn.local_arrays and name not in self.global_arrays:
@@ -354,6 +395,123 @@ class _FunctionLowerer:
         dst = self.new_temp()
         self.emit(ins.call(dst, expr.name, args))
         return dst
+
+
+class _BodyTemplate:
+    """The IR one lowered copy of a :class:`Repeat` body produced.
+
+    Copy ``k`` of a body lowers to copy 1's IR with the temp, label and
+    loop-id counters advanced by ``k - 1`` times what copy 1 consumed, and
+    with copy 1's start block replaced by the block the previous copy ended
+    in.  Only registers ``new_temp`` produced during copy 1 are renamed.
+
+    Each instruction is precompiled to its field dict plus one
+    ``itemgetter`` per field that holds a temp or a label.  The getters
+    index a per-copy tuple ``pool``: the copy's block labels, then its
+    temps, then the operands that do not change, so stamping an
+    instruction is a dict copy plus C-level lookups.
+    """
+
+    def __init__(self, lowerer: "_FunctionLowerer", start: ircfg.BasicBlock,
+                 first_instr: int, regions: List, temps: int, labels: int,
+                 loops: int):
+        created = list(islice(reversed(lowerer.fn.blocks.values()),
+                              lowerer.label_counter - labels))[::-1]
+        #: Label hints of the created blocks (``if.cond`` of ``if.cond.7``).
+        self.hints = [block.label.rsplit(".", 1)[0] for block in created]
+        self.labels = [start.label] + [block.label for block in created]
+        self.temp_count = lowerer.temp_counter - temps
+        self.loop_count = lowerer.loop_counter - loops
+        self.loop_base = loops
+        self.regions = regions
+        # Pool layout: labels, then temps, then fixed operands.
+        self.label_slots = {label: i for i, label in enumerate(self.labels)}
+        self.temp_slots = {f"{lowerer.temp_prefix}{temps + 1 + i}":
+                           len(self.labels) + i
+                           for i in range(self.temp_count)}
+        self.end = self.label_slots[lowerer.current.label]
+        self.fixed: List[Operand] = []
+        self.blocks = [(0, [self._compile(instr)
+                            for instr in start.instrs[first_instr:]])]
+        self.blocks.extend((i, [self._compile(instr) for instr in block.instrs])
+                           for i, block in enumerate(created, 1))
+
+    def _slot(self, operand: Operand) -> int:
+        if operand.__class__ is Reg and operand.name in self.temp_slots:
+            return self.temp_slots[operand.name]
+        self.fixed.append(operand)
+        return len(self.labels) + self.temp_count + len(self.fixed) - 1
+
+    def _compile(self, instr: ins.Instr) -> Tuple:
+        """``instr``'s fields and the getters one stamped copy applies."""
+        fields = instr.__dict__
+        getters = []
+        dst = fields["dst"]
+        if dst is not None and dst.name in self.temp_slots:
+            getters.append(("dst", itemgetter(self.temp_slots[dst.name])))
+        for name in ("srcs", "args"):
+            operands = fields[name]
+            if any(op.__class__ is Reg and op.name in self.temp_slots
+                   for op in operands):
+                slots = [self._slot(op) for op in operands]
+                getters.append((name, itemgetter(*slots) if len(slots) > 1
+                                else itemgetter(slice(slots[0], slots[0] + 1))))
+        for name in ("true_target", "false_target"):
+            label = fields[name]
+            if label in self.label_slots:
+                getters.append((name, itemgetter(self.label_slots[label])))
+        return fields, getters
+
+    def stamp(self, lowerer: "_FunctionLowerer", seq: SeqRegion) -> None:
+        """Append one more copy after the current block."""
+        temps, labels = lowerer.temp_counter, lowerer.label_counter
+        prefix = lowerer.temp_prefix
+        blocks = [lowerer.current]
+        blocks.extend(
+            lowerer.fn.add_block(ircfg.BasicBlock(f"{hint}.{labels + j}"))
+            for j, hint in enumerate(self.hints, 1))
+        names = [block.label for block in blocks]
+        lowerer.temp_counter += self.temp_count
+        lowerer.label_counter += len(self.hints)
+        pool = (*names,
+                *[Reg(f"{prefix}{temps + 1 + i}")
+                  for i in range(self.temp_count)],
+                *self.fixed)
+        for i, compiled in self.blocks:
+            out = blocks[i].instrs
+            for fields, getters in compiled:
+                fields = fields.copy()
+                for name, get in getters:
+                    fields[name] = get(pool)
+                instr = object.__new__(ins.Instr)
+                instr.__dict__ = fields
+                out.append(instr)
+        relabel = dict(zip(self.labels, names))
+        loop_offset = lowerer.loop_counter - self.loop_base
+        lowerer.loop_counter += self.loop_count
+        seq.children.extend(_stamp_region(region, relabel, loop_offset)
+                            for region in self.regions)
+        lowerer.current = blocks[self.end]
+
+
+def _stamp_region(region, relabel: Dict[str, str], loop_offset: int):
+    """A copy of a template region with labels and loop ids renumbered."""
+    if isinstance(region, BlockRegion):
+        return BlockRegion(relabel[region.label])
+    if isinstance(region, SeqRegion):
+        return SeqRegion([_stamp_region(child, relabel, loop_offset)
+                          for child in region.children])
+    if isinstance(region, IfRegion):
+        return IfRegion(relabel[region.cond_label],
+                        _stamp_region(region.then_region, relabel, loop_offset),
+                        _stamp_region(region.else_region, relabel, loop_offset))
+    if isinstance(region, LoopRegion):
+        return LoopRegion(relabel[region.cond_label],
+                          _stamp_region(region.body_region, relabel,
+                                        loop_offset),
+                          region.bound, region.pragma_bound,
+                          region.loop_id + loop_offset)
+    raise TypeError(f"unknown region type {type(region)!r}")  # pragma: no cover
 
 
 def _prune_region(region, reachable):

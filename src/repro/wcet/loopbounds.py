@@ -6,8 +6,9 @@ analysis, which recognises counted ``for`` loops of the common shape::
 
     for (i = C0; i < C1; i = i + C2) ...      (also <=, >, >=, -=, +=)
 
-with integer-literal ``C0``, ``C1``, ``C2``.  Anything else keeps the pragma
-bound (or no bound, which the WCET analyser rejects).
+with integer-literal ``C0``, ``C1``, ``C2``, whose body never writes ``i``.
+Anything else keeps the pragma bound (or no bound, which the WCET analyser
+rejects).
 """
 
 from __future__ import annotations
@@ -88,10 +89,22 @@ def _iterations(start: int, limit: int, step: int, op: str) -> Optional[int]:
     return math.ceil(distance / step)
 
 
+def _writes(stmts, var: str) -> bool:
+    """Whether any statement in ``stmts`` (recursively) assigns ``var``."""
+    for stmt in ast.walk_stmts(stmts):
+        if isinstance(stmt, ast.Assign):
+            if isinstance(stmt.target, ast.Var) and stmt.target.name == var:
+                return True
+        elif isinstance(stmt, ast.VarDecl):
+            if stmt.array_size is None and stmt.name == var:
+                return True
+    return False
+
+
 def infer_for_bound(stmt: ast.For) -> Optional[int]:
     """Bound of a single counted ``for`` loop, or None when not inferable."""
     var = _induction_variable(stmt)
-    if var is None:
+    if var is None or _writes(stmt.body, var):
         return None
     start = _literal(stmt.init.init if isinstance(stmt.init, ast.VarDecl)
                      else stmt.init.value)

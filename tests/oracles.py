@@ -11,7 +11,11 @@ tests import this module by name and assert exact agreement:
   crowding tie-breaking and deduplication;
 * the per-output-pixel ``np.tensordot`` convolution that
   :meth:`repro.dl.layers.Conv2D.forward` replaced with one batched matmul,
-  checked bit for bit in ``tests/test_dl.py``.
+  checked bit for bit in ``tests/test_dl.py``;
+* the clone-per-iteration loop unrolling that
+  :func:`repro.compiler.passes.ast_passes.unroll_loops` replaced with one
+  ``Repeat`` node whose IR lowering stamps, checked IR-for-IR in
+  ``tests/test_unroll_stamping.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CompilationError
+from repro.frontend import ast_nodes as ast
+from repro.wcet.loopbounds import infer_for_bound
 
 
 @dataclass
@@ -127,3 +133,52 @@ def conv2d_forward_reference(conv, tensor: np.ndarray) -> np.ndarray:
             output[row, col, :] = np.tensordot(
                 patch, conv.weights, axes=([0, 1, 2], [0, 1, 2])) + conv.bias
     return output
+
+
+def _unroll_body_by_cloning(body: List, limit: int, counter: List[int]) -> List:
+    result: List = []
+    for stmt in body:
+        if isinstance(stmt, ast.If):
+            stmt.then_body = _unroll_body_by_cloning(stmt.then_body, limit,
+                                                     counter)
+            stmt.else_body = _unroll_body_by_cloning(stmt.else_body, limit,
+                                                     counter)
+            result.append(stmt)
+            continue
+        if isinstance(stmt, ast.While):
+            stmt.body = _unroll_body_by_cloning(stmt.body, limit, counter)
+            result.append(stmt)
+            continue
+        if isinstance(stmt, ast.For):
+            stmt.body = _unroll_body_by_cloning(stmt.body, limit, counter)
+            bound = stmt.bound if stmt.bound is not None else infer_for_bound(stmt)
+            static_bound = infer_for_bound(stmt)
+            # Only fully unroll loops whose trip count is statically exact
+            # (counted loops) and small enough.
+            if static_bound is not None and static_bound == bound and 0 < bound <= limit:
+                counter[0] += 1
+                if stmt.init is not None:
+                    result.append(stmt.init)
+                for _ in range(bound):
+                    result.extend(ast.clone_stmt(s) for s in stmt.body)
+                    if stmt.update is not None:
+                        result.append(ast.clone_stmt(stmt.update))
+                continue
+            result.append(stmt)
+            continue
+        result.append(stmt)
+    return result
+
+
+def unroll_by_cloning(module, limit: int) -> int:
+    """Fully unroll counted loops by writing out ``bound`` cloned bodies.
+
+    Same contract as :func:`repro.compiler.passes.ast_passes.unroll_loops`
+    (in place; returns the number of loops unrolled; ``limit`` 0 disables).
+    """
+    if limit <= 0:
+        return 0
+    counter = [0]
+    for function in module.functions:
+        function.body = _unroll_body_by_cloning(function.body, limit, counter)
+    return counter[0]

@@ -115,6 +115,10 @@ class TestConvMatchesPerPixelOracle:
     # Shrunk case on which a plain (N, K) @ (K, C) GEMM differs in the
     # last bit.
     @example((1, 1, 4, 1, 1, 1, 2, False, "float64", 4))
+    # Shrunk case on which an (N, 1, K) batch differs: with kw == cin == 1
+    # and stride 2 its reshape copies, while the per-pixel patch is a
+    # strided view.
+    @example((4, 1, 1, 1, 2, 6, 3, False, "float64", 1))
     def test_forward_is_bit_identical_to_the_oracle(self, case):
         (kh, kw, in_channels, out_channels, stride, height, width, flat,
          dtype, seed) = case
