@@ -23,6 +23,10 @@ processes can read and write concurrently:
   fingerprint (:func:`~repro.compiler.engine.cache.program_fingerprint`)
   already captures the *effect* of the passes that ran, so the pass-list key
   acts as a schema/namespace guard rather than a correctness requirement.
+  The serialisation runs in the C JSON encoder in one call (enum members go
+  through a memoised ``default=`` hook); its bytes, and so every digest,
+  equal those of the recursive canonicaliser it replaced, which survives as
+  the test oracle ``canon_key_reference`` in ``tests/oracles.py``.
 * **Writers** serialise through an ``fcntl.flock`` on a lock file next to the
   segments, so concurrent processes never interleave partial lines.
 * **Segments** roll over at ``max_segment_bytes``; once more than
@@ -122,27 +126,40 @@ def validate_cache_dir(path: "os.PathLike[str] | str") -> str:
 # ---------------------------------------------------------------------------
 # Key digests
 # ---------------------------------------------------------------------------
-def _canon(value):
-    """JSON-serialisable canonical form of a key component.
+@functools.lru_cache(maxsize=None)
+def _enum_form(member: enum.Enum) -> Dict[str, List[str]]:
+    return {"enum": [type(member).__name__, member.name]}
 
-    Handles the structural-fingerprint vocabulary: nested tuples/lists,
-    strings, ints, floats, bools, ``None`` and :class:`enum.Enum` members
-    (serialised by type and member name, never by implicit ordinal).
-    """
-    if isinstance(value, (tuple, list)):
-        return [_canon(item) for item in value]
+
+def _encode_enum(value):
+    """``default=`` hook of :data:`_KEY_ENCODER`: enum members by type and
+    member name (never by implicit ordinal); anything else is refused."""
     if isinstance(value, enum.Enum):
-        return {"enum": [type(value).__name__, value.name]}
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
+        return _enum_form(value)
     raise PersistError(
         f"unsupported key component of type {type(value).__name__!r}")
 
 
+#: Canonical JSON of key components, run by the C encoder.  It writes
+#: tuples and lists alike as arrays and strings, ints, floats, bools and
+#: ``None`` natively, and calls :func:`_encode_enum` for anything else.
+#: Limits: an enum that mixes in ``str`` or ``int`` is written by value
+#: without reaching the hook, so it would collide with its plain value, and
+#: a dict is written as an object instead of being refused.  The key
+#: vocabulary holds neither (``Opcode`` and ``CoreKind`` are plain
+#: :class:`enum.Enum`; ``tests/test_persist.py`` pins that).
+_KEY_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                                check_circular=False, default=_encode_enum)
+
+
 def key_digest(*parts) -> str:
-    """SHA-256 hex digest of the canonical JSON serialisation of ``parts``."""
-    blob = json.dumps([PERSIST_CODEC_VERSION, _canon(list(parts))],
-                      separators=(",", ":"), sort_keys=True)
+    """SHA-256 hex digest of the canonical JSON serialisation of ``parts``.
+
+    Key components are nested tuples/lists, strings, ints, floats, bools,
+    ``None`` and :class:`enum.Enum` members; anything else, bar the limits
+    noted on :data:`_KEY_ENCODER`, raises :class:`PersistError`.
+    """
+    blob = _KEY_ENCODER.encode([PERSIST_CODEC_VERSION, parts])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

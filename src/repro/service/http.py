@@ -18,7 +18,8 @@ POST      /jobs               submit ``{"scenario": name, ...overrides}``,
                               its ``submissions`` counter tells); a bounded
                               pending queue rejects overload with ``429``
                               and a ``Retry-After`` header; bodies beyond
-                              1 MiB are rejected with ``413``
+                              1 MiB are rejected with ``413`` unread, and
+                              the connection closed
 GET       /jobs               a page of job records, newest-submitted last:
                               ``?limit=`` (default ``DEFAULT_JOBS_LIMIT``,
                               capped at ``MAX_JOBS_LIMIT``) and
@@ -67,6 +68,7 @@ service's golden-parity tests compare HTTP-fetched numbers exactly.
 
 from __future__ import annotations
 
+import io
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -139,14 +141,32 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, document,
                headers: Optional[dict] = None) -> None:
+        """Send status line, headers and JSON body in one socket write.
+
+        Written apart, the body is a second small segment behind an
+        unacknowledged one, and Nagle holds it until the client's delayed
+        ACK (~40 ms per keep-alive request).  The reply is composed in
+        memory through the stdlib's own ``send_response``/``send_header``/
+        ``end_headers``, so their semantics hold (``Connection: close``
+        sets ``close_connection``; an HTTP/0.9 reply is the bare body).
+        """
         body = json.dumps(document, indent=2).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+        socket_file, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                # A refused body, or the client asked: say the socket closes.
+                self.send_header("Connection", "close")
+            for name, value in (headers or {}).items():
+                self.send_header(name, str(value))
+            self.end_headers()
+            self.wfile.write(body)
+            reply = self.wfile.getvalue()
+        finally:
+            self.wfile = socket_file
+        self.wfile.write(reply)
 
     def _error(self, status: int, message: str,
                headers: Optional[dict] = None) -> None:
@@ -157,19 +177,27 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(header or 0)
         except ValueError:
-            raise JobError(f"invalid Content-Length {header!r}") from None
+            length = -1
+        # A body left unread would be parsed as the next request on this
+        # connection, so every refusal below also closes the connection.
         if length < 0:
+            self.close_connection = True
             raise JobError(f"invalid Content-Length {header!r}")
         if length > MAX_BODY_BYTES:
             # Trusting a client-controlled length to size the read is how
             # one oversized POST exhausts the server; refuse before reading.
+            self.close_connection = True
             raise BodyTooLarge(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return None
-        return json.loads(raw.decode("utf-8"))
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise JobError(f"request body is not UTF-8: {error}") from None
+        return json.loads(text)
 
     @property
     def _service(self) -> EvaluationService:

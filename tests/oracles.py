@@ -15,16 +15,24 @@ tests import this module by name and assert exact agreement:
 * the clone-per-iteration loop unrolling that
   :func:`repro.compiler.passes.ast_passes.unroll_loops` replaced with one
   ``Repeat`` node whose IR lowering stamps, checked IR-for-IR in
-  ``tests/test_unroll_stamping.py``.
+  ``tests/test_unroll_stamping.py``;
+* the recursive key canonicaliser whose output
+  :func:`repro.compiler.engine.persist.key_digest` used to hash, replaced by
+  one call into the C JSON encoder, checked digest for digest in
+  ``tests/test_persist.py``.
 """
 
 from __future__ import annotations
 
+import enum
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.compiler.engine.persist import PERSIST_CODEC_VERSION, PersistError
 from repro.errors import CompilationError
 from repro.frontend import ast_nodes as ast
 from repro.wcet.loopbounds import infer_for_bound
@@ -182,3 +190,27 @@ def unroll_by_cloning(module, limit: int) -> int:
     for function in module.functions:
         function.body = _unroll_body_by_cloning(function.body, limit, counter)
     return counter[0]
+
+
+def canon_key_reference(value):
+    """JSON-serialisable canonical form of a key component.
+
+    Handles the structural-fingerprint vocabulary: nested tuples/lists,
+    strings, ints, floats, bools, ``None`` and :class:`enum.Enum` members
+    (serialised by type and member name, never by implicit ordinal).
+    """
+    if isinstance(value, (tuple, list)):
+        return [canon_key_reference(item) for item in value]
+    if isinstance(value, enum.Enum):
+        return {"enum": [type(value).__name__, value.name]}
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
+    raise PersistError(
+        f"unsupported key component of type {type(value).__name__!r}")
+
+
+def key_digest_reference(*parts) -> str:
+    """SHA-256 hex digest of the canonical JSON serialisation of ``parts``."""
+    blob = json.dumps([PERSIST_CODEC_VERSION, canon_key_reference(list(parts))],
+                      separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

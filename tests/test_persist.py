@@ -7,8 +7,10 @@ Mirrors the journal's durability coverage for the cache store:
 * analysis-entry codec — ``(table, errors)`` pairs survive bit-for-bit,
   including reconstructed :class:`UnboundedLoopError` instances and the
   insertion order of the per-function tables,
-* key digests — deterministic, enum-aware, version-stamped, and closed to
-  unsupported key components,
+* key digests — deterministic, enum-aware, version-stamped, closed to
+  unsupported key components, and byte-identical to the recursive
+  canonicaliser kept in ``tests/oracles.py`` (on every embedded source's
+  fingerprint and on hypothesis-drawn nested keys),
 * ``validate_cache_dir`` — creates missing directories, fails fast on paths
   that cannot become writable directories,
 * the store itself — cross-instance replay, torn-tail tolerance and repair,
@@ -23,6 +25,7 @@ Mirrors the journal's durability coverage for the cache store:
   hash seeds.
 """
 
+import enum
 import errno
 import json
 import multiprocessing
@@ -34,6 +37,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import key_digest_reference
+from repro.compiler.config import UNROLL_CHOICES, CompilerConfig
 from repro.compiler.engine import AnalysisCache
 from repro.compiler.engine.cache import (
     disable_process_analysis_cache,
@@ -54,11 +59,15 @@ from repro.compiler.engine.persist import (
     validate_cache_dir,
 )
 from repro.errors import AnalysisError, UnboundedLoopError
+from repro.compiler.pipeline import CompilationPipeline
 from repro.frontend import compile_source
+from repro.frontend.parser import parse
+from repro.hw.core import CoreKind
 from repro.hw.presets import gr712rc, nucleo_stm32f091rc
 from repro.ir.instructions import Opcode
 from repro.scenarios import run_scenario
 from test_service import assert_report_matches, golden
+from test_unroll_stamping import IR_PIN_SOURCES
 
 
 def _source(bound: int) -> str:
@@ -182,6 +191,45 @@ class TestKeyDigest:
     def test_unsupported_component_rejected(self):
         with pytest.raises(PersistError, match="unsupported key component"):
             key_digest(object())
+
+    def test_digest_matches_the_oracle_on_every_embedded_fingerprint(self):
+        platform = nucleo_stm32f091rc()
+        pipeline = CompilationPipeline(platform)
+        pass_list_key = default_pass_list_key()
+        for name, source in IR_PIN_SOURCES:
+            module = parse(source, name)
+            for unroll in UNROLL_CHOICES:
+                for fold in (False, True):
+                    config = CompilerConfig(constant_folding=fold,
+                                            unroll_limit=unroll)
+                    program, _ = pipeline.build(module, config)
+                    fingerprint = program_fingerprint(program)
+                    digest = key_digest(fingerprint)
+                    assert digest == key_digest_reference(fingerprint)
+                    # The outer key of one energy table (_table_digest).
+                    parts = ("analysis", platform.name, pass_list_key,
+                             "energy", ["m0", "m0-48MHz", "paths"], digest)
+                    assert key_digest(*parts) == key_digest_reference(*parts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats() | st.text()
+        | st.sampled_from(list(Opcode) + list(CoreKind)),
+        lambda children: (st.lists(children, max_size=4)
+                          | st.lists(children, max_size=4).map(tuple)),
+        max_leaves=20))
+    def test_digest_matches_the_oracle_on_drawn_keys(self, key):
+        assert key_digest(key) == key_digest_reference(key)
+        assert key_digest("analysis", key, (key,)) == key_digest_reference(
+            "analysis", key, (key,))
+
+    def test_key_enums_are_plain_enums(self):
+        # The C encoder writes an int- or str-mixin enum by value without
+        # calling the digest's enum hook; the key vocabulary must have none.
+        for kind in (Opcode, CoreKind):
+            assert issubclass(kind, enum.Enum)
+            assert not issubclass(kind, (int, str))
 
     def test_default_pass_list_key_is_stable(self):
         key = default_pass_list_key()

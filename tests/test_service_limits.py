@@ -6,14 +6,20 @@ bound (fresh submissions beyond ``max_pending`` fail fast with
 :class:`QueueFull`, HTTP 429 + ``Retry-After``), the second stops a
 long-lived service from serving stale sweeps forever (entries expire
 lazily, counted in ``stats()``).  Also covers HTTP input hardening (bool
-``priority`` rejection, the request-body size cap), the monotonic
+``priority`` rejection, the request-body size cap, non-UTF-8 bodies, a
+refused body closing its connection), HTTP framing (one socket write per
+reply, keep-alive latency free of delayed-ACK waits), the monotonic
 succeeded/failed lifetime counters across record pruning, and the
 service's cross-job pipeline-stats rollup under ``GET /stats``.
 """
 
 import http.client
+import io
 import json
+import socket
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -25,7 +31,12 @@ from repro.service import (
     QueueFull,
     ResultStore,
 )
-from repro.service.http import MAX_BODY_BYTES, RETRY_AFTER_S, create_server
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    RETRY_AFTER_S,
+    ServiceRequestHandler,
+    create_server,
+)
 from test_service import _finished_job, request, tiny_scenario, tiny_spec  # noqa: F401
 
 from repro.scenarios import register_scenario, unregister_scenario
@@ -148,10 +159,10 @@ def idle_http_service():
         service.close()
 
 
-def _raw_post(address, body: bytes, content_length=None):
+def _raw_post(address, body: bytes, content_length=None, path="/jobs"):
     connection = http.client.HTTPConnection(*address, timeout=30)
     try:
-        connection.putrequest("POST", "/jobs")
+        connection.putrequest("POST", path)
         connection.putheader("Content-Type", "application/json")
         connection.putheader("Content-Length",
                              str(len(body) if content_length is None
@@ -221,6 +232,132 @@ class TestHttpInputHardening:
                                  "unknown_field": padding}).encode())
         assert status == 400
         assert "unknown job request fields" in document["error"]
+
+
+    def test_non_utf8_body_gets_400(self, idle_http_service):
+        # Pre-fix, the UnicodeDecodeError killed the handler thread and the
+        # client saw the connection drop with no reply.
+        _, address = idle_http_service
+        for path in ("/jobs", "/campaigns"):
+            status, document = _raw_post(address, b"\xff\xfe{", path=path)
+            assert status == 400
+            assert "UTF-8" in document["error"]
+
+    @pytest.mark.parametrize("content_length, status", [
+        (str(MAX_BODY_BYTES + 1), "413"), ("banana", "400"), ("-1", "400")])
+    def test_refused_body_closes_the_connection(self, idle_http_service,
+                                                content_length, status):
+        # A body the server does not read would be parsed as the next
+        # request on a kept-alive connection; the refusal must say
+        # "Connection: close" and close.  No body bytes are sent, so the
+        # close is a clean FIN rather than a reset over unread data.
+        _, address = idle_http_service
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {content_length}\r\n\r\n"
+                         .encode())
+            received = b""
+            while True:  # until the server closes (a timeout fails the test)
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        lines = head.decode().split("\r\n")
+        assert lines[0].split()[1] == status
+        assert "Connection: close" in lines[1:]
+        assert "error" in json.loads(body)
+
+
+# ---------------------------------------------------------------------------
+# HTTP framing
+# ---------------------------------------------------------------------------
+class _RecordingWriter:
+    """The handler's socket writer, with each ``write`` call recorded."""
+
+    def __init__(self, inner, writes):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestHttpFraming:
+    def test_each_reply_is_one_write(self, idle_http_service):
+        service, _ = idle_http_service
+        writes = []
+
+        class CountingHandler(ServiceRequestHandler):
+            def setup(self):
+                super().setup()
+                self.wfile = _RecordingWriter(self.wfile, writes)
+
+        server = create_server(service)
+        server.RequestHandlerClass = CountingHandler
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        connection = http.client.HTTPConnection(*server.server_address[:2],
+                                                timeout=30)
+        try:
+            for method, path, body, status in [
+                    ("GET", "/scenarios", None, 200),
+                    ("GET", "/stats", None, 200),
+                    ("GET", "/jobs?limit=5", None, 200),
+                    ("GET", "/nowhere", None, 404),
+                    ("POST", "/jobs", b"{", 400),
+                    ("DELETE", "/jobs/missing", None, 404)]:
+                before = len(writes)
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                payload = response.read()
+                assert response.status == status
+                assert len(writes) == before + 1
+                assert writes[-1].startswith(f"HTTP/1.1 {status} ".encode())
+                assert writes[-1].endswith(b"\r\n\r\n" + payload)
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_connection_close_header_still_closes(self):
+        # Headers pass through send_header, which keeps its side effects.
+        handler = ServiceRequestHandler.__new__(ServiceRequestHandler)
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "GET / HTTP/1.1"
+        handler.client_address = ("127.0.0.1", 0)
+        handler.close_connection = False
+        writes = []
+        handler.wfile = _RecordingWriter(io.BytesIO(), writes)
+        handler._reply(200, {"ok": True}, headers={"Connection": "close"})
+        assert handler.close_connection
+        assert len(writes) == 1
+        assert writes[0].count(b"\r\nConnection: close\r\n") == 1
+
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(
+            self, idle_http_service):
+        # With headers and body in two writes, each reply's body waited
+        # for the client's delayed ACK: a ~40 ms median on loopback.
+        _, address = idle_http_service
+        connection = http.client.HTTPConnection(*address, timeout=30)
+        try:
+            latencies = []
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/scenarios")
+                response = connection.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.010
 
 
 # ---------------------------------------------------------------------------
