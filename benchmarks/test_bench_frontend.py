@@ -7,14 +7,17 @@ Token-object recursive-descent parser still dominated, so the cursor rewrite
 attacks the parse half and adds a process-wide parse cache.
 
 - FE1 measures the scanner itself — the seed's character-loop tokenizer
-  (retained verbatim as the non-ASCII fallback) against the
-  single-compiled-regex pipeline scanner — and asserts the >= 1.5x bar.
+  (``tokenize``, the exact scanner) against ``scan``, the
+  single-compiled-regex scanner ``parse`` runs — and asserts the >= 1.5x
+  bar.
 - FE2 measures the end-to-end cold parse through
   ``CompilationPipeline.parse`` (cache cleared every call) against the seed
-  call path (character loop + Token-object reference parser) and asserts the
-  >= 3x acceptance bar; a secondary row keeps the honest ratio against the
-  previous main (regex scanner + reference parser).
-- FE3 sanity-checks that scan time stays roughly linear in source size.
+  call path (character loop + the Token-object parser, now the
+  ``parse_reference`` oracle in ``tests/oracles.py``) and asserts the >= 3x
+  acceptance bar; a secondary row keeps the >= 1.5x bar against the
+  previous main path, which since the regex compatibility lexer was deleted
+  is the same seed lexer + seed parser.
+- FE3 sanity-checks that ``scan`` time stays roughly linear in source size.
 - FE4 measures the warm parse served by the fingerprint-keyed parse cache
   and asserts it is >= 10x faster than the cold cursor parse.
 
@@ -28,15 +31,19 @@ the engine benchmarks.
 
 import json
 import pathlib
+import sys
 import time
 
 from conftest import print_experiment
 
 from repro.compiler.pipeline import CompilationPipeline
 from repro.frontend import parser
-from repro.frontend.lexer import _tokenize_ascii, _tokenize_chars, tokenize
+from repro.frontend.lexer import KIND_NAMES, scan, tokenize
 from repro.hw.presets import platform_by_name
 from repro.usecases import camera_pill, space
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from oracles import parse_reference  # noqa: E402  (tests/ is not a package)
 
 #: One large translation unit: the repo's TeamPlay-C sources, concatenated
 #: a few times so per-call overhead vanishes in the noise.
@@ -81,28 +88,33 @@ def _interleaved(*funcs):
 
 def test_fe1_scanner_vs_character_loop(benchmark):
     """FE1: the pipeline scanner must beat the old call path >= 1.5x cold."""
-    streams_match = tokenize(BIG_SOURCE) == _tokenize_chars(BIG_SOURCE)
-    assert streams_match, "scanner rewrite changed the token stream"
+    tokens = tokenize(BIG_SOURCE)
+    stream = scan(BIG_SOURCE)
+    streams_match = (
+        [KIND_NAMES[kind] for kind in stream.kinds] == [t.kind for t in tokens]
+        and stream.values == [t.value for t in tokens]
+        and stream.lines == [t.line for t in tokens])
+    assert streams_match, "scan diverged from the character-loop stream"
 
     old_best, new_best = _interleaved(
-        lambda: _tokenize_chars(BIG_SOURCE),
-        lambda: _tokenize_ascii(BIG_SOURCE))
+        lambda: tokenize(BIG_SOURCE),
+        lambda: scan(BIG_SOURCE))
     speedup = old_best / new_best
 
-    benchmark.pedantic(_tokenize_ascii, args=(BIG_SOURCE,),
+    benchmark.pedantic(scan, args=(BIG_SOURCE,),
                        rounds=3, iterations=INNER)
     print_experiment(
         "FE1 — pipeline scanner vs seed character loop",
-        "cold tokenize >= 1.5x faster through the compiled-regex scanner",
+        "cold scan >= 1.5x faster than the seed character loop",
         [
             f"old call path (char loop) : {old_best * 1e3:7.2f} ms",
             f"pipeline scanner          : {new_best * 1e3:7.2f} ms",
             f"speedup                   : {speedup:7.2f}x",
             f"source                    : {len(BIG_SOURCE)} chars, "
-            f"{len(tokenize(BIG_SOURCE))} tokens",
+            f"{len(tokens)} tokens",
         ],
         notes="the character loop is the seed tokenizer, kept verbatim as "
-              "the Unicode fallback",
+              "tokenize(), the exact scanner scan() falls back to",
     )
     _record("FE1_scanner", char_loop_s=old_best, scanner_s=new_best,
             speedup=speedup)
@@ -121,14 +133,13 @@ def test_fe2_cold_parse_through_the_pipeline():
     def cold_parse_seed():
         # The seed frontend exactly: character-loop lexer feeding the
         # Token-object recursive-descent parser.
-        tokens = _tokenize_chars(BIG_SOURCE)
-        return parser._ReferenceParser(tokens, "<memory>").parse_module()
+        return parse_reference(BIG_SOURCE)
 
     def cold_parse_previous_main():
-        # Previous main: regex scanner, but still the Token-object parser —
-        # the configuration whose end-to-end win was capped at ~1.4x.
-        tokens = tokenize(BIG_SOURCE)
-        return parser._ReferenceParser(tokens, "<memory>").parse_module()
+        # Previous main: tokenize() + the Token-object parser.  With the
+        # regex compatibility lexer deleted, tokenize() is the seed
+        # character loop, so this is the seed path timed a second time.
+        return parse_reference(BIG_SOURCE)
 
     assert cold_parse_seed() == cold_parse_pipeline(), (
         "cursor parser diverged from the seed parser")
@@ -144,7 +155,7 @@ def test_fe2_cold_parse_through_the_pipeline():
         "token-cursor parser + indexed scan >= 3x over the seed frontend",
         [
             f"seed path (chars+Token parse) : {seed_best * 1e3:7.2f} ms",
-            f"prev main (scan+Token parse)  : {prev_best * 1e3:7.2f} ms",
+            f"prev main (chars+Token parse) : {prev_best * 1e3:7.2f} ms",
             f"pipeline cold parse           : {new_best * 1e3:7.2f} ms",
             f"speedup vs seed               : {speedup_seed:7.2f}x",
             f"speedup vs previous main      : {speedup_prev:7.2f}x",
@@ -152,8 +163,8 @@ def test_fe2_cold_parse_through_the_pipeline():
             f"{stats['parse']['invocations']} invocations, "
             f"{stats['parse']['wall_s'] * 1e3:.2f} ms wall",
         ],
-        notes="the Token-object parser survives as parser._ReferenceParser "
-              "(parity oracle); the cursor parser runs over the scan arrays",
+        notes="the Token-object parser survives as parse_reference in "
+              "tests/oracles.py; the cursor parser runs over the scan arrays",
     )
     _record("FE2_cold_parse", seed_s=seed_best, previous_main_s=prev_best,
             pipeline_s=new_best, speedup_vs_seed=speedup_seed,
@@ -167,8 +178,8 @@ def test_fe2_cold_parse_through_the_pipeline():
 
 def test_fe3_scanner_scaling_sanity():
     """FE3: scanner time grows roughly linearly with source size."""
-    t_small = _best_of(3, _tokenize_ascii, SMALL_SOURCE)
-    t_big = _best_of(3, _tokenize_ascii, BIG_SOURCE)
+    t_small = _best_of(3, scan, SMALL_SOURCE)
+    t_big = _best_of(3, scan, BIG_SOURCE)
     ratio = t_big / t_small
     print_experiment(
         "FE3 — scanner scaling",

@@ -556,39 +556,12 @@ class AnalysisCache(_BoundedCacheMixin):
 
     # -- shared validation ----------------------------------------------------
     def _check_analysable(self, program: Program, fingerprint: Tuple) -> None:
-        """``validate()`` + recursion check, once per distinct program.
-
-        The recursion check is an iterative three-colour DFS over the call
-        graph — same verdict as ``Program.has_recursion()`` without paying
-        for a networkx graph per program.
-        """
+        """``validate()`` + recursion check, once per distinct program."""
         if self._touch(self._checked, fingerprint):
             return
         program.validate()
-        callees = {name: function.callees()
-                   for name, function in program.functions.items()}
-        state: Dict[str, int] = {}  # 1 = on stack, 2 = done
-        for root in callees:
-            if state.get(root):
-                continue
-            stack = [(root, iter(callees[root]))]
-            state[root] = 1
-            while stack:
-                name, remaining = stack[-1]
-                advanced = False
-                for callee in remaining:
-                    mark = state.get(callee)
-                    if mark == 1:
-                        raise AnalysisError(
-                            "programs with recursion are not analysable")
-                    if mark is None and callee in callees:
-                        state[callee] = 1
-                        stack.append((callee, iter(callees[callee])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[name] = 2
-                    stack.pop()
+        if program.has_recursion():
+            raise AnalysisError("programs with recursion are not analysable")
         # Bounded like the result tables, but eviction only means a future
         # re-validation, so it is not reported in the eviction counter.
         self._checked[fingerprint] = True

@@ -7,13 +7,14 @@ information (task names, loop bounds, secret parameters, points of interest).
 
 The frontend provides:
 
-* :func:`tokenize` — the compatibility lexer (Token objects with exact
-  positions) and :func:`scan` — the parser's indexed
-  :class:`~repro.frontend.lexer.TokenStream` fast path,
-* :func:`parse` — the token-cursor recursive-descent parser producing the
-  AST in :mod:`repro.frontend.ast_nodes`, with :func:`parse_cached` /
-  :func:`parse_cache_stats` in front of it (process-wide LRU keyed by
-  source fingerprint),
+* :func:`scan` — the parser's indexed
+  :class:`~repro.frontend.lexer.TokenStream` fast path, and
+  :func:`tokenize` — the exact scanner (the seed character loop: Token
+  objects with line and column, Unicode-aware, owner of error positions),
+* :func:`parse` — the token-cursor recursive-descent parser (the only
+  parser) producing the AST in :mod:`repro.frontend.ast_nodes`, with
+  :func:`parse_cached` / :func:`parse_cache_stats` in front of it
+  (process-wide LRU keyed by source fingerprint),
 * :func:`lower_module` / :func:`compile_source` — lowering of the AST into
   the IR of :mod:`repro.ir`.
 

@@ -1,18 +1,16 @@
 """Lexer for TeamPlay-C.
 
-Two views of the same token stream come out of this module:
+Two scanners produce the same token stream, each the only one for its job:
 
-* :func:`tokenize` — the compatibility view: a flat list of
-  :class:`Token` named tuples with exact line *and* column positions,
-  pinned token-for-token by ``tests/test_frontend_scanner.py``.  It is
-  produced by the single-compiled-regex scanner of the unified-pipeline PR
-  (``_tokenize_ascii``), with the seed's character loop retained as the
-  Unicode fallback (``_tokenize_chars``).
 * :func:`scan` — the parser's fast path: a :class:`TokenStream` of three
   parallel arrays (interned integer *kind ids*, value strings, line
   numbers) with **no token objects at all**.  The cursor parser drives
-  integer comparisons against these arrays; columns are recovered lazily
-  (only error paths need them) by materialising the compatibility stream.
+  integer comparisons against these arrays.
+* :func:`tokenize` — the exact view: a flat list of :class:`Token` named
+  tuples with line *and* column positions, produced by the seed's
+  character loop.  It is Unicode-aware and owns every error message and
+  position; ``scan`` defers to it for columns (only error paths need them,
+  see :meth:`TokenStream.token`) and for any input it does not classify.
 
 The fast path is built on ``re.findall`` rather than the scanner protocol:
 one C-level pass yields every token text (newline runs are matched
@@ -31,7 +29,7 @@ the token list the stream is then (slowly, correctly) built from.
 value is the directive text, so the parser can attach them to the
 following function or loop.
 
-Both views produce identical kinds/values/line numbers for every input
+Both scanners produce identical kinds/values/line numbers for every input
 (cross-checked by the scanner golden tests and the hypothesis property
 tests); the ``Token.kind`` strings are module-level interned constants, so
 identity comparison (``tok.kind is KIND_ID``) is valid everywhere.
@@ -47,7 +45,7 @@ from repro.errors import FrontendError
 
 #: Interned ``Token.kind`` strings.  Every token built in this module uses
 #: these exact objects, so ``tok.kind is KIND_ID`` is a valid (and fast)
-#: comparison anywhere a compatibility token travels.
+#: comparison anywhere a :class:`Token` travels.
 KIND_ID = sys.intern("ID")
 KIND_NUM = sys.intern("NUM")
 KIND_KEYWORD = sys.intern("KEYWORD")
@@ -110,7 +108,7 @@ OP_IDS: Dict[str, int] = {
 
 _N_KINDS = 11 + len(OP_IDS)
 
-#: kind id -> coarse ``Token.kind`` string (the compatibility view).
+#: kind id -> coarse ``Token.kind`` string (the :func:`tokenize` view).
 KIND_NAMES: Tuple[str, ...] = tuple(
     [KIND_EOF, KIND_ID, KIND_NUM, KIND_PRAGMA]
     + [KIND_KEYWORD] * len(KEYWORD_IDS)
@@ -144,9 +142,8 @@ class TokenStream:
     ``kinds[i]``/``values[i]``/``lines[i]`` describe token ``i``; the last
     token is always ``K_EOF``.  Columns are not tracked — the only
     consumers are error messages, and :meth:`token` materialises the exact
-    compatibility token (line *and* column) on demand by re-running
-    :func:`tokenize`, which is cheap on the cold error path and free
-    otherwise.
+    token (line *and* column) on demand by re-running :func:`tokenize`,
+    which is paid only on the cold error path.
     """
 
     __slots__ = ("kinds", "values", "lines", "source", "_tokens")
@@ -164,7 +161,7 @@ class TokenStream:
         return len(self.kinds)
 
     def token(self, index: int) -> Token:
-        """The exact compatibility token at ``index`` (lazy, error paths)."""
+        """The exact token at ``index`` (lazy, error paths)."""
         if self._tokens is None:
             self._tokens = tokenize(self.source)
         return self._tokens[index]
@@ -174,8 +171,8 @@ def scan(source: str) -> TokenStream:
     """Scan ``source`` into a :class:`TokenStream` (the parser fast path).
 
     Raises :class:`FrontendError` on bad input with the same message and
-    position :func:`tokenize` reports (anomalies are re-scanned through the
-    compatibility path, which owns error reporting).
+    position :func:`tokenize` reports (anomalies are re-scanned through
+    :func:`tokenize`, which owns error reporting).
     """
     if source.isascii():
         try:
@@ -298,7 +295,7 @@ def _scan_ascii(source: str) -> TokenStream:
 
 
 def _stream_from_tokens(tokens: List[Token], source: str) -> TokenStream:
-    """Build a stream from a compatibility token list (slow, exact)."""
+    """Build a stream from a :func:`tokenize` token list (slow, exact)."""
     kinds: List[int] = []
     values: List[str] = []
     lines: List[int] = []
@@ -316,118 +313,14 @@ def _stream_from_tokens(tokens: List[Token], source: str) -> TokenStream:
 
 
 # ---------------------------------------------------------------------------
-# The compatibility scanner (Token objects with exact line/column)
+# The exact scanner (Token objects with exact line/column)
 # ---------------------------------------------------------------------------
-#: Master token pattern of the ASCII scanner.  Alternation order matters
-#: twice over: for correctness (keywords before identifiers, comments before
-#: operators so ``//`` and ``/*`` win over ``/``, the terminated block
-#: comment before the unterminated-opener error case, hex before decimal)
-#: and for speed (alternatives are tried in order, so the most frequent
-#: classes come first).
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<SKIP>[ \t\r\n]+)
-     |(?P<KW>(?:%s)\b)
-     |(?P<ID>[A-Za-z_][A-Za-z0-9_]*)
-     |(?P<NUM>0[xX][0-9a-fA-F]*|[0-9]+)
-     |(?P<LC>//[^\n]*)
-     |(?P<BC>/\*(?:[^*]|\*(?!/))*\*/)
-     |(?P<BCOPEN>/\*)
-     |(?P<OP><<=|>>=|==|!=|<=|>=|&&|\|\||<<|>>|\+=|-=|\*=|/=|%%=|&=|\|=|\^=
-            |[+\-*/%%<>=!&|^~(){}\[\];,])
-     |(?P<PRAGMA>\#[^\n]*)
-    """ % "|".join(sorted(KEYWORDS)),
-    re.VERBOSE,
-)
-
-#: Group-number constants for the ``lastindex`` dispatch; resolved from the
-#: compiled pattern so reordering the alternation cannot desynchronise them.
-_SKIP = _TOKEN_RE.groupindex["SKIP"]
-_KW = _TOKEN_RE.groupindex["KW"]
-_ID = _TOKEN_RE.groupindex["ID"]
-_NUM = _TOKEN_RE.groupindex["NUM"]
-_LC = _TOKEN_RE.groupindex["LC"]
-_BC = _TOKEN_RE.groupindex["BC"]
-_BCOPEN = _TOKEN_RE.groupindex["BCOPEN"]
-_OP = _TOKEN_RE.groupindex["OP"]
-_PRAGMA = _TOKEN_RE.groupindex["PRAGMA"]
-
-_tuple_new = tuple.__new__
-
-
 def tokenize(source: str) -> List[Token]:
-    """Tokenise TeamPlay-C ``source``; raises :class:`FrontendError` on bad input."""
-    if source.isascii():
-        return _tokenize_ascii(source)
-    return _tokenize_chars(source)
+    """Tokenise TeamPlay-C ``source``; raises :class:`FrontendError` on bad input.
 
-
-def _tokenize_ascii(source: str) -> List[Token]:
-    """Single-regex scanner; token-for-token identical to the character loop."""
-    tokens: List[Token] = []
-    append = tokens.append
-    scan = _TOKEN_RE.scanner(source).match
-    line = 1
-    column = 1
-    pos = 0
-    length = len(source)
-    match = scan()
-    while match is not None:
-        index = match.lastindex
-        end = match.end()
-        if index == _ID:
-            append(_tuple_new(Token, (KIND_ID, match.group(), line, column)))
-            column += end - pos
-        elif index == _OP:
-            append(_tuple_new(Token, (KIND_OP, match.group(), line, column)))
-            column += end - pos
-        elif index == _SKIP:
-            text = match.group()
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                column = end - pos - text.rfind("\n")
-            else:
-                column += end - pos
-        elif index == _KW:
-            append(_tuple_new(Token, (KIND_KEYWORD, match.group(), line, column)))
-            column += end - pos
-        elif index == _NUM:
-            append(_tuple_new(Token, (KIND_NUM, match.group(), line, column)))
-            column += end - pos
-        elif index == _LC:
-            pass  # column untouched; the next token is the newline (or EOF)
-        elif index == _BC:
-            text = match.group()
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                column = end - pos - text.rfind("\n")
-            else:
-                column += end - pos
-        elif index == _BCOPEN:
-            raise FrontendError("unterminated block comment", line, column)
-        else:  # PRAGMA
-            stripped = match.group().strip()
-            if not stripped.startswith("#pragma"):
-                raise FrontendError(
-                    f"unsupported preprocessor directive {stripped!r}",
-                    line, column)
-            directive = stripped[len("#pragma"):].strip()
-            append(_tuple_new(Token, (KIND_PRAGMA, directive, line, column)))
-            # column deliberately untouched, as in the character loop: the
-            # next token is the trailing newline, which resets it anyway.
-        pos = end
-        match = scan()
-    if pos < length:
-        raise FrontendError(f"unexpected character {source[pos]!r}",
-                            line, column)
-    append(_tuple_new(Token, (KIND_EOF, "", line, column)))
-    return tokens
-
-
-def _tokenize_chars(source: str) -> List[Token]:
-    """Character-by-character fallback (Unicode identifiers and digits)."""
+    The seed character loop: Unicode-aware (``str.isalpha``/``isdigit``)
+    and the owner of exact columns and error positions.
+    """
     tokens: List[Token] = []
     line = 1
     column = 1

@@ -2,22 +2,21 @@
 
 The parser runs on the :class:`~repro.frontend.lexer.TokenStream` fast path:
 three parallel arrays (interned integer kind ids, value strings, line
-numbers) and an integer cursor.  Every ``check``/``accept``/``expect`` the
-old Token-object parser spent on string comparison and attribute access is
+numbers) and an integer cursor.  Every ``check``/``accept``/``expect`` is
 an integer comparison against module-level id constants; operator
 precedence and assignment-operator membership are flat tuples indexed by
 kind id; pragma headers parse through a process-wide memo
 (:func:`~repro.frontend.pragmas.parse_pragma_cached`) so repeated
 directives cost one dict hit.  Columns are not tracked in the hot path —
-error reporting (the only consumer) materialises the exact compatibility
-token on demand, and errors *at end of input* report the last real token's
+error reporting (the only consumer) materialises the exact token on
+demand, and errors *at end of input* report the last real token's
 position rather than the synthetic EOF token's.
 
-The seed parser is retained verbatim as :class:`_ReferenceParser` (over
-:func:`~repro.frontend.lexer.tokenize`'s Token list): the hypothesis
-property tests cross-check both parsers for AST equality over generated
-programs, and the frontend benchmarks use it as the honest "old call path"
-baseline.
+This is the only parser in the package.  The seed Token-object parser it
+replaced lives on as a test oracle in ``tests/oracles.py``: the
+hypothesis property tests cross-check both for AST equality and identical
+error messages over generated programs, and the frontend benchmarks time
+it as the seed baseline.
 
 On top sits a process-wide parse cache (:class:`ParseCache`, same LRU +
 ``stats()`` convention as the engine caches) keyed by the source text's
@@ -42,12 +41,10 @@ from repro.frontend.lexer import (
     KIND_NAMES,
     KIND_TEXTS,
     OP_IDS,
-    Token,
     TokenStream,
     scan,
-    tokenize,
 )
-from repro.frontend.pragmas import parse_pragma, parse_pragma_cached
+from repro.frontend.pragmas import parse_pragma_cached
 
 #: Binary operator precedence, higher binds tighter.
 _PRECEDENCE = {
@@ -105,19 +102,10 @@ _NO_PRAGMAS: Dict[str, object] = {}
 
 #: Memo for numeric-literal conversion: real programs repeat a handful of
 #: constants, and ``int(text, 0)`` (prefix handling) costs several times a
-#: dict hit.  Failures (e.g. a bare ``"0x"``) are never cached, so the
-#: ValueError propagates exactly as the seed parser's did.
+#: dict hit.  Failures (``007``, a bare ``0x``, ``²``) are never cached;
+#: each raises a positioned :class:`FrontendError` from
+#: :meth:`_Parser._int_value`.
 _INT_CACHE: Dict[str, int] = {}
-
-
-def _int_value(text: str) -> int:
-    value = _INT_CACHE.get(text)
-    if value is None:
-        value = int(text, 0)
-        if len(_INT_CACHE) >= 4096:
-            _INT_CACHE.clear()
-        _INT_CACHE[text] = value
-    return value
 
 
 class _Parser:
@@ -157,6 +145,21 @@ class _Parser:
         return self._positioned(self.pos, message)
 
     # -- token helpers ------------------------------------------------------
+    def _int_value(self, index: int) -> int:
+        """The value of the integer literal at token ``index``."""
+        text = self.values[index]
+        value = _INT_CACHE.get(text)
+        if value is None:
+            try:
+                value = int(text, 0)
+            except ValueError:
+                raise self._positioned(
+                    index, f"invalid integer literal {text!r}") from None
+            if len(_INT_CACHE) >= 4096:
+                _INT_CACHE.clear()
+            _INT_CACHE[text] = value
+        return value
+
     def _expect(self, kind_id: int) -> int:
         """Consume a token of ``kind_id`` and return its index."""
         pos = self.pos
@@ -213,7 +216,7 @@ class _Parser:
         self._expect(_OP_LBRACKET)
         size_index = self._expect(K_NUM)
         self._expect(_OP_RBRACKET)
-        size = int(self.values[size_index], 0)
+        size = self._int_value(size_index)
         if size <= 0:
             raise self._positioned(size_index, "array size must be positive")
         init: Optional[List[int]] = None
@@ -222,7 +225,7 @@ class _Parser:
             init = []
             while self.kinds[self.pos] != _OP_RBRACE:
                 negative = self._accept(_OP_MINUS)
-                value = int(self.values[self._expect(K_NUM)], 0)
+                value = self._int_value(self._expect(K_NUM))
                 init.append(-value if negative else value)
                 if not self._accept(_OP_COMMA):
                     break
@@ -305,7 +308,7 @@ class _Parser:
             size_index = self._expect(K_NUM)
             self._expect(_OP_RBRACKET)
             self._expect(_OP_SEMICOLON)
-            size = int(self.values[size_index], 0)
+            size = self._int_value(size_index)
             if size <= 0:
                 raise self._positioned(size_index,
                                        "array size must be positive")
@@ -472,7 +475,7 @@ class _Parser:
             return ast.Var(name, line)
         if kind == K_NUM:
             self.pos = pos + 1
-            return ast.Num(_int_value(self.values[pos]), self.lines[pos])
+            return ast.Num(self._int_value(pos), self.lines[pos])
         if kind == _OP_MINUS or kind == _OP_BANG or kind == _OP_TILDE:
             line = self.lines[pos]
             self.pos = pos + 1
@@ -492,335 +495,10 @@ class _Parser:
         raise self.error(f"unexpected token {found!r} in expression")
 
 
-# ---------------------------------------------------------------------------
-# Reference parser (the seed implementation, retained verbatim)
-# ---------------------------------------------------------------------------
-class _ReferenceParser:
-    """The seed Token-object parser, kept as the parity/benchmark baseline.
-
-    The hypothesis property tests assert this parser and the cursor parser
-    produce equal ASTs over generated TeamPlay-C programs, and the frontend
-    benchmarks use it (after the seed character-loop lexer) as the honest
-    "old call path".  The only change from the seed is dropping the
-    redundant ``min()`` clamp in :meth:`peek` — ``advance`` never moves
-    past the EOF sentinel, so the cursor cannot leave the token list.
-    """
-
-    def __init__(self, tokens: List[Token], source_name: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.source_name = source_name
-
-    # -- token helpers ------------------------------------------------------
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "EOF":
-            self.pos += 1
-        return token
-
-    def check(self, kind: str, value: Optional[str] = None) -> bool:
-        token = self.peek()
-        if token.kind != kind:
-            return False
-        return value is None or token.value == value
-
-    def accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        if self.check(kind, value):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        if self.check(kind, value):
-            return self.advance()
-        token = self.peek()
-        expected = value if value is not None else kind
-        raise FrontendError(
-            f"expected {expected!r} but found {token.value or token.kind!r}",
-            token.line, token.column)
-
-    def error(self, message: str) -> FrontendError:
-        token = self.peek()
-        return FrontendError(message, token.line, token.column)
-
-    # -- module -----------------------------------------------------------------
-    def parse_module(self) -> ast.SourceModule:
-        module = ast.SourceModule(source_name=self.source_name)
-        pending_pragmas: Dict[str, object] = {}
-        while not self.check("EOF"):
-            if self.check("PRAGMA"):
-                token = self.advance()
-                pending_pragmas.update(parse_pragma(token.value, token.line))
-                continue
-            if self.check("KEYWORD", "int") or self.check("KEYWORD", "void"):
-                decl = self._parse_top_level(pending_pragmas)
-                pending_pragmas = {}
-                if isinstance(decl, ast.FunctionDef):
-                    module.functions.append(decl)
-                else:
-                    module.globals.append(decl)
-                continue
-            raise self.error("expected a declaration")
-        return module
-
-    def _parse_top_level(self, pragmas: Dict[str, object]):
-        type_token = self.advance()  # 'int' or 'void'
-        name_token = self.expect("ID")
-        if self.check("OP", "("):
-            return self._parse_function(type_token, name_token, pragmas)
-        if type_token.value == "void":
-            raise FrontendError("global variables must have type int",
-                                type_token.line, type_token.column)
-        return self._parse_global_array(name_token)
-
-    def _parse_global_array(self, name_token: Token) -> ast.GlobalArray:
-        self.expect("OP", "[")
-        size_token = self.expect("NUM")
-        self.expect("OP", "]")
-        size = int(size_token.value, 0)
-        if size <= 0:
-            raise FrontendError("array size must be positive",
-                                size_token.line, size_token.column)
-        init: Optional[List[int]] = None
-        if self.accept("OP", "="):
-            self.expect("OP", "{")
-            init = []
-            while not self.check("OP", "}"):
-                negative = bool(self.accept("OP", "-"))
-                value_token = self.expect("NUM")
-                value = int(value_token.value, 0)
-                init.append(-value if negative else value)
-                if not self.accept("OP", ","):
-                    break
-            self.expect("OP", "}")
-            if len(init) > size:
-                raise FrontendError(
-                    f"initialiser for {name_token.value!r} has {len(init)} "
-                    f"elements but the array holds {size}",
-                    name_token.line, name_token.column)
-        self.expect("OP", ";")
-        return ast.GlobalArray(name_token.value, size, init, name_token.line)
-
-    def _parse_function(self, type_token: Token, name_token: Token,
-                        pragmas: Dict[str, object]) -> ast.FunctionDef:
-        self.expect("OP", "(")
-        params: List[str] = []
-        if self.accept("KEYWORD", "void"):
-            pass
-        elif not self.check("OP", ")"):
-            while True:
-                self.expect("KEYWORD", "int")
-                param = self.expect("ID")
-                params.append(param.value)
-                if not self.accept("OP", ","):
-                    break
-        self.expect("OP", ")")
-        self.expect("OP", "{")
-        body = self._parse_statements_until_brace()
-        return ast.FunctionDef(name_token.value, params, body, dict(pragmas),
-                               name_token.line)
-
-    # -- statements ----------------------------------------------------------------
-    def _parse_statements_until_brace(self) -> List[ast.Stmt]:
-        stmts: List[ast.Stmt] = []
-        while not self.check("OP", "}"):
-            if self.check("EOF"):
-                raise self.error("unexpected end of file inside a block")
-            stmts.append(self._parse_statement())
-        self.expect("OP", "}")
-        return stmts
-
-    def _parse_block(self) -> List[ast.Stmt]:
-        if self.accept("OP", "{"):
-            return self._parse_statements_until_brace()
-        return [self._parse_statement()]
-
-    def _parse_statement(self) -> ast.Stmt:
-        pragmas: Dict[str, object] = {}
-        while self.check("PRAGMA"):
-            token = self.advance()
-            pragmas.update(parse_pragma(token.value, token.line))
-
-        if self.check("KEYWORD", "int"):
-            return self._parse_vardecl()
-        if self.check("KEYWORD", "if"):
-            return self._parse_if()
-        if self.check("KEYWORD", "while"):
-            return self._parse_while(pragmas)
-        if self.check("KEYWORD", "for"):
-            return self._parse_for(pragmas)
-        if self.check("KEYWORD", "return"):
-            return self._parse_return()
-        return self._parse_expression_statement()
-
-    def _parse_vardecl(self) -> ast.VarDecl:
-        self.expect("KEYWORD", "int")
-        name_token = self.expect("ID")
-        if self.accept("OP", "["):
-            size_token = self.expect("NUM")
-            self.expect("OP", "]")
-            self.expect("OP", ";")
-            size = int(size_token.value, 0)
-            if size <= 0:
-                raise FrontendError("array size must be positive",
-                                    size_token.line, size_token.column)
-            return ast.VarDecl(name_token.value, array_size=size,
-                               line=name_token.line)
-        init = None
-        if self.accept("OP", "="):
-            init = self._parse_expression()
-        self.expect("OP", ";")
-        return ast.VarDecl(name_token.value, init=init, line=name_token.line)
-
-    def _parse_if(self) -> ast.If:
-        token = self.expect("KEYWORD", "if")
-        self.expect("OP", "(")
-        cond = self._parse_expression()
-        self.expect("OP", ")")
-        then_body = self._parse_block()
-        else_body: List[ast.Stmt] = []
-        if self.accept("KEYWORD", "else"):
-            if self.check("KEYWORD", "if"):
-                else_body = [self._parse_if()]
-            else:
-                else_body = self._parse_block()
-        return ast.If(cond, then_body, else_body, token.line)
-
-    def _parse_while(self, pragmas: Dict[str, object]) -> ast.While:
-        token = self.expect("KEYWORD", "while")
-        self.expect("OP", "(")
-        cond = self._parse_expression()
-        self.expect("OP", ")")
-        body = self._parse_block()
-        bound = pragmas.get("loopbound")
-        return ast.While(cond, body, bound, token.line)
-
-    def _parse_for(self, pragmas: Dict[str, object]) -> ast.For:
-        token = self.expect("KEYWORD", "for")
-        self.expect("OP", "(")
-        init: Optional[ast.Stmt] = None
-        if not self.check("OP", ";"):
-            if self.check("KEYWORD", "int"):
-                self.expect("KEYWORD", "int")
-                name_token = self.expect("ID")
-                self.expect("OP", "=")
-                init_expr = self._parse_expression()
-                init = ast.VarDecl(name_token.value, init=init_expr,
-                                   line=name_token.line)
-            else:
-                init = self._parse_simple_assignment()
-        self.expect("OP", ";")
-        cond: Optional[ast.Expr] = None
-        if not self.check("OP", ";"):
-            cond = self._parse_expression()
-        self.expect("OP", ";")
-        update: Optional[ast.Stmt] = None
-        if not self.check("OP", ")"):
-            update = self._parse_simple_assignment()
-        self.expect("OP", ")")
-        body = self._parse_block()
-        bound = pragmas.get("loopbound")
-        return ast.For(init, cond, update, body, bound, token.line)
-
-    def _parse_simple_assignment(self) -> ast.Stmt:
-        expr = self._parse_expression()
-        op_token = self.peek()
-        if op_token.kind == "OP" and op_token.value in _ASSIGN_OPS:
-            self.advance()
-            value = self._parse_expression()
-            if not isinstance(expr, (ast.Var, ast.Index)):
-                raise FrontendError("assignment target must be a variable or "
-                                    "array element", op_token.line,
-                                    op_token.column)
-            return ast.Assign(expr, op_token.value, value, op_token.line)
-        return ast.ExprStmt(expr, op_token.line)
-
-    def _parse_return(self) -> ast.Return:
-        token = self.expect("KEYWORD", "return")
-        value = None
-        if not self.check("OP", ";"):
-            value = self._parse_expression()
-        self.expect("OP", ";")
-        return ast.Return(value, token.line)
-
-    def _parse_expression_statement(self) -> ast.Stmt:
-        stmt = self._parse_simple_assignment()
-        self.expect("OP", ";")
-        return stmt
-
-    # -- expressions -----------------------------------------------------------------
-    def _parse_expression(self, min_precedence: int = 1) -> ast.Expr:
-        lhs = self._parse_unary()
-        while True:
-            token = self.peek()
-            if token.kind != "OP" or token.value not in _PRECEDENCE:
-                break
-            precedence = _PRECEDENCE[token.value]
-            if precedence < min_precedence:
-                break
-            self.advance()
-            rhs = self._parse_expression(precedence + 1)
-            lhs = ast.Binary(token.value, lhs, rhs, token.line)
-        return lhs
-
-    def _parse_unary(self) -> ast.Expr:
-        token = self.peek()
-        if token.kind == "OP" and token.value in ("-", "!", "~"):
-            self.advance()
-            operand = self._parse_unary()
-            if token.value == "-" and isinstance(operand, ast.Num):
-                return ast.Num(-operand.value, token.line)
-            return ast.Unary(token.value, operand, token.line)
-        if token.kind == "OP" and token.value == "+":
-            self.advance()
-            return self._parse_unary()
-        return self._parse_primary()
-
-    def _parse_primary(self) -> ast.Expr:
-        token = self.peek()
-        if token.kind == "NUM":
-            self.advance()
-            return ast.Num(int(token.value, 0), token.line)
-        if token.kind == "ID":
-            self.advance()
-            if self.accept("OP", "("):
-                args: List[ast.Expr] = []
-                if not self.check("OP", ")"):
-                    while True:
-                        args.append(self._parse_expression())
-                        if not self.accept("OP", ","):
-                            break
-                self.expect("OP", ")")
-                return ast.Call(token.value, args, token.line)
-            if self.accept("OP", "["):
-                index = self._parse_expression()
-                self.expect("OP", "]")
-                return ast.Index(token.value, index, token.line)
-            return ast.Var(token.value, token.line)
-        if token.kind == "OP" and token.value == "(":
-            self.advance()
-            expr = self._parse_expression()
-            self.expect("OP", ")")
-            return expr
-        raise self.error(f"unexpected token {token.value or token.kind!r} in expression")
-
-
 def parse(source: str, source_name: str = "<memory>") -> ast.SourceModule:
     """Parse TeamPlay-C source text into a :class:`SourceModule`."""
     stream = scan(source)
     return _Parser(stream, source_name).parse_module()
-
-
-def parse_reference(source: str,
-                    source_name: str = "<memory>") -> ast.SourceModule:
-    """Parse through the retained seed path (Token list + reference parser).
-
-    Slow; exists for the parity property tests and as the benchmark
-    baseline.  Guaranteed AST-equal to :func:`parse` for every valid input.
-    """
-    return _ReferenceParser(tokenize(source), source_name).parse_module()
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,34 @@ class Program:
         return graph
 
     def has_recursion(self) -> bool:
-        graph = self.call_graph()
-        return any(True for _ in nx.simple_cycles(graph))
+        """Whether the call graph has a cycle (self-calls included).
+
+        An iterative three-colour DFS over the callee sets: no networkx
+        graph is built, and calls to unknown functions (which
+        :meth:`validate` rejects) cannot close a cycle, so they are skipped.
+        """
+        callees = {name: function.callees()
+                   for name, function in self.functions.items()}
+        state: Dict[str, int] = {}  # 1 = on stack, 2 = done
+        for root in callees:
+            if state.get(root):
+                continue
+            stack = [(root, iter(callees[root]))]
+            state[root] = 1
+            while stack:
+                name, remaining = stack[-1]
+                for callee in remaining:
+                    mark = state.get(callee)
+                    if mark == 1:
+                        return True
+                    if mark is None and callee in callees:
+                        state[callee] = 1
+                        stack.append((callee, iter(callees[callee])))
+                        break
+                else:
+                    state[name] = 2
+                    stack.pop()
+        return False
 
     @property
     def task_functions(self) -> Dict[str, Function]:

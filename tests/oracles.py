@@ -19,7 +19,13 @@ tests import this module by name and assert exact agreement:
 * the recursive key canonicaliser whose output
   :func:`repro.compiler.engine.persist.key_digest` used to hash, replaced by
   one call into the C JSON encoder, checked digest for digest in
-  ``tests/test_persist.py``.
+  ``tests/test_persist.py``;
+* the seed Token-object recursive-descent parser (``parse_reference``, fed
+  by :func:`repro.frontend.lexer.tokenize`, the seed character loop) that
+  the token-cursor :func:`repro.frontend.parse` replaced, checked AST for
+  AST and error message for error message in
+  ``tests/test_frontend_cursor.py`` and timed as the seed baseline by
+  ``benchmarks/test_bench_frontend.py``.
 """
 
 from __future__ import annotations
@@ -28,13 +34,16 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compiler.engine.persist import PERSIST_CODEC_VERSION, PersistError
-from repro.errors import CompilationError
+from repro.errors import CompilationError, FrontendError
 from repro.frontend import ast_nodes as ast
+from repro.frontend.lexer import Token, tokenize
+from repro.frontend.parser import _ASSIGN_OPS, _PRECEDENCE
+from repro.frontend.pragmas import parse_pragma
 from repro.wcet.loopbounds import infer_for_bound
 
 
@@ -214,3 +223,336 @@ def key_digest_reference(*parts) -> str:
     blob = json.dumps([PERSIST_CODEC_VERSION, canon_key_reference(list(parts))],
                       separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# The seed Token-object parser (replaced by the token-cursor parser)
+# ---------------------------------------------------------------------------
+def _int_literal(token: Token) -> int:
+    """``int(token.value, 0)``; a malformed literal is a positioned error."""
+    try:
+        return int(token.value, 0)
+    except ValueError:
+        raise FrontendError(f"invalid integer literal {token.value!r}",
+                            token.line, token.column) from None
+
+
+class _ReferenceParser:
+    """The seed Token-object parser, kept as the parity/benchmark baseline.
+
+    Two changes from the seed: the redundant ``min()`` clamp in
+    :meth:`peek` is gone (``advance`` never moves past the EOF sentinel, so
+    the cursor cannot leave the token list), and a malformed integer
+    literal raises :class:`FrontendError` at its position instead of a bare
+    ``ValueError``, with the shipped parser's message.
+    """
+
+    def __init__(self, tokens: List[Token], source_name: str):
+        self.tokens = tokens
+        self.pos = 0
+        self.source_name = source_name
+
+    # -- token helpers ------------------------------------------------------
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        token = self.tokens[self.pos]
+        if token.kind != "EOF":
+            self.pos += 1
+        return token
+
+    def check(self, kind: str, value: Optional[str] = None) -> bool:
+        token = self.peek()
+        if token.kind != kind:
+            return False
+        return value is None or token.value == value
+
+    def accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
+        if self.check(kind, value):
+            return self.advance()
+        return None
+
+    def expect(self, kind: str, value: Optional[str] = None) -> Token:
+        if self.check(kind, value):
+            return self.advance()
+        token = self.peek()
+        expected = value if value is not None else kind
+        raise FrontendError(
+            f"expected {expected!r} but found {token.value or token.kind!r}",
+            token.line, token.column)
+
+    def error(self, message: str) -> FrontendError:
+        token = self.peek()
+        return FrontendError(message, token.line, token.column)
+
+    # -- module -----------------------------------------------------------------
+    def parse_module(self) -> ast.SourceModule:
+        module = ast.SourceModule(source_name=self.source_name)
+        pending_pragmas: Dict[str, object] = {}
+        while not self.check("EOF"):
+            if self.check("PRAGMA"):
+                token = self.advance()
+                pending_pragmas.update(parse_pragma(token.value, token.line))
+                continue
+            if self.check("KEYWORD", "int") or self.check("KEYWORD", "void"):
+                decl = self._parse_top_level(pending_pragmas)
+                pending_pragmas = {}
+                if isinstance(decl, ast.FunctionDef):
+                    module.functions.append(decl)
+                else:
+                    module.globals.append(decl)
+                continue
+            raise self.error("expected a declaration")
+        return module
+
+    def _parse_top_level(self, pragmas: Dict[str, object]):
+        type_token = self.advance()  # 'int' or 'void'
+        name_token = self.expect("ID")
+        if self.check("OP", "("):
+            return self._parse_function(type_token, name_token, pragmas)
+        if type_token.value == "void":
+            raise FrontendError("global variables must have type int",
+                                type_token.line, type_token.column)
+        return self._parse_global_array(name_token)
+
+    def _parse_global_array(self, name_token: Token) -> ast.GlobalArray:
+        self.expect("OP", "[")
+        size_token = self.expect("NUM")
+        self.expect("OP", "]")
+        size = _int_literal(size_token)
+        if size <= 0:
+            raise FrontendError("array size must be positive",
+                                size_token.line, size_token.column)
+        init: Optional[List[int]] = None
+        if self.accept("OP", "="):
+            self.expect("OP", "{")
+            init = []
+            while not self.check("OP", "}"):
+                negative = bool(self.accept("OP", "-"))
+                value_token = self.expect("NUM")
+                value = _int_literal(value_token)
+                init.append(-value if negative else value)
+                if not self.accept("OP", ","):
+                    break
+            self.expect("OP", "}")
+            if len(init) > size:
+                raise FrontendError(
+                    f"initialiser for {name_token.value!r} has {len(init)} "
+                    f"elements but the array holds {size}",
+                    name_token.line, name_token.column)
+        self.expect("OP", ";")
+        return ast.GlobalArray(name_token.value, size, init, name_token.line)
+
+    def _parse_function(self, type_token: Token, name_token: Token,
+                        pragmas: Dict[str, object]) -> ast.FunctionDef:
+        self.expect("OP", "(")
+        params: List[str] = []
+        if self.accept("KEYWORD", "void"):
+            pass
+        elif not self.check("OP", ")"):
+            while True:
+                self.expect("KEYWORD", "int")
+                param = self.expect("ID")
+                params.append(param.value)
+                if not self.accept("OP", ","):
+                    break
+        self.expect("OP", ")")
+        self.expect("OP", "{")
+        body = self._parse_statements_until_brace()
+        return ast.FunctionDef(name_token.value, params, body, dict(pragmas),
+                               name_token.line)
+
+    # -- statements ----------------------------------------------------------------
+    def _parse_statements_until_brace(self) -> List[ast.Stmt]:
+        stmts: List[ast.Stmt] = []
+        while not self.check("OP", "}"):
+            if self.check("EOF"):
+                raise self.error("unexpected end of file inside a block")
+            stmts.append(self._parse_statement())
+        self.expect("OP", "}")
+        return stmts
+
+    def _parse_block(self) -> List[ast.Stmt]:
+        if self.accept("OP", "{"):
+            return self._parse_statements_until_brace()
+        return [self._parse_statement()]
+
+    def _parse_statement(self) -> ast.Stmt:
+        pragmas: Dict[str, object] = {}
+        while self.check("PRAGMA"):
+            token = self.advance()
+            pragmas.update(parse_pragma(token.value, token.line))
+
+        if self.check("KEYWORD", "int"):
+            return self._parse_vardecl()
+        if self.check("KEYWORD", "if"):
+            return self._parse_if()
+        if self.check("KEYWORD", "while"):
+            return self._parse_while(pragmas)
+        if self.check("KEYWORD", "for"):
+            return self._parse_for(pragmas)
+        if self.check("KEYWORD", "return"):
+            return self._parse_return()
+        return self._parse_expression_statement()
+
+    def _parse_vardecl(self) -> ast.VarDecl:
+        self.expect("KEYWORD", "int")
+        name_token = self.expect("ID")
+        if self.accept("OP", "["):
+            size_token = self.expect("NUM")
+            self.expect("OP", "]")
+            self.expect("OP", ";")
+            size = _int_literal(size_token)
+            if size <= 0:
+                raise FrontendError("array size must be positive",
+                                    size_token.line, size_token.column)
+            return ast.VarDecl(name_token.value, array_size=size,
+                               line=name_token.line)
+        init = None
+        if self.accept("OP", "="):
+            init = self._parse_expression()
+        self.expect("OP", ";")
+        return ast.VarDecl(name_token.value, init=init, line=name_token.line)
+
+    def _parse_if(self) -> ast.If:
+        token = self.expect("KEYWORD", "if")
+        self.expect("OP", "(")
+        cond = self._parse_expression()
+        self.expect("OP", ")")
+        then_body = self._parse_block()
+        else_body: List[ast.Stmt] = []
+        if self.accept("KEYWORD", "else"):
+            if self.check("KEYWORD", "if"):
+                else_body = [self._parse_if()]
+            else:
+                else_body = self._parse_block()
+        return ast.If(cond, then_body, else_body, token.line)
+
+    def _parse_while(self, pragmas: Dict[str, object]) -> ast.While:
+        token = self.expect("KEYWORD", "while")
+        self.expect("OP", "(")
+        cond = self._parse_expression()
+        self.expect("OP", ")")
+        body = self._parse_block()
+        bound = pragmas.get("loopbound")
+        return ast.While(cond, body, bound, token.line)
+
+    def _parse_for(self, pragmas: Dict[str, object]) -> ast.For:
+        token = self.expect("KEYWORD", "for")
+        self.expect("OP", "(")
+        init: Optional[ast.Stmt] = None
+        if not self.check("OP", ";"):
+            if self.check("KEYWORD", "int"):
+                self.expect("KEYWORD", "int")
+                name_token = self.expect("ID")
+                self.expect("OP", "=")
+                init_expr = self._parse_expression()
+                init = ast.VarDecl(name_token.value, init=init_expr,
+                                   line=name_token.line)
+            else:
+                init = self._parse_simple_assignment()
+        self.expect("OP", ";")
+        cond: Optional[ast.Expr] = None
+        if not self.check("OP", ";"):
+            cond = self._parse_expression()
+        self.expect("OP", ";")
+        update: Optional[ast.Stmt] = None
+        if not self.check("OP", ")"):
+            update = self._parse_simple_assignment()
+        self.expect("OP", ")")
+        body = self._parse_block()
+        bound = pragmas.get("loopbound")
+        return ast.For(init, cond, update, body, bound, token.line)
+
+    def _parse_simple_assignment(self) -> ast.Stmt:
+        expr = self._parse_expression()
+        op_token = self.peek()
+        if op_token.kind == "OP" and op_token.value in _ASSIGN_OPS:
+            self.advance()
+            value = self._parse_expression()
+            if not isinstance(expr, (ast.Var, ast.Index)):
+                raise FrontendError("assignment target must be a variable or "
+                                    "array element", op_token.line,
+                                    op_token.column)
+            return ast.Assign(expr, op_token.value, value, op_token.line)
+        return ast.ExprStmt(expr, op_token.line)
+
+    def _parse_return(self) -> ast.Return:
+        token = self.expect("KEYWORD", "return")
+        value = None
+        if not self.check("OP", ";"):
+            value = self._parse_expression()
+        self.expect("OP", ";")
+        return ast.Return(value, token.line)
+
+    def _parse_expression_statement(self) -> ast.Stmt:
+        stmt = self._parse_simple_assignment()
+        self.expect("OP", ";")
+        return stmt
+
+    # -- expressions -----------------------------------------------------------------
+    def _parse_expression(self, min_precedence: int = 1) -> ast.Expr:
+        lhs = self._parse_unary()
+        while True:
+            token = self.peek()
+            if token.kind != "OP" or token.value not in _PRECEDENCE:
+                break
+            precedence = _PRECEDENCE[token.value]
+            if precedence < min_precedence:
+                break
+            self.advance()
+            rhs = self._parse_expression(precedence + 1)
+            lhs = ast.Binary(token.value, lhs, rhs, token.line)
+        return lhs
+
+    def _parse_unary(self) -> ast.Expr:
+        token = self.peek()
+        if token.kind == "OP" and token.value in ("-", "!", "~"):
+            self.advance()
+            operand = self._parse_unary()
+            if token.value == "-" and isinstance(operand, ast.Num):
+                return ast.Num(-operand.value, token.line)
+            return ast.Unary(token.value, operand, token.line)
+        if token.kind == "OP" and token.value == "+":
+            self.advance()
+            return self._parse_unary()
+        return self._parse_primary()
+
+    def _parse_primary(self) -> ast.Expr:
+        token = self.peek()
+        if token.kind == "NUM":
+            self.advance()
+            return ast.Num(_int_literal(token), token.line)
+        if token.kind == "ID":
+            self.advance()
+            if self.accept("OP", "("):
+                args: List[ast.Expr] = []
+                if not self.check("OP", ")"):
+                    while True:
+                        args.append(self._parse_expression())
+                        if not self.accept("OP", ","):
+                            break
+                self.expect("OP", ")")
+                return ast.Call(token.value, args, token.line)
+            if self.accept("OP", "["):
+                index = self._parse_expression()
+                self.expect("OP", "]")
+                return ast.Index(token.value, index, token.line)
+            return ast.Var(token.value, token.line)
+        if token.kind == "OP" and token.value == "(":
+            self.advance()
+            expr = self._parse_expression()
+            self.expect("OP", ")")
+            return expr
+        raise self.error(f"unexpected token {token.value or token.kind!r} in expression")
+
+
+def parse_reference(source: str,
+                    source_name: str = "<memory>") -> ast.SourceModule:
+    """Parse through the seed path: character-loop lexer + Token parser.
+
+    AST-equal to :func:`repro.frontend.parse` for every valid input, with
+    the same error message for every invalid one.
+    """
+    return _ReferenceParser(tokenize(source), source_name).parse_module()

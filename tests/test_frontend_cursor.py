@@ -3,14 +3,17 @@
 Four layers of assurance for the frontend rewrite:
 
 * **Property tests** (hypothesis): over generated TeamPlay-C programs, the
-  cursor parser and the retained reference parser produce *equal* ASTs,
+  cursor parser and the seed parser (the ``parse_reference`` oracle in
+  ``tests/oracles.py``) produce *equal* ASTs and identical error messages,
   and the ``scan`` stream agrees token-for-token with ``tokenize``.
 * **AST goldens**: the parse trees of the E1/E2/E3/E6 experiment sources
   are pinned bit-for-bit under ``tests/golden/`` (regenerate with
   ``tests/golden/capture.py``).
 * **Diagnostics**: errors at end of input report the last real token's
   position (not the synthetic EOF token's), everything else matches the
-  seed parser message-for-message and position-for-position.
+  seed parser message-for-message and position-for-position; a malformed
+  integer literal is a positioned ``FrontendError``, never a bare
+  ``ValueError``.
 * **Parse cache**: engine-cache ``stats()`` convention, LRU eviction, and
   the pipeline's frontend-stage key widening per the PR 4 contract.
 """
@@ -23,6 +26,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import parse_reference
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import CompilationPipeline, Pass, PassManager
 from repro.errors import FrontendError
@@ -36,7 +40,6 @@ from repro.frontend.parser import (
     parse,
     parse_cache_stats,
     parse_cached,
-    parse_reference,
 )
 from repro.frontend.pragmas import _PRAGMA_CACHE, parse_pragma_cached
 from repro.hw.presets import nucleo_stm32f091rc
@@ -201,15 +204,11 @@ class TestParserEquivalence:
             reference_error = None
         except FrontendError as error:
             reference_error = bare_message(error)
-        except ValueError:
-            reference_error = ValueError
         try:
             parse(truncated)
             cursor_error = None
         except FrontendError as error:
             cursor_error = bare_message(error)
-        except ValueError:
-            cursor_error = ValueError
         # Same verdict and same message; positions may legitimately differ
         # at end of input (the cursor parser reports the last real token).
         assert cursor_error == reference_error
@@ -269,6 +268,31 @@ class TestEndOfInputDiagnostics:
         with pytest.raises(FrontendError) as excinfo:
             parse("}")
         assert "expected a declaration" in str(excinfo.value)
+
+
+class TestIntegerLiterals:
+    """A malformed literal is a positioned error, never a bare ValueError."""
+
+    @pytest.mark.parametrize("source, literal, line", [
+        ("int f(void) { return 007; }", "007", 1),
+        ("int f(void) { return 08; }", "08", 1),
+        ("int f(void) { return -0x; }", "0x", 1),
+        ("int f(void) {\n    return ² + 1;\n}", "²", 2),
+        ("int g[0x];", "0x", 1),
+        ("int g[2] = {1, 09};", "09", 1),
+        ("int f(void) {\n    int a[007];\n    return 0;\n}", "007", 2),
+    ])
+    def test_bad_integer_literal_is_a_positioned_error(self, source,
+                                                         literal, line):
+        with pytest.raises(FrontendError) as cursor_error:
+            parse(source)
+        error = cursor_error.value
+        assert f"invalid integer literal {literal!r}" in str(error)
+        column = source.splitlines()[line - 1].index(literal) + 1
+        assert (error.line, error.column) == (line, column)
+        with pytest.raises(FrontendError) as reference_error:
+            parse_reference(source)
+        assert str(reference_error.value) == str(error)
 
 
 class TestTokenInterning:

@@ -1,22 +1,20 @@
-"""Token-golden tests for the single-regex scanner.
+"""Token-golden tests for the two scanners.
 
-The scanner rewrite is only allowed to change *speed*: these tests pin the
-token stream — kinds, values, line/column positions — and the error
-messages verbatim, and cross-check the regex fast path against the retained
-character-loop fallback on every shape of input (the fallback is the seed
-implementation, so agreement means the stream never drifted).
+``tokenize`` (the seed character loop) is the exact scanner: these tests
+pin its token stream — kinds, values, line/column positions — and its error
+messages verbatim.  ``scan`` (one compiled regex, parallel arrays) is the
+fast path ``parse`` runs: it must raise the same errors at the same
+positions and agree with ``tokenize`` on kinds, values and lines on every
+shape of input, and its lazily materialised tokens must carry the exact
+columns.
 """
 
 import pytest
 
+from oracles import parse_reference
 from repro.errors import FrontendError
-from repro.frontend.lexer import (
-    KEYWORDS,
-    Token,
-    _tokenize_ascii,
-    _tokenize_chars,
-    tokenize,
-)
+from repro.frontend.lexer import KEYWORDS, KIND_NAMES, Token, scan, tokenize
+from repro.frontend.parser import parse
 from repro.usecases import camera_pill, space
 
 #: Every multi-character operator plus representative singles, with exact
@@ -108,9 +106,9 @@ class TestErrorGolden:
     ])
     def test_messages_and_positions_verbatim(self, source, message, line,
                                              column):
-        for tokenizer in (tokenize, _tokenize_ascii, _tokenize_chars):
+        for scanner in (tokenize, scan):
             with pytest.raises(FrontendError) as excinfo:
-                tokenizer(source)
+                scanner(source)
             error = excinfo.value
             assert message in str(error)
             assert (error.line, error.column) == (line, column)
@@ -119,13 +117,35 @@ class TestErrorGolden:
 class TestPathEquivalence:
     @pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)
     def test_regex_path_equals_character_loop(self, source):
-        assert _tokenize_ascii(source) == _tokenize_chars(source)
+        stream = scan(source)
+        # ASCII input without anomalies never touches the character loop:
+        # the stream holds no materialised tokens until one is asked for.
+        assert stream._tokens is None
+        tokens = tokenize(source)
+        assert len(stream) == len(tokens)
+        for index, token in enumerate(tokens):
+            assert KIND_NAMES[stream.kinds[index]] is token.kind
+            assert stream.values[index] == token.value
+            assert stream.lines[index] == token.line
+            assert stream.token(index) == token  # the exact column too
 
     def test_non_ascii_takes_the_fallback(self):
         # Unicode identifiers only lex through the character loop, which is
-        # Unicode-aware by construction.
-        tokens = tokenize("int α = 1;")
-        assert tokens[1] == Token("ID", "α", 1, 5)
+        # Unicode-aware by construction; scan and parse defer to it.
+        expected = Token("ID", "α", 1, 5)
+        assert tokenize("int α = 1;")[1] == expected
+        stream = scan("int α = 1;")
+        assert (KIND_NAMES[stream.kinds[1]], stream.values[1],
+                stream.lines[1]) == ("ID", "α", 1)
+        assert stream.token(1) == expected
+        source = "int f(int α) {\n    int β = α;\n    return β + 1;\n}"
+        module = parse(source)
+        assert module.functions[0].params == ["α"]
+        assert module == parse_reference(source)
+        with pytest.raises(FrontendError) as excinfo:
+            parse("int f(void) {\n  return α $ 1;\n}")
+        assert "unexpected character '$'" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 12)
 
     def test_tokens_are_token_instances(self):
         for token in tokenize("int a = 1; // c"):

@@ -1,12 +1,16 @@
 """Tests for lowering TeamPlay-C to the IR (CFG + region tree)."""
 
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import FrontendError, TeamPlayError
+from repro.compiler.engine.cache import AnalysisCache
+from repro.errors import AnalysisError, FrontendError, TeamPlayError
 from repro.frontend.lowering import compile_source, lower_module
 from repro.frontend.parser import parse
-from repro.ir.cfg import BasicBlock, Function
-from repro.ir.instructions import Opcode, Reg, jump, mov, ret, Imm
+from repro.hw.presets import nucleo_stm32f091rc
+from repro.ir.cfg import BasicBlock, Function, Program
+from repro.ir.instructions import Opcode, Reg, call, jump, mov, ret, Imm
 from repro.ir.regions import (
     BlockRegion,
     IfRegion,
@@ -124,6 +128,58 @@ class TestLowering:
         assert not program.has_recursion()
         graph = program.call_graph()
         assert ("main_task", "helper") in graph.edges
+
+
+@st.composite
+def _call_graphs(draw):
+    """Caller -> callees maps over up to six functions and two unknowns.
+
+    Half the draws only call forward (acyclic, often with shared callees);
+    the rest may call anything, so self-calls and mutual recursion appear.
+    """
+    names = [f"f{index}" for index in range(draw(st.integers(1, 6)))]
+    forward_only = draw(st.booleans())
+    graph = {}
+    for index, name in enumerate(names):
+        pool = (names[index + 1:] if forward_only else names) + ["ext_a",
+                                                                 "ext_b"]
+        graph[name] = draw(st.lists(st.sampled_from(pool), max_size=3,
+                                    unique=True))
+    return graph
+
+
+def _program_calling(graph) -> Program:
+    program = Program()
+    for name, callees in graph.items():
+        function = Function(name=name)
+        function.add_block(BasicBlock(
+            "entry", [call(None, callee, ()) for callee in callees] + [ret()]))
+        program.add_function(function)
+    return program
+
+
+class TestRecursionDetection:
+    @given(graph=_call_graphs())
+    @settings(max_examples=200, deadline=None)
+    @example(graph={"f0": ["f0"]})                               # self-call
+    @example(graph={"f0": ["f1"], "f1": ["f2"], "f2": ["f0"]})   # mutual
+    @example(graph={"f0": ["ext_a"], "f1": ["ext_a", "f0"]})     # unknown
+    @example(graph={"f0": ["f1", "f2"], "f1": ["f3"], "f2": ["f3"],
+                    "f3": []})                                   # shared
+    def test_dfs_agrees_with_simple_cycles(self, graph):
+        program = _program_calling(graph)
+        expected = any(True for _ in nx.simple_cycles(program.call_graph()))
+        assert program.has_recursion() is expected
+
+    def test_analysis_cache_rejects_recursion(self):
+        program = compile_source("""
+        int fact(int n) {
+            if (n <= 1) { return 1; }
+            return n * fact(n - 1);
+        }
+        """)
+        with pytest.raises(AnalysisError, match="recursion"):
+            AnalysisCache(nucleo_stm32f091rc()).wcet(program, "fact")
 
 
 class TestFunctionValidation:
