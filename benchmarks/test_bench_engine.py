@@ -56,7 +56,7 @@ def test_eng1_engine_vs_uncached_population(benchmark):
     t0 = time.perf_counter()
     revisited = BatchEvaluator(engine).evaluate(POPULATION)
     warm_s = time.perf_counter() - t0
-    stats = engine.stats
+    stats = engine.stats()
 
     print_experiment(
         "ENG1 — batched evaluation engine (camera-pill population)",
@@ -65,10 +65,14 @@ def test_eng1_engine_vs_uncached_population(benchmark):
             f"uncached pipeline : {uncached_s * 1e3:7.1f} ms",
             f"engine, cold      : {benchmark.stats['mean'] * 1e3:7.1f} ms",
             f"engine, revisit   : {warm_s * 1e3:7.1f} ms",
-            f"lowering  {stats.lowering_hits} hits / {stats.lowering_misses} misses; "
-            f"ir-stage {stats.ir_stage_hits}/{stats.ir_stage_misses}; "
-            f"analysis {stats.analysis_hits}/{stats.analysis_misses}; "
-            f"variants {stats.variant_hits}/{stats.variant_misses}",
+            f"lowering  {stats['lowering']['hits']} hits / "
+            f"{stats['lowering']['misses']} misses; "
+            f"ir-stage {stats['ir_stage']['hits']}/"
+            f"{stats['ir_stage']['misses']}; "
+            f"analysis {stats['analysis']['hits']}/"
+            f"{stats['analysis']['misses']}; "
+            f"variants {stats['variant']['hits']}/"
+            f"{stats['variant']['misses']}",
         ],
         notes="identical Variant values are asserted below",
     )
@@ -78,8 +82,8 @@ def test_eng1_engine_vs_uncached_population(benchmark):
         assert cached is warm  # revisits are cache hits, not re-evaluations
     # The population shares lowered IR and analysis tables: strictly less
     # work than the from-scratch pipeline.
-    assert stats.lowering_misses < len(POPULATION)
-    assert stats.variant_hits >= len(POPULATION)  # the whole revisit pass
+    assert stats["lowering"]["misses"] < len(POPULATION)
+    assert stats["variant"]["hits"] >= len(POPULATION)  # the whole revisit pass
 
 
 def test_eng2_driver_compile_reuses_caches(benchmark):

@@ -18,12 +18,8 @@ from collections import Counter
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.driver import MultiCriteriaCompiler
-from repro.compiler.pipeline import (
-    Pass,
-    PassContext,
-    aggregate_pipeline_stats,
-    render_profile,
-)
+from repro.compiler.pipeline import Pass, PassContext, render_profile
+from repro.counters import sum_counters
 from repro.hw.presets import nucleo_stm32f091rc
 from repro.scenarios.runner import run_scenario
 
@@ -92,7 +88,7 @@ def main():
 
     # -- 3. the --profile view over a scenario run --------------------------
     result = run_scenario(SCENARIO)
-    totals = aggregate_pipeline_stats([result.pipeline_stats])
+    totals = sum_counters({}, result.pipeline_stats)
     print(render_profile(totals, title=f"pipeline profile ({SCENARIO})"))
 
 

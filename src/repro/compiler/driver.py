@@ -184,7 +184,6 @@ class MultiCriteriaCompiler:
                 generations: int = 6,
                 seed: int = 7,
                 seed_configs: Optional[Sequence[CompilerConfig]] = None,
-                parallel: bool = False,
                 extended_space: bool = False
                 ) -> ParetoFront:
         """Search the configuration space; returns the Pareto front.
@@ -195,7 +194,7 @@ class MultiCriteriaCompiler:
         """
         module = self._as_module(source)
         engine = self._engine(module, entry_function, evaluate_security)
-        evaluator = BatchEvaluator(engine, parallel=parallel)
+        evaluator = BatchEvaluator(engine)
 
         seeds = list(seed_configs or [CompilerConfig.baseline(),
                                       CompilerConfig.performance()])

@@ -38,8 +38,8 @@ variant sharing a program *and* across the coordination layer's
 per-core/per-OPP ETS sweeps (cycle bounds are frequency-independent, so
 DVFS sweeps reuse one cycles table).
 
-:class:`BatchEvaluator` evaluates whole populations at once (deduplicated,
-optionally over a process pool with a serial fallback), and
+:class:`BatchEvaluator` evaluates whole populations at once through the
+engine, :meth:`EvaluationEngine.stats` reports each stage's counters, and
 :mod:`~repro.compiler.engine.vectorized` supplies the numpy-vectorised
 ``non_dominated_sort`` / ``crowding_distance`` / ``pareto_front`` used by
 both NSGA-II and the FPA optimiser (property-tested against the seed's
@@ -50,7 +50,6 @@ from repro.compiler.engine.batch import BatchEvaluator
 from repro.compiler.engine.cache import (
     PROCESS_CACHE_DEFAULT_MAX_ENTRIES,
     AnalysisCache,
-    CacheStats,
     IrStageCache,
     LoweringCache,
     VariantCache,
@@ -82,7 +81,6 @@ __all__ = [
     "ALL_TASKS_ENTRY",
     "AnalysisCache",
     "BatchEvaluator",
-    "CacheStats",
     "EvaluationEngine",
     "IrStageCache",
     "LoweringCache",

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import persist as _persist
+from repro.counters import _BoundedCacheMixin
 from repro.errors import AnalysisError
 from repro.energy.static_analyzer import EnergyAnalyzer, WCECResult
 from repro.hw.core import Core
@@ -81,82 +81,6 @@ _FINGERPRINT_ATTR = "_engine_fingerprint"
 _CALL_OPCODE = Opcode.CALL
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters of the three cache stages."""
-
-    variant_hits: int = 0
-    variant_misses: int = 0
-    variant_evictions: int = 0
-    lowering_hits: int = 0
-    lowering_misses: int = 0
-    lowering_evictions: int = 0
-    ir_stage_hits: int = 0
-    ir_stage_misses: int = 0
-    ir_stage_evictions: int = 0
-    analysis_hits: int = 0
-    analysis_misses: int = 0
-    analysis_evictions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "variant_hits": self.variant_hits,
-            "variant_misses": self.variant_misses,
-            "variant_evictions": self.variant_evictions,
-            "lowering_hits": self.lowering_hits,
-            "lowering_misses": self.lowering_misses,
-            "lowering_evictions": self.lowering_evictions,
-            "ir_stage_hits": self.ir_stage_hits,
-            "ir_stage_misses": self.ir_stage_misses,
-            "ir_stage_evictions": self.ir_stage_evictions,
-            "analysis_hits": self.analysis_hits,
-            "analysis_misses": self.analysis_misses,
-            "analysis_evictions": self.analysis_evictions,
-        }
-
-
-class _BoundedCacheMixin:
-    """Shared LRU plumbing: a ``max_entries`` cap plus counters.
-
-    Subclasses keep their payloads in ``OrderedDict`` tables and route every
-    read through :meth:`_touch` and every insert through :meth:`_insert`;
-    with ``max_entries`` unset both are plain dictionary operations.
-    """
-
-    def __init__(self, max_entries: Optional[int] = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def _touch(self, table: "OrderedDict", key):
-        """Read ``key``, refreshing its recency when the cache is bounded."""
-        entry = table.get(key)
-        if entry is not None and self.max_entries is not None:
-            table.move_to_end(key)
-        return entry
-
-    def _insert(self, table: "OrderedDict", key, value) -> None:
-        """Insert ``key``, evicting the least recently used beyond the cap."""
-        table[key] = value
-        if self.max_entries is not None:
-            table.move_to_end(key)
-            while len(table) > self.max_entries:
-                table.popitem(last=False)
-                self.evictions += 1
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "entries": len(self),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
 class VariantCache(_BoundedCacheMixin):
     """Cross-generation cache of fully evaluated variants.
 
@@ -170,7 +94,6 @@ class VariantCache(_BoundedCacheMixin):
         super().__init__(max_entries)
         if manager is None:
             manager = _persist.stock_pass_manager()
-        #: The key derivation, public so batch deduplication shares it.
         self.key = manager.canonical_key
         self._variants: "OrderedDict[Tuple, object]" = OrderedDict()
 
@@ -179,10 +102,6 @@ class VariantCache(_BoundedCacheMixin):
 
     def __contains__(self, config: CompilerConfig) -> bool:
         return self.key(config) in self._variants
-
-    def has_key(self, key: Tuple) -> bool:
-        """Whether a variant is cached under an already derived ``key``."""
-        return key in self._variants
 
     def get(self, config: CompilerConfig):
         variant = self._touch(self._variants, self.key(config))
@@ -458,8 +377,11 @@ class AnalysisCache(_BoundedCacheMixin):
         self._fingerprint_digests: Dict[Tuple, str] = {}
         # Path-feasibility counters, accumulated on computes only (memory and
         # disk hits reuse tables whose pruning already happened elsewhere).
+        # The per-thread copy lets one run report only its own pruning work
+        # on a shared cache: a job runs on one worker thread.
         self._path_totals = PathStats()
         self._path_functions: Dict[str, PathStats] = {}
+        self._thread_paths = threading.local()
 
     def __len__(self) -> int:
         return len(self._cycle_tables) + len(self._energy_tables)
@@ -492,12 +414,25 @@ class AnalysisCache(_BoundedCacheMixin):
                               for name, stats in self._path_functions.items()},
             }
 
+    def thread_path_totals(self) -> Dict[str, float]:
+        """``path_stats()["totals"]`` of the analyses the calling thread ran.
+
+        Subtracting two readings on one thread gives the pruning work done
+        between them, even while other threads use the same cache.
+        """
+        totals = getattr(self._thread_paths, "totals", None)
+        return (totals or PathStats()).as_dict()
+
     def _note_path_stats(self, engine: "_PathSensitiveBlockMemoEngine") -> None:
         """Fold one engine run's pruning counters into the cache's totals."""
+        thread_totals = getattr(self._thread_paths, "totals", None)
+        if thread_totals is None:
+            self._thread_paths.totals = thread_totals = PathStats()
         for name, stats in engine.path_stats.items():
             if stats.units == 0:
                 continue
             self._path_totals.merge(stats)
+            thread_totals.merge(stats)
             per_function = self._path_functions.get(name)
             if per_function is None:
                 self._path_functions[name] = per_function = PathStats()

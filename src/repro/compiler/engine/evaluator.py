@@ -26,7 +26,6 @@ from typing import Dict, Optional, Sequence
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine.cache import (
     AnalysisCache,
-    CacheStats,
     IrStageCache,
     LoweringCache,
     VariantCache,
@@ -92,22 +91,14 @@ class EvaluationEngine:
                          else VariantCache(manager=manager))
 
     # -- statistics ------------------------------------------------------------
-    @property
-    def stats(self) -> CacheStats:
-        return CacheStats(
-            variant_hits=self.variants.hits,
-            variant_misses=self.variants.misses,
-            variant_evictions=self.variants.evictions,
-            lowering_hits=self.lowering.hits,
-            lowering_misses=self.lowering.misses,
-            lowering_evictions=self.lowering.evictions,
-            ir_stage_hits=self.ir_stage.hits,
-            ir_stage_misses=self.ir_stage.misses,
-            ir_stage_evictions=self.ir_stage.evictions,
-            analysis_hits=self.analysis.hits,
-            analysis_misses=self.analysis.misses,
-            analysis_evictions=self.analysis.evictions,
-        )
+    def stats(self) -> Dict[str, Dict[str, object]]:
+        """Each cache stage's own ``stats()``, keyed by stage."""
+        return {
+            "variant": self.variants.stats(),
+            "lowering": self.lowering.stats(),
+            "ir_stage": self.ir_stage.stats(),
+            "analysis": self.analysis.stats(),
+        }
 
     # -- pipeline stages ---------------------------------------------------------
     def _build(self, config: CompilerConfig):

@@ -11,8 +11,9 @@ Pareto-front filtering is the numpy-vectorised implementation from
 :mod:`repro.compiler.engine.vectorized` (re-exported here for backwards
 compatibility); candidate evaluation goes through the evaluation engine's
 :class:`~repro.compiler.engine.batch.BatchEvaluator` when one is supplied,
-which adds cross-generation variant caching and staged lowering/analysis
-memoisation on top of this optimiser's own per-run cache.
+which evaluates each population serially through the engine's
+cross-generation variant cache and staged lowering/analysis memoisation, on
+top of this optimiser's own per-run cache.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ the numpy-vectorised implementation from
 :mod:`repro.compiler.engine.vectorized` (one broadcasted objective-matrix
 comparison instead of the seed's O(N²) Python double loop); population
 evaluation is batched through the engine's
-:class:`~repro.compiler.engine.batch.BatchEvaluator` when one is supplied.
+:class:`~repro.compiler.engine.batch.BatchEvaluator` when one is supplied
+(serially, through the engine's staged caches).
 """
 
 from __future__ import annotations

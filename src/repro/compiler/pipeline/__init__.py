@@ -19,12 +19,12 @@ call site.  The pipeline makes the path declarative:
 Every pipeline consumer surfaces the same stats upward: toolchains expose
 ``pipeline_stats()``, the scenario runner attaches them to each
 :class:`~repro.scenarios.spec.ScenarioResult`, ``python -m repro.scenarios
-run --json`` prints them, and the evaluation service aggregates them across
-jobs under ``GET /stats``.
+run --json`` prints them, and the evaluation service sums them across jobs
+(:func:`repro.counters.sum_counters`) under ``GET /stats``.
 """
 
 from repro.compiler.pipeline.compile import CompilationPipeline
-from repro.compiler.pipeline.manager import PassManager, merge_pipeline_stats
+from repro.compiler.pipeline.manager import PassManager
 from repro.compiler.pipeline.passes import (
     ANALYSIS_PASS,
     PARSE_PASS,
@@ -33,11 +33,7 @@ from repro.compiler.pipeline.passes import (
     PassContext,
     default_compile_passes,
 )
-from repro.compiler.pipeline.profile import (
-    aggregate_pipeline_stats,
-    profile_rows,
-    render_profile,
-)
+from repro.compiler.pipeline.profile import profile_rows, render_profile
 
 __all__ = [
     "ANALYSIS_PASS",
@@ -47,9 +43,7 @@ __all__ = [
     "PassContext",
     "PassManager",
     "STAGES",
-    "aggregate_pipeline_stats",
     "default_compile_passes",
-    "merge_pipeline_stats",
     "profile_rows",
     "render_profile",
 ]

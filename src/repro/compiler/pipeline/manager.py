@@ -250,27 +250,3 @@ class PassManager:
         """Zero every per-pass counter (the pass list itself is untouched)."""
         self._counters.clear()
 
-
-def merge_pipeline_stats(total: Dict[str, Dict[str, object]],
-                         update: Dict[str, Dict[str, object]]) -> None:
-    """Accumulate one ``PassManager.stats()`` snapshot into ``total``.
-
-    Used by the evaluation service's cross-job ``GET /stats`` rollup (the
-    scenario CLI reports per-run snapshots, no aggregation).
-    """
-    for name, row in update.items():
-        entry = total.get(name)
-        if entry is None:
-            total[name] = dict(row)
-        else:
-            # Sum every numeric counter (invocations, wall_s and any extra
-            # keys a synthetic row carries, e.g. the path-feasibility row's
-            # pruning counters); non-numeric fields like `stage` keep the
-            # first snapshot's value.
-            for key, value in row.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                existing = entry.get(key, 0)
-                if isinstance(existing, bool) or not isinstance(existing, (int, float)):
-                    continue
-                entry[key] = existing + value

@@ -1,12 +1,12 @@
 """Rendering per-pass pipeline timings: the ``--profile`` view.
 
 The :class:`~repro.compiler.pipeline.manager.PassManager` counts every
-pass's invocations and wall time; this module turns one or many of those
-``stats()`` snapshots into something a human can read:
+pass's invocations and wall time; this module turns one ``stats()``
+snapshot — or many folded with :func:`repro.counters.sum_counters` (e.g.
+the ``pipeline_stats`` of every
+:class:`~repro.scenarios.spec.ScenarioResult` in a sweep) — into
+something a human can read:
 
-* :func:`aggregate_pipeline_stats` — fold per-run snapshots (e.g. the
-  ``pipeline_stats`` of every :class:`~repro.scenarios.spec.ScenarioResult`
-  in a sweep) into one rollup,
 * :func:`profile_rows` — JSON-ready rows with derived per-pass metrics
   (average milliseconds per invocation, share of the total wall time),
   ordered by pipeline stage and descending wall time,
@@ -20,9 +20,8 @@ so the CLI view and the service rollup read identically.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
-from repro.compiler.pipeline.manager import merge_pipeline_stats
 from repro.compiler.pipeline.passes import STAGES
 
 #: Stages the toolchains time through ``PassManager.timed`` without
@@ -30,22 +29,6 @@ from repro.compiler.pipeline.passes import STAGES
 #: scheduling belong to the complex workflow / coordination layer).  They
 #: sort after the registered pipeline stages, in this order.
 _EXTRA_STAGES = ("profiling", "coordination")
-
-
-def aggregate_pipeline_stats(
-        snapshots: Iterable[Optional[Dict[str, Dict[str, object]]]]
-) -> Dict[str, Dict[str, object]]:
-    """Fold many ``PassManager.stats()`` snapshots into one rollup.
-
-    ``None`` entries are skipped, so the iterable can be fed
-    ``result.pipeline_stats`` of a mixed sweep directly (custom-kind
-    scenarios carry no pipeline stats).
-    """
-    totals: Dict[str, Dict[str, object]] = {}
-    for snapshot in snapshots:
-        if snapshot:
-            merge_pipeline_stats(totals, snapshot)
-    return totals
 
 
 def _stage_rank(stage: str) -> int:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from repro.counters import _BoundedCacheMixin
 from repro.errors import FrontendError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lexer import (
@@ -504,8 +505,8 @@ def parse(source: str, source_name: str = "<memory>") -> ast.SourceModule:
 # ---------------------------------------------------------------------------
 # Process-wide parse cache
 # ---------------------------------------------------------------------------
-class ParseCache:
-    """LRU cache of parsed modules, engine-cache ``stats()`` convention.
+class ParseCache(_BoundedCacheMixin):
+    """LRU cache of parsed modules on the engine caches' bounded-LRU base.
 
     Keys are ``(source_name, extra_key, source)`` tuples — the source
     string's cached hash acts as the fingerprint, so a warm lookup costs
@@ -515,46 +516,25 @@ class ParseCache:
     """
 
     def __init__(self, max_entries: Optional[int] = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(max_entries)
         self._modules: "OrderedDict[Tuple, ast.SourceModule]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._modules)
 
     def get(self, key: Tuple) -> Optional[ast.SourceModule]:
-        module = self._modules.get(key)
+        module = self._touch(self._modules, key)
         if module is not None:
             self.hits += 1
-            if self.max_entries is not None:
-                self._modules.move_to_end(key)
         return module
 
     def put(self, key: Tuple, module: ast.SourceModule) -> None:
         self.misses += 1
-        self._modules[key] = module
-        if self.max_entries is not None:
-            self._modules.move_to_end(key)
-            while len(self._modules) > self.max_entries:
-                self._modules.popitem(last=False)
-                self.evictions += 1
+        self._insert(self._modules, key, module)
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved, as engine caches do)."""
         self._modules.clear()
-
-    def stats(self) -> Dict[str, Optional[int]]:
-        return {
-            "entries": len(self._modules),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 #: Process-wide parse cache for :func:`parse_cached`.  Bounded: scenario

@@ -38,11 +38,8 @@ from repro.compiler.engine import (
     process_analysis_cache_stats,
     process_cache_store_stats,
 )
-from repro.compiler.pipeline import (
-    aggregate_pipeline_stats,
-    profile_rows,
-    render_profile,
-)
+from repro.compiler.pipeline import profile_rows, render_profile
+from repro.counters import sum_counters
 from repro.frontend import parse_cache_stats
 from repro.scenarios.registry import (
     UnknownScenarioError,
@@ -156,12 +153,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         results = [run_scenario(spec, **overrides) for spec in specs]
 
+    totals = {}
+    for result in results:
+        sum_counters(totals, result.pipeline_stats)
     if args.json:
         document = {"scenarios": [result.summary() for result in results]}
         if args.profile:
-            document["pipeline_profile"] = profile_rows(
-                aggregate_pipeline_stats(
-                    result.pipeline_stats for result in results))
+            document["pipeline_profile"] = profile_rows(totals)
             document["parse_cache"] = parse_cache_stats()
         if args.shared_cache or args.cache_dir is not None:
             document["analysis_cache"] = process_analysis_cache_stats()
@@ -172,8 +170,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         print_results(results)
         if args.profile:
-            totals = aggregate_pipeline_stats(
-                result.pipeline_stats for result in results)
             print(render_profile(
                 totals, title="pipeline profile (aggregated over "
                               f"{len(results)} scenario run(s))"))

@@ -30,7 +30,8 @@ from repro.compiler.engine import (
     process_cache_store_stats,
     validate_cache_dir,
 )
-from repro.compiler.pipeline import merge_pipeline_stats, profile_rows
+from repro.compiler.pipeline import profile_rows
+from repro.counters import sum_counters
 from repro.frontend import parse_cache_stats
 from repro.scenarios.registry import UnknownScenarioError, get_scenario, \
     list_scenarios
@@ -404,7 +405,7 @@ class EvaluationService:
             if self.journal is not None:
                 self.journal.record_finish(job)
             raise
-        self._merge_pipeline_stats(result)
+        self._sum_pipeline_stats(result)
         # Cache before finishing: the queue's dedup window closes at
         # ``finish``, so once the fingerprint is released the store is
         # guaranteed to hit — which is what the submit-side TOCTOU
@@ -432,7 +433,7 @@ class EvaluationService:
         with self._worker_stats_lock:
             self._worker_cache_stats[pid] = snapshot
 
-    def _merge_pipeline_stats(self, result) -> None:
+    def _sum_pipeline_stats(self, result) -> None:
         """Fold a result's per-pass timings into the cross-job rollup."""
         results = (result.results if isinstance(result, BatchResult)
                    else [result])
@@ -440,8 +441,7 @@ class EvaluationService:
         with self._pipeline_lock:
             for entry in results:
                 if entry.pipeline_stats is not None:
-                    merge_pipeline_stats(self._pipeline_totals,
-                                         entry.pipeline_stats)
+                    sum_counters(self._pipeline_totals, entry.pipeline_stats)
                     merged_any = True
             if merged_any:
                 self._pipeline_jobs += 1
@@ -658,22 +658,6 @@ class EvaluationService:
             "profile": profile_rows(totals),
         }
 
-    @staticmethod
-    def _fold_cache_counters(combined: Dict[str, Dict[str, float]],
-                             platforms) -> None:
-        """Sum one per-platform counter document into ``combined``."""
-        if not isinstance(platforms, dict):
-            return
-        for name, counters in platforms.items():
-            if not isinstance(counters, dict):
-                continue
-            row = combined.setdefault(name, {})
-            for key, value in counters.items():
-                if key == "max_entries" or isinstance(value, bool):
-                    continue
-                if isinstance(value, (int, float)):
-                    row[key] = row.get(key, 0) + value
-
     def analysis_cache_stats(self) -> Dict[str, object]:
         """Cache counters across the service *and* its pool workers.
 
@@ -688,10 +672,9 @@ class EvaluationService:
         with self._worker_stats_lock:
             workers = dict(self._worker_cache_stats)
         platforms = process_analysis_cache_stats()
-        combined: Dict[str, Dict[str, float]] = {}
-        self._fold_cache_counters(combined, platforms)
+        combined = sum_counters({}, platforms)
         for snapshot in workers.values():
-            self._fold_cache_counters(combined, snapshot.get("analysis"))
+            sum_counters(combined, snapshot.get("analysis"))
         return {
             "enabled": process_analysis_cache_enabled(),
             "platforms": platforms,

@@ -41,6 +41,7 @@ from repro.coordination.schedulers import (
     scheduler_by_name,
 )
 from repro.coordination.taskgraph import EtsProperties, Implementation, TaskGraph
+from repro.counters import sum_counters
 from repro.csl.ast_nodes import ContractSpec
 from repro.csl.extract import CodeStructure, build_task_graph, extract_structure
 from repro.csl.parser import parse_csl
@@ -101,6 +102,9 @@ class PredictableToolchain:
         self._analysis = (shared_analysis if shared_analysis is not None
                           else AnalysisCache(platform))
         self._analysis_shared = shared_analysis is not None
+        # Path work this thread already did on the (possibly shared) cache:
+        # ``pipeline_stats`` reports only what the builds add on top.
+        self._path_baseline = self._analysis.thread_path_totals()
         self._lowerings: Dict[int, LoweringCache] = {}
         self._engines: Dict[tuple, EvaluationEngine] = {}
 
@@ -127,57 +131,51 @@ class PredictableToolchain:
             self._engines[key] = engine
         return engine
 
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
+    def cache_stats(self) -> Dict[str, Dict[str, object]]:
         """Per-stage evaluation-cache counters of this toolchain's builds.
 
-        ``variant``/``ir_stage`` counters are summed across the per-(module,
-        entries) engines, ``lowering`` across the per-module lowering caches;
-        ``analysis`` are the counters of the analysis cache the toolchain
-        uses — cumulative process-wide numbers when the opt-in shared cache
-        is enabled (``analysis["shared"]`` says which).
+        The engines' :meth:`~EvaluationEngine.stats` summed with
+        :func:`~repro.counters.sum_counters` (a lowering cache shared by
+        several engines counts once); ``analysis`` is the toolchain's
+        analysis cache — cumulative process-wide numbers when the opt-in
+        shared cache is enabled (``analysis["shared"]`` says which).
         """
-
-        def summed(caches) -> Dict[str, int]:
-            totals = {"entries": 0, "hits": 0, "misses": 0, "evictions": 0}
-            for cache in caches:
-                stats = cache.stats()
-                for field_name in totals:
-                    totals[field_name] += stats[field_name]
-            return totals
-
-        analysis = dict(self._analysis.stats())
-        analysis["shared"] = self._analysis_shared
-        return {
-            "variant": summed(engine.variants for engine in
-                              self._engines.values()),
-            "lowering": summed(self._lowerings.values()),
-            "ir_stage": summed(engine.ir_stage for engine in
-                               self._engines.values()),
-            "analysis": analysis,
-        }
+        totals: Dict[str, Dict[str, object]] = {}
+        lowerings = set()
+        for engine in self._engines.values():
+            stats = engine.stats()
+            del stats["analysis"]
+            if id(engine.lowering) in lowerings:
+                del stats["lowering"]
+            lowerings.add(id(engine.lowering))
+            sum_counters(totals, stats)
+        totals["analysis"] = dict(self._analysis.stats(),
+                                  shared=self._analysis_shared)
+        return totals
 
     def pipeline_stats(self) -> Dict[str, Dict[str, object]]:
         """Per-pass wall-time/invocation counters of this toolchain's builds
         (parse and CSL extraction included; see ``PassManager.stats``).
 
-        When path-sensitive analyses ran, a synthetic ``path-feasibility``
-        row reports the pruning counters (units analysed as invocations,
-        enumeration wall time, paths enumerated/pruned and cap/irregular
-        fallbacks) alongside the regular pass timings, so ``--profile`` and
-        the service ``GET /stats`` expose how much pruning actually did.
+        A synthetic ``path-feasibility`` row reports the pruning work these
+        builds did (units analysed as invocations, enumeration wall time,
+        paths enumerated/pruned and cap/irregular fallbacks): what the
+        analysis cache computed on this thread since the toolchain was
+        built.  Shared-cache hits charge nothing; no work, no row.
         """
         stats = self.pipeline.stats()
-        totals = self._analysis.path_stats()["totals"]
-        if totals.get("units"):
+        done = {key: value - self._path_baseline[key] for key, value
+                in self._analysis.thread_path_totals().items()}
+        if done["units"]:
             stats = dict(stats)
             stats["path-feasibility"] = {
                 "stage": "analysis",
-                "invocations": totals["units"],
-                "wall_s": totals["wall_s"],
-                "paths_enumerated": totals["paths_enumerated"],
-                "paths_pruned": totals["paths_pruned"],
-                "path_cap_fallbacks": totals["cap_fallbacks"],
-                "path_irregular_fallbacks": totals["irregular_fallbacks"],
+                "invocations": done["units"],
+                "wall_s": done["wall_s"],
+                "paths_enumerated": done["paths_enumerated"],
+                "paths_pruned": done["paths_pruned"],
+                "path_cap_fallbacks": done["cap_fallbacks"],
+                "path_irregular_fallbacks": done["irregular_fallbacks"],
             }
         return stats
 

@@ -274,8 +274,8 @@ class TestProcessWideAnalysisCache:
                                       max_entries=1, manager=MANAGER))
         engine.evaluate(CONFIG_A)
         engine.evaluate(CONFIG_C)
-        assert engine.stats.variant_evictions == 1
-        assert engine.stats.as_dict()["variant_evictions"] == 1
+        assert engine.stats()["variant"]["evictions"] == 1
+        assert engine.variants.evictions == 1
 
     def test_shared_cache_results_match_private_cache(self):
         platform = nucleo_stm32f091rc()

@@ -10,12 +10,11 @@ from repro.compiler.engine import (
     VariantCache,
     program_fingerprint,
 )
-from repro.compiler.engine.batch import _evaluate_in_worker
 from repro.compiler.evaluate import evaluate_config
 from repro.compiler.fpa import FlowerPollinationOptimizer
 from repro.compiler.nsga2 import Nsga2Optimizer
 from repro.errors import CompilationError
-from repro.compiler.pipeline import CompilationPipeline, PassManager
+from repro.compiler.pipeline import PassManager
 from repro.frontend.parser import parse
 from repro.hw.presets import nucleo_stm32f091rc
 
@@ -217,52 +216,12 @@ class TestBitForBitEquivalence:
         assert [variant_key(v) for v in results] \
             == [variant_key(v) for v in expected]
 
-    def test_parallel_worker_matches_serial(self, module, platform):
-        """The pool worker (fresh process semantics) reproduces serial results."""
-        serial = engine_for(module, platform)
-        for config in CONFIGS:
-            payload = (module, platform, ("kernel",), None, None, False, config)
-            assert variant_key(_evaluate_in_worker(payload)) \
-                == variant_key(serial.evaluate(config))
-
-    def test_parallel_batch_matches_serial(self, module, platform):
-        serial = [engine_for(module, platform).evaluate(c) for c in CONFIGS]
-        engine = engine_for(module, platform)
-        parallel = BatchEvaluator(engine, parallel=True,
-                                  max_workers=2).evaluate(CONFIGS)
-        assert [variant_key(v) for v in parallel] \
-            == [variant_key(v) for v in serial]
-
     def test_duplicate_configs_evaluated_once(self, module, platform):
         engine = engine_for(module, platform)
         config = CompilerConfig.baseline()
         results = BatchEvaluator(engine).evaluate([config, config.with_(), config])
         assert engine.variants.misses == 1
         assert results[0] is results[1] is results[2]
-
-    def test_parallel_dedup_uses_the_engine_key(self, module, platform):
-        # A pass list without scratchpad allocation makes the SPM flag
-        # irrelevant: the batch must hand the pool one configuration, not
-        # two that the engine would key identically.
-        manager = PassManager(
-            [p for p in PassManager().passes() if p.name != "spm-allocation"])
-        engine = EvaluationEngine(module, platform, ["kernel"],
-                                  pipeline=CompilationPipeline(platform,
-                                                               manager))
-        sent = []
-
-        class RecordingBatch(BatchEvaluator):
-            def _parallel_applicable(self):
-                return True
-
-            def _evaluate_parallel(self, configs):
-                sent.extend(configs)
-
-        base = CompilerConfig.baseline()
-        RecordingBatch(engine, parallel=True).evaluate(
-            [base, base.with_(spm_allocation=True)])
-        assert sent == [base]
-        assert engine.variants.misses == 1
 
 
 class TestEngineSafety:

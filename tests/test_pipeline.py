@@ -24,12 +24,11 @@ from repro.compiler.pipeline import (
     Pass,
     PassContext,
     PassManager,
-    aggregate_pipeline_stats,
     default_compile_passes,
-    merge_pipeline_stats,
     profile_rows,
     render_profile,
 )
+from repro.counters import sum_counters
 from repro.errors import CompilationError
 from repro.frontend.parser import parse
 from repro.hw.presets import nucleo_stm32f091rc, platform_by_name
@@ -230,17 +229,6 @@ class TestExecutionAndStats:
         with pytest.raises(CompilationError):
             with manager.timed("parse"):
                 pass
-
-    def test_merge_pipeline_stats(self):
-        total = {}
-        snapshot = {"parse": {"stage": "frontend", "invocations": 2,
-                              "wall_s": 0.5}}
-        merge_pipeline_stats(total, snapshot)
-        merge_pipeline_stats(total, snapshot)
-        assert total["parse"]["invocations"] == 4
-        assert total["parse"]["wall_s"] == pytest.approx(1.0)
-        # The rollup must not alias the input rows.
-        assert total["parse"] is not snapshot["parse"]
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +434,17 @@ class TestNewIrPasses:
         engine.evaluate(base)
         engine.evaluate(base.with_(enable_cse=True))
         engine.evaluate(base.with_(enable_cse=True, enable_peephole=True))
-        stats = engine.stats
+        stats = engine.stats()
         # One shared lowering (the new flags live after the lower stage)...
-        assert stats.lowering_misses == 1
-        assert stats.lowering_hits == 2
+        assert stats["lowering"]["misses"] == 1
+        assert stats["lowering"]["hits"] == 2
         # ...but three distinct IR-stage programs and three variants.
-        assert stats.ir_stage_misses == 3
-        assert stats.variant_misses == 3
+        assert stats["ir_stage"]["misses"] == 3
+        assert stats["variant"]["misses"] == 3
         # Revisiting an already-seen point stays a pure variant-cache hit.
         engine.evaluate(base.with_(enable_cse=True))
-        assert engine.stats.variant_hits == 1
-        assert engine.stats.ir_stage_misses == 3
+        assert engine.stats()["variant"]["hits"] == 1
+        assert engine.stats()["ir_stage"]["misses"] == 3
 
     def test_enabled_passes_are_noops_without_opportunities(self, platform):
         # A program with nothing to CSE or fold builds bit-identically with
@@ -510,7 +498,9 @@ class TestProfileView:
     def test_aggregate_skips_missing_snapshots(self):
         snapshot = {"parse": {"stage": "frontend", "invocations": 1,
                               "wall_s": 0.5}}
-        totals = aggregate_pipeline_stats([snapshot, None, snapshot])
+        totals = {}
+        for each in (snapshot, None, snapshot):
+            sum_counters(totals, each)
         assert totals["parse"]["invocations"] == 2
         assert totals["parse"]["wall_s"] == pytest.approx(1.0)
 
@@ -528,7 +518,7 @@ class TestProfileView:
         stats = result.pipeline_stats
         assert stats["common-subexpression-elimination"]["invocations"] >= 1
         assert stats["peephole"]["invocations"] >= 1
-        text = render_profile(aggregate_pipeline_stats([stats]))
+        text = render_profile(sum_counters({}, stats))
         assert "common-subexpression-elimination" in text
         assert "peephole" in text
 
