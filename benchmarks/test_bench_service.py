@@ -356,7 +356,10 @@ def test_svc3_persistent_cache_warm_start(benchmark, tmp_path):
                 "warm_s": warm_s,
                 "warm_factor": factor,
                 "restart_after_sigkill_s": restart_s,
-                "restart_store": restart_store,
+                # The store's directory is a per-run temporary path.
+                "restart_store": {key: value for key, value
+                                  in restart_store.items()
+                                  if key != "directory"},
             },
         },
     }, indent=2, sort_keys=True) + "\n")

@@ -79,7 +79,6 @@ class MultiCriteriaCompiler:
     """WCC-like compiler facade for a predictable platform."""
 
     def __init__(self, platform: Platform, core: Optional[Core] = None,
-                 opp: Optional[OperatingPoint] = None,
                  security_samples: int = 8):
         self.platform = platform
         self.core = core or next(iter(platform.predictable_cores), None)
@@ -87,7 +86,6 @@ class MultiCriteriaCompiler:
             raise CompilationError(
                 f"platform {platform.name!r} has no predictable core; the "
                 f"multi-criteria compiler targets predictable architectures")
-        self.opp = opp or self.core.nominal_opp
         self.security_samples = security_samples
         #: One compilation pipeline per driver: every engine the driver
         #: creates compiles through this registered pass list, so per-pass
@@ -105,6 +103,11 @@ class MultiCriteriaCompiler:
                           else AnalysisCache(platform))
         self._lowerings: Dict[int, LoweringCache] = {}
         self._engines: Dict[Tuple[int, str, bool], EvaluationEngine] = {}
+
+    @property
+    def opp(self) -> OperatingPoint:
+        """The point variants are ranked at (others: :meth:`task_properties`)."""
+        return self.core.nominal_opp
 
     # -- helpers -----------------------------------------------------------------
     def _as_module(self, source: Union[str, ast.SourceModule]
@@ -127,7 +130,7 @@ class MultiCriteriaCompiler:
         secrets = function.pragmas.get("secret")
         if not secrets:
             return None
-        analyzer = SecurityAnalyzer(self.platform, core=self.core, opp=self.opp,
+        analyzer = SecurityAnalyzer(self.platform, core=self.core,
                                     samples_per_class=self.security_samples)
 
         def evaluate(program, name: str) -> float:
@@ -150,7 +153,7 @@ class MultiCriteriaCompiler:
                 id(module), LoweringCache(manager=self.pipeline.manager))
             engine = EvaluationEngine(
                 module, self.platform, [entry_function],
-                core=self.core, opp=self.opp,
+                core=self.core,
                 security_evaluator=security_evaluator,
                 analysis_cache=self._analysis,
                 lowering_cache=lowering,
@@ -257,7 +260,8 @@ class MultiCriteriaCompiler:
         Returns a mapping ``task name -> {wcet_s, wcet_cycles, energy_j,
         security}`` for every function annotated with a ``task`` pragma —
         the contents of the ETS file consumed by the coordination layer and
-        the contract system.
+        the contract system, at ``opp`` (default :attr:`opp`).  Cycle bounds
+        do not depend on the operating point, so a sweep analyses once.
         """
         opp = opp or self.opp
         properties: Dict[str, Dict[str, float]] = {}

@@ -1,6 +1,6 @@
 """The evaluation engine: single entry point for variant evaluation.
 
-An :class:`EvaluationEngine` binds one source module, one platform/core/OPP
+An :class:`EvaluationEngine` binds one source module, one platform/core
 and one optional security evaluator, and evaluates compiler configurations
 against them through the staged caches of
 :mod:`repro.compiler.engine.cache`:
@@ -12,6 +12,9 @@ against them through the staged caches of
 * the analysis cache shares per-function WCET/WCEC tables between every
   query against the same compiled program (multiple task entries, DVFS
   sweeps, per-core ETS derivation).
+
+Variants are costed at the core's nominal operating point; time and energy
+at another point are a query on the analysis cache, not another build.
 
 With ``entry_functions`` naming a single function the engine produces the
 same variants as :func:`repro.compiler.evaluate.evaluate_config`; with
@@ -36,7 +39,6 @@ from repro.compiler.pipeline import ANALYSIS_PASS, CompilationPipeline
 from repro.errors import CompilationError
 from repro.frontend import ast_nodes as ast
 from repro.hw.core import Core
-from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.ir.cfg import Program
 
@@ -50,7 +52,6 @@ class EvaluationEngine:
     def __init__(self, module: ast.SourceModule, platform: Platform,
                  entry_functions: Sequence[str],
                  core: Optional[Core] = None,
-                 opp: Optional[OperatingPoint] = None,
                  security_evaluator: Optional[SecurityEvaluator] = None,
                  analysis_cache: Optional[AnalysisCache] = None,
                  lowering_cache: Optional[LoweringCache] = None,
@@ -67,7 +68,6 @@ class EvaluationEngine:
         #: toolchain's whole-application evaluation even for one task.
         self.aggregate = aggregate
         self.core = core
-        self.opp = opp
         self.security_evaluator = security_evaluator
         #: The compile path: every stage the engine caches runs through the
         #: pipeline's registered pass list (drivers share one pipeline across
@@ -153,10 +153,8 @@ class EvaluationEngine:
         with self.pipeline.manager.timed(ANALYSIS_PASS):
             for entry in self.entry_functions:
                 wcet = self.analysis.wcet(program, entry, core=self.core,
-                                          opp=self.opp,
                                           path_sensitive=config.path_sensitive)
                 wcec = self.analysis.wcec(program, entry, core=self.core,
-                                          opp=self.opp,
                                           path_sensitive=config.path_sensitive)
                 total_cycles += wcet.cycles
                 total_time += wcet.time_s

@@ -24,7 +24,6 @@ from repro.energy.static_analyzer import EnergyAnalyzer
 from repro.errors import CompilationError
 from repro.frontend import ast_nodes as ast
 from repro.hw.core import Core
-from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.ir.cfg import Program
 from repro.wcet.analyzer import WCETAnalyzer
@@ -80,7 +79,6 @@ class Variant:
 def evaluate_config(module: ast.SourceModule, config: CompilerConfig,
                     platform: Platform, entry_function: str,
                     core: Optional[Core] = None,
-                    opp: Optional[OperatingPoint] = None,
                     security_evaluator: Optional[SecurityEvaluator] = None,
                     name: Optional[str] = None) -> Variant:
     """Compile ``module`` under ``config`` and statically analyse the result.
@@ -94,10 +92,9 @@ def evaluate_config(module: ast.SourceModule, config: CompilerConfig,
     if entry_function not in program.functions:
         raise CompilationError(f"entry function {entry_function!r} not found")
 
-    wcet = WCETAnalyzer(platform, core=core, opp=opp,
-                        path_sensitive=config.path_sensitive
-                        ).analyze(program, entry_function)
-    wcec = EnergyAnalyzer(platform, core=core, opp=opp).analyze(
+    wcet = WCETAnalyzer(platform, core=core).analyze(
+        program, entry_function, path_sensitive=config.path_sensitive)
+    wcec = EnergyAnalyzer(platform, core=core).analyze(
         program, entry_function, path_sensitive=config.path_sensitive)
     security = (security_evaluator(program, entry_function)
                 if security_evaluator is not None else None)

@@ -44,7 +44,6 @@ class EnergyAnalyzer:
     """Static WCEC analysis on IR programs for a predictable core."""
 
     def __init__(self, platform: Platform, core: Optional[Core] = None,
-                 opp: Optional[OperatingPoint] = None,
                  model: Optional[IsaEnergyModel] = None):
         core = core or next(iter(platform.predictable_cores), None)
         if core is None:
@@ -53,17 +52,16 @@ class EnergyAnalyzer:
                 f"component-based model for complex architectures")
         self.platform = platform
         self.core = core
-        self.opp = opp or core.nominal_opp
         self.model = model or IsaEnergyModel.from_core(
             core, memory_access_j=platform.memory.access_energy())
-        self.wcet = WCETAnalyzer(platform, core=core, opp=self.opp)
+        self.wcet = WCETAnalyzer(platform, core=core)
 
     # -- cost model -------------------------------------------------------------
     def _instr_energy(self, function: Function, instr: Instr,
-                      opp: Optional[OperatingPoint] = None) -> float:
+                      opp: OperatingPoint) -> float:
         return self.model.instruction_energy(
             instr.instruction_class,
-            opp=opp or self.opp,
+            opp=opp,
             with_overhead=True,
             is_memory_access=instr.is_memory_access,
         )
@@ -76,9 +74,10 @@ class EnergyAnalyzer:
 
         With ``path_sensitive`` both the dynamic-energy maximisation and the
         WCET bound behind the static-leakage term exclude infeasible paths
-        (see :mod:`repro.wcet.paths`).
+        (see :mod:`repro.wcet.paths`).  ``opp`` defaults to the core's
+        nominal point.
         """
-        opp = opp or self.opp
+        opp = opp or self.core.nominal_opp
         program.validate()
         if program.has_recursion():
             raise AnalysisError("programs with recursion are not analysable")

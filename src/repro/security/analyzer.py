@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import AnalysisError
 from repro.hw.core import Core
-from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.ir.cfg import Program
 from repro.security.metrics import (
@@ -64,13 +63,11 @@ class SecurityAnalyzer:
     """Executes tasks under different secrets and scores the observables."""
 
     def __init__(self, platform: Platform, core: Optional[Core] = None,
-                 opp: Optional[OperatingPoint] = None,
                  samples_per_class: int = 12,
                  trace_bucket_cycles: int = 32,
                  seed: int = 2023):
         self.platform = platform
         self.core = core
-        self.opp = opp
         self.samples_per_class = samples_per_class
         self.trace_bucket_cycles = trace_bucket_cycles
         self.seed = seed
@@ -85,7 +82,7 @@ class SecurityAnalyzer:
             raise AnalysisError("need at least two secret classes to compare")
         samples = samples_per_class or self.samples_per_class
         simulator = Simulator(program, self.platform, core=self.core,
-                              opp=self.opp, record_trace=True)
+                              record_trace=True)
 
         timing: Dict[int, List[float]] = {}
         energy: Dict[int, List[float]] = {}

@@ -78,15 +78,15 @@ def m0_platform() -> Platform:
     return nucleo_stm32f091rc()
 
 
-def run_m0_variants(image_size: int = 10, matrix_size: int = 8,
-                    sweep_operating_points: bool = True
+def run_m0_variants(image_size: int = 10, matrix_size: int = 8
                     ) -> List[KernelVariantRow]:
-    """Regenerate experiment E5: the variant table for the CNN kernels."""
-    board = m0_platform()
-    compiler = MultiCriteriaCompiler(board)
-    core = board.predictable_cores[0]
-    opps = core.operating_points if sweep_operating_points else [core.nominal_opp]
+    """Regenerate experiment E5: the variant table for the CNN kernels.
 
+    One row per (kernel, config, operating point).  Each (kernel, config)
+    variant is built once; its time and energy at each operating point are
+    queries on the same variant (the task name is the kernel name).
+    """
+    compiler = MultiCriteriaCompiler(m0_platform())
     kernels = {
         "conv2d": (conv2d_kernel_source(image_size), "conv2d"),
         "matmul": (matmul_kernel_source(matrix_size), "matmul"),
@@ -95,15 +95,15 @@ def run_m0_variants(image_size: int = 10, matrix_size: int = 8,
     rows: List[KernelVariantRow] = []
     for kernel_name, (source, entry) in kernels.items():
         for config_name, config in M0_CONFIGS.items():
-            for opp in opps:
-                scoped = MultiCriteriaCompiler(board, opp=opp)
-                variant = scoped.compile(source, entry, config)
+            variant = compiler.compile(source, entry, config)
+            for opp in compiler.core.operating_points:
+                task = compiler.task_properties(variant, opp)[kernel_name]
                 rows.append(KernelVariantRow(
                     kernel=kernel_name,
                     config=config_name,
                     opp=opp.label,
-                    wcet_ms=variant.wcet_time_s * 1e3,
-                    energy_uj=variant.energy_j * 1e6,
+                    wcet_ms=task["wcet_s"] * 1e3,
+                    energy_uj=task["energy_j"] * 1e6,
                 ))
     return rows
 

@@ -47,9 +47,7 @@ class WCETResult:
 class WCETAnalyzer:
     """Static WCET analysis on IR programs for a predictable core."""
 
-    def __init__(self, platform: Platform, core: Optional[Core] = None,
-                 opp: Optional[OperatingPoint] = None,
-                 path_sensitive: bool = False):
+    def __init__(self, platform: Platform, core: Optional[Core] = None):
         core = core or next(iter(platform.predictable_cores), None)
         if core is None:
             raise AnalysisError(
@@ -57,9 +55,6 @@ class WCETAnalyzer:
                 f"dynamic profiling workflow for complex architectures")
         self.platform = platform
         self.core = core
-        self.opp = opp or core.nominal_opp
-        #: Default analysis mode; ``analyze`` can override per call.
-        self.path_sensitive = path_sensitive
         #: Pruning counters of the most recent path-sensitive ``analyze``.
         self.last_path_stats: Dict[str, PathStats] = {}
 
@@ -78,18 +73,17 @@ class WCETAnalyzer:
     # -- public API --------------------------------------------------------------
     def analyze(self, program: Program, function_name: str,
                 opp: Optional[OperatingPoint] = None,
-                path_sensitive: Optional[bool] = None) -> WCETResult:
+                path_sensitive: bool = False) -> WCETResult:
         """Compute the WCET bound of ``function_name`` (including callees).
 
-        With ``path_sensitive`` (defaulting to the analyzer's mode) the
-        maximisation excludes statically infeasible CFG paths; the pruning
-        counters land in :attr:`last_path_stats`.
+        ``opp`` (default: the core's nominal point) only prices the cycle
+        bound in seconds.  With ``path_sensitive`` the maximisation excludes
+        statically infeasible CFG paths; the pruning counters land in
+        :attr:`last_path_stats`.
         """
         program.validate()
         if program.has_recursion():
             raise AnalysisError("programs with recursion are not analysable")
-        if path_sensitive is None:
-            path_sensitive = self.path_sensitive
         if path_sensitive:
             engine = PathSensitiveCostEngine(program, self._instr_cycles)
         else:
@@ -106,7 +100,7 @@ class WCETAnalyzer:
                 continue
 
         self.last_path_stats = engine.path_stats if path_sensitive else {}
-        opp = opp or self.opp
+        opp = opp or self.core.nominal_opp
         return WCETResult(
             function=function_name,
             cycles=cycles,

@@ -129,8 +129,8 @@ class TestDifferentialHarness:
         """Counters account for every unit: fallbacks or enumerations."""
         source, _ = case
         program = compile_source(source)
-        analyzer = WCETAnalyzer(PLATFORM, path_sensitive=True)
-        analyzer.analyze(program, "task")
+        analyzer = WCETAnalyzer(PLATFORM)
+        analyzer.analyze(program, "task", path_sensitive=True)
         stats = analyzer.last_path_stats["task"]
         assert stats.units >= 1
         assert (stats.paths_enumerated > 0

@@ -6,6 +6,7 @@ fixtures captured from the pre-refactor hand-rolled pipelines
 the declarative scenario layer changed the architecture, not the numbers.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -327,6 +328,26 @@ class TestCustomScenarios:
         assert set(summary["detail"]["nominal_best"]) == kernels
         for best in summary["detail"]["nominal_best"].values():
             assert best["lowest_energy_uJ"] > 0
+
+    def test_m0_variant_table_builds_each_variant_once(self, monkeypatch):
+        """E5 rows stay bit-identical while each (kernel, config) variant
+        is lowered once and costed per operating point by query."""
+        from repro.compiler.pipeline import CompilationPipeline
+        from repro.usecases.deep_learning import M0_CONFIGS, run_m0_variants
+        lowerings = []
+        unroll_and_lower = CompilationPipeline.unroll_and_lower
+
+        def counted(pipeline, *args, **kwargs):
+            lowerings.append(1)
+            return unroll_and_lower(pipeline, *args, **kwargs)
+
+        monkeypatch.setattr(CompilationPipeline, "unroll_and_lower", counted)
+        rows = run_m0_variants()
+        document = json.dumps([row.as_dict() for row in rows])
+        assert len(rows) == 40
+        assert hashlib.sha256(document.encode()).hexdigest() == (
+            "9bb8f28994902c79fde663cdaa69866bb08e938a1d8025aab76520184faa6511")
+        assert len(lowerings) <= 2 * len(M0_CONFIGS)
 
     def test_cli_runs_custom_scenario(self, capsys):
         assert cli_main(["run", "uav-pa", "--json"]) == 0
