@@ -78,9 +78,10 @@ class EnergyAnalyzer:
         nominal point.
         """
         opp = opp or self.core.nominal_opp
-        program.validate()
-        if program.has_recursion():
-            raise AnalysisError("programs with recursion are not analysable")
+        # The WCET analysis validates the program and rejects recursion.
+        wcet_result = self.wcet.analyze(program, function_name, opp=opp,
+                                        path_sensitive=path_sensitive)
+        static = self.model.static_power(opp) * wcet_result.time_s
 
         energy_cost = lambda fn, instr: self._instr_energy(fn, instr, opp)
         if path_sensitive:
@@ -88,10 +89,6 @@ class EnergyAnalyzer:
         else:
             engine = StructuralCostEngine(program, energy_cost)
         dynamic = engine.function_cost(function_name)
-
-        wcet_result = self.wcet.analyze(program, function_name, opp=opp,
-                                        path_sensitive=path_sensitive)
-        static = self.model.static_power(opp) * wcet_result.time_s
 
         return WCECResult(
             function=function_name,

@@ -1,4 +1,4 @@
-"""Result-driven selection helpers over :class:`ScenarioResult` lists.
+"""Result-driven selection helpers over scenario result lists.
 
 Staged studies — a broad search whose survivors are refined and then
 validated — need a small vocabulary for "which results go forward": rank by
@@ -8,9 +8,14 @@ implementations the campaign subsystem's parameterize hooks build on
 (:mod:`repro.campaigns`), and they are plain functions over results so
 ad-hoc drivers and tests can use them too.
 
-Custom scenarios have no improvement report; every helper treats a
-report-less result as carrying no metric and ranks it last (or excludes it
-from metric-based filters) instead of crashing, so mixed sweeps over
+Every helper reads a result's JSON ``summary()`` document, so a full
+:class:`~repro.scenarios.spec.ScenarioResult` and a journal-replayed
+:class:`~repro.service.journal.SummaryOnlyResult` go through one code path
+and select the same scenarios.
+
+Custom scenarios have no improvement report, so their summaries carry no
+metric; every helper ranks such a result last (or excludes it from
+metric-based filters) instead of crashing, so mixed sweeps over
 ``predictable``/``complex``/``custom`` kinds stay usable.
 """
 
@@ -18,15 +23,13 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.scenarios.spec import ScenarioResult
 
-
-def result_name(result: ScenarioResult) -> str:
+def result_name(result) -> str:
     """The registry name of the scenario a result came from."""
-    return result.spec.name
+    return result.summary()["name"]
 
 
-def scenario_names(results: Iterable[ScenarioResult]) -> List[str]:
+def scenario_names(results: Iterable) -> List[str]:
     """Scenario names of ``results``, in order, without duplicates."""
     seen = []
     for result in results:
@@ -36,40 +39,32 @@ def scenario_names(results: Iterable[ScenarioResult]) -> List[str]:
     return seen
 
 
-def energy_improvement(result: ScenarioResult) -> Optional[float]:
+def energy_improvement(result) -> Optional[float]:
     """The result's energy-improvement percentage (``None`` without a
     report — custom scenarios carry their output in ``detail``)."""
-    if result.report is None:
-        return None
-    return result.report.energy_improvement_pct
+    return result.summary().get("energy_improvement_pct")
 
 
-def performance_improvement(result: ScenarioResult) -> Optional[float]:
+def performance_improvement(result) -> Optional[float]:
     """The result's performance-improvement percentage (``None`` without a
     report)."""
-    if result.report is None:
-        return None
-    return result.report.performance_improvement_pct
+    return result.summary().get("performance_improvement_pct")
 
 
-def rank_by_energy_improvement(results: Sequence[ScenarioResult]
-                               ) -> List[ScenarioResult]:
+def rank_by_energy_improvement(results: Sequence) -> List:
     """Results sorted by energy improvement, best first.
 
     The sort is stable and report-less results rank last, so a mixed sweep
     keeps a deterministic, submission-respecting order.
     """
-    indexed = list(enumerate(results))
-    indexed.sort(key=lambda pair: (
-        energy_improvement(pair[1]) is None,
-        -(energy_improvement(pair[1]) or 0.0),
-        pair[0],
-    ))
-    return [result for _, result in indexed]
+    keyed = [(energy_improvement(result), index, result)
+             for index, result in enumerate(results)]
+    keyed.sort(key=lambda entry: (entry[0] is None, -(entry[0] or 0.0),
+                                  entry[1]))
+    return [result for _, _, result in keyed]
 
 
-def top_by_energy_improvement(results: Sequence[ScenarioResult],
-                              k: int) -> List[ScenarioResult]:
+def top_by_energy_improvement(results: Sequence, k: int) -> List:
     """The ``k`` best results by energy improvement (report-less excluded)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -78,9 +73,8 @@ def top_by_energy_improvement(results: Sequence[ScenarioResult],
     return ranked[:k]
 
 
-def improving_results(results: Sequence[ScenarioResult],
-                      min_energy_improvement_pct: float = 0.0
-                      ) -> List[ScenarioResult]:
+def improving_results(results: Sequence,
+                      min_energy_improvement_pct: float = 0.0) -> List:
     """Results whose energy improvement exceeds the threshold, in order."""
     return [
         result for result in results
@@ -89,8 +83,7 @@ def improving_results(results: Sequence[ScenarioResult],
     ]
 
 
-def pareto_results(results: Sequence[ScenarioResult]
-                   ) -> List[ScenarioResult]:
+def pareto_results(results: Sequence) -> List:
     """The (TeamPlay time, TeamPlay energy) Pareto-optimal subset.
 
     A result is kept when no other result is at least as good on both axes
@@ -99,10 +92,10 @@ def pareto_results(results: Sequence[ScenarioResult]
     configurations, lifted to whole scenario runs.  Report-less results are
     excluded (they carry no time/energy point).
     """
+    rows = [(result, result.summary()) for result in results]
     points = [
-        (result, result.report.teamplay_time_s,
-         result.report.teamplay_energy_j)
-        for result in results if result.report is not None
+        (result, row["teamplay_time_s"], row["teamplay_energy_j"])
+        for result, row in rows if "teamplay_time_s" in row
     ]
     front = []
     for result, time_s, energy_j in points:

@@ -45,7 +45,7 @@ from repro.service.jobs import (
     JobRequest,
     JobState,
 )
-from repro.service.journal import JobJournal, SummaryOnlyResult
+from repro.service.journal import JobJournal
 from repro.service.queue import JobQueue
 from repro.service.store import ResultStore
 from repro.service.workers import WorkerPool
@@ -213,17 +213,15 @@ class EvaluationService:
         """Restore queue records and stored results from the journal.
 
         Pending jobs rejoin the queue (the workers recompute them once the
-        pool starts); succeeded jobs with a restorable result feed the
-        store, extending fingerprint dedup across the restart; summary-only
-        results stay queryable by id but out of the dedup store, so a fresh
-        submission recomputes instead of serving a hollow result.
+        pool starts); succeeded jobs — restored as their journaled summary
+        documents — feed the store, extending fingerprint dedup across the
+        restart.
         """
         for job in self.journal.replay():
             restored = self.queue.restore(job)
             if restored is not job:
                 continue  # coalesced onto an earlier live record
-            if (job.state is JobState.SUCCEEDED and job.result is not None
-                    and not isinstance(job.result, SummaryOnlyResult)):
+            if job.state is JobState.SUCCEEDED and job.result is not None:
                 self.store.put(job)
         from repro.campaigns.runner import restore_campaign_records
         for record in restore_campaign_records(
@@ -475,7 +473,9 @@ class EvaluationService:
 
     def result(self, job: Union[Job, str],
                timeout: Optional[float] = None) -> ScenarioResult:
-        """Block for a job's :class:`ScenarioResult`.
+        """Block for a job's :class:`ScenarioResult` (a
+        :class:`~repro.service.journal.SummaryOnlyResult` for a job replayed
+        from the journal).
 
         Raises :class:`JobError` on failure, cancellation, timeout or an
         unknown job id.

@@ -213,8 +213,11 @@ class Job:
 
     Identical submissions share one ``Job`` (see ``JobQueue.submit``), so a
     job may represent several callers; ``submissions`` counts them.  The
-    in-process ``result`` holds the full :class:`ScenarioResult`; the HTTP
-    layer serialises ``as_dict()``, which carries the JSON summary only.
+    in-process ``result`` of a computed job holds the full
+    :class:`ScenarioResult`; a job replayed from the journal holds a
+    :class:`~repro.service.journal.SummaryOnlyResult` (a
+    :class:`BatchResult` of them for a batch).  The HTTP layer serialises
+    ``as_dict()``, which carries the JSON summary only.
     """
 
     id: str

@@ -12,28 +12,28 @@ One JSON object per line, written under a lock and flushed per event, keeps
 the format crash-tolerant: a torn final line (the process died mid-write)
 is skipped on replay and overwritten by the next append.  Requests are
 stored in their canonical ``as_dict`` form (the fingerprint input, so the
-digest is stable across restarts); results are stored twice — a JSON
-``summary`` for humans and the HTTP layer, and a base64 pickle of the full
-result object for in-process callers.  When a result refuses to pickle
-(e.g. a custom scenario built around a closure), the summary alone is kept:
-the job replays as succeeded with a :class:`SummaryOnlyResult`, remains
-queryable by id, but is *not* re-offered for fingerprint dedup — a fresh
-submission of that request recomputes instead of serving a hollow result.
+digest is stable across restarts); results are stored as their JSON
+``summary`` document only.  Replay parses JSON and nothing else: every
+succeeded job comes back with a :class:`SummaryOnlyResult` (a
+:class:`~repro.service.jobs.BatchResult` of them for a batch), which serves
+status documents, the HTTP API, campaign selection and fingerprint dedup.
+Older journals that also carry a pickled copy of each result replay the
+same way: that field is never read.
 
-Determinism makes all of this safe: a replayed result, a deduplicated run
-and a fresh computation are bit-for-bit interchangeable.
+Determinism makes all of this safe: a replayed summary, a deduplicated run
+and a fresh computation report bit-for-bit the same numbers.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-import pickle
 import threading
 from typing import Dict, List, Optional
 
 from repro.service.jobs import (
+    BatchRequest,
+    BatchResult,
     Job,
     JobState,
     request_from_dict,
@@ -41,12 +41,12 @@ from repro.service.jobs import (
 
 
 class SummaryOnlyResult:
-    """Stand-in for a journaled result whose pickle was unavailable.
+    """A journaled result, restored as its JSON ``summary()`` document.
 
-    Carries just enough — the JSON ``summary()`` — for status documents and
-    the HTTP API; in-process callers that need the full result object must
-    recompute (the service keeps these jobs out of the dedup store for
-    exactly that reason).
+    Enough for status documents, the HTTP API and the selection helpers
+    (:mod:`repro.scenarios.selection`); in-process callers that need the
+    full result object recompute it (``use_cache=False``) — results are
+    deterministic, so the recomputation is bit-for-bit the same run.
     """
 
     def __init__(self, summary: Dict[str, object]):
@@ -71,7 +71,6 @@ class JobJournal:
         self._lock = threading.Lock()
         self._handle = None
         self._events_written = 0
-        self._pickle_failures = 0
         self._replayed_jobs = 0
         self._skipped_lines = 0
         #: Raw ``campaign_*`` events seen by :meth:`replay`, in file order;
@@ -117,15 +116,6 @@ class JobJournal:
             event["error"] = job.error
         if job.result is not None:
             event["summary"] = job.result.summary()
-            try:
-                blob = pickle.dumps(job.result)
-            except Exception:
-                # Unpicklable results (closure-built custom scenarios) keep
-                # their summary only; replay serves status, not dedup.
-                with self._lock:
-                    self._pickle_failures += 1
-            else:
-                event["result_pickle"] = base64.b64encode(blob).decode("ascii")
         self._append(event)
 
     def record_cancel(self, job: Job) -> None:
@@ -189,10 +179,10 @@ class JobJournal:
 
         Returns jobs in submission order, each in its final journaled state:
         ``pending`` (submitted, never finished — the resume backlog),
-        terminal with a restored result object, terminal with a
-        :class:`SummaryOnlyResult`, or failed/cancelled.  Torn or malformed
-        lines are counted and skipped, so a crash mid-append cannot poison
-        the restart.
+        succeeded with a :class:`SummaryOnlyResult` (a batch with a
+        :class:`~repro.service.jobs.BatchResult` of them), or
+        failed/cancelled.  Torn or malformed lines are counted and skipped,
+        so a crash mid-append cannot poison the restart.
         """
         jobs: "Dict[str, Job]" = {}
         order: List[str] = []
@@ -253,15 +243,13 @@ class JobJournal:
         job.started_at = event.get("started_at")
         job.finished_at = event.get("finished_at")
         job.error = event.get("error")
-        blob = event.get("result_pickle")
-        if blob is not None:
-            try:
-                job.result = pickle.loads(base64.b64decode(blob))
-            except Exception:
-                self._skipped_lines += 1
-                blob = None
-        if blob is None and event.get("summary") is not None:
-            job.result = SummaryOnlyResult(event["summary"])
+        summary = event.get("summary")
+        if summary is not None:
+            if isinstance(job.request, BatchRequest):
+                job.result = BatchResult(
+                    [SummaryOnlyResult(row) for row in summary["batch"]])
+            else:
+                job.result = SummaryOnlyResult(summary)
         job.done.set()
 
     # ---------------------------------------------------------------- stats --
@@ -272,7 +260,6 @@ class JobJournal:
                 "path": self.path,
                 "fsync": self.fsync,
                 "events_written": self._events_written,
-                "pickle_failures": self._pickle_failures,
                 "replayed_jobs": self._replayed_jobs,
                 "replayed_campaign_events": len(self._campaign_events),
                 "skipped_lines": self._skipped_lines,

@@ -10,6 +10,7 @@ from repro.energy.static_analyzer import EnergyAnalyzer
 from repro.errors import AnalysisError
 from repro.frontend.lowering import compile_source
 from repro.hw.presets import apalis_tk1, nucleo_stm32f091rc
+from repro.ir.cfg import Program
 from repro.sim.machine import Simulator
 from repro.wcet.analyzer import WCETAnalyzer
 
@@ -142,6 +143,28 @@ class TestEnergyAnalyzer:
         assert len(sweep) == len(platform.predictable_cores[0].operating_points)
         energies = [result.energy_j for result in sweep.values()]
         assert all(e > 0 for e in energies)
+
+    def test_analyze_validates_the_program_once(self, platform, monkeypatch):
+        # The WCET analysis behind the static term validates the program
+        # and rejects recursion; the energy analysis does not repeat it.
+        program = compile_source(BENCH_SOURCE)
+        calls = []
+        original = Program.validate
+
+        def counting_validate(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Program, "validate", counting_validate)
+        EnergyAnalyzer(platform).analyze(program, "accumulate")
+        assert calls == [program]
+
+    def test_recursion_is_rejected(self, platform):
+        program = compile_source("""
+        int down(int n) { if (n > 0) { return down(n - 1); } return 0; }
+        """)
+        with pytest.raises(AnalysisError, match="recursion"):
+            EnergyAnalyzer(platform).analyze(program, "down")
 
     def test_all_tasks(self, platform):
         program = compile_source("""

@@ -4,10 +4,12 @@ Covers the persistence and parallelism layer added on top of the evaluation
 service:
 
 * :class:`JobJournal` — append-only JSONL event log, torn-line tolerance,
-  summary-only fallback for unpicklable results,
+  results journaled as their JSON summary only (a legacy pickled copy in an
+  older journal is never decoded), batches replaying as batches,
 * restart survival — a service reopened on the same journal serves completed
-  results without recomputation (dedup extends across restarts), resolves
-  every previously issued job id, and resumes still-pending jobs,
+  results without recomputation (dedup extends across restarts, custom
+  scenarios built around closures and batches included), resolves every
+  previously issued job id, and resumes still-pending jobs,
 * ``worker_mode="process"`` — jobs computed on a process pool produce
   bit-identical results (pinned against the E1/E2/E3/E6 goldens),
 * batch jobs — one queue entry, one fingerprint, per-request results in
@@ -16,9 +18,11 @@ service:
 * the store-backed id fallback that keeps pruned job ids resolvable.
 """
 
+import base64
 import json
 import os
 import pathlib
+import pickle
 import socket
 import subprocess
 import sys
@@ -32,9 +36,14 @@ from repro.compiler.engine import (
     PersistError,
     process_analysis_cache_enabled,
 )
-from repro.scenarios import register_scenario, unregister_scenario
+from repro.scenarios import (
+    ScenarioSpec,
+    register_scenario,
+    unregister_scenario,
+)
 from repro.service import (
     BatchRequest,
+    BatchResult,
     EvaluationService,
     JobJournal,
     JobQueue,
@@ -59,7 +68,8 @@ from test_service import (  # noqa: F401 - fixtures
 # Journal unit behaviour
 # ---------------------------------------------------------------------------
 class Unpicklable:
-    """A result whose pickle fails but whose summary works."""
+    """A result whose pickle fails but whose summary works (the journal
+    never pickles, so it journals like any other result)."""
 
     def summary(self):
         return {"name": "unpicklable", "note": "summary survives"}
@@ -94,7 +104,7 @@ class TestJobJournal:
         restored = replayed[done.id]
         assert restored.state is JobState.SUCCEEDED
         assert restored.done.is_set()
-        # The result refused to pickle, so replay restores its summary only.
+        # Replay restores the journaled summary document.
         assert isinstance(restored.result, SummaryOnlyResult)
         assert restored.result.summary()["note"] == "summary survives"
         # Requests replay through the canonical dict form: same fingerprint.
@@ -134,6 +144,69 @@ class TestJobJournal:
         replayed = JobJournal(path).replay()
         assert isinstance(replayed[0].request, BatchRequest)
         assert replayed[0].fingerprint == batch.fingerprint()
+
+    def test_finish_events_carry_the_summary_only(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        queue = JobQueue()
+        with JobJournal(path) as journal:
+            job, _ = queue.submit(request(generations=1))
+            journal.record_submit(job)
+            queue.finish(queue.claim(timeout=0.1), result=Unpicklable())
+            journal.record_finish(job)
+            assert "pickle_failures" not in journal.stats()
+        events = [json.loads(line) for line in open(path, encoding="utf-8")]
+        assert set(events[1]) == {"event", "id", "state", "started_at",
+                                  "finished_at", "summary"}
+
+    def test_legacy_result_pickle_is_never_decoded(self, tmp_path):
+        # A journal written by an older version carries a base64 pickle next
+        # to each summary.  Replay must not decode it: a crafted pickle
+        # would otherwise run code in the server.
+        marker = tmp_path / "pickle-ran"
+
+        class Exploit:
+            def __reduce__(self):
+                return (pathlib.Path.touch, (marker,))
+
+        path = tmp_path / "journal.jsonl"
+        summary = {"name": "svc-tiny", "note": "summary survives"}
+        events = [
+            {"event": "submit", "id": "job-000001",
+             "request": request(generations=1).as_dict(), "priority": 0,
+             "submitted_at": 1.0},
+            {"event": "finish", "id": "job-000001", "state": "succeeded",
+             "started_at": 1.0, "finished_at": 2.0, "summary": summary,
+             "result_pickle": base64.b64encode(
+                 pickle.dumps(Exploit())).decode("ascii")},
+        ]
+        with open(path, "w", encoding="utf-8") as handle:
+            for event in events:
+                handle.write(json.dumps(event) + "\n")
+
+        journal = JobJournal(path)
+        (job,) = journal.replay()
+        assert not marker.exists()
+        assert job.state is JobState.SUCCEEDED
+        assert isinstance(job.result, SummaryOnlyResult)
+        assert job.result.summary() == summary
+        assert journal.stats()["skipped_lines"] == 0
+
+    def test_succeeded_batch_replays_as_batch_of_summaries(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        queue = JobQueue()
+        batch = BatchRequest((request(generations=1),
+                              request(generations=2)))
+        with JobJournal(path) as journal:
+            job, _ = queue.submit(batch)
+            journal.record_submit(job)
+            queue.finish(queue.claim(timeout=0.1), result=BatchResult(
+                [Unpicklable(), Unpicklable()]))
+            journal.record_finish(job)
+        (replayed,) = JobJournal(path).replay()
+        assert isinstance(replayed.result, BatchResult)
+        assert all(isinstance(row, SummaryOnlyResult)
+                   for row in replayed.result.results)
+        assert replayed.result.summary() == job.result.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +252,69 @@ class TestServiceRestart:
                 service.start()
                 resumed = service.result(backlog, timeout=120)
                 assert resumed.summary()["name"] == other.name
+            finally:
+                service.close()
+        finally:
+            unregister_scenario(other.name)
+
+    def test_closure_built_custom_result_is_a_store_hit_after_restart(
+            self, tmp_path):
+        # A custom scenario around a lambda: its result object cannot be
+        # pickled, but its summary journals like any other, so dedup
+        # survives the restart.
+        spec = register_scenario(ScenarioSpec(
+            name="svc-closure", title="Closure-built custom scenario",
+            kind="custom", platform="nucleo-stm32f091rc",
+            custom_run=lambda ctx: {"answer": 42},
+            summarize=lambda detail: dict(detail)))
+        path = tmp_path / "journal.jsonl"
+        try:
+            service = EvaluationService(workers=1, journal=path,
+                                        shared_analysis_cache=False,
+                                        autostart=False)
+            done = service.submit(spec.name)
+            service._execute(service.queue.claim(timeout=1))
+            reference = service.result(done, timeout=5).summary()
+            assert reference["detail"] == {"answer": 42}
+            service.close()
+
+            service = EvaluationService(workers=1, journal=path,
+                                        shared_analysis_cache=False,
+                                        autostart=False)
+            try:
+                repeat = service.submit(spec.name)
+                assert service.store.stats()["hits"] == 1
+                assert repeat.id == done.id
+                assert service.result(repeat, timeout=5).summary() == reference
+            finally:
+                service.close()
+        finally:
+            unregister_scenario(spec.name)
+
+    def test_batch_result_is_a_store_hit_after_restart(
+            self, tmp_path, tiny_scenario):  # noqa: F811
+        other = register_scenario(tiny_spec("svc-tiny-batch-restart"))
+        batch = [{"scenario": other.name}, {"scenario": tiny_scenario.name}]
+        path = tmp_path / "journal.jsonl"
+        try:
+            service = EvaluationService(workers=1, journal=path,
+                                        shared_analysis_cache=False,
+                                        autostart=False)
+            done = service.submit_batch(batch)
+            service._execute(service.queue.claim(timeout=1))
+            reference = service.result(done, timeout=5).summary()
+            service.close()
+
+            service = EvaluationService(workers=1, journal=path,
+                                        shared_analysis_cache=False,
+                                        autostart=False)
+            try:
+                restored = service.job(done.id)
+                assert isinstance(restored.result, BatchResult)
+                assert restored.result.summary() == reference
+                repeat = service.submit_batch(batch)
+                assert repeat is restored
+                assert service.store.stats()["hits"] == 1
             finally:
                 service.close()
         finally:
