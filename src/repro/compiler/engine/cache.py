@@ -247,6 +247,14 @@ class _Fingerprint(tuple):
         return _Fingerprint, (tuple(self),)
 
 
+#: Interned ``(opcode, callee, array)`` signatures: equal programs share
+#: their per-instruction tuples, so comparing two equal but distinct
+#: fingerprints (a table hit on a rebuilt program) short-circuits on
+#: identity.  Only speed depends on identity, so a full table is emptied.
+_SIGNATURES: Dict[Tuple, Tuple] = {}
+_SIGNATURES_LIMIT = 2 ** 16
+
+
 def program_fingerprint(program: Program) -> Tuple:
     """Structural fingerprint capturing everything the cost analyses read.
 
@@ -262,15 +270,20 @@ def program_fingerprint(program: Program) -> Tuple:
     cached = getattr(program, _FINGERPRINT_ATTR, None)
     if cached is not None:
         return cached
+    table = _SIGNATURES
+    if len(table) >= _SIGNATURES_LIMIT:
+        table.clear()
+    intern = table.setdefault
     functions = []
     for name, function in program.functions.items():
         blocks = []
         for label, block in function.blocks.items():
             # Enum members (not .value) keep this loop fast: accessing
             # Opcode.value goes through a descriptor on every instruction.
+            parts = [(instr.opcode, instr.callee, instr.array)
+                     for instr in block.instrs]
             signature = [label]
-            signature.extend((instr.opcode, instr.callee, instr.array)
-                             for instr in block.instrs)
+            signature.extend(map(intern, parts, parts))
             blocks.append(tuple(signature))
         functions.append((name, function.code_region, function.entry,
                           _region_signature(function.region), tuple(blocks)))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FrontendError
@@ -397,6 +397,14 @@ class _FunctionLowerer:
         return dst
 
 
+#: ``Instr``'s fields in constructor order, and the positions of those a
+#: stamped copy renames.
+_FIELDS = ins.Instr.__slots__
+_DST, _SRCS, _TRUE_TARGET, _FALSE_TARGET, _ARGS = map(
+    _FIELDS.index, ("dst", "srcs", "true_target", "false_target", "args"))
+_fields_of = attrgetter(*_FIELDS)
+
+
 class _BodyTemplate:
     """The IR one lowered copy of a :class:`Repeat` body produced.
 
@@ -405,11 +413,12 @@ class _BodyTemplate:
     with copy 1's start block replaced by the block the previous copy ended
     in.  Only registers ``new_temp`` produced during copy 1 are renamed.
 
-    Each instruction is precompiled to its field dict plus one
-    ``itemgetter`` per field that holds a temp or a label.  The getters
-    index a per-copy tuple ``pool``: the copy's block labels, then its
-    temps, then the operands that do not change, so stamping an
-    instruction is a dict copy plus C-level lookups.
+    Each instruction is precompiled to its field list, in constructor
+    order, plus an ``(index, itemgetter)`` pair per field that holds a
+    temp or a label.  The getters index a per-copy tuple ``pool``: the
+    copy's block labels, then its temps, then the operands that do not
+    change, so stamping an instruction is a list copy, C-level lookups and
+    one call of the (slotted) ``Instr`` constructor.
     """
 
     def __init__(self, lowerer: "_FunctionLowerer", start: ircfg.BasicBlock,
@@ -444,22 +453,22 @@ class _BodyTemplate:
 
     def _compile(self, instr: ins.Instr) -> Tuple:
         """``instr``'s fields and the getters one stamped copy applies."""
-        fields = instr.__dict__
+        fields = list(_fields_of(instr))
         getters = []
-        dst = fields["dst"]
+        dst = fields[_DST]
         if dst is not None and dst.name in self.temp_slots:
-            getters.append(("dst", itemgetter(self.temp_slots[dst.name])))
-        for name in ("srcs", "args"):
-            operands = fields[name]
+            getters.append((_DST, itemgetter(self.temp_slots[dst.name])))
+        for index in (_SRCS, _ARGS):
+            operands = fields[index]
             if any(op.__class__ is Reg and op.name in self.temp_slots
                    for op in operands):
                 slots = [self._slot(op) for op in operands]
-                getters.append((name, itemgetter(*slots) if len(slots) > 1
+                getters.append((index, itemgetter(*slots) if len(slots) > 1
                                 else itemgetter(slice(slots[0], slots[0] + 1))))
-        for name in ("true_target", "false_target"):
-            label = fields[name]
+        for index in (_TRUE_TARGET, _FALSE_TARGET):
+            label = fields[index]
             if label in self.label_slots:
-                getters.append((name, itemgetter(self.label_slots[label])))
+                getters.append((index, itemgetter(self.label_slots[label])))
         return fields, getters
 
     def stamp(self, lowerer: "_FunctionLowerer", seq: SeqRegion) -> None:
@@ -477,15 +486,14 @@ class _BodyTemplate:
                 *[Reg(f"{prefix}{temps + 1 + i}")
                   for i in range(self.temp_count)],
                 *self.fixed)
+        make = ins.Instr
         for i, compiled in self.blocks:
             out = blocks[i].instrs
             for fields, getters in compiled:
                 fields = fields.copy()
-                for name, get in getters:
-                    fields[name] = get(pool)
-                instr = object.__new__(ins.Instr)
-                instr.__dict__ = fields
-                out.append(instr)
+                for index, get in getters:
+                    fields[index] = get(pool)
+                out.append(make(*fields))
         relabel = dict(zip(self.labels, names))
         loop_offset = lowerer.loop_counter - self.loop_base
         lowerer.loop_counter += self.loop_count

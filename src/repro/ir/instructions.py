@@ -9,7 +9,7 @@ timing/energy tables (see :data:`repro.hw.core.INSTRUCTION_CLASSES`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 
@@ -75,7 +75,11 @@ COMMUTATIVE = (Opcode.ADD, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR,
                Opcode.CMPEQ, Opcode.CMPNE)
 
 
-@dataclass(frozen=True)
+# IR values are slotted (no per-instance ``__dict__``): a build keeps tens
+# of thousands of them alive, and every dict is one more object for the
+# cyclic garbage collector to walk.  Frozen slotted dataclasses do not
+# unpickle on Python 3.10, so the operands pickle through ``__reduce__``.
+@dataclass(frozen=True, slots=True)
 class Reg:
     """A virtual register."""
 
@@ -84,8 +88,11 @@ class Reg:
     def __repr__(self) -> str:
         return f"%{self.name}"
 
+    def __reduce__(self):
+        return Reg, (self.name,)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Imm:
     """An integer immediate."""
 
@@ -93,6 +100,9 @@ class Imm:
 
     def __repr__(self) -> str:
         return f"#{self.value}"
+
+    def __reduce__(self):
+        return Imm, (self.value,)
 
 
 Operand = Union[Reg, Imm]
@@ -103,7 +113,7 @@ def instruction_class(opcode: Opcode) -> str:
     return _CLASS_OF_OPCODE[opcode]
 
 
-@dataclass
+@dataclass(slots=True)
 class Instr:
     """A single IR instruction.
 
@@ -148,13 +158,12 @@ class Instr:
     def clone(self) -> "Instr":
         """An independent copy (operands are immutable and stay shared).
 
-        Bypasses ``__init__`` — cloning is on the variant-evaluation hot
-        path and a plain ``__dict__`` copy is several times faster than
-        re-running the dataclass constructor.
+        Built through the constructor with positional fields: instructions
+        are slotted, so there is no ``__dict__`` to copy.
         """
-        new = object.__new__(Instr)
-        new.__dict__ = self.__dict__.copy()
-        return new
+        return Instr(self.opcode, self.dst, self.srcs, self.array,
+                     self.true_target, self.false_target, self.callee,
+                     self.args, self.comment)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.opcode.value]

@@ -140,11 +140,13 @@ class ScenarioRunner:
     def _run_custom(self, ctx: RunContext,
                     postprocess: bool) -> ScenarioResult:
         """Custom scenarios: ``custom_run`` replaces the whole pipeline."""
+        detail = ctx.spec.custom_run(ctx)
         result = ScenarioResult(
             spec=ctx.spec,
             platform=ctx.platform,
             contract=ctx.contract,
-            detail=ctx.spec.custom_run(ctx),
+            detail=detail,
+            pipeline_stats=ctx.pipeline_stats,
         )
         if postprocess and ctx.spec.postprocess is not None:
             result.detail = ctx.spec.postprocess(result)

@@ -204,6 +204,9 @@ class RunContext:
     generations: Optional[int] = None
     population_size: Optional[int] = None
     profiling_runs: int = 8
+    #: Set by a custom run that builds through its own compiler driver
+    #: (its ``pipeline_stats()``), so ``--profile`` accounts for its builds.
+    pipeline_stats: Optional[Dict[str, Dict[str, object]]] = None
 
     @property
     def window_s(self) -> Optional[float]:

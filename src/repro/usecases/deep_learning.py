@@ -78,13 +78,15 @@ def m0_platform() -> Platform:
     return nucleo_stm32f091rc()
 
 
-def run_m0_variants(image_size: int = 10, matrix_size: int = 8
-                    ) -> List[KernelVariantRow]:
+def run_m0_variants(image_size: int = 10, matrix_size: int = 8,
+                    ctx=None) -> List[KernelVariantRow]:
     """Regenerate experiment E5: the variant table for the CNN kernels.
 
     One row per (kernel, config, operating point).  Each (kernel, config)
     variant is built once; its time and energy at each operating point are
-    queries on the same variant (the task name is the kernel name).
+    queries on the same variant (the task name is the kernel name).  With a
+    scenario ``ctx``, the builds' per-pass counters land in its
+    ``pipeline_stats``.
     """
     compiler = MultiCriteriaCompiler(m0_platform())
     kernels = {
@@ -105,6 +107,8 @@ def run_m0_variants(image_size: int = 10, matrix_size: int = 8
                     wcet_ms=task["wcet_s"] * 1e3,
                     energy_uj=task["energy_j"] * 1e6,
                 ))
+    if ctx is not None:
+        ctx.pipeline_stats = compiler.pipeline_stats()
     return rows
 
 
@@ -136,7 +140,7 @@ def _summarize_m0(rows: List[KernelVariantRow]) -> Dict[str, object]:
 def _run_m0_custom(ctx):
     """Module-level ``custom_run`` so the spec (and any ScenarioResult
     holding it) stays picklable for process workers and the job journal."""
-    return run_m0_variants()
+    return run_m0_variants(ctx=ctx)
 
 
 #: E5 as a declarative (custom-kind) scenario: the kernel-variant table is

@@ -349,6 +349,15 @@ class TestCustomScenarios:
             "9bb8f28994902c79fde663cdaa69866bb08e938a1d8025aab76520184faa6511")
         assert len(lowerings) <= 2 * len(M0_CONFIGS)
 
+    def test_m0_variant_builds_reach_the_profile(self, capsys):
+        """The E5 table builds through its own compiler; ``--profile``
+        still shows its 6 lowerings."""
+        assert cli_main(["run", "parking-dl-m0", "--profile", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        rows = {row["pass"]: row for row in document["pipeline_profile"]}
+        assert rows["lower-to-ir"]["invocations"] == 6
+        assert "pipeline_stats" in document["scenarios"][0]
+
     def test_cli_runs_custom_scenario(self, capsys):
         assert cli_main(["run", "uav-pa", "--json"]) == 0
         row = json.loads(capsys.readouterr().out)["scenarios"][0]
