@@ -128,7 +128,7 @@ class CompilerConfig:
 
         Pass ``extended=True`` when the vector feeds an extended-space
         search (the optimisers do this for you); the base encoding simply
-        drops the CSE/peephole bits.
+        drops the CSE, peephole and path-sensitive bits.
         """
         unroll_index = UNROLL_CHOICES.index(self.unroll_limit)
         genes = [

@@ -11,10 +11,11 @@ the multi-objective search:
   arrow in Figure 1 of the paper).
 
 All variant evaluation flows through one
-:class:`~repro.compiler.engine.EvaluationEngine` per (module, entry,
+:class:`~repro.compiler.engine.EvaluationEngine` per (module, entries,
 security-context): repeated ``compile`` calls, search runs and the
 exhaustive grid share the engine's variant/lowering/analysis caches, so
-revisited configurations and sub-structure are never re-analysed.
+revisited configurations and sub-structure are never re-analysed.  A
+sequence of entries selects the aggregate ``"<all tasks>"`` engine.
 """
 
 from __future__ import annotations
@@ -37,12 +38,19 @@ from repro.compiler.evaluate import SecurityEvaluator, Variant
 from repro.compiler.fpa import FlowerPollinationOptimizer
 from repro.compiler.nsga2 import Nsga2Optimizer
 from repro.compiler.pipeline import CompilationPipeline
+from repro.counters import sum_counters
 from repro.errors import CompilationError
 from repro.frontend import ast_nodes as ast
 from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.security.analyzer import SecurityAnalyzer
+
+#: One entry function, or a sequence of them for the aggregate engine.
+Entries = Union[str, Sequence[str]]
+
+#: The population searches :meth:`MultiCriteriaCompiler.explore` dispatches to.
+_SEARCHES = {"fpa": FlowerPollinationOptimizer, "nsga2": Nsga2Optimizer}
 
 
 @dataclass
@@ -94,15 +102,19 @@ class MultiCriteriaCompiler:
         self.pipeline = CompilationPipeline(platform)
         # Shared caches: the analysis cache is platform-wide, lowering
         # caches are per source module, the engines (and their variant
-        # caches) per (module, entry, security context).  Parsing is cached
+        # caches) per (module, entries, security context).  Parsing is cached
         # process-wide (through the pipeline's timed parse pass), and the
         # analysis cache joins the opt-in process-wide cache when one is
         # enabled.
         shared_analysis = process_analysis_cache(platform)
-        self._analysis = (shared_analysis if shared_analysis is not None
-                          else AnalysisCache(platform))
+        self.analysis = (shared_analysis if shared_analysis is not None
+                         else AnalysisCache(platform))
+        self._analysis_shared = shared_analysis is not None
+        # Path work this thread already did on the (possibly shared) cache:
+        # ``pipeline_stats`` reports only what the builds add on top.
+        self._path_baseline = self.analysis.thread_path_totals()
         self._lowerings: Dict[int, LoweringCache] = {}
-        self._engines: Dict[Tuple[int, str, bool], EvaluationEngine] = {}
+        self._engines: Dict[Tuple, EvaluationEngine] = {}
 
     @property
     def opp(self) -> OperatingPoint:
@@ -117,8 +129,52 @@ class MultiCriteriaCompiler:
         return self.pipeline.parse(source)
 
     def pipeline_stats(self) -> Dict[str, Dict[str, object]]:
-        """Per-pass wall-time/invocation counters of this driver's builds."""
-        return self.pipeline.stats()
+        """Per-pass wall-time/invocation counters of this driver's builds
+        (see ``PassManager.stats``).
+
+        A synthetic ``path-feasibility`` row reports the pruning work these
+        builds did (units analysed as invocations, enumeration wall time,
+        paths enumerated/pruned and cap/irregular fallbacks): what the
+        analysis cache computed on this thread since the driver was built.
+        Shared-cache hits charge nothing; no work, no row.
+        """
+        stats = self.pipeline.stats()
+        done = {key: value - self._path_baseline[key] for key, value
+                in self.analysis.thread_path_totals().items()}
+        if done["units"]:
+            stats = dict(stats)
+            stats["path-feasibility"] = {
+                "stage": "analysis",
+                "invocations": done["units"],
+                "wall_s": done["wall_s"],
+                "paths_enumerated": done["paths_enumerated"],
+                "paths_pruned": done["paths_pruned"],
+                "path_cap_fallbacks": done["cap_fallbacks"],
+                "path_irregular_fallbacks": done["irregular_fallbacks"],
+            }
+        return stats
+
+    def cache_stats(self) -> Dict[str, Dict[str, object]]:
+        """Per-stage evaluation-cache counters of this driver's builds.
+
+        The engines' :meth:`~EvaluationEngine.stats` summed with
+        :func:`~repro.counters.sum_counters` (a lowering cache shared by
+        several engines counts once); ``analysis`` is the driver's
+        analysis cache — cumulative process-wide numbers when the opt-in
+        shared cache is enabled (``analysis["shared"]`` says which).
+        """
+        totals: Dict[str, Dict[str, object]] = {}
+        lowerings = set()
+        for engine in self._engines.values():
+            stats = engine.stats()
+            del stats["analysis"]
+            if id(engine.lowering) in lowerings:
+                del stats["lowering"]
+            lowerings.add(id(engine.lowering))
+            sum_counters(totals, stats)
+        totals["analysis"] = dict(self.analysis.stats(),
+                                  shared=self._analysis_shared)
+        return totals
 
     def _security_evaluator(self, module: ast.SourceModule,
                             entry_function: str) -> Optional[SecurityEvaluator]:
@@ -141,32 +197,43 @@ class MultiCriteriaCompiler:
 
         return evaluate
 
-    def _engine(self, module: ast.SourceModule, entry_function: str,
+    def _engine(self, module: ast.SourceModule, entries: Entries,
                 evaluate_security: bool) -> EvaluationEngine:
-        """The shared evaluation engine for (module, entry, security context)."""
-        security_evaluator = (self._security_evaluator(module, entry_function)
-                              if evaluate_security else None)
-        key = (id(module), entry_function, security_evaluator is not None)
+        """The shared evaluation engine for (module, entries, security context).
+
+        A sequence of entries selects the aggregate ``"<all tasks>"`` engine
+        (summed ETS over the entries, no security objective).
+        """
+        aggregate = not isinstance(entries, str)
+        entries = tuple(entries) if aggregate else (entries,)
+        security_evaluator = (self._security_evaluator(module, entries[0])
+                              if evaluate_security and not aggregate
+                              else None)
+        key = (id(module), entries, aggregate, security_evaluator is not None)
         engine = self._engines.get(key)
         if engine is None:
             lowering = self._lowerings.setdefault(
                 id(module), LoweringCache(manager=self.pipeline.manager))
             engine = EvaluationEngine(
-                module, self.platform, [entry_function],
+                module, self.platform, list(entries),
                 core=self.core,
                 security_evaluator=security_evaluator,
-                analysis_cache=self._analysis,
+                analysis_cache=self.analysis,
                 lowering_cache=lowering,
                 pipeline=self.pipeline,
+                aggregate=aggregate,
             )
             self._engines[key] = engine
         return engine
 
     # -- single-configuration compilation ---------------------------------------------
-    def compile(self, source: Union[str, ast.SourceModule], entry_function: str,
+    def compile(self, source: Union[str, ast.SourceModule], entries: Entries,
                 config: Optional[CompilerConfig] = None,
                 evaluate_security: bool = False) -> Variant:
         """Compile under ``config`` (default: baseline) and analyse the result.
+
+        ``entries`` is one entry function, or a sequence of them for the
+        aggregate ``"<all tasks>"`` variant.
 
         The returned variant is served from the compiler's shared engine
         cache: repeated calls with an equal configuration return the *same*
@@ -176,46 +243,49 @@ class MultiCriteriaCompiler:
         """
         module = self._as_module(source)
         config = config or CompilerConfig.baseline()
-        engine = self._engine(module, entry_function, evaluate_security)
+        engine = self._engine(module, entries, evaluate_security)
         return engine.evaluate(config)
 
     # -- multi-objective exploration ------------------------------------------------------
-    def explore(self, source: Union[str, ast.SourceModule], entry_function: str,
+    def explore(self, source: Union[str, ast.SourceModule], entries: Entries,
                 optimizer: str = "fpa",
                 evaluate_security: bool = False,
                 population_size: int = 10,
                 generations: int = 6,
                 seed: int = 7,
                 seed_configs: Optional[Sequence[CompilerConfig]] = None,
-                extended_space: bool = False
+                extended_space: bool = False,
+                path_sensitive: bool = False
                 ) -> ParetoFront:
         """Search the configuration space; returns the Pareto front.
 
-        ``extended_space`` lets FPA/NSGA-II explore the CSE/peephole axes
-        too (9 genes instead of 7); off by default so fixed-seed searches
-        remain bit-for-bit reproducible.
+        ``entries`` is as for :meth:`compile`.  ``extended_space`` lets
+        FPA/NSGA-II explore the CSE, peephole and path-sensitive axes too
+        (10 genes instead of 7); off by default so fixed-seed searches
+        remain bit-for-bit reproducible.  ``path_sensitive`` analyses every
+        candidate path-sensitively (tighter bounds, same code).
         """
         module = self._as_module(source)
-        engine = self._engine(module, entry_function, evaluate_security)
-        evaluator = BatchEvaluator(engine)
+        engine = self._engine(module, entries, evaluate_security)
+        # Path sensitivity is an analysis mode, not a code-generation axis:
+        # rather than widening the gene space the evaluator pins the flag on
+        # every candidate before evaluation (and on the seeds, so cached
+        # variants line up).
+        pin = ((lambda config: config.with_(path_sensitive=True))
+               if path_sensitive else None)
+        evaluator = BatchEvaluator(engine, config_transform=pin)
 
         seeds = list(seed_configs or [CompilerConfig.baseline(),
                                       CompilerConfig.performance()])
-        if optimizer == "fpa":
-            search = FlowerPollinationOptimizer(
-                evaluator, population_size=population_size,
-                generations=generations, seed=seed,
-                extended_space=extended_space)
-        elif optimizer == "nsga2":
-            search = Nsga2Optimizer(
-                evaluator, population_size=population_size,
-                generations=generations, seed=seed,
-                extended_space=extended_space)
-        elif optimizer == "exhaustive":
+        if pin is not None:
+            seeds = [pin(config) for config in seeds]
+        if optimizer == "exhaustive":
             return self._exhaustive(evaluator, extended_space)
-        else:
+        if optimizer not in _SEARCHES:
             raise CompilationError(f"unknown optimizer {optimizer!r}")
-
+        search = _SEARCHES[optimizer](
+            evaluator, population_size=population_size,
+            generations=generations, seed=seed, extended_space=extended_space)
         variants = search.optimize(initial_configs=seeds)
         return ParetoFront(variants=variants, evaluations=search.evaluations,
                            optimizer=optimizer)
@@ -266,10 +336,10 @@ class MultiCriteriaCompiler:
         opp = opp or self.opp
         properties: Dict[str, Dict[str, float]] = {}
         for task, function in variant.program.task_functions.items():
-            wcet = self._analysis.wcet(
+            wcet = self.analysis.wcet(
                 variant.program, function.name, core=self.core, opp=opp,
                 path_sensitive=variant.config.path_sensitive)
-            wcec = self._analysis.wcec(
+            wcec = self.analysis.wcec(
                 variant.program, function.name, core=self.core, opp=opp,
                 path_sensitive=variant.config.path_sensitive)
             properties[task] = {

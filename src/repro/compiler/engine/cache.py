@@ -232,7 +232,9 @@ class _Fingerprint(tuple):
     Equal to, and hashing like, the plain tuple it wraps.  Tuples do not
     cache their hash, so every analysis-table lookup would otherwise re-hash
     the whole nested fingerprint.  The stored hash is never pickled: string
-    hashes are salted per process, so unpickling recomputes it.
+    hashes are salted per process, so unpickling recomputes it.  An
+    :class:`AnalysisCache` with a persistent store memoises the on-disk
+    digest here too (``_digest``, not pickled either).
     """
 
     def __new__(cls, items):
@@ -381,13 +383,6 @@ class AnalysisCache(_BoundedCacheMixin):
         self._instr_costs: Dict[Tuple, Dict] = {}
         # Cross-program block-cost memos (call-free blocks only), same scopes.
         self._block_costs: Dict[Tuple, Dict[Tuple, float]] = {}
-        # Fingerprint -> digest memo for the persistent tier: canonicalising
-        # a whole structural fingerprint costs more than one table analysis,
-        # and every core/OPP table of a program shares the fingerprint — so
-        # digest it once per program, not once per table.  The lookup itself
-        # is cheap: a fingerprint's hash is computed once when it is built
-        # and is never pickled (see ``_Fingerprint``).
-        self._fingerprint_digests: Dict[Tuple, str] = {}
         # Path-feasibility counters, accumulated on computes only (memory and
         # disk hits reuse tables whose pruning already happened elsewhere).
         # The per-thread copy lets one run report only its own pruning work
@@ -455,18 +450,19 @@ class AnalysisCache(_BoundedCacheMixin):
     def _table_digest(self, kind: str, fingerprint: Tuple, *scope: str) -> str:
         """On-disk key of one result table: platform + pass list + scope.
 
-        The structural fingerprint enters through its own memoised digest
-        (hashed once per program; every per-core/per-OPP table reuses it),
-        combined with the platform name, the pass-list key and the
+        The structural fingerprint enters through its own digest, combined
+        with the platform name, the pass-list key and the
         analysis-kind/core/operating-point discriminators the in-memory
-        tables key on.
+        tables key on.  Canonicalising a whole fingerprint costs more than
+        one table analysis, and every core/OPP table of a program shares it,
+        so the digest is memoised on the fingerprint itself: a memo keyed by
+        fingerprints would keep each one alive after its tables are evicted.
         """
         if self._pass_list_key is None:
             self._pass_list_key = _persist.default_pass_list_key()
-        digest = self._fingerprint_digests.get(fingerprint)
+        digest = getattr(fingerprint, "_digest", None)
         if digest is None:
-            digest = _persist.key_digest(fingerprint)
-            self._fingerprint_digests[fingerprint] = digest
+            digest = fingerprint._digest = _persist.key_digest(fingerprint)
         return _persist.key_digest("analysis", self.platform.name,
                                    self._pass_list_key, kind, list(scope),
                                    digest)

@@ -53,9 +53,10 @@ class FlowerPollinationOptimizer:
     generations: int = 8
     switch_probability: float = 0.8
     seed: int = 7
-    #: Search the extended gene space (adds the CSE/peephole axes).  Off by
-    #: default so fixed-seed base-space searches draw the exact random
-    #: streams they always did and stay bit-for-bit reproducible.
+    #: Search the extended gene space (adds the CSE, peephole and
+    #: path-sensitive axes).  Off by default so fixed-seed base-space
+    #: searches draw the exact random streams they always did and stay
+    #: bit-for-bit reproducible.
     extended_space: bool = False
     #: Evaluation cache keyed by the decoded configuration, so re-visited
     #: configurations (frequent with only a handful of genes) are free.

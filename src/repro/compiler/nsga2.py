@@ -44,8 +44,9 @@ class Nsga2Optimizer:
     generations: int = 8
     mutation_probability: float = 0.2
     seed: int = 11
-    #: Search the extended gene space (adds the CSE/peephole axes); off by
-    #: default so fixed-seed base-space runs stay bit-for-bit reproducible.
+    #: Search the extended gene space (adds the CSE, peephole and
+    #: path-sensitive axes); off by default so fixed-seed base-space runs
+    #: stay bit-for-bit reproducible.
     extended_space: bool = False
     #: Per-run cache; ``evaluations`` counts unique configurations seen this
     #: run even when a shared engine cache made them lookups.

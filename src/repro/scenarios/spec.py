@@ -59,9 +59,9 @@ class BuildOptions:
     optimizer: str = "fpa"
     generations: int = 3
     population_size: int = 6
-    #: Widen the search to the CSE/peephole axes (9 genes instead of 7).
-    #: Off by default so registered scenarios keep their bit-for-bit
-    #: reproducible fixed-seed searches.
+    #: Widen the search to the CSE, peephole and path-sensitive axes (10
+    #: genes instead of 7).  Off by default so registered scenarios keep
+    #: their bit-for-bit reproducible fixed-seed searches.
     extended_search: bool = False
     #: Run every WCET/WCEC analysis of this side path-sensitively (infeasible
     #: CFG paths excluded from the maximisation; see ``repro.wcet.paths``).

@@ -6,7 +6,8 @@ Pipeline stages, mirroring the paper's figure:
    extracts the code structure (tasks, POIs),
 2. the multi-criteria optimising compiler explores its configuration space,
    calling the WCET analyser, the EnergyAnalyser and (optionally) the
-   SecurityAnalyser for every candidate, and returns a Pareto front,
+   SecurityAnalyser for every candidate, and returns a Pareto front (the
+   toolchain calls :class:`~repro.compiler.driver.MultiCriteriaCompiler`),
 3. per-task ETS properties are derived for every core and operating point of
    the platform (the "ETS file"),
 4. the coordination layer selects versions/placements/operating points and
@@ -20,17 +21,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.compiler.config import CompilerConfig
-from repro.compiler.engine import (
-    AnalysisCache,
-    BatchEvaluator,
-    EvaluationEngine,
-    LoweringCache,
-    process_analysis_cache,
-)
+from repro.compiler.driver import MultiCriteriaCompiler
 from repro.compiler.evaluate import Variant
-from repro.compiler.fpa import FlowerPollinationOptimizer, pareto_front
-from repro.compiler.nsga2 import Nsga2Optimizer
-from repro.compiler.pipeline import CompilationPipeline
+# Unused here, kept importable: perfbench/tracing.py wraps this name.
+from repro.compiler.fpa import pareto_front  # noqa: F401
 from repro.contracts.checker import ContractChecker, TaskEvidence
 from repro.contracts.certificate import Certificate
 from repro.coordination.gluegen import generate_glue_code
@@ -41,7 +35,6 @@ from repro.coordination.schedulers import (
     scheduler_by_name,
 )
 from repro.coordination.taskgraph import EtsProperties, Implementation, TaskGraph
-from repro.counters import sum_counters
 from repro.csl.ast_nodes import ContractSpec
 from repro.csl.extract import CodeStructure, build_task_graph, extract_structure
 from repro.csl.parser import parse_csl
@@ -88,96 +81,17 @@ class PredictableToolchain:
                 f"complex-architecture workflow instead")
         self.platform = platform
         self.core = core or platform.predictable_cores[0]
-        #: One compilation pipeline per toolchain: frontend/CSL parsing and
-        #: every engine build run through its registered pass list, so the
-        #: whole workflow's per-pass timings land in :meth:`pipeline_stats`.
-        self.pipeline = CompilationPipeline(platform)
-        # Shared evaluation caches: builds on the same toolchain instance
-        # (e.g. a baseline/TeamPlay comparison over one source) reuse parsed
-        # modules, lowered IR and per-function analysis tables.  When the
-        # process-wide cache is enabled (opt-in), analysis tables are
-        # additionally shared with every other toolchain/driver targeting
-        # this platform.
-        shared_analysis = process_analysis_cache(platform)
-        self._analysis = (shared_analysis if shared_analysis is not None
-                          else AnalysisCache(platform))
-        self._analysis_shared = shared_analysis is not None
-        # Path work this thread already did on the (possibly shared) cache:
-        # ``pipeline_stats`` reports only what the builds add on top.
-        self._path_baseline = self._analysis.thread_path_totals()
-        self._lowerings: Dict[int, LoweringCache] = {}
-        self._engines: Dict[tuple, EvaluationEngine] = {}
-
-    # ------------------------------------------------------------------ caches --
-    def _parse_source(self, source: str) -> ast.SourceModule:
-        return self.pipeline.parse(source)
-
-    def _engine(self, module: ast.SourceModule,
-                entries: Dict[str, str]) -> EvaluationEngine:
-        """The shared aggregate evaluation engine for (module, task entries)."""
-        key = (id(module), tuple(entries.items()))
-        engine = self._engines.get(key)
-        if engine is None:
-            lowering = self._lowerings.setdefault(
-                id(module), LoweringCache(manager=self.pipeline.manager))
-            engine = EvaluationEngine(
-                module, self.platform, list(entries.values()),
-                core=self.core,
-                analysis_cache=self._analysis,
-                lowering_cache=lowering,
-                pipeline=self.pipeline,
-                aggregate=True,
-            )
-            self._engines[key] = engine
-        return engine
+        #: Stage 2 of Figure 1: the compiler owns the pipeline, the engines,
+        #: their caches and the search for every build of this toolchain.
+        self.compiler = MultiCriteriaCompiler(platform, core=self.core)
 
     def cache_stats(self) -> Dict[str, Dict[str, object]]:
-        """Per-stage evaluation-cache counters of this toolchain's builds.
-
-        The engines' :meth:`~EvaluationEngine.stats` summed with
-        :func:`~repro.counters.sum_counters` (a lowering cache shared by
-        several engines counts once); ``analysis`` is the toolchain's
-        analysis cache — cumulative process-wide numbers when the opt-in
-        shared cache is enabled (``analysis["shared"]`` says which).
-        """
-        totals: Dict[str, Dict[str, object]] = {}
-        lowerings = set()
-        for engine in self._engines.values():
-            stats = engine.stats()
-            del stats["analysis"]
-            if id(engine.lowering) in lowerings:
-                del stats["lowering"]
-            lowerings.add(id(engine.lowering))
-            sum_counters(totals, stats)
-        totals["analysis"] = dict(self._analysis.stats(),
-                                  shared=self._analysis_shared)
-        return totals
+        """The compiler's :meth:`~MultiCriteriaCompiler.cache_stats`."""
+        return self.compiler.cache_stats()
 
     def pipeline_stats(self) -> Dict[str, Dict[str, object]]:
-        """Per-pass wall-time/invocation counters of this toolchain's builds
-        (parse and CSL extraction included; see ``PassManager.stats``).
-
-        A synthetic ``path-feasibility`` row reports the pruning work these
-        builds did (units analysed as invocations, enumeration wall time,
-        paths enumerated/pruned and cap/irregular fallbacks): what the
-        analysis cache computed on this thread since the toolchain was
-        built.  Shared-cache hits charge nothing; no work, no row.
-        """
-        stats = self.pipeline.stats()
-        done = {key: value - self._path_baseline[key] for key, value
-                in self._analysis.thread_path_totals().items()}
-        if done["units"]:
-            stats = dict(stats)
-            stats["path-feasibility"] = {
-                "stage": "analysis",
-                "invocations": done["units"],
-                "wall_s": done["wall_s"],
-                "paths_enumerated": done["paths_enumerated"],
-                "paths_pruned": done["paths_pruned"],
-                "path_cap_fallbacks": done["cap_fallbacks"],
-                "path_irregular_fallbacks": done["irregular_fallbacks"],
-            }
-        return stats
+        """The compiler's :meth:`~MultiCriteriaCompiler.pipeline_stats`."""
+        return self.compiler.pipeline_stats()
 
     # ------------------------------------------------------------------ build --
     def build(self, source: str, csl_text: str,
@@ -204,7 +118,7 @@ class PredictableToolchain:
         with the SecurityAnalyser; ``extra_implementations`` lets a use case
         add placement options outside the compiled code (e.g. an FPGA
         -offloaded version of a task); ``extended_search`` widens the
-        configuration search to the CSE/peephole axes (default off, keeping
+        search to the CSE/peephole/path-sensitive axes (default off, keeping
         fixed-seed searches bit-for-bit reproducible); ``path_sensitive``
         makes every WCET/WCEC analysis of the build exclude statically
         infeasible CFG paths (tighter bounds, same generated code — see
@@ -212,22 +126,24 @@ class PredictableToolchain:
         """
         if scheduler not in SCHEDULER_NAMES:
             raise TeamPlayError(f"unknown scheduler {scheduler!r}")
-        with self.pipeline.manager.timed("csl-parse", stage="frontend"):
+        manager = self.compiler.pipeline.manager
+        with manager.timed("csl-parse", stage="frontend"):
             spec = parse_csl(csl_text)
-        module = self._parse_source(source)
+        module = self.compiler.pipeline.parse(source)
 
         # -- stage 2: multi-criteria compilation -----------------------------
         entries = self._task_entries(spec, module)
-        engine = self._engine(module, entries)
         if compiler_config is not None:
             if path_sensitive:
                 compiler_config = compiler_config.with_(path_sensitive=True)
-            selected = engine.evaluate(compiler_config)
+            selected = self.compiler.compile(module, entries, compiler_config)
             front = [selected]
         else:
-            front = self._explore(engine, optimizer, generations,
-                                  population_size, extended_search,
-                                  path_sensitive)
+            front = self.compiler.explore(
+                module, entries, optimizer=optimizer,
+                population_size=population_size, generations=generations,
+                extended_space=extended_search,
+                path_sensitive=path_sensitive).variants
             selected = min(front, key=lambda v: v.energy_j)
 
         # -- stage 1/3: structure extraction and ETS properties -----------------
@@ -243,8 +159,9 @@ class PredictableToolchain:
 
         # -- stage 4: coordination -----------------------------------------------
         task_graph = build_task_graph(spec, implementations)
-        with self.pipeline.manager.timed("schedule", stage="coordination"):
-            schedule = self._schedule(task_graph, scheduler)
+        with manager.timed("schedule", stage="coordination"):
+            schedule = scheduler_by_name(scheduler, self.platform).schedule(
+                task_graph)
         schedulability = analyse_schedule(schedule, task_graph, self.platform)
         glue_code = generate_glue_code(schedule, task_graph, self.platform,
                                        style=glue_style)
@@ -271,10 +188,10 @@ class PredictableToolchain:
 
     # -------------------------------------------------------------- compilation --
     @staticmethod
-    def _task_entries(spec: ContractSpec, module: ast.SourceModule) -> Dict[str, str]:
-        """task name -> entry function name."""
+    def _task_entries(spec: ContractSpec, module: ast.SourceModule) -> List[str]:
+        """Every task's entry function, in contract order."""
         functions = set(module.function_names())
-        entries: Dict[str, str] = {}
+        entries: List[str] = []
         for name, contract in spec.tasks.items():
             entry = contract.entry_function
             if entry not in functions:
@@ -285,35 +202,8 @@ class PredictableToolchain:
                     raise TeamPlayError(
                         f"task {name!r}: no entry function {entry!r} in source")
                 entry = candidates[0]
-            entries[name] = entry
+            entries.append(entry)
         return entries
-
-    def _explore(self, engine: EvaluationEngine, optimizer: str,
-                 generations: int, population_size: int,
-                 extended_search: bool = False,
-                 path_sensitive: bool = False) -> List[Variant]:
-        """Search the configuration space over the shared evaluation engine."""
-        # Path sensitivity is an analysis mode, not a code-generation axis:
-        # rather than widening the gene space the evaluator pins the flag on
-        # every candidate before evaluation (and on the seeds, so cached
-        # variants line up).
-        transform = ((lambda config: config.with_(path_sensitive=True))
-                     if path_sensitive else None)
-        evaluator = BatchEvaluator(engine, config_transform=transform)
-        seeds = [CompilerConfig.baseline(), CompilerConfig.performance()]
-        if transform is not None:
-            seeds = [transform(seed) for seed in seeds]
-        if optimizer == "fpa":
-            search = FlowerPollinationOptimizer(
-                evaluator, population_size=population_size,
-                generations=generations, extended_space=extended_search)
-        elif optimizer == "nsga2":
-            search = Nsga2Optimizer(evaluator, population_size=population_size,
-                                    generations=generations,
-                                    extended_space=extended_search)
-        else:
-            raise TeamPlayError(f"unknown optimizer {optimizer!r}")
-        return pareto_front(search.optimize(initial_configs=seeds))
 
     # ------------------------------------------------------------ ETS properties --
     def _security_levels(self, variant: Variant, structure: CodeStructure,
@@ -346,11 +236,11 @@ class PredictableToolchain:
             for core in self.platform.predictable_cores:
                 opps = core.operating_points if dvfs else [core.nominal_opp]
                 for opp in opps:
-                    wcet = self._analysis.wcet(
+                    wcet = self.compiler.analysis.wcet(
                         variant.program, binding.function,
                         core=core, opp=opp,
                         path_sensitive=variant.config.path_sensitive)
-                    wcec = self._analysis.wcec(
+                    wcec = self.compiler.analysis.wcec(
                         variant.program, binding.function,
                         core=core, opp=opp,
                         path_sensitive=variant.config.path_sensitive)
@@ -372,10 +262,10 @@ class PredictableToolchain:
         """The ETS file: per-task properties at the nominal operating point."""
         properties: Dict[str, Dict[str, float]] = {}
         for task, binding in structure.bindings.items():
-            wcet = self._analysis.wcet(
+            wcet = self.compiler.analysis.wcet(
                 variant.program, binding.function, core=self.core,
                 path_sensitive=variant.config.path_sensitive)
-            wcec = self._analysis.wcec(
+            wcec = self.compiler.analysis.wcec(
                 variant.program, binding.function, core=self.core,
                 path_sensitive=variant.config.path_sensitive)
             properties[task] = {
@@ -387,10 +277,7 @@ class PredictableToolchain:
             }
         return properties
 
-    # ------------------------------------------------------------------ scheduling --
-    def _schedule(self, graph: TaskGraph, scheduler: str) -> Schedule:
-        return scheduler_by_name(scheduler, self.platform).schedule(graph)
-
+    # ------------------------------------------------------------------- contracts --
     @staticmethod
     def _evidence(schedule: Schedule,
                   security_reports: Dict[str, float]) -> Dict[str, TaskEvidence]:

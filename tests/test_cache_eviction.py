@@ -6,6 +6,8 @@ eviction counters, ``stats()`` reporting, exactness of recomputed entries
 after eviction, and the opt-in process-wide analysis cache.
 """
 
+import gc
+
 import pytest
 
 from repro.compiler.config import CompilerConfig
@@ -19,6 +21,7 @@ from repro.compiler.engine import (
     process_analysis_cache,
     process_analysis_cache_stats,
 )
+from repro.compiler.engine.cache import _Fingerprint
 from repro.compiler.pipeline import PassManager
 from repro.frontend import compile_source
 from repro.hw.presets import gr712rc, nucleo_stm32f091rc
@@ -55,6 +58,21 @@ int work(int gain) {{
     return acc;
 }}
 """
+
+
+def _fingerprints_held(cache) -> int:
+    """Distinct structural fingerprints reachable from ``cache``'s state."""
+    found, seen, stack = set(), set(), list(vars(cache).values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, _Fingerprint):
+            found.add(id(obj))
+        elif isinstance(obj, (dict, list, tuple)):
+            stack.extend(gc.get_referents(obj))
+    return len(found)
 
 
 class TestVariantCacheEviction:
@@ -171,6 +189,20 @@ class TestAnalysisCacheEviction:
         assert cache.evictions == 0
         assert first.cycles == second.cycles
 
+    def test_store_keeps_no_evicted_fingerprint_alive(self, tmp_path):
+        # Each on-disk digest is memoised per structural fingerprint; a
+        # long-running cache with a persistent store must not keep the
+        # fingerprints of evicted programs alive through that memo.
+        from repro.compiler.engine.persist import PersistentCacheStore
+
+        cache = AnalysisCache(nucleo_stm32f091rc(), max_entries=2,
+                              store=PersistentCacheStore(tmp_path))
+        for bound in range(4, 12):
+            cache.wcec(compile_source(_source(bound)), "work")
+        assert cache.disk_misses >= 8  # eight distinct programs analysed
+        assert cache.evictions == 2 * (8 - 2)
+        assert _fingerprints_held(cache) <= 2
+
 
 class TestProcessWideAnalysisCache:
     def test_disabled_by_default(self):
@@ -196,7 +228,7 @@ class TestProcessWideAnalysisCache:
         try:
             one = PredictableToolchain(nucleo_stm32f091rc())
             two = PredictableToolchain(nucleo_stm32f091rc())
-            assert one._analysis is two._analysis
+            assert one.compiler.analysis is two.compiler.analysis
             stats = process_analysis_cache_stats()
             assert "nucleo-stm32f091rc" in stats
         finally:
@@ -204,7 +236,7 @@ class TestProcessWideAnalysisCache:
         # Back to per-instance caches once disabled.
         three = PredictableToolchain(nucleo_stm32f091rc())
         four = PredictableToolchain(nucleo_stm32f091rc())
-        assert three._analysis is not four._analysis
+        assert three.compiler.analysis is not four.compiler.analysis
 
     def test_engine_adopts_empty_shared_caches(self):
         # Empty caches are falsy (__len__ == 0); the engine must still adopt

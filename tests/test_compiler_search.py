@@ -26,6 +26,23 @@ int kernel(int gain) {
 }
 """
 
+#: Guard conditions on ``gain`` that no single call can satisfy together:
+#: path-sensitive analysis prunes the infeasible combinations.
+GUARDED_SOURCE = """
+int samples[16];
+
+#pragma teamplay task(t)
+int task(int gain) {
+    int acc = 0;
+    for (int i = 0; i < 16; i = i + 1) {
+        int value = samples[i];
+        if (gain > 12) { acc = acc + value * gain; acc = acc + gain * 5; }
+        if (gain < 4) { acc = acc - value * gain; acc = acc - (value >> 1) * 7; }
+    }
+    return acc;
+}
+"""
+
 
 @pytest.fixture(scope="module")
 def platform():
@@ -127,6 +144,42 @@ class TestSearch:
         with pytest.raises(CompilationError):
             MultiCriteriaCompiler(platform).explore(SOURCE, "kernel",
                                                     optimizer="simulated-annealing")
+
+    def test_path_sensitive_search_pins_every_variant(self, platform):
+        compiler = MultiCriteriaCompiler(platform)
+        plain = compiler.explore(GUARDED_SOURCE, "task", optimizer="fpa",
+                                 population_size=6, generations=2)
+        pinned = compiler.explore(GUARDED_SOURCE, "task", optimizer="fpa",
+                                  population_size=6, generations=2,
+                                  path_sensitive=True)
+        assert len(pinned) >= 1
+        for variant in pinned:
+            assert variant.config.path_sensitive
+            structural = compiler.compile(
+                GUARDED_SOURCE, "task",
+                variant.config.with_(path_sensitive=False))
+            assert variant.wcet_cycles <= structural.wcet_cycles
+        assert pinned.best_by_time().wcet_cycles < \
+            plain.best_by_time().wcet_cycles
+        assert pinned.best_by_energy().energy_j <= \
+            plain.best_by_energy().energy_j
+
+    def test_entry_sequence_selects_the_aggregate_engine(self, platform):
+        compiler = MultiCriteriaCompiler(platform)
+        single = compiler.compile(SOURCE, "kernel")
+        aggregate = compiler.compile(SOURCE, ["kernel"])
+        assert single.entry_function == "kernel"
+        assert aggregate.entry_function == "<all tasks>"
+        assert aggregate.wcet_cycles == single.wcet_cycles
+        assert compiler.compile(SOURCE, ("kernel",)) is aggregate
+        front = compiler.explore(SOURCE, ["kernel"], optimizer="nsga2",
+                                 population_size=6, generations=2)
+        assert all(v.entry_function == "<all tasks>" for v in front)
+        stats = compiler.cache_stats()
+        # Both engines share the module's lowering cache: it counts once.
+        engine = next(iter(compiler._engines.values()))
+        assert stats["lowering"] == engine.lowering.stats()
+        assert stats["analysis"]["shared"] is False
 
     def test_search_caches_repeated_configs(self, platform):
         compiler = MultiCriteriaCompiler(platform)

@@ -92,6 +92,48 @@ class TestPredictableToolchain:
                             compiler_config=CompilerConfig.baseline())
 
 
+class TestCompilerFrontDoor:
+    """Stage 2 of the toolchain runs through its MultiCriteriaCompiler."""
+
+    ENTRIES = ["produce", "consume"]
+
+    def test_build_leaves_its_engines_in_the_compiler(self):
+        toolchain = PredictableToolchain(space.platform())
+        result = toolchain.build(SMALL_SOURCE, SMALL_CSL,
+                                 compiler_config=CompilerConfig.baseline())
+        # The compiler's aggregate engine served the build: asking it again
+        # returns the very variant the toolchain selected.
+        again = toolchain.compiler.compile(SMALL_SOURCE, self.ENTRIES,
+                                           CompilerConfig.baseline())
+        assert again is result.variant
+        assert again.entry_function == "<all tasks>"
+        assert again.security_level is None
+        stats = toolchain.cache_stats()
+        assert stats == toolchain.compiler.cache_stats()
+        assert stats["variant"]["misses"] == 1
+        assert stats["variant"]["hits"] == 1
+        assert toolchain.pipeline_stats() == \
+            toolchain.compiler.pipeline_stats()
+
+    def test_nsga2_build_picks_from_the_driver_front(self):
+        toolchain = PredictableToolchain(space.platform())
+        result = toolchain.build(SMALL_SOURCE, SMALL_CSL, optimizer="nsga2",
+                                 generations=2, population_size=6,
+                                 scheduler="sequential", dvfs=False)
+        front = toolchain.compiler.explore(
+            SMALL_SOURCE, self.ENTRIES, optimizer="nsga2",
+            generations=2, population_size=6)
+        assert [id(v) for v in result.pareto_front] == \
+            [id(v) for v in front.variants]
+        assert result.variant is min(front.variants,
+                                     key=lambda v: v.energy_j)
+
+    def test_unknown_optimizer_is_a_teamplay_error(self):
+        toolchain = PredictableToolchain(space.platform())
+        with pytest.raises(TeamPlayError):
+            toolchain.build(SMALL_SOURCE, SMALL_CSL, optimizer="annealing")
+
+
 class TestComplexToolchain:
     TASKS = [
         WorkloadTask("grab", work_units=2e7, kernel="preprocess"),
