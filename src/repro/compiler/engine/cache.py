@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
@@ -65,6 +66,7 @@ from repro.ir.regions import (
     Region,
     SeqRegion,
 )
+from repro.ir.runs import flat_map
 from repro.wcet.analyzer import WCETResult
 from repro.wcet.paths import PathSensitiveMixin, PathStats
 from repro.wcet.structural import StructuralCostEngine
@@ -77,8 +79,12 @@ if TYPE_CHECKING:
 #: then on as far as the evaluation pipeline is concerned.
 _FINGERPRINT_ATTR = "_engine_fingerprint"
 
-#: Local alias, avoids an attribute lookup in the block-cost hot loop.
+#: Local aliases for the block-cost and fingerprint hot paths.  Enum
+#: members (not ``.value``) keep them fast: accessing ``Opcode.value`` goes
+#: through a descriptor on every instruction.
 _CALL_OPCODE = Opcode.CALL
+_opcode_of = attrgetter("opcode")
+_signature_of = attrgetter("opcode", "callee", "array")
 
 
 class VariantCache(_BoundedCacheMixin):
@@ -276,16 +282,24 @@ def program_fingerprint(program: Program) -> Tuple:
     if len(table) >= _SIGNATURES_LIMIT:
         table.clear()
     intern = table.setdefault
+
+    def signature_of(instr):
+        triple = _signature_of(instr)
+        return intern(triple, triple)
+
     functions = []
     for name, function in program.functions.items():
         blocks = []
         for label, block in function.blocks.items():
-            # Enum members (not .value) keep this loop fast: accessing
-            # Opcode.value goes through a descriptor on every instruction.
-            parts = [(instr.opcode, instr.callee, instr.array)
-                     for instr in block.instrs]
             signature = [label]
-            signature.extend(map(intern, parts, parts))
+            parts = block.parts
+            if parts.__class__ is list:
+                triples = list(map(_signature_of, parts))
+                signature.extend(map(intern, triples, triples))
+            else:
+                # An unrolled run contributes its template's triples once
+                # per copy, exactly as its flattened instructions would.
+                signature.extend(flat_map(parts, signature_of))
             blocks.append(tuple(signature))
         functions.append((name, function.code_region, function.entry,
                           _region_signature(function.region), tuple(blocks)))
@@ -309,13 +323,9 @@ class _BlockMemoCostEngine(StructuralCostEngine):
         self._block_memo = block_memo
 
     def _block_cost(self, function, label: str) -> float:
-        block = function.block(label)
-        opcodes = []
-        for instr in block.instrs:
-            opcode = instr.opcode
-            if opcode is _CALL_OPCODE:
-                return super()._block_cost(function, label)
-            opcodes.append(opcode)
+        opcodes = flat_map(function.block(label).parts, _opcode_of)
+        if _CALL_OPCODE in opcodes:
+            return super()._block_cost(function, label)
         key = (function.code_region, tuple(opcodes))
         cost = self._block_memo.get(key)
         if cost is None:

@@ -9,6 +9,11 @@ instruction lists and replace rewritten instructions with fresh objects,
 never mutating an :class:`~repro.ir.instructions.Instr` in place — required
 because the evaluation engine's staged caches hand out instruction-sharing
 program clones (``Program.clone(share_instructions=True)``).
+
+Dead-code elimination, strength reduction and the peephole pass rewrite
+unrolled runs (:mod:`repro.ir.runs`) on their template through
+:meth:`~repro.ir.cfg.BasicBlock.rewrite`, so a block keeps its compact
+form; CSE numbers values across copies and reads the flat instruction list.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.ir.cfg import Program
 from repro.ir.instructions import COMMUTATIVE, Imm, Instr, Opcode, Reg
+from repro.ir.runs import copies, walk
 
 #: Opcodes that must never be removed even if their destination is unused.
 _SIDE_EFFECTS = {Opcode.STORE, Opcode.CALL, Opcode.RET, Opcode.BR, Opcode.JMP}
@@ -33,31 +39,43 @@ def eliminate_dead_code(program: Program) -> int:
     make its operands' producers dead too.  Read counts are maintained
     incrementally across iterations (same fixed point as recomputing the
     used-register set from scratch, without re-walking every operand).
+
+    Unrolled runs are rewritten on their template.  A read count counts
+    reading instructions of the template, not of every copy: a register is
+    dead once no reader is left, and a template reader stays or goes in
+    all of its copies, so a dead template instruction is dead in every
+    copy (a copy's own temps are read only inside that copy).
     """
     removed_total = 0
     for function in program.functions.values():
         reads: Dict[str, int] = {}
-        for instr in function.iter_instructions():
+        for block in function.blocks.values():
+            for instr in walk(block.parts):
+                for reg in instr.reads():
+                    reads[reg.name] = reads.get(reg.name, 0) + 1
+        removed = 0
+        unread = True
+
+        def drop_dead(instr, runs):
+            nonlocal removed, unread
+            dst = instr.dst
+            if (dst is None or instr.opcode in _SIDE_EFFECTS
+                    or reads.get(dst.name)):
+                return instr
+            removed += copies(runs)
             for reg in instr.reads():
-                reads[reg.name] = reads.get(reg.name, 0) + 1
-        while True:
-            removed = 0
+                reads[reg.name] -= 1
+                if not reads[reg.name]:
+                    unread = True
+            return None
+
+        # Another sweep can only remove something once a register lost its
+        # last reader during this one.
+        while unread:
+            unread = False
             for block in function.blocks.values():
-                kept = []
-                for instr in block.instrs:
-                    dst = instr.dst
-                    if (dst is not None
-                            and instr.opcode not in _SIDE_EFFECTS
-                            and not reads.get(dst.name)):
-                        removed += 1
-                        for reg in instr.reads():
-                            reads[reg.name] -= 1
-                    else:
-                        kept.append(instr)
-                block.instrs = kept
-            removed_total += removed
-            if removed == 0:
-                break
+                block.rewrite(drop_dead)
+        removed_total += removed
     return removed_total
 
 
@@ -68,51 +86,52 @@ def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
-#: Opcodes _reduce_instr can do anything with (cheap pre-filter).
+#: Opcodes _reduce_instr can do anything with; for all but MUL only a zero
+#: right operand reduces.
 _REDUCIBLE_OPS = frozenset((Opcode.MUL, Opcode.ADD, Opcode.SUB, Opcode.OR,
                             Opcode.XOR, Opcode.SHL, Opcode.SHR))
+#: The commutative ones, whose immediate operand is moved to the right.
+_COMMUTATIVE_REDUCIBLE = frozenset((Opcode.MUL, Opcode.ADD, Opcode.OR,
+                                    Opcode.XOR))
 
 
-def _reduce_instr(instr: Instr) -> bool:
-    """Simplify one instruction in place; True when something changed."""
+def _reduce_instr(instr: Instr) -> Optional[Instr]:
+    """The strength-reduced replacement for one instruction, or ``None``.
+
+    A replacement with the same opcode only normalises ``imm op reg`` to
+    ``reg op imm``; every actual reduction changes the opcode.  The input
+    is never mutated.
+    """
     op = instr.opcode
-    if op not in (Opcode.MUL, Opcode.ADD, Opcode.SUB, Opcode.OR, Opcode.XOR,
-                  Opcode.SHL, Opcode.SHR):
-        return False
-    if len(instr.srcs) != 2:
-        return False
+    if op not in _REDUCIBLE_OPS or len(instr.srcs) != 2:
+        return None
     lhs, rhs = instr.srcs
+    swapped = False
 
     # Normalise "imm op reg" to "reg op imm" for commutative operations.
-    if op in (Opcode.MUL, Opcode.ADD, Opcode.OR, Opcode.XOR) \
+    if op in _COMMUTATIVE_REDUCIBLE \
             and isinstance(lhs, Imm) and isinstance(rhs, Reg):
         lhs, rhs = rhs, lhs
-        instr.srcs = (lhs, rhs)
+        swapped = True
 
-    if not isinstance(rhs, Imm):
-        return False
+    if isinstance(rhs, Imm):
+        if op is Opcode.MUL:
+            if rhs.value == 1:
+                return _replace(instr, Opcode.MOV, (lhs,))
+            if rhs.value == 0:
+                return _replace(instr, Opcode.MOV, (Imm(0),))
+            if _is_power_of_two(rhs.value):
+                return _replace(instr, Opcode.SHL,
+                                (lhs, Imm(rhs.value.bit_length() - 1)))
+        elif rhs.value == 0:
+            return _replace(instr, Opcode.MOV, (lhs,))
+    return _replace(instr, op, (lhs, rhs)) if swapped else None
 
-    if op is Opcode.MUL:
-        if rhs.value == 1:
-            instr.opcode = Opcode.MOV
-            instr.srcs = (lhs,)
-            return True
-        if rhs.value == 0:
-            instr.opcode = Opcode.MOV
-            instr.srcs = (Imm(0),)
-            return True
-        if _is_power_of_two(rhs.value):
-            instr.opcode = Opcode.SHL
-            instr.srcs = (lhs, Imm(rhs.value.bit_length() - 1))
-            return True
-        return False
 
-    if rhs.value == 0 and op in (Opcode.ADD, Opcode.SUB, Opcode.OR, Opcode.XOR,
-                                 Opcode.SHL, Opcode.SHR):
-        instr.opcode = Opcode.MOV
-        instr.srcs = (lhs,)
-        return True
-    return False
+def _replace(instr: Instr, opcode: Opcode, srcs: Tuple) -> Instr:
+    """A copy of ``instr`` with a new opcode and sources."""
+    return Instr(opcode, instr.dst, srcs, instr.array, instr.true_target,
+                 instr.false_target, instr.callee, instr.args, instr.comment)
 
 
 # ---------------------------------------------------------------------------
@@ -207,25 +226,29 @@ def strength_reduce(program: Program) -> int:
     """Apply peephole strength reduction; returns the number of rewrites.
 
     Copy-on-write at instruction granularity: rewritten instructions are
-    replaced by modified clones instead of being mutated in place, so
-    programs produced by instruction-sharing clones (see
+    replaced by new ones instead of being mutated in place, so programs
+    produced by instruction-sharing clones (see
     ``Program.clone(share_instructions=True)``) never corrupt each other.
+    A rewrite inside an unrolled run counts once per copy.
     """
     rewrites = 0
+
+    def reduce(instr, runs):
+        nonlocal rewrites
+        if instr.opcode not in _REDUCIBLE_OPS:
+            return instr
+        replacement = _reduce_instr(instr)
+        if replacement is None:
+            return instr
+        # A same-opcode replacement only normalised the operand order:
+        # kept, but not counted.
+        if replacement.opcode is not instr.opcode:
+            rewrites += copies(runs)
+        return replacement
+
     for function in program.functions.values():
         for block in function.blocks.values():
-            instrs = block.instrs
-            for index, instr in enumerate(instrs):
-                if instr.opcode not in _REDUCIBLE_OPS or len(instr.srcs) != 2:
-                    continue
-                candidate = instr.clone()
-                if _reduce_instr(candidate):
-                    instrs[index] = candidate
-                    rewrites += 1
-                elif candidate.srcs != instr.srcs:
-                    # Commutative normalisation only ("imm op reg" swapped):
-                    # keep it, exactly as the in-place pass did.
-                    instrs[index] = candidate
+            block.rewrite(reduce)
     return rewrites
 
 
@@ -368,25 +391,23 @@ def peephole_optimize(program: Program) -> int:
     Copy-on-write at instruction granularity, like every IR pass here.
     """
     rewrites = 0
+
+    def simplify(instr, runs):
+        nonlocal rewrites
+        if instr.dst is None:
+            return instr
+        if (instr.opcode is Opcode.MOV and len(instr.srcs) == 1
+                and isinstance(instr.srcs[0], Reg)
+                and instr.srcs[0].name == instr.dst.name):
+            rewrites += copies(runs)
+            return None
+        replacement = _peephole_rewrite(instr)
+        if replacement is None:
+            return instr
+        rewrites += copies(runs)
+        return replacement
+
     for function in program.functions.values():
         for block in function.blocks.values():
-            kept = []
-            changed = False
-            for instr in block.instrs:
-                if (instr.opcode is Opcode.MOV and instr.dst is not None
-                        and len(instr.srcs) == 1
-                        and isinstance(instr.srcs[0], Reg)
-                        and instr.srcs[0].name == instr.dst.name):
-                    rewrites += 1
-                    changed = True
-                    continue
-                replacement = _peephole_rewrite(instr)
-                if replacement is not None:
-                    rewrites += 1
-                    changed = True
-                    kept.append(replacement)
-                else:
-                    kept.append(instr)
-            if changed:
-                block.instrs = kept
+            block.rewrite(simplify)
     return rewrites

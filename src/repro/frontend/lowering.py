@@ -18,16 +18,17 @@ Semantics notes:
   temporaries instead (no identifier contains a dot), so the two never
   share a register.
 * A :class:`~repro.frontend.ast_nodes.Repeat` (an unrolled loop) is lowered
-  once and its IR stamped for the remaining copies; the result is what
-  lowering every copy in sequence would give, label for label.
+  once and its IR repeated for the remaining copies; the result is what
+  lowering every copy in sequence would give, label for label.  A
+  straight-line body stays one :class:`~repro.ir.runs.Run` in its block
+  until something reads the block's instruction list.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
-from operator import attrgetter, itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import FrontendError
 from repro.frontend import ast_nodes as ast
@@ -36,6 +37,7 @@ from repro.ir import cfg as ircfg
 from repro.ir import instructions as ins
 from repro.ir.instructions import Imm, Opcode, Operand, Reg
 from repro.ir.regions import BlockRegion, IfRegion, LoopRegion, SeqRegion
+from repro.ir.runs import Run, Stamper, stamp
 
 _BINOP_OPCODES = {
     "+": Opcode.ADD, "-": Opcode.SUB, "*": Opcode.MUL, "/": Opcode.DIV,
@@ -93,7 +95,7 @@ class _FunctionLowerer:
 
     def emit(self, instr: ins.Instr) -> None:
         assert self.current is not None
-        self.current.instrs.append(instr)
+        self.current.parts.append(instr)
 
     # -- entry point ---------------------------------------------------------------
     def lower(self) -> ircfg.Function:
@@ -317,24 +319,38 @@ class _FunctionLowerer:
         self.current = exit_block
 
     def _lower_repeat(self, stmt: ast.Repeat, seq: SeqRegion) -> None:
-        """Lower the body once, then stamp its IR for the other copies.
+        """Lower the body once, then repeat its IR for the other copies.
 
-        Arrays are function-scoped, so the body's array declarations take
-        effect once; a redeclaration within one body still raises.
+        A straight-line body (its first copy created no block) becomes one
+        :class:`~repro.ir.runs.Run` in the current block; a body with
+        control flow is stamped copy by copy.  Either way the counters end
+        where lowering every copy in sequence would leave them.  Arrays are
+        function-scoped, so the body's array declarations take effect once;
+        a redeclaration within one body still raises.
         """
         start = self.current
-        first_instr = len(start.instrs)
+        first_part = len(start.parts)
         first_child = len(seq.children)
         temps, labels, loops = (self.temp_counter, self.label_counter,
                                 self.loop_counter)
         for child in stmt.body:
             self.lower_statement(child, seq)
-        if stmt.count > 1:
-            template = _BodyTemplate(self, start, first_instr,
-                                     seq.children[first_child:],
-                                     temps, labels, loops)
-            for _ in range(stmt.count - 1):
-                template.stamp(self, seq)
+        if stmt.count <= 1:
+            return
+        if self.label_counter == labels:
+            body = start.parts[first_part:]
+            del start.parts[first_part:]
+            width = self.temp_counter - temps
+            if body:
+                start.append(Run.compile(body, stmt.count, self.temp_prefix,
+                                         temps + 1, width))
+            self.temp_counter += (stmt.count - 1) * width
+            return
+        template = _BodyTemplate(self, start, first_part,
+                                 seq.children[first_child:],
+                                 temps, labels, loops)
+        for _ in range(stmt.count - 1):
+            template.stamp(self, seq)
 
     # -- expressions ---------------------------------------------------------------------
     def _check_array(self, name: str, line: int) -> None:
@@ -397,32 +413,20 @@ class _FunctionLowerer:
         return dst
 
 
-#: ``Instr``'s fields in constructor order, and the positions of those a
-#: stamped copy renames.
-_FIELDS = ins.Instr.__slots__
-_DST, _SRCS, _TRUE_TARGET, _FALSE_TARGET, _ARGS = map(
-    _FIELDS.index, ("dst", "srcs", "true_target", "false_target", "args"))
-_fields_of = attrgetter(*_FIELDS)
-
-
 class _BodyTemplate:
-    """The IR one lowered copy of a :class:`Repeat` body produced.
+    """The IR one lowered copy of a :class:`Repeat` body with control flow
+    produced, stamped once per further copy.
 
-    Copy ``k`` of a body lowers to copy 1's IR with the temp, label and
-    loop-id counters advanced by ``k - 1`` times what copy 1 consumed, and
-    with copy 1's start block replaced by the block the previous copy ended
-    in.  Only registers ``new_temp`` produced during copy 1 are renamed.
-
-    Each instruction is precompiled to its field list, in constructor
-    order, plus an ``(index, itemgetter)`` pair per field that holds a
-    temp or a label.  The getters index a per-copy tuple ``pool``: the
-    copy's block labels, then its temps, then the operands that do not
-    change, so stamping an instruction is a list copy, C-level lookups and
-    one call of the (slotted) ``Instr`` constructor.
+    Copy ``k`` lowers to copy 1's IR with the temp, label and loop-id
+    counters advanced by ``k - 1`` times what copy 1 consumed, and with
+    copy 1's start block replaced by the block the previous copy ended in.
+    Only registers ``new_temp`` produced during copy 1 are renamed.  The
+    pool of a copy (see :class:`~repro.ir.runs.Stamper`) holds its block
+    labels, then its temps, then the operands that do not change.
     """
 
     def __init__(self, lowerer: "_FunctionLowerer", start: ircfg.BasicBlock,
-                 first_instr: int, regions: List, temps: int, labels: int,
+                 first_part: int, regions: List, temps: int, labels: int,
                  loops: int):
         created = list(islice(reversed(lowerer.fn.blocks.values()),
                               lowerer.label_counter - labels))[::-1]
@@ -430,46 +434,19 @@ class _BodyTemplate:
         self.hints = [block.label.rsplit(".", 1)[0] for block in created]
         self.labels = [start.label] + [block.label for block in created]
         self.temp_count = lowerer.temp_counter - temps
+        self.temp_base = temps
         self.loop_count = lowerer.loop_counter - loops
         self.loop_base = loops
         self.regions = regions
-        # Pool layout: labels, then temps, then fixed operands.
-        self.label_slots = {label: i for i, label in enumerate(self.labels)}
-        self.temp_slots = {f"{lowerer.temp_prefix}{temps + 1 + i}":
-                           len(self.labels) + i
-                           for i in range(self.temp_count)}
-        self.end = self.label_slots[lowerer.current.label]
-        self.fixed: List[Operand] = []
-        self.blocks = [(0, [self._compile(instr)
-                            for instr in start.instrs[first_instr:]])]
-        self.blocks.extend((i, [self._compile(instr) for instr in block.instrs])
+        stamper = Stamper(self.labels,
+                          [f"{lowerer.temp_prefix}{temps + 1 + i}"
+                           for i in range(self.temp_count)])
+        self.end = stamper.label_slots[lowerer.current.label]
+        self.blocks = [(0, [stamper.compile(part)
+                            for part in start.parts[first_part:]])]
+        self.blocks.extend((i, [stamper.compile(part) for part in block.parts])
                            for i, block in enumerate(created, 1))
-
-    def _slot(self, operand: Operand) -> int:
-        if operand.__class__ is Reg and operand.name in self.temp_slots:
-            return self.temp_slots[operand.name]
-        self.fixed.append(operand)
-        return len(self.labels) + self.temp_count + len(self.fixed) - 1
-
-    def _compile(self, instr: ins.Instr) -> Tuple:
-        """``instr``'s fields and the getters one stamped copy applies."""
-        fields = list(_fields_of(instr))
-        getters = []
-        dst = fields[_DST]
-        if dst is not None and dst.name in self.temp_slots:
-            getters.append((_DST, itemgetter(self.temp_slots[dst.name])))
-        for index in (_SRCS, _ARGS):
-            operands = fields[index]
-            if any(op.__class__ is Reg and op.name in self.temp_slots
-                   for op in operands):
-                slots = [self._slot(op) for op in operands]
-                getters.append((index, itemgetter(*slots) if len(slots) > 1
-                                else itemgetter(slice(slots[0], slots[0] + 1))))
-        for index in (_TRUE_TARGET, _FALSE_TARGET):
-            label = fields[index]
-            if label in self.label_slots:
-                getters.append((index, itemgetter(self.label_slots[label])))
-        return fields, getters
+        self.fixed = stamper.fixed
 
     def stamp(self, lowerer: "_FunctionLowerer", seq: SeqRegion) -> None:
         """Append one more copy after the current block."""
@@ -486,14 +463,12 @@ class _BodyTemplate:
                 *[Reg(f"{prefix}{temps + 1 + i}")
                   for i in range(self.temp_count)],
                 *self.fixed)
-        make = ins.Instr
-        for i, compiled in self.blocks:
-            out = blocks[i].instrs
-            for fields, getters in compiled:
-                fields = fields.copy()
-                for index, get in getters:
-                    fields[index] = get(pool)
-                out.append(make(*fields))
+        shift = temps - self.temp_base
+        for i, entries in self.blocks:
+            copy: List = []
+            stamp(entries, pool, shift, copy)
+            for part in copy:
+                blocks[i].append(part)
         relabel = dict(zip(self.labels, names))
         loop_offset = lowerer.loop_counter - self.loop_base
         lowerer.loop_counter += self.loop_count

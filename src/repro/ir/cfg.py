@@ -14,21 +14,81 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import networkx as nx
 
 from repro.errors import TeamPlayError
+from repro.ir import runs
 from repro.ir.instructions import Instr, Opcode, Reg
 from repro.ir.regions import Region, SeqRegion, iter_block_labels
 
 
-@dataclass
-class BasicBlock:
-    """A maximal straight-line sequence of instructions ending in a terminator."""
+class _Parts(list):
+    """A block's instructions with unrolled runs kept compact."""
 
-    label: str
-    instrs: List[Instr] = field(default_factory=list)
+    __slots__ = ()
+
+
+class BasicBlock:
+    """A maximal straight-line sequence of instructions ending in a terminator.
+
+    A block lowered with unrolled straight-line loop bodies holds each of
+    them as one :class:`~repro.ir.runs.Run` among its instructions
+    (``parts``).  Reading :attr:`instrs` materialises the block: the
+    runs are expanded, the compact form is dropped, and the block stays
+    flat.  The state is one attribute, swapped whole, so a thread reading
+    a block never sees half of it.  Lengths, terminators, successors,
+    clones, :meth:`rewrite` and the helpers of :mod:`repro.ir.runs`
+    (``walk``, ``flat_map``) never materialise.
+    """
+
+    def __init__(self, label: str, instrs: Optional[List[Instr]] = None):
+        self.label = label
+        #: Instructions and runs.  Lowering builds blocks through this
+        #: list; everything else only reads it and rewrites through
+        #: :meth:`rewrite`.
+        self.parts: List = instrs if instrs is not None else []
+
+    @property
+    def instrs(self) -> List[Instr]:
+        """The instruction list; materialises a compact block."""
+        parts = self.parts
+        if parts.__class__ is not list:
+            flat: List[Instr] = []
+            runs.flatten(parts, flat)
+            self.parts = parts = flat
+        return parts
+
+    @instrs.setter
+    def instrs(self, value: List[Instr]) -> None:
+        self.parts = value if value.__class__ is list else list(value)
+
+    @property
+    def compact(self) -> bool:
+        """Whether the block still holds runs (has not been materialised)."""
+        return self.parts.__class__ is not list
+
+    def append(self, part) -> None:
+        """Append an instruction or a run (lowering's emitter)."""
+        parts = self.parts
+        if part.__class__ is runs.Run and parts.__class__ is list:
+            parts = self.parts = _Parts(parts)
+        parts.append(part)
+
+    def rewrite(self, fn: runs.Rewrite) -> None:
+        """Apply ``fn`` to every instruction, copy-on-write.
+
+        ``fn(instr, runs)`` returns ``instr``, a replacement or ``None``
+        (delete) and is called once per template instruction of a run, so
+        its decision must hold for every copy.
+        """
+        parts = self.parts
+        rewritten = runs.rewrite(parts, fn)
+        if rewritten is not None:
+            self.parts = (rewritten if parts.__class__ is list
+                          else _Parts(rewritten))
 
     @property
     def terminator(self) -> Optional[Instr]:
-        if self.instrs and self.instrs[-1].is_terminator:
-            return self.instrs[-1]
+        parts = self.parts
+        if parts and parts[-1].is_terminator:
+            return parts[-1]
         return None
 
     def successors(self) -> Tuple[str, ...]:
@@ -41,12 +101,6 @@ class BasicBlock:
             return (term.true_target,)
         return tuple(t for t in (term.true_target, term.false_target) if t)
 
-    def body(self) -> List[Instr]:
-        """Instructions excluding the terminator."""
-        if self.terminator is not None:
-            return self.instrs[:-1]
-        return list(self.instrs)
-
     def clone(self, share_instructions: bool = False) -> "BasicBlock":
         """An independent copy whose instruction *list* can be rewritten freely.
 
@@ -54,14 +108,33 @@ class BasicBlock:
         shared with the original: safe for the compilation pipeline, whose IR
         passes are copy-on-write at instruction granularity (they rebuild
         instruction lists and replace rewritten instructions with clones,
-        never mutating an ``Instr`` in place).
+        never mutating an ``Instr`` in place).  Runs are immutable: with
+        ``share_instructions`` a clone shares them (and the instructions
+        they expand to), without it each gets fresh runs.
         """
+        parts = self.parts
         if share_instructions:
-            return BasicBlock(self.label, list(self.instrs))
-        return BasicBlock(self.label, [instr.clone() for instr in self.instrs])
+            return BasicBlock(self.label, parts.__class__(parts))
+        return BasicBlock(self.label, parts.__class__(
+            part.moved(0) if part.__class__ is runs.Run else part.clone()
+            for part in parts))
 
     def __len__(self) -> int:
-        return len(self.instrs)
+        parts = self.parts
+        if parts.__class__ is list:
+            return len(parts)
+        return sum(part.size if part.__class__ is runs.Run else 1
+                   for part in parts)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BasicBlock:
+            return NotImplemented
+        return self.label == other.label and self.instrs == other.instrs
+
+    __hash__ = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"BasicBlock({self.label!r}, {self.parts!r})"
 
 
 @dataclass
@@ -99,6 +172,7 @@ class Function:
                 f"function {self.name!r} has no block {label!r}") from None
 
     def iter_instructions(self) -> Iterator[Instr]:
+        """Every instruction in block order (materialises compact blocks)."""
         for block in self.blocks.values():
             yield from block.instrs
 
@@ -117,7 +191,8 @@ class Function:
         return graph
 
     def callees(self) -> Set[str]:
-        return {instr.callee for instr in self.iter_instructions()
+        return {instr.callee for block in self.blocks.values()
+                for instr in runs.walk(block.parts)
                 if instr.opcode is Opcode.CALL and instr.callee}
 
     def defined_registers(self) -> Set[Reg]:
@@ -162,8 +237,9 @@ class Function:
                     raise TeamPlayError(
                         f"function {self.name!r}: block {label!r} jumps to "
                         f"unknown block {succ!r}")
-            for instr in block.instrs[:-1]:
-                if instr.is_terminator:
+            # A run is straight-line code: its ``is_terminator`` is False.
+            for part in block.parts[:-1]:
+                if part.is_terminator:
                     raise TeamPlayError(
                         f"function {self.name!r}: block {label!r} has a "
                         f"terminator in the middle")

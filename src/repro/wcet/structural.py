@@ -17,7 +17,9 @@ code serves cycles (WCET) and joules (worst-case energy consumption).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from functools import reduce
+from operator import add
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import AnalysisError, UnboundedLoopError
 from repro.ir.cfg import Function, Program
@@ -29,9 +31,12 @@ from repro.ir.regions import (
     Region,
     SeqRegion,
 )
+from repro.ir.runs import Run
 
 #: cost(function, instr) -> float; the function is passed so costs can depend
 #: on its placement (e.g. scratchpad-resident code has cheaper fetches).
+#: Costs must not depend on register names: an unrolled run's copies are
+#: costed through its template.
 InstrCost = Callable[[Function, Instr], float]
 
 
@@ -64,10 +69,6 @@ class StructuralCostEngine:
         self._function_cost[name] = cost
         return cost
 
-    def block_cost(self, function: Function, label: str) -> float:
-        """Worst-case cost of a single basic block (including calls made)."""
-        return self._block_cost(function, label)
-
     # -- recursion -----------------------------------------------------------
     def _region_cost(self, function: Function, region: Region) -> float:
         if isinstance(region, BlockRegion):
@@ -93,12 +94,30 @@ class StructuralCostEngine:
         raise AnalysisError(f"unknown region type {type(region)!r}")
 
     def _block_cost(self, function: Function, label: str) -> float:
-        block = function.block(label)
-        total = 0.0
-        for instr in block.instrs:
-            total += self.instr_cost(function, instr)
-            if instr.opcode is Opcode.CALL:
-                total += self.function_cost(instr.callee)
+        """Worst-case cost of one basic block, calls included.
+
+        A left-to-right sum from ``0.0`` of :meth:`_terms`.  An unrolled
+        run adds its template's terms once per copy, in order, without
+        materialising: energy costs are not integers, so multiplying a
+        copy's cost would change the last bit.
+        """
+        return reduce(add, self._terms(function, function.block(label).parts),
+                      0.0)
+
+    def _terms(self, function: Function, parts) -> List[float]:
+        """Each instruction's cost, then for a call the callee's cost and
+        the call overhead, in order, with every run's terms repeated."""
+        terms: List[float] = []
+        instr_cost = self.instr_cost
+        for part in parts:
+            if part.__class__ is Run:
+                terms.extend(self._terms(function, part.template())
+                             * part.count)
+                continue
+            terms.append(instr_cost(function, part))
+            if part.opcode is Opcode.CALL:
+                terms.append(self.function_cost(part.callee))
                 if self.call_overhead is not None:
-                    total += self.call_overhead(self.program.function(instr.callee))
-        return total
+                    terms.append(self.call_overhead(
+                        self.program.function(part.callee)))
+        return terms
