@@ -18,9 +18,9 @@ configurable pass widens every downstream key:
    reduction, peephole, SPM allocation) skip the
    clone/bound-inference/AST-pass/lowering pipeline entirely and receive an
    independent :meth:`Program.clone` to run their IR passes on.
-   :class:`IrStageCache` does the same one stage later, keyed on the ``ir``
+3. :class:`IrStageCache` — the same, one stage later: keyed on the ``ir``
    stage key, for configurations differing only in the backend.
-3. :class:`AnalysisCache` — per-function worst-case cost tables keyed on a
+4. :class:`AnalysisCache` — per-function worst-case cost tables keyed on a
    structural fingerprint of the analysed program.  One
    :class:`StructuralCostEngine` run computes every function's cycles (or
    joules) at once; every further WCET/WCEC query against the same program —
@@ -52,13 +52,11 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import persist as _persist
 from repro.counters import _BoundedCacheMixin
-from repro.errors import AnalysisError
 from repro.energy.static_analyzer import EnergyAnalyzer, WCECResult
 from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.ir.cfg import Program
-from repro.ir.instructions import Opcode
 from repro.ir.regions import (
     BlockRegion,
     IfRegion,
@@ -67,9 +65,9 @@ from repro.ir.regions import (
     SeqRegion,
 )
 from repro.ir.runs import flat_map
-from repro.wcet.analyzer import WCETResult
-from repro.wcet.paths import PathSensitiveMixin, PathStats
-from repro.wcet.structural import StructuralCostEngine
+from repro.wcet.analyzer import WCETResult, check_analysable
+from repro.wcet.paths import PathSensitiveCostEngine, PathStats
+from repro.wcet.structural import CostTable, StructuralCostEngine, entry_cost
 
 if TYPE_CHECKING:
     from repro.compiler.pipeline.manager import PassManager
@@ -79,11 +77,9 @@ if TYPE_CHECKING:
 #: then on as far as the evaluation pipeline is concerned.
 _FINGERPRINT_ATTR = "_engine_fingerprint"
 
-#: Local aliases for the block-cost and fingerprint hot paths.  Enum
-#: members (not ``.value``) keep them fast: accessing ``Opcode.value`` goes
-#: through a descriptor on every instruction.
-_CALL_OPCODE = Opcode.CALL
-_opcode_of = attrgetter("opcode")
+#: Local alias for the fingerprint hot path.  Enum members (not ``.value``)
+#: keep it fast: accessing ``Opcode.value`` goes through a descriptor on
+#: every instruction.
 _signature_of = attrgetter("opcode", "callee", "array")
 
 
@@ -308,40 +304,6 @@ def program_fingerprint(program: Program) -> Tuple:
     return fingerprint
 
 
-class _BlockMemoCostEngine(StructuralCostEngine):
-    """Structural cost engine with a cross-program block-cost memo.
-
-    The worst-case cost of a *call-free* basic block is a pure left-to-right
-    sum of per-instruction costs, so identical instruction sequences cost
-    exactly the same wherever they occur — across functions, programs and
-    variants.  Blocks containing calls interleave callee costs into the sum
-    and fall back to the uncached recursion.
-    """
-
-    def __init__(self, program, instr_cost, block_memo: Dict[Tuple, float]):
-        super().__init__(program, instr_cost)
-        self._block_memo = block_memo
-
-    def _block_cost(self, function, label: str) -> float:
-        opcodes = flat_map(function.block(label).parts, _opcode_of)
-        if _CALL_OPCODE in opcodes:
-            return super()._block_cost(function, label)
-        key = (function.code_region, tuple(opcodes))
-        cost = self._block_memo.get(key)
-        if cost is None:
-            cost = super()._block_cost(function, label)
-            self._block_memo[key] = cost
-        return cost
-
-
-class _PathSensitiveBlockMemoEngine(PathSensitiveMixin, _BlockMemoCostEngine):
-    """Block-memoised engine with infeasible-path pruning.
-
-    Per-block worst-case costs are identical in both analysis modes, so the
-    path-sensitive engines share the plain engines' block-cost memos.
-    """
-
-
 class AnalysisCache(_BoundedCacheMixin):
     """Shared per-function WCET/WCEC result tables, keyed by program structure.
 
@@ -382,9 +344,9 @@ class AnalysisCache(_BoundedCacheMixin):
         # threads.  Reentrant because ``wcec`` calls ``wcet``.
         self._lock = threading.RLock()
         self._checked: "OrderedDict[Tuple, bool]" = OrderedDict()
-        self._cycle_tables: "OrderedDict[Tuple, Tuple[Dict[str, float], Dict[str, Exception]]]" = OrderedDict()
-        self._energy_tables: "OrderedDict[Tuple, Tuple[Dict[str, float], Dict[str, Exception]]]" = OrderedDict()
-        self._energy_analyzers: Dict[str, EnergyAnalyzer] = {}
+        self._cycle_tables: "OrderedDict[Tuple, CostTable]" = OrderedDict()
+        self._energy_tables: "OrderedDict[Tuple, CostTable]" = OrderedDict()
+        self._energy_analyzers: Dict[Optional[str], EnergyAnalyzer] = {}
         # Per-instruction cost memos, per (kind, core[, OPP]).  A cycle cost
         # depends only on the opcode and the fetch region of the enclosing
         # function; an energy cost only on the opcode (and the operating
@@ -441,7 +403,7 @@ class AnalysisCache(_BoundedCacheMixin):
         totals = getattr(self._thread_paths, "totals", None)
         return (totals or PathStats()).as_dict()
 
-    def _note_path_stats(self, engine: "_PathSensitiveBlockMemoEngine") -> None:
+    def _note_path_stats(self, engine: PathSensitiveCostEngine) -> None:
         """Fold one engine run's pruning counters into the cache's totals."""
         thread_totals = getattr(self._thread_paths, "totals", None)
         if thread_totals is None:
@@ -492,30 +454,21 @@ class AnalysisCache(_BoundedCacheMixin):
         return None
 
     # -- analyzer instances (cost models are deterministic per core) ----------
-    def _default_core(self) -> Core:
-        core = next(iter(self.platform.predictable_cores), None)
-        if core is None:
-            raise AnalysisError(
-                f"platform {self.platform.name!r} has no predictable core; use "
-                f"the dynamic profiling workflow for complex architectures")
-        return core
-
-    def _energy_analyzer(self, core: Core) -> EnergyAnalyzer:
-        """The core's energy analyser; its ``.wcet`` prices cycles."""
-        analyzer = self._energy_analyzers.get(core.name)
+    def _energy_analyzer(self, core: Optional[Core]) -> EnergyAnalyzer:
+        """The energy analyser of ``core`` (default: the platform's first
+        predictable core); its ``.wcet`` prices cycles."""
+        key = core and core.name
+        analyzer = self._energy_analyzers.get(key)
         if analyzer is None:
             analyzer = EnergyAnalyzer(self.platform, core=core)
-            self._energy_analyzers[core.name] = analyzer
+            self._energy_analyzers[key] = analyzer
         return analyzer
 
-    # -- shared validation ----------------------------------------------------
     def _check_analysable(self, program: Program, fingerprint: Tuple) -> None:
-        """``validate()`` + recursion check, once per distinct program."""
+        """:func:`check_analysable`, once per distinct program."""
         if self._touch(self._checked, fingerprint):
             return
-        program.validate()
-        if program.has_recursion():
-            raise AnalysisError("programs with recursion are not analysable")
+        check_analysable(program)
         # Bounded like the result tables, but eviction only means a future
         # re-validation, so it is not reported in the eviction counter.
         self._checked[fingerprint] = True
@@ -525,7 +478,7 @@ class AnalysisCache(_BoundedCacheMixin):
     # -- cost tables ------------------------------------------------------------
     def _table(self, program: Program, core: Core,
                opp: Optional[OperatingPoint], path_sensitive: bool
-               ) -> Tuple[Dict[str, float], Dict[str, Exception]]:
+               ) -> CostTable:
         """The per-function cost table of one analysis.
 
         ``opp=None`` selects the cycles table (cycle bounds are
@@ -585,23 +538,12 @@ class AnalysisCache(_BoundedCacheMixin):
                     memo[instr.opcode] = cost
                 return cost
 
-        block_memo = self._block_costs.setdefault(scope, {})
-        engine = (_PathSensitiveBlockMemoEngine(program, instr_cost,
-                                                block_memo)
-                  if path_sensitive
-                  else _BlockMemoCostEngine(program, instr_cost, block_memo))
-        table: Dict[str, float] = {}
-        errors: Dict[str, Exception] = {}
-        for name in program.functions:
-            try:
-                table[name] = engine.function_cost(name)
-            except AnalysisError as error:
-                # Functions not reachable from an entry may legitimately
-                # lack loop bounds; they simply don't get a standalone bound.
-                errors[name] = error
+        engine = (PathSensitiveCostEngine if path_sensitive
+                  else StructuralCostEngine)(
+            program, instr_cost, self._block_costs.setdefault(scope, {}))
+        entry = engine.costs()
         if path_sensitive:
             self._note_path_stats(engine)
-        entry = (table, errors)
         self._insert(tables, key, entry)
         if digest is not None:
             try:
@@ -614,18 +556,6 @@ class AnalysisCache(_BoundedCacheMixin):
                 self.disk_errors += 1
         return entry
 
-    @staticmethod
-    def _entry_cost(program: Program, function_name: str,
-                    table: Dict[str, float],
-                    errors: Dict[str, Exception]) -> float:
-        if function_name in table:
-            return table[function_name]
-        if function_name in errors:
-            raise errors[function_name]
-        # Unknown function: raise the same error the engine would have.
-        program.function(function_name)
-        raise KeyError(function_name)  # pragma: no cover - function() raises
-
     # -- public API mirroring the stock analysers ------------------------------
     def wcet(self, program: Program, function_name: str,
              core: Optional[Core] = None,
@@ -637,18 +567,11 @@ class AnalysisCache(_BoundedCacheMixin):
         (:mod:`repro.wcet.paths`); its tables are cached independently of
         the default mode's.
         """
-        core = core or self._default_core()
-        opp = opp or core.nominal_opp
         with self._lock:
-            table, errors = self._table(program, core, None, path_sensitive)
-        cycles = self._entry_cost(program, function_name, table, errors)
-        return WCETResult(
-            function=function_name,
-            cycles=cycles,
-            time_s=core.time_for_cycles(cycles, opp),
-            frequency_hz=opp.frequency_hz,
-            per_function_cycles=dict(table),
-        )
+            analyzer = self._energy_analyzer(core).wcet
+            table, errors = self._table(program, analyzer.core, None,
+                                        path_sensitive)
+        return analyzer.result(program, function_name, table, errors, opp)
 
     def wcec(self, program: Program, function_name: str,
              core: Optional[Core] = None,
@@ -659,22 +582,15 @@ class AnalysisCache(_BoundedCacheMixin):
         With ``path_sensitive`` both the dynamic-energy maximisation and the
         WCET bound behind the static-leakage term prune infeasible paths.
         """
-        core = core or self._default_core()
-        opp = opp or core.nominal_opp
         with self._lock:
-            table, errors = self._table(program, core, opp, path_sensitive)
-            dynamic = self._entry_cost(program, function_name, table, errors)
-            wcet_result = self.wcet(program, function_name, core=core, opp=opp,
-                                    path_sensitive=path_sensitive)
             analyzer = self._energy_analyzer(core)
-        static = analyzer.model.static_power(opp) * wcet_result.time_s
-        return WCECResult(
-            function=function_name,
-            dynamic_energy_j=dynamic,
-            static_energy_j=static,
-            wcet_time_s=wcet_result.time_s,
-            frequency_hz=opp.frequency_hz,
-        )
+            opp = opp or analyzer.core.nominal_opp
+            table, errors = self._table(program, analyzer.core, opp,
+                                        path_sensitive)
+            dynamic = entry_cost(program, function_name, table, errors)
+            wcet_result = self.wcet(program, function_name, analyzer.core,
+                                    opp, path_sensitive)
+        return analyzer.result(function_name, dynamic, wcet_result, opp)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,15 @@ relies on when discharging energy budgets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.errors import AnalysisError
 from repro.energy.isa_model import IsaEnergyModel
 from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.ir.cfg import Function, Program
 from repro.ir.instructions import Instr
-from repro.wcet.analyzer import WCETAnalyzer
+from repro.wcet.analyzer import WCETAnalyzer, WCETResult
 from repro.wcet.paths import PathSensitiveCostEngine
 from repro.wcet.structural import StructuralCostEngine
 
@@ -45,16 +44,11 @@ class EnergyAnalyzer:
 
     def __init__(self, platform: Platform, core: Optional[Core] = None,
                  model: Optional[IsaEnergyModel] = None):
-        core = core or next(iter(platform.predictable_cores), None)
-        if core is None:
-            raise AnalysisError(
-                f"platform {platform.name!r} has no predictable core; use the "
-                f"component-based model for complex architectures")
+        self.wcet = WCETAnalyzer(platform, core=core)
         self.platform = platform
-        self.core = core
+        self.core = core = self.wcet.core
         self.model = model or IsaEnergyModel.from_core(
             core, memory_access_j=platform.memory.access_energy())
-        self.wcet = WCETAnalyzer(platform, core=core)
 
     # -- cost model -------------------------------------------------------------
     def _instr_energy(self, function: Function, instr: Instr,
@@ -81,32 +75,20 @@ class EnergyAnalyzer:
         # The WCET analysis validates the program and rejects recursion.
         wcet_result = self.wcet.analyze(program, function_name, opp=opp,
                                         path_sensitive=path_sensitive)
-        static = self.model.static_power(opp) * wcet_result.time_s
-
         energy_cost = lambda fn, instr: self._instr_energy(fn, instr, opp)
-        if path_sensitive:
-            engine = PathSensitiveCostEngine(program, energy_cost)
-        else:
-            engine = StructuralCostEngine(program, energy_cost)
-        dynamic = engine.function_cost(function_name)
+        engine = (PathSensitiveCostEngine if path_sensitive
+                  else StructuralCostEngine)(program, energy_cost)
+        return self.result(function_name, engine.function_cost(function_name),
+                           wcet_result, opp)
 
+    def result(self, function_name: str, dynamic_j: float,
+               wcet_result: WCETResult, opp: OperatingPoint) -> WCECResult:
+        """The bound of ``function_name``: its dynamic energy plus the static
+        leakage over ``wcet_result``'s time, at ``opp``."""
         return WCECResult(
             function=function_name,
-            dynamic_energy_j=dynamic,
-            static_energy_j=static,
+            dynamic_energy_j=dynamic_j,
+            static_energy_j=self.model.static_power(opp) * wcet_result.time_s,
             wcet_time_s=wcet_result.time_s,
             frequency_hz=opp.frequency_hz,
         )
-
-    def analyze_all_tasks(self, program: Program,
-                          opp: Optional[OperatingPoint] = None
-                          ) -> Dict[str, WCECResult]:
-        """WCEC of every function carrying a ``task`` annotation."""
-        return {task: self.analyze(program, fn.name, opp)
-                for task, fn in program.task_functions.items()}
-
-    def sweep_operating_points(self, program: Program, function_name: str
-                               ) -> Dict[str, WCECResult]:
-        """WCEC at every operating point of the core (DVFS sweet-spot data)."""
-        return {opp.label: self.analyze(program, function_name, opp=opp)
-                for opp in self.core.operating_points}

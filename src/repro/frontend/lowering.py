@@ -108,7 +108,6 @@ class _FunctionLowerer:
             self.emit(ins.ret(Imm(0)))
         self.fn.region = region
         self._prune_unreachable()
-        self.fn.validate()
         return self.fn
 
     def _prune_unreachable(self) -> None:

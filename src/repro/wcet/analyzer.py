@@ -8,7 +8,7 @@ states unless code was placed in the scratchpad).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.errors import AnalysisError
@@ -18,7 +18,7 @@ from repro.hw.platform import Platform
 from repro.ir.cfg import Function, Program
 from repro.ir.instructions import Instr, Opcode
 from repro.wcet.paths import PathSensitiveCostEngine, PathStats
-from repro.wcet.structural import StructuralCostEngine
+from repro.wcet.structural import StructuralCostEngine, entry_cost
 
 
 @dataclass
@@ -35,13 +35,16 @@ class WCETResult:
         """The same cycle bound expressed at a different clock frequency."""
         if frequency_hz <= 0:
             raise ValueError("frequency must be positive")
-        return WCETResult(
-            function=self.function,
-            cycles=self.cycles,
-            time_s=self.cycles / frequency_hz,
-            frequency_hz=frequency_hz,
-            per_function_cycles=dict(self.per_function_cycles),
-        )
+        return replace(self, time_s=self.cycles / frequency_hz,
+                       frequency_hz=frequency_hz,
+                       per_function_cycles=dict(self.per_function_cycles))
+
+
+def check_analysable(program: Program) -> None:
+    """Validate ``program`` and reject recursion, which no bound covers."""
+    program.validate()
+    if program.has_recursion():
+        raise AnalysisError("programs with recursion are not analysable")
 
 
 class WCETAnalyzer:
@@ -81,37 +84,24 @@ class WCETAnalyzer:
         statically infeasible CFG paths; the pruning counters land in
         :attr:`last_path_stats`.
         """
-        program.validate()
-        if program.has_recursion():
-            raise AnalysisError("programs with recursion are not analysable")
-        if path_sensitive:
-            engine = PathSensitiveCostEngine(program, self._instr_cycles)
-        else:
-            engine = StructuralCostEngine(program, self._instr_cycles)
-        cycles = engine.function_cost(function_name)
-
-        per_function: Dict[str, float] = {}
-        for name in program.functions:
-            try:
-                per_function[name] = engine.function_cost(name)
-            except AnalysisError:
-                # Functions not reachable from the entry may legitimately
-                # lack loop bounds; they simply don't get a standalone bound.
-                continue
-
+        check_analysable(program)
+        engine = (PathSensitiveCostEngine if path_sensitive
+                  else StructuralCostEngine)(program, self._instr_cycles)
+        table, errors = engine.costs()
         self.last_path_stats = engine.path_stats if path_sensitive else {}
+        return self.result(program, function_name, table, errors, opp)
+
+    def result(self, program: Program, function_name: str,
+               table: Dict[str, float], errors: Dict[str, Exception],
+               opp: Optional[OperatingPoint] = None) -> WCETResult:
+        """The bound of ``function_name`` from a table of cycle costs
+        (:meth:`StructuralCostEngine.costs`), priced at ``opp``."""
+        cycles = entry_cost(program, function_name, table, errors)
         opp = opp or self.core.nominal_opp
         return WCETResult(
             function=function_name,
             cycles=cycles,
             time_s=self.core.time_for_cycles(cycles, opp),
             frequency_hz=opp.frequency_hz,
-            per_function_cycles=per_function,
+            per_function_cycles=dict(table),
         )
-
-    def analyze_all_tasks(self, program: Program,
-                          opp: Optional[OperatingPoint] = None
-                          ) -> Dict[str, WCETResult]:
-        """WCET of every function carrying a ``task`` annotation."""
-        return {task: self.analyze(program, fn.name, opp)
-                for task, fn in program.task_functions.items()}

@@ -46,10 +46,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.ir.cfg import Function
+from repro.ir.cfg import Function, Program
 from repro.ir.instructions import Imm, Instr, Opcode, Operand, Reg
 from repro.ir.regions import (
-    BlockRegion,
     IfRegion,
     LoopRegion,
     Region,
@@ -777,24 +776,21 @@ def _contains_if(region: Region) -> bool:
     return False
 
 
-class PathSensitiveMixin:
-    """Adds infeasible-path pruning to a :class:`StructuralCostEngine`.
-
-    Compose it *before* a structural engine subclass so ``_block_cost``
-    resolves to the subclass's (possibly memoised) implementation::
-
-        class PathSensitiveCostEngine(PathSensitiveMixin, StructuralCostEngine):
-            ...
+class PathSensitiveCostEngine(StructuralCostEngine):
+    """A :class:`StructuralCostEngine` with infeasible-path pruning.
 
     Maximal loop-free runs of every sequence become enumeration units;
     anything else keeps the structural recursion (with loop bodies analysed
     path-sensitively per iteration).  Cap overruns and irregular flow fall
     back to the structural bound for the affected unit, logged in
-    :attr:`path_stats`.
+    :attr:`path_stats`.  Per-block costs are the same in both modes, so a
+    ``block_memo`` can be shared with structural engines.
     """
 
-    def __init__(self, *args, path_cap: Optional[int] = None, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, program: Program, instr_cost: InstrCost,
+                 block_memo: Optional[Dict[Tuple, float]] = None, *,
+                 path_cap: Optional[int] = None):
+        super().__init__(program, instr_cost, block_memo)
         self.path_cap = DEFAULT_PATH_CAP if path_cap is None else path_cap
         #: function name -> PathStats, populated as functions are costed
         self.path_stats: Dict[str, PathStats] = {}
@@ -885,6 +881,3 @@ class PathSensitiveMixin:
         finally:
             self._structural_only -= 1
 
-
-class PathSensitiveCostEngine(PathSensitiveMixin, StructuralCostEngine):
-    """Drop-in :class:`StructuralCostEngine` with infeasible-path pruning."""

@@ -12,14 +12,15 @@ recursion over the region tree recorded during lowering:
   (memoised; recursion is rejected).
 
 The engine is parameterised by a per-instruction cost callable so the same
-code serves cycles (WCET) and joules (worst-case energy consumption).
+code serves cycles (WCET) and joules (worst-case energy consumption).  An
+optional block memo shares call-free block costs across programs.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from operator import add
-from typing import Callable, Dict, List, Optional
+from operator import add, attrgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AnalysisError, UnboundedLoopError
 from repro.ir.cfg import Function, Program
@@ -31,7 +32,7 @@ from repro.ir.regions import (
     Region,
     SeqRegion,
 )
-from repro.ir.runs import Run
+from repro.ir.runs import Run, flat_map
 
 #: cost(function, instr) -> float; the function is passed so costs can depend
 #: on its placement (e.g. scratchpad-resident code has cheaper fetches).
@@ -39,15 +40,28 @@ from repro.ir.runs import Run
 #: costed through its template.
 InstrCost = Callable[[Function, Instr], float]
 
+#: Per-function costs, and the analysis errors of functions without a bound.
+CostTable = Tuple[Dict[str, float], Dict[str, Exception]]
+
+#: Enum members, not ``.value``: the memo key is built per block.
+_CALL_OPCODE = Opcode.CALL
+_opcode_of = attrgetter("opcode")
+
 
 class StructuralCostEngine:
-    """Computes worst-case costs of functions of a program."""
+    """Computes worst-case costs of functions of a program.
+
+    ``block_memo`` shares the costs of call-free blocks across functions,
+    programs and engines, keyed by ``(code_region, opcodes)``: pass one only
+    when ``instr_cost`` depends on nothing but those two.  A memoised block
+    costs the same left-to-right sum as an unmemoised one.
+    """
 
     def __init__(self, program: Program, instr_cost: InstrCost,
-                 call_overhead: Optional[Callable[[Function], float]] = None):
+                 block_memo: Optional[Dict[Tuple, float]] = None):
         self.program = program
         self.instr_cost = instr_cost
-        self.call_overhead = call_overhead
+        self.block_memo = block_memo
         self._function_cost: Dict[str, float] = {}
         self._in_progress: set = set()
 
@@ -68,6 +82,21 @@ class StructuralCostEngine:
             self._in_progress.discard(name)
         self._function_cost[name] = cost
         return cost
+
+    def costs(self) -> CostTable:
+        """Every function's cost, and the error of each that has none.
+
+        Functions not reachable from an entry may legitimately lack loop
+        bounds; they simply don't get a standalone bound.
+        """
+        table: Dict[str, float] = {}
+        errors: Dict[str, Exception] = {}
+        for name in self.program.functions:
+            try:
+                table[name] = self.function_cost(name)
+            except AnalysisError as error:
+                errors[name] = error
+        return table, errors
 
     # -- recursion -----------------------------------------------------------
     def _region_cost(self, function: Function, region: Region) -> float:
@@ -101,12 +130,22 @@ class StructuralCostEngine:
         materialising: energy costs are not integers, so multiplying a
         copy's cost would change the last bit.
         """
-        return reduce(add, self._terms(function, function.block(label).parts),
-                      0.0)
+        parts = function.block(label).parts
+        memo = self.block_memo
+        if memo is not None:
+            opcodes = flat_map(parts, _opcode_of)
+            if _CALL_OPCODE not in opcodes:
+                key = (function.code_region, tuple(opcodes))
+                cost = memo.get(key)
+                if cost is None:
+                    cost = memo[key] = reduce(
+                        add, self._terms(function, parts), 0.0)
+                return cost
+        return reduce(add, self._terms(function, parts), 0.0)
 
     def _terms(self, function: Function, parts) -> List[float]:
-        """Each instruction's cost, then for a call the callee's cost and
-        the call overhead, in order, with every run's terms repeated."""
+        """Each instruction's cost, then for a call the callee's cost, in
+        order, with every run's terms repeated."""
         terms: List[float] = []
         instr_cost = self.instr_cost
         for part in parts:
@@ -117,7 +156,19 @@ class StructuralCostEngine:
             terms.append(instr_cost(function, part))
             if part.opcode is Opcode.CALL:
                 terms.append(self.function_cost(part.callee))
-                if self.call_overhead is not None:
-                    terms.append(self.call_overhead(
-                        self.program.function(part.callee)))
         return terms
+
+
+def entry_cost(program: Program, name: str, table: Dict[str, float],
+               errors: Dict[str, Exception]) -> float:
+    """``name``'s cost from a :meth:`StructuralCostEngine.costs` table.
+
+    Raises the function's analysis error, or for an unknown function the
+    error :meth:`Program.function` raises.
+    """
+    if name in table:
+        return table[name]
+    if name in errors:
+        raise errors[name]
+    program.function(name)
+    raise KeyError(name)  # pragma: no cover - function() raises

@@ -139,7 +139,9 @@ class TestEnergyAnalyzer:
 
     def test_operating_point_sweep_has_a_sweet_spot_or_monotone(self, platform):
         program = compile_source(BENCH_SOURCE)
-        sweep = EnergyAnalyzer(platform).sweep_operating_points(program, "busy_math")
+        analyzer = EnergyAnalyzer(platform)
+        sweep = {opp.label: analyzer.analyze(program, "busy_math", opp=opp)
+                 for opp in analyzer.core.operating_points}
         assert len(sweep) == len(platform.predictable_cores[0].operating_points)
         energies = [result.energy_j for result in sweep.values()]
         assert all(e > 0 for e in energies)
@@ -171,7 +173,9 @@ class TestEnergyAnalyzer:
         #pragma teamplay task(one)
         int one(int a) { return a + 1; }
         """)
-        results = EnergyAnalyzer(platform).analyze_all_tasks(program)
+        analyzer = EnergyAnalyzer(platform)
+        results = {task: analyzer.analyze(program, fn.name)
+                   for task, fn in program.task_functions.items()}
         assert set(results) == {"one"}
 
 

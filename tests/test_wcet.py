@@ -150,7 +150,8 @@ class TestWcetAnalysis:
         int beta(int a) { return a * alpha(a); }
         """)
         analyzer = WCETAnalyzer(platform)
-        results = analyzer.analyze_all_tasks(program)
+        results = {task: analyzer.analyze(program, fn.name)
+                   for task, fn in program.task_functions.items()}
         assert set(results) == {"alpha", "beta"}
         assert results["beta"].cycles > results["alpha"].cycles
         assert results["beta"].per_function_cycles["alpha"] > 0
