@@ -57,6 +57,7 @@ from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.ir.cfg import Program
+from repro.ir.instructions import Reg
 from repro.ir.regions import (
     BlockRegion,
     IfRegion,
@@ -64,9 +65,9 @@ from repro.ir.regions import (
     Region,
     SeqRegion,
 )
-from repro.ir.runs import flat_map
+from repro.ir.runs import Run, flat_map
 from repro.wcet.analyzer import WCETResult, check_analysable
-from repro.wcet.paths import PathSensitiveCostEngine, PathStats
+from repro.wcet.paths import PathSensitiveCostEngine, PathStats, contains_if
 from repro.wcet.structural import CostTable, StructuralCostEngine, entry_cost
 
 if TYPE_CHECKING:
@@ -77,10 +78,15 @@ if TYPE_CHECKING:
 #: then on as far as the evaluation pipeline is concerned.
 _FINGERPRINT_ATTR = "_engine_fingerprint"
 
+#: Attribute used to memoise a program's path-sensitive fingerprint.
+_PATH_FINGERPRINT_ATTR = "_engine_path_fingerprint"
+
 #: Local alias for the fingerprint hot path.  Enum members (not ``.value``)
 #: keep it fast: accessing ``Opcode.value`` goes through a descriptor on
 #: every instruction.
 _signature_of = attrgetter("opcode", "callee", "array")
+_operands_of = attrgetter("dst", "srcs", "args", "true_target",
+                          "false_target")
 
 
 class VariantCache(_BoundedCacheMixin):
@@ -304,6 +310,46 @@ def program_fingerprint(program: Program) -> Tuple:
     return fingerprint
 
 
+def _operand_signature(part) -> Tuple:
+    """What one instruction reads and writes, registers by name and
+    immediates by value (plain JSON for the on-disk digest); a run by its
+    renaming and template, which determine every copy."""
+    if part.__class__ is Run:
+        return (part.count, part.prefix, part.first, part.width,
+                tuple(map(_operand_signature, part.template())))
+    dst, srcs, args, true_target, false_target = _operands_of(part)
+    return (dst and dst.name,
+            tuple([op.name if op.__class__ is Reg else op.value
+                   for op in srcs]),
+            tuple([op.name if op.__class__ is Reg else op.value
+                   for op in args]) if args else (),
+            true_target, false_target)
+
+
+def path_fingerprint(program: Program) -> Tuple:
+    """:func:`program_fingerprint` plus every instruction's operands.
+
+    The path-sensitive engine prunes on operand values (the constants a
+    branch condition compares against, the registers it tests), which the
+    structural fingerprint leaves out: ``x > 5`` and ``x > 7`` share a
+    structural fingerprint but not a path-sensitive bound.  Only functions
+    with an ``if`` contribute operands: the bound of one without reads
+    none.  Memoised on the program like the structural fingerprint;
+    unrolled runs are not expanded.
+    """
+    cached = getattr(program, _PATH_FINGERPRINT_ATTR, None)
+    if cached is not None:
+        return cached
+    operands = tuple(
+        tuple(tuple(map(_operand_signature, block.parts))
+              for block in function.blocks.values())
+        if contains_if(function.region) else None
+        for function in program.functions.values())
+    fingerprint = _Fingerprint((program_fingerprint(program), operands))
+    setattr(program, _PATH_FINGERPRINT_ATTR, fingerprint)
+    return fingerprint
+
+
 class AnalysisCache(_BoundedCacheMixin):
     """Shared per-function WCET/WCEC result tables, keyed by program structure.
 
@@ -482,21 +528,17 @@ class AnalysisCache(_BoundedCacheMixin):
         """The per-function cost table of one analysis.
 
         ``opp=None`` selects the cycles table (cycle bounds are
-        frequency-independent), an operating point the energy table.  The
-        default-mode keys (and on-disk digests) are unchanged; the
-        path-sensitive tables live under a widened key so both modes can
-        coexist without invalidating archived entries.
+        frequency-independent), an operating point the energy table.
+        Path-sensitive tables are keyed by :func:`path_fingerprint`, which
+        also covers operands, and marked ``"paths"``; default-mode keys
+        (and on-disk digests) stay on the structural fingerprint.
         """
         fingerprint = program_fingerprint(program)
-        if opp is None:
-            tables = self._cycle_tables
-            key = ((fingerprint, core.name, "paths") if path_sensitive
-                   else (fingerprint, core.name))
-        else:
-            tables = self._energy_tables
-            key = ((fingerprint, core.name, opp.label, "paths")
-                   if path_sensitive
-                   else (fingerprint, core.name, opp.label))
+        tables = self._cycle_tables if opp is None else self._energy_tables
+        key = (fingerprint, core.name) if opp is None \
+            else (fingerprint, core.name, opp.label)
+        if path_sensitive:
+            key = (path_fingerprint(program), *key[1:], "paths")
         entry = self._touch(tables, key)
         if entry is not None:
             self.hits += 1
@@ -506,7 +548,7 @@ class AnalysisCache(_BoundedCacheMixin):
         digest = None
         if self._store is not None:
             # The on-disk scope is the in-memory key minus the fingerprint.
-            digest = self._table_digest(kind, fingerprint, *key[1:])
+            digest = self._table_digest(kind, *key)
             entry = self._disk_get(digest)
             if entry is not None:
                 # A disk hit was validated by whichever process computed it,

@@ -10,44 +10,27 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.frontend import ast_nodes as ast
+from repro.ir.instructions import (BINARY_OPCODES, LOGICAL_OPCODES,
+                                   UNARY_OPCODES, Opcode, evaluate)
 from repro.wcet.loopbounds import infer_for_bound
-
-_FOLDABLE_BINARY = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: _c_div(a, b),
-    "%": lambda a, b: _c_mod(a, b),
-    "&": lambda a, b: a & b,
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-    "<<": lambda a, b: a << (b & 31),
-    ">>": lambda a, b: (a & 0xFFFFFFFF) >> (b & 31),
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    ">": lambda a, b: int(a > b),
-    ">=": lambda a, b: int(a >= b),
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-    "&&": lambda a, b: int(bool(a) and bool(b)),
-    "||": lambda a, b: int(bool(a) or bool(b)),
-}
-
-
-def _c_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("constant division by zero")
-    quotient = abs(a) // abs(b)
-    return -quotient if (a < 0) != (b < 0) else quotient
-
-
-def _c_mod(a: int, b: int) -> int:
-    return a - _c_div(a, b) * b
 
 
 # ---------------------------------------------------------------------------
 # Constant folding
 # ---------------------------------------------------------------------------
+def _fold_operator(op: str, lhs: int, rhs: int) -> Optional[int]:
+    """``lhs op rhs`` as the lowered code computes it (``None``: no value).
+
+    ``&&``/``||`` fold the way lowering decomposes them: each operand
+    ``CMPNE`` 0, then ``AND``/``OR``.
+    """
+    logical = LOGICAL_OPCODES.get(op)
+    if logical is None:
+        return evaluate(BINARY_OPCODES[op], (lhs, rhs))
+    return evaluate(logical, (evaluate(Opcode.CMPNE, (lhs, 0)),
+                              evaluate(Opcode.CMPNE, (rhs, 0))))
+
+
 def _fold_expr(expr: ast.Expr, counter: List[int]) -> ast.Expr:
     if isinstance(expr, (ast.Num, ast.Var)):
         return expr
@@ -60,22 +43,16 @@ def _fold_expr(expr: ast.Expr, counter: List[int]) -> ast.Expr:
     if isinstance(expr, ast.Unary):
         expr.operand = _fold_expr(expr.operand, counter)
         if isinstance(expr.operand, ast.Num):
-            value = expr.operand.value
             counter[0] += 1
-            if expr.op == "-":
-                return ast.Num(-value, expr.line)
-            if expr.op == "~":
-                return ast.Num(~value, expr.line)
-            if expr.op == "!":
-                return ast.Num(int(value == 0), expr.line)
+            return ast.Num(evaluate(UNARY_OPCODES[expr.op],
+                                    (expr.operand.value,)), expr.line)
         return expr
     if isinstance(expr, ast.Binary):
         expr.lhs = _fold_expr(expr.lhs, counter)
         expr.rhs = _fold_expr(expr.rhs, counter)
         if isinstance(expr.lhs, ast.Num) and isinstance(expr.rhs, ast.Num):
-            try:
-                value = _FOLDABLE_BINARY[expr.op](expr.lhs.value, expr.rhs.value)
-            except ZeroDivisionError:
+            value = _fold_operator(expr.op, expr.lhs.value, expr.rhs.value)
+            if value is None:  # division by zero keeps trapping at run time
                 return expr
             counter[0] += 1
             return ast.Num(value, expr.line)

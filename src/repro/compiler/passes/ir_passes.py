@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.ir.cfg import Program
-from repro.ir.instructions import COMMUTATIVE, Imm, Instr, Opcode, Reg
+from repro.ir.instructions import (COMMUTATIVE, Imm, Instr, Opcode, Reg,
+                                   evaluate, wrap32)
 from repro.ir.runs import copies, walk
 
 #: Opcodes that must never be removed even if their destination is unused.
@@ -115,15 +116,16 @@ def _reduce_instr(instr: Instr) -> Optional[Instr]:
         swapped = True
 
     if isinstance(rhs, Imm):
+        value = wrap32(rhs.value)  # the operand the simulator reads
         if op is Opcode.MUL:
-            if rhs.value == 1:
+            if value == 1:
                 return _replace(instr, Opcode.MOV, (lhs,))
-            if rhs.value == 0:
+            if value == 0:
                 return _replace(instr, Opcode.MOV, (Imm(0),))
-            if _is_power_of_two(rhs.value):
+            if _is_power_of_two(value):
                 return _replace(instr, Opcode.SHL,
-                                (lhs, Imm(rhs.value.bit_length() - 1)))
-        elif rhs.value == 0:
+                                (lhs, Imm(value.bit_length() - 1)))
+        elif value == 0:
             return _replace(instr, Opcode.MOV, (lhs,))
     return _replace(instr, op, (lhs, rhs)) if swapped else None
 
@@ -255,72 +257,19 @@ def strength_reduce(program: Program) -> int:
 # ---------------------------------------------------------------------------
 # Peephole simplification (algebraic identities, IR-level constant folding)
 # ---------------------------------------------------------------------------
-_INT_MASK = 0xFFFFFFFF
-_INT_SIGN = 0x80000000
-
-
-def _wrap32(value: int) -> int:
-    """Wrap to signed 32-bit two's complement (the simulator's semantics)."""
-    value &= _INT_MASK
-    if value & _INT_SIGN:
-        value -= 1 << 32
-    return value
-
-
-def _c_div32(lhs: int, rhs: int) -> int:
-    quotient = abs(lhs) // abs(rhs)
-    return -quotient if (lhs < 0) != (rhs < 0) else quotient
-
-
-def _fold_binary(opcode: Opcode, lhs: int, rhs: int) -> Optional[int]:
-    """Constant-fold one binary operation, mirroring the simulator exactly
-    (32-bit wrap-around, C-style truncating division, shift counts mod 32).
-    Returns ``None`` when the operation cannot be folded (division by zero
-    must keep trapping at run time)."""
-    # The simulator wraps operands on read, so fold from the wrapped values.
-    lhs, rhs = _wrap32(lhs), _wrap32(rhs)
-    if opcode is Opcode.ADD:
-        return _wrap32(lhs + rhs)
-    if opcode is Opcode.SUB:
-        return _wrap32(lhs - rhs)
-    if opcode is Opcode.MUL:
-        return _wrap32(lhs * rhs)
-    if opcode in (Opcode.DIV, Opcode.MOD):
-        if rhs == 0:
-            return None
-        quotient = _c_div32(lhs, rhs)
-        return _wrap32(quotient if opcode is Opcode.DIV
-                       else lhs - quotient * rhs)
-    if opcode is Opcode.AND:
-        return _wrap32(lhs & rhs)
-    if opcode is Opcode.OR:
-        return _wrap32(lhs | rhs)
-    if opcode is Opcode.XOR:
-        return _wrap32(lhs ^ rhs)
-    if opcode is Opcode.SHL:
-        return _wrap32((lhs & _INT_MASK) << (rhs & 31))
-    if opcode is Opcode.SHR:
-        return _wrap32((lhs & _INT_MASK) >> (rhs & 31))
-    if opcode is Opcode.CMPEQ:
-        return int(lhs == rhs)
-    if opcode is Opcode.CMPNE:
-        return int(lhs != rhs)
-    if opcode is Opcode.CMPLT:
-        return int(lhs < rhs)
-    if opcode is Opcode.CMPLE:
-        return int(lhs <= rhs)
-    if opcode is Opcode.CMPGT:
-        return int(lhs > rhs)
-    if opcode is Opcode.CMPGE:
-        return int(lhs >= rhs)
-    return None
-
-
 #: Same-register identities: ``op x, x`` folds without knowing ``x``.
 _SAME_REG_ZERO = frozenset((Opcode.SUB, Opcode.XOR, Opcode.CMPNE,
                             Opcode.CMPLT, Opcode.CMPGT))
 _SAME_REG_ONE = frozenset((Opcode.CMPEQ, Opcode.CMPLE, Opcode.CMPGE))
 _SAME_REG_COPY = frozenset((Opcode.AND, Opcode.OR))
+
+
+def _fold(instr: Instr, values: Tuple[int, ...]) -> Optional[Instr]:
+    """``instr`` as a move of its value, computed exactly as the simulator
+    computes it, or ``None``: division by zero keeps trapping at run time."""
+    folded = evaluate(instr.opcode, values)
+    return None if folded is None else \
+        Instr(Opcode.MOV, dst=instr.dst, srcs=(Imm(folded),))
 
 
 def _peephole_rewrite(instr: Instr) -> Optional[Instr]:
@@ -336,9 +285,7 @@ def _peephole_rewrite(instr: Instr) -> Optional[Instr]:
     if len(srcs) == 2:
         lhs, rhs = srcs
         if isinstance(lhs, Imm) and isinstance(rhs, Imm):
-            folded = _fold_binary(opcode, lhs.value, rhs.value)
-            if folded is not None:
-                return Instr(Opcode.MOV, dst=dst, srcs=(Imm(folded),))
+            return _fold(instr, (lhs.value, rhs.value))
         if isinstance(lhs, Reg) and isinstance(rhs, Reg) \
                 and lhs.name == rhs.name:
             if opcode in _SAME_REG_ZERO:
@@ -349,22 +296,15 @@ def _peephole_rewrite(instr: Instr) -> Optional[Instr]:
                 return Instr(Opcode.MOV, dst=dst, srcs=(lhs,))
         return None
 
-    if len(srcs) == 1 and isinstance(srcs[0], Imm):
-        value = _wrap32(srcs[0].value)
-        if opcode is Opcode.NEG:
-            return Instr(Opcode.MOV, dst=dst, srcs=(Imm(_wrap32(-value)),))
-        if opcode is Opcode.NOT:
-            return Instr(Opcode.MOV, dst=dst, srcs=(Imm(_wrap32(~value)),))
-        if opcode is Opcode.LNOT:
-            return Instr(Opcode.MOV, dst=dst,
-                         srcs=(Imm(0 if value != 0 else 1),))
-        return None
+    if len(srcs) == 1:
+        return _fold(instr, (srcs[0].value,)) \
+            if isinstance(srcs[0], Imm) else None
 
     if opcode is Opcode.SELECT and len(srcs) == 3:
         cond, if_true, if_false = srcs
         if isinstance(cond, Imm):
             return Instr(Opcode.MOV, dst=dst,
-                         srcs=(if_true if _wrap32(cond.value) != 0
+                         srcs=(if_true if wrap32(cond.value) != 0
                                else if_false,))
         if if_true == if_false:
             return Instr(Opcode.MOV, dst=dst, srcs=(if_true,))

@@ -35,28 +35,16 @@ from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse
 from repro.ir import cfg as ircfg
 from repro.ir import instructions as ins
-from repro.ir.instructions import Imm, Opcode, Operand, Reg
+from repro.ir.instructions import (BINARY_OPCODES, LOGICAL_OPCODES,
+                                   UNARY_OPCODES, Imm, Opcode, Operand, Reg)
 from repro.ir.regions import BlockRegion, IfRegion, LoopRegion, SeqRegion
 from repro.ir.runs import Run, Stamper, stamp
-
-_BINOP_OPCODES = {
-    "+": Opcode.ADD, "-": Opcode.SUB, "*": Opcode.MUL, "/": Opcode.DIV,
-    "%": Opcode.MOD, "&": Opcode.AND, "|": Opcode.OR, "^": Opcode.XOR,
-    "<<": Opcode.SHL, ">>": Opcode.SHR,
-    "<": Opcode.CMPLT, "<=": Opcode.CMPLE, ">": Opcode.CMPGT,
-    ">=": Opcode.CMPGE, "==": Opcode.CMPEQ, "!=": Opcode.CMPNE,
-}
-
-_UNOP_OPCODES = {"-": Opcode.NEG, "~": Opcode.NOT, "!": Opcode.LNOT}
 
 #: Register names ``new_temp`` can produce with the default ``t`` prefix.
 _TEMP_SHAPED = re.compile(r"t[0-9]+")
 
-_COMPOUND_OPS = {
-    "+=": Opcode.ADD, "-=": Opcode.SUB, "*=": Opcode.MUL, "/=": Opcode.DIV,
-    "%=": Opcode.MOD, "&=": Opcode.AND, "|=": Opcode.OR, "^=": Opcode.XOR,
-    "<<=": Opcode.SHL, ">>=": Opcode.SHR,
-}
+_COMPOUND_OPS = {op + "=": BINARY_OPCODES[op]
+                 for op in ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>")}
 
 
 class _FunctionLowerer:
@@ -373,7 +361,7 @@ class _FunctionLowerer:
         if isinstance(expr, ast.Unary):
             operand = self.lower_expr(expr.operand)
             dst = self.new_temp()
-            self.emit(ins.unop(_UNOP_OPCODES[expr.op], dst, operand))
+            self.emit(ins.unop(UNARY_OPCODES[expr.op], dst, operand))
             return dst
         if isinstance(expr, ast.Binary):
             return self._lower_binary(expr)
@@ -382,7 +370,8 @@ class _FunctionLowerer:
         raise self._error(f"unsupported expression {type(expr).__name__}")
 
     def _lower_binary(self, expr: ast.Binary) -> Operand:
-        if expr.op in ("&&", "||"):
+        logical = LOGICAL_OPCODES.get(expr.op)
+        if logical is not None:
             lhs = self.lower_expr(expr.lhs)
             rhs = self.lower_expr(expr.rhs)
             lhs_bool = self.new_temp()
@@ -390,10 +379,9 @@ class _FunctionLowerer:
             self.emit(ins.binop(Opcode.CMPNE, lhs_bool, lhs, Imm(0)))
             self.emit(ins.binop(Opcode.CMPNE, rhs_bool, rhs, Imm(0)))
             dst = self.new_temp()
-            opcode = Opcode.AND if expr.op == "&&" else Opcode.OR
-            self.emit(ins.binop(opcode, dst, lhs_bool, rhs_bool))
+            self.emit(ins.binop(logical, dst, lhs_bool, rhs_bool))
             return dst
-        opcode = _BINOP_OPCODES.get(expr.op)
+        opcode = BINARY_OPCODES.get(expr.op)
         if opcode is None:
             raise self._error(f"unsupported operator {expr.op!r}", expr.line)
         lhs = self.lower_expr(expr.lhs)

@@ -3,14 +3,17 @@
 The IR is deliberately small: enough to lower the TeamPlay-C subset, to be
 interpreted by the simulator, and to be costed by the static analysers.  Every
 opcode maps onto one of the instruction classes understood by the hardware
-timing/energy tables (see :data:`repro.hw.core.INSTRUCTION_CLASSES`).
+timing/energy tables (see :data:`repro.hw.core.INSTRUCTION_CLASSES`), and
+every data-processing opcode has its 32-bit meaning in one table here
+(:func:`evaluate`).
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 
 class Opcode(enum.Enum):
@@ -73,6 +76,78 @@ TERMINATORS = (Opcode.BR, Opcode.JMP, Opcode.RET)
 #: Commutative binary opcodes (used by the peephole optimiser).
 COMMUTATIVE = (Opcode.ADD, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR,
                Opcode.CMPEQ, Opcode.CMPNE)
+
+#: TeamPlay-C operator -> opcode, for lowering and source-level folding.
+BINARY_OPCODES = {
+    "+": Opcode.ADD, "-": Opcode.SUB, "*": Opcode.MUL, "/": Opcode.DIV,
+    "%": Opcode.MOD, "&": Opcode.AND, "|": Opcode.OR, "^": Opcode.XOR,
+    "<<": Opcode.SHL, ">>": Opcode.SHR,
+    "<": Opcode.CMPLT, "<=": Opcode.CMPLE, ">": Opcode.CMPGT,
+    ">=": Opcode.CMPGE, "==": Opcode.CMPEQ, "!=": Opcode.CMPNE,
+}
+UNARY_OPCODES = {"-": Opcode.NEG, "~": Opcode.NOT, "!": Opcode.LNOT}
+#: ``&&``/``||`` combine the truth values of both operands (each compared
+#: ``CMPNE`` against 0): they do not short-circuit.
+LOGICAL_OPCODES = {"&&": Opcode.AND, "||": Opcode.OR}
+
+
+# -- 32-bit integer semantics -------------------------------------------------
+# The one definition of what each data-processing opcode computes.  Values
+# are signed 32-bit two's complement: operands wrap on read, results wrap,
+# division truncates toward zero, ``SHR`` shifts the 32-bit pattern
+# logically and shift counts are taken mod 32.  The simulator, both constant
+# folders and the path analysis all evaluate through :func:`evaluate`.
+_INT32_SIGN = 0x80000000
+_UINT32_MASK = 0xFFFFFFFF
+
+
+def wrap32(value: int) -> int:
+    """``value`` wrapped to signed 32-bit two's complement."""
+    return ((value + _INT32_SIGN) & _UINT32_MASK) - _INT32_SIGN
+
+
+def _div(lhs: int, rhs: int) -> int:
+    quotient = abs(lhs) // abs(rhs)
+    return -quotient if (lhs < 0) != (rhs < 0) else quotient
+
+
+_SEMANTICS = {
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.MUL: operator.mul,
+    Opcode.DIV: _div,
+    Opcode.MOD: lambda a, b: a - _div(a, b) * b,
+    Opcode.AND: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.XOR: operator.xor,
+    Opcode.SHL: lambda a, b: a << (b & 31),
+    Opcode.SHR: lambda a, b: (a & _UINT32_MASK) >> (b & 31),
+    Opcode.NEG: operator.neg,
+    Opcode.NOT: operator.invert,
+    Opcode.LNOT: operator.not_,
+    Opcode.CMPEQ: operator.eq,
+    Opcode.CMPNE: operator.ne,
+    Opcode.CMPLT: operator.lt,
+    Opcode.CMPLE: operator.le,
+    Opcode.CMPGT: operator.gt,
+    Opcode.CMPGE: operator.ge,
+}
+
+
+def evaluate(opcode: Opcode, operands: Sequence[int]) -> Optional[int]:
+    """The 32-bit result of ``opcode`` on ``operands``, or ``None``.
+
+    ``None`` means there is no value: division or modulo by zero, or an
+    opcode that computes nothing from its operands alone (moves, selects,
+    memory, control flow).
+    """
+    semantics = _SEMANTICS.get(opcode)
+    if semantics is None:
+        return None
+    try:
+        return wrap32(semantics(*map(wrap32, operands)))
+    except ZeroDivisionError:
+        return None
 
 
 # IR values are slotted (no per-instance ``__dict__``): a build keeps tens

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.compiler.engine import (
@@ -359,9 +360,9 @@ class EvaluationService:
             if cached is not None:
                 cached.note_submission()
                 return cached
-        job, deduplicated = self.queue.submit(request, priority=priority)
-        if not deduplicated and self.journal is not None:
-            self.journal.record_submit(job)
+        job, deduplicated = self.queue.submit(
+            request, priority=priority,
+            record=None if self.journal is None else self.journal.record_submit)
         if use_cache and not deduplicated:
             # TOCTOU guard: the live job may have finished between our
             # store miss and the enqueue.  The worker fills the store
@@ -399,9 +400,7 @@ class EvaluationService:
             # Finish (and journal) the failure here so both worker modes
             # record outcomes identically; the pool sees the job already
             # terminal and only counts the failure.
-            self.queue.finish(job, error=f"{type(error).__name__}: {error}")
-            if self.journal is not None:
-                self.journal.record_finish(job)
+            self._finish(job, error=f"{type(error).__name__}: {error}")
             raise
         self._sum_pipeline_stats(result)
         # Cache before finishing: the queue's dedup window closes at
@@ -411,10 +410,21 @@ class EvaluationService:
         # still-running job; its waiters block on ``job.done`` like every
         # other submitter.
         self.store.put(job)
-        self.queue.finish(job, result=result)
-        if self.journal is not None:
-            self.journal.record_finish(job)
+        self._finish(job, result=result)
         return result
+
+    def _finish(self, job: Job, result=None,
+                error: Optional[str] = None) -> None:
+        """Journal ``job``'s outcome, then make it terminal in the queue.
+
+        Journaling first means nothing — a waiter, a campaign stage, a
+        poll — sees the job finished before a restart would too.
+        """
+        finished_at = time.time()
+        if self.journal is not None:
+            self.journal.record_finish(job, result, error, finished_at)
+        self.queue.finish(job, result=result, error=error,
+                          finished_at=finished_at)
 
     def _note_worker_stats(self, snapshot) -> None:
         """Keep the latest cache-counter snapshot a pool worker shipped.

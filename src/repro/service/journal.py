@@ -103,19 +103,29 @@ class JobJournal:
             "submitted_at": job.submitted_at,
         })
 
-    def record_finish(self, job: Job) -> None:
-        """Journal a terminal outcome (success with result, or failure)."""
+    def record_finish(self, job: Job, result=None,
+                      error: Optional[str] = None,
+                      finished_at: Optional[float] = None) -> None:
+        """Journal a terminal outcome (success with result, or failure).
+
+        The service journals an outcome before the queue makes the job
+        terminal, so it passes the outcome in; without ``finished_at`` the
+        job's own terminal fields are journaled.
+        """
+        if finished_at is None:
+            result, error, finished_at = job.result, job.error, job.finished_at
         event: Dict[str, object] = {
             "event": "finish",
             "id": job.id,
-            "state": job.state.value,
+            "state": (JobState.FAILED if error is not None
+                      else JobState.SUCCEEDED).value,
             "started_at": job.started_at,
-            "finished_at": job.finished_at,
+            "finished_at": finished_at,
         }
-        if job.error is not None:
-            event["error"] = job.error
-        if job.result is not None:
-            event["summary"] = job.result.summary()
+        if error is not None:
+            event["error"] = error
+        if result is not None:
+            event["summary"] = result.summary()
         self._append(event)
 
     def record_cancel(self, job: Job) -> None:

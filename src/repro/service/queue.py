@@ -22,7 +22,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service.jobs import Job, JobError, JobRequest, JobState
 
@@ -72,9 +72,14 @@ class JobQueue:
         self._evicted_records = 0
 
     # ------------------------------------------------------------- submission --
-    def submit(self, request: JobRequest,
-               priority: int = 0) -> Tuple[Job, bool]:
+    def submit(self, request: JobRequest, priority: int = 0,
+               record: Optional[Callable[[Job], None]] = None
+               ) -> Tuple[Job, bool]:
         """Enqueue ``request``; returns ``(job, deduplicated)``.
+
+        ``record(job)`` runs for a fresh job before any worker can claim
+        it; the service journals the submission there, so a fast job's
+        finish can never reach the journal ahead of its submission.
 
         When a live job with the same fingerprint exists, that job is
         returned with ``deduplicated=True`` (its ``submissions`` counter and
@@ -108,6 +113,8 @@ class JobQueue:
                     f"(max_pending={self.max_pending})")
             job = Job(id=f"job-{self._next_id:06d}", request=request,
                       priority=priority)
+            if record is not None:
+                record(job)
             self._next_id += 1
             self._records[job.id] = job
             self._live_by_fingerprint[fingerprint] = job.id
@@ -206,8 +213,10 @@ class JobQueue:
                 return job
         return None
 
-    def finish(self, job: Job, result=None, error: Optional[str] = None) -> None:
-        """Mark a claimed job terminal and wake its waiters."""
+    def finish(self, job: Job, result=None, error: Optional[str] = None,
+               finished_at: Optional[float] = None) -> None:
+        """Mark a claimed job terminal (at ``finished_at``, default now) and
+        wake its waiters."""
         with self._lock:
             if job.state is not JobState.RUNNING:
                 raise JobError(
@@ -220,7 +229,8 @@ class JobQueue:
                 self._failed += 1
             else:
                 self._succeeded += 1
-            job.finished_at = time.time()
+            job.finished_at = (time.time() if finished_at is None
+                               else finished_at)
             self._release_fingerprint_locked(job)
             # Completed jobs move to the back so record pruning drops the
             # least recently finished ones first.

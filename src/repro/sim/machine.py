@@ -1,6 +1,7 @@
 """Cycle-accounting interpreter for the TeamPlay IR.
 
-Integer semantics follow a 32-bit embedded target: values are two's-complement
+Integer semantics follow a 32-bit embedded target and come from the IR's one
+table (:func:`repro.ir.instructions.evaluate`): values are two's-complement
 signed 32-bit integers, ``>>`` is a logical shift on the 32-bit pattern, and
 division truncates towards zero.  Division latency is data dependent (as on
 cores with iterative dividers), which is what makes timing side channels
@@ -18,22 +19,8 @@ from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
 from repro.ir.cfg import Function, Program
-from repro.ir.instructions import Imm, Instr, Opcode, Operand, Reg
-
-_INT_MASK = 0xFFFFFFFF
-_INT_SIGN = 0x80000000
-
-
-def _wrap(value: int) -> int:
-    """Wrap a Python int to signed 32-bit two's complement."""
-    value &= _INT_MASK
-    if value & _INT_SIGN:
-        value -= 1 << 32
-    return value
-
-
-def _unsigned(value: int) -> int:
-    return value & _INT_MASK
+from repro.ir.instructions import (Imm, Instr, Opcode, Operand, evaluate,
+                                   wrap32)
 
 
 @dataclass
@@ -151,7 +138,7 @@ class Simulator:
         self._steps = 0
         self._events = [] if self.record_trace else None
 
-        value = self._call(function, [_wrap(a) for a in args], depth=0)
+        value = self._call(function, [wrap32(a) for a in args], depth=0)
 
         time_s = self.core.time_for_cycles(self._cycles, self.opp)
         static_energy = self.core.static_energy(time_s, self.opp)
@@ -175,7 +162,7 @@ class Simulator:
         initialisers = self.program.metadata.get("global_init", {})
         for name, values in initialisers.items():
             for i, value in enumerate(values):
-                self._globals[name][i] = _wrap(value)
+                self._globals[name][i] = wrap32(value)
         for name, values in (overrides or {}).items():
             if name not in self._globals:
                 raise SimulationError(f"unknown global array {name!r}")
@@ -183,7 +170,7 @@ class Simulator:
                 raise SimulationError(
                     f"initialiser for {name!r} is longer than the array")
             for i, value in enumerate(values):
-                self._globals[name][i] = _wrap(value)
+                self._globals[name][i] = wrap32(value)
 
     def _charge(self, function: Function, block_label: str, instr: Instr,
                 cycles: int, extra_energy: float = 0.0) -> None:
@@ -205,7 +192,7 @@ class Simulator:
 
     def _operand(self, frame: _Frame, operand: Operand) -> int:
         if isinstance(operand, Imm):
-            return _wrap(operand.value)
+            return wrap32(operand.value)
         try:
             return frame.registers[operand.name]
         except KeyError:
@@ -322,9 +309,8 @@ class Simulator:
 
     def _execute_dataop(self, frame: _Frame, instr: Instr):
         op = instr.opcode
-        cls = instr.instruction_class
         operands = [self._operand(frame, src) for src in instr.srcs]
-        cycles = self.core.cycles_for(cls)
+        cycles = self.core.cycles_for(instr.instruction_class)
 
         if op is Opcode.MOV:
             return operands[0], cycles
@@ -334,50 +320,10 @@ class Simulator:
             cond, if_true, if_false = operands
             return (if_true if cond != 0 else if_false), cycles
 
-        if op is Opcode.NEG:
-            return _wrap(-operands[0]), cycles
-        if op is Opcode.NOT:
-            return _wrap(~operands[0]), cycles
-        if op is Opcode.LNOT:
-            return (0 if operands[0] != 0 else 1), cycles
-
-        lhs, rhs = operands
-        if op is Opcode.ADD:
-            return _wrap(lhs + rhs), cycles
-        if op is Opcode.SUB:
-            return _wrap(lhs - rhs), cycles
-        if op is Opcode.MUL:
-            return _wrap(lhs * rhs), cycles
-        if op in (Opcode.DIV, Opcode.MOD):
-            if rhs == 0:
-                raise SimulationError(
-                    f"{frame.function.name}: division by zero")
-            quotient = abs(lhs) // abs(rhs)
-            if (lhs < 0) != (rhs < 0):
-                quotient = -quotient
-            remainder = lhs - quotient * rhs
-            cycles = self._div_cycles(lhs)
-            return _wrap(quotient if op is Opcode.DIV else remainder), cycles
-        if op is Opcode.AND:
-            return _wrap(lhs & rhs), cycles
-        if op is Opcode.OR:
-            return _wrap(lhs | rhs), cycles
-        if op is Opcode.XOR:
-            return _wrap(lhs ^ rhs), cycles
-        if op is Opcode.SHL:
-            return _wrap(_unsigned(lhs) << (rhs & 31)), cycles
-        if op is Opcode.SHR:
-            return _wrap(_unsigned(lhs) >> (rhs & 31)), cycles
-        if op is Opcode.CMPEQ:
-            return int(lhs == rhs), cycles
-        if op is Opcode.CMPNE:
-            return int(lhs != rhs), cycles
-        if op is Opcode.CMPLT:
-            return int(lhs < rhs), cycles
-        if op is Opcode.CMPLE:
-            return int(lhs <= rhs), cycles
-        if op is Opcode.CMPGT:
-            return int(lhs > rhs), cycles
-        if op is Opcode.CMPGE:
-            return int(lhs >= rhs), cycles
-        raise SimulationError(f"unhandled opcode {op}")  # pragma: no cover
+        value = evaluate(op, operands)
+        if value is None:  # every other data operation has a value
+            raise SimulationError(
+                f"{frame.function.name}: division by zero")
+        if op is Opcode.DIV or op is Opcode.MOD:
+            cycles = self._div_cycles(operands[0])
+        return value, cycles

@@ -47,7 +47,8 @@ from math import gcd
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ir.cfg import Function, Program
-from repro.ir.instructions import Imm, Instr, Opcode, Operand, Reg
+from repro.ir.instructions import (Imm, Instr, Opcode, Operand, Reg,
+                                   evaluate, wrap32)
 from repro.ir.regions import (
     IfRegion,
     LoopRegion,
@@ -70,14 +71,6 @@ DEFAULT_PATH_CAP = 1024
 #: they carry no cost and never appear in a function's CFG).
 ENTRY_NODE = "<entry>"
 EXIT_NODE = "<exit>"
-
-
-def _wrap(value: int) -> int:
-    """Two's-complement 32-bit wrap (the simulator's arithmetic)."""
-    value &= _UINT32_MASK
-    if value > INT32_MAX:
-        value -= 1 << 32
-    return value
 
 
 # --------------------------------------------------------------------------
@@ -199,7 +192,7 @@ class _State:
 
     def value_of(self, operand: Operand) -> _Value:
         if isinstance(operand, Imm):
-            return _const(_wrap(operand.value))
+            return _const(wrap32(operand.value))
         return self.values.get(operand.name, _TOP)
 
     def version(self, name: str) -> int:
@@ -221,53 +214,10 @@ class _State:
 # --------------------------------------------------------------------------
 # Transfer functions
 # --------------------------------------------------------------------------
-def _eval_const(op: Opcode, operands: List[int]) -> Optional[int]:
-    """Exact evaluation on constants, mirroring the simulator's semantics."""
-    if op is Opcode.NEG:
-        return _wrap(-operands[0])
-    if op is Opcode.NOT:
-        return _wrap(~operands[0])
-    if op is Opcode.LNOT:
-        return 0 if operands[0] != 0 else 1
-    lhs, rhs = operands
-    if op is Opcode.ADD:
-        return _wrap(lhs + rhs)
-    if op is Opcode.SUB:
-        return _wrap(lhs - rhs)
-    if op is Opcode.MUL:
-        return _wrap(lhs * rhs)
-    if op in (Opcode.DIV, Opcode.MOD):
-        if rhs == 0:
-            return None  # the simulator raises; no value to propagate
-        quotient = abs(lhs) // abs(rhs)
-        if (lhs < 0) != (rhs < 0):
-            quotient = -quotient
-        remainder = lhs - quotient * rhs
-        return _wrap(quotient if op is Opcode.DIV else remainder)
-    if op is Opcode.AND:
-        return _wrap(lhs & rhs)
-    if op is Opcode.OR:
-        return _wrap(lhs | rhs)
-    if op is Opcode.XOR:
-        return _wrap(lhs ^ rhs)
-    if op is Opcode.SHL:
-        return _wrap((lhs & _UINT32_MASK) << (rhs & 31))
-    if op is Opcode.SHR:
-        return _wrap((lhs & _UINT32_MASK) >> (rhs & 31))
-    if op in _CMP_REL:
-        return int(_CMP_PY[op](lhs, rhs))
-    return None
-
-
 _CMP_REL = {
     Opcode.CMPLT: "lt", Opcode.CMPLE: "le",
     Opcode.CMPGT: "gt", Opcode.CMPGE: "ge",
     Opcode.CMPEQ: "eq", Opcode.CMPNE: "ne",
-}
-_CMP_PY = {
-    Opcode.CMPLT: lambda a, b: a < b, Opcode.CMPLE: lambda a, b: a <= b,
-    Opcode.CMPGT: lambda a, b: a > b, Opcode.CMPGE: lambda a, b: a >= b,
-    Opcode.CMPEQ: lambda a, b: a == b, Opcode.CMPNE: lambda a, b: a != b,
 }
 _SWAP_REL = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le",
              "eq": "eq", "ne": "ne"}
@@ -325,13 +275,6 @@ def _gate_overflow(lo: int, hi: int, mod: int, rem: int) -> _Value:
     if mod > 1 and (1 << 32) % mod == 0:
         return _Value(INT32_MIN, INT32_MAX, mod, rem % mod)
     return _TOP
-
-
-def _trunc_div(lhs: int, rhs: int) -> int:
-    quotient = abs(lhs) // abs(rhs)
-    if (lhs < 0) != (rhs < 0):
-        quotient = -quotient
-    return quotient
 
 
 def _cannot_equal(a: _Value, b: _Value) -> bool:
@@ -413,7 +356,7 @@ def _transfer(state: _State, instr: Instr) -> None:
 
     values = [state.value_of(s) for s in instr.srcs]
     if all(v.is_const for v in values):
-        exact = _eval_const(op, [v.lo for v in values])
+        exact = evaluate(op, [v.lo for v in values])
         if exact is not None:
             state.set(name, _const(exact))
             return
@@ -477,8 +420,9 @@ def _transfer(state: _State, instr: Instr) -> None:
         state.set(name, _gate_overflow(min(corners), max(corners), mod, rem))
         return
     if op is Opcode.DIV:
-        if b.is_const and b.lo != 0:
-            corners = (_trunc_div(a.lo, b.lo), _trunc_div(a.hi, b.lo))
+        # Monotone in the dividend; only INT32_MIN / -1 wraps.
+        if b.is_const and b.lo != 0 and (a.lo, b.lo) != (INT32_MIN, -1):
+            corners = (evaluate(op, (a.lo, b.lo)), evaluate(op, (a.hi, b.lo)))
             state.set(name, _gate_overflow(min(corners), max(corners), 1, 0))
         else:
             state.havoc(name)
@@ -766,13 +710,15 @@ def _is_loop_free(region: Region) -> bool:
     return next(iter_loops(region), None) is None
 
 
-def _contains_if(region: Region) -> bool:
+def contains_if(region: Region) -> bool:
+    """Whether ``region`` holds an ``if``.  A function without one costs
+    the same in both modes: every unit it has is straight-line."""
     if isinstance(region, IfRegion):
         return True
     if isinstance(region, SeqRegion):
-        return any(_contains_if(child) for child in region.children)
+        return any(contains_if(child) for child in region.children)
     if isinstance(region, LoopRegion):
-        return _contains_if(region.body_region)
+        return contains_if(region.body_region)
     return False
 
 
@@ -831,7 +777,7 @@ class PathSensitiveCostEngine(StructuralCostEngine):
     def _run_cost(self, function: Function, run: List[Region]) -> float:
         if not run:
             return 0.0
-        if not any(_contains_if(region) for region in run):
+        if not any(contains_if(region) for region in run):
             # straight-line: identical to the structural sum, skip enumeration
             structural = super()._region_cost
             return sum(structural(function, region) for region in run)

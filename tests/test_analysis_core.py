@@ -139,6 +139,44 @@ class TestMemoMatchesReference:
                 == asdict(cache.wcec(program, fn.name))
 
 
+class TestPathSensitiveKey:
+    #: One structural fingerprint for every ``BOUND``: only the compared
+    #: constant, an operand, differs.
+    SOURCE = """
+    int g[4];
+    int f(int x) {
+        int acc = 0;
+        if (x > 5) { acc = acc * 7 + g[1] * 3; g[2] = acc / 3; }
+        if (x < BOUND) { acc = acc * 5 + g[0] * 9; g[3] = acc / 7; }
+        return acc;
+    }
+    """
+
+    def test_programs_differing_only_in_a_compared_constant(self):
+        # With x < 3 the two branches exclude each other, with x < 7 they
+        # do not; a cache keyed by the structural fingerprint alone served
+        # the first program's bound for the second, below its worst case.
+        platform = nucleo_stm32f091rc()
+        cache = AnalysisCache(platform)
+        first, second = (compile_source(self.SOURCE.replace("BOUND", bound))
+                         for bound in ("3", "7"))
+        assert program_fingerprint(first) == program_fingerprint(second)
+        for program in (first, second):
+            assert asdict(cache.wcet(program, "f", path_sensitive=True)) == \
+                asdict(WCETAnalyzer(platform).analyze(
+                    program, "f", path_sensitive=True))
+            assert asdict(cache.wcec(program, "f", path_sensitive=True)) == \
+                asdict(EnergyAnalyzer(platform).analyze(
+                    program, "f", path_sensitive=True))
+        assert cache.wcet(first, "f", path_sensitive=True).cycles < \
+            cache.wcet(second, "f", path_sensitive=True).cycles
+        # The default mode reads no operand: the second program hits.
+        cache.wcet(first, "f")
+        hits = cache.stats()["hits"]
+        cache.wcet(second, "f")
+        assert cache.stats()["hits"] == hits + 1
+
+
 class TestBothDoorsReject:
     def test_platform_without_predictable_core(self):
         board = apalis_tk1()

@@ -86,6 +86,25 @@ def failing_custom():
         unregister_scenario(spec.name)
 
 
+@pytest.fixture
+def gated_scenario():
+    """A custom scenario whose runs wait until the test sets the gate."""
+    gate = threading.Event()
+
+    def run(ctx):
+        assert gate.wait(300)
+        return {"gated": True}
+
+    spec = register_scenario(ScenarioSpec(
+        name="camp-gated", title="Waits for its gate", kind="custom",
+        platform="nucleo-stm32f091rc", custom_run=run))
+    try:
+        yield gate
+    finally:
+        gate.set()
+        unregister_scenario(spec.name)
+
+
 # ---------------------------------------------------------------------------
 # Specs
 # ---------------------------------------------------------------------------
@@ -518,11 +537,15 @@ class TestCampaignResumeInProcess:
 # HTTP surface
 # ---------------------------------------------------------------------------
 class TestCampaignHttpApi:
-    def test_submit_poll_and_list(self, http_service, tiny_scenario):  # noqa: F811
+    def test_submit_poll_and_list(self, http_service, tiny_scenario,  # noqa: F811
+                                  gated_scenario):
         service, address = http_service
+        # The first stage's job waits for the gate, so the campaign cannot
+        # finish before its submission reply has been checked.
         status, submitted = _http(address, "POST", "/campaigns", {
             "name": "camp-http",
             "stages": [
+                {"name": "hold", "requests": [{"scenario": "camp-gated"}]},
                 {"name": "search",
                  "requests": [{"scenario": tiny_scenario.name,
                                "generations": 1, "population_size": 2}]},
@@ -533,6 +556,7 @@ class TestCampaignHttpApi:
         })
         assert status == 202
         assert submitted["state"] in ("pending", "running")
+        gated_scenario.set()
         campaign_id = submitted["id"]
         deadline = time.monotonic() + 300
         document = submitted
@@ -543,12 +567,12 @@ class TestCampaignHttpApi:
             assert status == 200
         assert document["state"] == "succeeded"
         assert [stage["state"] for stage in document["stages"]] == [
-            "succeeded", "succeeded"]
+            "succeeded", "succeeded", "succeeded"]
         # Bit-identical to an equivalent direct job: JSON floats round-trip.
         direct = service.result(service.submit(
             tiny_scenario.name, generations=1, population_size=2),
             timeout=120)
-        assert document["stages"][0]["results"][0] == direct.summary()
+        assert document["stages"][1]["results"][0] == direct.summary()
 
         status, listing = _http(address, "GET", "/campaigns")
         assert status == 200
@@ -797,6 +821,50 @@ class TestCampaignJournalEvents:
         assert kinds == ["campaign_submit", "campaign_stage",
                          "campaign_finish"]
         assert stats["replayed_campaign_events"] == 3
+
+    def test_job_and_stage_events_are_journaled_in_order(
+            self, tmp_path, tiny_scenario):  # noqa: F811
+        # Replay drops a finish whose job was not submitted yet, and a
+        # resumed campaign re-runs a stage job whose finish a kill lost, so
+        # each job's submit must reach the journal before its finish, and
+        # each stage's jobs' finishes before the stage.  Slow appends open
+        # both windows: a submit append that waits for its job to finish
+        # lets a worker that can already claim the job journal its finish
+        # first, and a slow finish append lets a stage that already sees
+        # the job done be journaled first.
+        class SlowJournal(JobJournal):
+            def record_submit(self, job):
+                job.done.wait(0.5)
+                super().record_submit(job)
+
+            def record_finish(self, *args, **kwargs):
+                time.sleep(0.2)
+                super().record_finish(*args, **kwargs)
+
+        campaign = CampaignSpec(name="camp-durable", stages=(
+            StageSpec(name="search", requests=_requests(
+                tiny_scenario.name, (1, 2), (2, 2))),
+            StageSpec(name="again", requests=_requests(
+                tiny_scenario.name, (3, 2))),
+        ))
+        path = tmp_path / "journal.jsonl"
+        with EvaluationService(workers=2, journal=SlowJournal(path),
+                               shared_analysis_cache=False) as service:
+            record = service.submit_campaign(campaign)
+            assert record.wait(300)
+            assert record.state is CampaignState.SUCCEEDED
+        submitted, finished, stages = set(), set(), []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            event = json.loads(line)
+            if event["event"] == "submit":
+                submitted.add(event["id"])
+            elif event["event"] == "finish":
+                assert event["id"] in submitted, event["id"]
+                finished.add(event["id"])
+            elif event["event"] == "campaign_stage":
+                stages.append(event["name"])
+                assert set(event["job_ids"]) <= finished, event["name"]
+        assert stages == ["search", "again"]
 
     def test_terminal_events_are_journaled_before_they_are_published(
             self, tmp_path, tiny_scenario, failing_custom):  # noqa: F811

@@ -467,8 +467,8 @@ class TestAnalysisCacheDiskTier:
         cycles, energy_paths, _cycles_paths = store.digests
         assert cycles == ("ff3914912db948171e21adecea48d7d6"
                           "9692326c7530639a790b6725cc5bca01")
-        assert energy_paths == ("2953b40f7aaea0bf6e242ffb9503fd23"
-                                "5dbce13c90e3aeabed877d81e266c573")
+        assert energy_paths == ("f70b58bb6855b083703b21563f224345"
+                                "72c9a5083b12d698e0c1a30c6ca240cf")
 
     def test_multi_core_scopes_get_distinct_records(self, tmp_path):
         platform = gr712rc()

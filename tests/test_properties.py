@@ -36,10 +36,11 @@ from repro.energy.static_analyzer import EnergyAnalyzer
 from repro.frontend.lowering import compile_source, lower_module
 from repro.frontend.parser import parse
 from repro.hw.presets import gr712rc, nucleo_stm32f091rc
+from repro.ir.instructions import wrap32
 from repro.security.ciphers import modexp_reference
 from repro.security.metrics import histogram_overlap, indiscernibility_score
 from repro.security.transforms import harden_module
-from repro.sim.machine import Simulator, _wrap
+from repro.sim.machine import Simulator
 from repro.wcet.analyzer import WCETAnalyzer
 from oracles import (
     ObjectivePoint,
@@ -60,7 +61,7 @@ class TestSimulatorSemantics:
         source = "int f(int a, int b) { return ((a + b) * 3 - (a ^ b)) + (a & b) + (b << 2); }"
         program = compile_source(source)
         result = Simulator(program, PLATFORM).run("f", [a, b])
-        expected = _wrap(_wrap((a + b) * 3 - (a ^ b)) + (a & b) + _wrap(b << 2))
+        expected = wrap32(wrap32((a + b) * 3 - (a ^ b)) + (a & b) + wrap32(b << 2))
         assert result.return_value == expected
 
     @given(a=st.integers(min_value=-10**6, max_value=10**6),
@@ -71,7 +72,7 @@ class TestSimulatorSemantics:
         result = Simulator(program, PLATFORM).run("f", [a, b])
         quotient = abs(a) // b if a >= 0 else -(abs(a) // b)
         remainder = a - quotient * b
-        assert result.return_value == _wrap(quotient + remainder * 10000)
+        assert result.return_value == wrap32(quotient + remainder * 10000)
 
     @given(values=st.lists(st.integers(min_value=0, max_value=255),
                            min_size=8, max_size=8),
@@ -95,7 +96,7 @@ class TestSimulatorSemantics:
         expected = 0
         for v in values:
             expected = expected + v * gain if v > 128 else expected - v
-        assert result.return_value == _wrap(expected)
+        assert result.return_value == wrap32(expected)
 
 
 class TestStaticBoundsDominate:
@@ -236,9 +237,9 @@ class TestMetricAndQuantisationBounds:
     def test_wrap_is_idempotent_and_in_range(self, seed):
         rng = random.Random(seed)
         value = rng.randrange(-2 ** 40, 2 ** 40)
-        wrapped = _wrap(value)
+        wrapped = wrap32(value)
         assert -(2 ** 31) <= wrapped <= 2 ** 31 - 1
-        assert _wrap(wrapped) == wrapped
+        assert wrap32(wrapped) == wrapped
 
 
 #: Coordinate pool deliberately small so random vectors collide: duplicate

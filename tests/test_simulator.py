@@ -5,7 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.frontend.lowering import compile_source
 from repro.hw.presets import nucleo_stm32f091rc
-from repro.sim.machine import Simulator, _unsigned, _wrap
+from repro.ir.instructions import wrap32
+from repro.sim.machine import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +30,12 @@ class TestSemantics:
     def test_32bit_wraparound(self, platform):
         src = "int f(int a) { return a * a; }"
         result = run(src, "f", [100_000], platform)
-        assert result.return_value == _wrap(100_000 * 100_000)
+        assert result.return_value == wrap32(100_000 * 100_000)
 
     def test_logical_shift_right(self, platform):
         src = "int f(int a) { return a >> 4; }"
         result = run(src, "f", [-16], platform)
-        assert result.return_value == _unsigned(-16) >> 4
+        assert result.return_value == (-16 & 0xFFFFFFFF) >> 4
 
     def test_logical_operators_and_not(self, platform):
         src = "int f(int a, int b) { return (a && b) + 2 * (a || b) + 4 * (!a); }"
