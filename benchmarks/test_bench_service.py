@@ -22,9 +22,10 @@ core x operating point of a six-core LEON3 bench platform, several distinct
 programs) run cold on a process pool with ``cache_dir`` attached, then
 again from fresh worker processes on the same directory.  The warm run
 serves every WCET/WCEC table from disk — bit-identical checksums, by a
-pinned wall-time factor — and a SIGKILLed ``repro.service warm`` run leaves
-the directory warm and usable for its restart.  Numbers land in
-``BENCH_service_cache.json`` next to this file (archived by bench-smoke CI).
+pinned wall-time factor — and a SIGKILLed warming ``repro.scenarios run
+--worker-mode process`` leaves the directory warm and usable for its
+restart.  Numbers land in ``BENCH_service_cache.json`` next to this file
+(archived by bench-smoke CI).
 
 Smoke invocation:  pytest -m bench benchmarks/test_bench_service.py
 """
@@ -314,7 +315,7 @@ def test_svc3_persistent_cache_warm_start(benchmark, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(pathlib.Path(__file__).resolve().parent.parent / "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    warm_cmd = [sys.executable, "-m", "repro.service", "warm", "camera-pill",
+    warm_cmd = [sys.executable, "-m", "repro.scenarios", "run", "camera-pill",
                 "--cache-dir", kill_dir, "--jobs", "2",
                 "--worker-mode", "process", "--json"]
     victim = subprocess.Popen(warm_cmd, env=env, stdout=subprocess.DEVNULL,
@@ -327,7 +328,7 @@ def test_svc3_persistent_cache_warm_start(benchmark, tmp_path):
                              text=True, timeout=600)
     restart_s = time.perf_counter() - t0
     assert restart.returncode == 0, restart.stderr
-    restart_store = json.loads(restart.stdout)["store"]
+    restart_store = json.loads(restart.stdout)["cache_store"]
 
     tables = cold_detail["tables"]
     factor = cold_s / warm_s if warm_s > 0 else float("inf")

@@ -680,8 +680,6 @@ def enable_process_analysis_cache(
             directory = _persist.validate_cache_dir(cache_dir)
             if (_process_cache_store is None
                     or _process_cache_store.directory != directory):
-                if _process_cache_store is not None:
-                    _process_cache_store.close()
                 _process_cache_store = _persist.PersistentCacheStore(directory)
                 # Platform caches bind their store at construction; drop any
                 # built before the directory was known so the next lookup
@@ -697,9 +695,7 @@ def disable_process_analysis_cache(clear: bool = True) -> None:
     if clear:
         with _process_cache_lock:
             _process_analysis_caches.clear()
-            if _process_cache_store is not None:
-                _process_cache_store.close()
-                _process_cache_store = None
+            _process_cache_store = None
 
 
 def process_analysis_cache_enabled() -> bool:

@@ -224,6 +224,22 @@ def decode_record(line: str) -> Tuple[str, object]:
     return digest, payload["v"]
 
 
+def terminate_torn_tail(handle) -> None:
+    """End a crash-torn last line so the next append starts on its own line.
+
+    ``handle`` is a binary file open for reading and appending (``"a+b"``).
+    Without the newline, a record appended after a writer died mid-line
+    would merge with the torn fragment into one undecodable line, and
+    replay would skip both.  Shared by the analysis store and the service's
+    job journal (:mod:`repro.service.journal`).
+    """
+    handle.seek(0, os.SEEK_END)
+    if handle.tell() > 0:
+        handle.seek(-1, os.SEEK_END)
+        if handle.read(1) != b"\n":
+            handle.write(b"\n")
+
+
 # ---------------------------------------------------------------------------
 # Analysis-entry payload codec
 # ---------------------------------------------------------------------------
@@ -284,8 +300,7 @@ class PersistentCacheStore:
 
     def __init__(self, directory: "os.PathLike[str] | str",
                  max_segment_bytes: int = DEFAULT_MAX_SEGMENT_BYTES,
-                 max_segments: int = DEFAULT_MAX_SEGMENTS,
-                 fsync: bool = False):
+                 max_segments: int = DEFAULT_MAX_SEGMENTS):
         if max_segment_bytes < 1:
             raise ValueError("max_segment_bytes must be >= 1")
         if max_segments < 2:
@@ -293,7 +308,6 @@ class PersistentCacheStore:
         self.directory = validate_cache_dir(directory)
         self.max_segment_bytes = max_segment_bytes
         self.max_segments = max_segments
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._index: Dict[str, object] = {}
         #: Bytes of each segment consumed into the index, by file name.
@@ -434,17 +448,9 @@ class PersistentCacheStore:
         path = self._active_segment_locked()
         data = line.encode("utf-8") + b"\n"
         with open(path, "a+b") as handle:
-            # Repair a torn tail left by a crashed writer: our record must
-            # start on a fresh line or replay would merge the two.
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() > 0:
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    handle.write(b"\n")
+            terminate_torn_tail(handle)
             handle.write(data)
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
         self.appends += 1
 
     def _compact_locked(self) -> None:
@@ -543,9 +549,6 @@ class PersistentCacheStore:
     def __contains__(self, digest: str) -> bool:
         with self._lock:
             return digest in self._index
-
-    def close(self) -> None:
-        """No persistent handles to release; kept for symmetry/future use."""
 
     def stats(self) -> Dict[str, object]:
         """Counters plus on-disk shape, for ``stats()`` / ``GET /stats``."""

@@ -64,7 +64,8 @@ def _fold_expr(expr: ast.Expr, counter: List[int]) -> ast.Expr:
             if expr.op == "*" and expr.rhs.value == 1:
                 counter[0] += 1
                 return expr.lhs
-            if expr.op == "*" and expr.rhs.value == 0:
+            if expr.op == "*" and expr.rhs.value == 0 \
+                    and not ast.has_call(expr.lhs):
                 counter[0] += 1
                 return ast.Num(0, expr.line)
             if expr.op == "/" and expr.rhs.value == 1:
@@ -77,7 +78,8 @@ def _fold_expr(expr: ast.Expr, counter: List[int]) -> ast.Expr:
             if expr.op == "*" and expr.lhs.value == 1:
                 counter[0] += 1
                 return expr.rhs
-            if expr.op == "*" and expr.lhs.value == 0:
+            if expr.op == "*" and expr.lhs.value == 0 \
+                    and not ast.has_call(expr.rhs):
                 counter[0] += 1
                 return ast.Num(0, expr.line)
         return expr

@@ -375,6 +375,11 @@ def walk_expr(expr: Expr):
             yield from walk_expr(arg)
 
 
+def has_call(expr: Expr) -> bool:
+    """Whether ``expr`` calls a function anywhere inside it."""
+    return any(isinstance(node, Call) for node in walk_expr(expr))
+
+
 def walk_stmts(stmts: List[Stmt]):
     """Yield every statement in ``stmts``, recursively.
 

@@ -22,7 +22,11 @@ additionally persists those tables to disk (shared across processes and
 runs — a later invocation against the same directory starts warm; see
 ``docs/service.md``), and ``--jobs N`` runs the sweep through the
 evaluation service's worker pool — the registry sweep is embarrassingly
-parallel across scenarios.
+parallel across scenarios.  ``--worker-mode process`` makes that pool a
+process pool (used even with ``--jobs 1``); with ``--cache-dir`` the
+``cache_store`` counters then include every worker's appends, which is how
+a directory is pre-filled for a later ``python -m repro.service serve
+--cache-dir``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.compiler.engine import (
     PersistError,
     enable_process_analysis_cache,
     process_analysis_cache_stats,
-    process_cache_store_stats,
+    process_cache_store,
 )
 from repro.compiler.pipeline import profile_rows, render_profile
 from repro.counters import sum_counters
@@ -88,6 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="run scenarios on N parallel service workers "
                               "(default: 1, serial)")
+    run_cmd.add_argument("--worker-mode", choices=("thread", "process"),
+                         default="thread",
+                         help="run the workers as threads (default) or as "
+                              "a process pool (used even with --jobs 1)")
     run_cmd.add_argument("--no-postprocess", action="store_true",
                          help="skip the paper-specific post-processing "
                               "hooks (e.g. dynamic validation)")
@@ -144,15 +152,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profiling_runs=args.profiling_runs,
         postprocess=not args.no_postprocess,
     )
-    if args.jobs > 1:
+    if args.jobs > 1 or args.worker_mode == "process":
         # The registry sweep is embarrassingly parallel across scenarios:
         # reuse the evaluation service's worker pool (results come back in
         # submission order, bit-identical to the serial sweep).
         from repro.service import sweep_scenarios
-        results = sweep_scenarios(specs, jobs=args.jobs, **overrides)
+        results = sweep_scenarios(specs, jobs=args.jobs,
+                                  worker_mode=args.worker_mode, **overrides)
     else:
         results = [run_scenario(spec, **overrides) for spec in specs]
 
+    store = process_cache_store()
+    if store is not None:
+        # Process-mode workers append through their own handles on the
+        # directory: fold their records in so the counters include them.
+        store.refresh()
     totals = {}
     for result in results:
         sum_counters(totals, result.pipeline_stats)
@@ -163,36 +177,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             document["parse_cache"] = parse_cache_stats()
         if args.shared_cache or args.cache_dir is not None:
             document["analysis_cache"] = process_analysis_cache_stats()
-            store = process_cache_store_stats()
             if store is not None:
-                document["cache_store"] = store
+                document["cache_store"] = store.stats()
         print(json.dumps(document, indent=2))
-    else:
-        print_results(results)
-        if args.profile:
-            print(render_profile(
-                totals, title="pipeline profile (aggregated over "
-                              f"{len(results)} scenario run(s))"))
-            cache = parse_cache_stats()
-            print(f"parse cache: {cache['hits']} hit(s), "
-                  f"{cache['misses']} miss(es), "
-                  f"{cache['entries']} module(s) resident")
-            store = process_cache_store_stats()
-            if store is not None:
-                print(f"analysis store: {store['hits']} disk hit(s), "
-                      f"{store['appends']} append(s), "
-                      f"{store['entries']} record(s) in "
-                      f"{store['segments']} segment(s), "
-                      f"{store['compactions']} compaction(s)")
-    return 0
-
-
-def print_results(results) -> None:
-    """One human-readable block per result (shared with the service CLI).
-
-    Build-kind scenarios print their improvement report; custom-kind ones
-    have no report, so their summarised detail stands in.
-    """
+        return 0
+    # Build-kind scenarios print their improvement report; custom-kind ones
+    # have no report, so their summarised detail stands in.
     for result in results:
         if result.report is not None:
             print(result.report.summary())
@@ -200,6 +190,22 @@ def print_results(results) -> None:
             print(f"{result.spec.title}: "
                   f"{json.dumps(result.summary().get('detail', {}))}")
         print()
+    if args.profile:
+        print(render_profile(
+            totals, title="pipeline profile (aggregated over "
+                          f"{len(results)} scenario run(s))"))
+        cache = parse_cache_stats()
+        print(f"parse cache: {cache['hits']} hit(s), "
+              f"{cache['misses']} miss(es), "
+              f"{cache['entries']} module(s) resident")
+        if store is not None:
+            stats = store.stats()
+            print(f"analysis store: {stats['hits']} disk hit(s), "
+                  f"{stats['appends']} append(s), "
+                  f"{stats['entries']} record(s) in "
+                  f"{stats['segments']} segment(s), "
+                  f"{stats['compactions']} compaction(s)")
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -41,10 +41,6 @@ def _expr_names(expr: ast.Expr) -> Set[str]:
     return names
 
 
-def _expr_has_call(expr: ast.Expr) -> bool:
-    return any(isinstance(node, ast.Call) for node in ast.walk_expr(expr))
-
-
 def tainted_variables(function: ast.FunctionDef,
                       secrets: Optional[Sequence[str]] = None) -> Set[str]:
     """Fixed-point taint propagation from the secret parameters.
@@ -112,9 +108,9 @@ def _branch_is_predicable(body: Sequence[ast.Stmt]) -> Optional[str]:
     for stmt in body:
         if not isinstance(stmt, ast.Assign):
             return f"contains a {type(stmt).__name__} statement"
-        if _expr_has_call(stmt.value):
+        if ast.has_call(stmt.value):
             return "assignment right-hand side contains a call"
-        if isinstance(stmt.target, ast.Index) and _expr_has_call(stmt.target.index):
+        if isinstance(stmt.target, ast.Index) and ast.has_call(stmt.target.index):
             return "array index contains a call"
     return None
 
@@ -185,7 +181,7 @@ class _Hardener:
 
         reason = (_branch_is_predicable(stmt.then_body)
                   or _branch_is_predicable(stmt.else_body))
-        if _expr_has_call(stmt.cond):
+        if ast.has_call(stmt.cond):
             reason = reason or "condition contains a call"
         if reason is not None:
             self.report.skipped.append((self.function.name, stmt.line, reason))

@@ -25,8 +25,9 @@ concurrent evaluation requests instead of one blocking CLI call:
   (POST /jobs incl. batches, GET /jobs incl. ``?limit=``/``?offset=``
   pagination, GET /jobs/<id> incl. ``?wait=`` long-poll, POST/GET/DELETE
   /campaigns, GET /scenarios, GET /stats),
-* ``python -m repro.service {serve,submit,status,sweep,campaign}`` — the
-  CLI.
+* ``python -m repro.service {serve,submit,status,campaign}`` — the CLI
+  (``python -m repro.scenarios run --jobs N`` runs a set of scenarios on
+  the same pool through :func:`sweep_scenarios`).
 
 Multi-stage *campaigns* — staged sweeps whose later stages are
 parameterized by earlier results, with per-stage failure policies and

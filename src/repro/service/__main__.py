@@ -13,16 +13,6 @@ Usage::
                                    [--profiling-runs N] [--no-postprocess]
                                    [--wait] [--host H] [--port P]
     python -m repro.service status (JOB_ID | --all) [--host H] [--port P]
-    python -m repro.service sweep  [NAME ...] [--all] [--jobs N]
-                                   [--worker-mode {thread,process}] [--json]
-                                   [--shared-cache] [--cache-dir PATH]
-                                   [--generations N]
-                                   [--population N] [--profiling-runs N]
-    python -m repro.service warm   (NAME ... | --all) --cache-dir PATH
-                                   [--jobs N]
-                                   [--worker-mode {thread,process}] [--json]
-                                   [--generations N] [--population N]
-                                   [--profiling-runs N]
     python -m repro.service campaign (SPEC | --list) [--priority P]
                                    [--wait] [--local] [--workers N]
                                    [--host H] [--port P]
@@ -33,18 +23,18 @@ parallelism, bit-identical results) and ``--journal PATH`` persists the job
 journal so a restarted server resumes its backlog and keeps serving
 completed results; ``submit`` and ``status`` are thin :mod:`http.client`
 clients against a running server (several NAMEs submit one *batch* job, and
-``--wait`` long-polls ``GET /jobs/<id>?wait=`` instead of busy-polling);
-``sweep`` runs scenarios on an ephemeral in-process service (no server
-needed) — the same pool ``python -m repro.scenarios run --jobs N`` uses.
+``--wait`` long-polls ``GET /jobs/<id>?wait=`` instead of busy-polling).
+To run a set of scenarios without a server, use
+``python -m repro.scenarios run --jobs N`` (it runs them on the same pool).
 
-``serve --cache-dir PATH`` (and ``sweep --cache-dir``) attaches the
-persistent WCET/WCEC cache tier (see ``docs/service.md``): analysis tables
-are read from and written through to an on-disk store shared by every
-process-pool worker, so a restarted or freshly forked worker starts warm.
-``warm`` pre-fills such a directory by running the named scenarios (or
-``--all``) through an ephemeral pool, printing the store counters — point a
-later ``serve --cache-dir`` at the same path to serve its first sweep from
-disk hits.
+``serve --cache-dir PATH`` attaches the persistent WCET/WCEC cache tier
+(see ``docs/service.md``): analysis tables are read from and written
+through to an on-disk store shared by every process-pool worker, so a
+restarted or freshly forked worker starts warm.  ``python -m
+repro.scenarios run NAME ... --cache-dir PATH --worker-mode process``
+pre-fills such a directory and prints the store counters under ``--json``
+— point a later ``serve --cache-dir`` at the same path to serve its first
+sweep from disk hits.
 
 ``campaign`` submits a multi-stage sweep campaign (see
 ``docs/campaigns.md``): SPEC is a registered campaign name
@@ -63,8 +53,6 @@ import http.client
 import json
 import sys
 from typing import List, Optional, Tuple
-
-from repro.scenarios.registry import UnknownScenarioError, get_scenario
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8787
@@ -142,47 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="list every job record instead")
     status_cmd.add_argument("--host", default=DEFAULT_HOST)
     status_cmd.add_argument("--port", type=int, default=DEFAULT_PORT)
-
-    sweep_cmd = sub.add_parser(
-        "sweep", help="run scenarios on an ephemeral in-process pool")
-    sweep_cmd.add_argument("names", nargs="*", metavar="NAME")
-    sweep_cmd.add_argument("--all", action="store_true", dest="run_all",
-                           help="sweep every registered scenario")
-    sweep_cmd.add_argument("--jobs", type=int, default=2, metavar="N",
-                           help="workers (default: 2)")
-    sweep_cmd.add_argument("--worker-mode", choices=("thread", "process"),
-                           default="thread",
-                           help="run the sweep on threads (default) or a "
-                                "process pool")
-    sweep_cmd.add_argument("--json", action="store_true")
-    sweep_cmd.add_argument("--shared-cache", action="store_true",
-                           help="share WCET/WCEC analysis tables across "
-                                "the sweep's scenarios")
-    sweep_cmd.add_argument("--cache-dir", default=None, metavar="PATH",
-                           help="persistent WCET/WCEC cache directory "
-                                "(implies a shared cache for the sweep)")
-    sweep_cmd.add_argument("--generations", type=int, default=None)
-    sweep_cmd.add_argument("--population", type=int, default=None)
-    sweep_cmd.add_argument("--profiling-runs", type=int, default=None)
-
-    warm_cmd = sub.add_parser(
-        "warm", help="pre-fill a persistent cache directory")
-    warm_cmd.add_argument("names", nargs="*", metavar="NAME")
-    warm_cmd.add_argument("--all", action="store_true", dest="run_all",
-                          help="warm with every registered scenario")
-    warm_cmd.add_argument("--cache-dir", required=True, metavar="PATH",
-                          help="directory to warm (created if missing)")
-    warm_cmd.add_argument("--jobs", type=int, default=2, metavar="N",
-                          help="workers (default: 2)")
-    warm_cmd.add_argument("--worker-mode", choices=("thread", "process"),
-                          default="thread",
-                          help="run the warming sweep on threads (default) "
-                               "or a process pool")
-    warm_cmd.add_argument("--json", action="store_true",
-                          help="print wall time and store counters as JSON")
-    warm_cmd.add_argument("--generations", type=int, default=None)
-    warm_cmd.add_argument("--population", type=int, default=None)
-    warm_cmd.add_argument("--profiling-runs", type=int, default=None)
 
     campaign_cmd = sub.add_parser(
         "campaign", help="submit a multi-stage sweep campaign")
@@ -320,122 +267,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_sweep_names(args: argparse.Namespace):
-    """Shared NAME.../--all validation of ``sweep`` and ``warm``.
-
-    Returns ``(exit_code, names)``: a non-``None`` exit code means the
-    arguments were unusable and the message is already printed.
-    """
-    if args.run_all and args.names:
-        print("pass either scenario names or --all, not both",
-              file=sys.stderr)
-        return 2, None
-    if not args.run_all and not args.names:
-        print("nothing to sweep: name scenarios or pass --all",
-              file=sys.stderr)
-        return 2, None
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2, None
-    try:
-        names = (None if args.run_all
-                 else [get_scenario(name).name for name in args.names])
-    except UnknownScenarioError as error:
-        print(str(error.args[0]), file=sys.stderr)
-        return 2, None
-    return None, names
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.compiler.engine import (PersistError,
-                                       enable_process_analysis_cache)
-    from repro.service.core import sweep_scenarios
-
-    failure, names = _resolve_sweep_names(args)
-    if failure is not None:
-        return failure
-    if args.shared_cache:
-        enable_process_analysis_cache()
-    try:
-        results = sweep_scenarios(
-            names, jobs=args.jobs,
-            worker_mode=args.worker_mode,
-            generations=args.generations,
-            population_size=args.population,
-            profiling_runs=args.profiling_runs,
-            cache_dir=args.cache_dir,
-        )
-    except PersistError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    if args.json:
-        _print_json({"scenarios": [result.summary() for result in results]})
-    else:
-        from repro.scenarios.__main__ import print_results
-        print_results(results)
-    return 0
-
-
-def _cmd_warm(args: argparse.Namespace) -> int:
-    """Pre-fill a persistent cache directory by running scenarios.
-
-    Prints (or with ``--json`` emits) the end-to-end wall time and the
-    store counters, so warm/cold comparisons — the SVC3 benchmark drives
-    exactly this entry point in fresh processes — need no extra plumbing.
-    """
-    import time
-
-    from repro.compiler.engine import (PersistError,
-                                       disable_process_analysis_cache,
-                                       enable_process_analysis_cache,
-                                       process_analysis_cache_enabled,
-                                       process_cache_store)
-    from repro.service.core import sweep_scenarios
-
-    failure, names = _resolve_sweep_names(args)
-    if failure is not None:
-        return failure
-    # Own the enablement here (not inside the ephemeral sweep service) so
-    # the store is still attached for the counter snapshot after the sweep.
-    owned = not process_analysis_cache_enabled()
-    try:
-        enable_process_analysis_cache(cache_dir=args.cache_dir)
-    except PersistError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    try:
-        started = time.perf_counter()
-        results = sweep_scenarios(
-            names, jobs=args.jobs,
-            worker_mode=args.worker_mode,
-            generations=args.generations,
-            population_size=args.population,
-            profiling_runs=args.profiling_runs,
-            cache_dir=args.cache_dir,
-        )
-        wall_s = time.perf_counter() - started
-        store = process_cache_store()
-        assert store is not None
-        store.refresh()  # fold process-mode workers' appends in
-        store_stats = store.stats()
-    finally:
-        if owned:
-            disable_process_analysis_cache()
-    document = {
-        "scenarios": [result.spec.name for result in results],
-        "wall_s": wall_s,
-        "store": store_stats,
-    }
-    if args.json:
-        _print_json(document)
-    else:
-        entries = store_stats["entries"] if store_stats else 0
-        print(f"warmed {len(results)} scenario(s) in {wall_s:.2f}s; "
-              f"store now holds {entries} record(s) "
-              f"({args.cache_dir})")
-    return 0
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import os
 
@@ -512,8 +343,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (``python -m repro.service``); returns the exit code."""
     args = _build_parser().parse_args(argv)
     handlers = {"serve": _cmd_serve, "submit": _cmd_submit,
-                "status": _cmd_status, "sweep": _cmd_sweep,
-                "warm": _cmd_warm, "campaign": _cmd_campaign}
+                "status": _cmd_status, "campaign": _cmd_campaign}
     return handlers[args.command](args)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.compiler.engine import (
     disable_process_analysis_cache,
@@ -710,32 +710,6 @@ class EvaluationService:
             "parse_cache": parse_cache_stats(),
         }
 
-    # ----------------------------------------------------------------- sweeps --
-    def sweep(self, scenarios: Optional[Iterable[Union[str, ScenarioSpec]]]
-              = None, *,
-              generations: Optional[int] = None,
-              population_size: Optional[int] = None,
-              profiling_runs: Optional[int] = None,
-              postprocess: bool = True,
-              use_cache: bool = True,
-              timeout: Optional[float] = None) -> List[ScenarioResult]:
-        """Run many scenarios through the pool; results in request order.
-
-        ``scenarios`` accepts names or (registered) specs and defaults to
-        the whole registry.
-        """
-        specs = list_scenarios() if scenarios is None else list(scenarios)
-        names = [spec if isinstance(spec, str) else spec.name
-                 for spec in specs]
-        jobs = [self.submit(name,
-                            generations=generations,
-                            population_size=population_size,
-                            profiling_runs=profiling_runs,
-                            postprocess=postprocess,
-                            use_cache=use_cache)
-                for name in names]
-        return [self.result(job, timeout=timeout) for job in jobs]
-
 
 def sweep_scenarios(scenarios: Optional[Sequence[Union[str, ScenarioSpec]]]
                     = None, *,
@@ -745,26 +719,24 @@ def sweep_scenarios(scenarios: Optional[Sequence[Union[str, ScenarioSpec]]]
                     population_size: Optional[int] = None,
                     profiling_runs: Optional[int] = None,
                     postprocess: bool = True,
-                    cache_dir: Optional[str] = None,
                     timeout: Optional[float] = None) -> List[ScenarioResult]:
-    """One-shot parallel sweep on an ephemeral service.
+    """Run scenarios on an ephemeral service's pool; results in request order.
 
     Used by ``python -m repro.scenarios run --jobs N``: spins up a worker
-    pool, runs the scenarios, and tears the service down again.  The
-    process-wide analysis cache is left exactly as the caller had it
-    (``--shared-cache`` remains the explicit opt-in); ``cache_dir``
-    attaches the persistent tier for the sweep's duration, pre-warming the
-    directory for later services and being warmed by earlier ones.
+    pool, submits every scenario (names or registered specs; the whole
+    registry by default), collects the results and tears the service down
+    again.  The process-wide analysis cache is left exactly as the caller
+    had it (``--shared-cache`` and ``--cache-dir`` are the caller's opt-in);
+    process-mode workers fork with it, persistent directory included.
     """
+    specs = list_scenarios() if scenarios is None else scenarios
+    names = [spec if isinstance(spec, str) else spec.name for spec in specs]
     with EvaluationService(workers=jobs, worker_mode=worker_mode,
-                           shared_analysis_cache=False,
-                           cache_dir=cache_dir,
-                           autostart=True) as service:
-        return service.sweep(
-            scenarios,
-            generations=generations,
-            population_size=population_size,
-            profiling_runs=profiling_runs,
-            postprocess=postprocess,
-            timeout=timeout,
-        )
+                           shared_analysis_cache=False) as service:
+        submitted = [service.submit(name,
+                                    generations=generations,
+                                    population_size=population_size,
+                                    profiling_runs=profiling_runs,
+                                    postprocess=postprocess)
+                     for name in names]
+        return [service.result(job, timeout=timeout) for job in submitted]

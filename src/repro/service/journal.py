@@ -10,7 +10,8 @@ stays resolvable.
 
 One JSON object per line, written under a lock and flushed per event, keeps
 the format crash-tolerant: a torn final line (the process died mid-write)
-is skipped on replay and overwritten by the next append.  Requests are
+is skipped on replay, and the next process to append first ends it with a
+newline so its own events start on a fresh line.  Requests are
 stored in their canonical ``as_dict`` form (the fingerprint input, so the
 digest is stable across restarts); results are stored as their JSON
 ``summary`` document only.  Replay parses JSON and nothing else: every
@@ -31,6 +32,7 @@ import os
 import threading
 from typing import Dict, List, Optional
 
+from repro.compiler.engine.persist import terminate_torn_tail
 from repro.service.jobs import (
     BatchRequest,
     BatchResult,
@@ -85,8 +87,11 @@ class JobJournal:
                 directory = os.path.dirname(self.path)
                 if directory:
                     os.makedirs(directory, exist_ok=True)
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(json.dumps(event, sort_keys=True) + "\n")
+                self._handle = open(self.path, "a+b")
+                # Once per handle: every later event ends with a newline.
+                terminate_torn_tail(self._handle)
+            self._handle.write(
+                (json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
             self._handle.flush()
             if self.fsync:
                 os.fsync(self._handle.fileno())

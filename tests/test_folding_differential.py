@@ -89,3 +89,17 @@ def test_strength_reduction_reads_immediates_wrapped(leaf):
             source, CompilerConfig(strength_reduction=reduce))
         values.add(Simulator(program, PLATFORM).run("f", [3]).return_value)
     assert len(values) == 1
+
+
+@pytest.mark.parametrize("product", ["bump() * 0", "0 * bump()"])
+def test_folding_keeps_calls_multiplied_by_zero(product):
+    # ``x * 0 -> 0`` may not drop a call: its side effects still happen.
+    source = parse("int g[1];\n"
+                   "int bump() { g[0] = g[0] + 1; return 1; }\n"
+                   f"int f() {{ int x = {product}; return x + g[0]; }}")
+    values = []
+    for fold in (False, True):
+        program, _ = PIPELINE.build(
+            source, CompilerConfig(constant_folding=fold))
+        values.append(Simulator(program, PLATFORM).run("f", []).return_value)
+    assert values == [1, 1]

@@ -15,7 +15,10 @@ import time
 import pytest
 
 from repro.compiler.config import CompilerConfig
-from repro.compiler.engine import process_analysis_cache_enabled
+from repro.compiler.engine import (
+    disable_process_analysis_cache,
+    process_analysis_cache_enabled,
+)
 from repro.scenarios import (
     BuildOptions,
     ScenarioSpec,
@@ -472,8 +475,7 @@ class TestEvaluationService:
 
     def test_sweep_preserves_order(self, tiny_scenario):
         names = [tiny_scenario.name, "uav-pa", tiny_scenario.name]
-        with EvaluationService(workers=2) as service:
-            results = service.sweep(names, timeout=120)
+        results = sweep_scenarios(names, jobs=2, timeout=120)
         assert [result.spec.name for result in results] == names
 
     def test_shared_cache_lifecycle_restored(self):
@@ -492,6 +494,15 @@ class TestEvaluationService:
 # ---------------------------------------------------------------------------
 # Parallel sweep (the scenarios CLI's --jobs path)
 # ---------------------------------------------------------------------------
+def _strip_timings(document):
+    # Per-pass wall-clock timings are diagnostics, inherently run-dependent;
+    # every *result* field must match bit-for-bit.
+    for row in document["scenarios"]:
+        stats = row.pop("pipeline_stats")
+        assert {entry["invocations"] > 0 for entry in stats.values()} == {True}
+    return document
+
+
 class TestParallelSweep:
     def test_sweep_scenarios_matches_serial(self, tiny_scenario):
         serial = [run_scenario(tiny_scenario.name),
@@ -506,38 +517,48 @@ class TestParallelSweep:
                 == serial[1].detail.outcome.completed)
 
     def test_cli_jobs_flag_matches_serial_json(self, tiny_scenario, capsys):
-        def strip_timings(document):
-            # Per-pass wall-clock timings are diagnostics, inherently
-            # run-dependent; every *result* field must match bit-for-bit.
-            for row in document["scenarios"]:
-                stats = row.pop("pipeline_stats")
-                assert {entry["invocations"] > 0 for entry in stats.values()} \
-                    == {True}
-            return document
-
         assert scenarios_cli(["run", tiny_scenario.name, "--json"]) == 0
-        serial = strip_timings(json.loads(capsys.readouterr().out))
+        serial = _strip_timings(json.loads(capsys.readouterr().out))
         assert scenarios_cli(["run", tiny_scenario.name, "--jobs", "2",
                               "--json"]) == 0
-        parallel = strip_timings(json.loads(capsys.readouterr().out))
+        parallel = _strip_timings(json.loads(capsys.readouterr().out))
         assert parallel == serial
+
+    def test_cli_process_workers_match_serial_json(self, tiny_scenario,
+                                                   tmp_path, capsys):
+        def run(cache_dir, *flags):
+            try:
+                assert scenarios_cli(["run", tiny_scenario.name, "--json",
+                                      "--cache-dir", str(cache_dir),
+                                      *flags]) == 0
+            finally:
+                disable_process_analysis_cache()
+            return json.loads(capsys.readouterr().out)
+
+        serial = run(tmp_path / "serial")
+        pooled = run(tmp_path / "pooled", "--jobs", "2",
+                     "--worker-mode", "process")
+        assert (_strip_timings(pooled)["scenarios"]
+                == _strip_timings(serial)["scenarios"])
+        assert pooled["scenarios"][0]["name"] == tiny_scenario.name
+        assert pooled["scenarios"][0]["deadlines_met"] is True
+        # Only the workers wrote to the directory; the parent's counters
+        # see their records because the command refreshes its store.
+        assert pooled["cache_store"]["appends"] == 0
+        assert pooled["cache_store"]["entries"] > 0
 
     def test_cli_rejects_bad_jobs(self, capsys):
         assert scenarios_cli(["run", "--all", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_service_cli_sweep(self, tiny_scenario, capsys):
-        assert service_cli(["sweep", tiny_scenario.name, "--jobs", "2",
-                            "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["scenarios"][0]["name"] == tiny_scenario.name
-        assert payload["scenarios"][0]["deadlines_met"] is True
-
-    def test_service_cli_sweep_validation(self, capsys):
-        assert service_cli(["sweep"]) == 2
-        assert "nothing to sweep" in capsys.readouterr().err
-        assert service_cli(["sweep", "no-such-scenario"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+    def test_service_cli_has_no_sweep_commands(self, capsys):
+        # ``python -m repro.scenarios run`` is the one way to run a set of
+        # scenarios without a server.
+        for command in ("sweep", "warm"):
+            with pytest.raises(SystemExit) as exit_info:
+                service_cli([command, "--all"])
+            assert exit_info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,23 @@ class TestJobJournal:
         assert replayed[0].state is JobState.PENDING
         assert reopened.stats()["skipped_lines"] == 1
 
+    def test_append_after_torn_line_starts_a_fresh_line(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        queue = JobQueue()
+        first, _ = queue.submit(request(generations=1))
+        with JobJournal(path) as journal:
+            journal.record_submit(first)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"event": "finish", "id": "job-0')  # crash mid-write
+        # The restarted process journals a new job: it must not merge into
+        # the torn line and vanish with it on the next replay.
+        second, _ = queue.submit(request(generations=2))
+        with JobJournal(path) as journal:
+            journal.record_submit(second)
+        reopened = JobJournal(path)
+        assert [j.id for j in reopened.replay()] == [first.id, second.id]
+        assert reopened.stats()["skipped_lines"] == 1
+
     def test_finish_for_unknown_submit_is_skipped(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
@@ -787,7 +804,7 @@ class TestWarmCacheSurvivesSigkill:
     def test_sigkill_and_restart_warm_start(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         env = self._env()
-        warm_cmd = [sys.executable, "-m", "repro.service", "warm",
+        warm_cmd = [sys.executable, "-m", "repro.scenarios", "run",
                     "camera-pill", "--cache-dir", cache_dir,
                     "--jobs", "2", "--worker-mode", "process",
                     "--generations", "1", "--population", "2", "--json"]
@@ -807,8 +824,9 @@ class TestWarmCacheSurvivesSigkill:
                                    text=True, timeout=300)
         assert completed.returncode == 0, completed.stderr
         document = json.loads(completed.stdout)
-        assert document["scenarios"] == ["camera-pill"]
-        assert document["store"]["entries"] > 0
+        assert [row["name"] for row in document["scenarios"]] \
+            == ["camera-pill"]
+        assert document["cache_store"]["entries"] > 0
 
         # Leg 3: a fresh process on the same directory starts warm — every
         # analysis table is served from disk, none recomputed.
