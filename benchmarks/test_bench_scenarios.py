@@ -2,9 +2,10 @@
 
 Not a paper experiment: times ``python -m repro.scenarios run --all`` (every
 registered scenario — the four paper experiments plus the extra workloads —
-through one ScenarioRunner), first with per-toolchain caches, then with the
-opt-in process-wide analysis cache, so scenario-layer regressions show up in
-the perf trajectory alongside the per-experiment benchmarks.
+through one ScenarioRunner), first with per-toolchain caches, then inside a
+``shared_analysis_caches`` scope (one analysis cache per platform), so
+scenario-layer regressions show up in the perf trajectory alongside the
+per-experiment benchmarks.
 
 Smoke invocation:  pytest -m bench benchmarks/test_bench_scenarios.py
 """
@@ -14,9 +15,8 @@ import time
 from conftest import print_experiment
 
 from repro.compiler.engine import (
-    disable_process_analysis_cache,
-    enable_process_analysis_cache,
     process_analysis_cache_stats,
+    shared_analysis_caches,
 )
 from repro.scenarios import list_scenarios, run_scenario
 
@@ -29,14 +29,11 @@ def test_scn1_registry_sweep(benchmark):
     """SCN1: every registered scenario through the shared runner."""
     results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
 
-    enable_process_analysis_cache()
-    try:
+    with shared_analysis_caches():
         t0 = time.perf_counter()
         shared_results = _sweep()
         shared_s = time.perf_counter() - t0
         cache_stats = process_analysis_cache_stats()
-    finally:
-        disable_process_analysis_cache()
 
     rows = []
     for result in results:

@@ -54,8 +54,8 @@ def _run_sweep(workers: int, repeats: int = 1, worker_mode: str = "thread"):
     (results-in-order, elapsed seconds, service stats snapshot)."""
     names = [spec.name for spec in list_scenarios()] * repeats
     t0 = time.perf_counter()
-    with EvaluationService(workers=workers, worker_mode=worker_mode,
-                           shared_analysis_cache=False) as service:
+    with EvaluationService(workers=workers,
+                           worker_mode=worker_mode) as service:
         jobs = [service.submit(name) for name in names]
         results = [service.result(job, timeout=600) for job in jobs]
         stats = service.stats()

@@ -18,10 +18,8 @@ UNROLL_CHOICES = (0, 4, 8, 16, 32)
 #: seed's seven axes; the *extended* space appends the CSE and peephole bits
 #: plus the path-sensitive analysis bit (strictly opt-in, so default searches
 #: consume their random streams exactly as before and fixed-seed archives
-#: stay bit-for-bit reproducible).  Nine-gene vectors — the extended space
-#: before path sensitivity existed — still decode, with the new axis off.
+#: stay bit-for-bit reproducible).
 BASE_GENE_LENGTH = 7
-LEGACY_EXTENDED_GENE_LENGTH = 9
 EXTENDED_GENE_LENGTH = 10
 
 
@@ -95,21 +93,16 @@ class CompilerConfig:
         """Decode a vector in ``[0, 1]^7`` (base) or ``[0, 1]^10`` (extended).
 
         Seven-gene vectors leave the extended axes at their defaults (off),
-        so base-space searches never wander onto them; nine-gene vectors —
-        the pre-path-sensitivity extended space — decode with
-        ``path_sensitive`` off, keeping archived gene vectors valid.
+        so base-space searches never wander onto them.
         """
-        if len(genes) not in (BASE_GENE_LENGTH, LEGACY_EXTENDED_GENE_LENGTH,
-                              EXTENDED_GENE_LENGTH):
+        if len(genes) not in (BASE_GENE_LENGTH, EXTENDED_GENE_LENGTH):
             raise ValueError(
-                f"expected {BASE_GENE_LENGTH}, "
-                f"{LEGACY_EXTENDED_GENE_LENGTH} or {EXTENDED_GENE_LENGTH} "
+                f"expected {BASE_GENE_LENGTH} or {EXTENDED_GENE_LENGTH} "
                 f"genes, got {len(genes)}")
         clamped = [min(max(float(g), 0.0), 1.0) for g in genes]
         unroll_index = min(int(clamped[1] * len(UNROLL_CHOICES)),
                            len(UNROLL_CHOICES) - 1)
-        extended = len(genes) >= LEGACY_EXTENDED_GENE_LENGTH
-        full = len(genes) == EXTENDED_GENE_LENGTH
+        extended = len(genes) == EXTENDED_GENE_LENGTH
         return cls(
             constant_folding=clamped[0] > 0.5,
             unroll_limit=UNROLL_CHOICES[unroll_index],
@@ -120,7 +113,7 @@ class CompilerConfig:
             harden_security=clamped[6] > 0.5,
             enable_cse=clamped[7] > 0.5 if extended else False,
             enable_peephole=clamped[8] > 0.5 if extended else False,
-            path_sensitive=clamped[9] > 0.5 if full else False,
+            path_sensitive=clamped[9] > 0.5 if extended else False,
         )
 
     def to_genes(self, extended: bool = False) -> List[float]:

@@ -104,8 +104,8 @@ class MultiCriteriaCompiler:
         # caches are per source module, the engines (and their variant
         # caches) per (module, entries, security context).  Parsing is cached
         # process-wide (through the pipeline's timed parse pass), and the
-        # analysis cache joins the opt-in process-wide cache when one is
-        # enabled.
+        # analysis cache is the platform's process-wide one inside a
+        # ``shared_analysis_caches`` scope.
         shared_analysis = process_analysis_cache(platform)
         self.analysis = (shared_analysis if shared_analysis is not None
                          else AnalysisCache(platform))
@@ -160,8 +160,9 @@ class MultiCriteriaCompiler:
         The engines' :meth:`~EvaluationEngine.stats` summed with
         :func:`~repro.counters.sum_counters` (a lowering cache shared by
         several engines counts once); ``analysis`` is the driver's
-        analysis cache — cumulative process-wide numbers when the opt-in
-        shared cache is enabled (``analysis["shared"]`` says which).
+        analysis cache — cumulative process-wide numbers inside a
+        ``shared_analysis_caches`` scope (``analysis["shared"]`` says
+        which).
         """
         totals: Dict[str, Dict[str, object]] = {}
         lowerings = set()

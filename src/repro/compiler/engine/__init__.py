@@ -53,14 +53,12 @@ from repro.compiler.engine.cache import (
     IrStageCache,
     LoweringCache,
     VariantCache,
-    disable_process_analysis_cache,
-    enable_process_analysis_cache,
     process_analysis_cache,
-    process_analysis_cache_enabled,
     process_analysis_cache_stats,
     process_cache_store,
     process_cache_store_stats,
     program_fingerprint,
+    shared_analysis_caches,
 )
 from repro.compiler.engine.evaluator import ALL_TASKS_ENTRY, EvaluationEngine
 from repro.compiler.engine.persist import (
@@ -90,17 +88,15 @@ __all__ = [
     "VariantCache",
     "key_digest",
     "crowding_distance",
-    "disable_process_analysis_cache",
     "dominance_matrix",
-    "enable_process_analysis_cache",
     "non_dominated_sort",
     "objectives_matrix",
     "pareto_front",
     "process_analysis_cache",
-    "process_analysis_cache_enabled",
     "process_analysis_cache_stats",
     "process_cache_store",
     "process_cache_store_stats",
     "program_fingerprint",
+    "shared_analysis_caches",
     "validate_cache_dir",
 ]

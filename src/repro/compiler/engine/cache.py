@@ -34,20 +34,20 @@ the uncached pipeline produces (covered by ``tests/test_engine.py``).
 Every cache accepts an optional ``max_entries`` cap: when set, the
 fingerprint/config-keyed tables evict their least-recently-used entries, and
 each cache reports hit/miss/eviction counters through ``stats()`` — required
-before long-running service use, where searches arrive indefinitely.  An
-opt-in *process-wide* :class:`AnalysisCache` (see
-:func:`enable_process_analysis_cache`) additionally lets every driver and
-toolchain targeting the same platform share one set of WCET/WCEC tables,
-which pays off in cross-scenario sweeps such as
-``python -m repro.scenarios run --all --shared-cache``.
+before long-running service use, where searches arrive indefinitely.
+Inside a :func:`shared_analysis_caches` scope every driver and toolchain
+targeting the same platform shares one *process-wide* :class:`AnalysisCache`,
+so cross-scenario sweeps reuse WCET/WCEC tables; the evaluation service and
+``python -m repro.scenarios run`` run inside one.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import persist as _persist
@@ -636,80 +636,74 @@ class AnalysisCache(_BoundedCacheMixin):
 
 
 # ---------------------------------------------------------------------------
-# Opt-in process-wide analysis cache
+# Process-wide analysis caches, shared inside a scope
 # ---------------------------------------------------------------------------
-#: Default bound of the process-wide analysis caches: large enough for a
-#: full cross-scenario sweep, small enough to cap a long-running service.
+#: Bound of every process-wide analysis cache: large enough for a full
+#: cross-scenario sweep, small enough to cap a long-running service.
 PROCESS_CACHE_DEFAULT_MAX_ENTRIES = 256
 
-_process_cache_max_entries: Optional[int] = None
-_process_cache_enabled = False
-_process_analysis_caches: Dict[str, AnalysisCache] = {}
-_process_cache_store: Optional["_persist.PersistentCacheStore"] = None
-#: Guards creation of the per-platform shared caches: worker threads of the
-#: evaluation service may race to instantiate the cache for one platform.
+#: One ``(per-platform caches, attached store)`` entry per open scope; the
+#: last one is in force.  A joining scope's entry shares its outer's caches.
+_process_cache_scopes: List[Tuple[Dict[str, AnalysisCache],
+                                  Optional["_persist.PersistentCacheStore"]]
+                            ] = []
+#: Guards the scopes: worker threads of the evaluation service may race to
+#: instantiate the cache for one platform.
 _process_cache_lock = threading.Lock()
 
 
-def enable_process_analysis_cache(
-        max_entries: Optional[int] = PROCESS_CACHE_DEFAULT_MAX_ENTRIES,
-        cache_dir: Optional[str] = None) -> None:
-    """Turn on the process-wide, per-platform shared :class:`AnalysisCache`.
+@contextmanager
+def shared_analysis_caches(cache_dir: Optional[str] = None
+                           ) -> Iterator[
+                               Optional["_persist.PersistentCacheStore"]]:
+    """Share one bounded :class:`AnalysisCache` per platform inside the block.
 
-    While enabled, every toolchain and compiler driver created afterwards
-    shares one bounded analysis cache per platform *name* (presets are
-    deterministic, so equal names imply equal cost models), letting
-    cross-scenario runs reuse WCET/WCEC tables across drivers.  Strictly
-    opt-in: per-instance caches remain the default.
-
-    ``cache_dir`` additionally attaches a persistent
+    Every toolchain and compiler driver created inside shares the cache of
+    its platform *name* (presets are deterministic, so equal names imply
+    equal cost models), letting cross-scenario runs reuse WCET/WCEC tables
+    across drivers.  ``cache_dir`` attaches a persistent
     :class:`~repro.compiler.engine.persist.PersistentCacheStore` under the
-    shared caches, so WCET/WCEC tables survive LRU eviction, process
-    boundaries (``ProcessPoolExecutor`` workers forked afterwards inherit
-    the enablement and open their own handle on the same directory) and
-    restarts.  Re-enabling with a different directory re-attaches; caches
-    created before the call keep whatever store they were built with.
-    Raises :class:`~repro.compiler.engine.persist.PersistError` when the
-    directory is unusable.
+    caches, so tables survive LRU eviction, process boundaries
+    (``ProcessPoolExecutor`` workers forked inside inherit the scope and
+    open their own handle on the same directory) and restarts.  Yields the
+    attached store, or ``None``.
+
+    A scope opened inside another with no directory, or with the directory
+    already attached, joins the outer caches and changes nothing on exit.
+    Any other scope starts empty caches.  On exit a scope restores exactly
+    the state it found: the on/off flag, the attached store and the
+    per-platform caches; a scope that outlives the one it was opened in
+    keeps its caches until it exits too.  An unusable directory raises
+    :class:`~repro.compiler.engine.persist.PersistError` before any state
+    changes.
     """
-    global _process_cache_enabled, _process_cache_max_entries
-    global _process_cache_store
+    directory = (None if cache_dir is None
+                 else _persist.validate_cache_dir(cache_dir))
     with _process_cache_lock:
-        _process_cache_max_entries = max_entries
-        if cache_dir is not None:
-            directory = _persist.validate_cache_dir(cache_dir)
-            if (_process_cache_store is None
-                    or _process_cache_store.directory != directory):
-                _process_cache_store = _persist.PersistentCacheStore(directory)
-                # Platform caches bind their store at construction; drop any
-                # built before the directory was known so the next lookup
-                # rebuilds them on top of the persistent tier.
-                _process_analysis_caches.clear()
-        _process_cache_enabled = True
-
-
-def disable_process_analysis_cache(clear: bool = True) -> None:
-    """Turn the process-wide cache off (and by default drop its contents)."""
-    global _process_cache_enabled, _process_cache_store
-    _process_cache_enabled = False
-    if clear:
+        outer = _process_cache_scopes[-1] if _process_cache_scopes else None
+    joins = outer is not None and (
+        directory is None
+        or (outer[1] is not None and outer[1].directory == directory))
+    if joins:
+        entry = (outer[0], outer[1])
+    else:
+        entry = ({}, None if directory is None
+                 else _persist.PersistentCacheStore(directory))
+    with _process_cache_lock:
+        _process_cache_scopes.append(entry)
+    try:
+        yield entry[1]
+    finally:
         with _process_cache_lock:
-            _process_analysis_caches.clear()
-            _process_cache_store = None
-
-
-def process_analysis_cache_enabled() -> bool:
-    """Whether the process-wide shared analysis cache is currently on.
-
-    Lets scoped owners (e.g. the evaluation service) enable the cache for
-    their lifetime and restore the previous state on shutdown instead of
-    unconditionally disabling a cache someone else turned on.
-    """
-    return _process_cache_enabled
+            # By identity: a joining scope's entry equals its outer's.
+            position = next(index for index, open_entry
+                            in enumerate(_process_cache_scopes)
+                            if open_entry is entry)
+            del _process_cache_scopes[position]
 
 
 def process_analysis_cache(platform: Platform) -> Optional[AnalysisCache]:
-    """The shared cache for ``platform``, or ``None`` when disabled.
+    """The shared cache for ``platform``, or ``None`` outside every scope.
 
     Also returns ``None`` for a platform that *names* a cached one but is
     structurally different (e.g. a customised preset keeping the stock
@@ -717,15 +711,16 @@ def process_analysis_cache(platform: Platform) -> Optional[AnalysisCache]:
     caller falls back to a private cache instead of silently reusing wrong
     WCET/WCEC tables.
     """
-    if not _process_cache_enabled:
-        return None
     with _process_cache_lock:
-        cache = _process_analysis_caches.get(platform.name)
+        if not _process_cache_scopes:
+            return None
+        caches, store = _process_cache_scopes[-1]
+        cache = caches.get(platform.name)
         if cache is None:
-            cache = AnalysisCache(platform,
-                                  max_entries=_process_cache_max_entries,
-                                  store=_process_cache_store)
-            _process_analysis_caches[platform.name] = cache
+            cache = AnalysisCache(
+                platform, max_entries=PROCESS_CACHE_DEFAULT_MAX_ENTRIES,
+                store=store)
+            caches[platform.name] = cache
             return cache
     if cache.platform is not platform and cache.platform != platform:
         return None
@@ -735,14 +730,15 @@ def process_analysis_cache(platform: Platform) -> Optional[AnalysisCache]:
 def process_analysis_cache_stats() -> Dict[str, Dict[str, int]]:
     """Per-platform counters of the process-wide analysis caches."""
     with _process_cache_lock:
-        caches = list(_process_analysis_caches.items())
+        caches = (list(_process_cache_scopes[-1][0].items())
+                  if _process_cache_scopes else [])
     return {name: cache.stats() for name, cache in caches}
 
 
 def process_cache_store() -> Optional["_persist.PersistentCacheStore"]:
     """The persistent store behind the process-wide cache, if attached."""
     with _process_cache_lock:
-        return _process_cache_store
+        return _process_cache_scopes[-1][1] if _process_cache_scopes else None
 
 
 def process_cache_store_stats() -> Optional[Dict[str, object]]:

@@ -6,27 +6,26 @@ Usage::
     python -m repro.scenarios run NAME [NAME ...] [options]
     python -m repro.scenarios run --all [options]
 
-``run`` drives every named scenario through the shared
-:class:`~repro.scenarios.runner.ScenarioRunner` and prints one improvement
-report per scenario; ``--json`` emits a machine-readable summary instead
-(including per-scenario evaluation-cache counters for predictable builds
-and the per-pass compilation-pipeline timings of every build workflow).
+``run`` submits every named scenario to one
+:class:`~repro.service.EvaluationService` (``--jobs N`` workers, one by
+default) and prints one improvement report per scenario, in request order;
+``--json`` emits a machine-readable summary instead (including
+per-scenario evaluation-cache counters for predictable builds, the
+per-pass compilation-pipeline timings of every build workflow, and the
+service's ``analysis_cache`` counters — the ``GET /stats`` document).
 ``--profile`` appends a per-pass wall-time/invocation table aggregated
 across the whole sweep (rendered by
 :func:`repro.compiler.pipeline.render_profile`; with ``--json`` it becomes
 the summary's ``pipeline_profile`` field instead) plus the process-wide
-parse-cache counters (``parse_cache`` in the JSON document).  ``--shared-cache``
-enables the process-wide analysis cache so WCET/WCEC tables are reused
-across scenarios targeting the same platform, ``--cache-dir PATH``
-additionally persists those tables to disk (shared across processes and
-runs — a later invocation against the same directory starts warm; see
-``docs/service.md``), and ``--jobs N`` runs the sweep through the
-evaluation service's worker pool — the registry sweep is embarrassingly
-parallel across scenarios.  ``--worker-mode process`` makes that pool a
-process pool (used even with ``--jobs 1``); with ``--cache-dir`` the
-``cache_store`` counters then include every worker's appends, which is how
-a directory is pre-filled for a later ``python -m repro.service serve
---cache-dir``.
+parse-cache counters (``parse_cache`` in the JSON document).  The whole
+run shares one WCET/WCEC analysis cache per platform across scenarios;
+``--cache-dir PATH`` additionally persists those tables to disk (shared
+across processes and runs — a later invocation against the same directory
+starts warm; see ``docs/service.md``).  ``--worker-mode process`` makes
+the pool a process pool (used even with ``--jobs 1``); with
+``--cache-dir`` the ``cache_store`` counters then include every worker's
+appends, which is how a directory is pre-filled for a later ``python -m
+repro.service serve --cache-dir``.
 """
 
 from __future__ import annotations
@@ -36,12 +35,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.compiler.engine import (
-    PersistError,
-    enable_process_analysis_cache,
-    process_analysis_cache_stats,
-    process_cache_store,
-)
+from repro.compiler.engine import PersistError, process_cache_store
 from repro.compiler.pipeline import profile_rows, render_profile
 from repro.counters import sum_counters
 from repro.frontend import parse_cache_stats
@@ -50,7 +44,7 @@ from repro.scenarios.registry import (
     get_scenario,
     list_scenarios,
 )
-from repro.scenarios.runner import run_scenario
+from repro.service import EvaluationService
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,13 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--profiling-runs", type=int, default=None,
                          help="override the complex workflow's "
                               "instrumented-run count")
-    run_cmd.add_argument("--shared-cache", action="store_true",
-                         help="share WCET/WCEC analysis tables process-wide "
-                              "across scenarios on the same platform")
     run_cmd.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="persist the shared WCET/WCEC tables to this "
-                              "directory (implies --shared-cache; created "
-                              "if missing, validated up front)")
+                              "directory (created if missing, validated up "
+                              "front)")
     run_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="run scenarios on N parallel service workers "
                               "(default: 1, serial)")
@@ -105,12 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_list(args: argparse.Namespace) -> int:
     scenarios = list_scenarios()
     if args.json:
-        print(json.dumps({"scenarios": [
-            {"name": spec.name, "title": spec.title, "kind": spec.kind,
-             "platform": spec.platform_name, "tags": list(spec.tags),
-             "description": spec.description}
-            for spec in scenarios
-        ]}, indent=2))
+        print(json.dumps({"scenarios": [spec.listing()
+                                        for spec in scenarios]}, indent=2))
         return 0
     for spec in scenarios:
         tags = f" [{', '.join(spec.tags)}]" if spec.tags else ""
@@ -139,34 +126,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
-    if args.shared_cache or args.cache_dir is not None:
-        try:
-            enable_process_analysis_cache(cache_dir=args.cache_dir)
-        except PersistError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-
-    overrides = dict(
-        generations=args.generations,
-        population_size=args.population,
-        profiling_runs=args.profiling_runs,
-        postprocess=not args.no_postprocess,
-    )
-    if args.jobs > 1 or args.worker_mode == "process":
-        # The registry sweep is embarrassingly parallel across scenarios:
-        # reuse the evaluation service's worker pool (results come back in
-        # submission order, bit-identical to the serial sweep).
-        from repro.service import sweep_scenarios
-        results = sweep_scenarios(specs, jobs=args.jobs,
-                                  worker_mode=args.worker_mode, **overrides)
-    else:
-        results = [run_scenario(spec, **overrides) for spec in specs]
-
-    store = process_cache_store()
-    if store is not None:
-        # Process-mode workers append through their own handles on the
-        # directory: fold their records in so the counters include them.
-        store.refresh()
+    try:
+        service = EvaluationService(workers=args.jobs,
+                                    worker_mode=args.worker_mode,
+                                    cache_dir=args.cache_dir)
+    except PersistError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    with service:
+        jobs = [service.submit(spec.name,
+                               generations=args.generations,
+                               population_size=args.population,
+                               profiling_runs=args.profiling_runs,
+                               postprocess=not args.no_postprocess)
+                for spec in specs]
+        results = [service.result(job) for job in jobs]
+        store = process_cache_store()
+        if store is not None:
+            # Process-mode workers append through their own handles on
+            # the directory: fold their records in so the counters
+            # include them.
+            store.refresh()
+        analysis_cache = service.analysis_cache_stats()
     totals = {}
     for result in results:
         sum_counters(totals, result.pipeline_stats)
@@ -175,10 +156,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.profile:
             document["pipeline_profile"] = profile_rows(totals)
             document["parse_cache"] = parse_cache_stats()
-        if args.shared_cache or args.cache_dir is not None:
-            document["analysis_cache"] = process_analysis_cache_stats()
-            if store is not None:
-                document["cache_store"] = store.stats()
+        document["analysis_cache"] = analysis_cache
+        if store is not None:
+            document["cache_store"] = analysis_cache["store"]
         print(json.dumps(document, indent=2))
         return 0
     # Build-kind scenarios print their improvement report; custom-kind ones
@@ -199,7 +179,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{cache['misses']} miss(es), "
               f"{cache['entries']} module(s) resident")
         if store is not None:
-            stats = store.stats()
+            stats = analysis_cache["store"]
             print(f"analysis store: {stats['hits']} disk hit(s), "
                   f"{stats['appends']} append(s), "
                   f"{stats['entries']} record(s) in "

@@ -23,7 +23,7 @@ rely on.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Optional, Union
 
 from repro.csl.parser import parse_csl
 from repro.errors import TeamPlayError
@@ -113,28 +113,6 @@ class ScenarioRunner:
         if postprocess and spec.postprocess is not None:
             result.detail = spec.postprocess(result)
         return result
-
-    def run_requests(self, requests: Iterable[object]) -> List[ScenarioResult]:
-        """Run several request-like objects in order on this one runner.
-
-        Each request duck-types the evaluation service's
-        :class:`~repro.service.jobs.JobRequest` (``scenario`` plus the
-        ``generations``/``population_size``/``profiling_runs``/
-        ``postprocess`` overrides) — the service's batch jobs come through
-        here, so a whole sweep runs as one unit of work; when the
-        process-wide analysis cache is enabled its WCET/WCEC tables warm
-        across the batch.  Results align with the input order.
-        """
-        return [
-            self.run(
-                request.scenario,
-                generations=request.generations,
-                population_size=request.population_size,
-                profiling_runs=request.profiling_runs,
-                postprocess=request.postprocess,
-            )
-            for request in requests
-        ]
 
     # ------------------------------------------------------------- workflows --
     def _run_custom(self, ctx: RunContext,

@@ -187,6 +187,12 @@ class ScenarioSpec:
             return getattr(self.platform, "__name__", "<factory>")
         return self.platform
 
+    def listing(self) -> Dict[str, object]:
+        """JSON-ready registry row (``list --json`` and ``GET /scenarios``)."""
+        return {"name": self.name, "title": self.title, "kind": self.kind,
+                "platform": self.platform_name, "tags": list(self.tags),
+                "description": self.description}
+
     def with_(self, **changes) -> "ScenarioSpec":
         """A copy of this spec with some fields replaced (tiny variants)."""
         return replace(self, **changes)

@@ -14,8 +14,9 @@ concurrent evaluation requests instead of one blocking CLI call:
   ``stats()`` conventions) serving repeats without recomputation, id-indexed
   so evicted queue records stay resolvable,
 * :class:`WorkerPool` — daemon threads driving the shared
-  :class:`~repro.scenarios.runner.ScenarioRunner` under the process-wide
-  shared analysis cache, or (``worker_mode="process"``) dispatcher threads
+  :class:`~repro.scenarios.runner.ScenarioRunner` inside the service's
+  shared analysis cache scope (one WCET/WCEC cache per platform for the
+  service's lifetime), or (``worker_mode="process"``) dispatcher threads
   feeding a :class:`concurrent.futures.ProcessPoolExecutor` for true
   multi-core parallelism with bit-identical results,
 * :class:`JobJournal` — append-only JSONL persistence; a service built
@@ -26,8 +27,8 @@ concurrent evaluation requests instead of one blocking CLI call:
   pagination, GET /jobs/<id> incl. ``?wait=`` long-poll, POST/GET/DELETE
   /campaigns, GET /scenarios, GET /stats),
 * ``python -m repro.service {serve,submit,status,campaign}`` — the CLI
-  (``python -m repro.scenarios run --jobs N`` runs a set of scenarios on
-  the same pool through :func:`sweep_scenarios`).
+  (``python -m repro.scenarios run`` runs a set of scenarios on one
+  :class:`EvaluationService` too: ``--jobs N`` workers, one by default).
 
 Multi-stage *campaigns* — staged sweeps whose later stages are
 parameterized by earlier results, with per-stage failure policies and
@@ -53,7 +54,7 @@ Over HTTP: ``python -m repro.service serve`` and see
 ``examples/service_client.py``.
 """
 
-from repro.service.core import EvaluationService, sweep_scenarios
+from repro.service.core import EvaluationService
 from repro.service.jobs import (
     BatchRequest,
     BatchResult,
@@ -84,5 +85,4 @@ __all__ = [
     "WORKER_MODES",
     "WorkerPool",
     "request_from_dict",
-    "sweep_scenarios",
 ]

@@ -7,7 +7,7 @@ Usage::
                                    [--journal PATH] [--journal-fsync]
                                    [--cache-dir PATH]
                                    [--store-size N] [--store-ttl S]
-                                   [--max-pending N] [--no-shared-cache] [-v]
+                                   [--max-pending N] [-v]
     python -m repro.service submit NAME [NAME ...] [--priority P]
                                    [--generations N] [--population N]
                                    [--profiling-runs N] [--no-postprocess]
@@ -24,8 +24,10 @@ journal so a restarted server resumes its backlog and keeps serving
 completed results; ``submit`` and ``status`` are thin :mod:`http.client`
 clients against a running server (several NAMEs submit one *batch* job, and
 ``--wait`` long-polls ``GET /jobs/<id>?wait=`` instead of busy-polling).
-To run a set of scenarios without a server, use
-``python -m repro.scenarios run --jobs N`` (it runs them on the same pool).
+Every job shares one WCET/WCEC analysis cache per platform for the
+server's lifetime.  To run a set of scenarios without a server, use
+``python -m repro.scenarios run --jobs N`` (it runs them on the same
+service).
 
 ``serve --cache-dir PATH`` attaches the persistent WCET/WCEC cache tier
 (see ``docs/service.md``): analysis tables are read from and written
@@ -103,9 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help="bound the pending backlog; submissions "
                                 "beyond it get HTTP 429 + Retry-After")
-    serve_cmd.add_argument("--no-shared-cache", action="store_true",
-                           help="do not enable the process-wide WCET/WCEC "
-                                "analysis cache")
     serve_cmd.add_argument("-v", "--verbose", action="store_true",
                            help="log every HTTP request")
 
@@ -194,7 +193,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store_max_entries=args.store_size,
             store_ttl_s=args.store_ttl,
             max_pending=args.max_pending,
-            shared_analysis_cache=not args.no_shared_cache,
         )
     except PersistError as error:
         print(str(error), file=sys.stderr)

@@ -5,10 +5,11 @@ One object wires the service subsystem together: a thread-safe priority
 bounded LRU :class:`~repro.service.store.ResultStore`, and a
 :class:`~repro.service.workers.WorkerPool` whose workers drive the shared
 :class:`~repro.scenarios.runner.ScenarioRunner` over the scenario registry
-under the process-wide shared analysis cache.  The HTTP layer
-(:mod:`repro.service.http`) and the CLI (``python -m repro.service``) are
-thin views over this facade, so in-process callers, the registry sweep's
-``--jobs`` parallelism and remote JSON clients all share one code path.
+inside one :func:`~repro.compiler.engine.shared_analysis_caches` scope.
+The HTTP layer (:mod:`repro.service.http`) and both CLIs (``python -m
+repro.service`` and ``python -m repro.scenarios run``) are thin views over
+this facade, so in-process callers, scenario sweeps and remote JSON
+clients all share one code path.
 
 Determinism contract: every scenario run is deterministic and all cache
 layers are exact, so a result served from the store, a deduplicated job or
@@ -21,15 +22,13 @@ from __future__ import annotations
 import os
 import threading
 import time
+from contextlib import ExitStack
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.compiler.engine import (
-    disable_process_analysis_cache,
-    enable_process_analysis_cache,
-    process_analysis_cache_enabled,
     process_analysis_cache_stats,
     process_cache_store_stats,
-    validate_cache_dir,
+    shared_analysis_caches,
 )
 from repro.compiler.pipeline import profile_rows
 from repro.counters import sum_counters
@@ -37,7 +36,7 @@ from repro.frontend import parse_cache_stats
 from repro.scenarios.registry import UnknownScenarioError, get_scenario, \
     list_scenarios
 from repro.scenarios.runner import ScenarioRunner
-from repro.scenarios.spec import ScenarioResult, ScenarioSpec
+from repro.scenarios.spec import ScenarioResult
 from repro.service.jobs import (
     BatchRequest,
     BatchResult,
@@ -59,10 +58,11 @@ def execute_request(runner: ScenarioRunner,
     The single executable definition of "running a request": thread workers
     call it on the service's runner, process workers call it in the worker
     process via :func:`run_request_in_process`, so both modes compute the
-    identical bits.
+    identical bits.  A batch's requests run in order on the one runner.
     """
     if isinstance(request, BatchRequest):
-        return BatchResult(runner.run_requests(request.requests))
+        return BatchResult([execute_request(runner, entry)
+                            for entry in request.requests])
     return runner.run(
         request.scenario,
         generations=request.generations,
@@ -119,8 +119,8 @@ def run_request_in_process(request: Union[JobRequest, BatchRequest]):
     returns the result wrapped in a :class:`WorkerOutcome` — pickled back
     over the executor's result channel.  Worker processes are forked from
     the service process, so the scenario registry (including any
-    test-registered specs) and the process-wide cache enablement (plus any
-    attached persistent store directory) come along.
+    test-registered specs) and the service's shared analysis cache scope
+    (plus any attached persistent store directory) come along.
     """
     result = execute_request(ScenarioRunner(), request)
     return WorkerOutcome(result, worker_cache_snapshot())
@@ -134,17 +134,16 @@ class EvaluationService:
                  store_ttl_s: Optional[float] = None,
                  max_job_records: Optional[int] = 1024,
                  max_pending: Optional[int] = None,
-                 shared_analysis_cache: bool = True,
-                 runner: Optional[ScenarioRunner] = None,
                  worker_mode: str = "thread",
                  journal: Optional[object] = None,
                  journal_fsync: bool = False,
                  cache_dir: Optional[str] = None,
                  autostart: bool = True):
-        """``shared_analysis_cache`` turns on the process-wide WCET/WCEC
-        cache for the service's lifetime (restored on :meth:`close` unless
-        someone else had already enabled it); ``autostart=False`` leaves the
-        worker pool stopped so tests can stage deterministic queue states.
+        """The service runs inside a
+        :func:`~repro.compiler.engine.shared_analysis_caches` scope from
+        construction to :meth:`close`, so every job shares one WCET/WCEC
+        cache per platform; ``autostart=False`` leaves the worker pool
+        stopped so tests can stage deterministic queue states.
         ``store_ttl_s`` lazily expires cached results older than the TTL;
         ``max_pending`` bounds the pending backlog — beyond it ``submit``
         raises :class:`~repro.service.queue.QueueFull` (HTTP 429).
@@ -154,61 +153,56 @@ class EvaluationService:
         existing events replay *before* the pool starts, so pending jobs
         resume, completed results survive, and fingerprint dedup extends
         across restarts.  ``cache_dir`` attaches the persistent analysis
-        tier (:mod:`repro.compiler.engine.persist`) under the shared cache
-        — implies ``shared_analysis_cache`` — so WCET/WCEC tables are
-        shared with every forked pool worker and survive restarts; the
-        directory is validated (and created) up front, raising
-        :class:`~repro.compiler.engine.persist.PersistError` before any
-        job runs.
+        tier (:mod:`repro.compiler.engine.persist`) under the shared cache,
+        so WCET/WCEC tables are shared with every forked pool worker and
+        survive restarts; the directory is validated (and created) up
+        front, raising :class:`~repro.compiler.engine.persist.PersistError`
+        before any state exists.
         """
-        # Fail fast on an unusable cache directory, before any state exists.
-        self.cache_dir: Optional[str] = None
-        if cache_dir is not None:
-            self.cache_dir = validate_cache_dir(cache_dir)
-        self.runner = runner if runner is not None else ScenarioRunner()
-        self.queue = JobQueue(max_records=max_job_records,
-                              max_pending=max_pending)
-        self.store = ResultStore(max_entries=store_max_entries,
-                                 ttl_s=store_ttl_s)
-        self.journal: Optional[JobJournal] = None
-        if journal is not None:
-            self.journal = (journal if isinstance(journal, JobJournal)
-                            else JobJournal(journal, fsync=journal_fsync))
-        self.pool = WorkerPool(self.queue, self._execute, workers=workers,
-                               mode=worker_mode,
-                               process_task=run_request_in_process)
-        #: Cross-job rollup of per-pass compile timings, fed by every
-        #: completed run; the GET /stats "pipeline" document.
-        self._pipeline_totals: Dict[str, Dict[str, object]] = {}
-        self._pipeline_jobs = 0
-        self._pipeline_lock = threading.Lock()
-        #: Latest cache-counter snapshot per worker pid (process mode).
-        self._worker_cache_stats: Dict[int, Dict[str, object]] = {}
-        self._worker_stats_lock = threading.Lock()
-        use_shared = shared_analysis_cache or self.cache_dir is not None
-        self._owns_shared_cache = (use_shared
-                                   and not process_analysis_cache_enabled())
-        if self._owns_shared_cache or self.cache_dir is not None:
-            # (Re-)enable so a cache_dir attaches its store even when some
-            # outer scope already turned the shared cache on.
-            enable_process_analysis_cache(cache_dir=self.cache_dir)
-        self._closed = False
-        #: Campaign orchestration state: records by id (insertion order =
-        #: submission order), one drive thread per campaign, and the
-        #: non-terminal records a journal replay queued for re-driving in
-        #: :meth:`start`.  The campaign classes import lazily — the
-        #: campaigns package itself imports ``repro.service.jobs``, so a
-        #: module-level import here would cycle.
-        self._campaign_records: Dict[str, object] = {}
-        self._campaigns_lock = threading.Lock()
-        self._campaign_counter = 0
-        self._campaign_threads: List[threading.Thread] = []
-        self._campaign_resume: List[object] = []
-        self._campaign_runner = None
-        if self.journal is not None:
-            self._replay_journal()
-        if autostart:
-            self.start()
+        with ExitStack() as scope:
+            store = scope.enter_context(shared_analysis_caches(cache_dir))
+            #: The attached persistent store's directory, if any.
+            self.cache_dir = None if store is None else store.directory
+            self.runner = ScenarioRunner()
+            self.queue = JobQueue(max_records=max_job_records,
+                                  max_pending=max_pending)
+            self.store = ResultStore(max_entries=store_max_entries,
+                                     ttl_s=store_ttl_s)
+            self.journal: Optional[JobJournal] = None
+            if journal is not None:
+                self.journal = (journal if isinstance(journal, JobJournal)
+                                else JobJournal(journal,
+                                                fsync=journal_fsync))
+            self.pool = WorkerPool(self.queue, self._execute,
+                                   workers=workers, mode=worker_mode,
+                                   process_task=run_request_in_process)
+            #: Cross-job rollup of per-pass compile timings, fed by every
+            #: completed run; the GET /stats "pipeline" document.
+            self._pipeline_totals: Dict[str, Dict[str, object]] = {}
+            self._pipeline_jobs = 0
+            self._pipeline_lock = threading.Lock()
+            #: Latest cache-counter snapshot per worker pid (process mode).
+            self._worker_cache_stats: Dict[int, Dict[str, object]] = {}
+            self._worker_stats_lock = threading.Lock()
+            self._closed = False
+            #: Campaign orchestration state: records by id (insertion order
+            #: = submission order), one drive thread per campaign, and the
+            #: non-terminal records a journal replay queued for re-driving
+            #: in :meth:`start`.  The campaign classes import lazily — the
+            #: campaigns package itself imports ``repro.service.jobs``, so
+            #: a module-level import here would cycle.
+            self._campaign_records: Dict[str, object] = {}
+            self._campaigns_lock = threading.Lock()
+            self._campaign_counter = 0
+            self._campaign_threads: List[threading.Thread] = []
+            self._campaign_resume: List[object] = []
+            self._campaign_runner = None
+            if self.journal is not None:
+                self._replay_journal()
+            if autostart:
+                self.start()
+            # Constructed: the scope now ends in close(), not here.
+            self._cache_scope = scope.pop_all()
 
     def _replay_journal(self) -> None:
         """Restore queue records and stored results from the journal.
@@ -270,8 +264,7 @@ class EvaluationService:
         self.pool.stop(wait=wait)
         if self.journal is not None:
             self.journal.close()
-        if self._owns_shared_cache:
-            disable_process_analysis_cache()
+        self._cache_scope.close()
 
     def __enter__(self) -> "EvaluationService":
         return self
@@ -642,12 +635,7 @@ class EvaluationService:
 
     def scenarios(self) -> List[Dict[str, object]]:
         """Registry listing (the GET /scenarios document)."""
-        return [
-            {"name": spec.name, "title": spec.title, "kind": spec.kind,
-             "platform": spec.platform_name, "tags": list(spec.tags),
-             "description": spec.description}
-            for spec in list_scenarios()
-        ]
+        return [spec.listing() for spec in list_scenarios()]
 
     def pipeline_stats(self) -> Dict[str, object]:
         """Per-pass compile timings aggregated across completed jobs.
@@ -686,7 +674,6 @@ class EvaluationService:
         for snapshot in workers.values():
             sum_counters(combined, snapshot.get("analysis"))
         return {
-            "enabled": process_analysis_cache_enabled(),
             "platforms": platforms,
             "combined": combined,
             "workers": {str(pid): {"analysis": snapshot.get("analysis"),
@@ -710,33 +697,3 @@ class EvaluationService:
             "parse_cache": parse_cache_stats(),
         }
 
-
-def sweep_scenarios(scenarios: Optional[Sequence[Union[str, ScenarioSpec]]]
-                    = None, *,
-                    jobs: int = 2,
-                    worker_mode: str = "thread",
-                    generations: Optional[int] = None,
-                    population_size: Optional[int] = None,
-                    profiling_runs: Optional[int] = None,
-                    postprocess: bool = True,
-                    timeout: Optional[float] = None) -> List[ScenarioResult]:
-    """Run scenarios on an ephemeral service's pool; results in request order.
-
-    Used by ``python -m repro.scenarios run --jobs N``: spins up a worker
-    pool, submits every scenario (names or registered specs; the whole
-    registry by default), collects the results and tears the service down
-    again.  The process-wide analysis cache is left exactly as the caller
-    had it (``--shared-cache`` and ``--cache-dir`` are the caller's opt-in);
-    process-mode workers fork with it, persistent directory included.
-    """
-    specs = list_scenarios() if scenarios is None else scenarios
-    names = [spec if isinstance(spec, str) else spec.name for spec in specs]
-    with EvaluationService(workers=jobs, worker_mode=worker_mode,
-                           shared_analysis_cache=False) as service:
-        submitted = [service.submit(name,
-                                    generations=generations,
-                                    population_size=population_size,
-                                    profiling_runs=profiling_runs,
-                                    postprocess=postprocess)
-                     for name in names]
-        return [service.result(job, timeout=timeout) for job in submitted]

@@ -3,7 +3,8 @@
 Unbounded behaviour (``max_entries=None``, the default) is covered by
 ``tests/test_engine.py``; this module checks the opt-in caps: LRU order,
 eviction counters, ``stats()`` reporting, exactness of recomputed entries
-after eviction, and the opt-in process-wide analysis cache.
+after eviction, and the process-wide analysis caches shared inside a
+``shared_analysis_caches`` scope (its nesting and restore rules included).
 """
 
 import gc
@@ -15,12 +16,14 @@ from repro.compiler.engine import (
     AnalysisCache,
     IrStageCache,
     LoweringCache,
+    PersistError,
     VariantCache,
-    disable_process_analysis_cache,
-    enable_process_analysis_cache,
     process_analysis_cache,
     process_analysis_cache_stats,
+    process_cache_store,
+    shared_analysis_caches,
 )
+from repro.compiler.engine import cache as cache_module
 from repro.compiler.engine.cache import _Fingerprint
 from repro.compiler.pipeline import PassManager
 from repro.frontend import compile_source
@@ -208,32 +211,28 @@ class TestProcessWideAnalysisCache:
     def test_disabled_by_default(self):
         assert process_analysis_cache(nucleo_stm32f091rc()) is None
 
-    def test_enable_shares_per_platform_instance(self):
-        enable_process_analysis_cache(max_entries=8)
-        try:
+    def test_enable_shares_per_platform_instance(self, monkeypatch):
+        monkeypatch.setattr(cache_module,
+                            "PROCESS_CACHE_DEFAULT_MAX_ENTRIES", 8)
+        with shared_analysis_caches():
             first = process_analysis_cache(nucleo_stm32f091rc())
             second = process_analysis_cache(nucleo_stm32f091rc())
             other = process_analysis_cache(gr712rc())
             assert first is second
             assert first is not other
             assert first.max_entries == 8
-        finally:
-            disable_process_analysis_cache()
         assert process_analysis_cache(nucleo_stm32f091rc()) is None
 
     def test_toolchains_share_enabled_cache(self):
         from repro.toolchain.predictable import PredictableToolchain
 
-        enable_process_analysis_cache()
-        try:
+        with shared_analysis_caches():
             one = PredictableToolchain(nucleo_stm32f091rc())
             two = PredictableToolchain(nucleo_stm32f091rc())
             assert one.compiler.analysis is two.compiler.analysis
             stats = process_analysis_cache_stats()
             assert "nucleo-stm32f091rc" in stats
-        finally:
-            disable_process_analysis_cache()
-        # Back to per-instance caches once disabled.
+        # Back to per-instance caches outside the scope.
         three = PredictableToolchain(nucleo_stm32f091rc())
         four = PredictableToolchain(nucleo_stm32f091rc())
         assert three.compiler.analysis is not four.compiler.analysis
@@ -260,7 +259,7 @@ class TestProcessWideAnalysisCache:
         assert shared_analysis.misses > 0
 
     def test_search_fills_shared_cache(self):
-        # The --shared-cache payoff: a toolchain's engine-backed search must
+        # The shared-cache payoff: a toolchain's engine-backed search must
         # land its analysis tables in the process-wide cache.
         from repro.toolchain.predictable import PredictableToolchain
 
@@ -273,18 +272,14 @@ class TestProcessWideAnalysisCache:
             graph { work; }
         }
         """
-        enable_process_analysis_cache()
-        try:
+        with shared_analysis_caches():
             toolchain = PredictableToolchain(nucleo_stm32f091rc())
             toolchain.build(source, csl, generations=1, population_size=2)
             stats = process_analysis_cache_stats()["nucleo-stm32f091rc"]
             assert stats["misses"] > 0
-        finally:
-            disable_process_analysis_cache()
 
     def test_same_name_different_platform_gets_no_shared_cache(self):
-        enable_process_analysis_cache()
-        try:
+        with shared_analysis_caches():
             stock = nucleo_stm32f091rc()
             cache = process_analysis_cache(stock)
             assert cache is not None
@@ -293,8 +288,6 @@ class TestProcessWideAnalysisCache:
             assert process_analysis_cache(lookalike) is None
             # The stock platform keeps hitting the shared cache.
             assert process_analysis_cache(nucleo_stm32f091rc()) is cache
-        finally:
-            disable_process_analysis_cache()
 
     def test_engine_stats_report_evictions(self):
         from repro.compiler.engine import EvaluationEngine
@@ -313,10 +306,106 @@ class TestProcessWideAnalysisCache:
         platform = nucleo_stm32f091rc()
         program = compile_source(_source(24))
         private = AnalysisCache(platform).wcet(program, "work")
-        enable_process_analysis_cache()
-        try:
+        with shared_analysis_caches():
             shared = process_analysis_cache(platform).wcet(program, "work")
-        finally:
-            disable_process_analysis_cache()
         assert shared.cycles == private.cycles
         assert shared.time_s == private.time_s
+
+
+class TestSharedAnalysisCacheScope:
+    """The nesting and restore rules of ``shared_analysis_caches``."""
+
+    def test_scope_restores_the_state_it_found(self, tmp_path):
+        platform = nucleo_stm32f091rc()
+        with shared_analysis_caches(tmp_path) as store:
+            assert store is process_cache_store()
+            assert store.directory == str(tmp_path)
+            assert process_analysis_cache(platform).stats()["persistent"]
+        assert process_analysis_cache(platform) is None
+        assert process_cache_store() is None
+        assert process_analysis_cache_stats() == {}
+
+    def test_scope_restores_on_error(self):
+        with pytest.raises(RuntimeError):
+            with shared_analysis_caches():
+                assert process_analysis_cache(gr712rc()) is not None
+                raise RuntimeError("boom")
+        assert process_analysis_cache(gr712rc()) is None
+
+    def test_nested_scope_without_directory_joins(self, tmp_path):
+        platform = nucleo_stm32f091rc()
+        program = compile_source(_source(16))
+        with shared_analysis_caches(tmp_path) as outer_store:
+            outer = process_analysis_cache(platform)
+            with shared_analysis_caches() as store:
+                assert store is outer_store
+                assert process_analysis_cache(platform) is outer
+                outer.wcet(program, "work")
+            # Joining changed nothing on exit: same cache, its entry kept.
+            assert process_analysis_cache(platform) is outer
+            assert process_cache_store() is outer_store
+            assert len(outer) == 1
+
+    def test_nested_scope_with_the_attached_directory_joins(self, tmp_path):
+        platform = nucleo_stm32f091rc()
+        with shared_analysis_caches(tmp_path) as outer_store:
+            outer = process_analysis_cache(platform)
+            with shared_analysis_caches(str(tmp_path) + "/.") as store:
+                assert store is outer_store
+                assert process_analysis_cache(platform) is outer
+            assert process_analysis_cache(platform) is outer
+
+    def test_nested_scope_with_a_new_directory_restores_the_outer(
+            self, tmp_path):
+        platform = nucleo_stm32f091rc()
+        program = compile_source(_source(16))
+        with shared_analysis_caches():
+            outer = process_analysis_cache(platform)
+            outer.wcet(program, "work")
+            with shared_analysis_caches(tmp_path / "inner") as store:
+                inner = process_analysis_cache(platform)
+                assert inner is not outer
+                assert inner.stats()["persistent"]
+                assert store.directory == str(tmp_path / "inner")
+                assert len(inner) == 0
+            assert process_cache_store() is None
+            assert process_analysis_cache(platform) is outer
+            assert len(outer) == 1
+        assert process_analysis_cache(platform) is None
+
+    def test_unusable_directory_raises_before_any_change(self, tmp_path):
+        platform = nucleo_stm32f091rc()
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        with pytest.raises(PersistError):
+            with shared_analysis_caches(not_a_dir):
+                pytest.fail("entered a scope on an unusable directory")
+        assert process_analysis_cache(platform) is None
+        with shared_analysis_caches(tmp_path / "ok") as store:
+            outer = process_analysis_cache(platform)
+            with pytest.raises(PersistError):
+                with shared_analysis_caches(not_a_dir):
+                    pytest.fail("entered a scope on an unusable directory")
+            assert process_cache_store() is store
+            assert process_analysis_cache(platform) is outer
+
+    def test_scope_outliving_its_outer_keeps_its_caches(self, tmp_path):
+        # Services close in any order: each scope removes only itself.
+        platform = nucleo_stm32f091rc()
+        outer = shared_analysis_caches()
+        inner = shared_analysis_caches(tmp_path)
+        joined = shared_analysis_caches()
+        outer.__enter__()
+        store = inner.__enter__()
+        joined.__enter__()
+        inner_cache = process_analysis_cache(platform)
+        outer.__exit__(None, None, None)
+        assert process_cache_store() is store
+        assert process_analysis_cache(platform) is inner_cache
+        inner.__exit__(None, None, None)
+        # The scope that joined the inner one still shares its caches.
+        assert process_cache_store() is store
+        assert process_analysis_cache(platform) is inner_cache
+        joined.__exit__(None, None, None)
+        assert process_analysis_cache(platform) is None
+        assert process_cache_store() is None

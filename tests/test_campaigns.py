@@ -221,8 +221,7 @@ class TestCampaignRunner:
             refine_budget={"generations": 2, "population_size": 2},
             keep=1,
         )
-        with EvaluationService(workers=2,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=2) as service:
             record = service.submit_campaign(campaign)
             record = service.campaign_result(record.id, timeout=300)
             assert record.state is CampaignState.SUCCEEDED
@@ -263,8 +262,7 @@ class TestCampaignRunner:
             StageSpec(name="never",
                       requests=(JobRequest(scenario=tiny_scenario.name),)),
         ))
-        with EvaluationService(workers=1,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1) as service:
             record = service.submit_campaign(campaign)
             assert record.wait(120)
             assert record.state is CampaignState.FAILED
@@ -286,8 +284,7 @@ class TestCampaignRunner:
                       hook_args={"k": 1, "generations": 2,
                                  "population_size": 2}),
         ))
-        with EvaluationService(workers=1,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1) as service:
             record = service.campaign_result(
                 service.submit_campaign(campaign).id, timeout=300)
             assert record.state is CampaignState.SUCCEEDED
@@ -310,8 +307,7 @@ class TestCampaignRunner:
                       hook_args={"k": 1, "generations": 2,
                                  "population_size": 2}),
         ))
-        with EvaluationService(workers=1,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1) as service:
             record = service.campaign_result(
                 service.submit_campaign(campaign).id, timeout=300)
             assert record.state is CampaignState.SUCCEEDED
@@ -332,8 +328,7 @@ class TestCampaignRunner:
                       hook_args={"k": 1, "generations": 2,
                                  "population_size": 2}),
         ))
-        with EvaluationService(workers=1,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1) as service:
             record = service.campaign_result(
                 service.submit_campaign(campaign).id, timeout=300)
             assert record.state is CampaignState.SUCCEEDED
@@ -351,8 +346,7 @@ class TestCampaignRunner:
                 JobRequest(scenario=sibling_scenario.name),
             )),
         ))
-        with EvaluationService(workers=1,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1) as service:
             record = service.campaign_result(
                 service.submit_campaign(campaign).id, timeout=300)
             stage = record.stages[0]
@@ -369,8 +363,7 @@ class TestCampaignRunner:
         ))
         # A stopped pool wedges the stage's jobs as pending forever, so the
         # cancellation window is deterministic.
-        with EvaluationService(workers=1, autostart=False,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1, autostart=False) as service:
             record = service.submit_campaign(campaign)
             deadline = time.monotonic() + 30
             while not record.stages[0].job_ids:
@@ -387,8 +380,7 @@ class TestCampaignRunner:
                 service.campaign_result(record.id, timeout=1)
 
     def test_submission_validation(self, tiny_scenario):  # noqa: F811
-        with EvaluationService(workers=1, autostart=False,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1, autostart=False) as service:
             with pytest.raises(UnknownCampaignError):
                 service.submit_campaign("no-such-campaign")
             with pytest.raises(UnknownScenarioError):
@@ -492,8 +484,7 @@ class TestCampaignResumeInProcess:
         try:
             # First life: stage 1 completes and is journaled; stage 2 wedges
             # in a worker; close() abandons the campaign non-terminal.
-            service = EvaluationService(workers=1, journal=path,
-                                        shared_analysis_cache=False)
+            service = EvaluationService(workers=1, journal=path)
             record = service.submit_campaign(campaign)
             assert _GATE["started"].wait(300)
             assert record.stages[0].state is StageState.SUCCEEDED
@@ -506,8 +497,7 @@ class TestCampaignResumeInProcess:
             _GATE["started"] = threading.Event()
             _GATE["release"] = threading.Event()
             _GATE["release"].set()
-            service = EvaluationService(workers=1, journal=path,
-                                        shared_analysis_cache=False)
+            service = EvaluationService(workers=1, journal=path)
             try:
                 resumed = service.campaign(record.id)
                 assert resumed is not None and resumed.resumed is True
@@ -605,8 +595,7 @@ class TestCampaignHttpApi:
         assert status == 404
 
         # Cancel: wedge a campaign on a stopped pool.
-        with EvaluationService(workers=1, autostart=False,
-                               shared_analysis_cache=False) as wedged:
+        with EvaluationService(workers=1, autostart=False) as wedged:
             from repro.service.http import create_server
             server = create_server(wedged)
             thread = threading.Thread(target=server.serve_forever,
@@ -703,8 +692,7 @@ SERVE_SCRIPT = """\
     register_scenario(ScenarioSpec(
         name="camp-kill-slow", title="Configurably slow", kind="custom",
         platform="nucleo-stm32f091rc", custom_run=slow_run))
-    service = EvaluationService(workers=1, journal=journal,
-                                shared_analysis_cache=False)
+    service = EvaluationService(workers=1, journal=journal)
     server = create_server(service, port=0)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     print(json.dumps({"port": server.server_address[1]}), flush=True)
@@ -809,8 +797,7 @@ class TestCampaignJournalEvents:
             StageSpec(name="only", requests=_requests(
                 tiny_scenario.name, (1, 2))),
         ))
-        with EvaluationService(workers=1, journal=path,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1, journal=path) as service:
             service.campaign_result(
                 service.submit_campaign(campaign).id, timeout=300)
         journal = JobJournal(path)
@@ -848,8 +835,8 @@ class TestCampaignJournalEvents:
                 tiny_scenario.name, (3, 2))),
         ))
         path = tmp_path / "journal.jsonl"
-        with EvaluationService(workers=2, journal=SlowJournal(path),
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=2,
+                               journal=SlowJournal(path)) as service:
             record = service.submit_campaign(campaign)
             assert record.wait(300)
             assert record.state is CampaignState.SUCCEEDED
@@ -899,8 +886,7 @@ class TestCampaignJournalEvents:
                       requests=(JobRequest(scenario=tiny_scenario.name),)),
         ))
         journal = PublishOrderJournal(tmp_path / "journal.jsonl")
-        with EvaluationService(workers=1, journal=journal,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1, journal=journal) as service:
             journal.service = service
             record = service.submit_campaign(campaign)
             assert record.wait(300)

@@ -17,10 +17,7 @@ import pathlib
 
 import pytest
 
-from repro.compiler.engine import (
-    disable_process_analysis_cache,
-    enable_process_analysis_cache,
-)
+from repro.compiler.engine import shared_analysis_caches
 from repro.counters import sum_counters
 from repro.scenarios.runner import run_scenario
 from repro.service import EvaluationService
@@ -115,18 +112,13 @@ def test_sum_counters():
 @pytest.fixture(scope="module")
 def shared_runs():
     """Two runs of one scenario on a fresh process-wide analysis cache."""
-    disable_process_analysis_cache()
-    enable_process_analysis_cache()
-    try:
-        yield [run_scenario(SCENARIO) for _ in range(2)]
-    finally:
-        disable_process_analysis_cache()
+    with shared_analysis_caches():
+        return [run_scenario(SCENARIO) for _ in range(2)]
 
 
 @pytest.fixture(scope="module")
 def service_stats():
     """``GET /stats`` after three forced jobs on a two-thread service."""
-    disable_process_analysis_cache()
     with EvaluationService(workers=2) as service:
         for _ in range(3):
             service.result(service.submit(SCENARIO, use_cache=False),

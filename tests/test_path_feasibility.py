@@ -22,6 +22,7 @@ differing only in ``path_sensitive`` must never share a variant or
 IR-stage cache entry.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.config import CompilerConfig
@@ -384,5 +385,6 @@ class TestCacheKeyWidening:
         genes = config.to_genes(extended=True)
         assert len(genes) == CompilerConfig.gene_length(extended=True)
         assert CompilerConfig.from_genes(genes).path_sensitive is True
-        # Legacy 9-gene vectors still decode, with the flag off.
-        assert CompilerConfig.from_genes(genes[:9]).path_sensitive is False
+        # Only the 7- and 10-gene spaces decode.
+        with pytest.raises(ValueError, match="expected 7 or 10 genes"):
+            CompilerConfig.from_genes(genes[:9])

@@ -41,11 +41,10 @@ from oracles import key_digest_reference
 from repro.compiler.config import UNROLL_CHOICES, CompilerConfig
 from repro.compiler.engine import AnalysisCache
 from repro.compiler.engine.cache import (
-    disable_process_analysis_cache,
-    enable_process_analysis_cache,
     process_analysis_cache_stats,
     process_cache_store,
     program_fingerprint,
+    shared_analysis_caches,
 )
 from repro.compiler.engine.persist import (
     PersistentCacheStore,
@@ -628,22 +627,18 @@ class TestGoldenParityWithDiskTier:
     @pytest.fixture(scope="class")
     def disk_tier_runs(self, tmp_path_factory):
         cache_dir = str(tmp_path_factory.mktemp("analysis-cache"))
-        enable_process_analysis_cache(cache_dir=cache_dir)
-        try:
+        with shared_analysis_caches(cache_dir):
             cold = {name: run_scenario(name)
                     for name, _ in _GOLDEN_SCENARIOS}
             cold_stats = process_analysis_cache_stats()
-            # Simulated restart: drop every in-memory cache and the store
-            # handle, re-attach to the same directory, replay from disk.
-            disable_process_analysis_cache()
-            enable_process_analysis_cache(cache_dir=cache_dir)
+        # Simulated restart: a new scope drops every in-memory cache and the
+        # store handle, re-attaches to the same directory, replays from disk.
+        with shared_analysis_caches(cache_dir):
             warm = {name: run_scenario(name)
                     for name, _ in _GOLDEN_SCENARIOS}
             warm_stats = process_analysis_cache_stats()
             store = process_cache_store()
             store_stats = store.stats() if store is not None else None
-        finally:
-            disable_process_analysis_cache()
         return cold, warm, cold_stats, warm_stats, store_stats
 
     @pytest.mark.parametrize("name,golden_file", _GOLDEN_SCENARIOS)

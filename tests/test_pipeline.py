@@ -587,9 +587,9 @@ class TestExtendedSearchSpace:
     def test_gene_length_and_validation(self):
         assert CompilerConfig.gene_length() == 7
         assert CompilerConfig.gene_length(extended=True) == 10
-        # Nine genes (the extended space before path sensitivity) still
-        # decode, with the new axis off.
-        assert CompilerConfig.from_genes([0.75] * 9).path_sensitive is False
+        # Only the 7- and 10-gene spaces decode.
+        with pytest.raises(ValueError):
+            CompilerConfig.from_genes([0.75] * 9)
         with pytest.raises(ValueError):
             CompilerConfig.from_genes([0.5] * 8)
 
@@ -628,8 +628,8 @@ class TestExtendedSearchSpace:
 
     def test_extended_space_matches_base_when_axes_decode_off(self, platform,
                                                               module):
-        # Same 7 leading genes -> same configuration when bits 8/9 are low.
+        # Same 7 leading genes -> same configuration when bits 8-10 are low.
         genes = [0.75, 0.1, 0.25, 0.75, 0.25, 0.25, 0.25]
         base = CompilerConfig.from_genes(genes)
-        extended = CompilerConfig.from_genes(genes + [0.25, 0.25])
+        extended = CompilerConfig.from_genes(genes + [0.25, 0.25, 0.25])
         assert base == extended

@@ -13,6 +13,7 @@ import pathlib
 import pytest
 
 from repro.compiler.config import CompilerConfig
+from repro.compiler.engine import process_analysis_cache, process_cache_store
 from repro.scenarios import (
     BuildOptions,
     ScenarioRegistryError,
@@ -269,20 +270,34 @@ class TestRunnerAndCli:
             assert {"hits", "misses", "evictions"} <= set(stage)
         # The run evaluates at least one variant, so the caches saw traffic.
         assert stats["variant"]["misses"] >= 1
-        assert stats["analysis"]["shared"] is False
+        # Every run shares one analysis cache per platform.
+        assert stats["analysis"]["shared"] is True
 
     def test_shared_cache_json_reports_analysis_cache(self, registered_tiny,
                                                       capsys):
-        from repro.compiler.engine import disable_process_analysis_cache
-        try:
-            assert cli_main(["run", registered_tiny.name, "--json",
-                             "--shared-cache"]) == 0
-        finally:
-            disable_process_analysis_cache()
+        assert cli_main(["run", registered_tiny.name, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenarios"][0]["cache_stats"]["analysis"]["shared"] \
             is True
-        assert registered_tiny.platform in payload["analysis_cache"]
+        # The service's analysis-cache document, as GET /stats serves it.
+        analysis = payload["analysis_cache"]
+        assert registered_tiny.platform in analysis["platforms"]
+        assert analysis["combined"] == analysis["platforms"]
+        assert analysis["workers"] == {}
+        assert analysis["store"] is None
+        assert "cache_store" not in payload
+
+    def test_cli_run_leaves_no_shared_cache_behind(self, registered_tiny,
+                                                   tmp_path, capsys):
+        # Calling the CLI in-process must not leak its shared cache or its
+        # persistent store into whatever runs next in the process.
+        assert cli_main(["run", registered_tiny.name, "--json",
+                         "--cache-dir", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cache_store"]["entries"] > 0
+        platform = get_scenario(registered_tiny.name).make_platform()
+        assert process_analysis_cache(platform) is None
+        assert process_cache_store() is None
 
 
 # ---------------------------------------------------------------------------

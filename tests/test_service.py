@@ -16,9 +16,12 @@ import pytest
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import (
-    disable_process_analysis_cache,
-    process_analysis_cache_enabled,
+    PersistError,
+    process_analysis_cache,
+    process_cache_store,
+    shared_analysis_caches,
 )
+from repro.hw.presets import nucleo_stm32f091rc
 from repro.scenarios import (
     BuildOptions,
     ScenarioSpec,
@@ -36,7 +39,6 @@ from repro.service import (
     JobState,
     ResultStore,
     WorkerPool,
-    sweep_scenarios,
 )
 from repro.service.__main__ import main as service_cli
 from repro.service.http import create_server
@@ -473,17 +475,38 @@ class TestEvaluationService:
             assert document["result"]["name"] == tiny_scenario.name
             assert service.status("job-999999") is None
 
-    def test_sweep_preserves_order(self, tiny_scenario):
+    def test_sweep_preserves_order(self, tiny_scenario, capsys):
         names = [tiny_scenario.name, "uav-pa", tiny_scenario.name]
-        results = sweep_scenarios(names, jobs=2, timeout=120)
-        assert [result.spec.name for result in results] == names
+        assert scenarios_cli(["run", *names, "--jobs", "2", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["scenarios"]
+        assert [row["name"] for row in rows] == names
 
-    def test_shared_cache_lifecycle_restored(self):
-        assert not process_analysis_cache_enabled()
-        with EvaluationService(workers=1, shared_analysis_cache=True,
-                               autostart=False):
-            assert process_analysis_cache_enabled()
-        assert not process_analysis_cache_enabled()
+    def test_shared_cache_lifecycle_restored(self, tmp_path):
+        platform = nucleo_stm32f091rc()
+        assert process_analysis_cache(platform) is None
+        with EvaluationService(workers=1, autostart=False):
+            shared = process_analysis_cache(platform)
+            assert shared is not None
+            # A service inside another joins its caches and changes
+            # nothing when it closes.
+            with EvaluationService(workers=1, autostart=False):
+                assert process_analysis_cache(platform) is shared
+            assert process_analysis_cache(platform) is shared
+            # One with its own directory shares fresh caches over that
+            # store, and gives the outer caches back when it closes.
+            with EvaluationService(workers=1, autostart=False,
+                                   cache_dir=tmp_path / "inner") as inner:
+                assert process_cache_store().directory == inner.cache_dir
+                assert process_analysis_cache(platform) is not shared
+            assert process_cache_store() is None
+            assert process_analysis_cache(platform) is shared
+        assert process_analysis_cache(platform) is None
+        # An unusable directory fails before the service changes anything.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(PersistError):
+            EvaluationService(workers=1, autostart=False, cache_dir=blocker)
+        assert process_analysis_cache(platform) is None
 
     def test_scenarios_listing_matches_registry(self):
         with EvaluationService(workers=1, autostart=False) as service:
@@ -504,17 +527,26 @@ def _strip_timings(document):
 
 
 class TestParallelSweep:
-    def test_sweep_scenarios_matches_serial(self, tiny_scenario):
-        serial = [run_scenario(tiny_scenario.name),
-                  run_scenario("uav-pa")]
-        parallel = sweep_scenarios([tiny_scenario.name, "uav-pa"], jobs=2,
-                                   timeout=120)
-        assert (parallel[0].report.teamplay_energy_j
-                == serial[0].report.teamplay_energy_j)
-        assert (parallel[0].report.baseline_time_s
-                == serial[0].report.baseline_time_s)
-        assert (parallel[1].detail.outcome.completed
-                == serial[1].detail.outcome.completed)
+    def test_sweep_scenarios_matches_serial(self, tiny_scenario, capsys):
+        # Every run mode of ``scenarios run`` produces the rows of an
+        # in-process run on a fresh shared cache.
+        names = [tiny_scenario.name, "uav-pa"]
+        with shared_analysis_caches():
+            serial = [run_scenario(name) for name in names]
+        expected = [row.summary() for row in serial]
+        expected[0].pop("pipeline_stats")
+        for flags in (["--jobs", "1"], ["--jobs", "2"],
+                      ["--worker-mode", "process"]):
+            assert scenarios_cli(["run", *names, "--json", *flags]) == 0
+            rows = json.loads(capsys.readouterr().out)["scenarios"]
+            _strip_timings({"scenarios": rows[:1]})
+            assert rows == expected, flags
+            assert (rows[0]["teamplay_energy_j"]
+                    == serial[0].report.teamplay_energy_j)
+            assert (rows[0]["baseline_time_s"]
+                    == serial[0].report.baseline_time_s)
+            assert (rows[1]["detail"]["adaptive_completed"]
+                    == serial[1].detail.outcome.completed)
 
     def test_cli_jobs_flag_matches_serial_json(self, tiny_scenario, capsys):
         assert scenarios_cli(["run", tiny_scenario.name, "--json"]) == 0
@@ -527,12 +559,9 @@ class TestParallelSweep:
     def test_cli_process_workers_match_serial_json(self, tiny_scenario,
                                                    tmp_path, capsys):
         def run(cache_dir, *flags):
-            try:
-                assert scenarios_cli(["run", tiny_scenario.name, "--json",
-                                      "--cache-dir", str(cache_dir),
-                                      *flags]) == 0
-            finally:
-                disable_process_analysis_cache()
+            assert scenarios_cli(["run", tiny_scenario.name, "--json",
+                                  "--cache-dir", str(cache_dir),
+                                  *flags]) == 0
             return json.loads(capsys.readouterr().out)
 
         serial = run(tmp_path / "serial")
@@ -546,6 +575,20 @@ class TestParallelSweep:
         # see their records because the command refreshes its store.
         assert pooled["cache_store"]["appends"] == 0
         assert pooled["cache_store"]["entries"] > 0
+        # The analysis work ran in the workers: their counters arrive under
+        # ``workers`` and sum into ``combined``, as in GET /stats.
+        platform = tiny_scenario.platform
+        analysis = pooled["analysis_cache"]
+        assert analysis["platforms"] == {}
+        assert len(analysis["workers"]) == 1
+        (worker,) = analysis["workers"].values()
+        assert worker["analysis"][platform]["misses"] > 0
+        assert analysis["combined"] == worker["analysis"]
+        assert worker["store"]["appends"] == pooled["cache_store"]["entries"]
+        # Serial runs analyse in the parent.
+        assert serial["analysis_cache"]["workers"] == {}
+        assert (serial["analysis_cache"]["combined"][platform]["misses"]
+                == worker["analysis"][platform]["misses"])
 
     def test_cli_rejects_bad_jobs(self, capsys):
         assert scenarios_cli(["run", "--all", "--jobs", "0"]) == 2
@@ -643,7 +686,8 @@ class TestHttpApi:
                               "analysis_cache", "journal", "parse_cache",
                               "campaigns"}
         assert stats["campaigns"]["campaigns"] == 0
-        assert stats["analysis_cache"]["enabled"] is True
+        assert set(stats["analysis_cache"]) == {"platforms", "combined",
+                                                "workers", "store"}
         assert stats["journal"] is None  # no --journal on this fixture
         assert set(stats["parse_cache"]) == {"entries", "max_entries",
                                              "hits", "misses", "evictions"}

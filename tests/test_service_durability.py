@@ -34,8 +34,10 @@ import pytest
 
 from repro.compiler.engine import (
     PersistError,
-    process_analysis_cache_enabled,
+    process_analysis_cache,
+    process_cache_store,
 )
+from repro.hw.presets import nucleo_stm32f091rc
 from repro.scenarios import (
     ScenarioSpec,
     register_scenario,
@@ -238,7 +240,6 @@ class TestServiceRestart:
             # First life: complete one job, leave one pending, then "crash"
             # (close without draining).
             service = EvaluationService(workers=1, journal=path,
-                                        shared_analysis_cache=False,
                                         autostart=False)
             done = service.submit(tiny_scenario.name)
             pending = service.submit(other.name)
@@ -248,7 +249,6 @@ class TestServiceRestart:
 
             # Second life: replay the same journal.
             service = EvaluationService(workers=1, journal=path,
-                                        shared_analysis_cache=False,
                                         autostart=False)
             try:
                 restored = service.job(done.id)
@@ -287,7 +287,6 @@ class TestServiceRestart:
         path = tmp_path / "journal.jsonl"
         try:
             service = EvaluationService(workers=1, journal=path,
-                                        shared_analysis_cache=False,
                                         autostart=False)
             done = service.submit(spec.name)
             service._execute(service.queue.claim(timeout=1))
@@ -296,7 +295,6 @@ class TestServiceRestart:
             service.close()
 
             service = EvaluationService(workers=1, journal=path,
-                                        shared_analysis_cache=False,
                                         autostart=False)
             try:
                 repeat = service.submit(spec.name)
@@ -315,7 +313,6 @@ class TestServiceRestart:
         path = tmp_path / "journal.jsonl"
         try:
             service = EvaluationService(workers=1, journal=path,
-                                        shared_analysis_cache=False,
                                         autostart=False)
             done = service.submit_batch(batch)
             service._execute(service.queue.claim(timeout=1))
@@ -323,7 +320,6 @@ class TestServiceRestart:
             service.close()
 
             service = EvaluationService(workers=1, journal=path,
-                                        shared_analysis_cache=False,
                                         autostart=False)
             try:
                 restored = service.job(done.id)
@@ -341,14 +337,12 @@ class TestServiceRestart:
             self, tmp_path, tiny_scenario):  # noqa: F811
         path = tmp_path / "journal.jsonl"
         service = EvaluationService(workers=1, journal=path,
-                                    shared_analysis_cache=False,
                                     autostart=False)
         job = service.submit(tiny_scenario.name)
         assert service.cancel(job.id)
         service.close()
 
         service = EvaluationService(workers=1, journal=path,
-                                    shared_analysis_cache=False,
                                     autostart=False)
         try:
             assert service.job(job.id).state is JobState.CANCELLED
@@ -372,7 +366,6 @@ class TestServiceRestart:
                     "request": req.as_dict(), "priority": 0,
                     "submitted_at": 1.0}) + "\n")
         service = EvaluationService(workers=1, journal=path,
-                                    shared_analysis_cache=False,
                                     autostart=False)
         try:
             assert service.queue.stats()["pending"] == 1
@@ -383,8 +376,7 @@ class TestServiceRestart:
 
     def test_stats_surface_journal_counters(self, tmp_path, tiny_scenario):  # noqa: F811
         path = tmp_path / "journal.jsonl"
-        with EvaluationService(workers=1, journal=path,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1, journal=path) as service:
             service.result(service.submit(tiny_scenario.name), timeout=120)
             journal_stats = service.stats()["journal"]
             assert journal_stats["path"] == str(path)
@@ -408,12 +400,10 @@ class TestProcessWorkerMode:
             WorkerPool(queue, lambda job: None, mode="process")
 
     def test_process_mode_matches_thread_mode(self, tiny_scenario):  # noqa: F811
-        with EvaluationService(workers=1,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1) as service:
             reference = service.result(service.submit(tiny_scenario.name),
                                        timeout=120)
-        with EvaluationService(workers=2, worker_mode="process",
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=2, worker_mode="process") as service:
             assert service.pool.stats()["mode"] == "process"
             result = service.result(service.submit(tiny_scenario.name),
                                     timeout=300)
@@ -438,8 +428,7 @@ class TestProcessWorkerMode:
         path = tmp_path / "journal.jsonl"
         try:
             with EvaluationService(workers=1, worker_mode="process",
-                                   journal=path,
-                                   shared_analysis_cache=False) as service:
+                                   journal=path) as service:
                 job = service.submit(spec.name)
                 assert job.wait(120)
                 assert job.state is JobState.FAILED
@@ -471,8 +460,7 @@ class TestProcessWorkerMode:
             from test_service import tiny_spec
 
             register_scenario(tiny_spec("svc-orphan"))
-            service = EvaluationService(workers=1, worker_mode="process",
-                                        shared_analysis_cache=False)
+            service = EvaluationService(workers=1, worker_mode="process")
             server = create_server(service, port=0)
             threading.Thread(target=server.serve_forever,
                              daemon=True).start()
@@ -555,8 +543,7 @@ class TestBatchJobs:
     def test_batch_runs_as_one_job_in_request_order(self, tiny_scenario):  # noqa: F811
         other = register_scenario(tiny_spec("svc-tiny-batch"))
         try:
-            with EvaluationService(workers=1,
-                                   shared_analysis_cache=False) as service:
+            with EvaluationService(workers=1) as service:
                 job = service.submit_batch([
                     {"scenario": other.name},
                     {"scenario": tiny_scenario.name},
@@ -631,8 +618,7 @@ class TestLongPoll:
     def test_wait_blocks_until_completion(self, tiny_scenario):  # noqa: F811
         from repro.service.http import create_server
 
-        service = EvaluationService(workers=1, shared_analysis_cache=False,
-                                    autostart=False)
+        service = EvaluationService(workers=1, autostart=False)
         server = create_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -660,8 +646,8 @@ class TestLongPoll:
     def test_wait_times_out_on_still_pending_jobs(self, tiny_scenario):  # noqa: F811
         from repro.service.http import create_server
 
-        service = EvaluationService(workers=1, shared_analysis_cache=False,
-                                    autostart=False)  # nothing drains
+        # Nothing drains.
+        service = EvaluationService(workers=1, autostart=False)
         server = create_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -700,8 +686,7 @@ class TestStoreIdFallback:
     def test_status_survives_queue_record_pruning(self, tiny_scenario):  # noqa: F811
         other = register_scenario(tiny_spec("svc-tiny-prune"))
         try:
-            with EvaluationService(workers=1, max_job_records=1,
-                                   shared_analysis_cache=False) as service:
+            with EvaluationService(workers=1, max_job_records=1) as service:
                 first = service.submit(tiny_scenario.name)
                 service.result(first, timeout=120)
                 second = service.submit(other.name)
@@ -724,8 +709,7 @@ class TestStoreIdFallback:
         from repro.service.http import create_server
 
         service = EvaluationService(workers=1, max_job_records=1,
-                                    store_max_entries=1,
-                                    shared_analysis_cache=False)
+                                    store_max_entries=1)
         server = create_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -762,7 +746,7 @@ class TestProcessWorkerCacheStats:
             service.result(service.submit(tiny_scenario.name), timeout=300)
             document = service.stats()["analysis_cache"]
 
-        assert document["enabled"] is True
+        assert set(document) == {"platforms", "combined", "workers", "store"}
         # At least the worker that computed the job shipped its counters.
         assert document["workers"], "no worker cache snapshot arrived"
         computed = 0
@@ -786,7 +770,8 @@ class TestProcessWorkerCacheStats:
         with pytest.raises(PersistError, match="not a directory"):
             EvaluationService(workers=1, cache_dir=str(blocker))
         # Validation ran before any state was created or enabled.
-        assert not process_analysis_cache_enabled()
+        assert process_analysis_cache(nucleo_stm32f091rc()) is None
+        assert process_cache_store() is None
 
 
 class TestWarmCacheSurvivesSigkill:
@@ -837,7 +822,7 @@ class TestWarmCacheSurvivesSigkill:
             env=env, capture_output=True, text=True, timeout=300)
         assert sweep.returncode == 0, sweep.stderr
         summary = json.loads(sweep.stdout)
-        counters = summary["analysis_cache"]
+        counters = summary["analysis_cache"]["combined"]
         disk_hits = sum(c["disk_hits"] for c in counters.values())
         disk_misses = sum(c["disk_misses"] for c in counters.values())
         assert disk_hits > 0

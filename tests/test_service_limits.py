@@ -89,7 +89,6 @@ class TestBoundedPendingQueue:
         other = register_scenario(tiny_spec("svc-tiny-2"))
         try:
             with EvaluationService(workers=1, max_pending=1,
-                                   shared_analysis_cache=False,
                                    autostart=False) as service:
                 service.submit(tiny_scenario.name)
                 with pytest.raises(QueueFull):
@@ -102,7 +101,6 @@ class TestHttp429:
     def test_full_queue_maps_to_429_with_retry_after(self, tiny_scenario):  # noqa: F811
         other = register_scenario(tiny_spec("svc-tiny-http2"))
         service = EvaluationService(workers=1, max_pending=1,
-                                    shared_analysis_cache=False,
                                     autostart=False)  # nothing drains
         server = create_server(service)
         import threading
@@ -145,8 +143,7 @@ class TestHttp429:
 @pytest.fixture
 def idle_http_service():
     """A served-but-not-draining service for pure input-validation tests."""
-    service = EvaluationService(workers=1, shared_analysis_cache=False,
-                                autostart=False)
+    service = EvaluationService(workers=1, autostart=False)
     server = create_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -486,7 +483,6 @@ class TestResultStoreTtl:
 
     def test_service_wires_ttl_through(self):
         with EvaluationService(workers=1, store_ttl_s=123.0,
-                               shared_analysis_cache=False,
                                autostart=False) as service:
             assert service.store.ttl_s == 123.0
             assert service.stats()["store"]["ttl_s"] == 123.0
@@ -497,8 +493,7 @@ class TestResultStoreTtl:
 # ---------------------------------------------------------------------------
 class TestServicePipelineStats:
     def test_stats_aggregate_across_jobs(self, tiny_scenario):  # noqa: F811
-        with EvaluationService(workers=1,
-                               shared_analysis_cache=False) as service:
+        with EvaluationService(workers=1) as service:
             job = service.submit(tiny_scenario.name)
             service.result(job, timeout=120)
             # A store-served repeat computes nothing, so it must not
