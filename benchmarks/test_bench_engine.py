@@ -3,20 +3,24 @@
 Not a paper experiment: demonstrates the PR-1 engine's caching stages on the
 paper's own workloads.  ENG1 evaluates a camera-pill configuration
 population through the engine versus the uncached reference pipeline
-(``evaluate_config``), asserting bit-for-bit identical variants and a
-wall-clock win; ENG2 shows the ablation workload (repeated ``compile`` calls
+(the ``evaluate_config`` oracle in ``tests/oracles.py``), asserting
+bit-for-bit identical variants and a wall-clock win; ENG2 shows the ablation workload (repeated ``compile`` calls
 on one driver) hitting the staged caches.
 """
 
+import pathlib
+import sys
 import time
 
 from conftest import print_experiment
 
 from repro.compiler import CompilerConfig, MultiCriteriaCompiler
 from repro.compiler.engine import BatchEvaluator, EvaluationEngine
-from repro.compiler.evaluate import evaluate_config
 from repro.frontend.parser import parse
 from repro.usecases import camera_pill
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from oracles import evaluate_config  # noqa: E402  (tests/ is not a package)
 
 #: The ablation ladder plus the search's usual seeds — a realistic
 #: generation's worth of distinct configurations with shared sub-structure.

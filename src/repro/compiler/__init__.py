@@ -18,7 +18,7 @@ numpy-vectorised Pareto machinery shared by both optimisers.
 """
 
 from repro.compiler.config import CompilerConfig
-from repro.compiler.evaluate import Variant, evaluate_config
+from repro.compiler.evaluate import Variant
 from repro.compiler.driver import MultiCriteriaCompiler, ParetoFront
 from repro.compiler.engine import (
     AnalysisCache,
@@ -44,5 +44,4 @@ __all__ = [
     "PassManager",
     "Variant",
     "VariantCache",
-    "evaluate_config",
 ]

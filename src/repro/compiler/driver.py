@@ -73,15 +73,6 @@ class ParetoFront:
     def best_by_energy(self) -> Variant:
         return min(self.variants, key=lambda v: v.energy_j)
 
-    def best_by_security(self) -> Variant:
-        with_security = [v for v in self.variants if v.security_level is not None]
-        if not with_security:
-            raise CompilationError("no variant carries a security level")
-        return max(with_security, key=lambda v: v.security_level)
-
-    def to_rows(self) -> List[Dict[str, object]]:
-        return [variant.summary() for variant in self.variants]
-
 
 class MultiCriteriaCompiler:
     """WCC-like compiler facade for a predictable platform."""
@@ -239,8 +230,8 @@ class MultiCriteriaCompiler:
         The returned variant is served from the compiler's shared engine
         cache: repeated calls with an equal configuration return the *same*
         object.  Treat it (including ``program`` and ``pass_statistics``) as
-        read-only; use :func:`repro.compiler.evaluate.evaluate_config` for a
-        private, freshly built variant.
+        read-only; clone ``program`` (:meth:`~repro.ir.cfg.Program.clone`)
+        before changing it.
         """
         module = self._as_module(source)
         config = config or CompilerConfig.baseline()

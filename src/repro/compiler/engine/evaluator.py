@@ -17,7 +17,8 @@ Variants are costed at the core's nominal operating point; time and energy
 at another point are a query on the analysis cache, not another build.
 
 With ``entry_functions`` naming a single function the engine produces the
-same variants as :func:`repro.compiler.evaluate.evaluate_config`; with
+same variants as the uncached ``evaluate_config`` reference kept with
+the test oracles in ``tests/oracles.py``; with
 several it produces the aggregate all-tasks variants the predictable
 toolchain optimises (sum of per-entry WCET/energy, entry ``"<all tasks>"``).
 """

@@ -4,9 +4,9 @@ One :class:`CompilationPipeline` binds a platform and a
 :class:`~repro.compiler.pipeline.manager.PassManager` and exposes the
 compile path as *stage runs* over the registered pass list.  The evaluation
 engine drives the stages through its caches (each stage method corresponds
-to one cache boundary, keyed by the manager's stage keys); :meth:`build`
-chains them for an uncached one-shot build — the only other build
-sequence, used by :func:`repro.compiler.evaluate.evaluate_config`.
+to one cache boundary, keyed by the manager's stage keys).  The only
+other build sequence, the uncached one-shot ``build_program`` that chains
+the stages, is a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -134,16 +134,6 @@ class CompilationPipeline:
                           program=program)
         self._run_stage("backend", ctx)
         return ctx.statistics
-
-    # ----------------------------------------------------------- one-shot --
-    def build(self, module: ast.SourceModule, config: CompilerConfig
-              ) -> Tuple[Program, Dict[str, int]]:
-        """Uncached end-to-end build (the engine adds the cache layers)."""
-        working, statistics = self.pre_unroll(module, config)
-        program = self.unroll_and_lower(working, config, statistics)
-        statistics.update(self.ir_passes(program, config))
-        statistics.update(self.backend_passes(program, config))
-        return program, statistics
 
     # --------------------------------------------------------------- stats --
     def stats(self) -> Dict[str, Dict[str, object]]:

@@ -64,10 +64,6 @@ class MissionOutcome:
     steps: List[AdaptationStep] = field(default_factory=list)
     final_state_of_charge: float = 0.0
 
-    @property
-    def average_quality(self) -> float:
-        return self.quality_integral / self.flight_time_s if self.flight_time_s else 0.0
-
 
 class BatteryAwareManager:
     """Selects the software mode so the mission fits the remaining charge."""
@@ -97,11 +93,6 @@ class BatteryAwareManager:
             if needed <= available:
                 return mode
         return self.modes[-1]
-
-    def required_energy_j(self, mission: Sequence[MissionPhase],
-                          mode: SoftwareMode) -> float:
-        return sum(p.mechanical_power_w * p.duration_s for p in mission) \
-            + mode.power_w * sum(p.duration_s for p in mission)
 
     # -- simulation ----------------------------------------------------------------
     def simulate_mission(self, mission: Sequence[MissionPhase]) -> MissionOutcome:

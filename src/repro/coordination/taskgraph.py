@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.errors import SchedulingError
+from repro.graph import topological_order
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,6 @@ class TaskVersion:
 
     name: str
     implementations: List[Implementation] = field(default_factory=list)
-
-    def implementations_on(self, core: str) -> List[Implementation]:
-        return [impl for impl in self.implementations if impl.core == core]
 
     def add(self, implementation: Implementation) -> "TaskVersion":
         self.implementations.append(implementation)
@@ -143,15 +139,8 @@ class TaskGraph:
             self.edges.append((source, destination))
 
     # -- structure ----------------------------------------------------------
-    def graph(self) -> "nx.DiGraph":
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.tasks)
-        graph.add_edges_from(self.edges)
-        return graph
-
     def validate(self) -> None:
-        graph = self.graph()
-        if not nx.is_directed_acyclic_graph(graph):
+        if len(self.topological_order()) < len(self.tasks):
             raise SchedulingError(
                 f"task graph {self.name!r} contains a dependency cycle")
         for task in self.tasks.values():
@@ -160,7 +149,10 @@ class TaskGraph:
                     f"task {task.name!r} has no implementation to schedule")
 
     def topological_order(self) -> List[str]:
-        return list(nx.topological_sort(self.graph()))
+        """Kahn order (see :func:`repro.graph.topological_order`); the
+        list scheduler breaks ties by it.  Shorter than :attr:`tasks` when
+        the edges form a cycle."""
+        return topological_order(self.tasks, self.successors)
 
     def predecessors(self, task: str) -> List[str]:
         return [src for src, dst in self.edges if dst == task]

@@ -81,10 +81,6 @@ class ContractSpec:
             # A purely periodic system is implicitly constrained by its period.
             self.deadline = self.period
 
-    @property
-    def task_names(self) -> List[str]:
-        return list(self.tasks)
-
     def deadline_s(self) -> Optional[float]:
         return self.deadline.value if self.deadline is not None else None
 

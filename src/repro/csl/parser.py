@@ -83,13 +83,6 @@ class _CslParser:
         self.advance()
         return token_value
 
-    def accept_ident(self, value: str) -> bool:
-        kind, token_value = self.peek()
-        if kind == "ident" and token_value == value:
-            self.advance()
-            return True
-        return False
-
     # -- grammar -------------------------------------------------------------
     def parse(self) -> ContractSpec:
         self.expect("ident", "system")

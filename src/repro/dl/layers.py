@@ -24,9 +24,6 @@ class Layer:
     def macs(self, input_shape: Tuple[int, ...]) -> int:  # pragma: no cover
         raise NotImplementedError
 
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(self.forward(np.zeros(input_shape)).shape)
-
     def __call__(self, tensor: np.ndarray) -> np.ndarray:
         return self.forward(tensor)
 

@@ -91,9 +91,6 @@ class ComponentEnergyModel:
             total += by_component.get(core.name, 0.0)
         return total
 
-    def average_power(self, loads: List[ComponentLoad], window_s: float) -> float:
-        return self.window_energy(loads, window_s) / window_s
-
     def idle_power(self) -> float:
         """Board power with every component idle."""
         return self.board_overhead_w + sum(

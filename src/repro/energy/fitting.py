@@ -32,10 +32,6 @@ class FitReport:
     sample_count: int
     per_sample_error: List[float] = field(default_factory=list)
 
-    @property
-    def mape_percent(self) -> float:
-        return self.mean_absolute_percentage_error * 100.0
-
 
 def _design_matrix(campaign: MeasurementCampaign,
                    classes: Sequence[str]) -> np.ndarray:

@@ -42,12 +42,6 @@ class MeasurementCampaign:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def class_names(self) -> List[str]:
-        names = set()
-        for sample in self.samples:
-            names.update(sample.class_counts)
-        return sorted(names)
-
 
 def _class_counts(events) -> Dict[str, float]:
     counts: Dict[str, float] = {}

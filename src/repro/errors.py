@@ -53,14 +53,6 @@ class SchedulingError(TeamPlayError):
     """Raised by the coordination layer when no feasible schedule exists."""
 
 
-class ContractViolation(TeamPlayError):
-    """Raised when a contract obligation cannot be discharged."""
-
-    def __init__(self, obligation, message: str = ""):
-        self.obligation = obligation
-        super().__init__(message or f"contract violated: {obligation}")
-
-
 class PlatformError(TeamPlayError):
     """Raised for inconsistent hardware platform descriptions."""
 

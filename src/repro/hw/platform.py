@@ -70,10 +70,6 @@ class Platform:
         schedulable = self.schedulable_cores
         return bool(schedulable) and all(isinstance(core, Core) for core in schedulable)
 
-    @property
-    def default_core(self) -> ProcessingElement:
-        return self.schedulable_cores[0] if self.schedulable_cores else self.cores[0]
-
     # -- power ----------------------------------------------------------------
     def idle_power_w(self) -> float:
         """Board idle power: leakage of every core plus accelerator idle draw."""

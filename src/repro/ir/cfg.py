@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.errors import TeamPlayError
+from repro.graph import topological_order
 from repro.ir import runs
 from repro.ir.instructions import Instr, Opcode, Reg
 from repro.ir.regions import Region, SeqRegion, iter_block_labels
@@ -181,15 +180,6 @@ class Function:
         return sum(len(block) for block in self.blocks.values())
 
     # -- derived structure ------------------------------------------------------
-    def cfg(self) -> "nx.DiGraph":
-        """The control-flow graph as a :class:`networkx.DiGraph` over labels."""
-        graph = nx.DiGraph()
-        for label, block in self.blocks.items():
-            graph.add_node(label)
-            for succ in block.successors():
-                graph.add_edge(label, succ)
-        return graph
-
     def callees(self) -> Set[str]:
         return {instr.callee for block in self.blocks.values()
                 for instr in runs.walk(block.parts)
@@ -302,43 +292,18 @@ class Program:
             source_name=self.source_name,
         )
 
-    def call_graph(self) -> "nx.DiGraph":
-        graph = nx.DiGraph()
-        for name, function in self.functions.items():
-            graph.add_node(name)
-            for callee in function.callees():
-                graph.add_edge(name, callee)
-        return graph
-
     def has_recursion(self) -> bool:
         """Whether the call graph has a cycle (self-calls included).
 
-        An iterative three-colour DFS over the callee sets: no networkx
-        graph is built, and calls to unknown functions (which
-        :meth:`validate` rejects) cannot close a cycle, so they are skipped.
+        Calls to unknown functions (which :meth:`validate` rejects) cannot
+        close a cycle, so they are left out of the ordering.
         """
         callees = {name: function.callees()
                    for name, function in self.functions.items()}
-        state: Dict[str, int] = {}  # 1 = on stack, 2 = done
-        for root in callees:
-            if state.get(root):
-                continue
-            stack = [(root, iter(callees[root]))]
-            state[root] = 1
-            while stack:
-                name, remaining = stack[-1]
-                for callee in remaining:
-                    mark = state.get(callee)
-                    if mark == 1:
-                        return True
-                    if mark is None and callee in callees:
-                        state[callee] = 1
-                        stack.append((callee, iter(callees[callee])))
-                        break
-                else:
-                    state[name] = 2
-                    stack.pop()
-        return False
+        order = topological_order(
+            callees, lambda name: [callee for callee in callees[name]
+                                   if callee in callees])
+        return len(order) < len(callees)
 
     @property
     def task_functions(self) -> Dict[str, Function]:

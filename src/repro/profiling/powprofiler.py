@@ -43,10 +43,6 @@ class TaskProfile:
         return sum(self.times_s) / self.runs if self.runs else 0.0
 
     @property
-    def mean_energy_j(self) -> float:
-        return sum(self.energies_j) / self.runs if self.runs else 0.0
-
-    @property
     def max_time_s(self) -> float:
         return max(self.times_s) if self.times_s else 0.0
 

@@ -16,8 +16,9 @@ service's ``analysis_cache`` counters — the ``GET /stats`` document).
 ``--profile`` appends a per-pass wall-time/invocation table aggregated
 across the whole sweep (rendered by
 :func:`repro.compiler.pipeline.render_profile`; with ``--json`` it becomes
-the summary's ``pipeline_profile`` field instead) plus the process-wide
-parse-cache counters (``parse_cache`` in the JSON document).  The whole
+the summary's ``pipeline_profile`` field instead) plus the parse-cache
+counters of the command and its process-mode workers, summed
+(``parse_cache`` in the JSON document).  The whole
 run shares one WCET/WCEC analysis cache per platform across scenarios;
 ``--cache-dir PATH`` additionally persists those tables to disk (shared
 across processes and runs — a later invocation against the same directory
@@ -151,11 +152,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     totals = {}
     for result in results:
         sum_counters(totals, result.pipeline_stats)
+    # Process-mode workers parse in their own processes: add their counters.
+    parse_rows = {"parse": parse_cache_stats()}
+    for worker in analysis_cache["workers"].values():
+        sum_counters(parse_rows, {"parse": worker["parse"]})
+    parse_cache = parse_rows["parse"]
     if args.json:
         document = {"scenarios": [result.summary() for result in results]}
         if args.profile:
             document["pipeline_profile"] = profile_rows(totals)
-            document["parse_cache"] = parse_cache_stats()
+            document["parse_cache"] = parse_cache
         document["analysis_cache"] = analysis_cache
         if store is not None:
             document["cache_store"] = analysis_cache["store"]
@@ -174,10 +180,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(render_profile(
             totals, title="pipeline profile (aggregated over "
                           f"{len(results)} scenario run(s))"))
-        cache = parse_cache_stats()
-        print(f"parse cache: {cache['hits']} hit(s), "
-              f"{cache['misses']} miss(es), "
-              f"{cache['entries']} module(s) resident")
+        print(f"parse cache: {parse_cache['hits']} hit(s), "
+              f"{parse_cache['misses']} miss(es), "
+              f"{parse_cache['entries']} module(s) resident")
         if store is not None:
             stats = analysis_cache["store"]
             print(f"analysis store: {stats['hits']} disk hit(s), "

@@ -164,10 +164,6 @@ def milliseconds(value: Number) -> Quantity:
     return Quantity(float(value) * 1e-3, TIME)
 
 
-def microseconds(value: Number) -> Quantity:
-    return Quantity(float(value) * 1e-6, TIME)
-
-
 def joules(value: Number) -> Quantity:
     return Quantity(float(value), ENERGY)
 
@@ -184,16 +180,8 @@ def watts(value: Number) -> Quantity:
     return Quantity(float(value), POWER)
 
 
-def milliwatts(value: Number) -> Quantity:
-    return Quantity(float(value) * 1e-3, POWER)
-
-
 def hertz(value: Number) -> Quantity:
     return Quantity(float(value), FREQUENCY)
-
-
-def megahertz(value: Number) -> Quantity:
-    return Quantity(float(value) * 1e6, FREQUENCY)
 
 
 def cycles_to_time(cycles: Number, frequency_hz: Number) -> Quantity:

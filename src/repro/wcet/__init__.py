@@ -8,8 +8,6 @@ platform's timing model, it derives a safe upper bound on execution time.
   (counted ``for`` loops) complementing ``loopbound`` pragmas,
 * :mod:`repro.wcet.structural` — the structural cost engine shared with the
   worst-case energy analysis,
-* :mod:`repro.wcet.ipet` — an IPET (implicit path enumeration) formulation
-  over the CFG used as a cross-check on acyclic regions,
 * :mod:`repro.wcet.analyzer` — the user-facing :class:`WCETAnalyzer`.
 """
 

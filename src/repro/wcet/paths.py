@@ -665,44 +665,6 @@ def _enumerate_paths(function: Function, labels: Set[str], entry: str,
     return best, enumerated, pruned, touched
 
 
-def feasible_longest_path_cost(function: Function, instr_cost: InstrCost,
-                               entry: Optional[str] = None,
-                               path_cap: int = DEFAULT_PATH_CAP,
-                               stats: Optional[PathStats] = None
-                               ) -> Optional[float]:
-    """Max cost over the *feasible* paths of a whole (acyclic) CFG.
-
-    The explicit-enumeration counterpart of
-    :func:`repro.wcet.ipet.acyclic_longest_path_cost`: every entry→exit path
-    is walked with constraint propagation and contradictory paths are
-    skipped.  Returns ``None`` when the path budget runs out or the flow is
-    irregular (cycles) — callers fall back to the path-insensitive bound.
-    """
-    stats = stats if stats is not None else PathStats()
-    labels = set(function.blocks)
-    entry = entry or function.entry
-    block_costs = {
-        label: sum(instr_cost(function, instr) for instr in block.instrs)
-        for label, block in function.blocks.items()
-    }
-    stats.units += 1
-    started = time.perf_counter()
-    try:
-        best, enumerated, pruned, _ = _enumerate_paths(
-            function, labels, entry, block_costs.__getitem__, path_cap)
-    except _PathCapExceeded:
-        stats.cap_fallbacks += 1
-        return None
-    except _IrregularFlow:
-        stats.irregular_fallbacks += 1
-        return None
-    finally:
-        stats.wall_s += time.perf_counter() - started
-    stats.paths_enumerated += enumerated
-    stats.paths_pruned += pruned
-    return best
-
-
 # --------------------------------------------------------------------------
 # The path-sensitive cost engine
 # --------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Slow, obviously-correct oracles for the vectorised code in ``src/``.
+"""Slow, obviously-correct oracles for the code in ``src/``.
 
-Each function here is the original loop-based implementation that a faster
-version replaced.  The shipped package never calls them; the differential
-tests import this module by name and assert exact agreement:
+Each function here is a plain reference: the original loop-based
+implementation that a faster version replaced, or the uncached path that a
+cached one must match.  The shipped package never calls them; the
+differential tests import this module by name and assert exact agreement:
 
 * the seed's O(N^2) double-loop Pareto machinery (``non_dominated_sort``,
   ``crowding_distance``, ``pareto_front`` in
@@ -25,7 +26,19 @@ tests import this module by name and assert exact agreement:
   the token-cursor :func:`repro.frontend.parse` replaced, checked AST for
   AST and error message for error message in
   ``tests/test_frontend_cursor.py`` and timed as the seed baseline by
-  ``benchmarks/test_bench_frontend.py``.
+  ``benchmarks/test_bench_frontend.py``;
+* the uncached build and evaluation (``build_program``, the stage chain
+  that :class:`~repro.compiler.engine.EvaluationEngine` caches, and
+  ``evaluate_config``, which analyses its result with the stock
+  :class:`~repro.wcet.analyzer.WCETAnalyzer` and
+  :class:`~repro.energy.static_analyzer.EnergyAnalyzer`), checked variant
+  for variant in ``tests/test_engine.py`` and ``tests/test_pipeline.py``
+  and timed as the uncached baseline by ``benchmarks/test_bench_engine.py``;
+* the IPET longest path (``acyclic_longest_path_cost``) and whole-CFG
+  feasible-path enumeration (``feasible_longest_path_cost``,
+  ``acyclic_longest_feasible_path_cost``) that cross-check the structural
+  and path-sensitive engines of :mod:`repro.wcet` in
+  ``tests/test_wcet.py`` and ``tests/test_path_feasibility.py``.
 """
 
 from __future__ import annotations
@@ -33,18 +46,31 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.compiler.config import CompilerConfig
 from repro.compiler.engine.persist import PERSIST_CODEC_VERSION, PersistError
-from repro.errors import CompilationError, FrontendError
+from repro.compiler.evaluate import SecurityEvaluator, Variant
+from repro.compiler.passes.spm import INSTRUCTION_BYTES
+from repro.compiler.pipeline import CompilationPipeline
+from repro.energy.static_analyzer import EnergyAnalyzer
+from repro.errors import AnalysisError, CompilationError, FrontendError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lexer import Token, tokenize
 from repro.frontend.parser import _ASSIGN_OPS, _PRECEDENCE
 from repro.frontend.pragmas import parse_pragma
+from repro.hw.core import Core
+from repro.hw.platform import Platform
+from repro.ir.cfg import Function, Program
+from repro.wcet.analyzer import WCETAnalyzer
 from repro.wcet.loopbounds import infer_for_bound
+from repro.wcet.paths import (DEFAULT_PATH_CAP, PathStats, _enumerate_paths,
+                              _IrregularFlow, _PathCapExceeded)
+from repro.wcet.structural import InstrCost
 
 
 @dataclass
@@ -556,3 +582,146 @@ def parse_reference(source: str,
     the same error message for every invalid one.
     """
     return _ReferenceParser(tokenize(source), source_name).parse_module()
+
+
+def build_program(pipeline: CompilationPipeline, module: ast.SourceModule,
+                  config: CompilerConfig) -> Tuple[Program, Dict[str, int]]:
+    """Uncached end-to-end build: every stage of ``pipeline`` in order
+    (the evaluation engine adds the cache layers between them)."""
+    working, statistics = pipeline.pre_unroll(module, config)
+    program = pipeline.unroll_and_lower(working, config, statistics)
+    statistics.update(pipeline.ir_passes(program, config))
+    statistics.update(pipeline.backend_passes(program, config))
+    return program, statistics
+
+
+def evaluate_config(module: ast.SourceModule, config: CompilerConfig,
+                    platform: Platform, entry_function: str,
+                    core: Optional[Core] = None,
+                    security_evaluator: Optional[SecurityEvaluator] = None,
+                    name: Optional[str] = None) -> Variant:
+    """Compile ``module`` under ``config`` and statically analyse the result.
+
+    Uncached: the build runs every stage of a fresh
+    :class:`~repro.compiler.pipeline.CompilationPipeline` and the bounds
+    come from the stock analysers, so this is the reference the evaluation
+    engine's cached results are checked against.
+    """
+    program, statistics = build_program(CompilationPipeline(platform),
+                                        module, config)
+    if entry_function not in program.functions:
+        raise CompilationError(f"entry function {entry_function!r} not found")
+
+    wcet = WCETAnalyzer(platform, core=core).analyze(
+        program, entry_function, path_sensitive=config.path_sensitive)
+    wcec = EnergyAnalyzer(platform, core=core).analyze(
+        program, entry_function, path_sensitive=config.path_sensitive)
+    security = (security_evaluator(program, entry_function)
+                if security_evaluator is not None else None)
+    code_size = program.total_instructions * INSTRUCTION_BYTES
+
+    return Variant(
+        name=name or config.short_name(),
+        config=config,
+        program=program,
+        entry_function=entry_function,
+        wcet_cycles=wcet.cycles,
+        wcet_time_s=wcet.time_s,
+        energy_j=wcec.energy_j,
+        code_size_bytes=code_size,
+        security_level=security,
+        pass_statistics=statistics,
+    )
+
+
+def acyclic_longest_path_cost(function: Function, instr_cost: InstrCost,
+                              entry: Optional[str] = None) -> float:
+    """Longest-path cost through an *acyclic* CFG starting at ``entry``.
+
+    Implicit Path Enumeration (IPET) maximises the sum of block costs times
+    execution counts under flow conservation; on an acyclic CFG its optimum
+    is the longest weighted path, computed here by a memoised recursion over
+    the block successors.  Raises :class:`AnalysisError` when a cycle is
+    reachable: loops are the structural engine's job.
+    """
+    entry = entry or function.entry
+    if entry not in function.blocks:
+        raise AnalysisError(f"entry block {entry!r} not in CFG")
+    longest: Dict[str, float] = {}
+    open_labels = set()
+
+    def walk(label: str) -> float:
+        if label in open_labels:
+            raise AnalysisError(
+                f"function {function.name!r} has cycles; IPET longest-path "
+                f"requires an acyclic CFG")
+        if label not in longest:
+            open_labels.add(label)
+            block = function.blocks[label]
+            tail = max((walk(succ) for succ in block.successors()),
+                       default=0.0)
+            open_labels.remove(label)
+            longest[label] = sum(instr_cost(function, instr)
+                                 for instr in block.instrs) + tail
+        return longest[label]
+
+    return walk(entry)
+
+
+def feasible_longest_path_cost(function: Function, instr_cost: InstrCost,
+                               entry: Optional[str] = None,
+                               path_cap: int = DEFAULT_PATH_CAP,
+                               stats: Optional[PathStats] = None
+                               ) -> Optional[float]:
+    """Max cost over the *feasible* paths of a whole (acyclic) CFG.
+
+    The explicit-enumeration counterpart of
+    :func:`acyclic_longest_path_cost`: every entry→exit path is walked with
+    the constraint propagation of :mod:`repro.wcet.paths` and contradictory
+    paths are skipped.  Returns ``None`` when the path budget runs out or
+    the flow is irregular (cycles): callers fall back to the
+    path-insensitive bound.
+    """
+    stats = stats if stats is not None else PathStats()
+    labels = set(function.blocks)
+    entry = entry or function.entry
+    block_costs = {
+        label: sum(instr_cost(function, instr) for instr in block.instrs)
+        for label, block in function.blocks.items()
+    }
+    stats.units += 1
+    started = time.perf_counter()
+    try:
+        best, enumerated, pruned, _ = _enumerate_paths(
+            function, labels, entry, block_costs.__getitem__, path_cap)
+    except _PathCapExceeded:
+        stats.cap_fallbacks += 1
+        return None
+    except _IrregularFlow:
+        stats.irregular_fallbacks += 1
+        return None
+    finally:
+        stats.wall_s += time.perf_counter() - started
+    stats.paths_enumerated += enumerated
+    stats.paths_pruned += pruned
+    return best
+
+
+def acyclic_longest_feasible_path_cost(function: Function,
+                                       instr_cost: InstrCost,
+                                       entry: Optional[str] = None,
+                                       path_cap: int = DEFAULT_PATH_CAP,
+                                       stats: Optional[PathStats] = None
+                                       ) -> float:
+    """Longest *feasible* path cost through an acyclic CFG.
+
+    :func:`feasible_longest_path_cost`, falling back to
+    :func:`acyclic_longest_path_cost` when the path budget runs out or
+    every path is pruned (only CFGs no input can traverse), so it never
+    returns an unsound (too-small) bound and never exceeds the DAG optimum.
+    Raises :class:`AnalysisError` on a cycle, as the DAG optimum does.
+    """
+    bound = acyclic_longest_path_cost(function, instr_cost, entry)
+    best = feasible_longest_path_cost(function, instr_cost, entry=entry,
+                                      path_cap=path_cap, stats=stats)
+    return bound if best is None else best

@@ -23,6 +23,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from oracles import build_program
 from test_compact_runs import SOURCE_PLATFORMS
 from test_unroll_stamping import (
     IR_PIN_SOURCES,
@@ -91,7 +92,7 @@ class TestMemoMatchesReference:
         # which both memos key on.
         for config in [replace(config, spm_allocation=spm)
                        for config in ir_pin_configs() for spm in (False, True)]:
-            program, _ = pipeline.build(module, config)
+            program, _ = build_program(pipeline, module, config)
             # Configurations often build the same IR; check each once.  The
             # IR text leaves out placement and the fingerprint operands, so
             # only programs equal in both are skipped.

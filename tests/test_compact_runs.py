@@ -28,6 +28,7 @@ from typing import Dict, List, Tuple
 import pytest
 from hypothesis import given, settings
 
+from oracles import build_program
 from test_compiler_passes import _single_block_function
 from test_frontend_cursor import _program
 from test_unroll_stamping import (
@@ -157,7 +158,8 @@ class TestCompactMatchesFlat:
         # The differential only means something if runs reach the passes.
         pipeline = CompilationPipeline(PLATFORM)
         config = CompilerConfig(unroll_limit=max(UNROLL_CHOICES))
-        program, _ = pipeline.build(parse(CAMERA_PILL_SOURCE), config)
+        program, _ = build_program(pipeline, parse(CAMERA_PILL_SOURCE),
+                                   config)
         assert "entry" in _compact_blocks(program)
         block = program.function("filter_frame").block("entry")
         runs = [part for part in block.parts if isinstance(part, Run)]

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from oracles import build_program, evaluate_config
 from repro.compiler.config import CompilerConfig
-from repro.compiler.evaluate import evaluate_config
 from repro.compiler.passes.ast_passes import (
     fold_constants,
     inline_simple_functions,
@@ -183,8 +183,8 @@ class TestIrPasses:
 class TestBuildAndEvaluate:
     def test_build_program_never_mutates_input(self, platform):
         module = parse(SOURCE)
-        CompilationPipeline(platform).build(module,
-                                            CompilerConfig.performance())
+        build_program(CompilationPipeline(platform), module,
+                      CompilerConfig.performance())
         # The original module still contains its loop and its call.
         kernel = module.function("kernel")
         assert any(isinstance(s, ast.For) for s in ast.walk_stmts(kernel.body))
@@ -198,8 +198,8 @@ class TestBuildAndEvaluate:
                                       dead_code_elimination=False),
                        CompilerConfig.baseline().with_(strength_reduction=True,
                                                        unroll_limit=16)):
-            program, _stats = CompilationPipeline(platform).build(module,
-                                                                  config)
+            program, _stats = build_program(CompilationPipeline(platform),
+                                            module, config)
             assert _simulate(program, platform, 6, data) == expected
 
     def test_performance_config_improves_wcet_and_energy(self, platform):
@@ -352,7 +352,8 @@ class TestCommonSubexpressionElimination:
         expected = _run_reference(6, data)
         config = CompilerConfig.performance().with_(enable_cse=True,
                                                     enable_peephole=True)
-        program, stats = CompilationPipeline(platform).build(module, config)
+        program, stats = build_program(CompilationPipeline(platform),
+                                       module, config)
         assert "cse_replacements" in stats
         assert "peephole_rewrites" in stats
         assert _simulate(program, platform, 6, data) == expected

@@ -77,6 +77,33 @@ class TestTaskGraph:
         order = graph.topological_order()
         assert order.index("a") < order.index("b") < order.index("d")
 
+    @staticmethod
+    def _graph(names, edges):
+        graph = TaskGraph(name="pinned")
+        for name in names:
+            graph.add_task(Task.single_version(name, [impl("leon3-0", 1, 1)]))
+        for source, destination in edges:
+            graph.add_edge(source, destination)
+        return graph
+
+    def test_topological_order_is_kahn_by_generation(self):
+        # Neither insertion order nor a DFS order: generation one is the
+        # sources in insertion order (b waits for a), then each generation
+        # in the order its in-degree reaches zero.
+        graph = self._graph(
+            ["sink", "b", "a", "mid", "c"],
+            [("c", "mid"), ("a", "sink"), ("b", "mid"), ("mid", "sink"),
+             ("a", "b")])
+        assert graph.topological_order() == ["a", "c", "b", "mid", "sink"]
+        graph.validate()
+
+    def test_cycle_behind_a_source_rejected(self):
+        graph = self._graph(["s", "x", "y", "t"],
+                            [("s", "x"), ("x", "y"), ("y", "x"), ("s", "t")])
+        assert graph.topological_order() == ["s", "t"]
+        with pytest.raises(SchedulingError, match="cycle"):
+            graph.validate()
+
     def test_upward_ranks_decrease_along_edges(self):
         ranks = diamond_graph().upward_ranks()
         assert ranks["a"] > ranks["b"] > ranks["d"]

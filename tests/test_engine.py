@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import evaluate_config
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import (
     BatchEvaluator,
@@ -10,7 +11,6 @@ from repro.compiler.engine import (
     VariantCache,
     program_fingerprint,
 )
-from repro.compiler.evaluate import evaluate_config
 from repro.compiler.fpa import FlowerPollinationOptimizer
 from repro.compiler.nsga2 import Nsga2Optimizer
 from repro.errors import CompilationError

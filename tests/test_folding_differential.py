@@ -16,6 +16,8 @@ drop the trap, so only trap-free references are compared.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import build_program
+
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import CompilationPipeline
 from repro.errors import SimulationError
@@ -53,8 +55,8 @@ def _trees():
 
 
 def _simulate(expression: str, config: CompilerConfig):
-    program, _ = PIPELINE.build(
-        parse(f"int f() {{ return {expression}; }}"), config)
+    program, _ = build_program(
+        PIPELINE, parse(f"int f() {{ return {expression}; }}"), config)
     try:
         return Simulator(program, PLATFORM).run("f", []).return_value
     except SimulationError:
@@ -85,8 +87,8 @@ def test_strength_reduction_reads_immediates_wrapped(leaf):
     source = parse(f"int f(int a) {{ return (a * {leaf}) + (a - {leaf}); }}")
     values = set()
     for reduce in (False, True):
-        program, _ = PIPELINE.build(
-            source, CompilerConfig(strength_reduction=reduce))
+        program, _ = build_program(
+            PIPELINE, source, CompilerConfig(strength_reduction=reduce))
         values.add(Simulator(program, PLATFORM).run("f", [3]).return_value)
     assert len(values) == 1
 
@@ -99,7 +101,7 @@ def test_folding_keeps_calls_multiplied_by_zero(product):
                    f"int f() {{ int x = {product}; return x + g[0]; }}")
     values = []
     for fold in (False, True):
-        program, _ = PIPELINE.build(
-            source, CompilerConfig(constant_folding=fold))
+        program, _ = build_program(
+            PIPELINE, source, CompilerConfig(constant_folding=fold))
         values.append(Simulator(program, PLATFORM).run("f", []).return_value)
     assert values == [1, 1]

@@ -26,7 +26,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import parse_reference
+from oracles import build_program, parse_reference
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline import CompilationPipeline, Pass, PassManager
 from repro.errors import FrontendError
@@ -425,8 +425,8 @@ class TestPipelineParseCache:
         config = CompilerConfig()
         module = pipeline.parse(source)
         snapshot = ast_to_dict(module)
-        _, stats_cold = pipeline.build(module, config)
-        _, stats_warm = pipeline.build(pipeline.parse(source), config)
+        _, stats_cold = build_program(pipeline, module, config)
+        _, stats_warm = build_program(pipeline, pipeline.parse(source), config)
         assert stats_cold == stats_warm
         # The build cloned before mutating: the shared cached module is
         # byte-identical to its freshly parsed self.

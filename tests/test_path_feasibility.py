@@ -25,6 +25,11 @@ IR-stage cache entry.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    acyclic_longest_feasible_path_cost,
+    acyclic_longest_path_cost,
+    feasible_longest_path_cost,
+)
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine.cache import IrStageCache
 from repro.compiler.pipeline import PassManager
@@ -34,15 +39,7 @@ from repro.ir.cfg import BasicBlock, Function
 from repro.ir.instructions import Imm, Opcode, Reg, binop, branch, jump, ret
 from repro.sim.machine import Simulator
 from repro.wcet.analyzer import WCETAnalyzer
-from repro.wcet.ipet import (
-    acyclic_longest_feasible_path_cost,
-    acyclic_longest_path_cost,
-)
-from repro.wcet.paths import (
-    PathSensitiveCostEngine,
-    PathStats,
-    feasible_longest_path_cost,
-)
+from repro.wcet.paths import PathSensitiveCostEngine, PathStats
 from repro.wcet.structural import StructuralCostEngine
 
 PLATFORM = nucleo_stm32f091rc()

@@ -37,7 +37,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import key_digest_reference
+from oracles import build_program, key_digest_reference
 from repro.compiler.config import UNROLL_CHOICES, CompilerConfig
 from repro.compiler.engine import AnalysisCache
 from repro.compiler.engine.cache import (
@@ -201,7 +201,7 @@ class TestKeyDigest:
                 for fold in (False, True):
                     config = CompilerConfig(constant_folding=fold,
                                             unroll_limit=unroll)
-                    program, _ = pipeline.build(module, config)
+                    program, _ = build_program(pipeline, module, config)
                     fingerprint = program_fingerprint(program)
                     digest = key_digest(fingerprint)
                     assert digest == key_digest_reference(fingerprint)

@@ -12,10 +12,10 @@ import json
 
 import pytest
 
+from oracles import build_program, evaluate_config
 from repro.compiler.config import CompilerConfig
 from repro.compiler.driver import MultiCriteriaCompiler
 from repro.compiler.engine import EvaluationEngine, program_fingerprint
-from repro.compiler.evaluate import evaluate_config
 from repro.compiler.pipeline import (
     ANALYSIS_PASS,
     PARSE_PASS,
@@ -240,7 +240,7 @@ class TestPipelineEquivalence:
         engine = EvaluationEngine(module, platform, ["frame_packet"])
         for config in CONFIGS:
             expected_program, expected_stats = engine._build(config)
-            program, statistics = pipeline.build(module, config)
+            program, statistics = build_program(pipeline, module, config)
             assert statistics == expected_stats
             assert program_fingerprint(program) \
                 == program_fingerprint(expected_program)
@@ -400,11 +400,12 @@ def profiled_spec(name: str = "pipe-profiled") -> ScenarioSpec:
 class TestNewIrPasses:
     def test_stats_report_only_enabled_passes(self, platform, module):
         pipeline = CompilationPipeline(platform)
-        program, _ = pipeline.build(module, CompilerConfig.baseline())
+        program, _ = build_program(pipeline, module,
+                                   CompilerConfig.baseline())
         stats = pipeline.stats()
         assert "common-subexpression-elimination" not in stats
         assert "peephole" not in stats
-        pipeline.build(module, CompilerConfig.baseline().with_(
+        build_program(pipeline, module, CompilerConfig.baseline().with_(
             enable_cse=True, enable_peephole=True))
         stats = pipeline.stats()
         assert stats["common-subexpression-elimination"]["invocations"] == 1
@@ -455,8 +456,8 @@ class TestNewIrPasses:
         pipeline = CompilationPipeline(platform)
         base = CompilerConfig.baseline()
         tuned = base.with_(enable_cse=True, enable_peephole=True)
-        base_program, _ = pipeline.build(module, base)
-        tuned_program, stats = pipeline.build(module, tuned)
+        base_program, _ = build_program(pipeline, module, base)
+        tuned_program, stats = build_program(pipeline, module, tuned)
         assert stats["cse_replacements"] == 0
         assert stats["peephole_rewrites"] == 0
         assert program_fingerprint(tuned_program) \

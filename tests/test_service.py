@@ -21,6 +21,7 @@ from repro.compiler.engine import (
     process_cache_store,
     shared_analysis_caches,
 )
+from repro.frontend import parse_cache_stats
 from repro.hw.presets import nucleo_stm32f091rc
 from repro.scenarios import (
     BuildOptions,
@@ -559,10 +560,17 @@ class TestParallelSweep:
     def test_cli_process_workers_match_serial_json(self, tiny_scenario,
                                                    tmp_path, capsys):
         def run(cache_dir, *flags):
+            before = parse_cache_stats()
             assert scenarios_cli(["run", tiny_scenario.name, "--json",
-                                  "--cache-dir", str(cache_dir),
+                                  "--profile", "--cache-dir", str(cache_dir),
                                   *flags]) == 0
-            return json.loads(capsys.readouterr().out)
+            document = json.loads(capsys.readouterr().out)
+            # Every scenario parses its source once, in whichever process
+            # ran it: the parse counters cover the workers too.
+            after = document["parse_cache"]
+            assert (after["hits"] + after["misses"] - before["hits"]
+                    - before["misses"]) >= len(document["scenarios"])
+            return document
 
         serial = run(tmp_path / "serial")
         pooled = run(tmp_path / "pooled", "--jobs", "2",

@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import unroll_by_cloning
+from oracles import build_program, unroll_by_cloning
 from test_frontend_cursor import _NAMES, _program, _statement
 
 from repro.compiler.config import UNROLL_CHOICES, CompilerConfig
@@ -317,7 +317,7 @@ class TestStampedMatchesCloning:
 # Miscompiles and spurious errors around unrolling and temps
 # ---------------------------------------------------------------------------
 def _build(source: str, config: CompilerConfig) -> Program:
-    program, _ = STAMPED.build(parse(source), config)
+    program, _ = build_program(STAMPED, parse(source), config)
     return program
 
 
@@ -397,7 +397,7 @@ class TestInductionVariableWrites:
         }
         """
         for unroll in UNROLL_CHOICES:
-            program, statistics = STAMPED.build(
-                parse(source), CompilerConfig(unroll_limit=unroll))
+            program, statistics = build_program(
+                STAMPED, parse(source), CompilerConfig(unroll_limit=unroll))
             assert statistics.get("unrolled_loops", 0) == 0
             assert Simulator(program, PLATFORM).run("f", [2]).return_value == 2

@@ -2,13 +2,13 @@
 
 import pytest
 
+from oracles import acyclic_longest_path_cost
 from repro.errors import AnalysisError, UnboundedLoopError
 from repro.frontend.lowering import compile_source
 from repro.frontend.parser import parse
 from repro.hw.presets import gr712rc, nucleo_stm32f091rc
 from repro.sim.machine import Simulator
 from repro.wcet.analyzer import WCETAnalyzer
-from repro.wcet.ipet import acyclic_longest_path_cost
 from repro.wcet.loopbounds import infer_for_bound, infer_loop_bounds
 from repro.wcet.structural import StructuralCostEngine
 
