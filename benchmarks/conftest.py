@@ -9,12 +9,17 @@ by roughly what factor, and whether deadlines/certificates hold.
 
 from __future__ import annotations
 
+import json
 import pathlib
 from typing import Optional
 
 import pytest
 
 _BENCH_DIR = pathlib.Path(__file__).resolve().parent
+
+#: Where benchmarks write their ``BENCH_*.json`` numbers: an ignored
+#: directory, so a bench run leaves the committed files alone.
+RESULTS_DIR = _BENCH_DIR.parent / ".bench_work" / "benchmarks"
 
 
 def pytest_collection_modifyitems(items):
@@ -26,6 +31,13 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if _BENCH_DIR in pathlib.Path(str(item.fspath)).resolve().parents:
             item.add_marker(pytest.mark.bench)
+
+
+def write_results(name: str, document: dict) -> None:
+    """Write one benchmark's JSON numbers to ``RESULTS_DIR / name``."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    (RESULTS_DIR / name).write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def print_experiment(experiment: str, claim: str,

@@ -21,20 +21,19 @@ attacks the parse half and adds a process-wide parse cache.
 - FE4 measures the warm parse served by the fingerprint-keyed parse cache
   and asserts it is >= 10x faster than the cold cursor parse.
 
-The measured numbers land in ``BENCH_frontend.json`` next to this file so
-the CI bench-smoke job can archive the trajectory.
+The measured numbers land in ``.bench_work/benchmarks/BENCH_frontend.json``
+(ignored) so the CI bench-smoke job can archive the trajectory.
 
 The container has one vCPU and a noisy clock: every comparison interleaves
 its contestants across rounds and scores the per-round minimum, following
 the engine benchmarks.
 """
 
-import json
 import pathlib
 import sys
 import time
 
-from conftest import print_experiment
+from conftest import print_experiment, write_results
 
 from repro.compiler.pipeline import CompilationPipeline
 from repro.frontend import parser
@@ -54,16 +53,14 @@ BIG_SOURCE = "\n".join([SMALL_SOURCE] * 4)
 ROUNDS = 7
 INNER = 5
 
-_RESULTS_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_frontend.json"
 _RESULTS = {}
 
 
 def _record(experiment: str, **numbers) -> None:
     """Accumulate one experiment's numbers and rewrite the JSON artifact."""
     _RESULTS[experiment] = numbers
-    _RESULTS_PATH.write_text(json.dumps(
-        {"source_chars": len(BIG_SOURCE), "experiments": _RESULTS},
-        indent=2, sort_keys=True) + "\n")
+    write_results("BENCH_frontend.json",
+                  {"source_chars": len(BIG_SOURCE), "experiments": _RESULTS})
 
 
 def _best_of(rounds, func, *args):

@@ -9,8 +9,8 @@ the same full-registry workload:
   pure-Python analysis work interleaves rather than speeds up, so this
   guards the coordination overhead instead of chasing a speedup),
 * dedup — every scenario submitted twice: the duplicate submissions must
-  coalesce onto one computation each (queue dedup + result store), so the
-  doubled offered load costs roughly one sweep, not two.
+  coalesce onto one computation each (live joins + succeeded-job reuse), so
+  the doubled offered load costs roughly one sweep, not two.
 
 SVC2 re-runs the sweep with ``worker_mode="process"``: on a multi-core host
 the GIL-bound analysis work fans out across worker processes; on a 1-vCPU
@@ -24,8 +24,9 @@ again from fresh worker processes on the same directory.  The warm run
 serves every WCET/WCEC table from disk — bit-identical checksums, by a
 pinned wall-time factor — and a SIGKILLed warming ``repro.scenarios run
 --worker-mode process`` leaves the directory warm and usable for its
-restart.  Numbers land in ``BENCH_service_cache.json`` next to this file
-(archived by bench-smoke CI).
+restart.  Numbers land in the ignored
+``.bench_work/benchmarks/BENCH_service_cache.json`` (archived by bench-smoke
+CI).
 
 Smoke invocation:  pytest -m bench benchmarks/test_bench_service.py
 """
@@ -37,7 +38,7 @@ import subprocess
 import sys
 import time
 
-from conftest import print_experiment
+from conftest import print_experiment, write_results
 
 from repro.scenarios import (
     ScenarioSpec,
@@ -160,9 +161,6 @@ def test_svc2_worker_mode_throughput(benchmark):
 # ---------------------------------------------------------------------------
 # SVC3 — persistent analysis-cache tier: cold vs warm process-pool sweep
 # ---------------------------------------------------------------------------
-_RESULTS_PATH = pathlib.Path(__file__).resolve().parent \
-    / "BENCH_service_cache.json"
-
 #: Distinct program shapes in the sweep (distinct structural fingerprints
 #: *and* distinct basic-block opcode sequences, so the engine's cross-program
 #: block-cost memos cannot trivialise the analysis the way near-identical
@@ -349,7 +347,7 @@ def test_svc3_persistent_cache_warm_start(benchmark, tmp_path):
         notes="checksums are bit-identical cold vs warm; the SIGKILLed "
               "warming run leaves a usable, warm directory",
     )
-    _RESULTS_PATH.write_text(json.dumps({
+    write_results("BENCH_service_cache.json", {
         "experiments": {
             "svc3_persistent_cache": {
                 "tables": tables,
@@ -363,7 +361,7 @@ def test_svc3_persistent_cache_warm_start(benchmark, tmp_path):
                                   if key != "directory"},
             },
         },
-    }, indent=2, sort_keys=True) + "\n")
+    })
 
     # Bit-for-bit parity between the cold computation and the disk tier.
     assert warm_detail == cold_detail

@@ -11,15 +11,13 @@ case no execution can reach.  WP1 measures, on such a kernel,
   the mode is opt-in precisely because it trades analysis time for bound
   quality).
 
-The measured numbers land in ``BENCH_wcet_paths.json`` next to this file so
-the CI bench-smoke job can archive the trajectory.
+The measured numbers land in ``.bench_work/benchmarks/BENCH_wcet_paths.json``
+(ignored) so the CI bench-smoke job can archive the trajectory.
 """
 
-import json
-import pathlib
 import time
 
-from conftest import print_experiment
+from conftest import print_experiment, write_results
 
 from repro.frontend.lowering import compile_source
 from repro.hw.presets import nucleo_stm32f091rc
@@ -64,10 +62,6 @@ int task(int gain) {
 """
 
 ROUNDS = 5
-
-_RESULTS_PATH = pathlib.Path(__file__).resolve().parent / \
-    "BENCH_wcet_paths.json"
-
 
 def _best_of(rounds, func):
     best = float("inf")
@@ -119,7 +113,7 @@ def test_wp1_pruning_tightens_the_bound():
         notes="opt-in per configuration (CompilerConfig.path_sensitive); "
               "generated code is identical in both modes",
     )
-    _RESULTS_PATH.write_text(json.dumps({
+    write_results("BENCH_wcet_paths.json", {
         "experiments": {
             "WP1_pruning": {
                 "structural_cycles": structural.cycles,
@@ -133,7 +127,7 @@ def test_wp1_pruning_tightens_the_bound():
                 "analysis_overhead_x": overhead,
             },
         },
-    }, indent=2, sort_keys=True) + "\n")
+    })
 
     assert pruned.cycles <= structural.cycles
     assert stats.paths_pruned >= 1

@@ -100,7 +100,7 @@ def main():
         print(f"\nqueue: {queue['submitted']} submitted, "
               f"{queue['deduplicated']} deduplicated, "
               f"{queue['succeeded']} computed")
-        print(f"store: {stats['store']['entries']} cached results, "
+        print(f"store: {stats['store']['entries']} reusable jobs, "
               f"{stats['store']['hits']} hits")
         print(f"analysis cache: {stats['analysis_cache']['platforms']}")
     finally:

@@ -11,9 +11,9 @@ failure policy, and feeds the surviving results forward.
 
 Resume is deliberately *re-derivation, not checkpoint restore*: a resumed
 campaign re-drives every stage from the top, and the no-recompute guarantee
-comes from the job layer — completed jobs replayed from the journal sit in
-the result store under their request fingerprints, so a re-driven stage's
-submissions return terminal jobs instantly (counted per stage as
+comes from the job layer — succeeded jobs replayed from the journal are
+reused by identical submissions, so a re-driven stage's submissions return
+terminal jobs instantly (counted per stage as
 ``dedup_hits``).  Deterministic hooks over deterministic results regenerate
 identical requests, pinned by the per-stage :func:`stage_fingerprint`.
 """
@@ -80,7 +80,7 @@ class StageRecord:
     job_ids: List[str] = field(default_factory=list)
     #: Number of submissions the stage made (batch stages: 1).
     jobs: int = 0
-    #: Submissions answered by an already-terminal job — a store/dedup hit,
+    #: Submissions answered by an already-terminal job — a reuse/dedup hit,
     #: the resume path's "no re-execution" signal.
     dedup_hits: int = 0
     started_at: Optional[float] = None
@@ -311,7 +311,7 @@ class CampaignRunner:
         stage.job_ids = [job.id for job in jobs]
         stage.jobs = len(requests)
         # A submission answered by an already-terminal job never touched a
-        # worker: that is the store/dedup (and resume-replay) fast path.
+        # worker: that is the reuse/dedup (and resume-replay) fast path.
         stage.dedup_hits = sum(job.done.is_set() for job in jobs)
         if not self._wait_for(record, jobs):
             if record.cancel_event.is_set():

@@ -406,7 +406,6 @@ class AnalysisCache(_BoundedCacheMixin):
         # The per-thread copy lets one run report only its own pruning work
         # on a shared cache: a job runs on one worker thread.
         self._path_totals = PathStats()
-        self._path_functions: Dict[str, PathStats] = {}
         self._thread_paths = threading.local()
 
     def __len__(self) -> int:
@@ -429,16 +428,11 @@ class AnalysisCache(_BoundedCacheMixin):
     def path_stats(self) -> Dict[str, Dict[str, float]]:
         """Pruning counters of every path-sensitive analysis this cache ran.
 
-        ``totals`` aggregates across functions; ``functions`` maps each
-        analysed function to its own counters (paths enumerated / pruned,
-        cap and irregular-flow fallbacks, enumeration wall time).
+        ``totals`` aggregates across functions: paths enumerated / pruned,
+        cap and irregular-flow fallbacks, enumeration wall time.
         """
         with self._lock:
-            return {
-                "totals": self._path_totals.as_dict(),
-                "functions": {name: stats.as_dict()
-                              for name, stats in self._path_functions.items()},
-            }
+            return {"totals": self._path_totals.as_dict()}
 
     def thread_path_totals(self) -> Dict[str, float]:
         """``path_stats()["totals"]`` of the analyses the calling thread ran.
@@ -454,15 +448,11 @@ class AnalysisCache(_BoundedCacheMixin):
         thread_totals = getattr(self._thread_paths, "totals", None)
         if thread_totals is None:
             self._thread_paths.totals = thread_totals = PathStats()
-        for name, stats in engine.path_stats.items():
+        for stats in engine.path_stats.values():
             if stats.units == 0:
                 continue
             self._path_totals.merge(stats)
             thread_totals.merge(stats)
-            per_function = self._path_functions.get(name)
-            if per_function is None:
-                self._path_functions[name] = per_function = PathStats()
-            per_function.merge(stats)
 
     # -- persistent tier -------------------------------------------------------
     def _table_digest(self, kind: str, fingerprint: Tuple, *scope: str) -> str:

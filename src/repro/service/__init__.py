@@ -9,10 +9,8 @@ concurrent evaluation requests instead of one blocking CLI call:
 * :class:`EvaluationService` — the facade: submit/submit_batch/status/
   cancel/result over a thread-safe priority :class:`JobQueue` whose
   request-fingerprint dedup coalesces identical submissions onto one
-  computation,
-* :class:`ResultStore` — bounded LRU of completed jobs (engine-cache
-  ``stats()`` conventions) serving repeats without recomputation, id-indexed
-  so evicted queue records stay resolvable,
+  computation and serves repeats from the succeeded job while its bounded
+  record is kept,
 * :class:`WorkerPool` — daemon threads driving the shared
   :class:`~repro.scenarios.runner.ScenarioRunner` inside the service's
   shared analysis cache scope (one WCET/WCEC cache per platform for the
@@ -36,7 +34,7 @@ journal-backed resume — layer on top via :mod:`repro.campaigns` and
 ``EvaluationService.submit_campaign`` (see ``docs/campaigns.md``).
 
 Determinism is the load-bearing property: scenario runs are deterministic
-and every cache layer is exact, so a deduplicated, store-served or
+and every cache layer is exact, so a deduplicated, reused or
 HTTP-fetched result is bit-for-bit identical to a direct
 :class:`~repro.scenarios.runner.ScenarioRunner` call — pinned by
 ``tests/test_service.py`` against the golden-parity fixtures.
@@ -66,7 +64,6 @@ from repro.service.jobs import (
 )
 from repro.service.journal import JobJournal, SummaryOnlyResult
 from repro.service.queue import JobQueue, QueueFull
-from repro.service.store import ResultStore
 from repro.service.workers import WORKER_MODES, WorkerPool
 
 __all__ = [
@@ -80,7 +77,6 @@ __all__ = [
     "JobRequest",
     "JobState",
     "QueueFull",
-    "ResultStore",
     "SummaryOnlyResult",
     "WORKER_MODES",
     "WorkerPool",

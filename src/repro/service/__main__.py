@@ -6,7 +6,7 @@ Usage::
                                    [--worker-mode {thread,process}]
                                    [--journal PATH] [--journal-fsync]
                                    [--cache-dir PATH]
-                                   [--store-size N] [--store-ttl S]
+                                   [--store-ttl S]
                                    [--max-pending N] [-v]
     python -m repro.service submit NAME [NAME ...] [--priority P]
                                    [--generations N] [--population N]
@@ -95,12 +95,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "shared by every worker process and "
                                 "surviving restarts; created if missing, "
                                 "rejected up front if unusable")
-    serve_cmd.add_argument("--store-size", type=int, default=64,
-                           help="bounded LRU result-store capacity")
     serve_cmd.add_argument("--store-ttl", type=float, default=None,
                            metavar="SECONDS",
-                           help="lazily expire cached results older than "
-                                "this (default: keep until evicted)")
+                           help="stop reusing succeeded jobs that finished "
+                                "longer ago than this (default: reuse "
+                                "while the job record is kept)")
     serve_cmd.add_argument("--max-pending", type=int, default=None,
                            metavar="N",
                            help="bound the pending backlog; submissions "
@@ -190,7 +189,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             journal=args.journal,
             journal_fsync=args.journal_fsync,
             cache_dir=args.cache_dir,
-            store_max_entries=args.store_size,
             store_ttl_s=args.store_ttl,
             max_pending=args.max_pending,
         )

@@ -1,8 +1,8 @@
 """The :class:`EvaluationService` facade.
 
 One object wires the service subsystem together: a thread-safe priority
-:class:`~repro.service.queue.JobQueue` with request-fingerprint dedup, a
-bounded LRU :class:`~repro.service.store.ResultStore`, and a
+:class:`~repro.service.queue.JobQueue` whose request-fingerprint dedup
+also serves repeats from succeeded jobs, and a
 :class:`~repro.service.workers.WorkerPool` whose workers drive the shared
 :class:`~repro.scenarios.runner.ScenarioRunner` over the scenario registry
 inside one :func:`~repro.compiler.engine.shared_analysis_caches` scope.
@@ -12,8 +12,8 @@ this facade, so in-process callers, scenario sweeps and remote JSON
 clients all share one code path.
 
 Determinism contract: every scenario run is deterministic and all cache
-layers are exact, so a result served from the store, a deduplicated job or
-a fresh computation are bit-for-bit interchangeable — which is what makes
+layers are exact, so a reused succeeded job, a deduplicated live job or a
+fresh computation are bit-for-bit interchangeable — which is what makes
 coalescing identical submissions safe.
 """
 
@@ -47,7 +47,6 @@ from repro.service.jobs import (
 )
 from repro.service.journal import JobJournal
 from repro.service.queue import JobQueue
-from repro.service.store import ResultStore
 from repro.service.workers import WorkerPool
 
 
@@ -130,7 +129,6 @@ class EvaluationService:
     """Job-queue evaluation service over the scenario registry."""
 
     def __init__(self, workers: int = 2,
-                 store_max_entries: Optional[int] = 64,
                  store_ttl_s: Optional[float] = None,
                  max_job_records: Optional[int] = 1024,
                  max_pending: Optional[int] = None,
@@ -144,7 +142,9 @@ class EvaluationService:
         construction to :meth:`close`, so every job shares one WCET/WCEC
         cache per platform; ``autostart=False`` leaves the worker pool
         stopped so tests can stage deterministic queue states.
-        ``store_ttl_s`` lazily expires cached results older than the TTL;
+        ``store_ttl_s`` stops reusing succeeded jobs that finished more
+        than that many seconds ago; ``max_job_records`` bounds the kept job
+        records, and with them the reuse of succeeded jobs;
         ``max_pending`` bounds the pending backlog — beyond it ``submit``
         raises :class:`~repro.service.queue.QueueFull` (HTTP 429).
         ``worker_mode="process"`` computes jobs in a process pool (true
@@ -165,9 +165,8 @@ class EvaluationService:
             self.cache_dir = None if store is None else store.directory
             self.runner = ScenarioRunner()
             self.queue = JobQueue(max_records=max_job_records,
-                                  max_pending=max_pending)
-            self.store = ResultStore(max_entries=store_max_entries,
-                                     ttl_s=store_ttl_s)
+                                  max_pending=max_pending,
+                                  ttl_s=store_ttl_s)
             self.journal: Optional[JobJournal] = None
             if journal is not None:
                 self.journal = (journal if isinstance(journal, JobJournal)
@@ -205,19 +204,15 @@ class EvaluationService:
             self._cache_scope = scope.pop_all()
 
     def _replay_journal(self) -> None:
-        """Restore queue records and stored results from the journal.
+        """Restore queue records from the journal.
 
         Pending jobs rejoin the queue (the workers recompute them once the
         pool starts); succeeded jobs — restored as their journaled summary
-        documents — feed the store, extending fingerprint dedup across the
-        restart.
+        documents — are reused by identical submissions, extending
+        fingerprint dedup across the restart.
         """
         for job in self.journal.replay():
-            restored = self.queue.restore(job)
-            if restored is not job:
-                continue  # coalesced onto an earlier live record
-            if job.state is JobState.SUCCEEDED and job.result is not None:
-                self.store.put(job)
+            self.queue.restore(job)
         from repro.campaigns.runner import restore_campaign_records
         for record in restore_campaign_records(
                 self.journal.campaign_events()):
@@ -227,8 +222,8 @@ class EvaluationService:
             if not record.state.terminal:
                 # The resume backlog: re-driven once the pool starts.  The
                 # re-drive recomputes nothing the journal already holds —
-                # every completed stage's submissions hit the result store
-                # the job replay above just refilled.
+                # every completed stage's submissions reuse the succeeded
+                # jobs the replay above just restored.
                 record.resumed = True
                 self._campaign_resume.append(record)
 
@@ -284,11 +279,11 @@ class EvaluationService:
 
         The scenario name is resolved against the registry immediately so
         unknown names fail at submission, not in a worker.  Identical
-        requests coalesce: a store hit returns the completed job without
-        touching the queue, and a live duplicate joins the in-flight job.
-        ``use_cache=False`` skips the store (the queue still coalesces
-        concurrent duplicates — two forced runs of the same request at the
-        same time would compute the same bits twice).
+        requests coalesce: a repeat of a succeeded job returns that job
+        without recomputation, and a live duplicate joins the in-flight job.
+        ``use_cache=False`` skips the succeeded job (the queue still
+        coalesces concurrent duplicates — two forced runs of the same
+        request at the same time would compute the same bits twice).
         """
         get_scenario(scenario)
         request = JobRequest(
@@ -346,39 +341,21 @@ class EvaluationService:
 
     def _submit_request(self, request: Union[JobRequest, BatchRequest], *,
                         priority: int, use_cache: bool) -> Job:
-        """Shared store/queue submission dance for single and batch jobs."""
-        fingerprint = request.fingerprint()
-        if use_cache:
-            cached = self.store.get(fingerprint)
-            if cached is not None:
-                cached.note_submission()
-                return cached
-        job, deduplicated = self.queue.submit(
-            request, priority=priority,
+        """Queue submission for single and batch jobs; only a fresh job
+        is journaled."""
+        job, _ = self.queue.submit(
+            request, priority=priority, use_cache=use_cache,
             record=None if self.journal is None else self.journal.record_submit)
-        if use_cache and not deduplicated:
-            # TOCTOU guard: the live job may have finished between our
-            # store miss and the enqueue.  The worker fills the store
-            # *before* the queue releases the fingerprint, so in that
-            # interleaving this second lookup necessarily hits — withdraw
-            # the redundant fresh job and share the computed one.  (If a
-            # worker already claimed it, the run proceeds and produces the
-            # identical bits; sharing the cached job is still correct.)
-            cached = self.store.get(fingerprint)
-            if cached is not None and cached is not job:
-                self.cancel(job.id)
-                cached.note_submission()
-                return cached
         return job
 
     def _execute(self, job: Job, compute=None):
-        """Worker entry point: run the request, finish and cache the job.
+        """Worker entry point: run the request and finish the job.
 
         Thread mode calls ``_execute(job)`` and the request runs on the
         service's runner; in process mode the pool passes ``compute``, a
         zero-argument callable resolving the result computed in a worker
         process from the pickled request.  Everything that touches shared
-        state — pipeline-stats rollup, store, queue, journal — happens here,
+        state — pipeline-stats rollup, queue, journal — happens here,
         in the service process, under the appropriate locks.
         """
         try:
@@ -396,13 +373,6 @@ class EvaluationService:
             self._finish(job, error=f"{type(error).__name__}: {error}")
             raise
         self._sum_pipeline_stats(result)
-        # Cache before finishing: the queue's dedup window closes at
-        # ``finish``, so once the fingerprint is released the store is
-        # guaranteed to hit — which is what the submit-side TOCTOU
-        # re-check relies on.  A store hit during the gap returns this
-        # still-running job; its waiters block on ``job.done`` like every
-        # other submitter.
-        self.store.put(job)
         self._finish(job, result=result)
         return result
 
@@ -449,17 +419,9 @@ class EvaluationService:
 
     # --------------------------------------------------------------- queries --
     def job(self, job_id: str) -> Optional[Job]:
-        """The :class:`Job` record for ``job_id`` (``None`` if unknown).
-
-        Falls back to the result store when the queue has pruned the
-        record: the store keeps completed jobs beyond the queue's bounded
-        record window, so every id the API ever returned stays resolvable
-        until store eviction/expiry.
-        """
-        job = self.queue.get(job_id)
-        if job is None:
-            job = self.store.job_by_id(job_id)
-        return job
+        """The :class:`Job` record for ``job_id`` (``None`` if unknown or
+        pruned beyond ``max_job_records``)."""
+        return self.queue.get(job_id)
 
     def status(self, job_id: str) -> Optional[Dict[str, object]]:
         """JSON-ready job document, or ``None`` for unknown ids."""
@@ -484,7 +446,7 @@ class EvaluationService:
         unknown job id.
         """
         if isinstance(job, str):
-            record = self.job(job)  # queue record or store fallback
+            record = self.job(job)
             if record is None:
                 raise JobError(f"unknown job {job!r}")
             job = record
@@ -687,7 +649,7 @@ class EvaluationService:
         """One snapshot across every service layer (the GET /stats body)."""
         return {
             "queue": self.queue.stats(),
-            "store": self.store.stats(),
+            "store": self.queue.reuse_stats(),
             "workers": self.pool.stats(),
             "pipeline": self.pipeline_stats(),
             "journal": (None if self.journal is None

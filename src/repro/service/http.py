@@ -14,7 +14,7 @@ POST      /jobs               submit ``{"scenario": name, ...overrides}``,
                               whole batch becomes one job whose result
                               carries per-request summaries in order;
                               replies with the job document (a coalesced or
-                              cached submission returns the shared job —
+                              reused submission returns the shared job —
                               its ``submissions`` counter tells); a bounded
                               pending queue rejects overload with ``429``
                               and a ``Retry-After`` header; bodies beyond
@@ -47,7 +47,8 @@ GET       /campaigns/<id>     one campaign document with per-stage states,
 DELETE    /campaigns/<id>     request cancellation of a non-terminal
                               campaign (cooperative, hence 202)
 GET       /scenarios          the scenario-registry listing
-GET       /stats              queue/store/worker/journal/analysis-cache
+GET       /stats              queue/store (succeeded-job reuse)/worker/
+                              journal/analysis-cache
                               counters plus per-pass compile timings
                               aggregated across completed jobs
                               (``pipeline``) and the campaign rollup
@@ -299,7 +300,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         """Route POST /jobs: submit an evaluation or a batch (202, or 200
-        on a store-served repeat; 429 + Retry-After when the backlog is
+        on a reused succeeded job; 429 + Retry-After when the backlog is
         full; 413 for oversized bodies)."""
         path = urlparse(self.path).path.rstrip("/")
         if path == "/campaigns":

@@ -80,8 +80,8 @@ class JobRequest:
         """Canonical digest of the request.
 
         Two requests with equal fingerprints ask for the same computation,
-        so the queue coalesces them onto one job and the result store serves
-        repeats without recomputing.
+        so the queue coalesces them onto one job and serves repeats from
+        the succeeded job without recomputing.
         """
         canonical = json.dumps(self.as_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -229,30 +229,15 @@ class Job:
     finished_at: Optional[float] = None
     result: Any = None
     error: Optional[str] = None
-    #: Number of submissions coalesced onto this job (dedup hits + 1).
-    #: Mutate through :meth:`note_submission` — a queue dedup hit and a
-    #: store hit can race on the same job from different threads.
+    #: Number of submissions answered with this job (live joins and
+    #: reuses + 1); the queue counts them under its lock.
     submissions: int = 1
     #: Set when the job reaches a terminal state.
     done: threading.Event = field(default_factory=threading.Event, repr=False)
-    #: Guards ``submissions`` (see :meth:`note_submission`).
-    submissions_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False)
 
     @property
     def fingerprint(self) -> str:
         return self.request.fingerprint()
-
-    def note_submission(self) -> int:
-        """Count one more coalesced submission (thread-safe); returns the
-        new total.  Both dedup paths — the queue's live-job coalescing and
-        the service's store hits — go through this lock: a bare
-        ``submissions += 1`` is a read-modify-write that loses counts when
-        a store hit races a duplicate enqueue on the same job.
-        """
-        with self.submissions_lock:
-            self.submissions += 1
-            return self.submissions
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job is terminal; ``False`` on timeout."""

@@ -3,10 +3,9 @@
 An append-only JSONL file records every job-lifecycle event — ``submit``,
 ``finish``, ``cancel`` — so a restarted ``serve --journal PATH`` replays the
 file and carries on where the previous process stopped: still-pending jobs
-rejoin the queue (and recompute), completed results go back into the
-:class:`~repro.service.store.ResultStore` under their request fingerprint
-(so dedup extends across restarts), and every job id the API ever returned
-stays resolvable.
+rejoin the queue (and recompute), and succeeded jobs go back into the
+:class:`~repro.service.queue.JobQueue`, where identical submissions reuse
+them (so dedup extends across restarts) and their ids resolve again.
 
 One JSON object per line, written under a lock and flushed per event, keeps
 the format crash-tolerant: a torn final line (the process died mid-write)

@@ -20,7 +20,7 @@ Two worker modes share the claim/finish plumbing:
   pickled into a worker process, ``process_task`` (a top-level picklable
   callable) computes the result there, and the pickled result returns over
   the executor's result channel to the dispatcher, which completes the job
-  in the main process — so the queue, store and journal never leave the
+  in the main process — so the queue and journal never leave the
   parent while the GIL-bound analysis work truly runs in parallel.
   Scenario runs are deterministic, so process-mode results are bit-for-bit
   identical to thread-mode ones (caches are per-process; they change when

@@ -509,7 +509,7 @@ class TestCampaignResumeInProcess:
                 assert stage_one.fingerprint == first_fingerprint
                 assert stage_one.dedup_hits == stage_one.jobs == 2
                 assert stage_one.result_summaries == first_summaries
-                assert service.store.stats()["hits"] >= 2
+                assert service.stats()["store"]["hits"] >= 2
                 assert resumed.stages[1].state is StageState.SUCCEEDED
                 assert service.stats()["journal"][
                     "replayed_campaign_events"] >= 2

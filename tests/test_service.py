@@ -1,4 +1,4 @@
-"""Evaluation service: queue, store, workers, facade, HTTP, golden parity.
+"""Evaluation service: queue, reuse, workers, facade, HTTP, golden parity.
 
 The parity classes prove the service is a *transport*, not a computation:
 results fetched through the job queue — or through the HTTP/JSON API — are
@@ -9,6 +9,7 @@ fixtures, and duplicate submissions coalesce onto a single computation.
 import http.client
 import json
 import pathlib
+import sys
 import threading
 import time
 
@@ -38,7 +39,6 @@ from repro.service import (
     JobQueue,
     JobRequest,
     JobState,
-    ResultStore,
     WorkerPool,
 )
 from repro.service.__main__ import main as service_cli
@@ -160,15 +160,27 @@ class TestJobQueue:
         assert not deduplicated
         assert second is not first
 
-    def test_dedup_window_closes_after_finish(self):
+    def test_succeeded_job_is_reused_failed_or_forced_is_not(self):
         queue = JobQueue()
         first, _ = queue.submit(request())
-        claimed = queue.claim(timeout=0.1)
-        queue.finish(claimed, result="done")
+        queue.finish(queue.claim(timeout=0.1), result="done")
         assert first.done.is_set()
+        again, deduplicated = queue.submit(request())
+        assert deduplicated and again is first
+        assert first.submissions == 2
+        forced, deduplicated = queue.submit(request(), use_cache=False)
+        assert not deduplicated and forced is not first
+        # The live forced run owns the fingerprint: repeats join it.
+        joined, deduplicated = queue.submit(request())
+        assert deduplicated and joined is forced
+        queue.finish(queue.claim(timeout=0.1), error="boom")
         fresh, deduplicated = queue.submit(request())
-        assert not deduplicated
-        assert fresh is not first
+        assert not deduplicated and fresh not in (first, forced)
+        # The reuse counts as a hit, not as a submission.
+        stats = queue.stats()
+        assert stats["submitted"] == 4
+        assert stats["deduplicated"] == 1
+        assert queue.reuse_stats()["hits"] == 1
 
     def test_duplicate_at_higher_priority_jumps_the_queue(self):
         queue = JobQueue()
@@ -252,35 +264,51 @@ class TestJobRequestValidation:
 
 
 class TestSubmissionCounting:
-    def test_note_submission_is_thread_safe(self):
-        # Pre-fix, the dedup paths did a bare ``submissions += 1`` — a
-        # read-modify-write that loses counts when the queue's live-job
-        # coalescing races the store-hit path on the same job.  Hammer one
-        # job from many threads and demand an exact total.
+    def test_live_and_succeeded_submissions_count_exactly(self):
+        # Every submission answered with an existing job — a live join or
+        # a reuse of the succeeded job — is counted under the queue lock.
+        # Hammer one job from many threads in both states and demand exact
+        # totals.
         queue = JobQueue()
         job, _ = queue.submit(request())
-        threads_n, per_thread = 8, 500
-        barrier = threading.Barrier(threads_n)
+        threads_n, per_thread = 8, 250
 
-        def hammer():
-            barrier.wait()
-            for _ in range(per_thread):
-                # Half the traffic models queue dedup, half store hits.
-                queue.submit(request())
-                job.note_submission()
+        def hammer_from_threads():
+            barrier = threading.Barrier(threads_n)
+            answers = []
 
-        threads = [threading.Thread(target=hammer)
-                   for _ in range(threads_n)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+            def hammer():
+                barrier.wait()
+                answers.extend(queue.submit(request())[0]
+                               for _ in range(per_thread))
+
+            threads = [threading.Thread(target=hammer)
+                       for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert len(answers) == threads_n * per_thread
+            assert all(answer is job for answer in answers)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            hammer_from_threads()  # joins of the live job
+            queue.finish(queue.claim(timeout=0.1), result="done")
+            hammer_from_threads()  # reuses of the succeeded job
+        finally:
+            sys.setswitchinterval(interval)
         assert job.submissions == 1 + 2 * threads_n * per_thread
-        assert queue.stats()["deduplicated"] == threads_n * per_thread
+        stats = queue.stats()
+        assert stats["submitted"] == 1 + threads_n * per_thread
+        assert stats["deduplicated"] == threads_n * per_thread
+        assert queue.reuse_stats()["hits"] == threads_n * per_thread
 
 
 # ---------------------------------------------------------------------------
-# Result store
+# Reuse of succeeded jobs
 # ---------------------------------------------------------------------------
 def _finished_job(queue: JobQueue, req: JobRequest):
     job, _ = queue.submit(req)
@@ -288,35 +316,27 @@ def _finished_job(queue: JobQueue, req: JobRequest):
     return job
 
 
-class TestResultStore:
-    def test_lru_eviction_and_stats(self):
-        queue = JobQueue()
-        store = ResultStore(max_entries=2)
-        jobs = [_finished_job(queue, request(generations=g))
-                for g in (1, 2, 3)]
-        for job in jobs[:2]:
-            store.put(job)
-        assert store.get(jobs[0].fingerprint) is jobs[0]  # refresh recency
-        store.put(jobs[2])  # evicts jobs[1], the least recently used
-        assert store.get(jobs[1].fingerprint) is None
-        assert store.get(jobs[0].fingerprint) is jobs[0]
-        stats = store.stats()
-        assert set(stats) == {"entries", "max_entries", "ttl_s", "hits",
-                              "misses", "evictions", "expiries"}
-        assert stats == {"entries": 2, "max_entries": 2, "ttl_s": None,
-                         "hits": 2, "misses": 1, "evictions": 1,
-                         "expiries": 0}
-
-    def test_invalidate_and_clear(self):
-        queue = JobQueue()
-        store = ResultStore()
-        job = _finished_job(queue, request())
-        store.put(job)
-        assert store.invalidate(job.fingerprint)
-        assert not store.invalidate(job.fingerprint)
-        store.put(job)
-        store.clear()
-        assert len(store) == 0
+class TestJobReuse:
+    def test_reuse_lasts_until_the_record_is_pruned(self):
+        queue = JobQueue(max_records=2)
+        first = _finished_job(queue, request(generations=1))
+        second = _finished_job(queue, request(generations=2))
+        again, deduplicated = queue.submit(request(generations=1))
+        assert deduplicated and again is first
+        # The reuse did not refresh ``first``: it is still the least
+        # recently finished record, so the next fresh job prunes it.
+        third = _finished_job(queue, request(generations=3))
+        assert queue.get(first.id) is None
+        again, deduplicated = queue.submit(request(generations=2))
+        assert deduplicated and again is second
+        fresh, deduplicated = queue.submit(request(generations=1))
+        assert not deduplicated and fresh is not first
+        # ``second`` is pruned now too; ``third`` is the one reusable job.
+        assert queue.get(second.id) is None
+        assert queue.get(third.id) is third
+        assert queue.reuse_stats() == {"entries": 1, "ttl_s": None,
+                                       "hits": 2, "misses": 4,
+                                       "expiries": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +464,23 @@ class TestEvaluationService:
             service.result(first, timeout=60)
             again = service.submit(tiny_scenario.name)
             assert again is first
-            assert service.store.stats()["hits"] == 1
+            assert service.stats()["store"]["hits"] == 1
             assert service.queue.stats()["succeeded"] == 1
             # use_cache=False forces a fresh computation.
             fresh = service.submit(tiny_scenario.name, use_cache=False)
             assert fresh is not first
             service.result(fresh, timeout=60)
             assert service.queue.stats()["succeeded"] == 2
+
+    def test_one_store_miss_per_lookup(self, tiny_scenario):
+        with EvaluationService(workers=1, autostart=False) as service:
+            service.submit(tiny_scenario.name)  # fresh job
+            assert service.stats()["store"]["misses"] == 1
+            service.submit(tiny_scenario.name)  # joins the live job
+            assert service.stats()["store"]["misses"] == 2
+            service.submit(tiny_scenario.name, use_cache=False)  # no lookup
+            store = service.stats()["store"]
+            assert (store["hits"], store["misses"]) == (0, 2)
 
     def test_failed_job_raises_on_result(self, failing_scenario):
         with EvaluationService(workers=1) as service:

@@ -229,6 +229,40 @@ class TestJobJournal:
 
 
 # ---------------------------------------------------------------------------
+# A failed finish append
+# ---------------------------------------------------------------------------
+class FinishAppendFailsOnce(JobJournal):
+    """A journal whose first ``finish`` append raises, as a full disk would."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.failures_left = 1
+
+    def record_finish(self, *args, **kwargs):
+        if self.failures_left:
+            self.failures_left -= 1
+            raise OSError("no space left on device")
+        return super().record_finish(*args, **kwargs)
+
+
+class TestFinishAppendFailure:
+    def test_failed_job_is_not_reused(self, tmp_path, tiny_scenario):  # noqa: F811
+        journal = FinishAppendFailsOnce(tmp_path / "journal.jsonl")
+        with EvaluationService(workers=1, journal=journal) as service:
+            first = service.submit(tiny_scenario.name)
+            assert first.wait(120)
+            assert first.state is JobState.FAILED
+            assert "OSError" in first.error
+            # The failed job released its fingerprint: an identical
+            # submission runs as a new job instead of getting it back.
+            again = service.submit(tiny_scenario.name)
+            assert again is not first
+            service.result(again, timeout=120)
+            assert again.state is JobState.SUCCEEDED
+            assert service.stats()["store"]["hits"] == 0
+
+
+# ---------------------------------------------------------------------------
 # Restart survival (the tentpole's hard constraint)
 # ---------------------------------------------------------------------------
 class TestServiceRestart:
@@ -260,10 +294,13 @@ class TestServiceRestart:
                 assert service.queue.stats()["succeeded"] == 1
 
                 # Dedup extends across the restart: an identical submission
-                # is served from the store without recomputation.
+                # reuses the replayed job without recomputation, and a
+                # reuse writes nothing to the journal.
+                events = service.journal.stats()["events_written"]
                 repeat = service.submit(tiny_scenario.name)
                 assert repeat is restored
-                assert service.store.stats()["hits"] == 1
+                assert service.stats()["store"]["hits"] == 1
+                assert service.journal.stats()["events_written"] == events
 
                 # The replayed backlog resumes once the pool starts.
                 service.start()
@@ -298,7 +335,7 @@ class TestServiceRestart:
                                         autostart=False)
             try:
                 repeat = service.submit(spec.name)
-                assert service.store.stats()["hits"] == 1
+                assert service.stats()["store"]["hits"] == 1
                 assert repeat.id == done.id
                 assert service.result(repeat, timeout=5).summary() == reference
             finally:
@@ -327,7 +364,7 @@ class TestServiceRestart:
                 assert restored.result.summary() == reference
                 repeat = service.submit_batch(batch)
                 assert repeat is restored
-                assert service.store.stats()["hits"] == 1
+                assert service.stats()["store"]["hits"] == 1
             finally:
                 service.close()
         finally:
@@ -680,36 +717,16 @@ class TestLongPoll:
 
 
 # ---------------------------------------------------------------------------
-# Store-backed id fallback (pruned queue records stay resolvable)
+# Job ids resolve while their record is kept
 # ---------------------------------------------------------------------------
 class TestStoreIdFallback:
-    def test_status_survives_queue_record_pruning(self, tiny_scenario):  # noqa: F811
-        other = register_scenario(tiny_spec("svc-tiny-prune"))
-        try:
-            with EvaluationService(workers=1, max_job_records=1) as service:
-                first = service.submit(tiny_scenario.name)
-                service.result(first, timeout=120)
-                second = service.submit(other.name)
-                service.result(second, timeout=120)
-                # The one-record window pruned the first job from the queue…
-                assert service.queue.get(first.id) is None
-                assert service.queue.stats()["evicted_records"] == 1
-                # …but its id still resolves through the store.
-                assert service.job(first.id) is first
-                document = service.status(first.id)
-                assert document["state"] == "succeeded"
-                assert document["result"]["name"] == tiny_scenario.name
-                # result() by id takes the same fallback.
-                assert service.result(first.id, timeout=5) is first.result
-        finally:
-            unregister_scenario(other.name)
-
     def test_http_404_only_after_store_eviction(self, tiny_scenario):  # noqa: F811
+        # The job record is the only copy: once ``max_job_records`` prunes
+        # it, its id (and its reuse) is gone.
         other = register_scenario(tiny_spec("svc-tiny-prune2"))
         from repro.service.http import create_server
 
-        service = EvaluationService(workers=1, max_job_records=1,
-                                    store_max_entries=1)
+        service = EvaluationService(workers=1, max_job_records=1)
         server = create_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -718,10 +735,10 @@ class TestStoreIdFallback:
             first = service.submit(tiny_scenario.name)
             service.result(first, timeout=120)
             status, _ = _http(address, "GET", f"/jobs/{first.id}")
-            assert status == 200  # store fallback
+            assert status == 200
             second = service.submit(other.name)
             service.result(second, timeout=120)
-            # Queue record pruned *and* store entry evicted: now it is gone.
+            # The one-record window pruned the first job: now it is gone.
             status, document = _http(address, "GET", f"/jobs/{first.id}")
             assert status == 404 and document["error"] == "unknown job"
         finally:

@@ -29,7 +29,6 @@ from repro.service import (
     JobQueue,
     JobRequest,
     QueueFull,
-    ResultStore,
 )
 from repro.service.http import (
     MAX_BODY_BYTES,
@@ -402,7 +401,7 @@ class TestMonotonicOutcomeCounters:
 
 
 # ---------------------------------------------------------------------------
-# Result-store TTL
+# Reuse TTL
 # ---------------------------------------------------------------------------
 class FakeClock:
     def __init__(self):
@@ -415,76 +414,68 @@ class FakeClock:
         self.now += seconds
 
 
-class TestResultStoreTtl:
-    def test_entries_expire_lazily_on_get(self):
+class TestReuseTtl:
+    def test_entries_expire_lazily_on_submit(self):
         clock = FakeClock()
-        queue = JobQueue()
-        store = ResultStore(ttl_s=10.0, clock=clock)
+        queue = JobQueue(ttl_s=10.0, clock=clock)
         job = _finished_job(queue, request(generations=1))
-        store.put(job)
         clock.advance(9.9)
-        assert store.get(job.fingerprint) is job
+        assert queue.submit(request(generations=1))[0] is job
         clock.advance(0.2)  # past the TTL
-        assert store.get(job.fingerprint) is None
-        stats = store.stats()
+        fresh, deduplicated = queue.submit(request(generations=1))
+        assert not deduplicated and fresh is not job
+        stats = queue.reuse_stats()
         assert stats["expiries"] == 1
-        assert stats["entries"] == 0
+        assert stats["entries"] == 0  # the fresh job is still live
         assert stats["ttl_s"] == 10.0
 
-    def test_lru_touch_does_not_renew_age(self):
+    def test_reuse_does_not_renew_age(self):
         clock = FakeClock()
-        queue = JobQueue()
-        store = ResultStore(ttl_s=10.0, clock=clock)
+        queue = JobQueue(ttl_s=10.0, clock=clock)
         job = _finished_job(queue, request(generations=1))
-        store.put(job)
         clock.advance(6)
-        assert store.get(job.fingerprint) is job  # touch at age 6
-        clock.advance(6)  # age 12 > ttl, despite the recent touch
-        assert store.get(job.fingerprint) is None
+        assert queue.submit(request(generations=1))[0] is job  # age 6
+        clock.advance(6)  # age 12 > ttl, despite the recent reuse
+        assert queue.submit(request(generations=1))[0] is not job
 
-    def test_reput_renews_age(self):
+    def test_forced_rerun_renews_age(self):
         clock = FakeClock()
-        queue = JobQueue()
-        store = ResultStore(ttl_s=10.0, clock=clock)
-        job = _finished_job(queue, request(generations=1))
-        store.put(job)
+        queue = JobQueue(ttl_s=10.0, clock=clock)
+        _finished_job(queue, request(generations=1))
         clock.advance(8)
-        store.put(job)  # re-inserted: age resets
-        clock.advance(8)
-        assert store.get(job.fingerprint) is job
+        rerun, _ = queue.submit(request(generations=1), use_cache=False)
+        queue.finish(queue.claim(timeout=0.1), result="again")
+        clock.advance(8)  # 16s after the first run, 8s after the rerun
+        assert queue.submit(request(generations=1))[0] is rerun
 
-    def test_len_jobs_and_stats_sweep_expired(self):
+    def test_stats_sweep_expired(self):
         clock = FakeClock()
-        queue = JobQueue()
-        store = ResultStore(ttl_s=5.0, clock=clock)
-        fresh_after_advance = _finished_job(queue, request(generations=2))
-        expired = _finished_job(queue, request(generations=1))
-        store.put(expired)
+        queue = JobQueue(ttl_s=5.0, clock=clock)
+        _finished_job(queue, request(generations=1))
         clock.advance(4)
-        store.put(fresh_after_advance)
+        fresh = _finished_job(queue, request(generations=2))
         clock.advance(2)  # first is 6s old, second 2s
-        assert len(store) == 1
-        assert store.jobs() == [fresh_after_advance]
-        assert store.stats()["expiries"] == 1
+        stats = queue.reuse_stats()
+        assert stats["entries"] == 1
+        assert stats["expiries"] == 1
+        assert queue.submit(request(generations=2))[0] is fresh
 
     def test_no_ttl_never_expires(self):
         clock = FakeClock()
-        queue = JobQueue()
-        store = ResultStore(clock=clock)
+        queue = JobQueue(clock=clock)
         job = _finished_job(queue, request(generations=1))
-        store.put(job)
         clock.advance(10**9)
-        assert store.get(job.fingerprint) is job
-        assert store.stats()["expiries"] == 0
+        assert queue.submit(request(generations=1))[0] is job
+        assert queue.reuse_stats()["expiries"] == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResultStore(ttl_s=0)
+            JobQueue(ttl_s=0)
 
     def test_service_wires_ttl_through(self):
         with EvaluationService(workers=1, store_ttl_s=123.0,
                                autostart=False) as service:
-            assert service.store.ttl_s == 123.0
+            assert service.queue.ttl_s == 123.0
             assert service.stats()["store"]["ttl_s"] == 123.0
 
 
