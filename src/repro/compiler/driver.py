@@ -124,15 +124,16 @@ class MultiCriteriaCompiler:
         (see ``PassManager.stats``).
 
         A synthetic ``path-feasibility`` row reports the pruning work these
-        builds did (units analysed as invocations, enumeration wall time,
-        paths enumerated/pruned and cap/irregular fallbacks): what the
-        analysis cache computed on this thread since the driver was built.
-        Shared-cache hits charge nothing; no work, no row.
+        builds did (units enumerated as invocations, wall time, paths
+        enumerated/pruned, cap/irregular fallbacks, and the units the unit
+        memo answered as ``unit_hits``): what the analysis cache computed on
+        this thread since the driver was built.  Shared-cache table hits
+        charge nothing; no work, no row.
         """
         stats = self.pipeline.stats()
         done = {key: value - self._path_baseline[key] for key, value
                 in self.analysis.thread_path_totals().items()}
-        if done["units"]:
+        if done["units"] or done["unit_hits"]:
             stats = dict(stats)
             stats["path-feasibility"] = {
                 "stage": "analysis",
@@ -142,6 +143,7 @@ class MultiCriteriaCompiler:
                 "paths_pruned": done["paths_pruned"],
                 "path_cap_fallbacks": done["cap_fallbacks"],
                 "path_irregular_fallbacks": done["irregular_fallbacks"],
+                "unit_hits": done["unit_hits"],
             }
         return stats
 

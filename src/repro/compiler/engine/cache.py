@@ -361,9 +361,11 @@ class AnalysisCache(_BoundedCacheMixin):
     queries are dictionary lookups, which makes multi-entry evaluation, DVFS
     sweeps and per-core ETS derivation nearly free.
 
-    ``max_entries`` bounds the cycle and energy tables independently (the
-    per-instruction and block-cost memos stay unbounded: they are keyed by
-    opcode patterns, whose population is effectively fixed).
+    ``max_entries`` bounds the cycle and energy tables independently.  The
+    per-instruction cost memos stay unbounded (they are keyed by opcode and
+    code region, whose population is fixed); the block-cost and
+    path-sensitive unit memos are emptied when they reach
+    :data:`~repro.wcet.structural.MEMO_LIMIT` entries.
 
     ``store`` attaches a persistent tier
     (:class:`~repro.compiler.engine.persist.PersistentCacheStore`): memory
@@ -399,8 +401,11 @@ class AnalysisCache(_BoundedCacheMixin):
         # point) — so each distinct cost is computed once per core ever, not
         # once per instruction occurrence per program.
         self._instr_costs: Dict[Tuple, Dict] = {}
-        # Cross-program block-cost memos (call-free blocks only), same scopes.
+        # Cross-program block-cost memos (call-free blocks only) and
+        # path-sensitive unit outcomes, same scopes; both bounded by
+        # ``repro.wcet.structural.MEMO_LIMIT``.
         self._block_costs: Dict[Tuple, Dict[Tuple, float]] = {}
+        self._unit_outcomes: Dict[Tuple, Dict[Tuple, object]] = {}
         # Path-feasibility counters, accumulated on computes only (memory and
         # disk hits reuse tables whose pruning already happened elsewhere).
         # The per-thread copy lets one run report only its own pruning work
@@ -418,6 +423,7 @@ class AnalysisCache(_BoundedCacheMixin):
         stats["disk_errors"] = self.disk_errors
         stats["persistent"] = self._store is not None
         stats["path_units"] = self._path_totals.units
+        stats["path_unit_hits"] = self._path_totals.unit_hits
         stats["paths_enumerated"] = self._path_totals.paths_enumerated
         stats["paths_pruned"] = self._path_totals.paths_pruned
         stats["path_cap_fallbacks"] = self._path_totals.cap_fallbacks
@@ -428,8 +434,10 @@ class AnalysisCache(_BoundedCacheMixin):
     def path_stats(self) -> Dict[str, Dict[str, float]]:
         """Pruning counters of every path-sensitive analysis this cache ran.
 
-        ``totals`` aggregates across functions: paths enumerated / pruned,
-        cap and irregular-flow fallbacks, enumeration wall time.
+        ``totals`` aggregates across functions: units enumerated, paths
+        enumerated / pruned, cap and irregular-flow fallbacks, units served
+        by the unit memo (``unit_hits``, which add to nothing else) and the
+        wall time of both.
         """
         with self._lock:
             return {"totals": self._path_totals.as_dict()}
@@ -449,7 +457,7 @@ class AnalysisCache(_BoundedCacheMixin):
         if thread_totals is None:
             self._thread_paths.totals = thread_totals = PathStats()
         for stats in engine.path_stats.values():
-            if stats.units == 0:
+            if not (stats.units or stats.unit_hits):
                 continue
             self._path_totals.merge(stats)
             thread_totals.merge(stats)
@@ -570,9 +578,13 @@ class AnalysisCache(_BoundedCacheMixin):
                     memo[instr.opcode] = cost
                 return cost
 
-        engine = (PathSensitiveCostEngine if path_sensitive
-                  else StructuralCostEngine)(
-            program, instr_cost, self._block_costs.setdefault(scope, {}))
+        block_memo = self._block_costs.setdefault(scope, {})
+        if path_sensitive:
+            engine = PathSensitiveCostEngine(
+                program, instr_cost, block_memo,
+                unit_memo=self._unit_outcomes.setdefault(scope, {}))
+        else:
+            engine = StructuralCostEngine(program, instr_cost, block_memo)
         entry = engine.costs()
         if path_sensitive:
             self._note_path_stats(engine)

@@ -13,17 +13,20 @@ program clones (``Program.clone(share_instructions=True)``).
 Dead-code elimination, strength reduction and the peephole pass rewrite
 unrolled runs (:mod:`repro.ir.runs`) on their template through
 :meth:`~repro.ir.cfg.BasicBlock.rewrite`, so a block keeps its compact
-form; CSE numbers values across copies and reads the flat instruction list.
+form.  CSE numbers values across copies, so it rewrites a run copy by copy
+until the copies repeat and keeps the rest as one run; a block stays
+compact through it too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from operator import is_not
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.cfg import Program
 from repro.ir.instructions import (COMMUTATIVE, Imm, Instr, Opcode, Reg,
                                    evaluate, wrap32)
-from repro.ir.runs import copies, walk
+from repro.ir.runs import Run, copies, walk
 
 #: Opcodes that must never be removed even if their destination is unused.
 _SIDE_EFFECTS = {Opcode.STORE, Opcode.CALL, Opcode.RET, Opcode.BR, Opcode.JMP}
@@ -169,6 +172,223 @@ def _expression_key(instr: Instr) -> Tuple:
     return (instr.opcode, srcs)
 
 
+def _renamed_key(key: Tuple, rename: Dict[str, Reg]) -> Tuple:
+    """``key`` with its registers renamed, re-canonicalised: renaming can
+    flip the ``repr`` order of commutative operands (``t9`` vs ``t10``)."""
+    opcode, srcs = key
+    srcs = _operands(srcs, rename)
+    if opcode in _COMMUTATIVE_OPS and len(srcs) == 2 \
+            and repr(srcs[1]) < repr(srcs[0]):
+        srcs = (srcs[1], srcs[0])
+    return (opcode, srcs)
+
+
+def _key_reads(key: Tuple, names) -> bool:
+    return any(op.__class__ is Reg and op.name in names for op in key[1])
+
+
+class _Available:
+    """The available expressions at one point of a block.
+
+    ``holders`` maps an expression key to the register holding its value;
+    ``mentions`` maps a register name to the keys a write to it drops (the
+    keys it is an operand or the holder of).  Dropped keys may stay listed:
+    popping one again changes nothing, but a holder stays listed after its
+    key is recorded anew with another holder, and a write to it then drops
+    the key once more, which :meth:`forget` preserves.  ``read`` names the
+    holders replacements read.
+    """
+
+    __slots__ = ("holders", "mentions", "read")
+
+    def __init__(self):
+        self.holders: Dict[Tuple, Reg] = {}
+        self.mentions: Dict[str, list] = {}
+        self.read: set = set()
+
+    def forget(self, dead: Sequence[str]) -> None:
+        """Drop what only ``dead`` registers can observe, and stale lists.
+
+        A run copy's temps are read and written only inside that copy, so
+        once it ends no key over them is looked up again and no write to
+        them drops anything.  Listed keys no longer held are dropped too,
+        except under a former holder.  What is left is all the rest of
+        the block can observe, so equal states compare equal.
+        """
+        dead = set(dead)
+        holders, mentions = self.holders, self.mentions
+        for name in dead:
+            mentions.pop(name, None)
+        for key in [key for key in holders if _key_reads(key, dead)]:
+            del holders[key]
+        for name, keys in list(mentions.items()):
+            kept = [key for key in dict.fromkeys(keys)
+                    if key in holders or not (_key_reads(key, dead)
+                                              or _key_reads(key, (name,)))]
+            if kept:
+                mentions[name] = kept
+            else:
+                del mentions[name]
+
+    def snapshot(self, rename: Dict[str, Reg]) -> Tuple:
+        """The state with registers renamed, comparable with ``==``."""
+        def name_of(name):
+            reg = rename.get(name)
+            return name if reg is None else reg.name
+
+        return ({_renamed_key(key, rename): rename.get(holder.name, holder)
+                 for key, holder in self.holders.items()},
+                frozenset((name_of(name), _renamed_key(key, rename))
+                          for name, keys in self.mentions.items()
+                          for key in keys))
+
+    def rename_holders(self, rename: Dict[str, Reg]) -> None:
+        holders = self.holders
+        for key, holder in holders.items():
+            holders[key] = rename.get(holder.name, holder)
+
+
+def _operands(operands: Sequence, rename: Dict[str, Reg]) -> Tuple:
+    return tuple([rename.get(op.name, op) if op.__class__ is Reg else op
+                  for op in operands])
+
+
+def _shape(parts: Sequence, rename: Dict[str, Reg], shift: int) -> Tuple:
+    """``parts`` as the next copy of a run holding them would stamp them,
+    comparable with ``==``: registers renamed by ``rename``, and nested
+    runs moved by ``shift`` (see :meth:`repro.ir.runs.Stamper.compile`)."""
+    out = []
+    for part in parts:
+        if part.__class__ is Run:
+            if rename:
+                part = part.moved(shift, _operands(part.fixed, rename))
+            out.append((part.count, part.prefix, part.first, part.width,
+                        _shape(part.template(), {}, 0)))
+        else:
+            dst = part.dst
+            out.append(Instr(part.opcode, dst and rename.get(dst.name, dst),
+                             _operands(part.srcs, rename), part.array,
+                             part.true_target, part.false_target,
+                             part.callee, _operands(part.args, rename),
+                             part.comment) if rename else part)
+    return tuple(out)
+
+
+def _cse(parts: Sequence, state: _Available) -> Tuple[List, int]:
+    """``parts`` with recomputations replaced, and how many were."""
+    holders, mentions, read = state.holders, state.mentions, state.read
+    out: List = []
+    replaced = 0
+    for instr in parts:
+        if instr.__class__ is Run:
+            rewritten, count = _cse_run(instr, state)
+            out.extend(rewritten)
+            replaced += count
+            continue
+        dst = instr.dst
+        recorded_key = None
+        if (instr.opcode in _PURE_OPS and dst is not None
+                and instr.srcs):
+            key = _expression_key(instr)
+            holder = holders.get(key)
+            if holder is not None:
+                instr = Instr(Opcode.MOV, dst=dst, srcs=(holder,))
+                replaced += 1
+                read.add(holder.name)
+            elif dst.name not in (reg.name for reg in instr.reads()):
+                recorded_key = key
+        out.append(instr)
+        if dst is None:
+            continue
+        # The write invalidates every expression reading or held in
+        # ``dst`` — including, possibly, the one we just matched.
+        for key in mentions.pop(dst.name, ()):
+            holders.pop(key, None)
+        if recorded_key is not None:
+            holders[recorded_key] = dst
+            for reg in instr.reads():
+                mentions.setdefault(reg.name, []).append(recorded_key)
+            mentions.setdefault(dst.name, []).append(recorded_key)
+    return out, replaced
+
+
+def _cse_run(run: Run, state: _Available) -> Tuple[List, int]:
+    """The parts standing for ``run`` after CSE, and its replacements.
+
+    Copies are rewritten in order.  Once a copy's rewrite and the state it
+    leaves are the previous copy's under the per-copy temp renaming, every
+    later copy repeats them: the copies before the previous one stay
+    written out, and the rest become one run of the previous copy's
+    rewrite.  A run that never settles is written out.
+    """
+    rewrites: List[List] = []
+    counts: List[int] = []
+    expected = None
+    for index in range(run.count):
+        rewritten, count = _cse(run.copy(index), state)
+        temps = run.temps(index)
+        state.forget(temps)
+        if expected is not None and expected[0] == _shape(rewritten, {}, 0) \
+                and expected[1] == state.snapshot({}):
+            break
+        rewrites.append(rewritten)
+        counts.append(count)
+        if index + 1 < run.count:
+            rename = dict(zip(temps, map(Reg, run.temps(index + 1))))
+            expected = (_shape(rewritten, rename, run.width),
+                        state.snapshot(rename))
+    else:
+        return [part for rewritten in rewrites for part in rewritten], \
+            sum(counts)
+
+    # Copy ``index`` repeats copy ``index - 1``, and so does every later
+    # one: the state after the run is this one with the last copy's temps.
+    # What copies ``first + 1`` to ``index`` read of their own temps, the
+    # template copy read too.
+    first = index - 1
+    state.rename_holders(dict(zip(temps, map(Reg,
+                                             run.temps(run.count - 1)))))
+    state.read.difference_update(
+        *(run.temps(later) for later in range(first + 1, index + 1)))
+    replaced = sum(counts) + count * (run.count - index)
+    if not replaced and not first:
+        return [run], 0
+    out = [part for rewritten in rewrites[:first] for part in rewritten]
+    out.append(Run.compile(rewrites[first], run.count - first, run.prefix,
+                           run.first + first * run.width, run.width))
+    return out, replaced
+
+
+def _peel(parts: Sequence, read) -> List:
+    """``parts`` with the last copy of each run whose temps are in ``read``
+    written out.
+
+    CSE may replace an instruction after a run with a copy of a value the
+    run's last copy holds; written out, the run keeps its copies' temps to
+    themselves, as every run-aware pass assumes.
+    """
+    out: List = []
+    for part in parts:
+        if part.__class__ is not Run:
+            out.append(part)
+            continue
+        template = part.template()
+        peeled = _peel(template, read)
+        if len(peeled) != len(template) or any(map(is_not, peeled, template)):
+            part = Run.compile(peeled, part.count, part.prefix, part.first,
+                               part.width)
+        if read.isdisjoint(part.temps(part.count - 1)):
+            out.append(part)
+            continue
+        if part.count > 2:
+            out.append(Run.compile(peeled, part.count - 1, part.prefix,
+                                   part.first, part.width))
+        else:
+            out.extend(peeled)
+        out.extend(_peel(part.copy(part.count - 1), read))
+    return out
+
+
 def eliminate_common_subexpressions(program: Program) -> int:
     """Replace re-computed pure expressions with register copies.
 
@@ -187,40 +407,23 @@ def eliminate_common_subexpressions(program: Program) -> int:
     when its holding register is overwritten, and an instruction whose
     destination feeds its own right-hand side (``i = i + 1``) is never
     recorded.
+
+    An unrolled run is rewritten copy by copy until its copies repeat
+    (:func:`_cse_run`), so it stays compact; the result is the same as
+    rewriting the written-out copies.
     """
     replaced_total = 0
     for function in program.functions.values():
         for block in function.blocks.values():
-            available: Dict[Tuple, Reg] = {}
-            #: register name -> keys whose operands or holder mention it
-            mentions: Dict[str, list] = {}
-            instrs = block.instrs
-            for index, instr in enumerate(instrs):
-                dst = instr.dst
-                recorded_key = None
-                if (instr.opcode in _PURE_OPS and dst is not None
-                        and instr.srcs):
-                    key = _expression_key(instr)
-                    holder = available.get(key)
-                    if holder is not None:
-                        replacement = Instr(Opcode.MOV, dst=dst,
-                                            srcs=(holder,))
-                        instrs[index] = replacement
-                        instr = replacement
-                        replaced_total += 1
-                    elif dst.name not in (reg.name for reg in instr.reads()):
-                        recorded_key = key
-                if dst is None:
-                    continue
-                # The write invalidates every expression reading or held in
-                # ``dst`` — including, possibly, the one we just matched.
-                for key in mentions.pop(dst.name, ()):
-                    available.pop(key, None)
-                if recorded_key is not None:
-                    available[recorded_key] = dst
-                    for reg in instr.reads():
-                        mentions.setdefault(reg.name, []).append(recorded_key)
-                    mentions.setdefault(dst.name, []).append(recorded_key)
+            parts = block.parts
+            state = _Available()
+            rewritten, replaced = _cse(parts, state)
+            if state.read:
+                rewritten = _peel(rewritten, state.read)
+            if len(rewritten) != len(parts) \
+                    or any(map(is_not, rewritten, parts)):
+                block.replace_parts(rewritten)
+            replaced_total += replaced
     return replaced_total
 
 

@@ -77,11 +77,14 @@ class BasicBlock:
         (delete) and is called once per template instruction of a run, so
         its decision must hold for every copy.
         """
-        parts = self.parts
-        rewritten = runs.rewrite(parts, fn)
+        rewritten = runs.rewrite(self.parts, fn)
         if rewritten is not None:
-            self.parts = (rewritten if parts.__class__ is list
-                          else _Parts(rewritten))
+            self.replace_parts(rewritten)
+
+    def replace_parts(self, parts: List) -> None:
+        """Swap in rewritten ``parts``, keeping the compact or flat form."""
+        self.parts = (parts if self.parts.__class__ is list
+                      else _Parts(parts))
 
     @property
     def terminator(self) -> Optional[Instr]:

@@ -50,14 +50,28 @@ class Stamper:
 
     ``labels`` and ``temps`` are the names the first copy uses; every other
     operand of an operand tuple that holds a temp lands in :attr:`fixed`,
-    the tail of every copy's pool.
+    the tail of every copy's pool.  With the temp ``prefix``, a temp the
+    copy does not create counts too, so that an enclosing copy can rename
+    it (CSE lets a run read a temp its enclosing copy holds a value in).
     """
 
-    def __init__(self, labels: Sequence[str], temps: Sequence[str]):
+    def __init__(self, labels: Sequence[str], temps: Sequence[str],
+                 prefix: str = ""):
         self.label_slots = {label: i for i, label in enumerate(labels)}
         self.temp_slots = {name: len(labels) + i
                            for i, name in enumerate(temps)}
+        self.prefix = prefix
         self.fixed: List[Operand] = []
+
+    def _is_temp(self, operand: Operand) -> bool:
+        if operand.__class__ is not Reg:
+            return False
+        name = operand.name
+        if name in self.temp_slots:
+            return True
+        prefix = self.prefix
+        return bool(prefix) and name.startswith(prefix) \
+            and name[len(prefix):].isdigit()
 
     def _slot(self, operand: Operand) -> int:
         if operand.__class__ is Reg:
@@ -72,11 +86,16 @@ class Stamper:
         """``part``'s entry for :func:`stamp`.
 
         An instruction compiles to its fields and the getters one copy
-        applies.  A nested :class:`Run` compiles to itself: it reads no temp
-        of the enclosing copy, so a copy only moves its temps.
+        applies.  A nested :class:`Run` compiles to itself and the getter of
+        what it reads from outside (its ``fixed`` operands): a copy moves
+        its temps, and renames those that are temps of the enclosing copy.
         """
         if part.__class__ is Run:
-            return part, None
+            if not part.fixed:
+                return part, None
+            slots = [self._slot(op) for op in part.fixed]
+            return part, (itemgetter(*slots) if len(slots) > 1
+                          else itemgetter(slice(slots[0], slots[0] + 1)))
         fields = list(_fields_of(part))
         getters = []
         dst = fields[_DST]
@@ -84,8 +103,7 @@ class Stamper:
             getters.append((_DST, itemgetter(self.temp_slots[dst.name])))
         for index in (_SRCS, _ARGS):
             operands = fields[index]
-            if any(op.__class__ is Reg and op.name in self.temp_slots
-                   for op in operands):
+            if any(map(self._is_temp, operands)):
                 slots = [self._slot(op) for op in operands]
                 getters.append((index, itemgetter(*slots) if len(slots) > 1
                                 else itemgetter(slice(slots[0],
@@ -103,12 +121,12 @@ def stamp(entries: Sequence[Tuple], pool: Tuple, shift: int,
 
     ``pool`` is the copy's pool and ``shift`` how far its temps are
     renumbered from the compiled copy's; a nested run comes out as a run
-    again, moved by ``shift``.
+    again, moved by ``shift`` and reading its operands from ``pool``.
     """
     make = Instr
     for fields, getters in entries:
         if fields.__class__ is Run:
-            out.append(fields.moved(shift))
+            out.append(fields.moved(shift, getters and getters(pool)))
             continue
         fields = fields.copy()
         for index, get in getters:
@@ -153,7 +171,8 @@ class Run:
     def compile(cls, parts: Sequence, count: int, prefix: str, first: int,
                 width: int) -> "Run":
         """The run of ``count`` copies of ``parts``, the first copy's IR."""
-        stamper = Stamper((), [f"{prefix}{first + i}" for i in range(width)])
+        stamper = Stamper((), [f"{prefix}{first + i}" for i in range(width)],
+                          prefix)
         entries = [stamper.compile(part) for part in parts]
         size = count * sum(part.size if part.__class__ is Run else 1
                            for part in parts)
@@ -181,10 +200,26 @@ class Run:
             first_copy = self._first_copy = tuple(out)
         return first_copy
 
-    def moved(self, shift: int) -> "Run":
-        """This run inside an enclosing copy ``shift`` temps further on."""
+    def copy(self, index: int) -> List:
+        """Copy ``index``'s instructions, nested runs as runs."""
+        if index == 0:
+            return list(self.template())
+        out: List = []
+        stamp(self.entries, self._pool(index),
+              self.offset + index * self.width, out)
+        return out
+
+    def temps(self, index: int) -> List[str]:
+        """The names of the temps copy ``index`` creates."""
+        base = self.first + index * self.width
+        return [f"{self.prefix}{base + i}" for i in range(self.width)]
+
+    def moved(self, shift: int, fixed: Optional[Tuple] = None) -> "Run":
+        """This run inside an enclosing copy ``shift`` temps further on,
+        reading ``fixed`` (default: the same operands) from outside."""
         return Run(self.entries, self.count, self.prefix, self.first + shift,
-                   self.width, self.fixed, self.size, self.offset + shift)
+                   self.width, self.fixed if fixed is None else fixed,
+                   self.size, self.offset + shift)
 
     def expand(self, out: List[Instr]) -> None:
         """Append every copy's instructions to ``out``.

@@ -32,6 +32,11 @@ never hang, raise, or return a bound below the structural engine's
 assumptions.  Loops keep the structural ``(bound + 1) · cond + bound · body``
 formula with the body itself analysed path-sensitively per iteration.
 
+Every unit is enumerated from the top state, so its outcome depends only on
+its blocks, their costs and the cap: an engine given a ``unit_memo`` keys
+units label-free on exactly that (:func:`_unit_key`) and enumerates each
+distinct unit once.
+
 Because every pruned path is genuinely infeasible and per-instruction costs
 are unchanged worst-case costs, the pruned bound is still sound (≥ any
 simulated execution) while never exceeding the structural bound — the
@@ -57,7 +62,9 @@ from repro.ir.regions import (
     iter_block_labels,
     iter_loops,
 )
-from repro.wcet.structural import InstrCost, StructuralCostEngine
+from repro.ir.runs import flatten
+from repro.wcet.structural import (InstrCost, StructuralCostEngine,
+                                    memo_put)
 
 INT32_MIN = -(2 ** 31)
 INT32_MAX = 2 ** 31 - 1
@@ -86,9 +93,13 @@ class PathStats:
     cap_fallbacks: int = 0
     irregular_fallbacks: int = 0
     wall_s: float = 0.0
+    #: Units whose outcome came from the unit memo; they add to nothing
+    #: above but ``wall_s``.
+    unit_hits: int = 0
 
     def merge(self, other: "PathStats") -> None:
         self.units += other.units
+        self.unit_hits += other.unit_hits
         self.paths_enumerated += other.paths_enumerated
         self.paths_pruned += other.paths_pruned
         self.cap_fallbacks += other.cap_fallbacks
@@ -103,6 +114,7 @@ class PathStats:
             "cap_fallbacks": self.cap_fallbacks,
             "irregular_fallbacks": self.irregular_fallbacks,
             "wall_s": self.wall_s,
+            "unit_hits": self.unit_hits,
         }
 
 
@@ -593,49 +605,99 @@ class _IrregularFlow(Exception):
     """Internal: a cycle or unreachable block inside a loop-free unit."""
 
 
-BlockCost = Callable[[str], float]
+#: One block of a unit: the instructions before its terminator, the
+#: branch condition (``None`` unless it ends in ``BR``), the unit indices of
+#: its successors (-1: the edge leaves the unit; none: the path ends) and
+#: its cost.
+UnitBlock = Tuple[List[Instr], Optional[Operand], Tuple[int, ...], float]
 
 
-def _enumerate_paths(function: Function, labels: Set[str], entry: str,
-                     block_cost: BlockCost, cap: int
-                     ) -> Tuple[Optional[float], int, int, Set[str]]:
-    """Max cost over feasible ``entry``→exit paths within ``labels``.
+def _unit_blocks(function: Function, labels: Set[str], entry: str,
+                 block_cost: Callable[[str], float]) -> List[UnitBlock]:
+    """The blocks of the unit reachable from ``entry``, in discovery order.
 
-    Paths run from a dummy entry node (before ``entry``) to a dummy exit
-    node reached by ``RET`` or by any edge leaving ``labels``.  Returns
-    ``(best, enumerated, pruned, touched)``; ``best`` is ``None`` when every
-    path was pruned.  Raises :class:`_PathCapExceeded` when completed plus
-    pruned paths exceed ``cap`` and :class:`_IrregularFlow` on a cycle.
+    Instructions are read through a local :func:`~repro.ir.runs.flatten`
+    list, so a compact block stays compact.
+    """
+    index = {entry: 0}
+    order = [entry]
+    blocks: List[UnitBlock] = []
+    for label in order:
+        block = function.block(label)
+        instrs: List[Instr] = []
+        flatten(block.parts, instrs)
+        terminator = block.terminator
+        condition = None
+        if terminator is None or terminator.opcode is Opcode.RET:
+            targets: Tuple[str, ...] = ()
+        elif terminator.opcode is Opcode.JMP:
+            targets = (terminator.true_target,)
+        else:
+            condition = terminator.srcs[0]
+            targets = (terminator.true_target, terminator.false_target)
+        if terminator is not None:
+            instrs.pop()
+        successors = []
+        for target in targets:
+            if target not in labels:
+                successors.append(-1)
+                continue
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            successors.append(index[target])
+        blocks.append((instrs, condition, tuple(successors),
+                       block_cost(label)))
+    return blocks
+
+
+def _operand_key(operand: Operand):
+    return operand.name if operand.__class__ is Reg else operand.value
+
+
+def _unit_key(blocks: List[UnitBlock], size: int, cap: int) -> Tuple:
+    """What an enumeration of ``blocks`` reads, without a label: each
+    block's cost, successor indices, branch condition and instructions
+    (opcode, destination and operands), then the unit's size and cap."""
+    return (size, cap, tuple(
+        (cost, successors,
+         None if condition is None else _operand_key(condition),
+         tuple([(instr.opcode, instr.dst and instr.dst.name,
+                 tuple([_operand_key(op) for op in instr.srcs]))
+                for instr in instrs]))
+        for instrs, condition, successors, cost in blocks))
+
+
+def _enumerate_paths(blocks: List[UnitBlock], cap: int
+                     ) -> Tuple[Optional[float], int, int, int]:
+    """Max cost over feasible paths through the unit of ``blocks``.
+
+    Paths run from a dummy entry node (before block 0) to a dummy exit
+    node reached by a path end or by an edge leaving the unit.  Returns
+    ``(best, enumerated, pruned, touched)``: ``best`` is ``None`` when
+    every path was pruned, ``touched`` counts the blocks some feasible path
+    reaches.  Raises :class:`_PathCapExceeded` when completed plus pruned
+    paths exceed ``cap`` and :class:`_IrregularFlow` on a cycle.
     """
     best: Optional[float] = None
     enumerated = 0
     pruned = 0
-    touched: Set[str] = set()
-    stack: List[Tuple[str, _State, float, FrozenSet[str]]] = [
-        (entry, _State(), 0.0, frozenset())]
+    touched: Set[int] = set()
+    stack: List[Tuple[int, _State, float, FrozenSet[int]]] = [
+        (0, _State(), 0.0, frozenset())]
     while stack:
-        label, state, cost, on_path = stack.pop()
-        if label in on_path:
-            raise _IrregularFlow(label)
-        touched.add(label)
-        cost += block_cost(label)
-        on_path = on_path | {label}
-        block = function.block(label)
-        terminator = block.terminator
-        for instr in block.instrs:
-            if instr is terminator:
-                break
+        index, state, cost, on_path = stack.pop()
+        if index in on_path:
+            raise _IrregularFlow(index)
+        touched.add(index)
+        instrs, condition, successors, block_cost = blocks[index]
+        cost += block_cost
+        on_path = on_path | {index}
+        for instr in instrs:
             _transfer(state, instr)
-        if terminator is None or terminator.opcode is Opcode.RET:
-            enumerated += 1
-            if enumerated + pruned > cap:
-                raise _PathCapExceeded()
-            if best is None or cost > best:
-                best = cost
-            continue
-        if terminator.opcode is Opcode.JMP:
-            successor = terminator.true_target
-            if successor not in labels:
+        if condition is None:
+            successor = successors[0] if successors else -1
+            if successor < 0:
                 enumerated += 1
                 if enumerated + pruned > cap:
                     raise _PathCapExceeded()
@@ -644,17 +706,16 @@ def _enumerate_paths(function: Function, labels: Set[str], entry: str,
             else:
                 stack.append((successor, state, cost, on_path))
             continue
-        condition = terminator.srcs[0]
         fallthrough_state = state.clone()
         for taken, target, edge_state in (
-                (True, terminator.true_target, state),
-                (False, terminator.false_target, fallthrough_state)):
+                (True, successors[0], state),
+                (False, successors[1], fallthrough_state)):
             if not _refine_branch(edge_state, condition, taken):
                 pruned += 1
                 if enumerated + pruned > cap:
                     raise _PathCapExceeded()
                 continue
-            if target not in labels:
+            if target < 0:
                 enumerated += 1
                 if enumerated + pruned > cap:
                     raise _PathCapExceeded()
@@ -662,7 +723,29 @@ def _enumerate_paths(function: Function, labels: Set[str], entry: str,
                     best = cost
             else:
                 stack.append((target, edge_state, cost, on_path))
-    return best, enumerated, pruned, touched
+    return best, enumerated, pruned, len(touched)
+
+
+#: Unit outcomes that fall back to the structural bound.
+_CAP_FALLBACK = "cap"
+_IRREGULAR_FALLBACK = "irregular"
+
+
+def _unit_outcome(blocks: List[UnitBlock], size: int, cap: int):
+    """``(best, enumerated, pruned)`` for a unit of ``size`` blocks, or the
+    fallback it takes: ``_CAP_FALLBACK``, or ``_IRREGULAR_FALLBACK``
+    for a cycle or a unit block no feasible path reaches (the CFG then
+    disagrees with the region tree, so the enumeration cannot be
+    trusted)."""
+    try:
+        best, enumerated, pruned, touched = _enumerate_paths(blocks, cap)
+    except _PathCapExceeded:
+        return _CAP_FALLBACK
+    except _IrregularFlow:
+        return _IRREGULAR_FALLBACK
+    if touched != size or best is None:
+        return _IRREGULAR_FALLBACK
+    return best, enumerated, pruned
 
 
 # --------------------------------------------------------------------------
@@ -693,13 +776,20 @@ class PathSensitiveCostEngine(StructuralCostEngine):
     back to the structural bound for the affected unit, logged in
     :attr:`path_stats`.  Per-block costs are the same in both modes, so a
     ``block_memo`` can be shared with structural engines.
+
+    ``unit_memo`` shares unit outcomes across functions, programs and
+    engines whose block costs agree (one cost scope): a unit starts from
+    the top state, so its outcome depends only on what :func:`_unit_key`
+    reads.  It is bounded like ``block_memo``.
     """
 
     def __init__(self, program: Program, instr_cost: InstrCost,
                  block_memo: Optional[Dict[Tuple, float]] = None, *,
-                 path_cap: Optional[int] = None):
+                 path_cap: Optional[int] = None,
+                 unit_memo: Optional[Dict[Tuple, object]] = None):
         super().__init__(program, instr_cost, block_memo)
         self.path_cap = DEFAULT_PATH_CAP if path_cap is None else path_cap
+        self.unit_memo = unit_memo
         #: function name -> PathStats, populated as functions are costed
         self.path_stats: Dict[str, PathStats] = {}
         self._structural_only = 0
@@ -753,29 +843,32 @@ class PathSensitiveCostEngine(StructuralCostEngine):
         for region in run:
             labels.update(iter_block_labels(region))
         entry = next(iter_block_labels(run[0]))
-        stats.units += 1
         started = time.perf_counter()
         try:
-            best, enumerated, pruned, touched = _enumerate_paths(
+            blocks = _unit_blocks(
                 function, labels, entry,
-                lambda label: self._block_cost(function, label),
-                self.path_cap)
-            if touched != labels:
-                # a unit block no path reaches: the CFG disagrees with the
-                # region tree, so the enumeration cannot be trusted
-                stats.irregular_fallbacks += 1
-                return self._structural_cost(function, run)
-            stats.paths_enumerated += enumerated
-            stats.paths_pruned += pruned
-            if best is None:  # pragma: no cover - defensive
-                stats.irregular_fallbacks += 1
-                return self._structural_cost(function, run)
-            return best
-        except _PathCapExceeded:
-            stats.cap_fallbacks += 1
-            return self._structural_cost(function, run)
-        except _IrregularFlow:
-            stats.irregular_fallbacks += 1
+                lambda label: self._block_cost(function, label))
+            memo = self.unit_memo
+            key = outcome = None
+            if memo is not None:
+                key = _unit_key(blocks, len(labels), self.path_cap)
+                outcome = memo.get(key)
+            if outcome is None:
+                outcome = _unit_outcome(blocks, len(labels), self.path_cap)
+                stats.units += 1
+                if outcome is _CAP_FALLBACK:
+                    stats.cap_fallbacks += 1
+                elif outcome is _IRREGULAR_FALLBACK:
+                    stats.irregular_fallbacks += 1
+                else:
+                    stats.paths_enumerated += outcome[1]
+                    stats.paths_pruned += outcome[2]
+                if memo is not None:
+                    memo_put(memo, key, outcome)
+            else:
+                stats.unit_hits += 1
+            if outcome.__class__ is tuple:
+                return outcome[0]
             return self._structural_cost(function, run)
         finally:
             stats.wall_s += time.perf_counter() - started

@@ -47,6 +47,20 @@ CostTable = Tuple[Dict[str, float], Dict[str, Exception]]
 _CALL_OPCODE = Opcode.CALL
 _opcode_of = attrgetter("opcode")
 
+#: Entries a cross-program memo (block costs, path-sensitive units) holds
+#: before it is emptied: an analysis cache shared process-wide lives as
+#: long as the service that holds it.
+MEMO_LIMIT = 2 ** 12
+
+
+def memo_put(memo: Dict, key, value):
+    """Store ``value`` under ``key``, emptying a full ``memo`` first; only
+    speed depends on what a memo keeps.  Returns ``value``."""
+    if len(memo) >= MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
 
 class StructuralCostEngine:
     """Computes worst-case costs of functions of a program.
@@ -54,7 +68,8 @@ class StructuralCostEngine:
     ``block_memo`` shares the costs of call-free blocks across functions,
     programs and engines, keyed by ``(code_region, opcodes)``: pass one only
     when ``instr_cost`` depends on nothing but those two.  A memoised block
-    costs the same left-to-right sum as an unmemoised one.
+    costs the same left-to-right sum as an unmemoised one.  The memo is
+    emptied when it reaches :data:`MEMO_LIMIT` entries.
     """
 
     def __init__(self, program: Program, instr_cost: InstrCost,
@@ -138,8 +153,8 @@ class StructuralCostEngine:
                 key = (function.code_region, tuple(opcodes))
                 cost = memo.get(key)
                 if cost is None:
-                    cost = memo[key] = reduce(
-                        add, self._terms(function, parts), 0.0)
+                    cost = memo_put(memo, key, reduce(
+                        add, self._terms(function, parts), 0.0))
                 return cost
         return reduce(add, self._terms(function, parts), 0.0)
 

@@ -104,8 +104,9 @@ def capture_ecg_wearable() -> dict:
             result.baseline.build.variant.config.short_name(),
         "path_counters": {
             key: analysis[key]
-            for key in ("path_units", "paths_enumerated", "paths_pruned",
-                        "path_cap_fallbacks", "path_irregular_fallbacks")
+            for key in ("path_units", "path_unit_hits", "paths_enumerated",
+                        "paths_pruned", "path_cap_fallbacks",
+                        "path_irregular_fallbacks")
         },
     }
 

@@ -69,7 +69,7 @@ from repro.ir.cfg import Function, Program
 from repro.wcet.analyzer import WCETAnalyzer
 from repro.wcet.loopbounds import infer_for_bound
 from repro.wcet.paths import (DEFAULT_PATH_CAP, PathStats, _enumerate_paths,
-                              _IrregularFlow, _PathCapExceeded)
+                              _IrregularFlow, _PathCapExceeded, _unit_blocks)
 from repro.wcet.structural import InstrCost
 
 
@@ -693,7 +693,8 @@ def feasible_longest_path_cost(function: Function, instr_cost: InstrCost,
     started = time.perf_counter()
     try:
         best, enumerated, pruned, _ = _enumerate_paths(
-            function, labels, entry, block_costs.__getitem__, path_cap)
+            _unit_blocks(function, labels, entry, block_costs.__getitem__),
+            path_cap)
     except _PathCapExceeded:
         stats.cap_fallbacks += 1
         return None

@@ -42,7 +42,12 @@ from test_unroll_stamping import (
 from repro.compiler.config import UNROLL_CHOICES, CompilerConfig
 from repro.compiler.driver import MultiCriteriaCompiler
 from repro.compiler.engine.cache import AnalysisCache, program_fingerprint
-from repro.compiler.passes.ir_passes import strength_reduce
+from repro.compiler.passes.ir_passes import (
+    _expression_key,
+    _renamed_key,
+    eliminate_common_subexpressions,
+    strength_reduce,
+)
 from repro.compiler.pipeline import CompilationPipeline
 from repro.errors import FrontendError
 from repro.frontend.parser import parse
@@ -204,10 +209,18 @@ def _live_instructions() -> int:
 
 class TestLaziness:
     def test_build_and_analysis_materialise_nothing(self):
+        self._check(enable_cse=False)
+
+    def test_cse_build_and_analysis_materialise_nothing(self):
+        self._check(enable_cse=True)
+
+    @staticmethod
+    def _check(enable_cse: bool) -> None:
         platform = camera_pill.platform()
         config = CompilerConfig(unroll_limit=max(UNROLL_CHOICES),
                                 dead_code_elimination=True,
-                                strength_reduction=True, spm_allocation=True)
+                                strength_reduction=True, spm_allocation=True,
+                                enable_cse=enable_cse)
         pipeline = CompilationPipeline(platform)
         working, statistics = pipeline.pre_unroll(
             parse(CAMERA_PILL_SOURCE), config)
@@ -228,6 +241,89 @@ class TestLaziness:
         assert _compact_blocks(program) == expected
         assert live < program.total_instructions / 10, \
             (live, program.total_instructions)
+
+
+class TestCompactCse:
+    """CSE rewrites a run copy by copy until the copies repeat, then keeps
+    the rest as one run; the result equals CSE on the written-out copies."""
+
+    #: ``a * b`` is computed by the first copy and reused by the others.
+    INVARIANT = """
+int g[16];
+int f(int a, int b) {
+    int acc = 0;
+    for (int i = 0; i < COUNT; i = i + 1) { acc = acc + a * b + g[i]; }
+    return acc;
+}
+"""
+
+    @staticmethod
+    def _cse_both(source: str, platform: Platform = PLATFORM) -> Program:
+        """``source`` lowered at the largest unroll limit, CSE'd compact;
+        checked against CSE of the written-out copies."""
+        pipeline = CompilationPipeline(platform)
+        config = CompilerConfig(unroll_limit=max(UNROLL_CHOICES))
+        working, statistics = pipeline.pre_unroll(parse(source), config)
+        program = pipeline.unroll_and_lower(working, config, statistics)
+        flat = _materialise(program.clone(share_instructions=True))
+        replaced = eliminate_common_subexpressions(program)
+        assert replaced == eliminate_common_subexpressions(flat)
+        assert replaced > 0
+        assert dump_program(program.clone(share_instructions=True), {}) == \
+            dump_program(flat, {})
+        return program
+
+    @staticmethod
+    def _runs(program: Program, function: str) -> List[Run]:
+        return [part for block in program.function(function).blocks.values()
+                for part in block.parts if isinstance(part, Run)]
+
+    def test_nested_runs_stay_compact(self):
+        program = self._cse_both(CAMERA_PILL_SOURCE, camera_pill.platform())
+        (outer,) = self._runs(program, "filter_frame")
+        assert outer.count == 32
+        inner = [part for part in outer.template() if isinstance(part, Run)]
+        assert len(inner) == 1 and inner[0].count < 30
+
+    def test_copies_before_the_repeat_are_written_out(self):
+        # Copy 0 computes a * b, copy 1 reuses it, and from copy 2 on each
+        # copy repeats copy 1: copy 0 written out, a run of 5 after it.
+        program = self._cse_both(self.INVARIANT.replace("COUNT", "6"))
+        (run,) = self._runs(program, "f")
+        assert run.count == 5
+
+    def test_a_run_that_never_repeats_is_written_out(self):
+        # Two copies: the second differs from the first, and none follows.
+        program = self._cse_both(self.INVARIANT.replace("COUNT", "2"))
+        assert not self._runs(program, "f")
+
+    def test_a_value_read_after_the_run_writes_out_its_last_copy(self):
+        # Each copy recomputes x * a after x changes; the return reuses
+        # the last copy's value, so that copy must not stay inside a run.
+        program = self._cse_both("""
+int f(int a) {
+    int acc = 0;
+    int x = 0;
+    for (int i = 0; i < 4; i = i + 1) { x = x + 1; acc = acc + x * a; }
+    return acc + x * a;
+}
+""")
+        (run,) = self._runs(program, "f")
+        assert run.count == 3
+        block = next(block for block in program.function("f").blocks.values()
+                     if run in block.parts)
+        tail = block.parts[block.parts.index(run) + 1:]
+        read = {reg.name for instr in tail for reg in instr.reads()}
+        assert read & set(run.temps(run.count))
+
+    def test_renaming_recanonicalises_commutative_operands(self):
+        # t2 + t3 renamed to t9 + t10 sorts the other way round.
+        add = Instr(Opcode.ADD, Reg("t4"), (Reg("t2"), Reg("t3")))
+        rename = {"t2": Reg("t9"), "t3": Reg("t10"), "t4": Reg("t11")}
+        renamed = Instr(Opcode.ADD, Reg("t11"), (Reg("t9"), Reg("t10")))
+        assert _renamed_key(_expression_key(add), rename) == \
+            _expression_key(renamed)
+        assert _expression_key(renamed)[1] == (Reg("t10"), Reg("t9"))
 
 
 class TestValueSemantics:

@@ -27,8 +27,11 @@ PLATFORM = "nucleo-stm32f091rc"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 _STAGE_ROW = {"entries", "evictions", "hits", "misses"}
+#: ``path_unit_hits`` (and the row's ``unit_hits``) count the units the
+#: path-sensitive unit memo answered, apart from the enumeration work.
 _PATH_COUNTERS = {"path_cap_fallbacks", "path_irregular_fallbacks",
-                  "path_units", "paths_enumerated", "paths_pruned"}
+                  "path_units", "path_unit_hits", "paths_enumerated",
+                  "paths_pruned"}
 _ANALYSIS_ROW = (_STAGE_ROW | _PATH_COUNTERS
                  | {"disk_errors", "disk_hits", "disk_misses"})
 
@@ -42,7 +45,7 @@ CACHE_STATS_KEYS = {
 PASS_ROW_KEYS = {"stage", "invocations", "wall_s"}
 PATH_ROW_KEYS = PASS_ROW_KEYS | {"paths_enumerated", "paths_pruned",
                                  "path_cap_fallbacks",
-                                 "path_irregular_fallbacks"}
+                                 "path_irregular_fallbacks", "unit_hits"}
 PASS_NAMES = {
     "parse", "csl-parse", "harden-security", "constant-folding",
     "inline-simple-functions", "loop-bound-inference", "unroll-loops",
@@ -164,6 +167,7 @@ class TestPerRunPathFeasibility:
         assert row["invocations"] == expected["path_units"]
         assert row["paths_enumerated"] == expected["paths_enumerated"]
         assert row["paths_pruned"] == expected["paths_pruned"]
+        assert row["unit_hits"] == expected["path_unit_hits"]
 
     def test_second_shared_run_has_no_row(self, shared_runs):
         # Every table was a hit on the shared cache: nothing was pruned
@@ -180,3 +184,4 @@ class TestPerRunPathFeasibility:
         assert row["paths_enumerated"] == combined["paths_enumerated"]
         assert row["invocations"] == combined["path_units"]
         assert row["paths_pruned"] == combined["paths_pruned"]
+        assert row["unit_hits"] == combined["path_unit_hits"]
