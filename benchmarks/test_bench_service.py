@@ -337,7 +337,7 @@ def test_svc3_persistent_cache_warm_start(benchmark, tmp_path):
         f"processes ({factor:.1f}x)",
         f"restart after SIGKILL: {restart_s * 1e3:6.0f} ms; store kept "
         f"{restart_store['entries']} record(s) in "
-        f"{restart_store['segments']} segment(s)",
+        f"{restart_store['bytes']} byte(s)",
     ]
     print_experiment(
         "SVC3 persistent analysis-cache tier",

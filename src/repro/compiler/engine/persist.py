@@ -1,11 +1,12 @@
 """Persistent, cross-process tier under the engine analysis caches.
 
 The in-memory caches of :mod:`repro.compiler.engine.cache` die with their
-process: under ``serve --worker-mode process`` every pool worker rebuilds its
-own WCET/WCEC tables, and a service restart starts cold even when the
+process: under ``serve --worker-mode process`` every pool worker computes
+its own WCET/WCEC tables, and a service restart starts cold even when the
 ``JobJournal`` replays every job.  This module adds the missing tier — an
-append-only, segment-file :class:`PersistentCacheStore` that any number of
-processes can read and write concurrently:
+append-only :class:`PersistentCacheStore`, one record file plus a lock file
+in its directory, that any number of processes can read and write
+concurrently:
 
 * **Records** are single JSONL lines, each prefixed with a CRC32 of its body
   (``"crc32hex payload\\n"``), so a torn tail from a crashed or SIGKILLed
@@ -28,12 +29,12 @@ processes can read and write concurrently:
   equal those of the recursive canonicaliser it replaced, which survives as
   the test oracle ``canon_key_reference`` in ``tests/oracles.py``.
 * **Writers** serialise through an ``fcntl.flock`` on a lock file next to the
-  segments, so concurrent processes never interleave partial lines.
-* **Segments** roll over at ``max_segment_bytes``; once more than
-  ``max_segments`` exist, the writer compacts: all live (last-wins) records
-  are rewritten into one fresh segment and the old segments are deleted.
-  Other processes detect the vanished segments on their next refresh and
-  rebuild their index from scratch.
+  records, so concurrent processes never interleave partial lines; last
+  write wins.  Readers tail the file from the offset they consumed.
+* **Growth** is one line per distinct table, with no automatic bound: every
+  analysis digest is distinct, so there is nothing to fold.  Wiping the
+  file (or the directory) reclaims the space; a reader that finds the file
+  shorter than its offset drops its index and re-reads from the start.
 
 Values are opaque JSON objects.  For the analysis tier,
 :func:`encode_analysis_entry` / :func:`decode_analysis_entry` serialise the
@@ -45,15 +46,15 @@ produces.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import hashlib
 import json
 import os
-import re
 import threading
 import zlib
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.errors import AnalysisError, TeamPlayError, UnboundedLoopError
 
@@ -66,20 +67,15 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 #: Version stamp mixed into every key digest.  Bump when the record payload
-#: layout or the fingerprint canonicalisation changes: old segments then
+#: layout or the fingerprint canonicalisation changes: old records then
 #: simply stop matching instead of decoding into wrong-shaped entries.
 PERSIST_CODEC_VERSION = 1
 
-#: Segment file naming: ``cache-000001.seg``, monotonically increasing.
-_SEGMENT_RE = re.compile(r"^cache-(\d{6})\.seg$")
-_SEGMENT_FMT = "cache-{:06d}.seg"
+#: The one record file and its writer lock.  The numbered name is the one
+#: earlier releases appended to first, so a directory they wrote keeps
+#: hitting.
+_RECORDS_FILENAME = "cache-000001.seg"
 _LOCK_FILENAME = ".lock"
-
-#: Defaults chosen so a steady-state store stays small: analysis records are
-#: a few KiB each, so 4 MiB segments hold ~1k records and compaction at 8
-#: segments caps the directory around 32 MiB before rewrite.
-DEFAULT_MAX_SEGMENT_BYTES = 4 * 1024 * 1024
-DEFAULT_MAX_SEGMENTS = 8
 
 
 class PersistError(TeamPlayError):
@@ -288,83 +284,51 @@ def decode_analysis_entry(payload) -> Tuple[Dict[str, float], Dict[str, Exceptio
 # The store
 # ---------------------------------------------------------------------------
 class PersistentCacheStore:
-    """Append-only, multi-process key/value store over segment files.
+    """Append-only, multi-process key/value store over one record file.
 
     One instance per process per directory; every instance keeps a full
-    in-memory index (digest → value) plus per-segment consumed offsets, and
-    lazily replays whatever other processes appended since the last refresh.
-    Thread-safe; safe across ``fork()`` (no file handle is held open between
-    operations, and the ``flock`` is taken per append on a freshly opened
-    lock file, so parent and forked workers never share a lock state).
+    in-memory index (digest → value) plus the bytes of the file consumed so
+    far, and lazily replays whatever other processes appended since the
+    last refresh.  Thread-safe; safe across ``fork()`` (no file handle is
+    held open between operations, and the ``flock`` is taken per append on
+    a freshly opened lock file, so parent and forked workers never share a
+    lock state).
     """
 
-    def __init__(self, directory: "os.PathLike[str] | str",
-                 max_segment_bytes: int = DEFAULT_MAX_SEGMENT_BYTES,
-                 max_segments: int = DEFAULT_MAX_SEGMENTS):
-        if max_segment_bytes < 1:
-            raise ValueError("max_segment_bytes must be >= 1")
-        if max_segments < 2:
-            raise ValueError("max_segments must be >= 2")
+    def __init__(self, directory: "os.PathLike[str] | str"):
         self.directory = validate_cache_dir(directory)
-        self.max_segment_bytes = max_segment_bytes
-        self.max_segments = max_segments
+        self._path = os.path.join(self.directory, _RECORDS_FILENAME)
         self._lock = threading.Lock()
         self._index: Dict[str, object] = {}
-        #: Bytes of each segment consumed into the index, by file name.
-        self._offsets: Dict[str, int] = {}
+        #: Bytes of the record file consumed into the index.
+        self._offset = 0
         # Counters (cumulative for the lifetime of this instance).
         self.hits = 0
         self.misses = 0
         self.appends = 0
         self.replayed_records = 0
         self.skipped_lines = 0
-        self.compactions = 0
-        self.rebuilds = 0
         with self._lock:
             self._refresh_locked()
 
-    # ------------------------------------------------------------- helpers --
-    def _segment_names(self) -> List[str]:
-        try:
-            names = os.listdir(self.directory)
-        except OSError as error:
-            raise PersistError(
-                f"cannot list cache dir {self.directory!r}: {error}") from None
-        segments = [n for n in names if _SEGMENT_RE.match(n)]
-        segments.sort()
-        return segments
-
-    def _segment_path(self, name: str) -> str:
-        return os.path.join(self.directory, name)
-
-    @staticmethod
-    def _segment_index(name: str) -> int:
-        match = _SEGMENT_RE.match(name)
-        assert match is not None
-        return int(match.group(1))
-
-    class _FileLock:
+    @contextlib.contextmanager
+    def _file_lock(self):
         """Advisory whole-store writer lock (``flock`` on ``.lock``)."""
-
-        def __init__(self, path: str):
-            self._path = path
-            self._handle = None
-
-        def __enter__(self):
-            self._handle = open(self._path, "a+b")
+        with open(os.path.join(self.directory, _LOCK_FILENAME),
+                  "a+b") as handle:
             if fcntl is not None:
-                fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX)
-            return self
-
-        def __exit__(self, *exc):
-            if self._handle is not None:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
                 if fcntl is not None:
-                    fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-                self._handle.close()
-                self._handle = None
+                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _file_lock(self) -> "PersistentCacheStore._FileLock":
-        return self._FileLock(os.path.join(self.directory, _LOCK_FILENAME))
+    def _size(self) -> int:
+        try:
+            return os.path.getsize(self._path)
+        except OSError:
+            return 0  # not written yet, or wiped with its directory
 
     # -------------------------------------------------------------- replay --
     def _consume(self, data: bytes) -> int:
@@ -394,109 +358,20 @@ class PersistentCacheStore:
     def _refresh_locked(self) -> None:
         """Fold whatever other processes appended into the in-memory index.
 
-        If a previously consumed segment vanished or shrank (another process
-        compacted the store), the index is rebuilt from scratch — offsets
-        into deleted files are meaningless.
+        A file shorter than the consumed offset was wiped under this
+        instance: the index is dropped with it and the file re-read from
+        its start.
         """
-        segments = self._segment_names()
-        current = set(segments)
-        for name, consumed in self._offsets.items():
-            if name not in current:
-                stale = True
-            else:
-                try:
-                    stale = os.path.getsize(self._segment_path(name)) < consumed
-                except OSError:
-                    stale = True
-            if stale:
-                self._index.clear()
-                self._offsets.clear()
-                self.rebuilds += 1
-                break
-        for name in segments:
-            consumed = self._offsets.get(name, 0)
-            path = self._segment_path(name)
-            try:
-                size = os.path.getsize(path)
-            except OSError:
-                continue  # raced with a concurrent compaction; next refresh
-            if size <= consumed:
-                continue
-            with open(path, "rb") as handle:
-                handle.seek(consumed)
-                data = handle.read()
-            self._offsets[name] = consumed + self._consume(data)
-
-    # ------------------------------------------------------------- appends --
-    def _active_segment_locked(self) -> str:
-        """The segment to append to, rolling over at the size cap."""
-        segments = self._segment_names()
-        if not segments:
-            return self._segment_path(_SEGMENT_FMT.format(1))
-        last = segments[-1]
-        path = self._segment_path(last)
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            size = 0
-        if size >= self.max_segment_bytes:
-            return self._segment_path(
-                _SEGMENT_FMT.format(self._segment_index(last) + 1))
-        return path
-
-    def _append_locked(self, line: str) -> None:
-        path = self._active_segment_locked()
-        data = line.encode("utf-8") + b"\n"
-        with open(path, "a+b") as handle:
-            terminate_torn_tail(handle)
-            handle.write(data)
-            handle.flush()
-        self.appends += 1
-
-    def _compact_locked(self) -> None:
-        """Rewrite all live records into one fresh segment, drop the rest.
-
-        Runs under the file lock.  The fresh segment gets the next index so
-        its name never collides with a segment another reader still tracks;
-        readers notice the deleted segments and rebuild.
-        """
-        segments = self._segment_names()
-        if len(segments) <= self.max_segments:
+        size = self._size()
+        if size < self._offset:
+            self._index.clear()
+            self._offset = 0
+        if size == self._offset:
             return
-        # Fold every segment completely (our index may legitimately lag).
-        self._offsets.clear()
-        live: Dict[str, object] = {}
-        replayed_before = self.replayed_records
-        index_backup, self._index = self._index, live
-        try:
-            for name in segments:
-                path = self._segment_path(name)
-                try:
-                    with open(path, "rb") as handle:
-                        data = handle.read()
-                except OSError:
-                    continue
-                self._consume(data)
-        finally:
-            self._index = index_backup
-        self.replayed_records = replayed_before
-        self._index.update(live)
-        target = _SEGMENT_FMT.format(self._segment_index(segments[-1]) + 1)
-        tmp_path = self._segment_path(target + ".tmp")
-        with open(tmp_path, "wb") as handle:
-            for digest, value in live.items():
-                handle.write(encode_record(digest, value).encode("utf-8"))
-                handle.write(b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self._segment_path(target))
-        for name in segments:
-            try:
-                os.unlink(self._segment_path(name))
-            except OSError:  # pragma: no cover - raced deletion is fine
-                pass
-        self._offsets = {target: os.path.getsize(self._segment_path(target))}
-        self.compactions += 1
+        with open(self._path, "rb") as handle:
+            handle.seek(self._offset)
+            data = handle.read()
+        self._offset += self._consume(data)
 
     # ---------------------------------------------------------- public API --
     def get(self, digest: str):
@@ -518,29 +393,18 @@ class PersistentCacheStore:
 
     def put(self, digest: str, value) -> None:
         """Append ``digest → value``; last write wins across processes."""
-        line = encode_record(digest, value)
+        data = encode_record(digest, value).encode("utf-8") + b"\n"
         with self._lock:
-            with self._file_lock():
-                self._append_locked(line)
-                self._compact_locked()
+            with self._file_lock(), open(self._path, "a+b") as handle:
+                terminate_torn_tail(handle)
+                handle.write(data)
+            self.appends += 1
             self._index[digest] = value
 
     def refresh(self) -> None:
         """Eagerly fold other processes' appends into the index."""
         with self._lock:
             self._refresh_locked()
-
-    def compact(self) -> None:
-        """Force a compaction pass (normally triggered by segment count)."""
-        with self._lock:
-            with self._file_lock():
-                segments = self._segment_names()
-                if len(segments) > 1:
-                    threshold, self.max_segments = self.max_segments, 1
-                    try:
-                        self._compact_locked()
-                    finally:
-                        self.max_segments = threshold
 
     def __len__(self) -> int:
         with self._lock:
@@ -551,25 +415,15 @@ class PersistentCacheStore:
             return digest in self._index
 
     def stats(self) -> Dict[str, object]:
-        """Counters plus on-disk shape, for ``stats()`` / ``GET /stats``."""
+        """Counters plus on-disk size, for ``stats()`` / ``GET /stats``."""
         with self._lock:
-            segments = self._segment_names()
-            size = 0
-            for name in segments:
-                try:
-                    size += os.path.getsize(self._segment_path(name))
-                except OSError:
-                    pass
             return {
                 "directory": self.directory,
                 "entries": len(self._index),
-                "segments": len(segments),
-                "bytes": size,
+                "bytes": self._size(),
                 "hits": self.hits,
                 "misses": self.misses,
                 "appends": self.appends,
                 "replayed_records": self.replayed_records,
                 "skipped_lines": self.skipped_lines,
-                "compactions": self.compactions,
-                "rebuilds": self.rebuilds,
             }

@@ -157,14 +157,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for worker in analysis_cache["workers"].values():
         sum_counters(parse_rows, {"parse": worker["parse"]})
     parse_cache = parse_rows["parse"]
+    # They look tables up through their own store handles too: add their
+    # lookups and appends.  ``entries`` and ``bytes`` stay the refreshed
+    # parent's view of the shared file.
+    cache_store = analysis_cache["store"]
+    if cache_store is not None:
+        cache_store = dict(cache_store)
+        for worker in analysis_cache["workers"].values():
+            for counter in ("hits", "misses", "appends"):
+                cache_store[counter] += worker["store"][counter]
     if args.json:
         document = {"scenarios": [result.summary() for result in results]}
         if args.profile:
             document["pipeline_profile"] = profile_rows(totals)
             document["parse_cache"] = parse_cache
         document["analysis_cache"] = analysis_cache
-        if store is not None:
-            document["cache_store"] = analysis_cache["store"]
+        if cache_store is not None:
+            document["cache_store"] = cache_store
         print(json.dumps(document, indent=2))
         return 0
     # Build-kind scenarios print their improvement report; custom-kind ones
@@ -183,13 +192,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"parse cache: {parse_cache['hits']} hit(s), "
               f"{parse_cache['misses']} miss(es), "
               f"{parse_cache['entries']} module(s) resident")
-        if store is not None:
-            stats = analysis_cache["store"]
-            print(f"analysis store: {stats['hits']} disk hit(s), "
-                  f"{stats['appends']} append(s), "
-                  f"{stats['entries']} record(s) in "
-                  f"{stats['segments']} segment(s), "
-                  f"{stats['compactions']} compaction(s)")
+        if cache_store is not None:
+            print(f"analysis store: {cache_store['hits']} disk hit(s), "
+                  f"{cache_store['misses']} miss(es), "
+                  f"{cache_store['appends']} append(s), "
+                  f"{cache_store['entries']} record(s) in "
+                  f"{cache_store['bytes']} byte(s)")
     return 0
 
 

@@ -58,8 +58,8 @@ GET       /stats              queue/store (succeeded-job reuse)/worker/
                               ``analysis_cache.combined`` the per-platform
                               sum over parent and workers, with
                               ``analysis_cache.store`` reporting the
-                              persistent ``--cache-dir`` tier (disk
-                              hits/appends/segments/compactions)
+                              persistent ``--cache-dir`` tier (entries,
+                              bytes, disk hits/misses/appends)
 ========  ==================  ===============================================
 
 Floats survive the JSON round-trip bit-for-bit (``json`` serialises via

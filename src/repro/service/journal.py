@@ -75,7 +75,7 @@ class JobJournal:
         self._replayed_jobs = 0
         self._skipped_lines = 0
         #: Raw ``campaign_*`` events seen by :meth:`replay`, in file order;
-        #: the campaign layer rebuilds its records from these (see
+        #: the campaign layer restores its records from these (see
         #: :func:`repro.campaigns.runner.restore_campaign_records`).
         self._campaign_events: List[Dict[str, object]] = []
 

@@ -13,9 +13,9 @@ Mirrors the journal's durability coverage for the cache store:
   fingerprint and on hypothesis-drawn nested keys),
 * ``validate_cache_dir`` — creates missing directories, fails fast on paths
   that cannot become writable directories,
-* the store itself — cross-instance replay, torn-tail tolerance and repair,
-  segment rolling, compaction (including another process detecting it and
-  rebuilding), and concurrent multi-process writers,
+* the store itself — one append-only file, cross-instance replay, torn-tail
+  tolerance and repair, a reader re-reading a file wiped under it, and
+  concurrent multi-process writers,
 * the cache integration — LRU-evicted tables come back as disk hits, a
   failing ``put`` detaches the store instead of failing the query, and the
   E1/E2/E3/E6 goldens stay bit-for-bit identical with the disk tier enabled,
@@ -292,8 +292,8 @@ class TestPersistentCacheStore:
         writer = PersistentCacheStore(tmp_path)
         writer.put("k1", 1)
         writer.put("k2", 2)
-        segment = os.path.join(writer.directory, "cache-000001.seg")
-        with open(segment, "a", encoding="utf-8") as handle:
+        records = os.path.join(writer.directory, "cache-000001.seg")
+        with open(records, "a", encoding="utf-8") as handle:
             handle.write("deadbeef {\"k\": \"torn")  # SIGKILL mid-write
 
         survivor = PersistentCacheStore(tmp_path)
@@ -306,68 +306,57 @@ class TestPersistentCacheStore:
     def test_interior_corruption_skips_only_that_line(self, tmp_path):
         writer = PersistentCacheStore(tmp_path)
         writer.put("k1", 1)
-        segment = os.path.join(writer.directory, "cache-000001.seg")
-        with open(segment, "a", encoding="utf-8") as handle:
+        records = os.path.join(writer.directory, "cache-000001.seg")
+        with open(records, "a", encoding="utf-8") as handle:
             handle.write("garbage line\n")
         writer.put("k2", 2)
         fresh = PersistentCacheStore(tmp_path)
         assert len(fresh) == 2
         assert fresh.skipped_lines == 1
 
-    def test_segments_roll_at_size_cap(self, tmp_path):
-        store = PersistentCacheStore(tmp_path, max_segment_bytes=1,
-                                     max_segments=100)
-        for index in range(5):
-            store.put(f"k{index}", index)
-        assert store.stats()["segments"] == 5
-        fresh = PersistentCacheStore(tmp_path, max_segments=100)
-        assert {fresh.get(f"k{index}") for index in range(5)} == set(range(5))
-
-    def test_compaction_folds_to_live_records(self, tmp_path):
-        store = PersistentCacheStore(tmp_path, max_segment_bytes=1,
-                                     max_segments=2)
-        for round_ in range(4):
-            for key in ("a", "b", "c"):
-                store.put(key, f"{key}{round_}")
-        assert store.compactions >= 1
-        assert store.stats()["segments"] <= 3
-        assert store.get("a") == "a3" and store.get("c") == "c3"
+    def test_distinct_puts_append_to_one_file(self, tmp_path):
+        store = PersistentCacheStore(tmp_path)
+        records = {f"k{index}": {"t": {"main": index / 3}, "e": {}}
+                   for index in range(40)}
+        for digest, value in records.items():
+            store.put(digest, value)
+        assert sorted(os.listdir(tmp_path)) == [".lock", "cache-000001.seg"]
+        lines = sum(len(encode_record(digest, value).encode("utf-8")) + 1
+                    for digest, value in records.items())
+        assert os.path.getsize(tmp_path / "cache-000001.seg") == lines
+        assert store.stats()["bytes"] == lines
         fresh = PersistentCacheStore(tmp_path)
-        assert len(fresh) == 3
-        assert fresh.get("b") == "b3"
+        assert fresh.replayed_records == len(fresh) == 40
+        assert all(fresh.get(digest) == value
+                   for digest, value in records.items())
 
-    def test_readers_detect_compaction_and_rebuild(self, tmp_path):
-        writer = PersistentCacheStore(tmp_path, max_segment_bytes=1,
-                                      max_segments=2)
-        writer.put("k0", "v0")
-        reader = PersistentCacheStore(tmp_path)  # tracks cache-000001.seg
-        assert reader.get("k0") == "v0"
-        for index in range(1, 8):  # rolls + compacts, deleting old segments
-            writer.put(f"k{index}", f"v{index}")
-        assert writer.compactions >= 1
-        reader.refresh()
-        assert reader.rebuilds >= 1
-        assert reader.get("k0") == "v0" and reader.get("k7") == "v7"
+    def test_reader_rereads_a_file_wiped_under_it(self, tmp_path):
+        writer = PersistentCacheStore(tmp_path)
+        for index in range(5):
+            writer.put(f"old{index}", index)
+        reader = PersistentCacheStore(tmp_path)
+        assert len(reader) == 5
+        # An operator wipes the file, then another process appends afresh:
+        # the file is now shorter than what the reader consumed.
+        open(tmp_path / "cache-000001.seg", "wb").close()
+        PersistentCacheStore(tmp_path).put("new", "value")
+        assert reader.get("new") == "value"
+        # The wiped records left the reader's index with the file.
+        assert len(reader) == 1 and reader.get("old0") is None
+        assert reader.skipped_lines == 0
 
-    def test_forced_compact_and_stats_shape(self, tmp_path):
-        store = PersistentCacheStore(tmp_path, max_segment_bytes=1,
-                                     max_segments=50)
+    def test_stats_shape(self, tmp_path):
+        store = PersistentCacheStore(tmp_path)
         store.put("a", 1)
         store.put("b", 2)
-        assert store.stats()["segments"] == 2
-        store.compact()
         stats = store.stats()
-        assert stats["segments"] == 1
-        assert stats["entries"] == 2
-        assert stats["compactions"] == 1
+        assert set(stats) == {"directory", "entries", "bytes", "hits",
+                              "misses", "appends", "replayed_records",
+                              "skipped_lines"}
         assert stats["directory"] == str(tmp_path)
-        assert stats["bytes"] > 0
-
-    def test_constructor_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="max_segments"):
-            PersistentCacheStore(tmp_path, max_segments=1)
-        with pytest.raises(ValueError, match="max_segment_bytes"):
-            PersistentCacheStore(tmp_path, max_segment_bytes=0)
+        assert stats["entries"] == 2
+        assert stats["bytes"] == os.path.getsize(
+            tmp_path / "cache-000001.seg")
 
 
 def _hammer_store(directory: str, worker: int, count: int) -> None:

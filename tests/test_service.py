@@ -9,6 +9,7 @@ fixtures, and duplicate submissions coalesce onto a single computation.
 import http.client
 import json
 import pathlib
+import re
 import sys
 import threading
 import time
@@ -611,7 +612,7 @@ class TestParallelSweep:
         assert pooled["scenarios"][0]["deadlines_met"] is True
         # Only the workers wrote to the directory; the parent's counters
         # see their records because the command refreshes its store.
-        assert pooled["cache_store"]["appends"] == 0
+        assert pooled["analysis_cache"]["store"]["appends"] == 0
         assert pooled["cache_store"]["entries"] > 0
         # The analysis work ran in the workers: their counters arrive under
         # ``workers`` and sum into ``combined``, as in GET /stats.
@@ -623,10 +624,34 @@ class TestParallelSweep:
         assert worker["analysis"][platform]["misses"] > 0
         assert analysis["combined"] == worker["analysis"]
         assert worker["store"]["appends"] == pooled["cache_store"]["entries"]
+        # ``cache_store`` adds the workers' lookups and appends to the
+        # parent's, so the worker that did all of them shows in it.
+        for counter in ("hits", "misses", "appends"):
+            assert pooled["cache_store"][counter] == worker["store"][counter]
         # Serial runs analyse in the parent.
         assert serial["analysis_cache"]["workers"] == {}
         assert (serial["analysis_cache"]["combined"][platform]["misses"]
                 == worker["analysis"][platform]["misses"])
+
+    def test_cli_process_workers_profile_counts_their_disk_hits(
+            self, tiny_scenario, tmp_path, capsys):
+        # In process mode the workers do every store lookup, so the store
+        # counters --profile prints must add theirs to the parent's zeros.
+        argv = ["run", tiny_scenario.name, "--cache-dir", str(tmp_path),
+                "--jobs", "2", "--worker-mode", "process", "--profile"]
+        assert scenarios_cli([*argv, "--json"]) == 0  # warms the directory
+        cold = json.loads(capsys.readouterr().out)
+        assert cold["cache_store"]["appends"] > 0
+        assert scenarios_cli([*argv, "--json"]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["analysis_cache"]["store"]["hits"] == 0
+        assert warm["cache_store"]["hits"] >= 1
+        assert warm["cache_store"]["appends"] == 0
+        assert scenarios_cli(argv) == 0
+        line = re.search(r"^analysis store: (\d+) disk hit\(s\), "
+                         r"\d+ miss\(es\), 0 append\(s\)",
+                         capsys.readouterr().out, re.MULTILINE)
+        assert line is not None and int(line.group(1)) >= 1
 
     def test_cli_rejects_bad_jobs(self, capsys):
         assert scenarios_cli(["run", "--all", "--jobs", "0"]) == 2

@@ -812,8 +812,9 @@ class TestWarmCacheSurvivesSigkill:
                     "--generations", "1", "--population", "2", "--json"]
 
         # Leg 1: SIGKILL the warming run mid-flight.  Wherever it was —
-        # segments half-written, a record torn — the directory must remain
-        # usable (the CRC prefix + append-side tail repair guarantee it).
+        # a record half-written, a last line torn — the directory must
+        # remain usable (the CRC prefix + append-side tail repair guarantee
+        # it).
         victim = subprocess.Popen(warm_cmd, env=env,
                                   stdout=subprocess.DEVNULL,
                                   stderr=subprocess.DEVNULL)
