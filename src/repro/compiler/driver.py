@@ -207,7 +207,7 @@ class MultiCriteriaCompiler:
         engine = self._engines.get(key)
         if engine is None:
             lowering = self._lowerings.setdefault(
-                id(module), LoweringCache(manager=self.pipeline.manager))
+                id(module), LoweringCache(self.pipeline.manager))
             engine = EvaluationEngine(
                 module, self.platform, list(entries),
                 core=self.core,

@@ -31,7 +31,7 @@ class BatchEvaluator:
         #: ``path_sensitive`` — without teaching the optimisers about them.
         self.config_transform = config_transform
 
-    # -- call-compatible with the optimisers' per-config evaluator -------------
+    # -- one configuration (FPA's per-candidate steps, the exhaustive grid) ----
     def __call__(self, config: CompilerConfig) -> Variant:
         if self.config_transform is not None:
             config = self.config_transform(config)

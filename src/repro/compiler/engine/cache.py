@@ -10,7 +10,7 @@ configurable pass widens every downstream key:
    compare equal (however they were constructed: directly, via ``with_`` or
    decoded from genes) share one entry, so revisited points of the search
    space cost a dictionary lookup across generations *and* across optimiser
-   runs.
+   runs.  It is the one variant memo: the optimisers keep none of their own.
 2. :class:`LoweringCache` — lowered IR programs keyed on the ``lower``
    stage key: the contributions of the passes that run before/during
    lowering (hardening, constant folding, inlining, unrolling).
@@ -31,10 +31,11 @@ configurable pass widens every downstream key:
 All stages are exact: cached results are bit-for-bit identical to what
 the uncached pipeline produces (covered by ``tests/test_engine.py``).
 
-Every cache accepts an optional ``max_entries`` cap: when set, the
-fingerprint/config-keyed tables evict their least-recently-used entries, and
-each cache reports hit/miss/eviction counters through ``stats()`` — required
-before long-running service use, where searches arrive indefinitely.
+Every cache reports hit/miss counters through ``stats()``.  The three
+config-keyed stages are unbounded: they live as long as the driver that
+owns them.  Only the :class:`AnalysisCache` takes a ``max_entries`` cap
+(its least-recently-used tables are evicted and counted), because the
+process-wide one outlives every driver in a long-running service.
 Inside a :func:`shared_analysis_caches` scope every driver and toolchain
 targeting the same platform shares one *process-wide* :class:`AnalysisCache`,
 so cross-scenario sweeps reuse WCET/WCEC tables; the evaluation service and
@@ -93,33 +94,28 @@ class VariantCache(_BoundedCacheMixin):
     """Cross-generation cache of fully evaluated variants.
 
     Keyed by ``manager``'s full-pipeline key
-    (:meth:`~repro.compiler.pipeline.PassManager.canonical_key`; the stock
-    pass manager when omitted), so a registered pass widens the key.
+    (:meth:`~repro.compiler.pipeline.PassManager.canonical_key`), so a
+    registered pass widens the key.  Every repeat of a configuration on
+    one engine, within a search or across searches, is a hit here.
     """
 
-    def __init__(self, max_entries: Optional[int] = None,
-                 manager: Optional["PassManager"] = None):
-        super().__init__(max_entries)
-        if manager is None:
-            manager = _persist.stock_pass_manager()
+    def __init__(self, manager: "PassManager"):
+        super().__init__()
         self.key = manager.canonical_key
-        self._variants: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._variants: Dict[Tuple, object] = {}
 
     def __len__(self) -> int:
         return len(self._variants)
 
-    def __contains__(self, config: CompilerConfig) -> bool:
-        return self.key(config) in self._variants
-
     def get(self, config: CompilerConfig):
-        variant = self._touch(self._variants, self.key(config))
+        variant = self._variants.get(self.key(config))
         if variant is not None:
             self.hits += 1
         return variant
 
     def put(self, config: CompilerConfig, variant) -> None:
         self.misses += 1
-        self._insert(self._variants, self.key(config), variant)
+        self._variants[self.key(config)] = variant
 
 
 class _ProgramStageCache(_BoundedCacheMixin):
@@ -128,19 +124,16 @@ class _ProgramStageCache(_BoundedCacheMixin):
     ``get`` returns an independent clone so the caller's in-place passes
     cannot corrupt the cached original; ``put`` keeps a private pristine
     copy.  Instruction sharing is safe: the IR passes are copy-on-write at
-    instruction granularity.  ``manager`` defaults to the stock pass manager.
+    instruction granularity.
     """
 
     #: The stage whose output the cache holds (see ``PassManager.stage_key``).
     STAGE = ""
 
-    def __init__(self, max_entries: Optional[int] = None,
-                 manager: Optional["PassManager"] = None):
-        super().__init__(max_entries)
-        self._manager = (manager if manager is not None
-                         else _persist.stock_pass_manager())
-        self._programs: "OrderedDict[Tuple, Tuple[Program, Dict[str, int]]]" \
-            = OrderedDict()
+    def __init__(self, manager: "PassManager"):
+        super().__init__()
+        self._manager = manager
+        self._programs: Dict[Tuple, Tuple[Program, Dict[str, int]]] = {}
 
     def __len__(self) -> int:
         return len(self._programs)
@@ -150,7 +143,7 @@ class _ProgramStageCache(_BoundedCacheMixin):
 
     def get(self, config: CompilerConfig
             ) -> Optional[Tuple[Program, Dict[str, int]]]:
-        entry = self._touch(self._programs, self._key(config))
+        entry = self._programs.get(self._key(config))
         if entry is None:
             return None
         self.hits += 1
@@ -160,9 +153,8 @@ class _ProgramStageCache(_BoundedCacheMixin):
     def put(self, config: CompilerConfig, program: Program,
             statistics: Dict[str, int]) -> None:
         self.misses += 1
-        self._insert(self._programs, self._key(config),
-                     (program.clone(share_instructions=True),
-                      dict(statistics)))
+        self._programs[self._key(config)] = (
+            program.clone(share_instructions=True), dict(statistics))
 
 
 class LoweringCache(_ProgramStageCache):
@@ -172,16 +164,13 @@ class LoweringCache(_ProgramStageCache):
     IR-level flags share one lowered program.  A second table holds the
     module after the AST passes that run before ``unroll-loops``, shared
     between configurations differing only in the unroll limit.
-    ``max_entries`` bounds the two tables independently (each holds at most
-    that many entries).
     """
 
     STAGE = "lower"
 
-    def __init__(self, max_entries: Optional[int] = None,
-                 manager: Optional["PassManager"] = None):
-        super().__init__(max_entries, manager)
-        self._pre_unroll: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+    def __init__(self, manager: "PassManager"):
+        super().__init__(manager)
+        self._pre_unroll: Dict[Tuple, Tuple] = {}
 
     def stats(self) -> Dict[str, int]:
         # The pre-unroll table holds full cloned modules — report it
@@ -199,12 +188,12 @@ class LoweringCache(_ProgramStageCache):
         The stored module is pristine — callers must clone it before
         mutating (the engine always unrolls a fresh clone).
         """
-        return self._touch(self._pre_unroll, self._pre_unroll_key(config))
+        return self._pre_unroll.get(self._pre_unroll_key(config))
 
     def put_pre_unroll(self, config: CompilerConfig, module,
                        statistics: Dict[str, int]) -> None:
-        self._insert(self._pre_unroll, self._pre_unroll_key(config),
-                     (module, dict(statistics)))
+        self._pre_unroll[self._pre_unroll_key(config)] = (module,
+                                                          dict(statistics))
 
 
 class IrStageCache(_ProgramStageCache):

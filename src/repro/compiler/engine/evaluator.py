@@ -5,7 +5,8 @@ and one optional security evaluator, and evaluates compiler configurations
 against them through the staged caches of
 :mod:`repro.compiler.engine.cache`:
 
-* the variant cache short-circuits revisited configurations entirely,
+* the variant cache short-circuits revisited configurations entirely; it
+  is the one variant memo (the optimisers keep none of their own),
 * the lowering cache shares the lowered IR between configurations that
   differ only in IR-level flags, and the IR-stage cache the optimised IR
   between configurations that differ only in backend flags,
@@ -56,7 +57,6 @@ class EvaluationEngine:
                  security_evaluator: Optional[SecurityEvaluator] = None,
                  analysis_cache: Optional[AnalysisCache] = None,
                  lowering_cache: Optional[LoweringCache] = None,
-                 variant_cache: Optional[VariantCache] = None,
                  pipeline: Optional[CompilationPipeline] = None,
                  aggregate: bool = False):
         if not entry_functions:
@@ -75,21 +75,20 @@ class EvaluationEngine:
         #: their engines so per-pass timings aggregate per driver).
         self.pipeline = (pipeline if pipeline is not None
                          else CompilationPipeline(platform))
-        # Caches can be shared across engines: the analysis cache is safe to
-        # share platform-wide, the lowering/variant caches are per-module (and
-        # per security context for the variant cache).  Compare against None
-        # explicitly: the caches define __len__, so an empty shared cache is
-        # falsy and `or` would silently discard it.  Engine-built caches are
-        # keyed by the pipeline's pass list, so registering a new
+        # The analysis cache is safe to share platform-wide and the lowering
+        # cache per module; the IR-stage and variant caches are the engine's
+        # own (the variant cache is per security context).  Compare against
+        # None explicitly: the caches define __len__, so an empty shared
+        # cache is falsy and `or` would silently discard it.  Engine-built
+        # caches are keyed by the pipeline's pass list, so registering a new
         # configurable pass widens every stage key automatically.
         self.analysis = (analysis_cache if analysis_cache is not None
                          else AnalysisCache(platform))
         manager = self.pipeline.manager
         self.lowering = (lowering_cache if lowering_cache is not None
-                         else LoweringCache(manager=manager))
-        self.ir_stage = IrStageCache(manager=manager)
-        self.variants = (variant_cache if variant_cache is not None
-                         else VariantCache(manager=manager))
+                         else LoweringCache(manager))
+        self.ir_stage = IrStageCache(manager)
+        self.variants = VariantCache(manager)
 
     # -- statistics ------------------------------------------------------------
     def stats(self) -> Dict[str, Dict[str, object]]:

@@ -392,12 +392,19 @@ class PersistentCacheStore:
             return value
 
     def put(self, digest: str, value) -> None:
-        """Append ``digest → value``; last write wins across processes."""
+        """Append ``digest → value``; last write wins across processes.
+
+        When nothing was appended since this instance's last read, the
+        new record is consumed at once: no refresh re-reads its own appends.
+        """
         data = encode_record(digest, value).encode("utf-8") + b"\n"
         with self._lock:
             with self._file_lock(), open(self._path, "a+b") as handle:
                 terminate_torn_tail(handle)
+                start = handle.tell()
                 handle.write(data)
+            if start == self._offset:
+                self._offset += len(data)
             self.appends += 1
             self._index[digest] = value
 

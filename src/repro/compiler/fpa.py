@@ -10,10 +10,11 @@ in an archive which is the algorithm's result.
 Pareto-front filtering is the numpy-vectorised implementation from
 :mod:`repro.compiler.engine.vectorized` (re-exported here for backwards
 compatibility); candidate evaluation goes through the evaluation engine's
-:class:`~repro.compiler.engine.batch.BatchEvaluator` when one is supplied,
-which evaluates each population serially through the engine's
-cross-generation variant cache and staged lowering/analysis memoisation, on
-top of this optimiser's own per-run cache.
+:class:`~repro.compiler.engine.batch.BatchEvaluator`, which evaluates each
+population serially through the engine's staged caches.  The engine's
+variant cache is the one memo of evaluated configurations: every revisited
+candidate, in this run or an earlier one on the same engine, is a lookup
+there.
 """
 
 from __future__ import annotations
@@ -21,17 +22,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Set
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine.batch import BatchEvaluator
 from repro.compiler.engine.vectorized import pareto_front
 from repro.compiler.evaluate import Variant
 
-__all__ = ["Evaluator", "FlowerPollinationOptimizer", "pareto_front"]
-
-#: Maps a configuration to its evaluated variant.
-Evaluator = Callable[[CompilerConfig], Variant]
+__all__ = ["FlowerPollinationOptimizer", "pareto_front"]
 
 
 def _levy_step(rng: random.Random, beta: float = 1.5) -> float:
@@ -48,7 +46,7 @@ def _levy_step(rng: random.Random, beta: float = 1.5) -> float:
 class FlowerPollinationOptimizer:
     """Multi-objective FPA over the compiler configuration space."""
 
-    evaluator: Union[Evaluator, BatchEvaluator]
+    evaluator: BatchEvaluator
     population_size: int = 10
     generations: int = 8
     switch_probability: float = 0.8
@@ -58,30 +56,26 @@ class FlowerPollinationOptimizer:
     #: searches draw the exact random streams they always did and stay
     #: bit-for-bit reproducible.
     extended_space: bool = False
-    #: Evaluation cache keyed by the decoded configuration, so re-visited
-    #: configurations (frequent with only a handful of genes) are free.
-    #: ``evaluations`` counts the unique configurations seen this run, even
-    #: when a shared engine cache made their evaluation a lookup.
-    _cache: Dict[CompilerConfig, Variant] = field(default_factory=dict, repr=False)
-    evaluations: int = field(default=0, repr=False)
+    #: The decoded configurations this run asked for.
+    _seen: Set[CompilerConfig] = field(default_factory=set, repr=False)
+
+    @property
+    def evaluations(self) -> int:
+        """Distinct configurations seen this run, even when the engine's
+        variant cache made their evaluation a lookup."""
+        return len(self._seen)
 
     def _evaluate(self, genes: Sequence[float]) -> Variant:
         config = CompilerConfig.from_genes(genes)
-        if config not in self._cache:
-            self._cache[config] = self.evaluator(config)
-            self.evaluations += 1
-        return self._cache[config]
+        self._seen.add(config)
+        return self.evaluator(config)
 
     def _evaluate_population(self, population: Sequence[Sequence[float]]
                              ) -> List[Variant]:
-        """Evaluate a whole population at once (batched when possible)."""
+        """Evaluate a whole population at once."""
         configs = [CompilerConfig.from_genes(genes) for genes in population]
-        if isinstance(self.evaluator, BatchEvaluator):
-            fresh = [c for c in dict.fromkeys(configs) if c not in self._cache]
-            for config, variant in zip(fresh, self.evaluator.evaluate(fresh)):
-                self._cache[config] = variant
-                self.evaluations += 1
-        return [self._evaluate(genes) for genes in population]
+        self._seen.update(configs)
+        return self.evaluator.evaluate(configs)
 
     def optimize(self, initial_configs: Optional[Sequence[CompilerConfig]] = None
                  ) -> List[Variant]:

@@ -10,15 +10,16 @@ the numpy-vectorised implementation from
 :mod:`repro.compiler.engine.vectorized` (one broadcasted objective-matrix
 comparison instead of the seed's O(N²) Python double loop); population
 evaluation is batched through the engine's
-:class:`~repro.compiler.engine.batch.BatchEvaluator` when one is supplied
-(serially, through the engine's staged caches).
+:class:`~repro.compiler.engine.batch.BatchEvaluator` (serially, through the
+engine's staged caches, whose variant cache answers every revisited
+configuration).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine.batch import BatchEvaluator
@@ -29,17 +30,14 @@ from repro.compiler.engine.vectorized import (
 )
 from repro.compiler.evaluate import Variant
 
-__all__ = ["Evaluator", "Nsga2Optimizer", "crowding_distance",
-           "non_dominated_sort"]
-
-Evaluator = Callable[[CompilerConfig], Variant]
+__all__ = ["Nsga2Optimizer", "crowding_distance", "non_dominated_sort"]
 
 
 @dataclass
 class Nsga2Optimizer:
     """NSGA-II over the compiler configuration space."""
 
-    evaluator: Union[Evaluator, BatchEvaluator]
+    evaluator: BatchEvaluator
     population_size: int = 12
     generations: int = 8
     mutation_probability: float = 0.2
@@ -48,28 +46,21 @@ class Nsga2Optimizer:
     #: path-sensitive axes); off by default so fixed-seed base-space runs
     #: stay bit-for-bit reproducible.
     extended_space: bool = False
-    #: Per-run cache; ``evaluations`` counts unique configurations seen this
-    #: run even when a shared engine cache made them lookups.
-    _cache: Dict[CompilerConfig, Variant] = field(default_factory=dict, repr=False)
-    evaluations: int = field(default=0, repr=False)
+    #: The decoded configurations this run asked for.
+    _seen: Set[CompilerConfig] = field(default_factory=set, repr=False)
 
-    def _evaluate(self, genes: Sequence[float]) -> Tuple[CompilerConfig, Variant]:
-        config = CompilerConfig.from_genes(genes)
-        if config not in self._cache:
-            self._cache[config] = self.evaluator(config)
-            self.evaluations += 1
-        return config, self._cache[config]
+    @property
+    def evaluations(self) -> int:
+        """Distinct configurations seen this run, even when the engine's
+        variant cache made their evaluation a lookup."""
+        return len(self._seen)
 
     def _evaluate_population(self, population: Sequence[Sequence[float]]
                              ) -> List[Variant]:
-        """Evaluate a whole generation at once (batched when possible)."""
+        """Evaluate a whole generation at once."""
         configs = [CompilerConfig.from_genes(genes) for genes in population]
-        if isinstance(self.evaluator, BatchEvaluator):
-            fresh = [c for c in dict.fromkeys(configs) if c not in self._cache]
-            for config, variant in zip(fresh, self.evaluator.evaluate(fresh)):
-                self._cache[config] = variant
-                self.evaluations += 1
-        return [self._evaluate(genes)[1] for genes in population]
+        self._seen.update(configs)
+        return self.evaluator.evaluate(configs)
 
     def _select(self, rng: random.Random, population: List[List[float]],
                 ranks: Dict[int, int], crowding: Dict[int, float]) -> List[float]:

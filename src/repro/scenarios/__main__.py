@@ -157,15 +157,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for worker in analysis_cache["workers"].values():
         sum_counters(parse_rows, {"parse": worker["parse"]})
     parse_cache = parse_rows["parse"]
-    # They look tables up through their own store handles too: add their
-    # lookups and appends.  ``entries`` and ``bytes`` stay the refreshed
-    # parent's view of the shared file.
+    # ``store`` already adds the process workers' lookups and appends.
     cache_store = analysis_cache["store"]
-    if cache_store is not None:
-        cache_store = dict(cache_store)
-        for worker in analysis_cache["workers"].values():
-            for counter in ("hits", "misses", "appends"):
-                cache_store[counter] += worker["store"][counter]
     if args.json:
         document = {"scenarios": [result.summary() for result in results]}
         if args.profile:

@@ -626,15 +626,20 @@ class EvaluationService:
         shipped snapshot (analysis/parse/persistent-store counters by pid);
         ``combined`` sums the per-platform analysis counters over parent
         and workers — the number a dashboard actually wants; ``store`` is
-        the parent's persistent-tier counters when ``cache_dir`` is
-        attached.
+        the persistent-tier counters when ``cache_dir`` is attached: the
+        parent's view of the shared file, with every worker's ``hits``,
+        ``misses`` and ``appends`` added to the parent's.
         """
         with self._worker_stats_lock:
             workers = dict(self._worker_cache_stats)
         platforms = process_analysis_cache_stats()
         combined = sum_counters({}, platforms)
+        store = process_cache_store_stats()
         for snapshot in workers.values():
             sum_counters(combined, snapshot.get("analysis"))
+            if store is not None and snapshot.get("store") is not None:
+                for counter in ("hits", "misses", "appends"):
+                    store[counter] += snapshot["store"][counter]
         return {
             "platforms": platforms,
             "combined": combined,
@@ -642,7 +647,7 @@ class EvaluationService:
                                    "parse": snapshot.get("parse"),
                                    "store": snapshot.get("store")}
                         for pid, snapshot in workers.items()},
-            "store": process_cache_store_stats(),
+            "store": store,
         }
 
     def stats(self) -> Dict[str, object]:

@@ -59,7 +59,9 @@ GET       /stats              queue/store (succeeded-job reuse)/worker/
                               sum over parent and workers, with
                               ``analysis_cache.store`` reporting the
                               persistent ``--cache-dir`` tier (entries,
-                              bytes, disk hits/misses/appends)
+                              bytes, disk hits/misses/appends, the
+                              latter three summed over parent and
+                              workers)
 ========  ==================  ===============================================
 
 Floats survive the JSON round-trip bit-for-bit (``json`` serialises via

@@ -1,10 +1,13 @@
-"""Bounded-LRU eviction policy of the evaluation-engine caches.
+"""Bounded-LRU eviction policy of the analysis cache.
 
-Unbounded behaviour (``max_entries=None``, the default) is covered by
-``tests/test_engine.py``; this module checks the opt-in caps: LRU order,
-eviction counters, ``stats()`` reporting, exactness of recomputed entries
-after eviction, and the process-wide analysis caches shared inside a
-``shared_analysis_caches`` scope (its nesting and restore rules included).
+Only the :class:`AnalysisCache` takes a ``max_entries`` cap; the three
+config-keyed stage caches are unbounded and live as long as the driver
+that owns them (their ``stats()`` rows keep the shared shape, with
+``max_entries`` ``None`` and no evictions).  This module checks the cap:
+LRU order, eviction counters, ``stats()`` reporting, exactness of
+recomputed entries after eviction, and the process-wide analysis caches
+shared inside a ``shared_analysis_caches`` scope (its nesting and restore
+rules included).
 """
 
 import gc
@@ -14,7 +17,6 @@ import pytest
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import (
     AnalysisCache,
-    IrStageCache,
     LoweringCache,
     PersistError,
     VariantCache,
@@ -33,8 +35,7 @@ CONFIG_A = CompilerConfig.baseline()
 CONFIG_B = CompilerConfig.baseline().with_(spm_allocation=True)
 CONFIG_C = CompilerConfig.performance()
 
-#: The caches take their keys from a pass manager (the stock one when none
-#: is given); passing it explicitly keys these tests like the engine's caches.
+#: The stage caches take their keys from a pass manager, like the engine's.
 MANAGER = PassManager()
 
 
@@ -79,87 +80,33 @@ def _fingerprints_held(cache) -> int:
 
 
 class TestVariantCacheEviction:
-    def test_lru_eviction_and_counters(self):
-        cache = VariantCache(max_entries=2, manager=MANAGER)
-        cache.put(CONFIG_A, "a")
-        cache.put(CONFIG_B, "b")
-        cache.put(CONFIG_C, "c")  # evicts A (least recently used)
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert CONFIG_A not in cache
-        assert cache.get(CONFIG_B) == "b"
-        assert cache.get(CONFIG_C) == "c"
-
-    def test_get_refreshes_recency(self):
-        cache = VariantCache(max_entries=2, manager=MANAGER)
-        cache.put(CONFIG_A, "a")
-        cache.put(CONFIG_B, "b")
-        assert cache.get(CONFIG_A) == "a"  # A is now most recently used
-        cache.put(CONFIG_C, "c")           # so B is evicted, not A
-        assert cache.get(CONFIG_A) == "a"
-        assert CONFIG_B not in cache
-
     def test_stats_reporting(self):
-        cache = VariantCache(max_entries=1, manager=MANAGER)
+        cache = VariantCache(MANAGER)
         cache.put(CONFIG_A, "a")
         cache.get(CONFIG_A)
         cache.put(CONFIG_B, "b")
         stats = cache.stats()
-        assert stats == {"entries": 1, "max_entries": 1, "hits": 1,
-                         "misses": 2, "evictions": 1}
+        assert stats == {"entries": 2, "max_entries": None, "hits": 1,
+                         "misses": 2, "evictions": 0}
 
     def test_unbounded_by_default(self):
-        cache = VariantCache()
+        cache = VariantCache(MANAGER)
         for config in (CONFIG_A, CONFIG_B, CONFIG_C):
             cache.put(config, config.short_name())
         assert len(cache) == 3
         assert cache.evictions == 0
         assert cache.stats()["max_entries"] is None
 
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            VariantCache(max_entries=0, manager=MANAGER)
-
 
 class TestLoweringCacheEviction:
-    def test_lowered_table_bounded(self):
-        cache = LoweringCache(max_entries=1, manager=MANAGER)
-        cache.put(CONFIG_A, FakeProgram("a"), {"n": 1})
-        cache.put(CONFIG_C, FakeProgram("c"), {"n": 2})  # different AST key
-        assert len(cache) == 1
-        assert cache.evictions == 1
-        assert cache.get(CONFIG_A) is None
-        program, statistics = cache.get(CONFIG_C)
-        assert program.label == "c"
-        assert statistics == {"n": 2}
-
-    def test_pre_unroll_table_bounded_independently(self):
-        cache = LoweringCache(max_entries=1, manager=MANAGER)
-        cache.put_pre_unroll(CONFIG_A, FakeProgram("a"), {})
-        # CONFIG_C differs in inlining, i.e. a different pre-unroll key.
-        cache.put_pre_unroll(CONFIG_C, FakeProgram("c"), {})
-        assert cache.get_pre_unroll(CONFIG_A) is None
-        assert cache.get_pre_unroll(CONFIG_C) is not None
-
     def test_stats_report_both_tables(self):
-        cache = LoweringCache(max_entries=4, manager=MANAGER)
+        cache = LoweringCache(MANAGER)
         cache.put(CONFIG_A, FakeProgram("a"), {})
         cache.put_pre_unroll(CONFIG_A, FakeProgram("a"), {})
         cache.put_pre_unroll(CONFIG_C, FakeProgram("c"), {})
         stats = cache.stats()
         assert stats["entries"] == 1
         assert stats["pre_unroll_entries"] == 2
-
-
-class TestIrStageCacheEviction:
-    def test_bounded(self):
-        cache = IrStageCache(max_entries=1, manager=MANAGER)
-        cache.put(CONFIG_A, FakeProgram("a"), {})
-        # Different DCE/SR flags change the IR-stage key.
-        cache.put(CONFIG_A.with_(strength_reduction=True), FakeProgram("b"), {})
-        assert len(cache) == 1
-        assert cache.evictions == 1
-        assert cache.get(CONFIG_A) is None
 
 
 class TestAnalysisCacheEviction:
@@ -245,17 +192,14 @@ class TestProcessWideAnalysisCache:
 
         platform = nucleo_stm32f091rc()
         shared_analysis = AnalysisCache(platform)
-        shared_lowering = LoweringCache()
-        shared_variants = VariantCache()
+        shared_lowering = LoweringCache(MANAGER)
         engine = EvaluationEngine(parse(_source(16)), platform, ["work"],
                                   analysis_cache=shared_analysis,
-                                  lowering_cache=shared_lowering,
-                                  variant_cache=shared_variants)
+                                  lowering_cache=shared_lowering)
         assert engine.analysis is shared_analysis
         assert engine.lowering is shared_lowering
-        assert engine.variants is shared_variants
         engine.evaluate(CONFIG_A)
-        assert len(shared_variants) == 1
+        assert len(shared_lowering) == 1
         assert shared_analysis.misses > 0
 
     def test_search_fills_shared_cache(self):
@@ -288,19 +232,6 @@ class TestProcessWideAnalysisCache:
             assert process_analysis_cache(lookalike) is None
             # The stock platform keeps hitting the shared cache.
             assert process_analysis_cache(nucleo_stm32f091rc()) is cache
-
-    def test_engine_stats_report_evictions(self):
-        from repro.compiler.engine import EvaluationEngine
-        from repro.frontend.parser import parse
-
-        platform = nucleo_stm32f091rc()
-        engine = EvaluationEngine(parse(_source(16)), platform, ["work"],
-                                  variant_cache=VariantCache(
-                                      max_entries=1, manager=MANAGER))
-        engine.evaluate(CONFIG_A)
-        engine.evaluate(CONFIG_C)
-        assert engine.stats()["variant"]["evictions"] == 1
-        assert engine.variants.evictions == 1
 
     def test_shared_cache_results_match_private_cache(self):
         platform = nucleo_stm32f091rc()

@@ -6,10 +6,12 @@ import pytest
 
 from repro.compiler.config import CompilerConfig, UNROLL_CHOICES
 from repro.compiler.driver import MultiCriteriaCompiler
+from repro.compiler.engine import BatchEvaluator, EvaluationEngine
 from repro.compiler.evaluate import Variant
 from repro.compiler.fpa import FlowerPollinationOptimizer, pareto_front
 from repro.compiler.nsga2 import Nsga2Optimizer, crowding_distance, non_dominated_sort
 from repro.errors import CompilationError
+from repro.frontend.parser import parse
 from repro.hw.presets import apalis_tk1, nucleo_stm32f091rc
 
 SOURCE = """
@@ -182,19 +184,29 @@ class TestSearch:
         assert stats["analysis"]["shared"] is False
 
     def test_search_caches_repeated_configs(self, platform):
-        compiler = MultiCriteriaCompiler(platform)
+        # The engine's variant cache is the one memo of evaluated
+        # configurations: a search builds each distinct configuration once
+        # there and serves every repeat, in the run or a rerun, from it.
+        for search in (FlowerPollinationOptimizer, Nsga2Optimizer):
+            def run(engine):
+                optimizer = search(BatchEvaluator(engine), population_size=6,
+                                   generations=3, seed=5)
+                return optimizer, optimizer.optimize()
 
-        calls = []
-
-        def evaluator(config):
-            calls.append(config)
-            return compiler.compile(SOURCE, "kernel", config)
-
-        optimizer = FlowerPollinationOptimizer(evaluator, population_size=6,
-                                               generations=3)
-        optimizer.optimize()
-        assert optimizer.evaluations == len(calls)
-        assert len(calls) <= 6 * 4 + 6  # far fewer than naive re-evaluation
+            engine = EvaluationEngine(parse(SOURCE), platform, ["kernel"])
+            first, front = run(engine)
+            assert engine.variants.misses == first.evaluations
+            assert engine.variants.hits > 0
+            built = engine.variants.misses
+            again, rerun = run(engine)
+            assert again.evaluations == first.evaluations
+            assert engine.variants.misses == built  # every lookup a hit
+            assert all(a is b for a, b in zip(rerun, front))
+            _, fresh = run(EvaluationEngine(parse(SOURCE), platform,
+                                            ["kernel"]))
+            assert ([(v.config, v.objectives()) for v in fresh]
+                    == [(v.config, v.objectives()) for v in front])
+            assert len(rerun) == len(fresh) == len(front)
 
 
 class TestDriver:

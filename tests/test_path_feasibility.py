@@ -363,7 +363,7 @@ class TestCacheKeyWidening:
 
     def test_ir_stage_cache_misses_across_modes(self):
         program = compile_source("int f(int a) { return a + 1; }")
-        cache = IrStageCache()
+        cache = IrStageCache(PassManager())
         config = CompilerConfig()
         cache.put(config, program, {"n": 1})
         assert cache.get(config) is not None

@@ -345,6 +345,34 @@ class TestPersistentCacheStore:
         assert len(reader) == 1 and reader.get("old0") is None
         assert reader.skipped_lines == 0
 
+    def test_own_appends_are_not_replayed(self, tmp_path):
+        store = PersistentCacheStore(tmp_path)
+        for index in range(3):
+            store.put(f"k{index}", index)
+        store.refresh()
+        assert store.replayed_records == 0
+        # Another handle appends in between: the next own record is not
+        # consumed ahead of it, so one refresh reads both.
+        other = PersistentCacheStore(tmp_path)
+        other.put("theirs", "x")
+        store.put("mine", "y")
+        assert store.get("theirs") == "x"
+        assert store.replayed_records == 2
+        assert other.get("mine") == "y"
+        assert other.replayed_records == 3 + 1
+
+    def test_cold_sweep_replays_none_of_its_own_records(self, tmp_path,
+                                                        capsys):
+        from repro.scenarios.__main__ import main as scenarios_cli
+
+        assert scenarios_cli(["run", "--all", "--json",
+                              "--cache-dir", str(tmp_path)]) == 0
+        store = json.loads(capsys.readouterr().out)["cache_store"]
+        assert store["appends"] == store["entries"] > 0
+        assert store["replayed_records"] == 0
+        assert store["bytes"] == os.path.getsize(
+            tmp_path / "cache-000001.seg")
+
     def test_stats_shape(self, tmp_path):
         store = PersistentCacheStore(tmp_path)
         store.put("a", 1)

@@ -610,9 +610,10 @@ class TestParallelSweep:
                 == _strip_timings(serial)["scenarios"])
         assert pooled["scenarios"][0]["name"] == tiny_scenario.name
         assert pooled["scenarios"][0]["deadlines_met"] is True
-        # Only the workers wrote to the directory; the parent's counters
-        # see their records because the command refreshes its store.
-        assert pooled["analysis_cache"]["store"]["appends"] == 0
+        # Only the workers wrote to the directory; the parent sees their
+        # records because the command refreshes its store.  ``cache_store``
+        # is the service's ``store`` document, as GET /stats serves it.
+        assert pooled["analysis_cache"]["store"] == pooled["cache_store"]
         assert pooled["cache_store"]["entries"] > 0
         # The analysis work ran in the workers: their counters arrive under
         # ``workers`` and sum into ``combined``, as in GET /stats.
@@ -624,8 +625,8 @@ class TestParallelSweep:
         assert worker["analysis"][platform]["misses"] > 0
         assert analysis["combined"] == worker["analysis"]
         assert worker["store"]["appends"] == pooled["cache_store"]["entries"]
-        # ``cache_store`` adds the workers' lookups and appends to the
-        # parent's, so the worker that did all of them shows in it.
+        # ``store`` adds the workers' lookups and appends to the parent's,
+        # so the worker that did all of them shows in it.
         for counter in ("hits", "misses", "appends"):
             assert pooled["cache_store"][counter] == worker["store"][counter]
         # Serial runs analyse in the parent.
@@ -644,7 +645,7 @@ class TestParallelSweep:
         assert cold["cache_store"]["appends"] > 0
         assert scenarios_cli([*argv, "--json"]) == 0
         warm = json.loads(capsys.readouterr().out)
-        assert warm["analysis_cache"]["store"]["hits"] == 0
+        assert warm["analysis_cache"]["store"] == warm["cache_store"]
         assert warm["cache_store"]["hits"] >= 1
         assert warm["cache_store"]["appends"] == 0
         assert scenarios_cli(argv) == 0
@@ -652,6 +653,38 @@ class TestParallelSweep:
                          r"\d+ miss\(es\), 0 append\(s\)",
                          capsys.readouterr().out, re.MULTILINE)
         assert line is not None and int(line.group(1)) >= 1
+
+    def test_process_mode_stats_store_agrees_with_the_cli(
+            self, tiny_scenario, tmp_path, capsys):
+        # One place sums the workers' store counters: the same cold
+        # process-mode run reports the same disk lookups and appends
+        # through GET /stats as through `scenarios run --json`.
+        assert scenarios_cli(["run", tiny_scenario.name, "--json",
+                              "--cache-dir", str(tmp_path / "cli"),
+                              "--jobs", "2", "--worker-mode", "process"]) == 0
+        cli = json.loads(capsys.readouterr().out)["cache_store"]
+        with EvaluationService(workers=2, worker_mode="process",
+                               cache_dir=str(tmp_path / "http")) as service:
+            server = create_server(service)
+            thread = threading.Thread(target=server.serve_forever,
+                                      daemon=True)
+            thread.start()
+            try:
+                address = server.server_address[:2]
+                _, submitted = _http(address, "POST", "/jobs",
+                                     {"scenario": tiny_scenario.name})
+                assert _poll_job(address, submitted["id"])["state"] \
+                    == "succeeded"
+                status, stats = _http(address, "GET", "/stats")
+            finally:
+                server.shutdown()
+                server.server_close()
+        assert status == 200
+        store = stats["analysis_cache"]["store"]
+        (worker,) = stats["analysis_cache"]["workers"].values()
+        assert cli["misses"] > 0 and cli["appends"] > 0
+        for counter in ("hits", "misses", "appends"):
+            assert store[counter] == cli[counter] == worker["store"][counter]
 
     def test_cli_rejects_bad_jobs(self, capsys):
         assert scenarios_cli(["run", "--all", "--jobs", "0"]) == 2
