@@ -84,9 +84,10 @@ def test_eng1_engine_vs_uncached_population(benchmark):
     for reference, cached, warm in zip(uncached, batched, revisited):
         assert _variant_key(reference) == _variant_key(cached)
         assert cached is warm  # revisits are cache hits, not re-evaluations
-    # The population shares lowered IR and analysis tables: strictly less
-    # work than the from-scratch pipeline.
-    assert stats["lowering"]["misses"] < len(POPULATION)
+    # The population shares lowered functions and analysis tables:
+    # strictly less work than the from-scratch pipeline, which lowers
+    # every function of every variant.
+    assert stats["lowering"]["misses"] < len(POPULATION) * len(module.functions)
     assert stats["variant"]["hits"] >= len(POPULATION)  # the whole revisit pass
 
 

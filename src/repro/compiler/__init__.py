@@ -11,10 +11,10 @@ variants trading execution time, energy and security.
 The compile path itself is declarative: :mod:`repro.compiler.pipeline`
 registers every pass (parse → AST → lower → IR → backend → analysis) with a
 :class:`~repro.compiler.pipeline.PassManager` that derives the engine's
-stage-cache keys from the pass list and reports per-pass wall-time/
+cache keys from the pass list and reports per-pass wall-time/
 invocation counters.  All evaluation is served by the batched engine in
-:mod:`repro.compiler.engine`: staged variant/lowering/analysis caches plus
-numpy-vectorised Pareto machinery shared by both optimisers.
+:mod:`repro.compiler.engine`: variant, per-function build and analysis
+caches plus numpy-vectorised Pareto machinery shared by both optimisers.
 """
 
 from repro.compiler.config import CompilerConfig

@@ -30,7 +30,7 @@ from repro.compiler.engine import (
     AnalysisCache,
     BatchEvaluator,
     EvaluationEngine,
-    LoweringCache,
+    BuildCache,
     process_analysis_cache,
 )
 from repro.compiler.engine.vectorized import pareto_front
@@ -91,7 +91,7 @@ class MultiCriteriaCompiler:
         #: wall-time/invocation counters aggregate across engines and are
         #: reported by :meth:`pipeline_stats`.
         self.pipeline = CompilationPipeline(platform)
-        # Shared caches: the analysis cache is platform-wide, lowering
+        # Shared caches: the analysis cache is platform-wide, build
         # caches are per source module, the engines (and their variant
         # caches) per (module, entries, security context).  Parsing is cached
         # process-wide (through the pipeline's timed parse pass), and the
@@ -104,7 +104,7 @@ class MultiCriteriaCompiler:
         # Path work this thread already did on the (possibly shared) cache:
         # ``pipeline_stats`` reports only what the builds add on top.
         self._path_baseline = self.analysis.thread_path_totals()
-        self._lowerings: Dict[int, LoweringCache] = {}
+        self._builds: Dict[int, BuildCache] = {}
         self._engines: Dict[Tuple, EvaluationEngine] = {}
 
     @property
@@ -151,20 +151,21 @@ class MultiCriteriaCompiler:
         """Per-stage evaluation-cache counters of this driver's builds.
 
         The engines' :meth:`~EvaluationEngine.stats` summed with
-        :func:`~repro.counters.sum_counters` (a lowering cache shared by
-        several engines counts once); ``analysis`` is the driver's
+        :func:`~repro.counters.sum_counters` (the ``lowering`` and
+        ``ir_stage`` rows of a build cache shared by several engines count
+        once); ``analysis`` is the driver's
         analysis cache — cumulative process-wide numbers inside a
         ``shared_analysis_caches`` scope (``analysis["shared"]`` says
         which).
         """
         totals: Dict[str, Dict[str, object]] = {}
-        lowerings = set()
+        builds = set()
         for engine in self._engines.values():
             stats = engine.stats()
             del stats["analysis"]
-            if id(engine.lowering) in lowerings:
-                del stats["lowering"]
-            lowerings.add(id(engine.lowering))
+            if id(engine.builds) in builds:
+                del stats["lowering"], stats["ir_stage"]
+            builds.add(id(engine.builds))
             sum_counters(totals, stats)
         totals["analysis"] = dict(self.analysis.stats(),
                                   shared=self._analysis_shared)
@@ -206,14 +207,13 @@ class MultiCriteriaCompiler:
         key = (id(module), entries, aggregate, security_evaluator is not None)
         engine = self._engines.get(key)
         if engine is None:
-            lowering = self._lowerings.setdefault(
-                id(module), LoweringCache(self.pipeline.manager))
+            builds = self._builds.setdefault(id(module), BuildCache())
             engine = EvaluationEngine(
                 module, self.platform, list(entries),
                 core=self.core,
                 security_evaluator=security_evaluator,
                 analysis_cache=self.analysis,
-                lowering_cache=lowering,
+                build_cache=builds,
                 pipeline=self.pipeline,
                 aggregate=aggregate,
             )

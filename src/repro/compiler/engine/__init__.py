@@ -3,40 +3,44 @@
 This package is the single entry point for evaluating compiler
 configurations during the multi-objective (energy/time/security) search.
 The seed code rebuilt and re-analysed every candidate from scratch; the
-engine memoises the pipeline at four stages so shared sub-structure is
-computed once.  Every config key below comes from the pipeline's
-``PassManager`` (``canonical_key`` / ``stage_key`` / ``key_before``):
+engine builds each function once per *effective* configuration (the
+fields that can change it) and shares the analysis between every
+variant with the same program.  Every key below comes from the
+pipeline's ``PassManager`` (``canonical_key`` / ``build_key``):
 
 ``CompilerConfig`` ──┐
                      ▼
   [1] VariantCache ── canonical key ───────────────────────► Variant
                      │ miss
                      ▼
-  [2] IrStageCache ── ``ir`` stage key (AST + IR flags, path mode)
-                     │ hit: Program.clone() of the cached optimised IR
-                     │ miss ▼
-  [3] LoweringCache ─ ``lower`` stage key (harden/fold/inline/unroll),
-                     │ plus a pre-unroll table keyed before ``unroll-loops``
-                     │ hit: Program.clone() of the cached lowered IR
-                     │ miss: clone module → AST passes → lower
+  [2] BuildCache ──── per function, one table per build segment:
+                     │   ast     name, hardening (secret functions only),
+                     │           folding: bound inference, hardening,
+                     │           folding on a clone of the function
+                     │   inline  + keys of the inlinable callees read
+                     │   lower   + largest unrolled loop bound, refolding:
+                     │           unroll, fold again, lower (``lowering``)
+                     │   ir      + IR flags: CSE, DCE, strength reduction,
+                     │           peephole on a sharing clone (``ir_stage``)
+                     │ (the whole module is the one unit while a
+                     │ registered pass is not function-local)
                      ▼
-      IR passes (CSE, DCE, strength reduction, peephole) on the clone
+      assemble the variant's Program from the shared functions
                      ▼
-      backend pass (SPM allocation) on the private clone, per variant
+      backend pass (SPM allocation) per variant, replacing what it places
                      ▼
-  [4] AnalysisCache ─ structural program fingerprint
-                     │ one StructuralCostEngine sweep fills the whole
-                     │ per-function cycles/energy table per (core[, OPP]);
-                     │ every further entry point, operating point or core
-                     ▼ is a table lookup
+  [3] AnalysisCache ─ structural program fingerprint (memoised per
+                     │ function); one StructuralCostEngine sweep fills the
+                     │ whole per-function cycles/energy table per
+                     │ (core[, OPP]); every further entry point,
+                     ▼ operating point or core is a table lookup
               Variant (WCET, WCEC, security, code size)
 
-Stages [2] and [3] mean configurations differing only in backend or
-IR-level flags skip re-optimising or re-lowering; stage [4] means the
-WCET/Energy analysers' per-function results are reused across every
-variant sharing a program *and* across the coordination layer's
-per-core/per-OPP ETS sweeps (cycle bounds are frequency-independent, so
-DVFS sweeps reuse one cycles table).
+Stage [2] means a configuration re-lowers and re-optimises only the
+functions it changes; stage [3] means the WCET/Energy analysers'
+per-function results are reused across every variant sharing a program
+*and* across the coordination layer's per-core/per-OPP ETS sweeps (cycle
+bounds are frequency-independent, so DVFS sweeps reuse one cycles table).
 
 :class:`BatchEvaluator` evaluates whole populations at once through the
 engine, :meth:`EvaluationEngine.stats` reports each stage's counters, and
@@ -50,8 +54,8 @@ from repro.compiler.engine.batch import BatchEvaluator
 from repro.compiler.engine.cache import (
     PROCESS_CACHE_DEFAULT_MAX_ENTRIES,
     AnalysisCache,
-    IrStageCache,
-    LoweringCache,
+    BuildCache,
+    BuildTable,
     VariantCache,
     process_analysis_cache,
     process_analysis_cache_stats,
@@ -79,9 +83,9 @@ __all__ = [
     "ALL_TASKS_ENTRY",
     "AnalysisCache",
     "BatchEvaluator",
+    "BuildCache",
+    "BuildTable",
     "EvaluationEngine",
-    "IrStageCache",
-    "LoweringCache",
     "PROCESS_CACHE_DEFAULT_MAX_ENTRIES",
     "PersistError",
     "PersistentCacheStore",

@@ -1,6 +1,6 @@
-"""Staged caches for the batched variant-evaluation engine.
+"""Caches of the batched variant-evaluation engine.
 
-Four cache stages, from coarsest to finest.  Every config-keyed stage
+Three cache stages, from coarsest to finest.  Every config-keyed stage
 takes its key from the pipeline's
 :class:`~repro.compiler.pipeline.PassManager`, so registering a
 configurable pass widens every downstream key:
@@ -11,16 +11,14 @@ configurable pass widens every downstream key:
    decoded from genes) share one entry, so revisited points of the search
    space cost a dictionary lookup across generations *and* across optimiser
    runs.  It is the one variant memo: the optimisers keep none of their own.
-2. :class:`LoweringCache` — lowered IR programs keyed on the ``lower``
-   stage key: the contributions of the passes that run before/during
-   lowering (hardening, constant folding, inlining, unrolling).
-   Configurations that differ only in IR-level flags (CSE, DCE, strength
-   reduction, peephole, SPM allocation) skip the
-   clone/bound-inference/AST-pass/lowering pipeline entirely and receive an
-   independent :meth:`Program.clone` to run their IR passes on.
-3. :class:`IrStageCache` — the same, one stage later: keyed on the ``ir``
-   stage key, for configurations differing only in the backend.
-4. :class:`AnalysisCache` — per-function worst-case cost tables keyed on a
+2. :class:`BuildCache` — one source module's build units (its functions,
+   or the whole module while a registered pass is not function-local)
+   after each build segment, one :class:`BuildTable` per segment keyed by
+   :meth:`~repro.compiler.pipeline.PassManager.build_key`.  A function's
+   key holds only the configuration fields that can change it, so a
+   configuration re-lowers and re-optimises only what it changes, and
+   every variant's program is assembled from shared functions.
+3. :class:`AnalysisCache` — per-function worst-case cost tables keyed on a
    structural fingerprint of the analysed program.  One
    :class:`StructuralCostEngine` run computes every function's cycles (or
    joules) at once; every further WCET/WCEC query against the same program —
@@ -29,12 +27,13 @@ configurable pass widens every downstream key:
    table lookup.
 
 All stages are exact: cached results are bit-for-bit identical to what
-the uncached pipeline produces (covered by ``tests/test_engine.py``).
+the uncached pipeline produces (covered by ``tests/test_engine.py`` and
+``tests/test_function_builds.py``).
 
-Every cache reports hit/miss counters through ``stats()``.  The three
-config-keyed stages are unbounded: they live as long as the driver that
-owns them.  Only the :class:`AnalysisCache` takes a ``max_entries`` cap
-(its least-recently-used tables are evicted and counted), because the
+Every cache reports hit/miss counters through ``stats()``.  The variant
+cache and the build tables are unbounded: they live as long as the driver
+that owns them.  Only the :class:`AnalysisCache` takes a ``max_entries``
+cap (its least-recently-used tables are evicted and counted), because the
 process-wide one outlives every driver in a long-running service.
 Inside a :func:`shared_analysis_caches` scope every driver and toolchain
 targeting the same platform shares one *process-wide* :class:`AnalysisCache`,
@@ -52,6 +51,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import persist as _persist
+from repro.compiler.pipeline.passes import BUILD_SEGMENTS
 from repro.counters import _BoundedCacheMixin
 from repro.energy.static_analyzer import EnergyAnalyzer, WCECResult
 from repro.hw.core import Core
@@ -81,6 +81,11 @@ _FINGERPRINT_ATTR = "_engine_fingerprint"
 
 #: Attribute used to memoise a program's path-sensitive fingerprint.
 _PATH_FINGERPRINT_ATTR = "_engine_path_fingerprint"
+
+#: The same two memos per function: the engine's programs share their
+#: functions, so each is fingerprinted once, not once per variant.
+_FUNCTION_FINGERPRINT_ATTR = "_engine_function_fingerprint"
+_FUNCTION_OPERANDS_ATTR = "_engine_function_operands"
 
 #: Local alias for the fingerprint hot path.  Enum members (not ``.value``)
 #: keep it fast: accessing ``Opcode.value`` goes through a descriptor on
@@ -118,93 +123,54 @@ class VariantCache(_BoundedCacheMixin):
         self._variants[self.key(config)] = variant
 
 
-class _ProgramStageCache(_BoundedCacheMixin):
-    """Programs after one pipeline stage, keyed by ``manager``'s stage key.
+class BuildTable(_BoundedCacheMixin):
+    """Build units after one build segment, keyed by
+    :meth:`~repro.compiler.pipeline.PassManager.build_key`.
 
-    ``get`` returns an independent clone so the caller's in-place passes
-    cannot corrupt the cached original; ``put`` keeps a private pristine
-    copy.  Instruction sharing is safe: the IR passes are copy-on-write at
-    instruction granularity.
+    An entry is ``(key, unit, statistics)``: the unit's module (AST
+    segments) or program (lowering and IR segments) and its counters.
+    Entries are shared and never mutated: a later segment runs on a clone.
+    ``get`` counts a hit, ``put`` a miss (one build).
     """
 
-    #: The stage whose output the cache holds (see ``PassManager.stage_key``).
-    STAGE = ""
-
-    def __init__(self, manager: "PassManager"):
+    def __init__(self):
         super().__init__()
-        self._manager = manager
-        self._programs: Dict[Tuple, Tuple[Program, Dict[str, int]]] = {}
+        self._entries: Dict[Tuple, Tuple] = {}
 
     def __len__(self) -> int:
-        return len(self._programs)
+        return len(self._entries)
 
-    def _key(self, config: CompilerConfig) -> Tuple:
-        return self._manager.stage_key(config, self.STAGE)
+    def get(self, key: Tuple) -> Optional[Tuple]:
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.hits += 1
+        return entry
 
-    def get(self, config: CompilerConfig
-            ) -> Optional[Tuple[Program, Dict[str, int]]]:
-        entry = self._programs.get(self._key(config))
-        if entry is None:
-            return None
-        self.hits += 1
-        program, statistics = entry
-        return program.clone(share_instructions=True), dict(statistics)
-
-    def put(self, config: CompilerConfig, program: Program,
-            statistics: Dict[str, int]) -> None:
+    def put(self, key: Tuple, unit, statistics: Dict[str, int]) -> Tuple:
         self.misses += 1
-        self._programs[self._key(config)] = (
-            program.clone(share_instructions=True), dict(statistics))
+        entry = self._entries[key] = (key, unit, statistics)
+        return entry
 
 
-class LoweringCache(_ProgramStageCache):
-    """Cache of lowered programs shared across IR-level flag combinations.
+class BuildCache:
+    """One source module's build units, one :class:`BuildTable` per build
+    segment (:data:`~repro.compiler.pipeline.passes.BUILD_SEGMENTS`).
 
-    Keyed by the ``lower`` stage key: configurations that differ only in
-    IR-level flags share one lowered program.  A second table holds the
-    module after the AST passes that run before ``unroll-loops``, shared
-    between configurations differing only in the unroll limit.
+    Shared by every engine of the module.  ``lowering`` and ``ir_stage``
+    are the tables of the ``lower`` and ``ir`` segments: their counters
+    count unit builds (function lowerings and IR-pass runs).  ``callees``
+    memoises, per function after the ``ast`` segment, the build units of
+    the functions it calls, and ``function_keys`` the narrowed key
+    contributions (see
+    :meth:`~repro.compiler.pipeline.PassManager.build_key`).
     """
 
-    STAGE = "lower"
-
-    def __init__(self, manager: "PassManager"):
-        super().__init__(manager)
-        self._pre_unroll: Dict[Tuple, Tuple] = {}
-
-    def stats(self) -> Dict[str, int]:
-        # The pre-unroll table holds full cloned modules — report it
-        # explicitly so operators sizing the cache see both tables.
-        stats = super().stats()
-        stats["pre_unroll_entries"] = len(self._pre_unroll)
-        return stats
-
-    def _pre_unroll_key(self, config: CompilerConfig) -> Tuple:
-        return self._manager.key_before(config, "unroll-loops")
-
-    def get_pre_unroll(self, config: CompilerConfig) -> Optional[Tuple]:
-        """The cached (module, statistics) pair before unrolling, if any.
-
-        The stored module is pristine — callers must clone it before
-        mutating (the engine always unrolls a fresh clone).
-        """
-        return self._pre_unroll.get(self._pre_unroll_key(config))
-
-    def put_pre_unroll(self, config: CompilerConfig, module,
-                       statistics: Dict[str, int]) -> None:
-        self._pre_unroll[self._pre_unroll_key(config)] = (module,
-                                                          dict(statistics))
-
-
-class IrStageCache(_ProgramStageCache):
-    """Cache of programs after the platform-independent IR passes.
-
-    Keyed by the ``ir`` stage key: only the backend (scratchpad allocation)
-    runs after it, so configurations differing only in ``spm_allocation``
-    share everything up to here.
-    """
-
-    STAGE = "ir"
+    def __init__(self):
+        self.tables = {segment: BuildTable() for segment in BUILD_SEGMENTS}
+        self.lowering = self.tables["lower"]
+        self.ir_stage = self.tables["ir"]
+        self.callees: Dict[Tuple, List[Tuple]] = {}
+        self.function_keys: Dict[Tuple, Tuple] = {}
 
 
 def _region_signature(region: Region) -> Tuple:
@@ -261,8 +227,9 @@ def program_fingerprint(program: Program) -> Tuple:
     tables on any core of the platform: the fingerprint covers each
     function's placement (``code_region``), its region tree including loop
     bounds, and each block's instruction sequence (opcode, callee, accessed
-    array).  Memoised on the program object — only fingerprint programs that
-    will no longer be mutated.  The nested tuple's hash is computed once,
+    array).  Memoised on the program object and on each function — only
+    fingerprint programs that will no longer be mutated.  The nested
+    tuple's hash is computed once,
     when the fingerprint is built, and recomputed (never unpickled) after a
     pickle round trip.
     """
@@ -280,20 +247,27 @@ def program_fingerprint(program: Program) -> Tuple:
 
     functions = []
     for name, function in program.functions.items():
-        blocks = []
-        for label, block in function.blocks.items():
-            signature = [label]
-            parts = block.parts
-            if parts.__class__ is list:
-                triples = list(map(_signature_of, parts))
-                signature.extend(map(intern, triples, triples))
-            else:
-                # An unrolled run contributes its template's triples once
-                # per copy, exactly as its flattened instructions would.
-                signature.extend(flat_map(parts, signature_of))
-            blocks.append(tuple(signature))
-        functions.append((name, function.code_region, function.entry,
-                          _region_signature(function.region), tuple(blocks)))
+        cached = getattr(function, _FUNCTION_FINGERPRINT_ATTR, None)
+        if cached is None:
+            blocks = []
+            for label, block in function.blocks.items():
+                signature = [label]
+                parts = block.parts
+                if parts.__class__ is list:
+                    triples = list(map(_signature_of, parts))
+                    signature.extend(map(intern, triples, triples))
+                else:
+                    # An unrolled run contributes its template's triples
+                    # once per copy, as its flattened instructions would.
+                    signature.extend(flat_map(parts, signature_of))
+                blocks.append(tuple(signature))
+            # Its own hash memo, so hashing the program's fingerprint
+            # does not re-hash a shared function's blocks.
+            cached = _Fingerprint((name, function.code_region, function.entry,
+                                   _region_signature(function.region),
+                                   tuple(blocks)))
+            setattr(function, _FUNCTION_FINGERPRINT_ATTR, cached)
+        functions.append(cached)
     fingerprint = _Fingerprint(functions)
     setattr(program, _FINGERPRINT_ATTR, fingerprint)
     return fingerprint
@@ -323,17 +297,23 @@ def path_fingerprint(program: Program) -> Tuple:
     structural fingerprint leaves out: ``x > 5`` and ``x > 7`` share a
     structural fingerprint but not a path-sensitive bound.  Only functions
     with an ``if`` contribute operands: the bound of one without reads
-    none.  Memoised on the program like the structural fingerprint;
-    unrolled runs are not expanded.
+    none.  Memoised on the program and each function like the structural
+    fingerprint; unrolled runs are not expanded.
     """
     cached = getattr(program, _PATH_FINGERPRINT_ATTR, None)
     if cached is not None:
         return cached
-    operands = tuple(
-        tuple(tuple(map(_operand_signature, block.parts))
-              for block in function.blocks.values())
-        if contains_if(function.region) else None
-        for function in program.functions.values())
+    operands = []
+    for function in program.functions.values():
+        try:
+            signature = getattr(function, _FUNCTION_OPERANDS_ATTR)
+        except AttributeError:
+            signature = (tuple(tuple(map(_operand_signature, block.parts))
+                               for block in function.blocks.values())
+                         if contains_if(function.region) else None)
+            setattr(function, _FUNCTION_OPERANDS_ATTR, signature)
+        operands.append(signature)
+    operands = tuple(operands)
     fingerprint = _Fingerprint((program_fingerprint(program), operands))
     setattr(program, _PATH_FINGERPRINT_ATTR, fingerprint)
     return fingerprint

@@ -7,9 +7,11 @@ against them through the staged caches of
 
 * the variant cache short-circuits revisited configurations entirely; it
   is the one variant memo (the optimisers keep none of their own),
-* the lowering cache shares the lowered IR between configurations that
-  differ only in IR-level flags, and the IR-stage cache the optimised IR
-  between configurations that differ only in backend flags,
+* the build cache holds each function after every build segment, keyed
+  by the configuration fields that can change it, so a function is
+  lowered and IR-passed once per effective configuration and every
+  variant's program is assembled from shared functions (the whole module
+  is the one build unit while a registered pass is not function-local),
 * the analysis cache shares per-function WCET/WCEC tables between every
   query against the same compiled program (multiple task entries, DVFS
   sweeps, per-core ETS derivation).
@@ -26,15 +28,10 @@ toolchain optimises (sum of per-entry WCET/energy, entry ``"<all tasks>"``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.config import CompilerConfig
-from repro.compiler.engine.cache import (
-    AnalysisCache,
-    IrStageCache,
-    LoweringCache,
-    VariantCache,
-)
+from repro.compiler.engine.cache import AnalysisCache, BuildCache, VariantCache
 from repro.compiler.evaluate import SecurityEvaluator, Variant
 from repro.compiler.passes.spm import INSTRUCTION_BYTES
 from repro.compiler.pipeline import ANALYSIS_PASS, CompilationPipeline
@@ -47,6 +44,9 @@ from repro.ir.cfg import Program
 #: Entry-function label of aggregate multi-task variants.
 ALL_TASKS_ENTRY = "<all tasks>"
 
+#: The build segment each segment runs on the result of.
+_PREVIOUS = {"inline": "ast", "lower": "inline", "ir": "lower"}
+
 
 class EvaluationEngine:
     """Evaluates compiler configurations with shared analysis caching."""
@@ -56,7 +56,7 @@ class EvaluationEngine:
                  core: Optional[Core] = None,
                  security_evaluator: Optional[SecurityEvaluator] = None,
                  analysis_cache: Optional[AnalysisCache] = None,
-                 lowering_cache: Optional[LoweringCache] = None,
+                 build_cache: Optional[BuildCache] = None,
                  pipeline: Optional[CompilationPipeline] = None,
                  aggregate: bool = False):
         if not entry_functions:
@@ -75,20 +75,22 @@ class EvaluationEngine:
         #: their engines so per-pass timings aggregate per driver).
         self.pipeline = (pipeline if pipeline is not None
                          else CompilationPipeline(platform))
-        # The analysis cache is safe to share platform-wide and the lowering
-        # cache per module; the IR-stage and variant caches are the engine's
-        # own (the variant cache is per security context).  Compare against
-        # None explicitly: the caches define __len__, so an empty shared
-        # cache is falsy and `or` would silently discard it.  Engine-built
-        # caches are keyed by the pipeline's pass list, so registering a new
-        # configurable pass widens every stage key automatically.
+        # The analysis cache is safe to share platform-wide and the build
+        # cache per module; the variant cache is the engine's own (it is
+        # per security context).  Compare against None explicitly: the
+        # analysis cache defines __len__, so an empty shared cache is falsy
+        # and `or` would silently discard it.  Every key comes from the
+        # pipeline's pass list, so registering a new configurable pass
+        # widens every key automatically.
         self.analysis = (analysis_cache if analysis_cache is not None
                          else AnalysisCache(platform))
-        manager = self.pipeline.manager
-        self.lowering = (lowering_cache if lowering_cache is not None
-                         else LoweringCache(manager))
-        self.ir_stage = IrStageCache(manager)
-        self.variants = VariantCache(manager)
+        self.builds = (build_cache if build_cache is not None
+                       else BuildCache())
+        self.lowering = self.builds.lowering
+        self.ir_stage = self.builds.ir_stage
+        self.variants = VariantCache(self.pipeline.manager)
+        #: Build units per ``function_local()`` answer: (identity, module).
+        self._units: Dict[bool, List[Tuple[Tuple, ast.SourceModule]]] = {}
 
     # -- statistics ------------------------------------------------------------
     def stats(self) -> Dict[str, Dict[str, object]]:
@@ -101,42 +103,147 @@ class EvaluationEngine:
         }
 
     # -- pipeline stages ---------------------------------------------------------
-    def _build(self, config: CompilerConfig):
-        """Lower and optimise through the staged caches.
-
-        Stage order (each stage's cache key subsumes the previous one's):
-        lowering (AST-stage key) → platform-independent IR passes (+ DCE/SR
-        flags) → scratchpad allocation (per variant, runs last).
-        """
-        staged = self.ir_stage.get(config)
-        if staged is None:
-            lowered = self.lowering.get(config)
-            if lowered is None:
-                program, statistics = self._lower(config)
-                self.lowering.put(config, program, statistics)
+    def _build_units(self, function_local: bool
+                     ) -> List[Tuple[Tuple, ast.SourceModule]]:
+        """The module's build units: one per function, each a module of
+        that function whose externals name the others, or the whole
+        module when a registered pass is not function-local (or a name is
+        defined twice, which lowering the whole module reports)."""
+        units = self._units.get(function_local)
+        if units is None:
+            module = self.module
+            names = module.function_names()
+            if function_local and names and len(set(names)) == len(names):
+                units = [((function.name,), ast.SourceModule(
+                    [function], module.globals, module.source_name,
+                    externals=dict.fromkeys(
+                        name for name in names if name != function.name)))
+                         for function in module.functions]
             else:
-                program, statistics = lowered
-            statistics.update(self.pipeline.ir_passes(program, config))
-            self.ir_stage.put(config, program, statistics)
-        else:
-            program, statistics = staged
+                units = [((), module)]
+            self._units[function_local] = units
+        return units
+
+    def _build(self, config: CompilerConfig):
+        """Build every unit through the build cache, then assemble the
+        variant's program and run the backend (scratchpad allocation) on
+        it.
+
+        The program is new, its functions are the cached units' own: the
+        backend replaces a function it changes (see
+        :func:`~repro.compiler.passes.spm.allocate_scratchpad`).  Counters
+        are the units' summed.
+        """
+        manager = self.pipeline.manager
+        reported, declared = manager.statistic_names(config)
+        statistics = dict.fromkeys(reported, 0)
+        functions = {}
+        for identity, module in self._build_units(manager.function_local()):
+            _key, lowered, unit_statistics = self._unit(
+                config, "ir", identity, module)
+            functions.update(lowered.functions)
+            for name, value in unit_statistics.items():
+                if name in statistics or name not in declared:
+                    statistics[name] = statistics.get(name, 0) + value
+        program = Program(functions=functions,
+                          global_arrays=dict(lowered.global_arrays),
+                          metadata=dict(lowered.metadata),
+                          source_name=lowered.source_name)
         statistics.update(self.pipeline.backend_passes(program, config))
         return program, statistics
 
-    def _lower(self, config: CompilerConfig):
-        """AST passes + lowering, sharing the pre-unroll module when possible."""
-        pre = self.lowering.get_pre_unroll(config)
-        if pre is None:
-            working, statistics = self.pipeline.pre_unroll(self.module, config)
-            self.lowering.put_pre_unroll(config, working, statistics)
+    def _unit(self, config: CompilerConfig, segment: str, identity: Tuple,
+              module: ast.SourceModule) -> Tuple:
+        """The cache entry ``(key, unit, statistics)`` of one build unit
+        after ``segment``, building it (and the segments before) on a miss.
+        A function unit's identity is its function's name, the whole
+        module's is empty.
+
+        A function unit's key after the ``inline`` segment holds the keys
+        of the callee bodies inlining reads, and its key after ``lower``
+        reads the function as inlining left it (see
+        :meth:`~repro.compiler.pipeline.PassManager.build_key`).
+        """
+        manager = self.pipeline.manager
+        table = self.builds.tables[segment]
+        per_function = bool(identity)
+        callee_keys: Tuple = ()
+        if segment == "ast":
+            base, source = identity, module
         else:
-            working, statistics = pre
+            base, source, statistics = self._unit(
+                config, _PREVIOUS[segment], identity, module)
+            if segment == "inline" and per_function:
+                source, callee_keys = self._with_callees(config, base,
+                                                         source)
+        function = None
+        if per_function:
+            function = (source.functions[0] if segment != "ir"
+                        else next(iter(source.functions.values())))
+        key = manager.build_key(config, segment, base, function, callee_keys,
+                                self.builds.function_keys)
+        entry = table.get(key)
+        if entry is not None:
+            return entry
+        if segment == "ast":
+            unit, statistics = self.pipeline.pre_unroll(
+                source, config, ("ast",))
+        elif segment == "inline":
+            # A pass that reads callees changes a function only by what it
+            # reads: with nothing read and nothing else enabled, the unit
+            # leaves the segment as it entered (the next segment clones).
+            unit = source
+            if callee_keys or any(
+                    p.enabled(config)
+                    and (p.reads_callees is None or not per_function)
+                    for p in manager.segment(segment)):
+                unit, statistics = self.pipeline.pre_unroll(
+                    source, config, ("inline",), statistics)
+        elif segment == "lower":
             statistics = dict(statistics)
-        # The cached pre-unroll module stays pristine: unrolling (and, for
-        # hygiene, lowering) always operates on a private clone.
-        working = ast.clone_module(working)
-        return (self.pipeline.unroll_and_lower(working, config, statistics),
-                statistics)
+            unit = self.pipeline.unroll_and_lower(
+                ast.clone_module(source), config, statistics)
+        else:
+            # The IR passes are copy-on-write at instruction granularity,
+            # so a clone sharing the instructions keeps the lowered entry
+            # (and its compact blocks) intact.
+            unit = source.clone(share_instructions=True)
+            statistics = dict(statistics)
+            statistics.update(self.pipeline.ir_passes(unit, config))
+        return table.put(key, unit, statistics)
+
+    def _with_callees(self, config: CompilerConfig, key: Tuple,
+                      source: ast.SourceModule
+                      ) -> Tuple[ast.SourceModule, Tuple]:
+        """``source`` (one function after the ``ast`` segment, under
+        ``key``) with the bodies of the callees the ``inline`` segment
+        reads, and their keys.
+        """
+        reads = self.pipeline.manager.callee_reader(config)
+        if reads is None:
+            return source, ()
+        function = source.functions[0]
+        callees = self.builds.callees.get(key)
+        if callees is None:
+            units = {identity[0]: (identity, module) for identity, module
+                     in self._build_units(True)}
+            callees = self.builds.callees[key] = [
+                units[name] for name in ast.called_functions(function)
+                if name != function.name and name in units]
+        externals = dict(source.externals)
+        callee_keys = []
+        for identity, module in callees:
+            callee_key, callee, _statistics = self._unit(
+                config, "ast", identity, module)
+            body = callee.functions[0]
+            if reads(body):
+                externals[body.name] = body
+                callee_keys.append(callee_key)
+        if not callee_keys:
+            return source, ()
+        return (ast.SourceModule(source.functions, source.globals,
+                                 source.source_name, externals),
+                tuple(callee_keys))
 
     def _analyse(self, config: CompilerConfig, program: Program,
                  statistics: Dict[str, int], name: Optional[str]) -> Variant:

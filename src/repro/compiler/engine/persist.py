@@ -20,7 +20,7 @@ concurrently:
   component comes from :meth:`PassManager.pass_list_key
   <repro.compiler.pipeline.PassManager.pass_list_key>`: registering a custom
   pass changes every digest and retires all entries produced without it, the
-  same automatic widening the in-memory stage caches get.  The structural
+  same automatic widening the in-memory caches get.  The structural
   fingerprint (:func:`~repro.compiler.engine.cache.program_fingerprint`)
   already captures the *effect* of the passes that ran, so the pass-list key
   acts as a schema/namespace guard rather than a correctness requirement.

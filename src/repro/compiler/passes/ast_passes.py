@@ -132,9 +132,52 @@ def fold_constants(module: ast.SourceModule) -> int:
     return counter[0]
 
 
+def folds_anything(function: ast.FunctionDef) -> bool:
+    """Whether folding would change ``function`` (it folds a clone).
+
+    Every rewrite of the folder counts one fold, and one round reaches a
+    fixed point, so a function folding left as it was folds nothing.
+    """
+    counter = [0]
+    for stmt in ast.clone_function(function).body:
+        _fold_stmt(stmt, counter)
+    return counter[0] > 0
+
+
 # ---------------------------------------------------------------------------
 # Loop unrolling (full unroll of small counted loops)
 # ---------------------------------------------------------------------------
+def _unrollable_bound(stmt: ast.For) -> Optional[int]:
+    """The trip count of a loop that unrolling may unroll, else ``None``.
+
+    Only counted loops qualify: a positive trip count that is statically
+    exact (no ``loopbound`` pragma overriding it).  Unrolling an inner loop
+    leaves an outer loop's qualification unchanged.
+    """
+    static_bound = infer_for_bound(stmt)
+    if static_bound is None or static_bound <= 0:
+        return None
+    if stmt.bound is not None and stmt.bound != static_bound:
+        return None
+    return static_bound
+
+
+def largest_unrollable_bound(function: ast.FunctionDef, limit: int) -> int:
+    """The largest trip count ``<= limit`` of a loop unrolling would unroll
+    in ``function`` (0 if none).
+
+    Two limits with equal values unroll the same loops of ``function``,
+    so they give equal code.
+    """
+    largest = 0
+    for stmt in ast.walk_stmts(function.body):
+        if isinstance(stmt, ast.For):
+            bound = _unrollable_bound(stmt)
+            if bound is not None and largest < bound <= limit:
+                largest = bound
+    return largest
+
+
 def _unroll_body(body: List[ast.Stmt], limit: int, counter: List[int]) -> List[ast.Stmt]:
     result: List[ast.Stmt] = []
     for stmt in body:
@@ -149,11 +192,8 @@ def _unroll_body(body: List[ast.Stmt], limit: int, counter: List[int]) -> List[a
             continue
         if isinstance(stmt, ast.For):
             stmt.body = _unroll_body(stmt.body, limit, counter)
-            bound = stmt.bound if stmt.bound is not None else infer_for_bound(stmt)
-            static_bound = infer_for_bound(stmt)
-            # Only fully unroll loops whose trip count is statically exact
-            # (counted loops) and small enough.
-            if static_bound is not None and static_bound == bound and 0 < bound <= limit:
+            bound = _unrollable_bound(stmt)
+            if bound is not None and bound <= limit:
                 counter[0] += 1
                 if stmt.init is not None:
                     result.append(stmt.init)
@@ -253,10 +293,23 @@ def _inline_expr(expr: ast.Expr, inlinable: Dict[str, ast.FunctionDef],
     raise TypeError(f"unknown expression {type(expr)!r}")  # pragma: no cover
 
 
+def is_inlinable(function: ast.FunctionDef) -> bool:
+    """Whether inlining replaces calls to ``function``: its body is one
+    return of an expression over its own parameters that calls nothing."""
+    return _simple_function_expression(function) is not None
+
+
 def inline_simple_functions(module: ast.SourceModule) -> int:
-    """Inline calls to single-return-expression functions; returns call count."""
-    inlinable = {fn.name: fn for fn in module.functions
-                 if _simple_function_expression(fn) is not None}
+    """Inline calls to single-return-expression functions; returns call count.
+
+    The callees are the module's functions and its external bodies (see
+    :class:`~repro.frontend.ast_nodes.SourceModule`), as they are before
+    any call is inlined: an inlinable function calls nothing, so inlining
+    never changes one.
+    """
+    inlinable = {fn.name: fn for fn in module.functions if is_inlinable(fn)}
+    inlinable.update((name, fn) for name, fn in module.externals.items()
+                     if fn is not None and is_inlinable(fn))
     if not inlinable:
         return 0
     counter = [0]

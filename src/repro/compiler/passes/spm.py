@@ -9,7 +9,7 @@ instructions per byte of code).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from repro.hw.platform import Platform
@@ -56,7 +56,9 @@ def allocate_scratchpad(program: Program, platform: Platform) -> SpmAllocation:
     """Place the most profitable functions into the platform's scratchpad.
 
     Functions already placed (``code_region`` set) are left untouched.  When
-    the platform has no scratchpad the pass is a no-op.
+    the platform has no scratchpad the pass is a no-op.  A placed function
+    is replaced by a copy with ``code_region`` set, never changed in place:
+    the evaluation engine's programs share their functions.
     """
     memory = platform.memory
     if not memory.has_scratchpad:
@@ -85,7 +87,8 @@ def allocate_scratchpad(program: Program, platform: Platform) -> SpmAllocation:
     for _density, _benefit, size, name in candidates:
         if used + size > capacity:
             continue
-        program.functions[name].code_region = memory.scratchpad_region
+        program.functions[name] = replace(program.functions[name],
+                                          code_region=memory.scratchpad_region)
         placed.append(name)
         used += size
     return SpmAllocation(placed_functions=placed, used_bytes=used,

@@ -7,14 +7,15 @@ call site.  The pipeline makes the path declarative:
 
 ``PassManager``
     the ordered registry of :class:`Pass` objects — name, stage, enablement
-    predicate, cache-key contribution — plus per-pass wall-time/invocation
-    counters (``stats()``, engine-cache convention) and the stage-key
-    derivation the engine caches are keyed by.
+    predicate, cache-key contribution, function-local declaration — plus
+    per-pass wall-time/invocation counters (``stats()``, engine-cache
+    convention), the build segments and the one key derivation the
+    engine caches are keyed by.
 
 ``CompilationPipeline``
     binds a platform to a manager and runs the stages: ``parse`` →
     ``pre_unroll`` → ``unroll_and_lower`` → ``ir_passes`` →
-    ``backend_passes`` (or ``build`` for the uncached chain).
+    ``backend_passes``, on the whole module or one function at a time.
 
 Every pipeline consumer surfaces the same stats upward: toolchains expose
 ``pipeline_stats()``, the scenario runner attaches them to each
@@ -27,6 +28,7 @@ from repro.compiler.pipeline.compile import CompilationPipeline
 from repro.compiler.pipeline.manager import PassManager
 from repro.compiler.pipeline.passes import (
     ANALYSIS_PASS,
+    BUILD_SEGMENTS,
     PARSE_PASS,
     STAGES,
     Pass,
@@ -37,6 +39,7 @@ from repro.compiler.pipeline.profile import profile_rows, render_profile
 
 __all__ = [
     "ANALYSIS_PASS",
+    "BUILD_SEGMENTS",
     "CompilationPipeline",
     "PARSE_PASS",
     "Pass",

@@ -3,31 +3,29 @@
 One :class:`CompilationPipeline` binds a platform and a
 :class:`~repro.compiler.pipeline.manager.PassManager` and exposes the
 compile path as *stage runs* over the registered pass list.  The evaluation
-engine drives the stages through its caches (each stage method corresponds
-to one cache boundary, keyed by the manager's stage keys).  The only
+engine runs the stages on each build unit (one function, or the whole
+module) and caches the unit after each build segment under the manager's
+:meth:`~repro.compiler.pipeline.manager.PassManager.build_key`.  The only
 other build sequence, the uncached one-shot ``build_program`` that chains
-the stages, is a test oracle in ``tests/oracles.py``.
+the stages on the whole module, is a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline.manager import PassManager
-from repro.compiler.pipeline.passes import PARSE_PASS, PassContext
+from repro.compiler.pipeline.passes import (
+    FOLD_PASS,
+    PARSE_PASS,
+    UNROLL_PASS,
+    PassContext,
+)
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse_cached
 from repro.hw.platform import Platform
 from repro.ir.cfg import Program
-
-#: The pass whose position splits the AST stage into the shared pre-unroll
-#: prefix and the per-unroll-limit suffix (the lowering cache's two tables).
-_UNROLL_PASS = "unroll-loops"
-
-#: Re-run after unrolling when both are enabled (unrolling exposes new
-#: constant-index expressions; the counter accumulates over both rounds).
-_FOLD_PASS = "constant-folding"
 
 
 class CompilationPipeline:
@@ -52,38 +50,35 @@ class CompilationPipeline:
             return parse_cached(source, source_name,
                                 extra_key=self.manager.frontend_key())
 
-    def _run_stage(self, stage: str, ctx: PassContext) -> None:
-        """Run every registered (non-marker) pass of ``stage`` in order.
+    def _run(self, passes, ctx: PassContext) -> None:
+        """Run ``passes`` in order through the manager.
 
         Iterating the registered list — not a hard-coded name sequence — is
         what makes custom passes first-class: a pass registered on this
         pipeline's manager executes here exactly where its position in the
         list says, with no engine changes (see ``docs/passes.md``).
         """
-        for registered in self.manager.passes(stage):
-            if registered.apply is not None:
-                self.manager.run(registered.name, ctx)
+        for registered in passes:
+            self.manager.run(registered.name, ctx)
 
     # ----------------------------------------------------------- AST stage --
-    def pre_unroll(self, module: ast.SourceModule, config: CompilerConfig
+    def pre_unroll(self, module: ast.SourceModule, config: CompilerConfig,
+                   segments: Sequence[str] = ("ast", "inline"),
+                   statistics: Optional[Dict[str, int]] = None
                    ) -> Tuple[ast.SourceModule, Dict[str, int]]:
         """Loop-bound inference plus the AST passes that run before unrolling.
 
-        Of the stock passes only hardening, folding and inlining consume
-        configuration here, so the result is shared between configurations
-        differing in ``unroll_limit`` (the lowering cache's pre-unroll
-        table) — a custom AST pass registered before ``unroll-loops`` joins
-        this prefix (and should contribute its cache key accordingly).  The
-        input module is never modified; the returned module is a fresh
-        clone.
+        ``segments`` selects the build segments to run: ``ast`` (before
+        inlining) and ``inline`` (inlining up to unrolling).  A custom AST
+        pass registered before ``unroll-loops`` joins one of them.  The
+        input module is never modified: the returned module is a fresh
+        clone, and its counters extend a copy of ``statistics``.
         """
         ctx = PassContext(config=config, platform=self.platform,
-                          module=ast.clone_module(module))
-        for registered in self.manager.passes("ast"):
-            if registered.name == _UNROLL_PASS:
-                break
-            if registered.apply is not None:
-                self.manager.run(registered.name, ctx)
+                          module=ast.clone_module(module),
+                          statistics=dict(statistics or {}))
+        for segment in segments:
+            self._run(self.manager.segment(segment), ctx)
         return ctx.module, ctx.statistics
 
     def unroll_and_lower(self, working: ast.SourceModule,
@@ -94,20 +89,15 @@ class CompilationPipeline:
         Unrolling exposes constant-index expressions, so the folding pass
         runs a second round when both are enabled (its counter
         accumulates).  AST passes registered *after* ``unroll-loops`` run
-        here, before lowering.
+        here, before lowering.  Counters go to ``statistics``.
         """
         ctx = PassContext(config=config, platform=self.platform,
                           module=working, statistics=statistics)
-        names = [p.name for p in self.manager.passes("ast")]
-        post_unroll = (names.index(_UNROLL_PASS) + 1
-                       if _UNROLL_PASS in names else len(names))
-        if _UNROLL_PASS in names and self.manager.run(_UNROLL_PASS, ctx):
-            if _FOLD_PASS in names:
-                self.manager.run(_FOLD_PASS, ctx)
-        for registered in self.manager.passes("ast")[post_unroll:]:
-            if registered.apply is not None:
-                self.manager.run(registered.name, ctx)
-        self._run_stage("lower", ctx)
+        refold = any(p.name == FOLD_PASS for p in self.manager.passes("ast"))
+        for registered in self.manager.segment("lower"):
+            if self.manager.run(registered.name, ctx) \
+                    and registered.name == UNROLL_PASS and refold:
+                self.manager.run(FOLD_PASS, ctx)
         return ctx.program
 
     # ------------------------------------------------------------ IR stage --
@@ -123,7 +113,7 @@ class CompilationPipeline:
         """
         ctx = PassContext(config=config, platform=self.platform,
                           program=program)
-        self._run_stage("ir", ctx)
+        self._run(self.manager.segment("ir"), ctx)
         return ctx.statistics
 
     # ------------------------------------------------------------- backend --
@@ -132,7 +122,8 @@ class CompilationPipeline:
         """The platform-dependent passes (scratchpad allocation, always last)."""
         ctx = PassContext(config=config, platform=self.platform,
                           program=program)
-        self._run_stage("backend", ctx)
+        self._run([p for p in self.manager.passes("backend")
+                   if p.apply is not None], ctx)
         return ctx.statistics
 
     # --------------------------------------------------------------- stats --

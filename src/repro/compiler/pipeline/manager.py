@@ -1,17 +1,20 @@
-"""The pass manager: registration, stage-cache keys and per-pass counters.
+"""The pass manager: registration, cache keys and per-pass counters.
 
 One :class:`PassManager` owns the ordered pass list of a compilation
 pipeline.  It answers three questions the compile path used to answer in
 three different places:
 
 * *which passes run, in what order* — :meth:`passes` /
-  :meth:`register`, replacing the hand-sequenced call sites,
-* *what keys the stage caches use* — :meth:`stage_key` /
-  :meth:`key_before` / :meth:`canonical_key` concatenate the registered
-  passes' cache-key contributions, so the engine's
-  ``LoweringCache``/``IrStageCache``/``VariantCache`` are keyed by the pass
-  list instead of ad-hoc field tuples (registering a new configurable pass
-  automatically widens every downstream key),
+  :meth:`register` and the build segments (:meth:`segment`), replacing
+  the hand-sequenced call sites,
+* *what keys the caches use* — :meth:`build_key` concatenates the
+  registered passes' contributions into the key of one build unit (a
+  function, narrowed to the fields that can change it, or the whole
+  module while a registered pass is not function-local) after one
+  segment, and :meth:`canonical_key` into the engine's ``VariantCache``
+  key; :meth:`stage_key` gives the module key at a stage boundary.
+  Registering a new configurable pass automatically widens every
+  downstream key,
 * *where the time goes* — every :meth:`run` and :meth:`timed` block feeds
   per-pass wall-time and invocation counters, reported through
   :meth:`stats` in the engine-cache ``stats()`` convention and surfaced by
@@ -22,17 +25,21 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline.passes import (
+    BUILD_SEGMENTS,
+    INLINE_PASS,
     STAGES,
+    UNROLL_PASS,
     Pass,
     PassContext,
     _no_key,
     default_compile_passes,
 )
 from repro.errors import CompilationError
+from repro.frontend import ast_nodes as ast
 
 
 class PassManager:
@@ -54,6 +61,8 @@ class PassManager:
         #: (stage ranks, empty contributions) is done once per pass-list
         #: state, not per lookup.
         self._key_plans: Dict[Tuple[str, Optional[str]], Tuple] = {}
+        #: Memoised build segments (segment -> passes), same lifetime.
+        self._segments: Dict[str, Tuple[Pass, ...]] = {}
 
     # ----------------------------------------------------------- registry --
     @staticmethod
@@ -87,10 +96,9 @@ class PassManager:
         """Insert a pass, by default at the end of its stage.
 
         ``after``/``before`` name an existing pass to anchor the insertion;
-        the resulting list must still be in stage order.  Stage-cache keys
-        widen automatically — any cache built from this manager *before*
-        the registration keeps serving its old keys, so register passes
-        before building engines.
+        the resulting list must still be in stage order.  Cache keys
+        widen automatically, so register passes before building engines:
+        a build then never mixes entries made under two pass lists.
         """
         if after is not None and before is not None:
             raise CompilationError("pass either `after` or `before`, not both")
@@ -110,6 +118,108 @@ class PassManager:
         self._check_stage_order(passes)
         self._passes = passes
         self._key_plans.clear()
+        self._segments.clear()
+
+    # ------------------------------------------------------ build segments --
+    def segment(self, name: str) -> Tuple[Pass, ...]:
+        """The passes (markers left out) of one build segment, in order.
+
+        See :data:`~repro.compiler.pipeline.passes.BUILD_SEGMENTS`: the AST
+        stage is cut before inlining and before unrolling, and the
+        lowering stage joins the last AST segment.
+        """
+        if not self._segments:
+            ast_passes = [p for p in self._passes
+                          if p.stage == "ast" and p.apply is not None]
+            names = [p.name for p in ast_passes]
+            unroll = (names.index(UNROLL_PASS) if UNROLL_PASS in names
+                      else len(names))
+            inline = (min(names.index(INLINE_PASS), unroll)
+                      if INLINE_PASS in names else unroll)
+            staged = {stage: tuple(p for p in self._passes
+                                   if p.stage == stage and p.apply is not None)
+                      for stage in ("lower", "ir")}
+            self._segments.update(
+                ast=tuple(ast_passes[:inline]),
+                inline=tuple(ast_passes[inline:unroll]),
+                lower=tuple(ast_passes[unroll:]) + staged["lower"],
+                ir=staged["ir"])
+        try:
+            return self._segments[name]
+        except KeyError:
+            raise CompilationError(f"unknown build segment {name!r}; "
+                                   f"expected one of {BUILD_SEGMENTS}") from None
+
+    def function_local(self) -> bool:
+        """Whether every pass of every build segment is function-local, so
+        the engine may build one function at a time."""
+        return all(p.function_local for name in BUILD_SEGMENTS
+                   for p in self.segment(name))
+
+    def build_key(self, config: CompilerConfig, segment: str,
+                  base: Tuple = (),
+                  function=None,
+                  callee_keys: Tuple = (),
+                  memo: Optional[Dict[Tuple, Tuple]] = None) -> Tuple:
+        """The key of one build unit after ``segment``: ``base`` (the
+        unit's key after the segment before, or its identity before the
+        first) plus the segment's contributions.
+
+        With ``function`` (the unit's one function as the segment receives
+        it: AST, or IR for the ``ir`` segment) each pass contributes its
+        ``function_key``, and
+        ``callee_keys`` (the keys of the callee bodies the segment's
+        passes read, see :meth:`callee_reader`) join too.  Without, the
+        unit is the whole module and each pass contributes its
+        ``cache_key``.
+
+        A ``function_key`` reads the configuration only through the pass's
+        ``cache_key`` and the fields ``base`` already holds, so ``memo``
+        (one per module: ``base`` names functions) keeps each narrowed
+        contribution per ``(pass, base, cache_key)``.
+        """
+        key = base
+        for registered in self.segment(segment):
+            if function is None or registered.function_key is None:
+                key += registered.cache_key(config)
+            elif memo is None:
+                key += registered.function_key(config, function)
+            else:
+                memo_key = (registered.name, base, registered.cache_key(config))
+                part = memo.get(memo_key)
+                if part is None:
+                    part = memo[memo_key] = registered.function_key(
+                        config, function)
+                key += part
+        if callee_keys:
+            key += (callee_keys,)
+        return key
+
+    def callee_reader(self, config: CompilerConfig
+                      ) -> Optional[Callable[[ast.FunctionDef], bool]]:
+        """Which callee bodies (as the ``ast`` segment left them) the
+        enabled ``inline``-segment passes read when they build a caller,
+        or ``None`` when none reads any."""
+        readers = [p.reads_callees for p in self.segment("inline")
+                   if p.reads_callees is not None and p.enabled(config)]
+        if not readers:
+            return None
+        return lambda callee: any(read(callee) for read in readers)
+
+    def statistic_names(self, config: CompilerConfig
+                        ) -> Tuple[Tuple[str, ...], frozenset]:
+        """The declared counters ``config`` reports, in pass order, and
+        every declared counter of the build segments.
+
+        A declared counter is reported iff its pass runs; a build unit
+        shared with a configuration that ran a narrowed pass (one whose
+        ``function_key`` leaves it out of that function's key) may carry
+        the counter when ``config`` does not run the pass.
+        """
+        passes = [p for name in BUILD_SEGMENTS for p in self.segment(name)
+                  if p.statistic is not None]
+        return (tuple(p.statistic for p in passes if p.enabled(config)),
+                frozenset(p.statistic for p in passes))
 
     # --------------------------------------------------------- cache keys --
     def _plan(self, query: Tuple[str, Optional[str]]) -> Tuple:
@@ -123,12 +233,7 @@ class PassManager:
         if plan is not None:
             return plan
         kind, name = query
-        if kind == "before":
-            names = [p.name for p in self._passes]
-            if name not in names:
-                raise CompilationError(f"no registered pass named {name!r}")
-            contributing = self._passes[:names.index(name)]
-        elif kind == "stage":
+        if kind == "stage":
             if name not in STAGES:
                 raise CompilationError(f"unknown stage {name!r}")
             rank = STAGES.index(name)
@@ -140,13 +245,6 @@ class PassManager:
                      if p.cache_key is not _no_key)
         self._key_plans[query] = plan
         return plan
-
-    def key_before(self, config: CompilerConfig, pass_name: str) -> Tuple:
-        """Concatenated cache-key contributions of passes before ``pass_name``."""
-        key: Tuple = ()
-        for cache_key in self._plan(("before", pass_name)):
-            key += cache_key(config)
-        return key
 
     def stage_key(self, config: CompilerConfig, through_stage: str) -> Tuple:
         """Concatenated contributions of every pass in stages <= ``through_stage``.
@@ -174,8 +272,8 @@ class PassManager:
         the *names* of the registered frontend-stage passes rather than
         config-dependent contributions: registering a custom frontend pass
         changes the key and retires every entry parsed without it — the
-        same automatic widening the config-keyed stage caches get from
-        :meth:`stage_key`.
+        same automatic widening the config-keyed caches get from
+        :meth:`build_key`.
         """
         return tuple(p.name for p in self._passes if p.stage == "frontend")
 
@@ -186,7 +284,7 @@ class PassManager:
         (:mod:`repro.compiler.engine.persist`): registering or removing a
         pass changes every on-disk digest, retiring entries produced by a
         different pipeline — the cross-process analogue of the automatic key
-        widening the in-memory stage caches get from :meth:`stage_key`.
+        widening the in-memory caches get from :meth:`build_key`.
         """
         return tuple((p.stage, p.name) for p in self._passes)
 

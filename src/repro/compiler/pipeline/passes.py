@@ -3,7 +3,7 @@
 A :class:`Pass` is one named, registered step of the compile path: it knows
 its pipeline *stage*, whether a given :class:`CompilerConfig` enables it,
 which configuration fields it consumes (its *cache-key contribution* — the
-basis of the engine's stage-cache keys), and how to apply itself to a
+basis of the engine's cache keys), and how to apply itself to a
 :class:`PassContext`.  :func:`default_compile_passes` builds the stock pass
 list, wiring the existing implementations in
 :mod:`repro.compiler.passes`, :mod:`repro.frontend.lowering`,
@@ -29,7 +29,10 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.compiler.config import CompilerConfig
 from repro.compiler.passes.ast_passes import (
     fold_constants,
+    folds_anything,
     inline_simple_functions,
+    is_inlinable,
+    largest_unrollable_bound,
     unroll_loops,
 )
 from repro.compiler.passes.ir_passes import (
@@ -51,6 +54,19 @@ from repro.wcet.loopbounds import infer_loop_bounds
 #: platform-independent IR passes, ``backend`` the platform-dependent ones
 #: (scratchpad allocation), ``analysis`` the static WCET/WCEC queries.
 STAGES = ("frontend", "ast", "lower", "ir", "backend", "analysis")
+
+#: The passes whose positions cut the build into segments (see
+#: :data:`BUILD_SEGMENTS`), and the folding pass that re-runs after
+#: unrolling.
+INLINE_PASS = "inline-simple-functions"
+UNROLL_PASS = "unroll-loops"
+FOLD_PASS = "constant-folding"
+
+#: The segments the evaluation engine caches a build unit after, in order:
+#: ``ast`` holds the AST passes before inlining, ``inline`` those from
+#: inlining up to unrolling, ``lower`` unrolling, every later AST pass and
+#: lowering, ``ir`` the IR passes.  The backend runs per variant.
+BUILD_SEGMENTS = ("ast", "inline", "lower", "ir")
 
 
 def _always(config: CompilerConfig) -> bool:
@@ -85,10 +101,21 @@ class Pass:
     ``cache_key`` returns the tuple of configuration fields this pass
     consumes; the :class:`~repro.compiler.pipeline.manager.PassManager`
     concatenates the contributions of the registered pass list into the
-    engine's stage-cache keys, so registering a new configurable pass
+    engine's cache keys, so registering a new configurable pass
     automatically widens the keys of every downstream cache stage.
     ``apply`` may be ``None`` for marker passes timed by their owner (see
     the module docstring).
+
+    ``function_local`` declares that an AST, lowering or IR pass rewrites
+    each function on its own, so the engine may build one function at a
+    time; while any registered pass of those stages is not, it builds the
+    whole module.  Its counters must then sum over functions, and
+    ``statistic`` names the one it reports.  ``function_key`` narrows the
+    pass's contribution to one function's build key, given the function
+    as its build segment receives it (default: ``cache_key``).
+    ``reads_callees`` marks a pass that also reads the bodies of the
+    callees it accepts, as the segments before it left them, and changes
+    a function only by what it reads; their keys join the function's key.
     """
 
     name: str
@@ -96,6 +123,11 @@ class Pass:
     apply: Optional[Callable[[PassContext], None]] = None
     enabled: Callable[[CompilerConfig], bool] = _always
     cache_key: Callable[[CompilerConfig], Tuple] = _no_key
+    function_local: bool = False
+    statistic: Optional[str] = None
+    function_key: Optional[
+        Callable[[CompilerConfig, ast.FunctionDef], Tuple]] = None
+    reads_callees: Optional[Callable[[ast.FunctionDef], bool]] = None
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -158,6 +190,18 @@ def _allocate_scratchpad(ctx: PassContext) -> None:
     ctx.statistics["spm_functions"] = len(allocation.placed_functions)
 
 
+def _unroll_function_key(config: CompilerConfig,
+                         function: ast.FunctionDef) -> Tuple:
+    """Limits that unroll the same loops of ``function`` give equal code,
+    apart from the folding round that unrolling re-runs: that round
+    changes the function only if it unrolled a loop or left something to
+    fold (inlining leaves folds behind)."""
+    bound = largest_unrollable_bound(function, config.unroll_limit)
+    refolds = (config.unroll_limit > 0 and config.constant_folding
+               and (bound > 0 or folds_anything(function)))
+    return (bound, refolds)
+
+
 #: Names of the externally-driven marker passes.
 PARSE_PASS = "parse"
 ANALYSIS_PASS = "analysis"
@@ -176,37 +220,57 @@ def default_compile_passes() -> Tuple[Pass, ...]:
     """
     return (
         Pass(PARSE_PASS, "frontend"),
-        Pass("loop-bound-inference", "ast", _infer_loop_bounds),
+        Pass("loop-bound-inference", "ast", _infer_loop_bounds,
+             function_local=True),
+        # Hardening rewrites only functions with a ``secret`` pragma, so
+        # its flag enters no other function's build key.
         Pass("harden-security", "ast", _harden_security,
              enabled=lambda config: config.harden_security,
-             cache_key=lambda config: (config.harden_security,)),
-        Pass("constant-folding", "ast", _fold_constants,
+             cache_key=lambda config: (config.harden_security,),
+             function_local=True, statistic="hardened_branches",
+             function_key=lambda config, function: (
+                 (config.harden_security,)
+                 if function.pragmas.get("secret") else ())),
+        Pass(FOLD_PASS, "ast", _fold_constants,
              enabled=lambda config: config.constant_folding,
-             cache_key=lambda config: (config.constant_folding,)),
-        Pass("inline-simple-functions", "ast", _inline_simple_functions,
+             cache_key=lambda config: (config.constant_folding,),
+             function_local=True, statistic="constant_folds"),
+        # Inlining changes only a function that calls an inlinable one:
+        # the keys of the callee bodies it reads are its whole key.
+        Pass(INLINE_PASS, "ast", _inline_simple_functions,
              enabled=lambda config: config.inline_simple_functions,
-             cache_key=lambda config: (config.inline_simple_functions,)),
-        Pass("unroll-loops", "ast", _unroll_loops,
+             cache_key=lambda config: (config.inline_simple_functions,),
+             function_local=True, statistic="inlined_calls",
+             function_key=lambda config, function: (),
+             reads_callees=is_inlinable),
+        Pass(UNROLL_PASS, "ast", _unroll_loops,
              enabled=lambda config: bool(config.unroll_limit),
-             cache_key=lambda config: (config.unroll_limit,)),
-        Pass("lower-to-ir", "lower", _lower_to_ir),
+             cache_key=lambda config: (config.unroll_limit,),
+             function_local=True, statistic="unrolled_loops",
+             function_key=_unroll_function_key),
+        Pass("lower-to-ir", "lower", _lower_to_ir, function_local=True),
         Pass("common-subexpression-elimination", "ir",
              _eliminate_common_subexpressions,
              enabled=lambda config: config.enable_cse,
-             cache_key=lambda config: (config.enable_cse,)),
+             cache_key=lambda config: (config.enable_cse,),
+             function_local=True, statistic="cse_replacements"),
         Pass("dead-code-elimination", "ir", _eliminate_dead_code,
              enabled=lambda config: config.dead_code_elimination,
-             cache_key=lambda config: (config.dead_code_elimination,)),
+             cache_key=lambda config: (config.dead_code_elimination,),
+             function_local=True, statistic="dead_instructions"),
         Pass("strength-reduction", "ir", _strength_reduce,
              enabled=lambda config: config.strength_reduction,
-             cache_key=lambda config: (config.strength_reduction,)),
+             cache_key=lambda config: (config.strength_reduction,),
+             function_local=True, statistic="strength_reductions"),
         Pass("peephole", "ir", _peephole_optimize,
              enabled=lambda config: config.enable_peephole,
-             cache_key=lambda config: (config.enable_peephole,)),
-        # Marker: path-sensitive analysis transforms nothing, but its flag
-        # must widen the IR-stage and canonical keys so variants analysed in
-        # different modes never share cached bounds (the engine runs the
-        # pruning inside its analysis caches and reports counters through
+             cache_key=lambda config: (config.enable_peephole,),
+             function_local=True, statistic="peephole_rewrites"),
+        # Marker: path-sensitive analysis transforms nothing, so its flag
+        # enters no build key; it widens the canonical key, so variants
+        # analysed in different modes are distinct, and the analysis cache
+        # keys path-sensitive tables apart (the engine runs the pruning
+        # inside its analysis caches and reports counters through
         # `pipeline_stats()`).
         Pass(PATH_FEASIBILITY_PASS, "ir",
              enabled=lambda config: config.path_sensitive,

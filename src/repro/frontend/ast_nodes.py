@@ -271,17 +271,27 @@ class GlobalArray(_Node):
 
 
 class SourceModule(_Node):
-    """A parsed TeamPlay-C translation unit."""
+    """A parsed TeamPlay-C translation unit, or one build unit of it.
 
-    __slots__ = ("functions", "globals", "source_name")
-    _fields = __slots__
+    ``externals`` names the functions defined outside this module that its
+    calls may target: the rest of the translation unit when the compiler
+    builds one function at a time.  A name maps to that function's body
+    when a pass reads it (inlining reads its callees' bodies), else to
+    ``None``.  Passes transform only ``functions``; an external body is
+    read-only.  A parsed module has no externals.
+    """
+
+    __slots__ = ("functions", "globals", "source_name", "externals")
+    _fields = ("functions", "globals", "source_name")
 
     def __init__(self, functions: Optional[List[FunctionDef]] = None,
                  globals: Optional[List[GlobalArray]] = None,
-                 source_name: str = "<memory>"):
+                 source_name: str = "<memory>",
+                 externals: Optional[Dict[str, Optional[FunctionDef]]] = None):
         self.functions = [] if functions is None else functions
         self.globals = [] if globals is None else globals
         self.source_name = source_name
+        self.externals = {} if externals is None else externals
 
     def function(self, name: str) -> FunctionDef:
         for fn in self.functions:
@@ -357,6 +367,7 @@ def clone_module(module: SourceModule) -> SourceModule:
                              g.line)
                  for g in module.globals],
         source_name=module.source_name,
+        externals=dict(module.externals),
     )
 
 
@@ -378,6 +389,17 @@ def walk_expr(expr: Expr):
 def has_call(expr: Expr) -> bool:
     """Whether ``expr`` calls a function anywhere inside it."""
     return any(isinstance(node, Call) for node in walk_expr(expr))
+
+
+def called_functions(function: FunctionDef) -> List[str]:
+    """The names ``function`` calls, each once, in order of first call."""
+    names: Dict[str, None] = {}
+    for stmt in walk_stmts(function.body):
+        for expr in stmt_expressions(stmt):
+            for node in walk_expr(expr):
+                if isinstance(node, Call):
+                    names[node.name] = None
+    return list(names)
 
 
 def walk_stmts(stmts: List[Stmt]):

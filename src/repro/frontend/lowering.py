@@ -524,11 +524,13 @@ def lower_module(module: ast.SourceModule) -> ircfg.Program:
     if global_init:
         program.metadata["global_init"] = global_init
 
-    function_names = module.function_names()
+    # Calls may also target the module's externals (the rest of the
+    # translation unit when one function is built at a time); a call to
+    # any other name is rejected while lowering.
+    function_names = module.function_names() + list(module.externals)
     for funcdef in module.functions:
         lowerer = _FunctionLowerer(funcdef, program.global_arrays, function_names)
-        program.add_function(lowerer.lower())
-    program.validate()
+        program.add_function(lowerer.lower()).validate()
     return program
 
 

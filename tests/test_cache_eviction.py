@@ -1,7 +1,7 @@
 """Bounded-LRU eviction policy of the analysis cache.
 
-Only the :class:`AnalysisCache` takes a ``max_entries`` cap; the three
-config-keyed stage caches are unbounded and live as long as the driver
+Only the :class:`AnalysisCache` takes a ``max_entries`` cap; the variant
+cache and the build tables are unbounded and live as long as the driver
 that owns them (their ``stats()`` rows keep the shared shape, with
 ``max_entries`` ``None`` and no evictions).  This module checks the cap:
 LRU order, eviction counters, ``stats()`` reporting, exactness of
@@ -17,7 +17,7 @@ import pytest
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import (
     AnalysisCache,
-    LoweringCache,
+    BuildCache,
     PersistError,
     VariantCache,
     process_analysis_cache,
@@ -35,18 +35,8 @@ CONFIG_A = CompilerConfig.baseline()
 CONFIG_B = CompilerConfig.baseline().with_(spm_allocation=True)
 CONFIG_C = CompilerConfig.performance()
 
-#: The stage caches take their keys from a pass manager, like the engine's.
+#: The variant cache takes its keys from a pass manager, like the engine's.
 MANAGER = PassManager()
-
-
-class FakeProgram:
-    """Stands in for an IR program: the caches only call ``clone``."""
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def clone(self, share_instructions: bool = False) -> "FakeProgram":
-        return FakeProgram(self.label)
 
 
 def _source(bound: int) -> str:
@@ -98,15 +88,23 @@ class TestVariantCacheEviction:
         assert cache.stats()["max_entries"] is None
 
 
-class TestLoweringCacheEviction:
+class TestBuildCache:
     def test_stats_report_both_tables(self):
-        cache = LoweringCache(MANAGER)
-        cache.put(CONFIG_A, FakeProgram("a"), {})
-        cache.put_pre_unroll(CONFIG_A, FakeProgram("a"), {})
-        cache.put_pre_unroll(CONFIG_C, FakeProgram("c"), {})
-        stats = cache.stats()
-        assert stats["entries"] == 1
-        assert stats["pre_unroll_entries"] == 2
+        # The lowering and IR-stage rows are the build cache's ``lower``
+        # and ``ir`` tables: a put is one unit build, a get a hit.
+        cache = BuildCache()
+        assert cache.lowering is cache.tables["lower"]
+        assert cache.ir_stage is cache.tables["ir"]
+        entry = cache.lowering.put(("work",), "lowered", {})
+        assert cache.lowering.get(("work",)) is entry
+        cache.ir_stage.put(("work", True), "optimised", {})
+        cache.ir_stage.put(("work", False), "optimised", {})
+        assert cache.lowering.stats() == {
+            "entries": 1, "max_entries": None, "hits": 1, "misses": 1,
+            "evictions": 0}
+        assert cache.ir_stage.stats() == {
+            "entries": 2, "max_entries": None, "hits": 0, "misses": 2,
+            "evictions": 0}
 
 
 class TestAnalysisCacheEviction:
@@ -192,14 +190,15 @@ class TestProcessWideAnalysisCache:
 
         platform = nucleo_stm32f091rc()
         shared_analysis = AnalysisCache(platform)
-        shared_lowering = LoweringCache(MANAGER)
+        shared_builds = BuildCache()
         engine = EvaluationEngine(parse(_source(16)), platform, ["work"],
                                   analysis_cache=shared_analysis,
-                                  lowering_cache=shared_lowering)
+                                  build_cache=shared_builds)
         assert engine.analysis is shared_analysis
-        assert engine.lowering is shared_lowering
+        assert engine.builds is shared_builds
+        assert engine.lowering is shared_builds.lowering
         engine.evaluate(CONFIG_A)
-        assert len(shared_lowering) == 1
+        assert len(shared_builds.lowering) == 1
         assert shared_analysis.misses > 0
 
     def test_search_fills_shared_cache(self):

@@ -46,20 +46,26 @@ PASS_ROW_KEYS = {"stage", "invocations", "wall_s"}
 PATH_ROW_KEYS = PASS_ROW_KEYS | {"paths_enumerated", "paths_pruned",
                                  "path_cap_fallbacks",
                                  "path_irregular_fallbacks", "unit_hits"}
+#: No ``harden-security``: hardening changes only functions with a
+#: ``secret`` pragma, and this scenario has none, so hardened and
+#: unhardened configurations share each function's build.  The pass runs
+#: only where a hardened configuration builds a function first, which
+#: this scenario's searches never do.  No ``inline-simple-functions``
+#: either: it runs only on a function that calls an inlinable one.
 PASS_NAMES = {
-    "parse", "csl-parse", "harden-security", "constant-folding",
-    "inline-simple-functions", "loop-bound-inference", "unroll-loops",
+    "parse", "csl-parse", "constant-folding",
+    "loop-bound-inference", "unroll-loops",
     "lower-to-ir", "dead-code-elimination", "strength-reduction",
     "spm-allocation", "analysis", "path-feasibility", "schedule",
 }
 COMBINED_KEYS = _ANALYSIS_ROW
 
 #: Keys the one fold adds: every cache's own ``stats()`` row is kept whole
-#: (its cap, the lowering cache's pre-unroll table size, the analysis
-#: cache's persistence flag) instead of a hand-picked subset.
+#: (its cap, the analysis cache's persistence flag) instead of a
+#: hand-picked subset.
 CACHE_STATS_ADDED = {
     "variant": {"max_entries"},
-    "lowering": {"max_entries", "pre_unroll_entries"},
+    "lowering": {"max_entries"},
     "ir_stage": {"max_entries"},
     "analysis": set(),
 }

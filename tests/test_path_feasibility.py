@@ -18,8 +18,8 @@ checked here three ways:
   raise, fall back to the structural bound, and log the fallback.
 
 A final property test covers the cache contract: two configurations
-differing only in ``path_sensitive`` must never share a variant or
-IR-stage cache entry.
+differing only in ``path_sensitive`` never share a variant or an analysis
+table, and share every function build.
 """
 
 import pytest
@@ -31,9 +31,10 @@ from oracles import (
     feasible_longest_path_cost,
 )
 from repro.compiler.config import CompilerConfig
-from repro.compiler.engine.cache import IrStageCache
-from repro.compiler.pipeline import PassManager
+from repro.compiler.engine import EvaluationEngine
+from repro.compiler.pipeline import BUILD_SEGMENTS, PassManager
 from repro.frontend.lowering import compile_source
+from repro.frontend.parser import parse
 from repro.hw.presets import nucleo_stm32f091rc
 from repro.ir.cfg import BasicBlock, Function
 from repro.ir.instructions import Imm, Opcode, Reg, binop, branch, jump, ret
@@ -350,10 +351,13 @@ class TestCacheKeyWidening:
         assert manager.canonical_key(config) != manager.canonical_key(flipped)
         assert manager.stage_key(config, "ir") \
             != manager.stage_key(flipped, "ir")
-        # The flag enters at the path-feasibility pass: everything keyed
-        # before it (the whole lowered program) is shared between modes.
-        assert manager.key_before(config, "path-feasibility") \
-            == manager.key_before(flipped, "path-feasibility")
+        # The marker changes no code, so the flag enters no build key:
+        # the whole module's key after every segment is shared.
+        built = [(), ()]
+        for segment in BUILD_SEGMENTS:
+            built = [manager.build_key(each, segment, key)
+                     for each, key in zip((config, flipped), built)]
+        assert built[0] == built[1]
         assert manager.stage_key(config, "lower") \
             == manager.stage_key(flipped, "lower")
         # Everything else equal, the keys differ only in that flag.
@@ -361,21 +365,28 @@ class TestCacheKeyWidening:
                                             manager.canonical_key(flipped))]
         assert differing.count(True) == 1
 
-    def test_ir_stage_cache_misses_across_modes(self):
-        program = compile_source("int f(int a) { return a + 1; }")
-        cache = IrStageCache(PassManager())
+    def test_path_modes_share_code_not_bounds(self):
+        # The path-feasibility marker changes no code: flipping only the
+        # flag builds no function again, yet yields its own variant,
+        # analysed from the analysis cache's separate "paths" tables.
+        source = _branchy_source(["x > 2", "x % 3 == 1"], [1, 2], 3)
+        engine = EvaluationEngine(parse(source), PLATFORM, ["task"])
         config = CompilerConfig()
-        cache.put(config, program, {"n": 1})
-        assert cache.get(config) is not None
-        # The flipped configuration does not see the entry: its lookup
-        # comes back empty and installing it records a second miss and a
-        # second, distinct cache entry.
-        flipped = config.with_(path_sensitive=True)
-        assert cache.get(flipped) is None
-        before = cache.misses
-        cache.put(flipped, program, {"n": 1})
-        assert cache.misses == before + 1
-        assert len(cache) == 2
+        default = engine.evaluate(config)
+        builds = {segment: table.misses
+                  for segment, table in engine.builds.tables.items()}
+        flipped = engine.evaluate(config.with_(path_sensitive=True))
+        assert {segment: table.misses for segment, table
+                in engine.builds.tables.items()} == builds
+        assert engine.lowering.misses == engine.ir_stage.misses == 1
+        assert flipped is not default
+        assert flipped.config.path_sensitive
+        assert engine.variants.misses == 2
+        assert flipped.program.function("task") \
+            is default.program.function("task")
+        tables = list(engine.analysis._cycle_tables)
+        assert [key[-1] == "paths" for key in tables] == [False, True]
+        assert flipped.wcet_cycles <= default.wcet_cycles
 
     def test_gene_roundtrip_carries_the_flag(self):
         config = CompilerConfig(path_sensitive=True)

@@ -178,7 +178,8 @@ class TestStageKeys:
         base = CompilerConfig.baseline()
         tweaked = base.with_(unroll_limit=4)
         # A hypothetical IR pass keyed on the unroll limit: IR-stage and
-        # canonical keys widen, the pre-unroll prefix stays untouched.
+        # canonical keys widen, the module's key before unrolling stays
+        # untouched.
         manager.register(Pass(
             "unroll-aware-ir", "ir", lambda ctx: None,
             cache_key=lambda config: ("unroll-aware", config.unroll_limit)))
@@ -186,8 +187,10 @@ class TestStageKeys:
         assert "unroll-aware" in manager.canonical_key(base)
         assert manager.stage_key(base, "ir") \
             != manager.stage_key(tweaked, "ir")
-        assert manager.key_before(base, "unroll-loops") \
-            == manager.key_before(tweaked, "unroll-loops")
+        assert manager.build_key(base, "inline",
+                                 manager.build_key(base, "ast")) \
+            == manager.build_key(tweaked, "inline",
+                                 manager.build_key(tweaked, "ast"))
 
     def test_disabled_pass_still_contributes_its_key(self):
         # Enablement is *part of the key* (the flag value), so enabled and
@@ -303,6 +306,31 @@ class TestPipelineEquivalence:
         compiler.compile(module, "frame_packet", CompilerConfig.baseline())
         assert seen == [True]
         assert compiler.pipeline_stats()["observer"]["invocations"] == 1
+        # Not declared function-local, it makes the whole module the build
+        # unit: it runs once per build and sees every function.
+        compiler.compile(module, "frame_packet",
+                         CompilerConfig.baseline().with_(enable_cse=True))
+        assert seen == [True, True]
+        assert compiler.pipeline_stats()["observer"]["invocations"] == 2
+        assert compiler.pipeline_stats()["lower-to-ir"]["invocations"] == 1
+
+    def test_function_local_custom_pass_runs_per_function(self, platform,
+                                                          module):
+        compiler = MultiCriteriaCompiler(platform)
+        seen = []
+        compiler.pipeline.manager.register(Pass(
+            "observer", "ir",
+            lambda ctx: seen.extend(ctx.program.functions),
+            function_local=True))
+        compiler.compile(module, "frame_packet", CompilerConfig.baseline())
+        assert seen == module.function_names()
+        # A configuration that changes only another pass's flag rebuilds
+        # every function's IR stage, and reuses every lowering.
+        compiler.compile(module, "frame_packet",
+                         CompilerConfig.baseline().with_(enable_cse=True))
+        assert seen == 2 * module.function_names()
+        assert compiler.pipeline_stats()["lower-to-ir"]["invocations"] \
+            == len(module.functions)
 
     def test_custom_ast_pass_respects_unroll_split(self, platform, module):
         # A custom AST pass registered before unroll-loops runs in
@@ -420,8 +448,6 @@ class TestNewIrPasses:
                         base.with_(enable_peephole=True)):
             assert manager.stage_key(base, "lower") \
                 == manager.stage_key(tweaked, "lower")
-            assert manager.key_before(base, "unroll-loops") \
-                == manager.key_before(tweaked, "unroll-loops")
             assert manager.stage_key(base, "ir") \
                 != manager.stage_key(tweaked, "ir")
             assert manager.canonical_key(base) \
@@ -436,16 +462,18 @@ class TestNewIrPasses:
         engine.evaluate(base.with_(enable_cse=True))
         engine.evaluate(base.with_(enable_cse=True, enable_peephole=True))
         stats = engine.stats()
-        # One shared lowering (the new flags live after the lower stage)...
-        assert stats["lowering"]["misses"] == 1
-        assert stats["lowering"]["hits"] == 2
-        # ...but three distinct IR-stage programs and three variants.
-        assert stats["ir_stage"]["misses"] == 3
+        # The counters count function builds.  Each function is lowered
+        # once (the new flags live after the lower stage)...
+        functions = len(module.functions)
+        assert stats["lowering"]["misses"] == functions
+        assert stats["lowering"]["hits"] == 2 * functions
+        # ...but IR-passed once per configuration, for three variants.
+        assert stats["ir_stage"]["misses"] == 3 * functions
         assert stats["variant"]["misses"] == 3
         # Revisiting an already-seen point stays a pure variant-cache hit.
         engine.evaluate(base.with_(enable_cse=True))
         assert engine.stats()["variant"]["hits"] == 1
-        assert engine.stats()["ir_stage"]["misses"] == 3
+        assert engine.stats()["ir_stage"]["misses"] == 3 * functions
 
     def test_enabled_passes_are_noops_without_opportunities(self, platform):
         # A program with nothing to CSE or fold builds bit-identically with
