@@ -4,8 +4,8 @@
 Walks the pass-authoring flow `docs/passes.md` teaches:
 
 1. register a toy IR-stage pass (an instruction histogram) on a driver's
-   `PassManager` — its cache-key contribution widens every downstream
-   stage-cache key automatically,
+   `PassManager` — its cache-key contribution widens the variant key and
+   every function's IR-segment build key automatically,
 2. flip the stock CSE/peephole passes on for one build and compare the
    resulting worst-case bounds against the baseline,
 3. run a registered scenario the way ``python -m repro.scenarios run
@@ -44,7 +44,11 @@ SCENARIO = "ecg-wearable"
 
 
 def opcode_histogram(ctx: PassContext) -> None:
-    """The toy pass: count instructions by opcode, report the top one."""
+    """The toy pass: count instructions by opcode, report the top one.
+
+    Like every IR pass it runs once per function, on a program holding
+    only that function; the engine sums its counter over functions.
+    """
     histogram = Counter(
         instr.opcode.value
         for function in ctx.program.functions.values()
@@ -62,8 +66,8 @@ def main():
         after="dead-code-elimination")
     names = [p.name for p in compiler.pipeline.manager.passes("ir")]
     print(f"IR-stage pass list: {' -> '.join(names)}")
-    key = compiler.pipeline.manager.stage_key(CompilerConfig.baseline(), "ir")
-    print(f"IR stage-cache key widened to {len(key)} elements: {key}")
+    key = compiler.pipeline.manager.canonical_key(CompilerConfig.baseline())
+    print(f"variant key widened to {len(key)} elements: {key}")
     probe = compiler.compile(SOURCE, "kernel", CompilerConfig.baseline())
     histogram = {k: v for k, v in probe.pass_statistics.items()
                  if k.startswith("most_common_")}

@@ -22,8 +22,7 @@ pipeline's ``PassManager`` (``canonical_key`` / ``build_key``):
                      │           unroll, fold again, lower (``lowering``)
                      │   ir      + IR flags: CSE, DCE, strength reduction,
                      │           peephole on a sharing clone (``ir_stage``)
-                     │ (the whole module is the one unit while a
-                     │ registered pass is not function-local)
+                     │ (every AST, lowering and IR pass sees one function)
                      ▼
       assemble the variant's Program from the shared functions
                      ▼

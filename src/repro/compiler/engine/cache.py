@@ -11,8 +11,7 @@ configurable pass widens every downstream key:
    decoded from genes) share one entry, so revisited points of the search
    space cost a dictionary lookup across generations *and* across optimiser
    runs.  It is the one variant memo: the optimisers keep none of their own.
-2. :class:`BuildCache` — one source module's build units (its functions,
-   or the whole module while a registered pass is not function-local)
+2. :class:`BuildCache` — one source module's build units (its functions)
    after each build segment, one :class:`BuildTable` per segment keyed by
    :meth:`~repro.compiler.pipeline.PassManager.build_key`.  A function's
    key holds only the configuration fields that can change it, so a

@@ -10,8 +10,7 @@ against them through the staged caches of
 * the build cache holds each function after every build segment, keyed
   by the configuration fields that can change it, so a function is
   lowered and IR-passed once per effective configuration and every
-  variant's program is assembled from shared functions (the whole module
-  is the one build unit while a registered pass is not function-local),
+  variant's program is assembled from shared functions,
 * the analysis cache shares per-function WCET/WCEC tables between every
   query against the same compiled program (multiple task entries, DVFS
   sweeps, per-core ETS derivation).
@@ -35,7 +34,7 @@ from repro.compiler.engine.cache import AnalysisCache, BuildCache, VariantCache
 from repro.compiler.evaluate import SecurityEvaluator, Variant
 from repro.compiler.passes.spm import INSTRUCTION_BYTES
 from repro.compiler.pipeline import ANALYSIS_PASS, CompilationPipeline
-from repro.errors import CompilationError
+from repro.errors import CompilationError, TeamPlayError
 from repro.frontend import ast_nodes as ast
 from repro.hw.core import Core
 from repro.hw.platform import Platform
@@ -89,8 +88,8 @@ class EvaluationEngine:
         self.lowering = self.builds.lowering
         self.ir_stage = self.builds.ir_stage
         self.variants = VariantCache(self.pipeline.manager)
-        #: Build units per ``function_local()`` answer: (identity, module).
-        self._units: Dict[bool, List[Tuple[Tuple, ast.SourceModule]]] = {}
+        #: Build units, made on first use: (identity, module).
+        self._units: Optional[List[Tuple[Tuple, ast.SourceModule]]] = None
 
     # -- statistics ------------------------------------------------------------
     def stats(self) -> Dict[str, Dict[str, object]]:
@@ -103,26 +102,23 @@ class EvaluationEngine:
         }
 
     # -- pipeline stages ---------------------------------------------------------
-    def _build_units(self, function_local: bool
-                     ) -> List[Tuple[Tuple, ast.SourceModule]]:
-        """The module's build units: one per function, each a module of
-        that function whose externals name the others, or the whole
-        module when a registered pass is not function-local (or a name is
-        defined twice, which lowering the whole module reports)."""
-        units = self._units.get(function_local)
-        if units is None:
+    def _build_units(self) -> List[Tuple[Tuple, ast.SourceModule]]:
+        """The module's build units: one per function, identified by its
+        name, each a module holding that function and the globals, whose
+        externals name the other functions.  A name defined twice raises
+        what lowering the whole module reports."""
+        if self._units is None:
             module = self.module
             names = module.function_names()
-            if function_local and names and len(set(names)) == len(names):
-                units = [((function.name,), ast.SourceModule(
-                    [function], module.globals, module.source_name,
-                    externals=dict.fromkeys(
-                        name for name in names if name != function.name)))
-                         for function in module.functions]
-            else:
-                units = [((), module)]
-            self._units[function_local] = units
-        return units
+            for index, name in enumerate(names):
+                if name in names[:index]:
+                    raise TeamPlayError(f"duplicate function {name!r}")
+            self._units = [((function.name,), ast.SourceModule(
+                [function], module.globals, module.source_name,
+                externals=dict.fromkeys(
+                    name for name in names if name != function.name)))
+                           for function in module.functions]
+        return self._units
 
     def _build(self, config: CompilerConfig):
         """Build every unit through the build cache, then assemble the
@@ -134,11 +130,13 @@ class EvaluationEngine:
         :func:`~repro.compiler.passes.spm.allocate_scratchpad`).  Counters
         are the units' summed.
         """
-        manager = self.pipeline.manager
-        reported, declared = manager.statistic_names(config)
+        reported, declared = self.pipeline.manager.statistic_names(config)
         statistics = dict.fromkeys(reported, 0)
         functions = {}
-        for identity, module in self._build_units(manager.function_local()):
+        # A module without functions assembles an empty program, which
+        # then lacks every entry.
+        lowered = Program(source_name=self.module.source_name)
+        for identity, module in self._build_units():
             _key, lowered, unit_statistics = self._unit(
                 config, "ir", identity, module)
             functions.update(lowered.functions)
@@ -156,30 +154,25 @@ class EvaluationEngine:
               module: ast.SourceModule) -> Tuple:
         """The cache entry ``(key, unit, statistics)`` of one build unit
         after ``segment``, building it (and the segments before) on a miss.
-        A function unit's identity is its function's name, the whole
-        module's is empty.
 
-        A function unit's key after the ``inline`` segment holds the keys
-        of the callee bodies inlining reads, and its key after ``lower``
-        reads the function as inlining left it (see
+        A unit's key after the ``inline`` segment holds the keys of the
+        callee bodies inlining reads, and its key after ``lower`` reads the
+        function as inlining left it (see
         :meth:`~repro.compiler.pipeline.PassManager.build_key`).
         """
         manager = self.pipeline.manager
         table = self.builds.tables[segment]
-        per_function = bool(identity)
         callee_keys: Tuple = ()
         if segment == "ast":
             base, source = identity, module
         else:
             base, source, statistics = self._unit(
                 config, _PREVIOUS[segment], identity, module)
-            if segment == "inline" and per_function:
+            if segment == "inline":
                 source, callee_keys = self._with_callees(config, base,
                                                          source)
-        function = None
-        if per_function:
-            function = (source.functions[0] if segment != "ir"
-                        else next(iter(source.functions.values())))
+        function = (source.functions[0] if segment != "ir"
+                    else next(iter(source.functions.values())))
         key = manager.build_key(config, segment, base, function, callee_keys,
                                 self.builds.function_keys)
         entry = table.get(key)
@@ -194,8 +187,7 @@ class EvaluationEngine:
             # leaves the segment as it entered (the next segment clones).
             unit = source
             if callee_keys or any(
-                    p.enabled(config)
-                    and (p.reads_callees is None or not per_function)
+                    p.enabled(config) and p.reads_callees is None
                     for p in manager.segment(segment)):
                 unit, statistics = self.pipeline.pre_unroll(
                     source, config, ("inline",), statistics)
@@ -226,7 +218,7 @@ class EvaluationEngine:
         callees = self.builds.callees.get(key)
         if callees is None:
             units = {identity[0]: (identity, module) for identity, module
-                     in self._build_units(True)}
+                     in self._build_units()}
             callees = self.builds.callees[key] = [
                 units[name] for name in ast.called_functions(function)
                 if name != function.name and name in units]

@@ -7,15 +7,16 @@ call site.  The pipeline makes the path declarative:
 
 ``PassManager``
     the ordered registry of :class:`Pass` objects — name, stage, enablement
-    predicate, cache-key contribution, function-local declaration — plus
-    per-pass wall-time/invocation counters (``stats()``, engine-cache
-    convention), the build segments and the one key derivation the
-    engine caches are keyed by.
+    predicate, cache-key contributions — plus per-pass
+    wall-time/invocation counters (``stats()``, engine-cache convention),
+    the build segments and the two key derivations the engine caches are
+    keyed by (``build_key`` per function, ``canonical_key`` per variant).
 
 ``CompilationPipeline``
     binds a platform to a manager and runs the stages: ``parse`` →
     ``pre_unroll`` → ``unroll_and_lower`` → ``ir_passes`` →
-    ``backend_passes``, on the whole module or one function at a time.
+    ``backend_passes``: the engine runs all but the backend one function
+    at a time, the backend once per variant.
 
 Every pipeline consumer surfaces the same stats upward: toolchains expose
 ``pipeline_stats()``, the scenario runner attaches them to each

@@ -3,8 +3,8 @@
 One :class:`CompilationPipeline` binds a platform and a
 :class:`~repro.compiler.pipeline.manager.PassManager` and exposes the
 compile path as *stage runs* over the registered pass list.  The evaluation
-engine runs the stages on each build unit (one function, or the whole
-module) and caches the unit after each build segment under the manager's
+engine runs the stages on each build unit (one function) and caches the
+unit after each build segment under the manager's
 :meth:`~repro.compiler.pipeline.manager.PassManager.build_key`.  The only
 other build sequence, the uncached one-shot ``build_program`` that chains
 the stages on the whole module, is a test oracle in ``tests/oracles.py``.

@@ -8,13 +8,11 @@ three different places:
   :meth:`register` and the build segments (:meth:`segment`), replacing
   the hand-sequenced call sites,
 * *what keys the caches use* — :meth:`build_key` concatenates the
-  registered passes' contributions into the key of one build unit (a
-  function, narrowed to the fields that can change it, or the whole
-  module while a registered pass is not function-local) after one
-  segment, and :meth:`canonical_key` into the engine's ``VariantCache``
-  key; :meth:`stage_key` gives the module key at a stage boundary.
-  Registering a new configurable pass automatically widens every
-  downstream key,
+  registered passes' contributions into the key of one function after
+  one build segment, narrowed to the fields that can change it, and
+  :meth:`canonical_key` into the engine's ``VariantCache`` key.  They are
+  the only two key derivations.  Registering a new configurable pass
+  automatically widens every downstream key,
 * *where the time goes* — every :meth:`run` and :meth:`timed` block feeds
   per-pass wall-time and invocation counters, reported through
   :meth:`stats` in the engine-cache ``stats()`` convention and surfaced by
@@ -50,23 +48,20 @@ class PassManager:
         explicit (possibly empty) iterable for custom pipelines — e.g. the
         complex toolchain's profiling flow, which only uses :meth:`timed`.
         """
-        self._passes: List[Pass] = list(
-            default_compile_passes() if passes is None else passes)
-        self._check_stage_order(self._passes)
+        self._install(list(
+            default_compile_passes() if passes is None else passes))
         #: name -> [stage, invocations, wall-clock seconds]
         self._counters: Dict[str, List] = {}
-        #: Memoised key plans: query -> tuple of contributing cache_key
-        #: callables.  Key derivation runs on every engine-cache get/put —
-        #: the hottest path of a search — so the per-query pass walk
-        #: (stage ranks, empty contributions) is done once per pass-list
-        #: state, not per lookup.
-        self._key_plans: Dict[Tuple[str, Optional[str]], Tuple] = {}
-        #: Memoised build segments (segment -> passes), same lifetime.
-        self._segments: Dict[str, Tuple[Pass, ...]] = {}
 
     # ----------------------------------------------------------- registry --
-    @staticmethod
-    def _check_stage_order(passes: List[Pass]) -> None:
+    def _install(self, passes: List[Pass]) -> None:
+        """Make ``passes`` the pass list, after checking it, and derive
+        what depends on it: the build segments and the canonical key plan.
+
+        The plan holds only the ``cache_key`` callables with a real
+        contribution: key derivation runs on every variant-cache get and
+        put, the hottest path of a search.
+        """
         ranks = [STAGES.index(p.stage) for p in passes]
         if ranks != sorted(ranks):
             raise CompilationError(
@@ -75,6 +70,36 @@ class PassManager:
         names = [p.name for p in passes]
         if len(set(names)) != len(names):
             raise CompilationError(f"duplicate pass names in {names}")
+        segments = self._cut(passes)
+        inline = {p.name for p in segments["inline"]}
+        misplaced = [p.name for p in passes
+                     if p.reads_callees is not None and p.name not in inline]
+        if misplaced:
+            raise CompilationError(
+                f"passes {misplaced} read callees outside the 'inline' "
+                f"build segment (from {INLINE_PASS!r} up to {UNROLL_PASS!r})")
+        self._passes = passes
+        self._segments = segments
+        self._canonical = tuple(p.cache_key for p in passes
+                                if p.cache_key is not _no_key)
+
+    @staticmethod
+    def _cut(passes: List[Pass]) -> Dict[str, Tuple[Pass, ...]]:
+        """The build segments of ``passes`` (see :meth:`segment`)."""
+        ast_passes = [p for p in passes
+                      if p.stage == "ast" and p.apply is not None]
+        names = [p.name for p in ast_passes]
+        unroll = (names.index(UNROLL_PASS) if UNROLL_PASS in names
+                  else len(names))
+        inline = (min(names.index(INLINE_PASS), unroll)
+                  if INLINE_PASS in names else unroll)
+        staged = {stage: tuple(p for p in passes
+                               if p.stage == stage and p.apply is not None)
+                  for stage in ("lower", "ir")}
+        return dict(ast=tuple(ast_passes[:inline]),
+                    inline=tuple(ast_passes[inline:unroll]),
+                    lower=tuple(ast_passes[unroll:]) + staged["lower"],
+                    ir=staged["ir"])
 
     def passes(self, stage: Optional[str] = None) -> List[Pass]:
         """The registered passes, optionally restricted to one stage."""
@@ -96,7 +121,8 @@ class PassManager:
         """Insert a pass, by default at the end of its stage.
 
         ``after``/``before`` name an existing pass to anchor the insertion;
-        the resulting list must still be in stage order.  Cache keys
+        the resulting list must still be in stage order, and a pass that
+        ``reads_callees`` must land in the ``inline`` segment.  Cache keys
         widen automatically, so register passes before building engines:
         a build then never mixes entries made under two pass lists.
         """
@@ -115,10 +141,7 @@ class PassManager:
                     index = position
                     break
         passes.insert(index, new_pass)
-        self._check_stage_order(passes)
-        self._passes = passes
-        self._key_plans.clear()
-        self._segments.clear()
+        self._install(passes)
 
     # ------------------------------------------------------ build segments --
     def segment(self, name: str) -> Tuple[Pass, ...]:
@@ -128,50 +151,25 @@ class PassManager:
         stage is cut before inlining and before unrolling, and the
         lowering stage joins the last AST segment.
         """
-        if not self._segments:
-            ast_passes = [p for p in self._passes
-                          if p.stage == "ast" and p.apply is not None]
-            names = [p.name for p in ast_passes]
-            unroll = (names.index(UNROLL_PASS) if UNROLL_PASS in names
-                      else len(names))
-            inline = (min(names.index(INLINE_PASS), unroll)
-                      if INLINE_PASS in names else unroll)
-            staged = {stage: tuple(p for p in self._passes
-                                   if p.stage == stage and p.apply is not None)
-                      for stage in ("lower", "ir")}
-            self._segments.update(
-                ast=tuple(ast_passes[:inline]),
-                inline=tuple(ast_passes[inline:unroll]),
-                lower=tuple(ast_passes[unroll:]) + staged["lower"],
-                ir=staged["ir"])
         try:
             return self._segments[name]
         except KeyError:
             raise CompilationError(f"unknown build segment {name!r}; "
                                    f"expected one of {BUILD_SEGMENTS}") from None
 
-    def function_local(self) -> bool:
-        """Whether every pass of every build segment is function-local, so
-        the engine may build one function at a time."""
-        return all(p.function_local for name in BUILD_SEGMENTS
-                   for p in self.segment(name))
-
-    def build_key(self, config: CompilerConfig, segment: str,
-                  base: Tuple = (),
-                  function=None,
-                  callee_keys: Tuple = (),
+    # --------------------------------------------------------- cache keys --
+    def build_key(self, config: CompilerConfig, segment: str, base: Tuple,
+                  function, callee_keys: Tuple = (),
                   memo: Optional[Dict[Tuple, Tuple]] = None) -> Tuple:
-        """The key of one build unit after ``segment``: ``base`` (the
-        unit's key after the segment before, or its identity before the
-        first) plus the segment's contributions.
+        """The key of one function after ``segment``: ``base`` (its key
+        after the segment before, or its identity before the first) plus
+        the segment's contributions.
 
-        With ``function`` (the unit's one function as the segment receives
-        it: AST, or IR for the ``ir`` segment) each pass contributes its
-        ``function_key``, and
-        ``callee_keys`` (the keys of the callee bodies the segment's
-        passes read, see :meth:`callee_reader`) join too.  Without, the
-        unit is the whole module and each pass contributes its
-        ``cache_key``.
+        ``function`` is the function as the segment receives it (AST, or
+        IR for the ``ir`` segment).  Each pass contributes its
+        ``function_key`` on it, or its ``cache_key``, and ``callee_keys``
+        (the keys of the callee bodies the segment's passes read, see
+        :meth:`callee_reader`) join too.
 
         A ``function_key`` reads the configuration only through the pass's
         ``cache_key`` and the fields ``base`` already holds, so ``memo``
@@ -180,7 +178,7 @@ class PassManager:
         """
         key = base
         for registered in self.segment(segment):
-            if function is None or registered.function_key is None:
+            if registered.function_key is None:
                 key += registered.cache_key(config)
             elif memo is None:
                 key += registered.function_key(config, function)
@@ -193,6 +191,13 @@ class PassManager:
                 key += part
         if callee_keys:
             key += (callee_keys,)
+        return key
+
+    def canonical_key(self, config: CompilerConfig) -> Tuple:
+        """The full-pipeline key (every registered pass's contribution)."""
+        key: Tuple = ()
+        for cache_key in self._canonical:
+            key += cache_key(config)
         return key
 
     def callee_reader(self, config: CompilerConfig
@@ -211,7 +216,7 @@ class PassManager:
         """The declared counters ``config`` reports, in pass order, and
         every declared counter of the build segments.
 
-        A declared counter is reported iff its pass runs; a build unit
+        A declared counter is reported iff its pass runs; a function
         shared with a configuration that ran a narrowed pass (one whose
         ``function_key`` leaves it out of that function's key) may carry
         the counter when ``config`` does not run the pass.
@@ -220,50 +225,6 @@ class PassManager:
                   if p.statistic is not None]
         return (tuple(p.statistic for p in passes if p.enabled(config)),
                 frozenset(p.statistic for p in passes))
-
-    # --------------------------------------------------------- cache keys --
-    def _plan(self, query: Tuple[str, Optional[str]]) -> Tuple:
-        """The contributing ``cache_key`` callables of one key query.
-
-        Built once per pass-list state (``register`` invalidates): the plan
-        holds only passes with a real contribution, so deriving a key costs
-        one callable per *configurable* pass and nothing else.
-        """
-        plan = self._key_plans.get(query)
-        if plan is not None:
-            return plan
-        kind, name = query
-        if kind == "stage":
-            if name not in STAGES:
-                raise CompilationError(f"unknown stage {name!r}")
-            rank = STAGES.index(name)
-            contributing = [p for p in self._passes
-                            if STAGES.index(p.stage) <= rank]
-        else:  # canonical
-            contributing = self._passes
-        plan = tuple(p.cache_key for p in contributing
-                     if p.cache_key is not _no_key)
-        self._key_plans[query] = plan
-        return plan
-
-    def stage_key(self, config: CompilerConfig, through_stage: str) -> Tuple:
-        """Concatenated contributions of every pass in stages <= ``through_stage``.
-
-        This is the cache key of the program state *after* the named stage:
-        two configurations with equal keys produce identical programs at
-        that point of the pipeline.
-        """
-        key: Tuple = ()
-        for cache_key in self._plan(("stage", through_stage)):
-            key += cache_key(config)
-        return key
-
-    def canonical_key(self, config: CompilerConfig) -> Tuple:
-        """The full-pipeline key (every registered pass's contribution)."""
-        key: Tuple = ()
-        for cache_key in self._plan(("canonical", None)):
-            key += cache_key(config)
-        return key
 
     def frontend_key(self) -> Tuple[str, ...]:
         """Identity of the frontend stage, for the process-wide parse cache.

@@ -106,16 +106,15 @@ class Pass:
     ``apply`` may be ``None`` for marker passes timed by their owner (see
     the module docstring).
 
-    ``function_local`` declares that an AST, lowering or IR pass rewrites
-    each function on its own, so the engine may build one function at a
-    time; while any registered pass of those stages is not, it builds the
-    whole module.  Its counters must then sum over functions, and
-    ``statistic`` names the one it reports.  ``function_key`` narrows the
-    pass's contribution to one function's build key, given the function
-    as its build segment receives it (default: ``cache_key``).
-    ``reads_callees`` marks a pass that also reads the bodies of the
-    callees it accepts, as the segments before it left them, and changes
-    a function only by what it reads; their keys join the function's key.
+    The engine builds one function at a time: an AST, lowering or IR pass
+    sees a module or program holding one function, and its counters are
+    summed over functions; ``statistic`` names the one it reports.
+    ``function_key`` narrows the pass's contribution to one function's
+    build key, given the function as its build segment receives it
+    (default: ``cache_key``).  ``reads_callees`` marks an ``inline``-segment
+    pass that also reads the bodies of the callees it accepts, as the
+    segments before it left them, and changes a function only by what it
+    reads; their keys join the function's key.
     """
 
     name: str
@@ -123,7 +122,6 @@ class Pass:
     apply: Optional[Callable[[PassContext], None]] = None
     enabled: Callable[[CompilerConfig], bool] = _always
     cache_key: Callable[[CompilerConfig], Tuple] = _no_key
-    function_local: bool = False
     statistic: Optional[str] = None
     function_key: Optional[
         Callable[[CompilerConfig, ast.FunctionDef], Tuple]] = None
@@ -220,52 +218,51 @@ def default_compile_passes() -> Tuple[Pass, ...]:
     """
     return (
         Pass(PARSE_PASS, "frontend"),
-        Pass("loop-bound-inference", "ast", _infer_loop_bounds,
-             function_local=True),
+        Pass("loop-bound-inference", "ast", _infer_loop_bounds),
         # Hardening rewrites only functions with a ``secret`` pragma, so
         # its flag enters no other function's build key.
         Pass("harden-security", "ast", _harden_security,
              enabled=lambda config: config.harden_security,
              cache_key=lambda config: (config.harden_security,),
-             function_local=True, statistic="hardened_branches",
+             statistic="hardened_branches",
              function_key=lambda config, function: (
                  (config.harden_security,)
                  if function.pragmas.get("secret") else ())),
         Pass(FOLD_PASS, "ast", _fold_constants,
              enabled=lambda config: config.constant_folding,
              cache_key=lambda config: (config.constant_folding,),
-             function_local=True, statistic="constant_folds"),
+             statistic="constant_folds"),
         # Inlining changes only a function that calls an inlinable one:
         # the keys of the callee bodies it reads are its whole key.
         Pass(INLINE_PASS, "ast", _inline_simple_functions,
              enabled=lambda config: config.inline_simple_functions,
              cache_key=lambda config: (config.inline_simple_functions,),
-             function_local=True, statistic="inlined_calls",
+             statistic="inlined_calls",
              function_key=lambda config, function: (),
              reads_callees=is_inlinable),
         Pass(UNROLL_PASS, "ast", _unroll_loops,
              enabled=lambda config: bool(config.unroll_limit),
              cache_key=lambda config: (config.unroll_limit,),
-             function_local=True, statistic="unrolled_loops",
+             statistic="unrolled_loops",
              function_key=_unroll_function_key),
-        Pass("lower-to-ir", "lower", _lower_to_ir, function_local=True),
+        Pass("lower-to-ir", "lower", _lower_to_ir),
         Pass("common-subexpression-elimination", "ir",
              _eliminate_common_subexpressions,
              enabled=lambda config: config.enable_cse,
              cache_key=lambda config: (config.enable_cse,),
-             function_local=True, statistic="cse_replacements"),
+             statistic="cse_replacements"),
         Pass("dead-code-elimination", "ir", _eliminate_dead_code,
              enabled=lambda config: config.dead_code_elimination,
              cache_key=lambda config: (config.dead_code_elimination,),
-             function_local=True, statistic="dead_instructions"),
+             statistic="dead_instructions"),
         Pass("strength-reduction", "ir", _strength_reduce,
              enabled=lambda config: config.strength_reduction,
              cache_key=lambda config: (config.strength_reduction,),
-             function_local=True, statistic="strength_reductions"),
+             statistic="strength_reductions"),
         Pass("peephole", "ir", _peephole_optimize,
              enabled=lambda config: config.enable_peephole,
              cache_key=lambda config: (config.enable_peephole,),
-             function_local=True, statistic="peephole_rewrites"),
+             statistic="peephole_rewrites"),
         # Marker: path-sensitive analysis transforms nothing, so its flag
         # enters no build key; it widens the canonical key, so variants
         # analysed in different modes are distinct, and the analysis cache

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import evaluate_config
+from test_pipeline import KEY_SOURCE, segment_keys
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import (
     BatchEvaluator,
@@ -125,9 +126,13 @@ class TestCanonicalKeys:
         keys = {MANAGER.canonical_key(config) for config in CONFIGS}
         assert len(keys) == len(CONFIGS)
 
-    def test_ast_stage_key_ignores_ir_level_flags(self):
+    def test_lowering_key_ignores_ir_level_flags(self):
+        # Hardening enters only a secret function's key.
+        kernel = next(function for function in parse(KEY_SOURCE).functions
+                      if function.pragmas.get("secret"))
+
         def lowered(config):
-            return MANAGER.stage_key(config, "lower")
+            return segment_keys(MANAGER, config, kernel)["lower"]
 
         base = CompilerConfig.baseline()
         assert (lowered(base)

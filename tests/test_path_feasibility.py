@@ -30,9 +30,10 @@ from oracles import (
     acyclic_longest_path_cost,
     feasible_longest_path_cost,
 )
+from test_pipeline import KEY_SOURCE, segment_keys
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import EvaluationEngine
-from repro.compiler.pipeline import BUILD_SEGMENTS, PassManager
+from repro.compiler.pipeline import PassManager
 from repro.frontend.lowering import compile_source
 from repro.frontend.parser import parse
 from repro.hw.presets import nucleo_stm32f091rc
@@ -349,17 +350,11 @@ class TestCacheKeyWidening:
         manager = PassManager()
         flipped = config.with_(path_sensitive=True)
         assert manager.canonical_key(config) != manager.canonical_key(flipped)
-        assert manager.stage_key(config, "ir") \
-            != manager.stage_key(flipped, "ir")
         # The marker changes no code, so the flag enters no build key:
-        # the whole module's key after every segment is shared.
-        built = [(), ()]
-        for segment in BUILD_SEGMENTS:
-            built = [manager.build_key(each, segment, key)
-                     for each, key in zip((config, flipped), built)]
-        assert built[0] == built[1]
-        assert manager.stage_key(config, "lower") \
-            == manager.stage_key(flipped, "lower")
+        # every function's key after every segment is shared.
+        for function in parse(KEY_SOURCE).functions:
+            assert segment_keys(manager, config, function) \
+                == segment_keys(manager, flipped, function)
         # Everything else equal, the keys differ only in that flag.
         differing = [a != b for a, b in zip(manager.canonical_key(config),
                                             manager.canonical_key(flipped))]

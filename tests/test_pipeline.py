@@ -1,7 +1,7 @@
-"""The unified compilation pipeline: pass manager, stage keys, routing.
+"""The unified compilation pipeline: pass manager, build keys, routing.
 
 Covers the declarative pass list (registration, ordering, enablement), the
-pass-list-derived stage-cache keys the engine caches use, the per-pass
+pass-list-derived build and variant keys the engine caches use, the per-pass
 wall-time/invocation counters, and end-to-end equivalence: compiling
 through the engine's staged caches produces bit-for-bit the variants of
 the uncached reference build (``CompilationPipeline.build`` + the stock
@@ -18,6 +18,7 @@ from repro.compiler.driver import MultiCriteriaCompiler
 from repro.compiler.engine import EvaluationEngine, program_fingerprint
 from repro.compiler.pipeline import (
     ANALYSIS_PASS,
+    BUILD_SEGMENTS,
     PARSE_PASS,
     STAGES,
     CompilationPipeline,
@@ -91,6 +92,32 @@ int task(int gain) {
 """
 
 
+#: A secret function with a counted loop over an inlinable helper, so each
+#: narrowed key contribution (hardening, unrolling) has something to read.
+KEY_SOURCE = """
+int helper(int x) { return x * 4 + 1; }
+
+#pragma teamplay secret(key)
+int kernel(int key) {
+    int acc = 0;
+    for (int i = 0; i < 8; i = i + 1) { acc = acc + helper(i) * key; }
+    return acc;
+}
+"""
+
+
+def segment_keys(manager, config, function):
+    """``function``'s build key after each build segment, derived the way
+    the engine derives it, but from the parsed function at every segment
+    and with no callee keys."""
+    keys = {}
+    key = (function.name,)
+    for segment in BUILD_SEGMENTS:
+        key = keys[segment] = manager.build_key(config, segment, key,
+                                                function)
+    return keys
+
+
 @pytest.fixture(scope="module")
 def platform():
     return platform_by_name("camera-pill")
@@ -124,9 +151,31 @@ class TestPassManager:
         with pytest.raises(CompilationError):
             manager.pass_named("no-such-pass")
         with pytest.raises(CompilationError):
-            manager.stage_key(CompilerConfig.baseline(), "no-such-stage")
+            manager.segment("no-such-segment")
         with pytest.raises(ValueError):
             Pass("bad", "no-such-stage")
+
+    def test_reads_callees_outside_the_inline_segment_raises(self):
+        # Only the inline segment is given callee bodies: anywhere else
+        # the declaration would be silently ignored, and the pass's keys
+        # would miss the callees it reads.
+        def reader(name, stage):
+            return Pass(name, stage, lambda ctx: None,
+                        reads_callees=lambda callee: True)
+
+        manager = PassManager()
+        with pytest.raises(CompilationError, match="read callees"):
+            manager.register(reader("early", "ast"),
+                             before="inline-simple-functions")
+        with pytest.raises(CompilationError, match="read callees"):
+            manager.register(reader("late", "ast"), after="unroll-loops")
+        with pytest.raises(CompilationError, match="read callees"):
+            PassManager([reader("ir-reader", "ir")])
+        assert [p.name for p in manager.passes()] \
+            == [p.name for p in PassManager().passes()]
+        manager.register(reader("reader", "ast"),
+                         after="inline-simple-functions")
+        assert manager.callee_reader(CompilerConfig.baseline()) is not None
 
     def test_register_defaults_to_end_of_stage(self):
         manager = PassManager()
@@ -170,27 +219,27 @@ class TestPassManager:
 
 
 # ---------------------------------------------------------------------------
-# Stage keys: derived from the pass list
+# Build and variant keys: derived from the pass list
 # ---------------------------------------------------------------------------
 class TestStageKeys:
     def test_registered_pass_widens_downstream_keys(self):
         manager = PassManager()
         base = CompilerConfig.baseline()
         tweaked = base.with_(unroll_limit=4)
-        # A hypothetical IR pass keyed on the unroll limit: IR-stage and
-        # canonical keys widen, the module's key before unrolling stays
-        # untouched.
+        # A hypothetical IR pass keyed on the unroll limit: the IR-segment
+        # and canonical keys widen.  The function has no loop and nothing
+        # to fold, so unrolling leaves it alone and its key after
+        # lowering stays shared.
         manager.register(Pass(
             "unroll-aware-ir", "ir", lambda ctx: None,
             cache_key=lambda config: ("unroll-aware", config.unroll_limit)))
-        assert "unroll-aware" in manager.stage_key(base, "ir")
+        function = parse("int f(int a) { return a * 3; }").functions[0]
+        keys = segment_keys(manager, base, function)
+        tweaked_keys = segment_keys(manager, tweaked, function)
+        assert "unroll-aware" in keys["ir"]
         assert "unroll-aware" in manager.canonical_key(base)
-        assert manager.stage_key(base, "ir") \
-            != manager.stage_key(tweaked, "ir")
-        assert manager.build_key(base, "inline",
-                                 manager.build_key(base, "ast")) \
-            == manager.build_key(tweaked, "inline",
-                                 manager.build_key(tweaked, "ast"))
+        assert keys["ir"] != tweaked_keys["ir"]
+        assert keys["lower"] == tweaked_keys["lower"]
 
     def test_disabled_pass_still_contributes_its_key(self):
         # Enablement is *part of the key* (the flag value), so enabled and
@@ -198,7 +247,10 @@ class TestStageKeys:
         manager = PassManager()
         on = CompilerConfig.baseline().with_(dead_code_elimination=True)
         off = on.with_(dead_code_elimination=False)
-        assert manager.stage_key(on, "ir") != manager.stage_key(off, "ir")
+        for function in parse(KEY_SOURCE).functions:
+            assert segment_keys(manager, on, function)["ir"] \
+                != segment_keys(manager, off, function)["ir"]
+        assert manager.canonical_key(on) != manager.canonical_key(off)
 
 
 # ---------------------------------------------------------------------------
@@ -298,39 +350,43 @@ class TestPipelineEquivalence:
         compiler = MultiCriteriaCompiler(platform)
         seen = []
         compiler.pipeline.manager.register(Pass(
-            "observer", "ir",
-            lambda ctx: seen.append(ctx.program is not None)))
+            "observer", "ir", lambda ctx: seen.extend(ctx.program.functions)))
         # The stage methods iterate the registered pass list, so the
         # observer executes inside the engine-cached build and lands in
         # the same stats table as the stock passes.
         compiler.compile(module, "frame_packet", CompilerConfig.baseline())
-        assert seen == [True]
-        assert compiler.pipeline_stats()["observer"]["invocations"] == 1
-        # Not declared function-local, it makes the whole module the build
-        # unit: it runs once per build and sees every function.
-        compiler.compile(module, "frame_packet",
-                         CompilerConfig.baseline().with_(enable_cse=True))
-        assert seen == [True, True]
-        assert compiler.pipeline_stats()["observer"]["invocations"] == 2
-        assert compiler.pipeline_stats()["lower-to-ir"]["invocations"] == 1
+        assert seen
+        stats = compiler.pipeline_stats()
+        assert stats["observer"]["stage"] == "ir"
+        assert stats["observer"]["invocations"] >= 1
+        # A cache-served revisit of the same configuration runs it again
+        # nowhere.
+        compiler.compile(module, "frame_packet", CompilerConfig.baseline())
+        assert compiler.pipeline_stats()["observer"]["invocations"] \
+            == stats["observer"]["invocations"]
 
     def test_function_local_custom_pass_runs_per_function(self, platform,
                                                           module):
+        # Every pass is function-local: the observer runs once per
+        # function, on a program holding only that function.
         compiler = MultiCriteriaCompiler(platform)
         seen = []
         compiler.pipeline.manager.register(Pass(
-            "observer", "ir",
-            lambda ctx: seen.extend(ctx.program.functions),
-            function_local=True))
+            "observer", "ir", lambda ctx: seen.extend(ctx.program.functions)))
+        names = module.function_names()
         compiler.compile(module, "frame_packet", CompilerConfig.baseline())
-        assert seen == module.function_names()
-        # A configuration that changes only another pass's flag rebuilds
-        # every function's IR stage, and reuses every lowering.
+        assert seen == names
+        assert compiler.pipeline_stats()["observer"]["invocations"] \
+            == len(names)
+        # A configuration that changes only another pass's flag IR-passes
+        # every function again and lowers none.
         compiler.compile(module, "frame_packet",
                          CompilerConfig.baseline().with_(enable_cse=True))
-        assert seen == 2 * module.function_names()
+        assert seen == 2 * names
+        assert compiler.pipeline_stats()["observer"]["invocations"] \
+            == 2 * len(names)
         assert compiler.pipeline_stats()["lower-to-ir"]["invocations"] \
-            == len(module.functions)
+            == len(names)
 
     def test_custom_ast_pass_respects_unroll_split(self, platform, module):
         # A custom AST pass registered before unroll-loops runs in
@@ -441,15 +497,16 @@ class TestNewIrPasses:
         assert stats["peephole"]["invocations"] == 1
         assert stats["peephole"]["stage"] == "ir"
 
-    def test_new_flags_widen_ir_but_not_lowering_keys(self):
+    def test_new_flags_widen_ir_but_not_lowering_keys(self, module):
         manager = PassManager()
         base = CompilerConfig.baseline()
         for tweaked in (base.with_(enable_cse=True),
                         base.with_(enable_peephole=True)):
-            assert manager.stage_key(base, "lower") \
-                == manager.stage_key(tweaked, "lower")
-            assert manager.stage_key(base, "ir") \
-                != manager.stage_key(tweaked, "ir")
+            for function in module.functions:
+                keys = segment_keys(manager, base, function)
+                tweaked_keys = segment_keys(manager, tweaked, function)
+                assert keys["lower"] == tweaked_keys["lower"]
+                assert keys["ir"] != tweaked_keys["ir"]
             assert manager.canonical_key(base) \
                 != manager.canonical_key(tweaked)
 
