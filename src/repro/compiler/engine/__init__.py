@@ -28,16 +28,16 @@ pipeline's ``PassManager`` (``canonical_key`` / ``build_key``):
                      ▼
       backend pass (SPM allocation) per variant, replacing what it places
                      ▼
-  [3] AnalysisCache ─ structural program fingerprint (memoised per
-                     │ function); one StructuralCostEngine sweep fills the
-                     │ whole per-function cycles/energy table per
-                     │ (core[, OPP]); every further entry point,
-                     ▼ operating point or core is a table lookup
+  [3] AnalysisCache ─ a query costs its entry's call closure; each
+                     │ function's cost is memoised per (core[, OPP]) under
+                     │ its fingerprint and its callees' costs, and each
+                     │ program's table (keyed by its fingerprint) fills as
+                     ▼ it is queried: a repeated query is a lookup
               Variant (WCET, WCEC, security, code size)
 
 Stage [2] means a configuration re-lowers and re-optimises only the
 functions it changes; stage [3] means the WCET/Energy analysers'
-per-function results are reused across every variant sharing a program
+per-function results are reused across every variant sharing a function
 *and* across the coordination layer's per-core/per-OPP ETS sweeps (cycle
 bounds are frequency-independent, so DVFS sweeps reuse one cycles table).
 

@@ -17,13 +17,15 @@ configurable pass widens every downstream key:
    key holds only the configuration fields that can change it, so a
    configuration re-lowers and re-optimises only what it changes, and
    every variant's program is assembled from shared functions.
-3. :class:`AnalysisCache` — per-function worst-case cost tables keyed on a
-   structural fingerprint of the analysed program.  One
-   :class:`StructuralCostEngine` run computes every function's cycles (or
-   joules) at once; every further WCET/WCEC query against the same program —
-   other task entry points, other operating points (cycle counts are
-   frequency-independent), the coordination layer's per-core sweeps — is a
-   table lookup.
+3. :class:`AnalysisCache` — worst-case costs, computed on demand: a query
+   costs only its entry's call closure.  Each function's cost is memoised
+   across programs per cost scope (analysis kind, core, operating point,
+   path mode) under the function's structural fingerprint and its callees'
+   costs, so a function shared by many variants is costed once per
+   distinct callee costs.  Every further query of the same program — other
+   task entry points, other operating points (cycle counts are
+   frequency-independent), the coordination layer's per-core sweeps — is
+   a lookup in that program's lazily filled table.
 
 All stages are exact: cached results are bit-for-bit identical to what
 the uncached pipeline produces (covered by ``tests/test_engine.py`` and
@@ -32,8 +34,10 @@ the uncached pipeline produces (covered by ``tests/test_engine.py`` and
 Every cache reports hit/miss counters through ``stats()``.  The variant
 cache and the build tables are unbounded: they live as long as the driver
 that owns them.  Only the :class:`AnalysisCache` takes a ``max_entries``
-cap (its least-recently-used tables are evicted and counted), because the
-process-wide one outlives every driver in a long-running service.
+cap (its least-recently-used program tables are evicted and counted; its
+function memos are bounded by :data:`~repro.wcet.structural.MEMO_LIMIT`),
+because the process-wide one outlives every driver in a long-running
+service.
 Inside a :func:`shared_analysis_caches` scope every driver and toolchain
 targeting the same platform shares one *process-wide* :class:`AnalysisCache`,
 so cross-scenario sweeps reuse WCET/WCEC tables; the evaluation service and
@@ -45,6 +49,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from dataclasses import asdict
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
@@ -56,7 +61,7 @@ from repro.energy.static_analyzer import EnergyAnalyzer, WCECResult
 from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
-from repro.ir.cfg import Program
+from repro.ir.cfg import Function, Program
 from repro.ir.instructions import Reg
 from repro.ir.regions import (
     BlockRegion,
@@ -66,9 +71,10 @@ from repro.ir.regions import (
     SeqRegion,
 )
 from repro.ir.runs import Run, flat_map
-from repro.wcet.analyzer import WCETResult, check_analysable
+from repro.wcet.analyzer import WCETResult, reject_recursion
 from repro.wcet.paths import PathSensitiveCostEngine, PathStats, contains_if
-from repro.wcet.structural import CostTable, StructuralCostEngine, entry_cost
+from repro.wcet.structural import (CalleeKeyedMemo, StructuralCostEngine,
+                                   call_closure, memo_put, memoised_callees)
 
 if TYPE_CHECKING:
     from repro.compiler.pipeline.manager import PassManager
@@ -81,10 +87,22 @@ _FINGERPRINT_ATTR = "_engine_fingerprint"
 #: Attribute used to memoise a program's path-sensitive fingerprint.
 _PATH_FINGERPRINT_ATTR = "_engine_path_fingerprint"
 
+#: Attribute used to memoise a program's call closures, by entry.
+_CLOSURES_ATTR = "_engine_closures"
+
 #: The same two memos per function: the engine's programs share their
 #: functions, so each is fingerprinted once, not once per variant.
 _FUNCTION_FINGERPRINT_ATTR = "_engine_function_fingerprint"
 _FUNCTION_OPERANDS_ATTR = "_engine_function_operands"
+#: A function's path-sensitive memo key (fingerprint and operands), and
+#: whether it passed :meth:`Function.validate`.
+_FUNCTION_PATH_KEY_ATTR = "_engine_function_path_key"
+_FUNCTION_VALIDATED_ATTR = "_engine_function_validated"
+
+#: Version of the cost analyses, in every on-disk digest: bump it when a
+#: change to the analysers changes a bound, so a warm ``--cache-dir``
+#: misses instead of serving the old one.
+ANALYSIS_VERSION = 1
 
 #: Local alias for the fingerprint hot path.  Enum members (not ``.value``)
 #: keep it fast: accessing ``Opcode.value`` goes through a descriptor on
@@ -288,6 +306,19 @@ def _operand_signature(part) -> Tuple:
             true_target, false_target)
 
 
+def _function_operands(function: Function) -> Optional[Tuple]:
+    """The operands of ``function``'s instructions, or ``None`` without an
+    ``if``; memoised on the function."""
+    try:
+        return getattr(function, _FUNCTION_OPERANDS_ATTR)
+    except AttributeError:
+        signature = (tuple(tuple(map(_operand_signature, block.parts))
+                           for block in function.blocks.values())
+                     if contains_if(function.region) else None)
+        setattr(function, _FUNCTION_OPERANDS_ATTR, signature)
+        return signature
+
+
 def path_fingerprint(program: Program) -> Tuple:
     """:func:`program_fingerprint` plus every instruction's operands.
 
@@ -302,45 +333,144 @@ def path_fingerprint(program: Program) -> Tuple:
     cached = getattr(program, _PATH_FINGERPRINT_ATTR, None)
     if cached is not None:
         return cached
-    operands = []
-    for function in program.functions.values():
-        try:
-            signature = getattr(function, _FUNCTION_OPERANDS_ATTR)
-        except AttributeError:
-            signature = (tuple(tuple(map(_operand_signature, block.parts))
-                               for block in function.blocks.values())
-                         if contains_if(function.region) else None)
-            setattr(function, _FUNCTION_OPERANDS_ATTR, signature)
-        operands.append(signature)
-    operands = tuple(operands)
+    operands = tuple(map(_function_operands, program.functions.values()))
     fingerprint = _Fingerprint((program_fingerprint(program), operands))
     setattr(program, _PATH_FINGERPRINT_ATTR, fingerprint)
     return fingerprint
 
 
+#: A function's structural fingerprint, memoised by the program's
+#: :func:`program_fingerprint`.
+_function_fingerprint = attrgetter(_FUNCTION_FINGERPRINT_ATTR)
+
+
+def _function_path_key(function: Function) -> Tuple:
+    """A function's fingerprint and operands, memoised on the function."""
+    key = getattr(function, _FUNCTION_PATH_KEY_ATTR, None)
+    if key is None:
+        key = _Fingerprint((_function_fingerprint(function),
+                            _function_operands(function)))
+        setattr(function, _FUNCTION_PATH_KEY_ATTR, key)
+    return key
+
+
+def _closure(program: Program, name: str) -> List[str]:
+    """:func:`~repro.wcet.structural.call_closure` of ``name``, memoised on
+    the program."""
+    closures = getattr(program, _CLOSURES_ATTR, None)
+    if closures is None:
+        closures = {}
+        setattr(program, _CLOSURES_ATTR, closures)
+    closure = closures.get(name)
+    if closure is None:
+        closure = closures[name] = call_closure(program, name,
+                                                memoised_callees)
+    return closure
+
+
+def _validate_once(function: Function) -> None:
+    """:meth:`Function.validate`, memoised on the function once passed."""
+    if not getattr(function, _FUNCTION_VALIDATED_ATTR, False):
+        function.validate()
+        setattr(function, _FUNCTION_VALIDATED_ATTR, True)
+
+
+class _StructuralCosts(CalleeKeyedMemo, StructuralCostEngine):
+    """The cache's structural engine: function costs from one scope."""
+
+
+class _PathCosts(CalleeKeyedMemo, PathSensitiveCostEngine):
+    """The cache's path-sensitive engine: function costs from one scope."""
+
+
+class _Scope:
+    """One cost scope of an :class:`AnalysisCache`: analysis kind, core,
+    operating point and path mode.
+
+    Holds the scope's cost function and memos, and is the function memo of
+    its engines (:class:`~repro.wcet.structural.CalleeKeyedMemo`): a
+    function's outcome is keyed by its fingerprint (plus its operands in
+    the path-sensitive mode) and its callees' outcomes, bounded by
+    :data:`~repro.wcet.structural.MEMO_LIMIT`, and backed by the cache's
+    persistent store under the same key.
+    """
+
+    def __init__(self, cache: "AnalysisCache", name: Tuple[str, ...],
+                 instr_cost, block_memo: Dict, unit_memo: Optional[Dict]):
+        self.cache = cache
+        self.name = name
+        self.instr_cost = instr_cost
+        self.block_memo = block_memo
+        self.unit_memo = unit_memo
+        self.functions: Dict[Tuple, object] = {}
+        self.key_of = (_function_fingerprint if unit_memo is None
+                       else _function_path_key)
+
+    def engine(self, program: Program, outcomes: Dict[str, object]):
+        if self.unit_memo is None:
+            return _StructuralCosts(program, self.instr_cost, self.block_memo,
+                                    memo=self, outcomes=outcomes)
+        return _PathCosts(program, self.instr_cost, self.block_memo,
+                          memo=self, outcomes=outcomes,
+                          unit_memo=self.unit_memo)
+
+    def recall(self, function: Function, callees: Tuple):
+        key = (self.key_of(function), callees)
+        outcome = self.functions.get(key)
+        if outcome is None and self.cache._store is not None:
+            outcome = self.cache._disk_get(self._digest(*key))
+            if outcome is not None:
+                memo_put(self.functions, key, outcome)
+        return outcome
+
+    def remember(self, function: Function, callees: Tuple, outcome) -> None:
+        key = (self.key_of(function), callees)
+        memo_put(self.functions, key, outcome)
+        if self.cache._store is not None:
+            self.cache._disk_put(self._digest(*key), outcome)
+
+    def _digest(self, function_key: Tuple, callees: Tuple) -> str:
+        """On-disk key of one function outcome: the cache's cost model and
+        pass list, this scope, the function and its callees' outcomes.
+
+        Every scope and callee-cost key of a function shares its
+        fingerprint's digest, so that is memoised on the fingerprint.
+        """
+        digest = getattr(function_key, "_digest", None)
+        if digest is None:
+            digest = function_key._digest = _persist.key_digest(function_key)
+        return _persist.key_digest("analysis", self.cache._model_key(),
+                                   list(self.name), digest, callees)
+
+
 class AnalysisCache(_BoundedCacheMixin):
-    """Shared per-function WCET/WCEC result tables, keyed by program structure.
+    """Shared WCET/WCEC results, costed on demand per function.
 
-    Bound to one :class:`Platform`.  The first WCET query for a (program,
-    core) pair runs the structural cost engine over *every* function once and
-    records per-function cycle bounds (plus the analysis errors of functions
-    that legitimately have none, e.g. unreachable code with unbounded loops);
-    likewise for energy per (program, core, operating point).  Subsequent
-    queries are dictionary lookups, which makes multi-entry evaluation, DVFS
-    sweeps and per-core ETS derivation nearly free.
+    Bound to one :class:`Platform`.  A query costs only its entry's call
+    closure.  Each function's cost (or the analysis error of one that has
+    none, e.g. a loop without a bound) goes through one memo per cost scope
+    (:class:`_Scope`), shared across programs and keyed by the function's
+    fingerprint and its callees' costs; equal callee costs give the same
+    left-to-right sum, so a hit is exact.  Per program and scope, a table
+    keyed by :func:`program_fingerprint` (:func:`path_fingerprint` in the
+    path-sensitive mode) is filled as its functions are queried, so every
+    repeated query — other entries, DVFS sweeps, per-core ETS derivation —
+    is a dictionary lookup.
 
-    ``max_entries`` bounds the cycle and energy tables independently.  The
-    per-instruction cost memos stay unbounded (they are keyed by opcode and
-    code region, whose population is fixed); the block-cost and
-    path-sensitive unit memos are emptied when they reach
-    :data:`~repro.wcet.structural.MEMO_LIMIT` entries.
+    ``max_entries`` bounds the cycle and energy program tables
+    independently.  The per-instruction cost memos stay unbounded (they are
+    keyed by opcode and code region, whose population is fixed); the
+    block-cost, path-sensitive unit and function memos are emptied when
+    they reach :data:`~repro.wcet.structural.MEMO_LIMIT` entries.
 
     ``store`` attaches a persistent tier
-    (:class:`~repro.compiler.engine.persist.PersistentCacheStore`): memory
-    misses consult the disk before computing, and computed tables are written
-    through, so warm entries survive LRU eviction, process boundaries and
-    restarts.  ``pass_list_key`` namespaces the on-disk digests (defaults to
-    the stock pipeline's
+    (:class:`~repro.compiler.engine.persist.PersistentCacheStore`): a
+    function the memo misses is looked up on disk before it is costed, and
+    each computed function outcome is written through, one record each, so
+    warm costs survive process boundaries and restarts.  Its digests cover
+    a digest of the whole :class:`Platform` (timing and energy tables,
+    memory wait states), :data:`ANALYSIS_VERSION` and ``pass_list_key``
+    (defaults to the stock pipeline's
     :func:`~repro.compiler.engine.persist.default_pass_list_key`).
     """
 
@@ -351,6 +481,7 @@ class AnalysisCache(_BoundedCacheMixin):
         self.platform = platform
         self._store = store
         self._pass_list_key = pass_list_key
+        self._model = None
         self.disk_hits = 0
         self.disk_misses = 0
         self.disk_errors = 0
@@ -360,9 +491,11 @@ class AnalysisCache(_BoundedCacheMixin):
         # threads.  Reentrant because ``wcec`` calls ``wcet``.
         self._lock = threading.RLock()
         self._checked: "OrderedDict[Tuple, bool]" = OrderedDict()
-        self._cycle_tables: "OrderedDict[Tuple, CostTable]" = OrderedDict()
-        self._energy_tables: "OrderedDict[Tuple, CostTable]" = OrderedDict()
+        # Per program and scope: function name -> cost or analysis error.
+        self._cycle_tables: "OrderedDict[Tuple, Dict]" = OrderedDict()
+        self._energy_tables: "OrderedDict[Tuple, Dict]" = OrderedDict()
         self._energy_analyzers: Dict[Optional[str], EnergyAnalyzer] = {}
+        self._scopes: Dict[Tuple, _Scope] = {}
         # Per-instruction cost memos, per (kind, core[, OPP]).  A cycle cost
         # depends only on the opcode and the fetch region of the enclosing
         # function; an energy cost only on the opcode (and the operating
@@ -375,7 +508,7 @@ class AnalysisCache(_BoundedCacheMixin):
         self._block_costs: Dict[Tuple, Dict[Tuple, float]] = {}
         self._unit_outcomes: Dict[Tuple, Dict[Tuple, object]] = {}
         # Path-feasibility counters, accumulated on computes only (memory and
-        # disk hits reuse tables whose pruning already happened elsewhere).
+        # disk hits reuse costs whose pruning already happened elsewhere).
         # The per-thread copy lets one run report only its own pruning work
         # on a shared cache: a job runs on one worker thread.
         self._path_totals = PathStats()
@@ -431,39 +564,41 @@ class AnalysisCache(_BoundedCacheMixin):
             thread_totals.merge(stats)
 
     # -- persistent tier -------------------------------------------------------
-    def _table_digest(self, kind: str, fingerprint: Tuple, *scope: str) -> str:
-        """On-disk key of one result table: platform + pass list + scope.
-
-        The structural fingerprint enters through its own digest, combined
-        with the platform name, the pass-list key and the
-        analysis-kind/core/operating-point discriminators the in-memory
-        tables key on.  Canonicalising a whole fingerprint costs more than
-        one table analysis, and every core/OPP table of a program shares it,
-        so the digest is memoised on the fingerprint itself: a memo keyed by
-        fingerprints would keep each one alive after its tables are evicted.
-        """
-        if self._pass_list_key is None:
-            self._pass_list_key = _persist.default_pass_list_key()
-        digest = getattr(fingerprint, "_digest", None)
-        if digest is None:
-            digest = fingerprint._digest = _persist.key_digest(fingerprint)
-        return _persist.key_digest("analysis", self.platform.name,
-                                   self._pass_list_key, kind, list(scope),
-                                   digest)
+    def _model_key(self) -> Tuple:
+        """What every on-disk digest of this cache shares: a digest of the
+        platform's cost model, :data:`ANALYSIS_VERSION` and the pass list."""
+        if self._model is None:
+            if self._pass_list_key is None:
+                self._pass_list_key = _persist.default_pass_list_key()
+            self._model = (_persist.key_digest("platform",
+                                               asdict(self.platform)),
+                           ANALYSIS_VERSION, self._pass_list_key)
+        return self._model
 
     def _disk_get(self, digest: str):
-        """Decode a persisted table, or ``None`` (undecodable counts a miss)."""
+        """Decode a persisted outcome, or ``None`` (undecodable counts a
+        miss)."""
         payload = self._store.get(digest)
         if payload is not None:
             try:
-                entry = _persist.decode_analysis_entry(payload)
+                outcome = _persist.decode_outcome(payload)
             except _persist.PersistError:
                 pass
             else:
                 self.disk_hits += 1
-                return entry
+                return outcome
         self.disk_misses += 1
         return None
+
+    def _disk_put(self, digest: str, outcome) -> None:
+        try:
+            self._store.put(digest, _persist.encode_outcome(outcome))
+        except OSError:
+            # A failing disk tier (full, read-only, gone) must not fail the
+            # query: detach it from this cache and keep serving from memory,
+            # counted in ``stats()["disk_errors"]``.
+            self._store = None
+            self.disk_errors += 1
 
     # -- analyzer instances (cost models are deterministic per core) ----------
     def _energy_analyzer(self, core: Optional[Core]) -> EnergyAnalyzer:
@@ -477,59 +612,38 @@ class AnalysisCache(_BoundedCacheMixin):
         return analyzer
 
     def _check_analysable(self, program: Program, fingerprint: Tuple) -> None:
-        """:func:`check_analysable`, once per distinct program."""
+        """:func:`~repro.wcet.analyzer.check_analysable`, once per distinct
+        program."""
         if self._touch(self._checked, fingerprint):
             return
-        check_analysable(program)
+        # check_analysable, with each shared function validated once.
+        for function in program.functions.values():
+            _validate_once(function)
+            program.check_callees(function, memoised_callees(function))
+        reject_recursion(program, memoised_callees)
         # Bounded like the result tables, but eviction only means a future
-        # re-validation, so it is not reported in the eviction counter.
+        # re-check, so it is not reported in the eviction counter.
         self._checked[fingerprint] = True
         if self.max_entries is not None and len(self._checked) > self.max_entries:
             self._checked.popitem(last=False)
 
-    # -- cost tables ------------------------------------------------------------
-    def _table(self, program: Program, core: Core,
-               opp: Optional[OperatingPoint], path_sensitive: bool
-               ) -> CostTable:
-        """The per-function cost table of one analysis.
-
-        ``opp=None`` selects the cycles table (cycle bounds are
-        frequency-independent), an operating point the energy table.
-        Path-sensitive tables are keyed by :func:`path_fingerprint`, which
-        also covers operands, and marked ``"paths"``; default-mode keys
-        (and on-disk digests) stay on the structural fingerprint.
-        """
-        fingerprint = program_fingerprint(program)
-        tables = self._cycle_tables if opp is None else self._energy_tables
-        key = (fingerprint, core.name) if opp is None \
-            else (fingerprint, core.name, opp.label)
-        if path_sensitive:
-            key = (path_fingerprint(program), *key[1:], "paths")
-        entry = self._touch(tables, key)
-        if entry is not None:
-            self.hits += 1
-            return entry
-        self.misses += 1
-        kind = "cycles" if opp is None else "energy"
-        digest = None
-        if self._store is not None:
-            # The on-disk scope is the in-memory key minus the fingerprint.
-            digest = self._table_digest(kind, *key)
-            entry = self._disk_get(digest)
-            if entry is not None:
-                # A disk hit was validated by whichever process computed it,
-                # exactly like a memory hit skips re-validation.
-                self._insert(tables, key, entry)
-                return entry
-        self._check_analysable(program, fingerprint)
-        analyzer = self._energy_analyzer(core)
+    # -- costs ------------------------------------------------------------------
+    def _scope(self, core: Core, opp: Optional[OperatingPoint],
+               path_sensitive: bool) -> _Scope:
+        """The cost scope of one analysis; ``opp=None`` selects cycles
+        (cycle bounds are frequency-independent), an operating point
+        energy."""
         # Instruction and block costs are the same in both analysis modes,
         # so their memos are scoped by kind, core and operating point only.
-        scope = ((kind, core.name) if opp is None
-                 else (kind, core.name, opp.label))
-        memo = self._instr_costs.setdefault(scope, {})
+        base = (("cycles", core.name) if opp is None
+                else ("energy", core.name, opp.label))
+        name = base + ("paths",) if path_sensitive else base
+        scope = self._scopes.get(name)
+        if scope is not None:
+            return scope
+        memo = self._instr_costs.setdefault(base, {})
         if opp is None:
-            wcet = analyzer.wcet
+            wcet = self._energy_analyzer(core).wcet
 
             def instr_cost(function, instr):
                 memo_key = (function.code_region, instr.opcode)
@@ -539,6 +653,8 @@ class AnalysisCache(_BoundedCacheMixin):
                     memo[memo_key] = cost
                 return cost
         else:
+            analyzer = self._energy_analyzer(core)
+
             def instr_cost(function, instr):
                 cost = memo.get(instr.opcode)
                 if cost is None:
@@ -546,27 +662,53 @@ class AnalysisCache(_BoundedCacheMixin):
                     memo[instr.opcode] = cost
                 return cost
 
-        block_memo = self._block_costs.setdefault(scope, {})
-        if path_sensitive:
-            engine = PathSensitiveCostEngine(
-                program, instr_cost, block_memo,
-                unit_memo=self._unit_outcomes.setdefault(scope, {}))
+        scope = self._scopes[name] = _Scope(
+            self, name, instr_cost, self._block_costs.setdefault(base, {}),
+            self._unit_outcomes.setdefault(base, {}) if path_sensitive
+            else None)
+        return scope
+
+    def _table(self, program: Program, core: Core,
+               opp: Optional[OperatingPoint], path_sensitive: bool,
+               name: str) -> Dict[str, float]:
+        """``program``'s table in one scope, holding ``name``'s cost.
+
+        ``opp=None`` selects cycles (cycle bounds are
+        frequency-independent), an operating point energy.  A table that
+        holds ``name`` counts a hit; anything else a miss, which costs
+        ``name``'s call closure through the scope's function memo into the
+        table.  Raises ``name``'s analysis error.  Path-sensitive tables are
+        keyed by :func:`path_fingerprint`, which also covers operands, and
+        marked ``"paths"``.
+        """
+        fingerprint = program_fingerprint(program)
+        if opp is None:
+            tables, key = self._cycle_tables, (fingerprint, core.name)
         else:
-            engine = StructuralCostEngine(program, instr_cost, block_memo)
-        entry = engine.costs()
+            tables = self._energy_tables
+            key = (fingerprint, core.name, opp.label)
         if path_sensitive:
-            self._note_path_stats(engine)
-        self._insert(tables, key, entry)
-        if digest is not None:
+            key = (path_fingerprint(program), *key[1:], "paths")
+        table = self._touch(tables, key)
+        if table is None:
+            table = {}
+            self._insert(tables, key, table)
+        outcome = table.get(name)
+        if outcome is not None:
+            self.hits += 1
+        else:
+            self.misses += 1
+            self._check_analysable(program, fingerprint)
+            engine = self._scope(core, opp, path_sensitive).engine(program,
+                                                                   table)
             try:
-                self._store.put(digest, _persist.encode_analysis_entry(entry))
-            except OSError:
-                # A failing disk tier (full, read-only, gone) must not fail
-                # the query: detach it from this cache and keep serving
-                # from memory, counted in ``stats()["disk_errors"]``.
-                self._store = None
-                self.disk_errors += 1
-        return entry
+                outcome = engine.outcome(name)
+            finally:
+                if path_sensitive:
+                    self._note_path_stats(engine)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return table
 
     # -- public API mirroring the stock analysers ------------------------------
     def wcet(self, program: Program, function_name: str,
@@ -576,14 +718,16 @@ class AnalysisCache(_BoundedCacheMixin):
         """Cached equivalent of ``WCETAnalyzer(...).analyze(...)``.
 
         ``path_sensitive`` enables infeasible-path pruning
-        (:mod:`repro.wcet.paths`); its tables are cached independently of
+        (:mod:`repro.wcet.paths`); its costs are cached independently of
         the default mode's.
         """
         with self._lock:
             analyzer = self._energy_analyzer(core).wcet
-            table, errors = self._table(program, analyzer.core, None,
-                                        path_sensitive)
-        return analyzer.result(program, function_name, table, errors, opp)
+            table = self._table(program, analyzer.core, None, path_sensitive,
+                                function_name)
+            # The closure's costs are all in the table once its entry is.
+            return analyzer.result(program, function_name, table.__getitem__,
+                                   opp, _closure(program, function_name))
 
     def wcec(self, program: Program, function_name: str,
              core: Optional[Core] = None,
@@ -597,9 +741,8 @@ class AnalysisCache(_BoundedCacheMixin):
         with self._lock:
             analyzer = self._energy_analyzer(core)
             opp = opp or analyzer.core.nominal_opp
-            table, errors = self._table(program, analyzer.core, opp,
-                                        path_sensitive)
-            dynamic = entry_cost(program, function_name, table, errors)
+            dynamic = self._table(program, analyzer.core, opp,
+                                  path_sensitive, function_name)[function_name]
             wcet_result = self.wcet(program, function_name, analyzer.core,
                                     opp, path_sensitive)
         return analyzer.result(function_name, dynamic, wcet_result, opp)

@@ -15,13 +15,15 @@ concurrently:
   repairs an unterminated tail (prepends a newline) so one crash never
   corrupts the next writer's record.
 * **Keys** are SHA-256 digests over a canonical JSON serialisation of
-  ``(platform key, pass-list key, analysis kind, core, operating point,
-  structural fingerprint)`` — see :func:`key_digest`.  The pass-list
+  their components — see :func:`key_digest`.  The analysis tier keys one
+  function's cost by ``(cost-model digest, analysis version, pass-list
+  key, analysis kind, core, operating point, path mode, function
+  fingerprint, callee costs)`` (see
+  :class:`~repro.compiler.engine.cache.AnalysisCache`).  The pass-list
   component comes from :meth:`PassManager.pass_list_key
   <repro.compiler.pipeline.PassManager.pass_list_key>`: registering a custom
   pass changes every digest and retires all entries produced without it, the
-  same automatic widening the in-memory caches get.  The structural
-  fingerprint (:func:`~repro.compiler.engine.cache.program_fingerprint`)
+  same automatic widening the in-memory caches get.  The fingerprint
   already captures the *effect* of the passes that ran, so the pass-list key
   acts as a schema/namespace guard rather than a correctness requirement.
   The serialisation runs in the C JSON encoder in one call (enum members go
@@ -31,17 +33,16 @@ concurrently:
 * **Writers** serialise through an ``fcntl.flock`` on a lock file next to the
   records, so concurrent processes never interleave partial lines; last
   write wins.  Readers tail the file from the offset they consumed.
-* **Growth** is one line per distinct table, with no automatic bound: every
-  analysis digest is distinct, so there is nothing to fold.  Wiping the
+* **Growth** is one line per distinct function cost, with no automatic
+  bound: every analysis digest is distinct, so there is nothing to fold.  Wiping the
   file (or the directory) reclaims the space; a reader that finds the file
   shorter than its offset drops its index and re-reads from the start.
 
 Values are opaque JSON objects.  For the analysis tier,
-:func:`encode_analysis_entry` / :func:`decode_analysis_entry` serialise the
-``(table, errors)`` pairs the :class:`~repro.compiler.engine.cache.AnalysisCache`
-stores — floats survive JSON bit-for-bit (``json`` round-trips doubles via
-``repr``), so disk hits are exactly the numbers the uncached analysis
-produces.
+:func:`encode_outcome` / :func:`decode_outcome` serialise one function's
+cost or analysis error — floats survive JSON bit-for-bit (``json``
+round-trips doubles via ``repr``), so disk hits are exactly the numbers the
+uncached analysis produces.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ except ImportError:  # pragma: no cover
 #: Version stamp mixed into every key digest.  Bump when the record payload
 #: layout or the fingerprint canonicalisation changes: old records then
 #: simply stop matching instead of decoding into wrong-shaped entries.
-PERSIST_CODEC_VERSION = 1
+PERSIST_CODEC_VERSION = 2
 
 #: The one record file and its writer lock.  The numbered name is the one
 #: earlier releases appended to first, so a directory they wrote keeps
@@ -245,39 +246,37 @@ _ERROR_CLASSES = {
 }
 
 
-def encode_analysis_entry(entry) -> Dict[str, object]:
-    """JSON payload of an ``AnalysisCache`` ``(table, errors)`` pair."""
-    table, errors = entry
-    encoded_errors = {}
-    for name, error in errors.items():
-        payload: Dict[str, object] = {
-            "cls": type(error).__name__, "msg": str(error)}
-        function = getattr(error, "function", None)
-        if function is not None:
-            payload["fn"] = function
-        encoded_errors[name] = payload
-    return {"t": dict(table), "e": encoded_errors}
+def encode_outcome(outcome) -> Dict[str, object]:
+    """JSON payload of one function's outcome: ``{"c": cost}``, or
+    ``{"e": error}`` for the analysis error of a function without a bound."""
+    if not isinstance(outcome, Exception):
+        return {"c": outcome}
+    payload: Dict[str, object] = {
+        "cls": type(outcome).__name__, "msg": str(outcome)}
+    function = getattr(outcome, "function", None)
+    if function is not None:
+        payload["fn"] = function
+    return {"e": payload}
 
 
-def _decode_error(payload) -> AnalysisError:
-    cls = _ERROR_CLASSES.get(payload.get("cls"), AnalysisError)
-    # Rebuild without calling __init__: subclass initialisers reformat their
-    # message, but the persisted message is already the formatted one.
-    error = cls.__new__(cls)
-    Exception.__init__(error, payload.get("msg", ""))
-    if "fn" in payload:
-        error.function = payload["fn"]
-    return error
-
-
-def decode_analysis_entry(payload) -> Tuple[Dict[str, float], Dict[str, Exception]]:
-    """Inverse of :func:`encode_analysis_entry`."""
-    if not isinstance(payload, dict) or "t" not in payload:
-        raise PersistError("malformed analysis entry payload")
-    table = {str(name): value for name, value in payload["t"].items()}
-    errors = {str(name): _decode_error(spec)
-              for name, spec in payload.get("e", {}).items()}
-    return table, errors
+def decode_outcome(payload):
+    """Inverse of :func:`encode_outcome`: a float cost or an
+    :class:`AnalysisError`."""
+    if isinstance(payload, dict):
+        cost = payload.get("c")
+        if isinstance(cost, float):
+            return cost
+        error = payload.get("e")
+        if isinstance(error, dict) and isinstance(error.get("msg"), str):
+            cls = _ERROR_CLASSES.get(error.get("cls"), AnalysisError)
+            # Rebuild without calling __init__: subclass initialisers
+            # reformat their message, but the persisted one is formatted.
+            decoded = cls.__new__(cls)
+            Exception.__init__(decoded, error["msg"])
+            if "fn" in error:
+                decoded.function = error["fn"]
+            return decoded
+    raise PersistError("malformed analysis outcome payload")
 
 
 # ---------------------------------------------------------------------------

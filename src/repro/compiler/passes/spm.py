@@ -10,12 +10,12 @@ instructions per byte of code).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.hw.platform import Platform
 from repro.ir.cfg import Function, Program
 from repro.ir.instructions import Instr
-from repro.wcet.structural import StructuralCostEngine
+from repro.wcet.structural import CalleeKeyedMemo, StructuralCostEngine
 
 #: Assumed encoded size of one IR instruction, in bytes (Thumb-like).
 INSTRUCTION_BYTES = 4
@@ -34,13 +34,36 @@ class SpmAllocation:
         return self.used_bytes / self.capacity_bytes if self.capacity_bytes else 0.0
 
 
+#: Attribute memoising, on each function, its worst-case fetch count (or
+#: the error that leaves it unranked) keyed by its callees' counts.
+_FETCHES_ATTR = "_spm_fetches"
+
+
+class _FetchMemo:
+    """Fetch counts kept on the functions themselves: the evaluation
+    engine's variants share their functions, so each is counted once per
+    distinct callee counts, not once per variant."""
+
+    @staticmethod
+    def recall(function: Function, callees: Tuple):
+        return getattr(function, _FETCHES_ATTR, {}).get(callees)
+
+    @staticmethod
+    def remember(function: Function, callees: Tuple, outcome) -> None:
+        function.__dict__.setdefault(_FETCHES_ATTR, {})[callees] = outcome
+
+
+class _FetchCounter(CalleeKeyedMemo, StructuralCostEngine):
+    """A structural engine counting through :class:`_FetchMemo`."""
+
+
 def _worst_case_fetches(program: Program) -> Dict[str, float]:
     """Worst-case number of instruction fetches per single invocation."""
 
     def one_per_instruction(_function: Function, _instr: Instr) -> float:
         return 1.0
 
-    engine = StructuralCostEngine(program, one_per_instruction)
+    engine = _FetchCounter(program, one_per_instruction, memo=_FetchMemo)
     fetches: Dict[str, float] = {}
     for name in program.functions:
         try:

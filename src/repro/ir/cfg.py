@@ -9,7 +9,8 @@ annotation metadata extracted from ``#pragma teamplay`` directives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Set,
+                    Tuple)
 
 from repro.errors import TeamPlayError
 from repro.graph import topological_order
@@ -273,11 +274,16 @@ class Program:
     def validate(self) -> None:
         for function in self.functions.values():
             function.validate()
-            for callee in function.callees():
-                if callee not in self.functions:
-                    raise TeamPlayError(
-                        f"function {function.name!r} calls unknown function "
-                        f"{callee!r}")
+            self.check_callees(function, function.callees())
+
+    def check_callees(self, function: Function, callees: Iterable[str]
+                      ) -> None:
+        """Reject a call of ``function`` to a function not in the program."""
+        for callee in callees:
+            if callee not in self.functions:
+                raise TeamPlayError(
+                    f"function {function.name!r} calls unknown function "
+                    f"{callee!r}")
 
     def clone(self, share_instructions: bool = False) -> "Program":
         """An independent copy safe to hand to the IR passes.
@@ -295,18 +301,22 @@ class Program:
             source_name=self.source_name,
         )
 
-    def has_recursion(self) -> bool:
+    def has_recursion(self,
+                      callees: Optional[Callable[[Function], Iterable[str]]]
+                      = None) -> bool:
         """Whether the call graph has a cycle (self-calls included).
 
         Calls to unknown functions (which :meth:`validate` rejects) cannot
-        close a cycle, so they are left out of the ordering.
+        close a cycle, so they are left out of the ordering.  ``callees``
+        stands in for :meth:`Function.callees`.
         """
-        callees = {name: function.callees()
-                   for name, function in self.functions.items()}
+        callees_of = callees or Function.callees
+        calls = {name: callees_of(function)
+                 for name, function in self.functions.items()}
         order = topological_order(
-            callees, lambda name: [callee for callee in callees[name]
-                                   if callee in callees])
-        return len(order) < len(callees)
+            calls, lambda name: [callee for callee in calls[name]
+                                 if callee in calls])
+        return len(order) < len(calls)
 
     @property
     def task_functions(self) -> Dict[str, Function]:

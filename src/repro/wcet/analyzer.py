@@ -9,7 +9,7 @@ states unless code was placed in the scratchpad).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import AnalysisError
 from repro.hw.core import Core
@@ -18,7 +18,7 @@ from repro.hw.platform import Platform
 from repro.ir.cfg import Function, Program
 from repro.ir.instructions import Instr, Opcode
 from repro.wcet.paths import PathSensitiveCostEngine, PathStats
-from repro.wcet.structural import StructuralCostEngine, entry_cost
+from repro.wcet.structural import StructuralCostEngine, call_closure
 
 
 @dataclass
@@ -29,6 +29,8 @@ class WCETResult:
     cycles: float
     time_s: float
     frequency_hz: float
+    #: The cycles of the entry and of every function it calls, directly or
+    #: not, in program order.
     per_function_cycles: Dict[str, float] = field(default_factory=dict)
 
     def scaled_to(self, frequency_hz: float) -> "WCETResult":
@@ -43,7 +45,15 @@ class WCETResult:
 def check_analysable(program: Program) -> None:
     """Validate ``program`` and reject recursion, which no bound covers."""
     program.validate()
-    if program.has_recursion():
+    reject_recursion(program)
+
+
+def reject_recursion(program: Program,
+                     callees: Optional[Callable[[Function], Iterable[str]]]
+                     = None) -> None:
+    """Raise :class:`AnalysisError` if ``program`` has recursion;
+    ``callees`` stands in for :meth:`Function.callees`."""
+    if program.has_recursion(callees):
         raise AnalysisError("programs with recursion are not analysable")
 
 
@@ -87,21 +97,30 @@ class WCETAnalyzer:
         check_analysable(program)
         engine = (PathSensitiveCostEngine if path_sensitive
                   else StructuralCostEngine)(program, self._instr_cycles)
-        table, errors = engine.costs()
-        self.last_path_stats = engine.path_stats if path_sensitive else {}
-        return self.result(program, function_name, table, errors, opp)
+        try:
+            return self.result(program, function_name, engine.function_cost,
+                               opp)
+        finally:
+            self.last_path_stats = engine.path_stats if path_sensitive else {}
 
     def result(self, program: Program, function_name: str,
-               table: Dict[str, float], errors: Dict[str, Exception],
-               opp: Optional[OperatingPoint] = None) -> WCETResult:
-        """The bound of ``function_name`` from a table of cycle costs
-        (:meth:`StructuralCostEngine.costs`), priced at ``opp``."""
-        cycles = entry_cost(program, function_name, table, errors)
+               cycles_of: Callable[[str], float],
+               opp: Optional[OperatingPoint] = None,
+               closure: Optional[Iterable[str]] = None) -> WCETResult:
+        """The bound of ``function_name``, priced at ``opp``.
+
+        ``cycles_of(name)`` is a function's cycle cost, or raises its
+        analysis error; ``per_function_cycles`` holds the entry's call
+        closure (``closure``, by default :func:`call_closure`).
+        """
+        cycles = cycles_of(function_name)
         opp = opp or self.core.nominal_opp
+        if closure is None:
+            closure = call_closure(program, function_name)
         return WCETResult(
             function=function_name,
             cycles=cycles,
             time_s=self.core.time_for_cycles(cycles, opp),
             frequency_hz=opp.frequency_hz,
-            per_function_cycles=dict(table),
+            per_function_cycles={name: cycles_of(name) for name in closure},
         )

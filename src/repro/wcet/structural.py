@@ -12,15 +12,17 @@ recursion over the region tree recorded during lowering:
   (memoised; recursion is rejected).
 
 The engine is parameterised by a per-instruction cost callable so the same
-code serves cycles (WCET) and joules (worst-case energy consumption).  An
-optional block memo shares call-free block costs across programs.
+code serves cycles (WCET) and joules (worst-case energy consumption).  It
+costs a function on demand, with exactly its call closure.  An optional
+block memo shares call-free block costs across programs, and
+:class:`CalleeKeyedMemo` shares whole function costs.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import add, attrgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import AnalysisError, UnboundedLoopError
 from repro.ir.cfg import Function, Program
@@ -40,9 +42,6 @@ from repro.ir.runs import Run, flat_map
 #: costed through its template.
 InstrCost = Callable[[Function, Instr], float]
 
-#: Per-function costs, and the analysis errors of functions without a bound.
-CostTable = Tuple[Dict[str, float], Dict[str, Exception]]
-
 #: Enum members, not ``.value``: the memo key is built per block.
 _CALL_OPCODE = Opcode.CALL
 _opcode_of = attrgetter("opcode")
@@ -60,6 +59,12 @@ def memo_put(memo: Dict, key, value):
         memo.clear()
     memo[key] = value
     return value
+
+
+def _recursion_error(name: str) -> AnalysisError:
+    return AnalysisError(
+        f"recursive call cycle involving {name!r}; the static "
+        f"analyses require recursion-free programs")
 
 
 class StructuralCostEngine:
@@ -86,9 +91,7 @@ class StructuralCostEngine:
         if name in self._function_cost:
             return self._function_cost[name]
         if name in self._in_progress:
-            raise AnalysisError(
-                f"recursive call cycle involving {name!r}; the static "
-                f"analyses require recursion-free programs")
+            raise _recursion_error(name)
         self._in_progress.add(name)
         try:
             function = self.program.function(name)
@@ -97,21 +100,6 @@ class StructuralCostEngine:
             self._in_progress.discard(name)
         self._function_cost[name] = cost
         return cost
-
-    def costs(self) -> CostTable:
-        """Every function's cost, and the error of each that has none.
-
-        Functions not reachable from an entry may legitimately lack loop
-        bounds; they simply don't get a standalone bound.
-        """
-        table: Dict[str, float] = {}
-        errors: Dict[str, Exception] = {}
-        for name in self.program.functions:
-            try:
-                table[name] = self.function_cost(name)
-            except AnalysisError as error:
-                errors[name] = error
-        return table, errors
 
     # -- recursion -----------------------------------------------------------
     def _region_cost(self, function: Function, region: Region) -> float:
@@ -174,16 +162,98 @@ class StructuralCostEngine:
         return terms
 
 
-def entry_cost(program: Program, name: str, table: Dict[str, float],
-               errors: Dict[str, Exception]) -> float:
-    """``name``'s cost from a :meth:`StructuralCostEngine.costs` table.
+#: Attribute memoising a function's sorted callees (:func:`memoised_callees`).
+_FUNCTION_CALLEES_ATTR = "_engine_function_callees"
 
-    Raises the function's analysis error, or for an unknown function the
-    error :meth:`Program.function` raises.
+
+def memoised_callees(function: Function) -> Tuple[str, ...]:
+    """``function``'s callees, sorted, memoised on the function.
+
+    Only for functions that are no longer mutated, like the evaluation
+    engine's shared build units.
     """
-    if name in table:
-        return table[name]
-    if name in errors:
-        raise errors[name]
-    program.function(name)
-    raise KeyError(name)  # pragma: no cover - function() raises
+    callees = getattr(function, _FUNCTION_CALLEES_ATTR, None)
+    if callees is None:
+        callees = tuple(sorted(function.callees()))
+        setattr(function, _FUNCTION_CALLEES_ATTR, callees)
+    return callees
+
+
+def call_closure(program: Program, name: str,
+                 callees: Callable[[Function], Iterable[str]] = Function.callees
+                 ) -> List[str]:
+    """``name`` and every function it calls, directly or not, in program
+    order."""
+    reached = {name}
+    pending = [name]
+    while pending:
+        for callee in callees(program.functions[pending.pop()]):
+            if callee not in reached:
+                reached.add(callee)
+                pending.append(callee)
+    return [function for function in program.functions if function in reached]
+
+
+def _outcome_key(outcome):
+    """A callee outcome as a memo-key component: its cost, or its error's
+    type and message."""
+    if isinstance(outcome, Exception):
+        return (type(outcome).__name__, str(outcome))
+    return outcome
+
+
+class CalleeKeyedMemo:
+    """Mixin over a cost engine: each function's outcome is memoised under
+    the function and its callees' outcomes.
+
+    An outcome is a cost, or the :class:`AnalysisError` the function
+    raises.  A function's cost depends only on the function and its
+    callees' costs: equal callee costs give the same left-to-right sum, bit
+    for bit.  So :meth:`outcome` resolves the callees first, then asks
+    ``memo.recall(function, callees)`` with ``callees`` the sorted
+    ``((name, cost or (error type, message)), ...)`` pairs, and computes
+    the function through the engine only when that returns ``None``,
+    handing the result to ``memo.remember(function, callees, outcome)``.
+    ``outcomes`` holds the outcomes resolved so far by name, for one
+    program.  A function is marked in progress before its callees are
+    resolved, so recursion raises :class:`AnalysisError`, never
+    ``RecursionError``; that error is not memoised.  Callees are read
+    through :func:`memoised_callees`.
+    """
+
+    def __init__(self, program: Program, instr_cost: InstrCost, *args,
+                 memo, outcomes: Optional[Dict[str, object]] = None,
+                 **kwargs):
+        super().__init__(program, instr_cost, *args, **kwargs)
+        self.memo = memo
+        self.outcomes = {} if outcomes is None else outcomes
+
+    def function_cost(self, name: str) -> float:
+        outcome = self.outcome(name)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def outcome(self, name: str):
+        """``name``'s cost, or the analysis error it raises."""
+        outcome = self.outcomes.get(name)
+        if outcome is not None:
+            return outcome
+        if name in self._in_progress:
+            raise _recursion_error(name)
+        function = self.program.function(name)
+        self._in_progress.add(name)
+        try:
+            callees = tuple([(callee, _outcome_key(self.outcome(callee)))
+                             for callee in memoised_callees(function)])
+        finally:
+            self._in_progress.discard(name)
+        outcome = self.memo.recall(function, callees)
+        if outcome is None:
+            try:
+                outcome = super().function_cost(name)
+            except AnalysisError as error:
+                outcome = error
+            self.memo.remember(function, callees, outcome)
+        self.outcomes[name] = outcome
+        return outcome

@@ -34,6 +34,13 @@ differential tests import this module by name and assert exact agreement:
   :class:`~repro.energy.static_analyzer.EnergyAnalyzer`), checked variant
   for variant in ``tests/test_engine.py`` and ``tests/test_pipeline.py``
   and timed as the uncached baseline by ``benchmarks/test_bench_engine.py``;
+* the whole-program cost table (``whole_program_costs``: every function's
+  cost, or the analysis error of each that has none) that
+  :class:`~repro.compiler.engine.cache.AnalysisCache` replaced with
+  costing each query's call closure on demand, read through the cache by
+  ``cache_costs`` and checked table for table in
+  ``tests/test_analysis_core.py``, ``tests/test_unit_memo.py`` and
+  ``tests/test_compact_runs.py``;
 * the IPET longest path (``acyclic_longest_path_cost``) and whole-CFG
   feasible-path enumeration (``feasible_longest_path_cost``,
   ``acyclic_longest_feasible_path_cost``) that cross-check the structural
@@ -70,7 +77,7 @@ from repro.wcet.analyzer import WCETAnalyzer
 from repro.wcet.loopbounds import infer_for_bound
 from repro.wcet.paths import (DEFAULT_PATH_CAP, PathStats, _enumerate_paths,
                               _IrregularFlow, _PathCapExceeded, _unit_blocks)
-from repro.wcet.structural import InstrCost
+from repro.wcet.structural import InstrCost, StructuralCostEngine
 
 
 @dataclass
@@ -726,3 +733,47 @@ def acyclic_longest_feasible_path_cost(function: Function,
     best = feasible_longest_path_cost(function, instr_cost, entry=entry,
                                       path_cap=path_cap, stats=stats)
     return bound if best is None else best
+
+
+CostTable = Tuple[Dict[str, float], Dict[str, Exception]]
+
+
+def whole_program_costs(engine: StructuralCostEngine) -> CostTable:
+    """Every function's cost, and the analysis error of each that has none.
+
+    Functions not reachable from an entry may legitimately lack loop
+    bounds; they simply don't get a standalone bound.
+    """
+    table: Dict[str, float] = {}
+    errors: Dict[str, Exception] = {}
+    for name in engine.program.functions:
+        try:
+            table[name] = engine.function_cost(name)
+        except AnalysisError as error:
+            errors[name] = error
+    return table, errors
+
+
+def cache_costs(cache, program: Program, core: Core, opp, path_sensitive: bool,
+                names: Optional[Sequence[str]] = None) -> CostTable:
+    """:func:`whole_program_costs` through an analysis cache: each function
+    (of ``names``, by default all, queried in that order) costed in the
+    scope of ``core`` and ``opp`` (``None``: cycles), tabled in program
+    order."""
+    outcomes = {}
+    for name in program.functions if names is None else names:
+        try:
+            outcomes[name] = cache._table(program, core, opp,
+                                          path_sensitive, name)[name]
+        except AnalysisError as error:
+            outcomes[name] = error
+    table: Dict[str, float] = {}
+    errors: Dict[str, Exception] = {}
+    for name in program.functions:
+        outcome = outcomes[name]
+        if isinstance(outcome, Exception):
+            errors[name] = outcome
+        else:
+            table[name] = outcome
+    return table, errors
+

@@ -1,14 +1,16 @@
-"""One analysis core: the memoised tables against the unmemoised reference.
+"""One analysis core: the memoised costs against the unmemoised reference.
 
 The stock analysers (:class:`WCETAnalyzer`, :class:`EnergyAnalyzer`) and the
 evaluation engine's :class:`AnalysisCache` run the same two engine classes
 (:class:`StructuralCostEngine`, :class:`PathSensitiveCostEngine`) and make
 their results through the same two ``result`` methods.  The cache adds
-per-instruction and per-block memos shared across programs; the analysers
-add none and stay the reference.  These tests hold the two doors to each other:
+per-instruction, per-block and per-function memos shared across programs;
+the analysers add none and stay the reference.  These tests hold the two
+doors to each other:
 
-* every cycle and energy table the cache computes equals a plain engine run
-  on the analysers' raw cost functions, bit for bit, for every embedded
+* every function's cycle and energy cost the cache computes equals a plain
+  engine run on the analysers' raw cost functions (the whole-program
+  table of ``tests/oracles.py``), bit for bit, for every embedded
   source across the IR pin's configurations (with and without scratchpad
   allocation), in both analysis modes, on every predictable core and
   operating point;
@@ -23,7 +25,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from oracles import build_program
+from oracles import build_program, cache_costs, whole_program_costs
 from test_compact_runs import SOURCE_PLATFORMS
 from test_unroll_stamping import (
     IR_PIN_SOURCES,
@@ -108,17 +110,17 @@ class TestMemoMatchesReference:
                 for path_sensitive in (False, True):
                     engine = (PathSensitiveCostEngine if path_sensitive
                               else StructuralCostEngine)
-                    reference = engine(program,
-                                       energy.wcet._instr_cycles).costs()
-                    assert _exact(cache._table(program, core, None,
-                                               path_sensitive)) == \
+                    reference = whole_program_costs(
+                        engine(program, energy.wcet._instr_cycles))
+                    assert _exact(cache_costs(cache, program, core, None,
+                                              path_sensitive)) == \
                         _exact(reference), (config, core.name)
                     for opp in core.operating_points:
-                        reference = engine(
+                        reference = whole_program_costs(engine(
                             program, lambda fn, instr, opp=opp:
-                            energy._instr_energy(fn, instr, opp)).costs()
-                        assert _exact(cache._table(program, core, opp,
-                                                   path_sensitive)) == \
+                            energy._instr_energy(fn, instr, opp)))
+                        assert _exact(cache_costs(cache, program, core, opp,
+                                                  path_sensitive)) == \
                             _exact(reference), (config, core.name, opp.label)
                         for fn in entries:
                             query = (program, fn.name, opp, path_sensitive)

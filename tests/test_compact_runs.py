@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 import pytest
 from hypothesis import given, settings
 
-from oracles import build_program
+from oracles import build_program, cache_costs
 from test_compiler_passes import _single_block_function
 from test_frontend_cursor import _program
 from test_unroll_stamping import (
@@ -101,7 +101,7 @@ def _tables(cache: AnalysisCache, program: Program, platform: Platform):
     out = []
     for core in platform.predictable_cores:
         for opp in [None, *core.operating_points]:
-            table, errors = cache._table(program, core, opp, False)
+            table, errors = cache_costs(cache, program, core, opp, False)
             out.append((core.name, opp and opp.label,
                         {name: cost.hex() for name, cost in table.items()},
                         {name: str(error) for name, error in errors.items()}))

@@ -49,10 +49,10 @@ from repro.compiler.engine.cache import (
 from repro.compiler.engine.persist import (
     PersistentCacheStore,
     PersistError,
-    decode_analysis_entry,
+    decode_outcome,
     decode_record,
     default_pass_list_key,
-    encode_analysis_entry,
+    encode_outcome,
     encode_record,
     key_digest,
     validate_cache_dir,
@@ -65,6 +65,8 @@ from repro.hw.core import CoreKind
 from repro.hw.presets import gr712rc, nucleo_stm32f091rc
 from repro.ir.instructions import Opcode
 from repro.scenarios import run_scenario
+from repro.wcet import structural
+from repro.wcet.analyzer import WCETAnalyzer
 from test_service import assert_report_matches, golden
 from test_unroll_stamping import IR_PIN_SOURCES
 
@@ -139,32 +141,33 @@ class TestRecordCodec:
 
 
 class TestAnalysisEntryCodec:
-    def test_tables_and_errors_round_trip(self):
+    def test_costs_and_errors_round_trip(self):
         unbounded = UnboundedLoopError("stray", "while loop without bound")
         plain = AnalysisError("no cost model for opcode 'simd'")
-        entry = ({"main": 1234.0, "helper": 17.5, "isr": 0.1},
-                 {"stray": unbounded, "weird": plain})
-        table, errors = decode_analysis_entry(encode_analysis_entry(entry))
-        assert table == entry[0]
-        assert list(table) == ["main", "helper", "isr"]  # insertion order
-        assert type(errors["stray"]) is UnboundedLoopError
-        assert str(errors["stray"]) == str(unbounded)
-        assert errors["stray"].function == "stray"
-        assert type(errors["weird"]) is AnalysisError
-        assert str(errors["weird"]) == str(plain)
+        for cost in (1234.0, 17.5, 0.1, 5.627483374999999e-05):
+            decoded = decode_outcome(json.loads(json.dumps(
+                encode_outcome(cost))))
+            assert decoded.hex() == cost.hex()
+        decoded = decode_outcome(encode_outcome(unbounded))
+        assert type(decoded) is UnboundedLoopError
+        assert str(decoded) == str(unbounded)
+        assert decoded.function == "stray"
+        decoded = decode_outcome(encode_outcome(plain))
+        assert type(decoded) is AnalysisError
+        assert str(decoded) == str(plain)
 
     def test_unknown_error_class_degrades_to_analysis_error(self):
-        payload = encode_analysis_entry(({}, {"f": AnalysisError("boom")}))
-        payload["e"]["f"]["cls"] = "SomeRetiredError"
-        _, errors = decode_analysis_entry(payload)
-        assert type(errors["f"]) is AnalysisError
-        assert str(errors["f"]) == "boom"
+        payload = encode_outcome(AnalysisError("boom"))
+        payload["e"]["cls"] = "SomeRetiredError"
+        error = decode_outcome(payload)
+        assert type(error) is AnalysisError
+        assert str(error) == "boom"
 
     def test_malformed_payload_rejected(self):
-        with pytest.raises(PersistError):
-            decode_analysis_entry(["not", "a", "dict"])
-        with pytest.raises(PersistError):
-            decode_analysis_entry({"e": {}})  # no table
+        for payload in (["not", "a", "dict"], {}, {"c": "12"}, {"c": None},
+                        {"e": "boom"}, {"t": {"f": 1.0}, "e": {}}):
+            with pytest.raises(PersistError):
+                decode_outcome(payload)
 
 
 class TestKeyDigest:
@@ -205,9 +208,12 @@ class TestKeyDigest:
                     fingerprint = program_fingerprint(program)
                     digest = key_digest(fingerprint)
                     assert digest == key_digest_reference(fingerprint)
-                    # The outer key of one energy table (_table_digest).
-                    parts = ("analysis", platform.name, pass_list_key,
-                             "energy", ["m0", "m0-48MHz", "paths"], digest)
+                    # The outer key of one function's path-sensitive
+                    # energy cost (``_Scope._digest``).
+                    parts = ("analysis", ("0" * 64, 1, pass_list_key),
+                             ["energy", "m0", "m0-48MHz", "paths"], digest,
+                             (("helper", 17.5),
+                              ("stray", ("UnboundedLoopError", "loop"))))
                     assert key_digest(*parts) == key_digest_reference(*parts)
 
     @settings(max_examples=300, deadline=None)
@@ -445,7 +451,11 @@ class TestAnalysisCacheDiskTier:
         assert got_wcec.dynamic_energy_j == expected_wcec.dynamic_energy_j
         assert got_wcec.static_energy_j == expected_wcec.static_energy_j
 
-    def test_lru_evicted_tables_return_as_disk_hits(self, tmp_path):
+    def test_lru_evicted_tables_return_as_disk_hits(self, tmp_path,
+                                                     monkeypatch):
+        # A one-entry function memo forgets each cost at the next insert, so
+        # the evicted table's function comes back from disk, not from memory.
+        monkeypatch.setattr(structural, "MEMO_LIMIT", 1)
         platform = nucleo_stm32f091rc()
         program_a = compile_source(_source(16))
         program_b = compile_source(_source(32))
@@ -463,8 +473,8 @@ class TestAnalysisCacheDiskTier:
         assert cache.disk_hits == hits_before + 1
 
     def test_table_digests_are_pinned(self):
-        # On-disk keys of one cycles table and one path-sensitive energy
-        # table: a directory warmed by an earlier build must keep hitting.
+        # On-disk keys of one function's cycles and path-sensitive energy
+        # costs: a directory warmed by an earlier build must keep hitting.
         class RecordingStore:
             def __init__(self):
                 self.digests = []
@@ -481,10 +491,36 @@ class TestAnalysisCacheDiskTier:
         cache.wcet(program, "work")
         cache.wcec(program, "work", path_sensitive=True)
         cycles, energy_paths, _cycles_paths = store.digests
-        assert cycles == ("ff3914912db948171e21adecea48d7d6"
-                          "9692326c7530639a790b6725cc5bca01")
-        assert energy_paths == ("f70b58bb6855b083703b21563f224345"
-                                "72c9a5083b12d698e0c1a30c6ca240cf")
+        assert cycles == ("c46c87b51b907e8426407d4ab3eadb20"
+                          "fc9e367825294b5c33840d84ea80c7c7")
+        assert energy_paths == ("a9fa7fa527a613d7bcb96d27c783b4cf"
+                                "00aee25052dcedf5bdd09da7f910e52d")
+
+    def test_edited_timing_table_misses_a_warm_store(self, tmp_path):
+        # The digest covers the cost model, not the platform's name: a
+        # directory warmed with one core timing table must not serve its
+        # bounds once that table is edited under the same name.
+        program = compile_source(_source(16))
+        stock = nucleo_stm32f091rc()
+        warm = AnalysisCache(stock, store=PersistentCacheStore(tmp_path))
+        before = warm.wcet(program, "work").cycles
+        assert warm.disk_misses > 0
+
+        edited = nucleo_stm32f091rc()
+        core = edited.predictable_cores[0]
+        core.cycle_table["mul"] = core.cycle_table["mul"] + 7
+        assert edited.name == stock.name
+        cache = AnalysisCache(edited, store=PersistentCacheStore(tmp_path))
+        got = cache.wcet(program, "work")
+        assert cache.disk_hits == 0 and cache.disk_misses > 0
+        assert got.cycles == WCETAnalyzer(edited).analyze(
+            program, "work").cycles
+        assert got.cycles > before
+        # The unedited model still hits what it wrote.
+        again = AnalysisCache(nucleo_stm32f091rc(),
+                              store=PersistentCacheStore(tmp_path))
+        assert again.wcet(program, "work").cycles == before
+        assert again.disk_hits > 0 and again.disk_misses == 0
 
     def test_multi_core_scopes_get_distinct_records(self, tmp_path):
         platform = gr712rc()

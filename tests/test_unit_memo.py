@@ -14,7 +14,7 @@ tests hold the memo to the memo-free engine:
   configuration space, analysed through one shared cache, equal a
   memo-free engine run bit for bit (floats as ``hex``);
 * **work counters**: a memo hit adds to ``unit_hits`` only;
-* **bound**: the block-cost and unit memos stay within
+* **bound**: the block-cost, unit and function memos stay within
   :data:`~repro.wcet.structural.MEMO_LIMIT` however many programs arrive;
 * **compact blocks**: path analysis reads a block holding an unrolled run
   without materialising it.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import build_program
+from oracles import build_program, cache_costs, whole_program_costs
 from test_path_feasibility import branchy_programs
 
 from repro.compiler.config import (EXTENDED_GENE_LENGTH, UNROLL_CHOICES,
@@ -76,8 +76,8 @@ def _pinned(programs, costs, memo):
     for program, instr_cost in zip(programs, costs):
         entries = len(memo)
         engine = _engine(program, instr_cost, memo)
-        assert _hex_table(engine.costs()) == \
-            _hex_table(_engine(program, instr_cost).costs())
+        assert _hex_table(whole_program_costs(engine)) == \
+            _hex_table(whole_program_costs(_engine(program, instr_cost)))
         assert engine.path_stats["f"].unit_hits == 0
         assert len(memo) == entries + 1
         bounds.append(engine.function_cost("f"))
@@ -119,14 +119,15 @@ class TestSoundnessPins:
         program = compile_source(CHAIN.replace("BOUND", "3"))
         for core in PLATFORM.predictable_cores:
             energy = EnergyAnalyzer(PLATFORM, core=core)
-            assert _hex_table(cache._table(program, core, None, True)) == \
-                _hex_table(_engine(program, energy.wcet._instr_cycles)
-                           .costs())
+            assert _hex_table(cache_costs(cache, program, core, None, True)) \
+                == _hex_table(whole_program_costs(
+                    _engine(program, energy.wcet._instr_cycles)))
             for opp in core.operating_points:
-                assert _hex_table(cache._table(program, core, opp, True)) \
-                    == _hex_table(_engine(
+                assert _hex_table(cache_costs(cache, program, core, opp,
+                                              True)) \
+                    == _hex_table(whole_program_costs(_engine(
                         program, lambda fn, instr, opp=opp:
-                        energy._instr_energy(fn, instr, opp)).costs())
+                        energy._instr_energy(fn, instr, opp))))
 
 
 #: One cache for every drawn program: its memos carry across draws.
@@ -148,12 +149,13 @@ class TestMemoDifferential:
         core = PLATFORM.predictable_cores[0]
         energy = EnergyAnalyzer(PLATFORM, core=core)
         opp = core.nominal_opp
-        assert _hex_table(_SHARED._table(program, core, None, True)) == \
-            _hex_table(_engine(program, energy.wcet._instr_cycles).costs())
-        assert _hex_table(_SHARED._table(program, core, opp, True)) == \
-            _hex_table(_engine(program, lambda fn, instr:
-                               energy._instr_energy(fn, instr, opp))
-                       .costs())
+        assert _hex_table(cache_costs(_SHARED, program, core, None, True)) \
+            == _hex_table(whole_program_costs(
+                _engine(program, energy.wcet._instr_cycles)))
+        assert _hex_table(cache_costs(_SHARED, program, core, opp, True)) \
+            == _hex_table(whole_program_costs(_engine(
+                program, lambda fn, instr:
+                energy._instr_energy(fn, instr, opp))))
 
 
 class TestWorkCounters:
@@ -163,8 +165,8 @@ class TestWorkCounters:
                  .replace("int f(", "int h(")
         program = compile_source(twice)
         engine = _engine(program, memo={})
-        assert _hex_table(engine.costs()) == \
-            _hex_table(_engine(program).costs())
+        assert _hex_table(whole_program_costs(engine)) == \
+            _hex_table(whole_program_costs(_engine(program)))
         first, second = engine.path_stats["f"], engine.path_stats["h"]
         assert (first.units, first.unit_hits) == (1, 0)
         assert first.paths_enumerated > 0
@@ -175,10 +177,14 @@ class TestWorkCounters:
         cache = AnalysisCache(PLATFORM)
         chain = CHAIN.replace("BOUND", "3")
         programs = [compile_source(source) for source in
-                    (chain, chain + "int k(int y) { return y + 1; }")]
-        for program in programs:
-            cache.wcet(program, "f", path_sensitive=True)
-        # Another program, the same unit in ``f``: the second one hits.
+                    (chain, chain + chain.replace("int g[4];", "")
+                     .replace("int f(", "int h("))]
+        cache.wcet(programs[0], "f", path_sensitive=True)
+        # Another program holding the same ``f`` and an ``h`` with the same
+        # unit: ``f`` is a function-memo hit, which enumerates nothing, and
+        # ``h``, another function, hits the unit memo.
+        cache.wcet(programs[1], "f", path_sensitive=True)
+        cache.wcet(programs[1], "h", path_sensitive=True)
         stats = cache.stats()
         assert (stats["path_units"], stats["path_unit_hits"]) == (1, 1)
         assert cache.path_stats()["totals"]["unit_hits"] == 1
@@ -195,11 +201,12 @@ class TestMemoBound:
             source = CHAIN.replace("BOUND", str(bound)) \
                 .replace("/ 7", f"/ 7 + {'g[0] + ' * (bound % 5)}1")
             program = compile_source(source)
-            assert _hex_table(cache._table(program, core, None, True)) == \
-                _hex_table(_engine(program, energy.wcet._instr_cycles)
-                           .costs())
+            assert _hex_table(cache_costs(cache, program, core, None, True)) \
+                == _hex_table(whole_program_costs(
+                    _engine(program, energy.wcet._instr_cycles)))
             memos = [*cache._block_costs.values(),
-                     *cache._unit_outcomes.values()]
+                     *cache._unit_outcomes.values(),
+                     *(scope.functions for scope in cache._scopes.values())]
             assert memos and all(len(memo) <= 6 for memo in memos)
         assert cache.stats()["path_units"] == 20
 

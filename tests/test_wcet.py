@@ -155,6 +155,11 @@ class TestWcetAnalysis:
         assert set(results) == {"alpha", "beta"}
         assert results["beta"].cycles > results["alpha"].cycles
         assert results["beta"].per_function_cycles["alpha"] > 0
+        # Each entry's call closure, in program order, and nothing else.
+        assert list(results["alpha"].per_function_cycles) == ["alpha"]
+        assert list(results["beta"].per_function_cycles) == ["alpha", "beta"]
+        assert results["beta"].per_function_cycles["alpha"] == \
+            results["alpha"].cycles
 
     def test_spm_placement_reduces_wcet(self, platform):
         program = compile_source(self.SOURCE)
