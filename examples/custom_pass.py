@@ -4,8 +4,10 @@
 Walks the pass-authoring flow `docs/passes.md` teaches:
 
 1. register a toy IR-stage pass (an instruction histogram) on a driver's
-   `PassManager` — its cache-key contribution widens the variant key and
-   every function's IR-segment build key automatically,
+   `PassManager` — its cache-key contribution widens the variant key, and
+   it becomes one step of every function's IR pass chain: it runs once
+   per distinct input, and since it changes no IR it hands each function
+   on as it found it,
 2. flip the stock CSE/peephole passes on for one build and compare the
    resulting worst-case bounds against the baseline,
 3. run a registered scenario the way ``python -m repro.scenarios run
@@ -46,8 +48,9 @@ SCENARIO = "ecg-wearable"
 def opcode_histogram(ctx: PassContext) -> None:
     """The toy pass: count instructions by opcode, report the top one.
 
-    Like every IR pass it runs once per function, on a program holding
-    only that function; the engine sums its counter over functions.
+    Like every IR pass it runs once per function and distinct input, on a
+    program holding only that function; the engine sums its counter over
+    functions.  It writes no block, so the engine hands its input on.
     """
     histogram = Counter(
         instr.opcode.value
@@ -72,8 +75,10 @@ def main():
     histogram = {k: v for k, v in probe.pass_statistics.items()
                  if k.startswith("most_common_")}
     timings = compiler.pipeline_stats()["opcode-histogram"]
+    steps = compiler.cache_stats()["ir_stage"]["misses"]
     print(f"custom pass ran {timings['invocations']}x "
-          f"({timings['wall_s'] * 1e3:.2f} ms) and reported {histogram}\n")
+          f"({timings['wall_s'] * 1e3:.2f} ms) and reported {histogram}; "
+          f"{steps} IR pass steps built\n")
 
     # -- 2. the stock CSE + peephole passes on one build --------------------
     baseline = compiler.compile(SOURCE, "kernel", CompilerConfig.baseline())

@@ -6,7 +6,8 @@ The seed code rebuilt and re-analysed every candidate from scratch; the
 engine builds each function once per *effective* configuration (the
 fields that can change it) and shares the analysis between every
 variant with the same program.  Every key below comes from the
-pipeline's ``PassManager`` (``canonical_key`` / ``build_key``):
+pipeline's ``PassManager`` (``canonical_key`` / ``build_key`` /
+``step_key``):
 
 ``CompilerConfig`` ──┐
                      ▼
@@ -20,13 +21,18 @@ pipeline's ``PassManager`` (``canonical_key`` / ``build_key``):
                      │   inline  + keys of the inlinable callees read
                      │   lower   + largest unrolled loop bound, refolding:
                      │           unroll, fold again, lower (``lowering``)
-                     │   ir      + IR flags: CSE, DCE, strength reduction,
-                     │           peephole on a sharing clone (``ir_stage``)
+                     │   ir      one step per enabled IR pass (CSE, DCE,
+                     │           strength reduction, peephole), keyed by
+                     │           (input key, pass, its flag), run on a
+                     │           sharing clone (``ir_stage``); a pass that
+                     │           changed nothing hands on its input key
+                     │           and function
                      │ (every AST, lowering and IR pass sees one function)
                      ▼
       assemble the variant's Program from the shared functions
                      ▼
       backend pass (SPM allocation) per variant, replacing what it places
+      with the one placed copy kept on the function it copies
                      ▼
   [3] AnalysisCache ─ a query costs its entry's call closure; each
                      │ function's cost is memoised per (core[, OPP]) under
@@ -36,7 +42,8 @@ pipeline's ``PassManager`` (``canonical_key`` / ``build_key``):
               Variant (WCET, WCEC, security, code size)
 
 Stage [2] means a configuration re-lowers and re-optimises only the
-functions it changes; stage [3] means the WCET/Energy analysers'
+functions it changes, and runs each IR pass once per distinct input;
+stage [3] means the WCET/Energy analysers'
 per-function results are reused across every variant sharing a function
 *and* across the coordination layer's per-core/per-OPP ETS sweeps (cycle
 bounds are frequency-independent, so DVFS sweeps reuse one cycles table).

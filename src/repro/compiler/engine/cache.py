@@ -13,10 +13,13 @@ configurable pass widens every downstream key:
    runs.  It is the one variant memo: the optimisers keep none of their own.
 2. :class:`BuildCache` — one source module's build units (its functions)
    after each build segment, one :class:`BuildTable` per segment keyed by
-   :meth:`~repro.compiler.pipeline.PassManager.build_key`.  A function's
-   key holds only the configuration fields that can change it, so a
-   configuration re-lowers and re-optimises only what it changes, and
-   every variant's program is assembled from shared functions.
+   :meth:`~repro.compiler.pipeline.PassManager.build_key`, and after each
+   IR pass keyed by
+   :meth:`~repro.compiler.pipeline.PassManager.step_key`.  A function's
+   key holds only the configuration fields that can change it, and an IR
+   pass that changed nothing leaves it as it was, so a configuration
+   re-lowers and re-optimises only what it changes, and every variant's
+   program is assembled from shared functions.
 3. :class:`AnalysisCache` — worst-case costs, computed on demand: a query
    costs only its entry's call closure.  Each function's cost is memoised
    across programs per cost scope (analysis kind, core, operating point,
@@ -142,12 +145,17 @@ class VariantCache(_BoundedCacheMixin):
 
 class BuildTable(_BoundedCacheMixin):
     """Build units after one build segment, keyed by
-    :meth:`~repro.compiler.pipeline.PassManager.build_key`.
+    :meth:`~repro.compiler.pipeline.PassManager.build_key`, or IR pass
+    steps keyed by
+    :meth:`~repro.compiler.pipeline.PassManager.step_key`.
 
-    An entry is ``(key, unit, statistics)``: the unit's module (AST
-    segments) or program (lowering and IR segments) and its counters.
-    Entries are shared and never mutated: a later segment runs on a clone.
-    ``get`` counts a hit, ``put`` a miss (one build).
+    An entry is ``(key, unit, statistics)``: the unit's key, its module
+    (AST segments), program (lowering) or function (an IR pass step), and
+    its counters.  An entry's key is the key it is stored under, except
+    for a step whose pass changed nothing: that entry holds the step's
+    input key and function.  Entries are shared and never mutated: a
+    later segment or step runs on a clone.  ``get`` counts a hit, ``put``
+    a miss (one build).
     """
 
     def __init__(self):
@@ -163,9 +171,13 @@ class BuildTable(_BoundedCacheMixin):
             self.hits += 1
         return entry
 
-    def put(self, key: Tuple, unit, statistics: Dict[str, int]) -> Tuple:
+    def put(self, key: Tuple, unit, statistics: Dict[str, int],
+            unit_key: Optional[Tuple] = None) -> Tuple:
+        """Store ``unit`` under ``key``, as the unit of ``unit_key``
+        (default: ``key``)."""
         self.misses += 1
-        entry = self._entries[key] = (key, unit, statistics)
+        entry = self._entries[key] = (
+            key if unit_key is None else unit_key, unit, statistics)
         return entry
 
 
@@ -173,9 +185,11 @@ class BuildCache:
     """One source module's build units, one :class:`BuildTable` per build
     segment (:data:`~repro.compiler.pipeline.passes.BUILD_SEGMENTS`).
 
-    Shared by every engine of the module.  ``lowering`` and ``ir_stage``
-    are the tables of the ``lower`` and ``ir`` segments: their counters
-    count unit builds (function lowerings and IR-pass runs).  ``callees``
+    Shared by every engine of the module.  ``lowering`` is the table of
+    the ``lower`` segment, and its counters count function lowerings.
+    ``ir_stage`` holds the steps of the functions' IR pass chains, one
+    per (input key, pass, pass contribution), and its counters count IR
+    pass steps: a miss is one pass run on one function.  ``callees``
     memoises, per function after the ``ast`` segment, the build units of
     the functions it calls, and ``function_keys`` the narrowed key
     contributions (see

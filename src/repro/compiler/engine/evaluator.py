@@ -8,9 +8,11 @@ against them through the staged caches of
 * the variant cache short-circuits revisited configurations entirely; it
   is the one variant memo (the optimisers keep none of their own),
 * the build cache holds each function after every build segment, keyed
-  by the configuration fields that can change it, so a function is
-  lowered and IR-passed once per effective configuration and every
-  variant's program is assembled from shared functions,
+  by the configuration fields that can change it, and after each IR pass,
+  keyed by the pass and its input, so a function is lowered once per
+  effective configuration, each IR pass runs once per distinct input
+  (one that changed nothing hands its input on), and every variant's
+  program is assembled from shared functions,
 * the analysis cache shares per-function WCET/WCEC tables between every
   query against the same compiled program (multiple task entries, DVFS
   sweeps, per-core ETS derivation).
@@ -33,18 +35,18 @@ from repro.compiler.config import CompilerConfig
 from repro.compiler.engine.cache import AnalysisCache, BuildCache, VariantCache
 from repro.compiler.evaluate import SecurityEvaluator, Variant
 from repro.compiler.passes.spm import INSTRUCTION_BYTES
-from repro.compiler.pipeline import ANALYSIS_PASS, CompilationPipeline
+from repro.compiler.pipeline import ANALYSIS_PASS, CompilationPipeline, Pass
 from repro.errors import CompilationError, TeamPlayError
 from repro.frontend import ast_nodes as ast
 from repro.hw.core import Core
 from repro.hw.platform import Platform
-from repro.ir.cfg import Program
+from repro.ir.cfg import Function, Program
 
 #: Entry-function label of aggregate multi-task variants.
 ALL_TASKS_ENTRY = "<all tasks>"
 
 #: The build segment each segment runs on the result of.
-_PREVIOUS = {"inline": "ast", "lower": "inline", "ir": "lower"}
+_PREVIOUS = {"inline": "ast", "lower": "inline"}
 
 
 class EvaluationEngine:
@@ -125,24 +127,37 @@ class EvaluationEngine:
         variant's program and run the backend (scratchpad allocation) on
         it.
 
-        The program is new, its functions are the cached units' own: the
-        backend replaces a function it changes (see
+        Each unit is lowered, then passed through the chain of its enabled
+        IR passes (see :meth:`_step`).  The program is new, its functions
+        are the cached units' own: the backend replaces a function it
+        changes (see
         :func:`~repro.compiler.passes.spm.allocate_scratchpad`).  Counters
-        are the units' summed.
+        are the lowered units' and the steps' summed.
         """
-        reported, declared = self.pipeline.manager.statistic_names(config)
+        manager = self.pipeline.manager
+        reported, declared = manager.statistic_names(config)
         statistics = dict.fromkeys(reported, 0)
+        steps = [p for p in manager.segment("ir") if p.enabled(config)]
+
+        def count(counters: Dict[str, int]) -> None:
+            for name, value in counters.items():
+                if name in statistics or name not in declared:
+                    statistics[name] = statistics.get(name, 0) + value
+
         functions = {}
         # A module without functions assembles an empty program, which
         # then lacks every entry.
         lowered = Program(source_name=self.module.source_name)
         for identity, module in self._build_units():
-            _key, lowered, unit_statistics = self._unit(
-                config, "ir", identity, module)
-            functions.update(lowered.functions)
-            for name, value in unit_statistics.items():
-                if name in statistics or name not in declared:
-                    statistics[name] = statistics.get(name, 0) + value
+            key, lowered, counters = self._unit(config, "lower", identity,
+                                                module)
+            count(counters)
+            function = next(iter(lowered.functions.values()))
+            for registered in steps:
+                key, function, counters = self._step(
+                    config, registered, key, function, lowered)
+                count(counters)
+            functions[function.name] = function
         program = Program(functions=functions,
                           global_arrays=dict(lowered.global_arrays),
                           metadata=dict(lowered.metadata),
@@ -150,10 +165,42 @@ class EvaluationEngine:
         statistics.update(self.pipeline.backend_passes(program, config))
         return program, statistics
 
+    def _step(self, config: CompilerConfig, registered: Pass, key: Tuple,
+              function: Function, lowered: Program) -> Tuple:
+        """The ``ir_stage`` entry ``(key, function, statistics)`` of one IR
+        pass run on ``function`` (under ``key``), running the pass on a
+        miss.
+
+        The pass runs on a clone sharing the instructions (the IR passes
+        are copy-on-write at instruction granularity, so the input stays
+        intact), in a program with ``lowered``'s globals.  A pass that
+        changed nothing hands on the input key and the input function
+        itself, so every later step, and every memo kept on the function,
+        is shared with the configurations that skipped the pass; the entry
+        keeps the pass's counters either way.
+        """
+        step_key = self.pipeline.manager.step_key(config, registered, key,
+                                                  function)
+        entry = self.ir_stage.get(step_key)
+        if entry is not None:
+            return entry
+        program = Program(
+            functions={function.name: function.clone(
+                share_instructions=True)},
+            global_arrays=dict(lowered.global_arrays),
+            metadata=dict(lowered.metadata),
+            source_name=lowered.source_name)
+        statistics = self.pipeline.ir_passes(program, config, (registered,))
+        output = next(iter(program.functions.values()))
+        if output.holds_ir_of(function):
+            return self.ir_stage.put(step_key, function, statistics, key)
+        return self.ir_stage.put(step_key, output, statistics)
+
     def _unit(self, config: CompilerConfig, segment: str, identity: Tuple,
               module: ast.SourceModule) -> Tuple:
         """The cache entry ``(key, unit, statistics)`` of one build unit
-        after ``segment``, building it (and the segments before) on a miss.
+        after ``segment`` (up to ``lower``), building it (and the segments
+        before) on a miss.
 
         A unit's key after the ``inline`` segment holds the keys of the
         callee bodies inlining reads, and its key after ``lower`` reads the
@@ -171,10 +218,8 @@ class EvaluationEngine:
             if segment == "inline":
                 source, callee_keys = self._with_callees(config, base,
                                                          source)
-        function = (source.functions[0] if segment != "ir"
-                    else next(iter(source.functions.values())))
-        key = manager.build_key(config, segment, base, function, callee_keys,
-                                self.builds.function_keys)
+        key = manager.build_key(config, segment, base, source.functions[0],
+                                callee_keys, self.builds.function_keys)
         entry = table.get(key)
         if entry is not None:
             return entry
@@ -191,17 +236,10 @@ class EvaluationEngine:
                     for p in manager.segment(segment)):
                 unit, statistics = self.pipeline.pre_unroll(
                     source, config, ("inline",), statistics)
-        elif segment == "lower":
+        else:
             statistics = dict(statistics)
             unit = self.pipeline.unroll_and_lower(
                 ast.clone_module(source), config, statistics)
-        else:
-            # The IR passes are copy-on-write at instruction granularity,
-            # so a clone sharing the instructions keeps the lowered entry
-            # (and its compact blocks) intact.
-            unit = source.clone(share_instructions=True)
-            statistics = dict(statistics)
-            statistics.update(self.pipeline.ir_passes(unit, config))
         return table.put(key, unit, statistics)
 
     def _with_callees(self, config: CompilerConfig, key: Tuple,

@@ -5,6 +5,11 @@ hottest functions into a zero-wait-state scratchpad reduces both the WCET and
 the energy of every fetched instruction.  The allocation is a greedy knapsack
 over the functions, ranked by estimated benefit density (worst-case fetched
 instructions per byte of code).
+
+The evaluation engine's variants share their functions, so the pass never
+changes one: it memoises on each function its fetch count and its placed
+copy, and variants that share a function share both, along with every
+memo the analysis keeps on the placed copy.
 """
 
 from __future__ import annotations
@@ -53,6 +58,21 @@ class _FetchMemo:
         function.__dict__.setdefault(_FETCHES_ATTR, {})[callees] = outcome
 
 
+#: Attribute memoising, on each function, its placed copies by region.
+_PLACED_ATTR = "_spm_placed"
+
+
+def _placed(function: Function, region: str) -> Function:
+    """``function`` with its code in ``region``: one copy per (function,
+    region), kept on the function, so variants that share a function
+    share its placed copy and every memo kept on that copy."""
+    copies = function.__dict__.setdefault(_PLACED_ATTR, {})
+    placed = copies.get(region)
+    if placed is None:
+        placed = copies[region] = replace(function, code_region=region)
+    return placed
+
+
 class _FetchCounter(CalleeKeyedMemo, StructuralCostEngine):
     """A structural engine counting through :class:`_FetchMemo`."""
 
@@ -81,7 +101,9 @@ def allocate_scratchpad(program: Program, platform: Platform) -> SpmAllocation:
     Functions already placed (``code_region`` set) are left untouched.  When
     the platform has no scratchpad the pass is a no-op.  A placed function
     is replaced by a copy with ``code_region`` set, never changed in place:
-    the evaluation engine's programs share their functions.
+    the evaluation engine's programs share their functions.  The copy is
+    made once per function and region and kept on the function, so the
+    variants sharing a function share its placed copy too.
     """
     memory = platform.memory
     if not memory.has_scratchpad:
@@ -110,8 +132,8 @@ def allocate_scratchpad(program: Program, platform: Platform) -> SpmAllocation:
     for _density, _benefit, size, name in candidates:
         if used + size > capacity:
             continue
-        program.functions[name] = replace(program.functions[name],
-                                          code_region=memory.scratchpad_region)
+        program.functions[name] = _placed(program.functions[name],
+                                          memory.scratchpad_region)
         placed.append(name)
         used += size
     return SpmAllocation(placed_functions=placed, used_bytes=used,

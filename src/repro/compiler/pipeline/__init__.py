@@ -9,8 +9,9 @@ call site.  The pipeline makes the path declarative:
     the ordered registry of :class:`Pass` objects — name, stage, enablement
     predicate, cache-key contributions — plus per-pass
     wall-time/invocation counters (``stats()``, engine-cache convention),
-    the build segments and the two key derivations the engine caches are
-    keyed by (``build_key`` per function, ``canonical_key`` per variant).
+    the build segments and the key derivations the engine caches are
+    keyed by (``build_key`` per function, ``step_key`` per IR pass step,
+    ``canonical_key`` per variant).
 
 ``CompilationPipeline``
     binds a platform to a manager and runs the stages: ``parse`` →

@@ -5,7 +5,9 @@ One :class:`CompilationPipeline` binds a platform and a
 compile path as *stage runs* over the registered pass list.  The evaluation
 engine runs the stages on each build unit (one function) and caches the
 unit after each build segment under the manager's
-:meth:`~repro.compiler.pipeline.manager.PassManager.build_key`.  The only
+:meth:`~repro.compiler.pipeline.manager.PassManager.build_key`, and
+after each IR pass under its
+:meth:`~repro.compiler.pipeline.manager.PassManager.step_key`.  The only
 other build sequence, the uncached one-shot ``build_program`` that chains
 the stages on the whole module, is a test oracle in ``tests/oracles.py``.
 """
@@ -20,6 +22,7 @@ from repro.compiler.pipeline.passes import (
     FOLD_PASS,
     PARSE_PASS,
     UNROLL_PASS,
+    Pass,
     PassContext,
 )
 from repro.frontend import ast_nodes as ast
@@ -101,19 +104,23 @@ class CompilationPipeline:
         return ctx.program
 
     # ------------------------------------------------------------ IR stage --
-    def ir_passes(self, program: Program,
-                  config: CompilerConfig) -> Dict[str, int]:
+    def ir_passes(self, program: Program, config: CompilerConfig,
+                  passes: Optional[Sequence[Pass]] = None
+                  ) -> Dict[str, int]:
         """The platform-independent IR passes, mutating ``program`` in place.
 
         Stock order: CSE first (recomputations become copies while their
         producers are still live), DCE and strength reduction in their
         historical order, the peephole pass last so it can clean up the
         self-copies and foldable patterns the other three leave behind.
-        Custom IR passes run at their registered position.
+        Custom IR passes run at their registered position.  ``passes``
+        runs only those (the evaluation engine runs one step of a pass
+        chain at a time).
         """
         ctx = PassContext(config=config, platform=self.platform,
                           program=program)
-        self._run(self.manager.segment("ir"), ctx)
+        self._run(self.manager.segment("ir") if passes is None else passes,
+                  ctx)
         return ctx.statistics
 
     # ------------------------------------------------------------- backend --

@@ -9,9 +9,10 @@ three different places:
   the hand-sequenced call sites,
 * *what keys the caches use* — :meth:`build_key` concatenates the
   registered passes' contributions into the key of one function after
-  one build segment, narrowed to the fields that can change it, and
+  one build segment, narrowed to the fields that can change it (for the
+  IR passes, one :meth:`step_key` per pass that ran), and
   :meth:`canonical_key` into the engine's ``VariantCache`` key.  They are
-  the only two key derivations.  Registering a new configurable pass
+  the only key derivations.  Registering a new configurable pass
   automatically widens every downstream key,
 * *where the time goes* — every :meth:`run` and :meth:`timed` block feeds
   per-pass wall-time and invocation counters, reported through
@@ -175,8 +176,17 @@ class PassManager:
         ``cache_key`` and the fields ``base`` already holds, so ``memo``
         (one per module: ``base`` names functions) keeps each narrowed
         contribution per ``(pass, base, cache_key)``.
+
+        The ``ir`` segment is a chain of steps, one per enabled pass (see
+        :meth:`step_key`): its key here is the chain's key when every
+        enabled pass changes the function.
         """
         key = base
+        if segment == "ir":
+            for registered in self.segment(segment):
+                if registered.enabled(config):
+                    key = self.step_key(config, registered, key, function)
+            return key
         for registered in self.segment(segment):
             if registered.function_key is None:
                 key += registered.cache_key(config)
@@ -192,6 +202,23 @@ class PassManager:
         if callee_keys:
             key += (callee_keys,)
         return key
+
+    def step_key(self, config: CompilerConfig, registered: Pass,
+                 key: Tuple, function) -> Tuple:
+        """The key of one IR pass's step in a function's pass chain.
+
+        The engine runs a function's enabled IR passes one step each,
+        starting from the function's ``lower`` key and lowered IR.  A
+        step's key is its input's ``key``, the pass's name and the pass's
+        contribution (its ``function_key`` on the input ``function``, or
+        its ``cache_key``).  A step whose pass changed nothing hands on
+        its input key and function, so configurations that differ only in
+        passes that changed nothing share every later step.
+        """
+        part = (registered.cache_key(config)
+                if registered.function_key is None
+                else registered.function_key(config, function))
+        return (key, registered.name) + part
 
     def canonical_key(self, config: CompilerConfig) -> Tuple:
         """The full-pipeline key (every registered pass's contribution)."""

@@ -65,7 +65,9 @@ FOLD_PASS = "constant-folding"
 #: The segments the evaluation engine caches a build unit after, in order:
 #: ``ast`` holds the AST passes before inlining, ``inline`` those from
 #: inlining up to unrolling, ``lower`` unrolling, every later AST pass and
-#: lowering, ``ir`` the IR passes.  The backend runs per variant.
+#: lowering, ``ir`` the IR passes (cached after each pass that runs, see
+#: :meth:`~repro.compiler.pipeline.PassManager.step_key`).  The backend
+#: runs per variant.
 BUILD_SEGMENTS = ("ast", "inline", "lower", "ir")
 
 

@@ -9,6 +9,7 @@ annotation metadata extracted from ``#pragma teamplay`` directives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_not
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Set,
                     Tuple)
 
@@ -216,6 +217,36 @@ class Function:
             secret_params=list(self.secret_params),
             annotations=dict(self.annotations),
         )
+
+    def holds_ir_of(self, other: "Function") -> bool:
+        """Whether ``self`` holds exactly ``other``'s IR, object for object.
+
+        Every field :meth:`clone` copies compares equal, the blocks have
+        the same labels in the same order, and each block's parts are the
+        same :class:`Instr` and run objects in the same order and form.
+        The IR passes are copy-on-write, so an instruction they rewrite is
+        a new object: this is how the evaluation engine tells whether a
+        pass changed the instruction-sharing clone it ran on, without
+        reading any instruction's contents.
+        """
+        if (self.name != other.name or self.entry != other.entry
+                or self.code_region != other.code_region
+                or self.params != other.params
+                or self.secret_params != other.secret_params
+                or self.local_arrays != other.local_arrays
+                or self.annotations != other.annotations
+                or list(self.blocks) != list(other.blocks)
+                or self.region != other.region):
+            return False
+        for block, before in zip(self.blocks.values(),
+                                 other.blocks.values()):
+            parts, original = block.parts, before.parts
+            if (block.label != before.label
+                    or parts.__class__ is not original.__class__
+                    or len(parts) != len(original)
+                    or any(map(is_not, parts, original))):
+                return False
+        return True
 
     def validate(self) -> None:
         """Check internal consistency (used by tests and the compiler driver)."""

@@ -17,8 +17,10 @@ compile path:
   runs under ``bench`` (``benchmarks/test_bench_function_builds.py``).
 * **Shared functions**: scratchpad allocation replaces the functions it
   places instead of changing them, so SPM-on and SPM-off variants of one
-  engine never see each other's placements; simulating a variant
-  materialises only its own blocks, never the lowered entries.
+  engine never see each other's placements, and variants sharing a
+  function share its placed copy.  Simulating a variant materialises only
+  the blocks it runs; a function no enabled IR pass changed is its
+  lowered entry itself, whose form (never its IR) that can change.
 * The path modes share code but not bounds: see ``TestCacheKeyWidening``
   in ``tests/test_path_feasibility.py``.
 """
@@ -36,6 +38,7 @@ from test_unroll_stamping import IR_PIN_SOURCES, dump_program
 
 from repro.compiler.config import UNROLL_CHOICES, CompilerConfig
 from repro.compiler.engine import EvaluationEngine
+from repro.compiler.engine.cache import _FUNCTION_FINGERPRINT_ATTR
 from repro.compiler.pipeline import CompilationPipeline
 from repro.errors import TeamPlayError
 from repro.frontend.parser import parse
@@ -218,6 +221,36 @@ class TestSharedFunctions:
                        in off.program.functions.values())
         assert any(function.code_region for function
                    in on.program.functions.values())
+
+    def test_variants_whose_chains_meet_share_one_placed_copy(self):
+        # The peephole pass changes nothing here, so both SPM-on chains
+        # meet and both variants hold one placed copy per placed function;
+        # the SPM-off variant holds the unplaced functions it copies.
+        engine = EvaluationEngine(parse(CAMERA_PILL_SOURCE), PLATFORM,
+                                  ["frame_packet"])
+        on = engine.evaluate(self.SPM_ON)
+        also_on = engine.evaluate(self.SPM_ON.with_(enable_peephole=True))
+        off = engine.evaluate(self.SPM_OFF)
+        assert also_on.pass_statistics["peephole_rewrites"] == 0
+        placed = [name for name, function in on.program.functions.items()
+                  if function.code_region]
+        assert placed == ["capture_frame", "compress_frame", "xtea_round",
+                          "encrypt_packet", "frame_packet"]
+        for name, function in on.program.functions.items():
+            assert also_on.program.functions[name] is function
+            unplaced = off.program.functions[name]
+            assert unplaced.code_region is None
+            if name in placed:
+                assert function is not unplaced
+                assert function.blocks is unplaced.blocks
+            else:
+                assert function is unplaced
+        # One fingerprint per distinct function: the six unplaced bodies
+        # and the five placed copies.
+        fingerprinted = {id(function) for variant in (on, also_on, off)
+                         for function in variant.program.functions.values()
+                         if _FUNCTION_FINGERPRINT_ATTR in vars(function)}
+        assert len(fingerprinted) == 11
 
     def test_simulation_materialises_no_lowered_entry(self):
         engine = EvaluationEngine(parse(CAMERA_PILL_SOURCE), PLATFORM,

@@ -27,20 +27,24 @@ Mirrors the journal's durability coverage for the cache store:
 
 import enum
 import errno
+import hashlib
 import json
 import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from oracles import build_program, key_digest_reference
 from repro.compiler.config import UNROLL_CHOICES, CompilerConfig
 from repro.compiler.engine import AnalysisCache
 from repro.compiler.engine.cache import (
+    ANALYSIS_VERSION,
     process_analysis_cache_stats,
     process_cache_store,
     program_fingerprint,
@@ -573,6 +577,39 @@ class TestAnalysisCacheDiskTier:
         assert (store.gets, store.puts) == touched
         assert cache.stats()["disk_errors"] == 1
         assert cache.misses == 3
+
+
+#: The analysis version and the digest of the analysis sources it was set
+#: for (see :func:`_analysis_sources_digest`).
+PINNED_ANALYSIS_SOURCES = (
+    1, "50ce5d0e13dae0c00d7b9dd9f931decbc1d8893b79461a4d2cea82f8127f84eb")
+
+
+def _analysis_sources_digest() -> str:
+    """SHA-256 over the ``.py`` files under ``repro/wcet`` and
+    ``repro/energy``, by relative path, line endings normalised."""
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for package in ("wcet", "energy"):
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(f"{path.relative_to(root).as_posix()}\0".encode())
+            digest.update(path.read_bytes().replace(b"\r\n", b"\n"))
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
+class TestAnalysisVersionGuard:
+    def test_analysis_sources_match_the_pinned_version(self):
+        # A warm --cache-dir serves the bounds of the analysis that wrote
+        # it unless ANALYSIS_VERSION (in every on-disk digest) changes.
+        assert (ANALYSIS_VERSION, _analysis_sources_digest()) \
+            == PINNED_ANALYSIS_SOURCES, (
+                "the sources under src/repro/wcet/ or src/repro/energy/ "
+                "changed.  If the change can move a bound, bump "
+                "ANALYSIS_VERSION in src/repro/compiler/engine/cache.py; "
+                "either way re-pin PINNED_ANALYSIS_SOURCES in "
+                "tests/test_persist.py, and justify a re-pin without a "
+                "bump in CHANGES.md")
 
 
 # ---------------------------------------------------------------------------

@@ -374,17 +374,25 @@ class TestPipelineEquivalence:
         compiler.pipeline.manager.register(Pass(
             "observer", "ir", lambda ctx: seen.extend(ctx.program.functions)))
         names = module.function_names()
-        compiler.compile(module, "frame_packet", CompilerConfig.baseline())
+        first = compiler.compile(module, "frame_packet",
+                                 CompilerConfig.baseline())
         assert seen == names
         assert compiler.pipeline_stats()["observer"]["invocations"] \
             == len(names)
-        # A configuration that changes only another pass's flag IR-passes
-        # every function again and lowers none.
-        compiler.compile(module, "frame_packet",
-                         CompilerConfig.baseline().with_(enable_cse=True))
-        assert seen == 2 * names
+        # A configuration that changes only another pass's flag lowers
+        # nothing again, and the observer re-runs exactly on the functions
+        # that pass (CSE) changed: the others reach the observer's step
+        # under their old key, as the same function objects.
+        second = compiler.compile(
+            module, "frame_packet",
+            CompilerConfig.baseline().with_(enable_cse=True))
+        changed = [name for name in names
+                   if second.program.functions[name]
+                   is not first.program.functions[name]]
+        assert changed == ["filter_frame", "compress_frame"]
+        assert seen == names + changed
         assert compiler.pipeline_stats()["observer"]["invocations"] \
-            == 2 * len(names)
+            == len(names) + len(changed)
         assert compiler.pipeline_stats()["lower-to-ir"]["invocations"] \
             == len(names)
 
@@ -515,8 +523,8 @@ class TestNewIrPasses:
         from repro.compiler.engine import EvaluationEngine
         engine = EvaluationEngine(module, platform, ["frame_packet"])
         base = CompilerConfig.baseline()
-        engine.evaluate(base)
-        engine.evaluate(base.with_(enable_cse=True))
+        baseline = engine.evaluate(base)
+        with_cse = engine.evaluate(base.with_(enable_cse=True))
         engine.evaluate(base.with_(enable_cse=True, enable_peephole=True))
         stats = engine.stats()
         # The counters count function builds.  Each function is lowered
@@ -524,13 +532,21 @@ class TestNewIrPasses:
         functions = len(module.functions)
         assert stats["lowering"]["misses"] == functions
         assert stats["lowering"]["hits"] == 2 * functions
-        # ...but IR-passed once per configuration, for three variants.
-        assert stats["ir_stage"]["misses"] == 3 * functions
+        # ...and IR-passed once per distinct (input, pass) step: DCE on
+        # every lowered function, CSE on every one, DCE again on the two
+        # functions CSE changed (the others reach it under their lowered
+        # key, a hit), and the peephole pass on every function.
+        changed = [name for name in module.function_names()
+                   if with_cse.program.functions[name]
+                   is not baseline.program.functions[name]]
+        assert changed == ["filter_frame", "compress_frame"]
+        assert stats["ir_stage"]["misses"] == 3 * functions + len(changed)
         assert stats["variant"]["misses"] == 3
         # Revisiting an already-seen point stays a pure variant-cache hit.
         engine.evaluate(base.with_(enable_cse=True))
         assert engine.stats()["variant"]["hits"] == 1
-        assert engine.stats()["ir_stage"]["misses"] == 3 * functions
+        assert engine.stats()["ir_stage"]["misses"] \
+            == 3 * functions + len(changed)
 
     def test_enabled_passes_are_noops_without_opportunities(self, platform):
         # A program with nothing to CSE or fold builds bit-identically with
