@@ -74,7 +74,7 @@ from repro.ir.regions import (
     SeqRegion,
 )
 from repro.ir.runs import Run, flat_map
-from repro.wcet.analyzer import WCETResult, reject_recursion
+from repro.wcet.analyzer import WCETResult, reject_recursion, worst_cost
 from repro.wcet.paths import PathSensitiveCostEngine, PathStats, contains_if
 from repro.wcet.structural import (CalleeKeyedMemo, StructuralCostEngine,
                                    call_closure, memo_put, memoised_callees)
@@ -510,11 +510,10 @@ class AnalysisCache(_BoundedCacheMixin):
         self._energy_tables: "OrderedDict[Tuple, Dict]" = OrderedDict()
         self._energy_analyzers: Dict[Optional[str], EnergyAnalyzer] = {}
         self._scopes: Dict[Tuple, _Scope] = {}
-        # Per-instruction cost memos, per (kind, core[, OPP]).  A cycle cost
-        # depends only on the opcode and the fetch region of the enclosing
-        # function; an energy cost only on the opcode (and the operating
-        # point) — so each distinct cost is computed once per core ever, not
-        # once per instruction occurrence per program.
+        # Per-instruction cost memos, per (kind, core[, OPP]), keyed by
+        # (code region, opcode): all an instruction's worst-case price
+        # depends on, so each distinct cost is computed once per scope ever,
+        # not once per instruction occurrence per program.
         self._instr_costs: Dict[Tuple, Dict] = {}
         # Cross-program block-cost memos (call-free blocks only) and
         # path-sensitive unit outcomes, same scopes; both bounded by
@@ -655,27 +654,8 @@ class AnalysisCache(_BoundedCacheMixin):
         scope = self._scopes.get(name)
         if scope is not None:
             return scope
-        memo = self._instr_costs.setdefault(base, {})
-        if opp is None:
-            wcet = self._energy_analyzer(core).wcet
-
-            def instr_cost(function, instr):
-                memo_key = (function.code_region, instr.opcode)
-                cost = memo.get(memo_key)
-                if cost is None:
-                    cost = wcet._instr_cycles(function, instr)
-                    memo[memo_key] = cost
-                return cost
-        else:
-            analyzer = self._energy_analyzer(core)
-
-            def instr_cost(function, instr):
-                cost = memo.get(instr.opcode)
-                if cost is None:
-                    cost = analyzer._instr_energy(function, instr, opp)
-                    memo[instr.opcode] = cost
-                return cost
-
+        instr_cost = worst_cost(core, self.platform.memory, opp,
+                                self._instr_costs.setdefault(base, {}))
         scope = self._scopes[name] = _Scope(
             self, name, instr_cost, self._block_costs.setdefault(base, {}),
             self._unit_outcomes.setdefault(base, {}) if path_sensitive

@@ -2,9 +2,10 @@
 
 This package covers the paper's "energy modelling challenge":
 
-* :mod:`repro.energy.isa_model` — ISA-level energy models for predictable
-  cores (per-instruction-class costs plus inter-instruction overhead), as in
-  the Cortex-M0 model of Georgiou et al.,
+* :mod:`repro.energy.isa_model` — fitted ISA-level energy estimates for
+  predictable cores (per-instruction-class costs), as in the Cortex-M0
+  model of Georgiou et al.; the bounds price instructions with
+  :mod:`repro.hw.price` instead,
 * :mod:`repro.energy.measurements` — the data-collection step: synthetic
   measurement campaigns run on the simulator with measurement noise,
 * :mod:`repro.energy.fitting` — regression-based model generation from the

@@ -1,26 +1,26 @@
-"""ISA-level energy model for predictable cores.
+"""Fitted ISA-level energy models for predictable cores.
 
-The model assigns a dynamic energy cost to each instruction class, an
-inter-instruction switching overhead paid when consecutive instructions
-belong to different classes, a per-memory-access energy, and a static
-(leakage) power.  It can be instantiated directly from a platform's
-:class:`~repro.hw.core.Core` tables (the "reference" model) or from fitted
-coefficients produced by :mod:`repro.energy.fitting`.
+The model assigns a dynamic energy cost to each instruction class and a
+static (leakage) power.  It is built from coefficients fitted to
+measurements by :mod:`repro.energy.fitting`, which fold memory-access energy
+and switching overhead into the per-class costs.  It is an *estimate*, not
+a bound: the static analysers bound energy with the platform's own price
+(:func:`repro.hw.price.worst_price`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.errors import AnalysisError
-from repro.hw.core import Core, INSTRUCTION_CLASSES
+from repro.hw.core import INSTRUCTION_CLASSES
 from repro.hw.dvfs import OperatingPoint
 
 
 @dataclass
 class IsaEnergyModel:
-    """Energy characterisation of a predictable core.
+    """Fitted energy characterisation of a predictable core.
 
     All energies are joules at the model's nominal operating point; scaling to
     other operating points follows the usual ``V^2`` rule for dynamic energy.
@@ -28,8 +28,6 @@ class IsaEnergyModel:
 
     name: str
     per_class_j: Dict[str, float]
-    inter_class_overhead_j: float
-    memory_access_j: float
     static_power_w: float
     nominal_opp: OperatingPoint
 
@@ -40,53 +38,17 @@ class IsaEnergyModel:
 
     # -- constructors ---------------------------------------------------------
     @classmethod
-    def from_core(cls, core: Core, memory_access_j: float = 0.0) -> "IsaEnergyModel":
-        """The reference model: the tables the hardware preset was built with."""
-        return cls(
-            name=f"{core.name}-reference",
-            per_class_j=dict(core.energy_table),
-            inter_class_overhead_j=core.inter_class_overhead_j,
-            memory_access_j=memory_access_j,
-            static_power_w=core.static_power_w,
-            nominal_opp=core.nominal_opp,
-        )
-
-    @classmethod
     def from_coefficients(cls, name: str, coefficients: Mapping[str, float],
                           nominal_opp: OperatingPoint,
                           static_power_w: float = 0.0) -> "IsaEnergyModel":
-        """Build a model from fitted per-class coefficients.
-
-        The fitting procedure folds the memory-access energy and switching
-        overhead into the per-class coefficients, so those extra terms are
-        zero here.
-        """
+        """Build a model from fitted per-class coefficients (negative ones
+        clamp to zero)."""
         per_class = {cls: max(0.0, float(coefficients.get(cls, 0.0)))
                      for cls in INSTRUCTION_CLASSES}
-        return cls(name=name, per_class_j=per_class, inter_class_overhead_j=0.0,
-                   memory_access_j=0.0, static_power_w=static_power_w,
-                   nominal_opp=nominal_opp)
+        return cls(name=name, per_class_j=per_class,
+                   static_power_w=static_power_w, nominal_opp=nominal_opp)
 
     # -- evaluation ---------------------------------------------------------------
-    def _scale(self, opp: Optional[OperatingPoint]) -> float:
-        opp = opp or self.nominal_opp
-        return opp.dynamic_scale(self.nominal_opp)
-
-    def instruction_energy(self, instruction_class: str,
-                           opp: Optional[OperatingPoint] = None,
-                           with_overhead: bool = True,
-                           is_memory_access: bool = False) -> float:
-        """Worst-case dynamic energy of one instruction of a class."""
-        if instruction_class not in self.per_class_j:
-            raise AnalysisError(
-                f"energy model {self.name!r} has no class {instruction_class!r}")
-        energy = self.per_class_j[instruction_class]
-        if with_overhead:
-            energy += self.inter_class_overhead_j
-        if is_memory_access:
-            energy += self.memory_access_j
-        return energy * self._scale(opp)
-
     def estimate_from_counts(self, class_counts: Mapping[str, float],
                              opp: Optional[OperatingPoint] = None,
                              time_s: float = 0.0) -> float:
@@ -97,11 +59,8 @@ class IsaEnergyModel:
         """
         dynamic = sum(self.per_class_j.get(cls, 0.0) * count
                       for cls, count in class_counts.items())
-        dynamic += self.inter_class_overhead_j * sum(class_counts.values())
-        dynamic *= self._scale(opp)
-        opp = opp or self.nominal_opp
-        static = self.static_power_w * opp.static_power_scale(self.nominal_opp) * time_s
-        return dynamic + static
+        dynamic *= (opp or self.nominal_opp).dynamic_scale(self.nominal_opp)
+        return dynamic + self.static_power(opp) * time_s
 
     def static_power(self, opp: Optional[OperatingPoint] = None) -> float:
         opp = opp or self.nominal_opp

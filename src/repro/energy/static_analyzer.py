@@ -1,11 +1,13 @@
 """Static worst-case energy analysis (the EnergyAnalyser).
 
 Mirrors the WCET analysis: a structural recursion over the region tree, with
-per-instruction worst-case *energy* instead of cycles, plus the static
-(leakage) contribution accumulated over the WCET-bounded execution time.  The
-result is a worst-case energy consumption (WCEC) bound that the simulator can
-never exceed with the same hardware tables — the property the contract system
-relies on when discharging energy budgets.
+each instruction's worst-case dynamic *energy* instead of its cycles, plus the
+static (leakage) contribution accumulated over the WCET-bounded execution
+time.  Both worst cases come from one place,
+:func:`~repro.hw.price.worst_price`, the maximum of the price the simulator
+charges each instruction; so the result is a worst-case energy consumption
+(WCEC) bound that no simulated run exceeds, at any operating point — the
+property the contract system relies on when discharging energy budgets.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.energy.isa_model import IsaEnergyModel
 from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
-from repro.ir.cfg import Function, Program
-from repro.ir.instructions import Instr
-from repro.wcet.analyzer import WCETAnalyzer, WCETResult
+from repro.ir.cfg import Program
+from repro.wcet.analyzer import WCETAnalyzer, WCETResult, worst_cost
 from repro.wcet.paths import PathSensitiveCostEngine
 from repro.wcet.structural import StructuralCostEngine
 
@@ -42,23 +42,10 @@ class WCECResult:
 class EnergyAnalyzer:
     """Static WCEC analysis on IR programs for a predictable core."""
 
-    def __init__(self, platform: Platform, core: Optional[Core] = None,
-                 model: Optional[IsaEnergyModel] = None):
+    def __init__(self, platform: Platform, core: Optional[Core] = None):
         self.wcet = WCETAnalyzer(platform, core=core)
         self.platform = platform
-        self.core = core = self.wcet.core
-        self.model = model or IsaEnergyModel.from_core(
-            core, memory_access_j=platform.memory.access_energy())
-
-    # -- cost model -------------------------------------------------------------
-    def _instr_energy(self, function: Function, instr: Instr,
-                      opp: OperatingPoint) -> float:
-        return self.model.instruction_energy(
-            instr.instruction_class,
-            opp=opp,
-            with_overhead=True,
-            is_memory_access=instr.is_memory_access,
-        )
+        self.core = self.wcet.core
 
     # -- public API --------------------------------------------------------------
     def analyze(self, program: Program, function_name: str,
@@ -75,9 +62,9 @@ class EnergyAnalyzer:
         # The WCET analysis validates the program and rejects recursion.
         wcet_result = self.wcet.analyze(program, function_name, opp=opp,
                                         path_sensitive=path_sensitive)
-        energy_cost = lambda fn, instr: self._instr_energy(fn, instr, opp)
         engine = (PathSensitiveCostEngine if path_sensitive
-                  else StructuralCostEngine)(program, energy_cost)
+                  else StructuralCostEngine)(
+                      program, worst_cost(self.core, self.platform.memory, opp))
         return self.result(function_name, engine.function_cost(function_name),
                            wcet_result, opp)
 
@@ -88,7 +75,7 @@ class EnergyAnalyzer:
         return WCECResult(
             function=function_name,
             dynamic_energy_j=dynamic_j,
-            static_energy_j=self.model.static_power(opp) * wcet_result.time_s,
+            static_energy_j=self.core.static_power(opp) * wcet_result.time_s,
             wcet_time_s=wcet_result.time_s,
             frequency_hz=opp.frequency_hz,
         )

@@ -64,6 +64,7 @@ class Core:
     switching energy paid whenever two consecutive instructions belong to
     different classes — the dominant second-order effect in the Cortex-M0
     model of Georgiou et al. that the paper's EnergyAnalyser relies on.
+    :func:`repro.hw.price.price` prices one instruction from these tables.
     """
 
     name: str
@@ -89,44 +90,11 @@ class Core:
         if self.inter_class_overhead_j < 0 or self.static_power_w < 0:
             raise PlatformError(f"core {self.name!r} has negative power parameters")
 
-    # -- timing -------------------------------------------------------------
-    def cycles_for(self, instruction_class: str, taken: bool = True) -> int:
-        """Base cycle cost of one instruction of ``instruction_class``."""
-        if instruction_class not in self.cycle_table:
-            raise PlatformError(
-                f"core {self.name!r} has no timing for class {instruction_class!r}")
-        if instruction_class == "branch" and not taken:
-            return self.branch_not_taken_cycles
-        return self.cycle_table[instruction_class]
-
-    def max_cycles_for(self, instruction_class: str) -> int:
-        """Worst-case cycle cost (used by the WCET analyser)."""
-        return max(self.cycles_for(instruction_class, taken=True),
-                   self.cycles_for(instruction_class, taken=False))
-
+    # -- timing and leakage -------------------------------------------------
     def time_for_cycles(self, cycles: float,
                         opp: Optional[OperatingPoint] = None) -> float:
         opp = opp or self.nominal_opp
         return float(cycles) / opp.frequency_hz
-
-    # -- energy ---------------------------------------------------------------
-    def dynamic_energy_for(self, instruction_class: str,
-                           opp: Optional[OperatingPoint] = None) -> float:
-        """Dynamic energy of one instruction, in joules, at ``opp``."""
-        if instruction_class not in self.energy_table:
-            raise PlatformError(
-                f"core {self.name!r} has no energy for class {instruction_class!r}")
-        opp = opp or self.nominal_opp
-        return self.energy_table[instruction_class] * opp.dynamic_scale(self.nominal_opp)
-
-    def switching_overhead(self, previous_class: Optional[str],
-                           current_class: str,
-                           opp: Optional[OperatingPoint] = None) -> float:
-        """Inter-instruction overhead energy when the class changes."""
-        if previous_class is None or previous_class == current_class:
-            return 0.0
-        opp = opp or self.nominal_opp
-        return self.inter_class_overhead_j * opp.dynamic_scale(self.nominal_opp)
 
     def static_power(self, opp: Optional[OperatingPoint] = None) -> float:
         opp = opp or self.nominal_opp

@@ -1,7 +1,8 @@
 """Instruction-set simulator.
 
-The simulator executes IR programs on a predictable-core model, accounting
-cycles and energy with the *same* hardware tables the static analysers use.
+The simulator executes IR programs on a predictable-core model, charging
+each instruction the one price (:mod:`repro.hw.price`) whose worst case the
+static analysers bound.
 It is the reproduction's stand-in for running on the physical boards: it
 provides the dynamic baseline the WCET/WCEC bounds are validated against, the
 measurement substrate for the dynamic profiler (PowProfiler), and the

@@ -3,21 +3,24 @@
 Integer semantics follow a 32-bit embedded target and come from the IR's one
 table (:func:`repro.ir.instructions.evaluate`): values are two's-complement
 signed 32-bit integers, ``>>`` is a logical shift on the 32-bit pattern, and
-division truncates towards zero.  Division latency is data dependent (as on
-cores with iterative dividers), which is what makes timing side channels
-observable in the security use cases; the static WCET analyser always charges
-the worst case.
+division truncates towards zero.  Every instruction is charged the one price
+of :func:`repro.hw.price.price`; division latency is data dependent there
+(as on cores with iterative dividers), which is what makes timing side
+channels observable in the security use cases, and the static analysers
+charge the price's worst case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
 from repro.hw.platform import Platform
+from repro.hw.price import price
+from repro.ir import runs
 from repro.ir.cfg import Function, Program
 from repro.ir.instructions import (Imm, Instr, Opcode, Operand, evaluate,
                                    wrap32)
@@ -107,6 +110,12 @@ class Simulator:
         self.record_trace = record_trace
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
+        # The price of every data-independent instruction, per (opcode,
+        # code region, class switched, branch taken).
+        self._prices: Dict[Tuple, Tuple[int, float]] = {}
+        # The instructions of each compact block, per (function, label),
+        # runs expanded, so that the (possibly shared) block stays compact.
+        self._flat: Dict[Tuple[str, str], List[Instr]] = {}
 
         # Mutable per-run state.
         self._globals: Dict[str, List[int]] = {}
@@ -173,13 +182,22 @@ class Simulator:
                 self._globals[name][i] = wrap32(value)
 
     def _charge(self, function: Function, block_label: str, instr: Instr,
-                cycles: int, extra_energy: float = 0.0) -> None:
+                taken: bool = True, dividend: Optional[int] = None) -> None:
         cls = instr.instruction_class
-        fetch_region = function.code_region or self.platform.memory.code_region
-        cycles += self.platform.memory.fetch_wait_states(fetch_region)
-        energy = self.core.dynamic_energy_for(cls, self.opp)
-        energy += self.core.switching_overhead(self._previous_class, cls, self.opp)
-        energy += extra_energy
+        previous = self._previous_class
+        switched = previous is not None and previous != cls
+        if dividend is None:
+            key = (instr.opcode, function.code_region, switched, taken)
+            cost = self._prices.get(key)
+            if cost is None:
+                cost = self._prices[key] = price(
+                    self.core, self.platform.memory, instr.opcode,
+                    function.code_region, self.opp, switched, taken)
+        else:
+            cost = price(self.core, self.platform.memory, instr.opcode,
+                         function.code_region, self.opp, switched,
+                         dividend=dividend)
+        cycles, energy = cost
         if self._events is not None:
             self._events.append(InstructionEvent(
                 function=function.name, block=block_label, opcode=instr.opcode,
@@ -189,6 +207,18 @@ class Simulator:
         self._dynamic_energy += energy
         self._instructions += 1
         self._previous_class = cls
+
+    def _instrs(self, function: Function, label: str) -> List[Instr]:
+        """The instructions of ``function``'s block ``label``, never
+        materialising the block."""
+        parts = function.block(label).parts
+        if parts.__class__ is list:
+            return parts
+        flat = self._flat.get((function.name, label))
+        if flat is None:
+            flat = self._flat[function.name, label] = []
+            runs.flatten(parts, flat)
+        return flat
 
     def _operand(self, frame: _Frame, operand: Operand) -> int:
         if isinstance(operand, Imm):
@@ -207,11 +237,6 @@ class Simulator:
             return self._globals[name]
         raise SimulationError(f"{frame.function.name}: unknown array {name!r}")
 
-    def _div_cycles(self, dividend: int) -> int:
-        table = self.core.cycle_table["div"]
-        bits = max(1, abs(dividend)).bit_length()
-        return max(2, min(table, 2 + bits // 2))
-
     def _call(self, function: Function, args: List[int], depth: int) -> int:
         if depth > self.max_call_depth:
             raise SimulationError(
@@ -221,11 +246,9 @@ class Simulator:
             frame.registers[name] = value
 
         label = function.entry
-        memory = self.platform.memory
         while True:
-            block = function.block(label)
             next_label: Optional[str] = None
-            for instr in block.instrs:
+            for instr in self._instrs(function, label):
                 self._steps += 1
                 if self._steps > self.max_steps:
                     raise SimulationError(
@@ -236,18 +259,15 @@ class Simulator:
                 if op is Opcode.BR:
                     cond = self._operand(frame, instr.srcs[0])
                     taken = cond != 0
-                    cycles = self.core.cycles_for("branch", taken=taken)
-                    self._charge(function, label, instr, cycles)
+                    self._charge(function, label, instr, taken)
                     next_label = instr.true_target if taken else instr.false_target
                     break
                 if op is Opcode.JMP:
-                    self._charge(function, label, instr,
-                                 self.core.cycles_for("jump"))
+                    self._charge(function, label, instr)
                     next_label = instr.true_target
                     break
                 if op is Opcode.RET:
-                    self._charge(function, label, instr,
-                                 self.core.cycles_for("ret"))
+                    self._charge(function, label, instr)
                     if instr.srcs:
                         return self._operand(frame, instr.srcs[0])
                     return 0
@@ -255,8 +275,7 @@ class Simulator:
                 if op is Opcode.CALL:
                     callee = self.program.function(instr.callee)
                     call_args = [self._operand(frame, a) for a in instr.args]
-                    self._charge(function, label, instr,
-                                 self.core.cycles_for("call"))
+                    self._charge(function, label, instr)
                     value = self._call(callee, call_args, depth + 1)
                     if instr.dst is not None:
                         frame.registers[instr.dst.name] = value
@@ -269,10 +288,7 @@ class Simulator:
                         raise SimulationError(
                             f"{function.name}: load {instr.array}[{index}] out "
                             f"of bounds (size {len(array)})")
-                    cycles = (self.core.cycles_for("load")
-                              + memory.data_wait_states(write=False))
-                    self._charge(function, label, instr, cycles,
-                                 extra_energy=memory.access_energy())
+                    self._charge(function, label, instr)
                     frame.registers[instr.dst.name] = array[index]
                     continue
                 if op is Opcode.STORE:
@@ -283,16 +299,13 @@ class Simulator:
                         raise SimulationError(
                             f"{function.name}: store {instr.array}[{index}] out "
                             f"of bounds (size {len(array)})")
-                    cycles = (self.core.cycles_for("store")
-                              + memory.data_wait_states(write=True))
-                    self._charge(function, label, instr, cycles,
-                                 extra_energy=memory.access_energy())
+                    self._charge(function, label, instr)
                     array[index] = value
                     continue
 
                 # Data-processing instructions.
-                value, cycles = self._execute_dataop(frame, instr)
-                self._charge(function, label, instr, cycles)
+                value, dividend = self._execute_dataop(frame, instr)
+                self._charge(function, label, instr, dividend=dividend)
                 if instr.dst is not None:
                     frame.registers[instr.dst.name] = value
 
@@ -308,22 +321,23 @@ class Simulator:
             label = next_label
 
     def _execute_dataop(self, frame: _Frame, instr: Instr):
+        """``instr``'s value and the dividend its price depends on (or
+        ``None``)."""
         op = instr.opcode
         operands = [self._operand(frame, src) for src in instr.srcs]
-        cycles = self.core.cycles_for(instr.instruction_class)
 
         if op is Opcode.MOV:
-            return operands[0], cycles
+            return operands[0], None
         if op is Opcode.NOP:
-            return 0, cycles
+            return 0, None
         if op is Opcode.SELECT:
             cond, if_true, if_false = operands
-            return (if_true if cond != 0 else if_false), cycles
+            return (if_true if cond != 0 else if_false), None
 
         value = evaluate(op, operands)
         if value is None:  # every other data operation has a value
             raise SimulationError(
                 f"{frame.function.name}: division by zero")
         if op is Opcode.DIV or op is Opcode.MOD:
-            cycles = self._div_cycles(operands[0])
-        return value, cycles
+            return value, operands[0]
+        return value, None

@@ -1,9 +1,10 @@
 """The WCET analyser (aiT stand-in).
 
-Computes safe worst-case execution time bounds for tasks compiled to the IR,
-using the same per-instruction timing tables as the simulator but always
-charging the worst case (taken branches, maximum divider latency, flash wait
-states unless code was placed in the scratchpad).
+Computes safe worst-case execution time bounds for tasks compiled to the IR.
+Every instruction is charged :func:`~repro.hw.price.worst_price`, the maximum
+of the one price the simulator charges (:func:`~repro.hw.price.price`) over
+every input it can pass: a branch taken or not, the instruction class
+switched, the dividend unknown.  So no simulated run exceeds the bound.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.errors import AnalysisError
 from repro.hw.core import Core
 from repro.hw.dvfs import OperatingPoint
+from repro.hw.memory import MemorySystem
 from repro.hw.platform import Platform
+from repro.hw.price import worst_price
 from repro.ir.cfg import Function, Program
-from repro.ir.instructions import Instr, Opcode
 from repro.wcet.paths import PathSensitiveCostEngine, PathStats
-from repro.wcet.structural import StructuralCostEngine, call_closure
+from repro.wcet.structural import (InstrCost, StructuralCostEngine,
+                                   call_closure)
 
 
 @dataclass
@@ -40,6 +43,28 @@ class WCETResult:
         return replace(self, time_s=self.cycles / frequency_hz,
                        frequency_hz=frequency_hz,
                        per_function_cycles=dict(self.per_function_cycles))
+
+
+def worst_cost(core: Core, memory: MemorySystem,
+               opp: Optional[OperatingPoint] = None,
+               memo: Optional[Dict] = None) -> InstrCost:
+    """The cost engines' per-instruction cost: :func:`worst_price`'s
+    cycles (``opp=None``) or its dynamic energy at ``opp``, memoised in
+    ``memo`` (default: a fresh one) per ``(code region, opcode)``, all the
+    price depends on.
+    """
+    index = 0 if opp is None else 1
+    opp = opp or core.nominal_opp
+    memo = {} if memo is None else memo
+
+    def instr_cost(function, instr):
+        key = (function.code_region, instr.opcode)
+        cost = memo.get(key)
+        if cost is None:
+            cost = memo[key] = worst_price(core, memory, instr.opcode,
+                                           function.code_region, opp)[index]
+        return cost
+    return instr_cost
 
 
 def check_analysable(program: Program) -> None:
@@ -71,18 +96,6 @@ class WCETAnalyzer:
         #: Pruning counters of the most recent path-sensitive ``analyze``.
         self.last_path_stats: Dict[str, PathStats] = {}
 
-    # -- cost model (mirrors the simulator, worst case) ------------------------
-    def _instr_cycles(self, function: Function, instr: Instr) -> float:
-        cls = instr.instruction_class
-        cycles = float(self.core.max_cycles_for(cls))
-        fetch_region = function.code_region or self.platform.memory.code_region
-        cycles += self.platform.memory.fetch_wait_states(fetch_region)
-        if instr.opcode is Opcode.LOAD:
-            cycles += self.platform.memory.data_wait_states(write=False)
-        elif instr.opcode is Opcode.STORE:
-            cycles += self.platform.memory.data_wait_states(write=True)
-        return cycles
-
     # -- public API --------------------------------------------------------------
     def analyze(self, program: Program, function_name: str,
                 opp: Optional[OperatingPoint] = None,
@@ -96,7 +109,8 @@ class WCETAnalyzer:
         """
         check_analysable(program)
         engine = (PathSensitiveCostEngine if path_sensitive
-                  else StructuralCostEngine)(program, self._instr_cycles)
+                  else StructuralCostEngine)(
+                      program, worst_cost(self.core, self.platform.memory))
         try:
             return self.result(program, function_name, engine.function_cost,
                                opp)

@@ -9,8 +9,9 @@ the analysers add none and stay the reference.  These tests hold the two
 doors to each other:
 
 * every function's cycle and energy cost the cache computes equals a plain
-  engine run on the analysers' raw cost functions (the whole-program
-  table of ``tests/oracles.py``), bit for bit, for every embedded
+  engine run on the analysers' cost functions (the worst-case price,
+  ``worst_cost`` with a fresh memo; the whole-program table of
+  ``tests/oracles.py``), bit for bit, for every embedded
   source across the IR pin's configurations (with and without scratchpad
   allocation), in both analysis modes, on every predictable core and
   operating point;
@@ -43,7 +44,7 @@ from repro.frontend.parser import parse
 from repro.hw.presets import apalis_tk1, nucleo_stm32f091rc
 from repro.ir.cfg import Function
 from repro.usecases.camera_pill import CAMERA_PILL_SOURCE
-from repro.wcet.analyzer import WCETAnalyzer
+from repro.wcet.analyzer import WCETAnalyzer, worst_cost
 from repro.wcet.paths import PathSensitiveCostEngine
 from repro.wcet.structural import StructuralCostEngine
 
@@ -111,14 +112,13 @@ class TestMemoMatchesReference:
                     engine = (PathSensitiveCostEngine if path_sensitive
                               else StructuralCostEngine)
                     reference = whole_program_costs(
-                        engine(program, energy.wcet._instr_cycles))
+                        engine(program, worst_cost(core, platform.memory)))
                     assert _exact(cache_costs(cache, program, core, None,
                                               path_sensitive)) == \
                         _exact(reference), (config, core.name)
                     for opp in core.operating_points:
                         reference = whole_program_costs(engine(
-                            program, lambda fn, instr, opp=opp:
-                            energy._instr_energy(fn, instr, opp)))
+                            program, worst_cost(core, platform.memory, opp)))
                         assert _exact(cache_costs(cache, program, core, opp,
                                                   path_sensitive)) == \
                             _exact(reference), (config, core.name, opp.label)

@@ -2,16 +2,24 @@
 
 import pytest
 
+from oracles import build_program
+
+from repro.compiler.config import CompilerConfig
+from repro.compiler.pipeline import CompilationPipeline
 from repro.energy.component_model import ComponentEnergyModel, ComponentLoad
 from repro.energy.fitting import cross_validate, fit_isa_model
 from repro.energy.isa_model import IsaEnergyModel
 from repro.energy.measurements import run_campaign
 from repro.energy.static_analyzer import EnergyAnalyzer
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, PlatformError
 from repro.frontend.lowering import compile_source
-from repro.hw.presets import apalis_tk1, nucleo_stm32f091rc
+from repro.frontend.parser import parse
+from repro.hw.presets import apalis_tk1, gr712rc, nucleo_stm32f091rc
+from repro.hw.price import price, worst_price
 from repro.ir.cfg import Program
+from repro.ir.instructions import Opcode
 from repro.sim.machine import Simulator
+from repro.usecases.camera_pill import CAMERA_PILL_SOURCE
 from repro.wcet.analyzer import WCETAnalyzer
 
 
@@ -43,34 +51,45 @@ int memory_walk(int stride) {
 """
 
 
-class TestIsaModel:
-    def test_from_core_preserves_tables(self, platform):
+class TestInstructionPrice:
+    """The one price (:mod:`repro.hw.price`) the simulator charges and the
+    analysers bound."""
+
+    def test_worst_price_is_the_tables_at_nominal(self, platform):
         core = platform.predictable_cores[0]
-        model = IsaEnergyModel.from_core(core)
-        assert model.per_class_j["alu"] == pytest.approx(core.energy_table["alu"])
-        assert model.static_power() == pytest.approx(core.static_power_w)
+        cycles, energy = worst_price(core, platform.memory, Opcode.MUL, None,
+                                     core.nominal_opp)
+        assert cycles == core.cycle_table["mul"] \
+            + platform.memory.fetch_wait_states()
+        assert energy == core.energy_table["mul"] + core.inter_class_overhead_j
 
-    def test_instruction_energy_components(self, platform):
-        model = IsaEnergyModel.from_core(platform.predictable_cores[0],
-                                         memory_access_j=1e-9)
-        plain = model.instruction_energy("alu", with_overhead=False)
-        with_overhead = model.instruction_energy("alu")
-        with_memory = model.instruction_energy("load", is_memory_access=True)
-        assert with_overhead > plain
-        assert with_memory > model.instruction_energy("load")
-
-    def test_estimate_from_counts(self, platform):
-        model = IsaEnergyModel.from_core(platform.predictable_cores[0])
-        estimate = model.estimate_from_counts({"alu": 100, "mul": 10}, time_s=1e-3)
-        manual = (100 * model.per_class_j["alu"] + 10 * model.per_class_j["mul"]
-                  + 110 * model.inter_class_overhead_j
-                  + model.static_power_w * 1e-3)
-        assert estimate == pytest.approx(manual)
+    def test_price_energy_components(self, platform):
+        core = platform.predictable_cores[0]
+        memory, opp = platform.memory, core.nominal_opp
+        _, plain = price(core, memory, Opcode.ADD, None, opp, switched=False)
+        _, switched = price(core, memory, Opcode.ADD, None, opp, switched=True)
+        _, load = price(core, memory, Opcode.LOAD, None, opp, switched=False)
+        assert switched > plain
+        # A memory access adds the data region's access energy.
+        assert load == core.energy_table["load"] + memory.access_energy()
 
     def test_unknown_class_rejected(self, platform):
-        model = IsaEnergyModel.from_core(platform.predictable_cores[0])
-        with pytest.raises(AnalysisError):
-            model.instruction_energy("avx512")
+        core = platform.predictable_cores[0]
+        with pytest.raises(PlatformError):
+            price(core, platform.memory, "avx512", None, core.nominal_opp,
+                  switched=False)
+
+
+class TestIsaModel:
+    def test_estimate_from_counts(self, platform):
+        core = platform.predictable_cores[0]
+        model = IsaEnergyModel.from_coefficients(
+            "fitted", core.energy_table, core.nominal_opp,
+            static_power_w=core.static_power_w)
+        estimate = model.estimate_from_counts({"alu": 100, "mul": 10}, time_s=1e-3)
+        manual = (100 * model.per_class_j["alu"] + 10 * model.per_class_j["mul"]
+                  + model.static_power_w * 1e-3)
+        assert estimate == pytest.approx(manual)
 
     def test_fitted_model_clamps_negative_coefficients(self, platform):
         core = platform.predictable_cores[0]
@@ -128,6 +147,20 @@ class TestEnergyAnalyzer:
                                globals_init={"data": list(range(32))})
             assert bound.energy_j >= observed.energy_j
             assert bound.energy_j <= 5 * observed.energy_j
+
+    def test_wcec_dominates_simulation_below_nominal_on_leon3(self):
+        # Memory-access energy scales by V^2 in the simulator as in the
+        # bound; unscaled, this run exceeded its WCEC by 0.66%.
+        board = gr712rc()
+        core = board.predictable_cores[0]
+        low = core.opp_by_frequency(20e6)
+        assert low != core.nominal_opp
+        program, _ = build_program(CompilationPipeline(board),
+                                   parse(CAMERA_PILL_SOURCE), CompilerConfig())
+        bound = EnergyAnalyzer(board).analyze(program, "capture_frame", opp=low)
+        observed = Simulator(program, board, opp=low).run("capture_frame", [9])
+        assert observed.dynamic_energy_j <= bound.dynamic_energy_j
+        assert observed.energy_j <= bound.energy_j
 
     def test_static_energy_uses_wcet_time(self, platform):
         program = compile_source(BENCH_SOURCE)

@@ -18,9 +18,9 @@ compile path:
 * **Shared functions**: scratchpad allocation replaces the functions it
   places instead of changing them, so SPM-on and SPM-off variants of one
   engine never see each other's placements, and variants sharing a
-  function share its placed copy.  Simulating a variant materialises only
-  the blocks it runs; a function no enabled IR pass changed is its
-  lowered entry itself, whose form (never its IR) that can change.
+  function share its placed copy.  Simulating a variant materialises no
+  block: a function no enabled IR pass changed is the engine's lowered
+  entry itself, which stays compact.
 * The path modes share code but not bounds: see ``TestCacheKeyWidening``
   in ``tests/test_path_feasibility.py``.
 """
@@ -262,10 +262,13 @@ class TestSharedFunctions:
                    for function in program.functions.values()
                    for block in function.blocks.values() if block.compact]
         assert compact
-        function = variant.program.function("frame_packet")
-        Simulator(variant.program, PLATFORM).run(
-            "frame_packet", [3] * len(function.params))
-        assert not any(block.compact for block in function.blocks.values())
+        held = [block for function in variant.program.functions.values()
+                for block in function.blocks.values() if block.compact]
+        simulator = Simulator(variant.program, PLATFORM)
+        for name, function in variant.program.functions.items():
+            simulator.run(name, [3] * len(function.params))
+        # The simulator reads its own flat copy of each compact block.
+        assert held and all(block.compact for block in held)
         # A later build on the same lowered functions runs its IR passes
         # on compact blocks and counts what the oracle counts.
         config = self.SPM_OFF.with_(enable_cse=True, strength_reduction=True)
@@ -275,3 +278,29 @@ class TestSharedFunctions:
         _program, expected = build_program(CompilationPipeline(PLATFORM),
                                            parse(CAMERA_PILL_SOURCE), config)
         assert later.pass_statistics == expected
+
+    def test_simulation_leaves_the_lowered_entry_compact(self):
+        # No enabled IR pass changes ``filter_frame`` here, so the variant
+        # holds the engine's lowered entry itself; simulating it once
+        # flattened that entry for every later build.
+        engine = EvaluationEngine(parse(CAMERA_PILL_SOURCE), PLATFORM,
+                                  ["filter_frame"])
+        variant = engine.evaluate(CompilerConfig(unroll_limit=32,
+                                                 strength_reduction=False))
+        lowered = [entry[1].functions["filter_frame"] for entry
+                   in engine.builds.tables["lower"]._entries.values()
+                   if "filter_frame" in entry[1].functions]
+        assert variant.program.function("filter_frame") in lowered
+
+        def compact():
+            return [sum(block.compact for block in function.blocks.values())
+                    for function in lowered]
+
+        before = compact()
+        assert sum(before) > 0
+        result = Simulator(variant.program, PLATFORM).run("filter_frame", [3])
+        assert compact() == before
+        fresh, _ = build_program(CompilationPipeline(PLATFORM),
+                                 parse(CAMERA_PILL_SOURCE),
+                                 CompilerConfig(unroll_limit=32))
+        assert result == Simulator(fresh, PLATFORM).run("filter_frame", [3])

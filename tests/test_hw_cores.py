@@ -3,9 +3,14 @@
 import pytest
 
 from repro.errors import PlatformError
+from repro.frontend.lowering import compile_source
 from repro.hw.core import Accelerator, ComplexCore, Core, CoreKind
 from repro.hw.dvfs import OperatingPoint, default_opp_ladder, sweet_spot
-from repro.hw.presets import apalis_tk1, cortex_m0, leon3
+from repro.hw.memory import MemorySystem
+from repro.hw.presets import apalis_tk1, cortex_m0, leon3, nucleo_stm32f091rc
+from repro.hw.price import price, worst_price
+from repro.ir.instructions import Opcode
+from repro.sim.machine import Simulator
 
 
 class TestOperatingPoint:
@@ -47,10 +52,15 @@ class TestOperatingPoint:
 
 
 class TestPredictableCore:
+    """A core's tables through the one instruction price."""
+
     def test_preset_tables_are_complete(self):
+        memory = MemorySystem()
         for core in (cortex_m0(), leon3()):
-            assert core.cycles_for("alu") >= 1
-            assert core.dynamic_energy_for("load") > 0
+            for opcode in Opcode:
+                cycles, energy = price(core, memory, opcode, None,
+                                       core.nominal_opp, switched=False)
+                assert cycles >= 1 and energy > 0
 
     def test_missing_class_rejected(self):
         with pytest.raises(PlatformError):
@@ -59,21 +69,49 @@ class TestPredictableCore:
                  nominal_opp=OperatingPoint(1e6, 1.0))
 
     def test_branch_not_taken_is_cheaper(self):
-        core = cortex_m0()
-        assert core.cycles_for("branch", taken=False) < core.cycles_for("branch")
-        assert core.max_cycles_for("branch") == core.cycles_for("branch", taken=True)
+        core, memory = cortex_m0(), MemorySystem()
+        opp = core.nominal_opp
+        taken, _ = price(core, memory, Opcode.BR, None, opp, False)
+        not_taken, _ = price(core, memory, Opcode.BR, None, opp, False,
+                             taken=False)
+        assert not_taken < taken
+        assert worst_price(core, memory, Opcode.BR, None, opp)[0] == taken
 
     def test_energy_scales_with_operating_point(self):
-        core = cortex_m0()
+        core, memory = cortex_m0(), MemorySystem()
         low = core.operating_points[0]
         high = core.operating_points[-1]
-        assert core.dynamic_energy_for("alu", low) < core.dynamic_energy_for("alu", high)
+        for opcode in (Opcode.ADD, Opcode.LOAD, Opcode.STORE):
+            # Memory accesses scale by V^2 like every dynamic term.
+            energies = [price(core, memory, opcode, None, opp, switched)[1]
+                        for opp in (low, high) for switched in (False, True)]
+            scale = low.dynamic_scale(high)
+            assert energies[0] == pytest.approx(energies[2] * scale)
+            assert energies[1] == pytest.approx(energies[3] * scale)
+            assert energies[0] < energies[2]
 
     def test_switching_overhead_only_on_class_change(self):
-        core = cortex_m0()
-        assert core.switching_overhead("alu", "alu") == 0.0
-        assert core.switching_overhead(None, "alu") == 0.0
-        assert core.switching_overhead("alu", "mul") > 0.0
+        # Simulated: alu, alu, mul, alu, ret.  The first instruction follows
+        # nothing and the second follows its own class.
+        program = compile_source(
+            "int f(int a) { int b = a + 1; int c = b + 2; "
+            "return (c * 3) + 1; }")
+        platform = nucleo_stm32f091rc()
+        core = platform.predictable_cores[0]
+        events = Simulator(program, platform, record_trace=True).run(
+            "f", [4]).events
+        classes = [event.instruction_class for event in events]
+        previous = [None] + classes[:-1]
+        for event, before in zip(events, previous):
+            _, expected = price(core, platform.memory, event.opcode, None,
+                                core.nominal_opp,
+                                switched=before not in (None,
+                                                        event.instruction_class))
+            assert event.energy_j == expected
+        switched = [before not in (None, cls)
+                    for cls, before in zip(classes, previous)]
+        assert any(switched) and not all(switched)
+        assert events[0].energy_j == core.energy_table[classes[0]]
 
     def test_time_for_cycles_uses_frequency(self):
         core = cortex_m0()
@@ -85,8 +123,9 @@ class TestPredictableCore:
             cortex_m0().opp_by_frequency(123.0)
 
     def test_unknown_class_rejected(self):
+        core = cortex_m0()
         with pytest.raises(PlatformError):
-            cortex_m0().cycles_for("simd")
+            price(core, MemorySystem(), "simd", None, core.nominal_opp, False)
 
 
 class TestComplexCore:

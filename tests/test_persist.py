@@ -582,19 +582,21 @@ class TestAnalysisCacheDiskTier:
 #: The analysis version and the digest of the analysis sources it was set
 #: for (see :func:`_analysis_sources_digest`).
 PINNED_ANALYSIS_SOURCES = (
-    1, "50ce5d0e13dae0c00d7b9dd9f931decbc1d8893b79461a4d2cea82f8127f84eb")
+    1, "7a2bfbdda3dee0bb0642d32a8f54dd73d0a20a356f01780f34bed445eedcd45e")
 
 
 def _analysis_sources_digest() -> str:
     """SHA-256 over the ``.py`` files under ``repro/wcet`` and
-    ``repro/energy``, by relative path, line endings normalised."""
+    ``repro/energy`` and the instruction price (``repro/hw/price.py``), by
+    relative path, line endings normalised."""
     root = Path(repro.__file__).parent
+    paths = [path for package in ("wcet", "energy")
+             for path in sorted((root / package).rglob("*.py"))]
     digest = hashlib.sha256()
-    for package in ("wcet", "energy"):
-        for path in sorted((root / package).rglob("*.py")):
-            digest.update(f"{path.relative_to(root).as_posix()}\0".encode())
-            digest.update(path.read_bytes().replace(b"\r\n", b"\n"))
-            digest.update(b"\0")
+    for path in paths + [root / "hw" / "price.py"]:
+        digest.update(f"{path.relative_to(root).as_posix()}\0".encode())
+        digest.update(path.read_bytes().replace(b"\r\n", b"\n"))
+        digest.update(b"\0")
     return digest.hexdigest()
 
 
@@ -605,8 +607,8 @@ class TestAnalysisVersionGuard:
         assert (ANALYSIS_VERSION, _analysis_sources_digest()) \
             == PINNED_ANALYSIS_SOURCES, (
                 "the sources under src/repro/wcet/ or src/repro/energy/ "
-                "changed.  If the change can move a bound, bump "
-                "ANALYSIS_VERSION in src/repro/compiler/engine/cache.py; "
+                "or src/repro/hw/price.py changed.  If the change can move "
+                "a bound, bump ANALYSIS_VERSION in src/repro/compiler/engine/cache.py; "
                 "either way re-pin PINNED_ANALYSIS_SOURCES in "
                 "tests/test_persist.py, and justify a re-pin without a "
                 "bump in CHANGES.md")

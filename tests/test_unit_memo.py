@@ -31,7 +31,6 @@ from repro.compiler.config import (EXTENDED_GENE_LENGTH, UNROLL_CHOICES,
                                    CompilerConfig)
 from repro.compiler.engine.cache import AnalysisCache
 from repro.compiler.pipeline import CompilationPipeline
-from repro.energy.static_analyzer import EnergyAnalyzer
 from repro.frontend.lowering import compile_source
 from repro.frontend.parser import parse
 from repro.hw.presets import nucleo_stm32f091rc
@@ -39,6 +38,7 @@ from repro.ir.cfg import Program
 from repro.ir.instructions import Instr, Opcode
 from repro.ir.runs import Run
 from repro.wcet import structural
+from repro.wcet.analyzer import worst_cost
 from repro.wcet.paths import PathSensitiveCostEngine
 
 PLATFORM = nucleo_stm32f091rc()
@@ -118,16 +118,14 @@ class TestSoundnessPins:
         cache = AnalysisCache(PLATFORM)
         program = compile_source(CHAIN.replace("BOUND", "3"))
         for core in PLATFORM.predictable_cores:
-            energy = EnergyAnalyzer(PLATFORM, core=core)
             assert _hex_table(cache_costs(cache, program, core, None, True)) \
                 == _hex_table(whole_program_costs(
-                    _engine(program, energy.wcet._instr_cycles)))
+                    _engine(program, worst_cost(core, PLATFORM.memory))))
             for opp in core.operating_points:
                 assert _hex_table(cache_costs(cache, program, core, opp,
                                               True)) \
                     == _hex_table(whole_program_costs(_engine(
-                        program, lambda fn, instr, opp=opp:
-                        energy._instr_energy(fn, instr, opp))))
+                        program, worst_cost(core, PLATFORM.memory, opp))))
 
 
 #: One cache for every drawn program: its memos carry across draws.
@@ -147,15 +145,13 @@ class TestMemoDifferential:
         program, _ = build_program(CompilationPipeline(PLATFORM),
                                    parse(source), config)
         core = PLATFORM.predictable_cores[0]
-        energy = EnergyAnalyzer(PLATFORM, core=core)
         opp = core.nominal_opp
         assert _hex_table(cache_costs(_SHARED, program, core, None, True)) \
             == _hex_table(whole_program_costs(
-                _engine(program, energy.wcet._instr_cycles)))
+                _engine(program, worst_cost(core, PLATFORM.memory))))
         assert _hex_table(cache_costs(_SHARED, program, core, opp, True)) \
             == _hex_table(whole_program_costs(_engine(
-                program, lambda fn, instr:
-                energy._instr_energy(fn, instr, opp))))
+                program, worst_cost(core, PLATFORM.memory, opp))))
 
 
 class TestWorkCounters:
@@ -195,7 +191,6 @@ class TestMemoBound:
         monkeypatch.setattr(structural, "MEMO_LIMIT", 6)
         cache = AnalysisCache(PLATFORM)
         core = PLATFORM.predictable_cores[0]
-        energy = EnergyAnalyzer(PLATFORM, core=core)
         for bound in range(20):
             # Distinct compared constants and block contents per program.
             source = CHAIN.replace("BOUND", str(bound)) \
@@ -203,7 +198,7 @@ class TestMemoBound:
             program = compile_source(source)
             assert _hex_table(cache_costs(cache, program, core, None, True)) \
                 == _hex_table(whole_program_costs(
-                    _engine(program, energy.wcet._instr_cycles)))
+                    _engine(program, worst_cost(core, PLATFORM.memory))))
             memos = [*cache._block_costs.values(),
                      *cache._unit_outcomes.values(),
                      *(scope.functions for scope in cache._scopes.values())]
