@@ -14,12 +14,12 @@ configurable pass widens every downstream key:
 2. :class:`BuildCache` — one source module's build units (its functions)
    after each build segment, one :class:`BuildTable` per segment keyed by
    :meth:`~repro.compiler.pipeline.PassManager.build_key`, and after each
-   IR pass keyed by
+   AST pass before inlining and each IR pass keyed by
    :meth:`~repro.compiler.pipeline.PassManager.step_key`.  A function's
-   key holds only the configuration fields that can change it, and an IR
-   pass that changed nothing leaves it as it was, so a configuration
-   re-lowers and re-optimises only what it changes, and every variant's
-   program is assembled from shared functions.
+   key holds only the configuration fields that can change it, and a
+   chained pass that changed nothing leaves it as it was, so a
+   configuration re-lowers and re-optimises only what it changes, and
+   every variant's program is assembled from shared functions.
 3. :class:`AnalysisCache` — worst-case costs, computed on demand: a query
    costs only its entry's call closure.  Each function's cost is memoised
    across programs per cost scope (analysis kind, core, operating point,
@@ -145,17 +145,18 @@ class VariantCache(_BoundedCacheMixin):
 
 class BuildTable(_BoundedCacheMixin):
     """Build units after one build segment, keyed by
-    :meth:`~repro.compiler.pipeline.PassManager.build_key`, or IR pass
-    steps keyed by
+    :meth:`~repro.compiler.pipeline.PassManager.build_key`, or the steps
+    of a pass chain (AST passes before inlining, IR passes) keyed by
     :meth:`~repro.compiler.pipeline.PassManager.step_key`.
 
     An entry is ``(key, unit, statistics)``: the unit's key, its module
-    (AST segments), program (lowering) or function (an IR pass step), and
-    its counters.  An entry's key is the key it is stored under, except
-    for a step whose pass changed nothing: that entry holds the step's
-    input key and function.  Entries are shared and never mutated: a
-    later segment or step runs on a clone.  ``get`` counts a hit, ``put``
-    a miss (one build).
+    (an AST step or the ``inline`` segment), program (lowering) or
+    function (an IR step), and its counters (a step's are its pass's
+    alone).  An entry's key is the key it is stored under, except for a
+    step whose pass changed nothing: that entry holds the step's input
+    key and input.  Entries are shared and never mutated: a later segment
+    or step that changes a unit runs on a copy, and lowering only reads
+    it.  ``get`` counts a hit, ``put`` a miss (one build).
     """
 
     def __init__(self):
@@ -185,11 +186,12 @@ class BuildCache:
     """One source module's build units, one :class:`BuildTable` per build
     segment (:data:`~repro.compiler.pipeline.passes.BUILD_SEGMENTS`).
 
-    Shared by every engine of the module.  ``lowering`` is the table of
-    the ``lower`` segment, and its counters count function lowerings.
-    ``ir_stage`` holds the steps of the functions' IR pass chains, one
-    per (input key, pass, pass contribution), and its counters count IR
-    pass steps: a miss is one pass run on one function.  ``callees``
+    Shared by every engine of the module.  The ``ast`` table holds the
+    steps of the functions' AST pass chains and ``ir_stage`` (the ``ir``
+    table) those of their IR pass chains, one per (input key, pass, pass
+    contribution); their counters count steps: a miss is one pass run on
+    one function.  ``lowering`` is the table of the ``lower`` segment,
+    and its counters count function lowerings.  ``callees``
     memoises, per function after the ``ast`` segment, the build units of
     the functions it calls, and ``function_keys`` the narrowed key
     contributions (see
@@ -201,7 +203,7 @@ class BuildCache:
         self.lowering = self.tables["lower"]
         self.ir_stage = self.tables["ir"]
         self.callees: Dict[Tuple, List[Tuple]] = {}
-        self.function_keys: Dict[Tuple, Tuple] = {}
+        self.function_keys: Dict[Tuple, Optional[Tuple]] = {}
 
 
 def _region_signature(region: Region) -> Tuple:

@@ -8,11 +8,13 @@ against them through the staged caches of
 * the variant cache short-circuits revisited configurations entirely; it
   is the one variant memo (the optimisers keep none of their own),
 * the build cache holds each function after every build segment, keyed
-  by the configuration fields that can change it, and after each IR pass,
-  keyed by the pass and its input, so a function is lowered once per
-  effective configuration, each IR pass runs once per distinct input
-  (one that changed nothing hands its input on), and every variant's
-  program is assembled from shared functions,
+  by the configuration fields that can change it, and after each AST
+  pass before inlining and each IR pass, keyed by the pass and its input,
+  so each of these passes runs once per distinct input (one that changed
+  nothing hands its input on, one whose key says it cannot change the
+  input does not run), a function is lowered once per distinct AST its
+  chain reaches, and every variant's program is assembled from shared
+  functions,
 * the analysis cache shares per-function WCET/WCEC tables between every
   query against the same compiled program (multiple task entries, DVFS
   sweeps, per-core ETS derivation).
@@ -40,7 +42,7 @@ from repro.errors import CompilationError, TeamPlayError
 from repro.frontend import ast_nodes as ast
 from repro.hw.core import Core
 from repro.hw.platform import Platform
-from repro.ir.cfg import Function, Program
+from repro.ir.cfg import Program
 
 #: Entry-function label of aggregate multi-task variants.
 ALL_TASKS_ENTRY = "<all tasks>"
@@ -127,17 +129,15 @@ class EvaluationEngine:
         variant's program and run the backend (scratchpad allocation) on
         it.
 
-        Each unit is lowered, then passed through the chain of its enabled
-        IR passes (see :meth:`_step`).  The program is new, its functions
-        are the cached units' own: the backend replaces a function it
-        changes (see
+        Each unit is lowered (see :meth:`_unit`), then passed through the
+        chain of its enabled IR passes (see :meth:`_chain`).  The program
+        is new, its functions are the cached units' own: the backend
+        replaces a function it changes (see
         :func:`~repro.compiler.passes.spm.allocate_scratchpad`).  Counters
         are the lowered units' and the steps' summed.
         """
-        manager = self.pipeline.manager
-        reported, declared = manager.statistic_names(config)
+        reported, declared = self.pipeline.manager.statistic_names(config)
         statistics = dict.fromkeys(reported, 0)
-        steps = [p for p in manager.segment("ir") if p.enabled(config)]
 
         def count(counters: Dict[str, int]) -> None:
             for name, value in counters.items():
@@ -152,11 +152,10 @@ class EvaluationEngine:
             key, lowered, counters = self._unit(config, "lower", identity,
                                                 module)
             count(counters)
-            function = next(iter(lowered.functions.values()))
-            for registered in steps:
-                key, function, counters = self._step(
-                    config, registered, key, function, lowered)
-                count(counters)
+            _key, function, counters = self._chain(
+                config, "ir", key, next(iter(lowered.functions.values())),
+                lowered)
+            count(counters)
             functions[function.name] = function
         program = Program(functions=functions,
                           global_arrays=dict(lowered.global_arrays),
@@ -165,36 +164,72 @@ class EvaluationEngine:
         statistics.update(self.pipeline.backend_passes(program, config))
         return program, statistics
 
+    def _chain(self, config: CompilerConfig, segment: str, key: Tuple,
+               unit, lowered: Optional[Program] = None) -> Tuple:
+        """``(key, unit, statistics)`` after the chain of ``segment``'s
+        enabled passes (a chained segment, see
+        :data:`~repro.compiler.pipeline.passes.CHAINED_SEGMENTS`) from
+        ``unit`` under ``key``, one :meth:`_step` each, with the steps'
+        counters summed."""
+        statistics: Dict[str, int] = {}
+        for registered in self.pipeline.manager.segment(segment):
+            if registered.enabled(config):
+                key, unit, counters = self._step(config, registered, key,
+                                                 unit, lowered)
+                for name, value in counters.items():
+                    statistics[name] = statistics.get(name, 0) + value
+        return key, unit, statistics
+
     def _step(self, config: CompilerConfig, registered: Pass, key: Tuple,
-              function: Function, lowered: Program) -> Tuple:
-        """The ``ir_stage`` entry ``(key, function, statistics)`` of one IR
-        pass run on ``function`` (under ``key``), running the pass on a
+              unit, lowered: Optional[Program] = None) -> Tuple:
+        """The entry ``(key, unit, statistics)`` of one pass-chain step:
+        ``registered`` run on ``unit`` (under ``key``), an IR function of
+        ``lowered`` (an ``ir`` step) or, with no ``lowered``, a module
+        holding one function (an ``ast`` step), running the pass on a
         miss.
 
-        The pass runs on a clone sharing the instructions (the IR passes
-        are copy-on-write at instruction granularity, so the input stays
-        intact), in a program with ``lowered``'s globals.  A pass that
-        changed nothing hands on the input key and the input function
-        itself, so every later step, and every memo kept on the function,
+        A pass whose key says it leaves the input as it is (a
+        :meth:`~repro.compiler.pipeline.PassManager.step_key` that is
+        ``key`` itself) hands the input on, and nothing runs.  Otherwise
+        the pass runs on a copy: an instruction-sharing clone of the
+        function (the IR passes are copy-on-write at instruction
+        granularity) in a program with ``lowered``'s globals, or a clone
+        of the module.  A pass that
+        changed nothing hands on the input key and the input itself, so
+        every later step and segment, and every memo kept on the function,
         is shared with the configurations that skipped the pass; the entry
-        keeps the pass's counters either way.
+        keeps the pass's counters either way.  "Changed" is read off the
+        IR an IR pass ran on (:meth:`~repro.ir.cfg.Function.holds_ir_of`),
+        and off an AST pass's declared ``statistic``: it changed the
+        function iff its counter grew (a pass with none always changes).
         """
-        step_key = self.pipeline.manager.step_key(config, registered, key,
-                                                  function)
-        entry = self.ir_stage.get(step_key)
+        ast_step = lowered is None
+        step_key = self.pipeline.manager.step_key(
+            config, registered, key, unit.functions[0] if ast_step else unit)
+        if step_key is key:
+            return key, unit, {}
+        table = self.builds.tables["ast" if ast_step else "ir"]
+        entry = table.get(step_key)
         if entry is not None:
             return entry
-        program = Program(
-            functions={function.name: function.clone(
-                share_instructions=True)},
-            global_arrays=dict(lowered.global_arrays),
-            metadata=dict(lowered.metadata),
-            source_name=lowered.source_name)
-        statistics = self.pipeline.ir_passes(program, config, (registered,))
-        output = next(iter(program.functions.values()))
-        if output.holds_ir_of(function):
-            return self.ir_stage.put(step_key, function, statistics, key)
-        return self.ir_stage.put(step_key, output, statistics)
+        if ast_step:
+            output, statistics = self.pipeline.pre_unroll(unit, config,
+                                                          (registered,))
+            changed = (registered.statistic is None
+                       or statistics.get(registered.statistic, 0) > 0)
+        else:
+            program = Program(
+                functions={unit.name: unit.clone(share_instructions=True)},
+                global_arrays=dict(lowered.global_arrays),
+                metadata=dict(lowered.metadata),
+                source_name=lowered.source_name)
+            statistics = self.pipeline.ir_passes(program, config,
+                                                 (registered,))
+            output = next(iter(program.functions.values()))
+            changed = not output.holds_ir_of(unit)
+        if changed:
+            return table.put(step_key, output, statistics)
+        return table.put(step_key, unit, statistics, key)
 
     def _unit(self, config: CompilerConfig, segment: str, identity: Tuple,
               module: ast.SourceModule) -> Tuple:
@@ -202,44 +237,47 @@ class EvaluationEngine:
         after ``segment`` (up to ``lower``), building it (and the segments
         before) on a miss.
 
-        A unit's key after the ``inline`` segment holds the keys of the
-        callee bodies inlining reads, and its key after ``lower`` reads the
-        function as inlining left it (see
+        The ``ast`` segment is the unit's pass chain from its identity
+        (see :meth:`_chain`).  A unit's key after the ``inline`` segment
+        holds the keys of the callee bodies inlining reads, and its key
+        after ``lower`` reads the function as inlining left it (see
         :meth:`~repro.compiler.pipeline.PassManager.build_key`).
         """
-        manager = self.pipeline.manager
-        table = self.builds.tables[segment]
-        callee_keys: Tuple = ()
         if segment == "ast":
-            base, source = identity, module
-        else:
-            base, source, statistics = self._unit(
-                config, _PREVIOUS[segment], identity, module)
-            if segment == "inline":
-                source, callee_keys = self._with_callees(config, base,
-                                                         source)
+            return self._chain(config, "ast", identity, module)
+        manager = self.pipeline.manager
+        base, source, statistics = self._unit(config, _PREVIOUS[segment],
+                                              identity, module)
+        callee_keys: Tuple = ()
+        if segment == "inline":
+            source, callee_keys = self._with_callees(config, base, source)
         key = manager.build_key(config, segment, base, source.functions[0],
                                 callee_keys, self.builds.function_keys)
+        table = self.builds.tables[segment]
         entry = table.get(key)
         if entry is not None:
             return entry
-        if segment == "ast":
-            unit, statistics = self.pipeline.pre_unroll(
-                source, config, ("ast",))
-        elif segment == "inline":
+        if segment == "inline":
             # A pass that reads callees changes a function only by what it
             # reads: with nothing read and nothing else enabled, the unit
-            # leaves the segment as it entered (the next segment clones).
+            # leaves the segment as it entered.
             unit = source
             if callee_keys or any(
                     p.enabled(config) and p.reads_callees is None
                     for p in manager.segment(segment)):
                 unit, statistics = self.pipeline.pre_unroll(
-                    source, config, ("inline",), statistics)
+                    source, config, manager.segment(segment), statistics)
         else:
+            # Lowering only reads the AST: with no AST pass left to run,
+            # it reads the shared unit itself.
+            passes = manager.changing_passes(config, segment, base,
+                                             source.functions[0],
+                                             self.builds.function_keys)
+            if any(p.stage == "ast" for p in passes):
+                source = ast.clone_module(source)
             statistics = dict(statistics)
-            unit = self.pipeline.unroll_and_lower(
-                ast.clone_module(source), config, statistics)
+            unit = self.pipeline.unroll_and_lower(source, config, statistics,
+                                                  passes)
         return table.put(key, unit, statistics)
 
     def _with_callees(self, config: CompilerConfig, key: Tuple,

@@ -10,7 +10,7 @@ call site.  The pipeline makes the path declarative:
     predicate, cache-key contributions — plus per-pass
     wall-time/invocation counters (``stats()``, engine-cache convention),
     the build segments and the key derivations the engine caches are
-    keyed by (``build_key`` per function, ``step_key`` per IR pass step,
+    keyed by (``build_key`` per function, ``step_key`` per pass-chain step,
     ``canonical_key`` per variant).
 
 ``CompilationPipeline``

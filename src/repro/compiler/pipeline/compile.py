@@ -6,8 +6,10 @@ compile path as *stage runs* over the registered pass list.  The evaluation
 engine runs the stages on each build unit (one function) and caches the
 unit after each build segment under the manager's
 :meth:`~repro.compiler.pipeline.manager.PassManager.build_key`, and
-after each IR pass under its
-:meth:`~repro.compiler.pipeline.manager.PassManager.step_key`.  The only
+after each AST pass before inlining and each IR pass under its
+:meth:`~repro.compiler.pipeline.manager.PassManager.step_key`: a pass
+that changed nothing hands its input on, and one whose key says it
+leaves the function as it is does not run.  The only
 other build sequence, the uncached one-shot ``build_program`` that chains
 the stages on the whole module, is a test oracle in ``tests/oracles.py``.
 """
@@ -66,38 +68,46 @@ class CompilationPipeline:
 
     # ----------------------------------------------------------- AST stage --
     def pre_unroll(self, module: ast.SourceModule, config: CompilerConfig,
-                   segments: Sequence[str] = ("ast", "inline"),
+                   passes: Optional[Sequence[Pass]] = None,
                    statistics: Optional[Dict[str, int]] = None
                    ) -> Tuple[ast.SourceModule, Dict[str, int]]:
         """Loop-bound inference plus the AST passes that run before unrolling.
 
-        ``segments`` selects the build segments to run: ``ast`` (before
-        inlining) and ``inline`` (inlining up to unrolling).  A custom AST
-        pass registered before ``unroll-loops`` joins one of them.  The
-        input module is never modified: the returned module is a fresh
-        clone, and its counters extend a copy of ``statistics``.
+        These are the ``ast`` (before inlining) and ``inline`` (inlining up
+        to unrolling) build segments; a custom AST pass registered before
+        ``unroll-loops`` joins one of them.  ``passes`` runs only those
+        (the evaluation engine runs one step of the ``ast`` pass chain, or
+        the ``inline`` segment, at a time).  The input module is never
+        modified: the returned module is a fresh clone, and its counters
+        extend a copy of ``statistics``.
         """
         ctx = PassContext(config=config, platform=self.platform,
                           module=ast.clone_module(module),
                           statistics=dict(statistics or {}))
-        for segment in segments:
-            self._run(self.manager.segment(segment), ctx)
+        self._run(self.manager.segment("ast") + self.manager.segment("inline")
+                  if passes is None else passes, ctx)
         return ctx.module, ctx.statistics
 
     def unroll_and_lower(self, working: ast.SourceModule,
                          config: CompilerConfig,
-                         statistics: Dict[str, int]) -> Program:
+                         statistics: Dict[str, int],
+                         passes: Optional[Sequence[Pass]] = None) -> Program:
         """Unroll (mutating ``working`` in place) and lower to IR.
 
         Unrolling exposes constant-index expressions, so the folding pass
         runs a second round when both are enabled (its counter
         accumulates).  AST passes registered *after* ``unroll-loops`` run
-        here, before lowering.  Counters go to ``statistics``.
+        here, before lowering.  ``passes`` runs only those of the ``lower``
+        segment (the evaluation engine leaves out the ones whose key says
+        they leave the function as it is; with no AST pass left,
+        ``working`` stays unmodified, since lowering only reads it).
+        Counters go to ``statistics``.
         """
         ctx = PassContext(config=config, platform=self.platform,
                           module=working, statistics=statistics)
         refold = any(p.name == FOLD_PASS for p in self.manager.passes("ast"))
-        for registered in self.manager.segment("lower"):
+        for registered in (self.manager.segment("lower") if passes is None
+                           else passes):
             if self.manager.run(registered.name, ctx) \
                     and registered.name == UNROLL_PASS and refold:
                 self.manager.run(FOLD_PASS, ctx)

@@ -10,7 +10,8 @@ three different places:
 * *what keys the caches use* — :meth:`build_key` concatenates the
   registered passes' contributions into the key of one function after
   one build segment, narrowed to the fields that can change it (for the
-  IR passes, one :meth:`step_key` per pass that ran), and
+  AST passes before inlining and the IR passes, one :meth:`step_key`
+  per pass that ran), and
   :meth:`canonical_key` into the engine's ``VariantCache`` key.  They are
   the only key derivations.  Registering a new configurable pass
   automatically widens every downstream key,
@@ -29,6 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline.passes import (
     BUILD_SEGMENTS,
+    CHAINED_SEGMENTS,
     INLINE_PASS,
     STAGES,
     UNROLL_PASS,
@@ -159,66 +161,93 @@ class PassManager:
                                    f"expected one of {BUILD_SEGMENTS}") from None
 
     # --------------------------------------------------------- cache keys --
+    def _part(self, config: CompilerConfig, registered: Pass, base: Tuple,
+              function, memo: Optional[Dict[Tuple, Optional[Tuple]]] = None
+              ) -> Optional[Tuple]:
+        """``registered``'s contribution to the key of ``function`` after
+        ``base``: its ``function_key`` on the function, or its
+        ``cache_key``.  ``None`` says the pass leaves the function as it
+        is (see :class:`~repro.compiler.pipeline.passes.Pass`).
+
+        A ``function_key`` reads the configuration only through its pass's
+        ``cache_key``, so ``memo`` (one per module: ``base`` names
+        functions) keeps each narrowed contribution per
+        ``(pass, base, cache_key)``.
+        """
+        if registered.function_key is None:
+            return registered.cache_key(config)
+        if memo is None:
+            return registered.function_key(config, function)
+        memo_key = (registered.name, base, registered.cache_key(config))
+        try:
+            return memo[memo_key]
+        except KeyError:
+            part = memo[memo_key] = registered.function_key(config, function)
+            return part
+
     def build_key(self, config: CompilerConfig, segment: str, base: Tuple,
                   function, callee_keys: Tuple = (),
-                  memo: Optional[Dict[Tuple, Tuple]] = None) -> Tuple:
+                  memo: Optional[Dict[Tuple, Optional[Tuple]]] = None
+                  ) -> Tuple:
         """The key of one function after ``segment``: ``base`` (its key
         after the segment before, or its identity before the first) plus
         the segment's contributions.
 
         ``function`` is the function as the segment receives it (AST, or
         IR for the ``ir`` segment).  Each pass contributes its
-        ``function_key`` on it, or its ``cache_key``, and ``callee_keys``
-        (the keys of the callee bodies the segment's passes read, see
+        ``function_key`` on it, or its ``cache_key`` (see :meth:`_part`;
+        ``memo`` keeps the narrowed ones), and ``callee_keys`` (the keys
+        of the callee bodies the segment's passes read, see
         :meth:`callee_reader`) join too.
 
-        A ``function_key`` reads the configuration only through the pass's
-        ``cache_key`` and the fields ``base`` already holds, so ``memo``
-        (one per module: ``base`` names functions) keeps each narrowed
-        contribution per ``(pass, base, cache_key)``.
-
-        The ``ir`` segment is a chain of steps, one per enabled pass (see
-        :meth:`step_key`): its key here is the chain's key when every
-        enabled pass changes the function.
+        The ``ast`` and ``ir`` segments are chains of steps, one per
+        enabled pass (see :meth:`step_key`): their key here is the chain's
+        key when every step changes the function.
         """
         key = base
-        if segment == "ir":
+        if segment in CHAINED_SEGMENTS:
             for registered in self.segment(segment):
                 if registered.enabled(config):
                     key = self.step_key(config, registered, key, function)
             return key
         for registered in self.segment(segment):
-            if registered.function_key is None:
-                key += registered.cache_key(config)
-            elif memo is None:
-                key += registered.function_key(config, function)
-            else:
-                memo_key = (registered.name, base, registered.cache_key(config))
-                part = memo.get(memo_key)
-                if part is None:
-                    part = memo[memo_key] = registered.function_key(
-                        config, function)
-                key += part
+            key += self._part(config, registered, base, function, memo) or ()
         if callee_keys:
             key += (callee_keys,)
         return key
 
     def step_key(self, config: CompilerConfig, registered: Pass,
                  key: Tuple, function) -> Tuple:
-        """The key of one IR pass's step in a function's pass chain.
+        """The key of one pass's step in a function's pass chain.
 
-        The engine runs a function's enabled IR passes one step each,
-        starting from the function's ``lower`` key and lowered IR.  A
+        The engine runs the enabled passes of a chained segment (see
+        :data:`~repro.compiler.pipeline.passes.CHAINED_SEGMENTS`) one step
+        each, the ``ast`` chain from the function's identity and parsed
+        AST, the ``ir`` chain from its ``lower`` key and lowered IR.  A
         step's key is its input's ``key``, the pass's name and the pass's
-        contribution (its ``function_key`` on the input ``function``, or
-        its ``cache_key``).  A step whose pass changed nothing hands on
-        its input key and function, so configurations that differ only in
-        passes that changed nothing share every later step.
+        contribution on the input ``function``.  A step whose pass changed
+        nothing hands on its input key and input, so configurations that
+        differ only in passes that changed nothing share every later step.
+        A pass whose contribution says it leaves the function as it is
+        (``None``) changes nothing by its own word: its step key is
+        ``key`` itself, and the step does not run.
         """
-        part = (registered.cache_key(config)
-                if registered.function_key is None
-                else registered.function_key(config, function))
+        part = self._part(config, registered, key, function)
+        if part is None:
+            return key
         return (key, registered.name) + part
+
+    def changing_passes(self, config: CompilerConfig, segment: str,
+                        base: Tuple, function,
+                        memo: Optional[Dict[Tuple, Optional[Tuple]]] = None
+                        ) -> Tuple[Pass, ...]:
+        """The enabled passes of ``segment`` that may change ``function``
+        (after ``base``, as in :meth:`build_key`): those whose
+        contribution is not ``None``."""
+        return tuple(
+            registered for registered in self.segment(segment)
+            if registered.enabled(config) and self._part(
+                config, registered, base, function, memo) is not None)
 
     def canonical_key(self, config: CompilerConfig) -> Tuple:
         """The full-pipeline key (every registered pass's contribution)."""

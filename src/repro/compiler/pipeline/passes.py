@@ -46,7 +46,7 @@ from repro.frontend import ast_nodes as ast
 from repro.frontend.lowering import lower_module
 from repro.hw.platform import Platform
 from repro.ir.cfg import Program
-from repro.security.transforms import harden_module
+from repro.security.transforms import harden_secret_functions
 from repro.wcet.loopbounds import infer_loop_bounds
 
 #: Pipeline stages in execution order.  ``frontend`` covers parsing,
@@ -65,10 +65,12 @@ FOLD_PASS = "constant-folding"
 #: The segments the evaluation engine caches a build unit after, in order:
 #: ``ast`` holds the AST passes before inlining, ``inline`` those from
 #: inlining up to unrolling, ``lower`` unrolling, every later AST pass and
-#: lowering, ``ir`` the IR passes (cached after each pass that runs, see
-#: :meth:`~repro.compiler.pipeline.PassManager.step_key`).  The backend
-#: runs per variant.
+#: lowering, ``ir`` the IR passes.  The backend runs per variant.
 BUILD_SEGMENTS = ("ast", "inline", "lower", "ir")
+
+#: The segments the engine runs as pass chains: cached after each pass
+#: that runs, see :meth:`~repro.compiler.pipeline.PassManager.step_key`.
+CHAINED_SEGMENTS = ("ast", "ir")
 
 
 def _always(config: CompilerConfig) -> bool:
@@ -113,10 +115,18 @@ class Pass:
     summed over functions; ``statistic`` names the one it reports.
     ``function_key`` narrows the pass's contribution to one function's
     build key, given the function as its build segment receives it
-    (default: ``cache_key``).  ``reads_callees`` marks an ``inline``-segment
-    pass that also reads the bodies of the callees it accepts, as the
-    segments before it left them, and changes a function only by what it
-    reads; their keys join the function's key.
+    (default: ``cache_key``), reading the configuration only through
+    ``cache_key``; a ``function_key`` of ``None`` says the pass leaves
+    that function as it is, so the engine does not run it there.
+    ``reads_callees`` marks an ``inline``-segment pass that also reads the
+    bodies of the callees it accepts, as the segments before it left them,
+    and changes a function only by what it reads; their keys join the
+    function's key.
+
+    An AST pass before inlining is one step of a pass chain, and counts
+    as having changed a function iff its ``statistic`` grew: such a pass
+    must count every rewrite it makes (one with no ``statistic`` always
+    counts as changed).
     """
 
     name: str
@@ -126,7 +136,7 @@ class Pass:
     cache_key: Callable[[CompilerConfig], Tuple] = _no_key
     statistic: Optional[str] = None
     function_key: Optional[
-        Callable[[CompilerConfig, ast.FunctionDef], Tuple]] = None
+        Callable[[CompilerConfig, ast.FunctionDef], Optional[Tuple]]] = None
     reads_callees: Optional[Callable[[ast.FunctionDef], bool]] = None
 
     def __post_init__(self):
@@ -144,8 +154,8 @@ def _infer_loop_bounds(ctx: PassContext) -> None:
 
 
 def _harden_security(ctx: PassContext) -> None:
-    ctx.module, hardening = harden_module(ctx.module)
-    ctx.statistics["hardened_branches"] = hardening.transformed_count
+    ctx.statistics["hardened_branches"] = harden_secret_functions(
+        ctx.module).transformed_count
 
 
 def _fold_constants(ctx: PassContext) -> None:
@@ -191,15 +201,16 @@ def _allocate_scratchpad(ctx: PassContext) -> None:
 
 
 def _unroll_function_key(config: CompilerConfig,
-                         function: ast.FunctionDef) -> Tuple:
+                         function: ast.FunctionDef) -> Optional[Tuple]:
     """Limits that unroll the same loops of ``function`` give equal code,
     apart from the folding round that unrolling re-runs: that round
     changes the function only if it unrolled a loop or left something to
-    fold (inlining leaves folds behind)."""
+    fold (inlining leaves folds behind).  ``None`` when neither happens:
+    the pass leaves the function as it is."""
     bound = largest_unrollable_bound(function, config.unroll_limit)
     refolds = (config.unroll_limit > 0 and config.constant_folding
                and (bound > 0 or folds_anything(function)))
-    return (bound, refolds)
+    return (bound, refolds) if bound or refolds else None
 
 
 #: Names of the externally-driven marker passes.
@@ -229,7 +240,7 @@ def default_compile_passes() -> Tuple[Pass, ...]:
              statistic="hardened_branches",
              function_key=lambda config, function: (
                  (config.harden_security,)
-                 if function.pragmas.get("secret") else ())),
+                 if function.pragmas.get("secret") else None)),
         Pass(FOLD_PASS, "ast", _fold_constants,
              enabled=lambda config: config.constant_folding,
              cache_key=lambda config: (config.constant_folding,),
@@ -242,9 +253,11 @@ def default_compile_passes() -> Tuple[Pass, ...]:
              statistic="inlined_calls",
              function_key=lambda config, function: (),
              reads_callees=is_inlinable),
+        # Unrolling re-runs folding, so the folding flag is its field too.
         Pass(UNROLL_PASS, "ast", _unroll_loops,
              enabled=lambda config: bool(config.unroll_limit),
-             cache_key=lambda config: (config.unroll_limit,),
+             cache_key=lambda config: (config.unroll_limit,
+                                       config.constant_folding),
              statistic="unrolled_loops",
              function_key=_unroll_function_key),
         Pass("lower-to-ir", "lower", _lower_to_ir),

@@ -222,11 +222,19 @@ def harden_module(module: ast.SourceModule,
     ``only_functions`` restricts the set explicitly.
     """
     hardened = ast.clone_module(module)
+    return hardened, harden_secret_functions(hardened, only_functions)
+
+
+def harden_secret_functions(module: ast.SourceModule,
+                            only_functions: Optional[Sequence[str]] = None
+                            ) -> HardeningReport:
+    """:func:`harden_module` *in place*: harden ``module``'s functions
+    with secret parameters (or those ``only_functions`` names)."""
     report = HardeningReport()
-    for function in hardened.functions:
+    for function in module.functions:
         if only_functions is not None and function.name not in only_functions:
             continue
         if only_functions is None and not function.pragmas.get("secret"):
             continue
         harden_function(function, None, report)
-    return hardened, report
+    return report

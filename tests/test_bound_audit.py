@@ -15,11 +15,19 @@ configuration space:
 * a divider whose table latency is below the data-dependent early exit
   (``cycle_table["div"] = 1``) never finishes later than its table says.
 
+The same cases also hold the optimisations to program semantics: each
+configuration of a sequence built through one evaluation engine (whose
+variants share every function their pass chains reach equally) returns
+what the unoptimised build returns and leaves the same globals, on one
+core; an input the unoptimised build cannot run either is skipped.  The
+tier-1 semantics check draws the generated sources only; its ``bench``
+twin adds the embedded ones.
+
 Sources come from the generators ``tests/test_function_builds.py``
 combines (branchy, frontend, call-graph and every embedded source); every
 function with a bound is run on drawn arguments, and a run the simulator
-rejects (an out-of-bounds index, a division by zero) is skipped.  A larger
-budget runs under ``bench`` (``benchmarks/test_bench_bound_audit.py``).
+rejects (an out-of-bounds index, a division by zero) is skipped.  Larger
+budgets run under ``bench`` (``benchmarks/test_bench_bound_audit.py``).
 """
 
 from __future__ import annotations
@@ -29,9 +37,10 @@ from typing import List, Sequence
 from hypothesis import given, settings, strategies as st
 
 from oracles import build_program
-from test_function_builds import configs, sources
+from test_function_builds import _CALLS, configs, generated_sources, sources
 
 from repro.compiler.config import CompilerConfig
+from repro.compiler.engine import EvaluationEngine
 from repro.compiler.engine.cache import AnalysisCache
 from repro.compiler.pipeline import CompilationPipeline
 from repro.errors import AnalysisError, SimulationError, TeamPlayError
@@ -103,6 +112,45 @@ def check_case(source: str, config: CompilerConfig,
         audit(program, platform, _calls(program, values))
 
 
+#: Every optimisation off: the build every configuration must agree with.
+UNOPTIMISED = CompilerConfig(constant_folding=False,
+                             dead_code_elimination=False)
+
+
+def check_semantics(source: str, sequence: Sequence[CompilerConfig],
+                    values: Sequence[int]) -> int:
+    """Build ``sequence`` through one engine on ``source``: every function
+    of every variant returns what the unoptimised build returns on
+    ``values`` and leaves the same globals, on the default core at its
+    nominal operating point.  Returns how many runs were compared."""
+    platform = presets.nucleo_stm32f091rc()
+    try:
+        module = parse(source)
+        reference, _ = build_program(CompilationPipeline(platform), module,
+                                     UNOPTIMISED)
+    except TeamPlayError:
+        return 0
+    expected = {}
+    simulator = Simulator(reference, platform)
+    for name, args in _calls(reference, values):
+        try:
+            run = simulator.run(name, args)
+        except SimulationError:  # the unoptimised build cannot run it
+            continue
+        expected[name, tuple(args)] = (run.return_value, run.globals_after)
+    engine = EvaluationEngine(module, platform, [module.functions[0].name])
+    compared = 0
+    for config in sequence:
+        program, _ = engine._build(config)
+        simulator = Simulator(program, platform)
+        for (name, args), outcome in expected.items():
+            run = simulator.run(name, list(args))
+            assert (run.return_value, run.globals_after) == outcome, \
+                (config, name, args)
+            compared += 1
+    return compared
+
+
 class TestBoundAudit:
     def test_every_predictable_preset_is_audited(self):
         predictable = [name for name in presets._FACTORIES
@@ -127,6 +175,27 @@ class TestBoundAudit:
         assert "leon3-20MHz" in [opp.label for opp in core.operating_points]
         assert audit(program, platform, [("capture_frame", [9])]) == \
             2 * len(core.operating_points)
+
+
+class TestEngineVariantSemantics:
+    # The generated sources only: an embedded source simulated at
+    # ``unroll_limit=32`` costs seconds, so those run under ``bench``.
+    @given(source=generated_sources,
+           sequence=st.lists(configs, min_size=2, max_size=3),
+           values=arguments)
+    @settings(max_examples=50, deadline=None)
+    def test_variants_compute_what_the_unoptimised_build_computes(
+            self, source, sequence, values):
+        check_semantics(source, sequence, values)
+
+    def test_every_function_of_every_variant_is_compared(self):
+        # Inlining, hardening, unrolling and every IR pass, on callers of
+        # an inlinable callee, one of them secret.
+        sequence = [CompilerConfig(), CompilerConfig.performance(),
+                    CompilerConfig.secure(), CompilerConfig.secure().with_(
+                        enable_cse=True, enable_peephole=True)]
+        assert check_semantics(_CALLS, sequence, [5, -3, 7]) == \
+            len(sequence) * len(parse(_CALLS).functions)
 
 
 class TestDividerLatency:

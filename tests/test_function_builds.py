@@ -80,21 +80,28 @@ def call_programs(draw):
         else:
             callee = f"f{draw(st.integers(0, index - 1))}"
             bound = draw(st.sampled_from((2, 4, 6, 8, 12, 20, 40)))
+            # ``3`` leaves the caller nothing to fold before inlining.
+            constant = draw(st.sampled_from(("1 + 2", "3")))
             body = (f"int acc = 0; "
                     f"for (int i = 0; i < {bound}; i = i + 1) {{ "
                     f"if (a > i) {{ acc = acc + {callee}(i, b) * 2; }} "
                     f"else {{ acc = acc - 1; }} g[i % 8] = acc; }} "
-                    f"return acc + {callee}(1 + 2, a);")
+                    f"return acc + {callee}({constant}, a);")
             if draw(st.booleans()):
                 parts.append("#pragma teamplay secret(a)\n")
         parts.append(f"int {name}(int a, int b) {{ {body} }}")
     return "\n".join(parts)
 
 
-sources = st.one_of(
+#: The generated sources, without the embedded ones.
+generated_sources = st.one_of(
     branchy_programs().map(lambda case: case[0]),
     _program(),
     call_programs(),
+)
+
+sources = st.one_of(
+    generated_sources,
     st.sampled_from([source for _name, source in IR_PIN_SOURCES]),
 )
 
@@ -153,6 +160,10 @@ int f2(int a, int b) { int acc = 0; for (int i = 0; i < 40; i = i + 1) {
 """
 
 
+_FOLDS_AFTER_INLINING = """int g(int a) { return a * 3; }
+int f(int x) { return g(2) + x; }"""
+
+
 class TestEngineMatchesOracle:
     @given(source=sources, sequence=st.lists(configs, min_size=2,
                                              max_size=5))
@@ -170,6 +181,17 @@ class TestEngineMatchesOracle:
                        unroll_limit=32, spm_allocation=True),
         CompilerConfig(harden_security=False, constant_folding=False,
                        unroll_limit=16, enable_cse=True)])
+    # A caller with nothing to fold until inlining hands it ``2 * 3``:
+    # folding on and off share its keys up to unrolling, whose refold
+    # then tells them apart.
+    @example(source=_FOLDS_AFTER_INLINING, sequence=[
+        CompilerConfig(inline_simple_functions=True, unroll_limit=4),
+        CompilerConfig(inline_simple_functions=True, unroll_limit=4,
+                       constant_folding=False)])
+    @example(source=_FOLDS_AFTER_INLINING, sequence=[
+        CompilerConfig(inline_simple_functions=True, unroll_limit=4,
+                       constant_folding=False),
+        CompilerConfig(inline_simple_functions=True, unroll_limit=4)])
     # A name defined twice: one unit per function would build both and
     # keep one, where lowering the module reports the duplicate.
     @example(source="int f(int a) { return a; }\n"
