@@ -6,27 +6,30 @@ The seed code rebuilt and re-analysed every candidate from scratch; the
 engine builds each function once per *effective* configuration (the
 fields that can change it) and shares the analysis between every
 variant with the same program.  Every key below comes from the
-pipeline's ``PassManager`` (``canonical_key`` / ``build_key`` /
-``step_key``):
+pipeline's ``PassManager`` (``canonical_key`` / ``step_key``):
 
 ``CompilerConfig`` ──┐
                      ▼
   [1] VariantCache ── canonical key ───────────────────────► Variant
                      │ miss
                      ▼
-  [2] BuildCache ──── per function, one table per build segment:
-                     │   ast     name, hardening (secret functions only),
-                     │           folding: bound inference, hardening,
-                     │           folding on a clone of the function
-                     │   inline  + keys of the inlinable callees read
-                     │   lower   + largest unrolled loop bound, refolding:
-                     │           unroll, fold again, lower (``lowering``)
+  [2] BuildCache ──── per function, one chain of steps from its name
+                     │ and parsed AST, each keyed by (input key, pass,
+                     │ its contribution) in its stage's table:
+                     │   ast     one step per enabled AST pass (bound
+                     │           inference, hardening on secret functions
+                     │           only, folding, inlining keyed by the
+                     │           callees it reads, unrolling keyed by the
+                     │           largest unrolled bound and refolding),
+                     │           run on a clone of the function
+                     │   lower   one step: lowering the chain's AST,
+                     │           uncloned (``lowering``)
                      │   ir      one step per enabled IR pass (CSE, DCE,
-                     │           strength reduction, peephole), keyed by
-                     │           (input key, pass, its flag), run on a
-                     │           sharing clone (``ir_stage``); a pass that
-                     │           changed nothing hands on its input key
-                     │           and function
+                     │           strength reduction, peephole), run on a
+                     │           sharing clone (``ir_stage``)
+                     │ a pass that changed nothing hands on its input
+                     │ key and unit; one whose key says it cannot change
+                     │ the unit does not run
                      │ (every AST, lowering and IR pass sees one function)
                      ▼
       assemble the variant's Program from the shared functions
@@ -42,7 +45,7 @@ pipeline's ``PassManager`` (``canonical_key`` / ``build_key`` /
               Variant (WCET, WCEC, security, code size)
 
 Stage [2] means a configuration re-lowers and re-optimises only the
-functions it changes, and runs each IR pass once per distinct input;
+functions it changes, and runs each pass once per distinct input;
 stage [3] means the WCET/Energy analysers'
 per-function results are reused across every variant sharing a function
 *and* across the coordination layer's per-core/per-OPP ETS sweeps (cycle

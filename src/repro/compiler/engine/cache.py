@@ -12,14 +12,13 @@ configurable pass widens every downstream key:
    space cost a dictionary lookup across generations *and* across optimiser
    runs.  It is the one variant memo: the optimisers keep none of their own.
 2. :class:`BuildCache` — one source module's build units (its functions)
-   after each build segment, one :class:`BuildTable` per segment keyed by
-   :meth:`~repro.compiler.pipeline.PassManager.build_key`, and after each
-   AST pass before inlining and each IR pass keyed by
+   after each step of their build chains (each AST pass, lowering, each
+   IR pass), one :class:`BuildTable` per stage keyed by
    :meth:`~repro.compiler.pipeline.PassManager.step_key`.  A function's
    key holds only the configuration fields that can change it, and a
-   chained pass that changed nothing leaves it as it was, so a
-   configuration re-lowers and re-optimises only what it changes, and
-   every variant's program is assembled from shared functions.
+   pass that changed nothing leaves it as it was, so a configuration
+   re-lowers and re-optimises only what it changes, and every variant's
+   program is assembled from shared functions.
 3. :class:`AnalysisCache` — worst-case costs, computed on demand: a query
    costs only its entry's call closure.  Each function's cost is memoised
    across programs per cost scope (analysis kind, core, operating point,
@@ -58,7 +57,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import persist as _persist
-from repro.compiler.pipeline.passes import BUILD_SEGMENTS
 from repro.counters import _BoundedCacheMixin
 from repro.energy.static_analyzer import EnergyAnalyzer, WCECResult
 from repro.hw.core import Core
@@ -144,19 +142,16 @@ class VariantCache(_BoundedCacheMixin):
 
 
 class BuildTable(_BoundedCacheMixin):
-    """Build units after one build segment, keyed by
-    :meth:`~repro.compiler.pipeline.PassManager.build_key`, or the steps
-    of a pass chain (AST passes before inlining, IR passes) keyed by
+    """The steps of one stage of the build chains, keyed by
     :meth:`~repro.compiler.pipeline.PassManager.step_key`.
 
     An entry is ``(key, unit, statistics)``: the unit's key, its module
-    (an AST step or the ``inline`` segment), program (lowering) or
-    function (an IR step), and its counters (a step's are its pass's
-    alone).  An entry's key is the key it is stored under, except for a
-    step whose pass changed nothing: that entry holds the step's input
-    key and input.  Entries are shared and never mutated: a later segment
-    or step that changes a unit runs on a copy, and lowering only reads
-    it.  ``get`` counts a hit, ``put`` a miss (one build).
+    (an AST step), program (lowering) or function (an IR step), and its
+    pass's counters.  An entry's key is the key it is stored under,
+    except for a step whose pass changed nothing: that entry holds the
+    step's input key and input.  Entries are shared and never mutated: a
+    later step that changes a unit runs on a copy, and lowering only
+    reads it.  ``get`` counts a hit, ``put`` a miss (one build).
     """
 
     def __init__(self):
@@ -183,23 +178,21 @@ class BuildTable(_BoundedCacheMixin):
 
 
 class BuildCache:
-    """One source module's build units, one :class:`BuildTable` per build
-    segment (:data:`~repro.compiler.pipeline.passes.BUILD_SEGMENTS`).
+    """One source module's build units, one :class:`BuildTable` per stage
+    of their build chains: ``ast``, ``lower`` and ``ir``.
 
-    Shared by every engine of the module.  The ``ast`` table holds the
-    steps of the functions' AST pass chains and ``ir_stage`` (the ``ir``
-    table) those of their IR pass chains, one per (input key, pass, pass
-    contribution); their counters count steps: a miss is one pass run on
-    one function.  ``lowering`` is the table of the ``lower`` segment,
-    and its counters count function lowerings.  ``callees``
-    memoises, per function after the ``ast`` segment, the build units of
-    the functions it calls, and ``function_keys`` the narrowed key
+    Shared by every engine of the module.  Each table's counters count
+    steps: a miss of the ``ast`` table or of ``ir_stage`` (the ``ir``
+    table) is one pass run on one function, a miss of ``lowering`` (the
+    ``lower`` table) one function lowering.  ``callees`` memoises, per
+    key of a function a callee-reading pass gets, the build units of the
+    functions it calls, and ``function_keys`` the narrowed key
     contributions (see
-    :meth:`~repro.compiler.pipeline.PassManager.build_key`).
+    :meth:`~repro.compiler.pipeline.PassManager.step_key`).
     """
 
     def __init__(self):
-        self.tables = {segment: BuildTable() for segment in BUILD_SEGMENTS}
+        self.tables = {stage: BuildTable() for stage in ("ast", "lower", "ir")}
         self.lowering = self.tables["lower"]
         self.ir_stage = self.tables["ir"]
         self.callees: Dict[Tuple, List[Tuple]] = {}

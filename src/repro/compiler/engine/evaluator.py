@@ -7,10 +7,9 @@ against them through the staged caches of
 
 * the variant cache short-circuits revisited configurations entirely; it
   is the one variant memo (the optimisers keep none of their own),
-* the build cache holds each function after every build segment, keyed
-  by the configuration fields that can change it, and after each AST
-  pass before inlining and each IR pass, keyed by the pass and its input,
-  so each of these passes runs once per distinct input (one that changed
+* the build cache holds each function after every step of its build
+  chain (each AST pass, lowering, each IR pass), keyed by the pass and
+  its input, so each pass runs once per distinct input (one that changed
   nothing hands its input on, one whose key says it cannot change the
   input does not run), a function is lowered once per distinct AST its
   chain reaches, and every variant's program is assembled from shared
@@ -46,10 +45,6 @@ from repro.ir.cfg import Program
 
 #: Entry-function label of aggregate multi-task variants.
 ALL_TASKS_ENTRY = "<all tasks>"
-
-#: The build segment each segment runs on the result of.
-_PREVIOUS = {"inline": "ast", "lower": "inline"}
-
 
 class EvaluationEngine:
     """Evaluates compiler configurations with shared analysis caching."""
@@ -129,12 +124,13 @@ class EvaluationEngine:
         variant's program and run the backend (scratchpad allocation) on
         it.
 
-        Each unit is lowered (see :meth:`_unit`), then passed through the
-        chain of its enabled IR passes (see :meth:`_chain`).  The program
-        is new, its functions are the cached units' own: the backend
-        replaces a function it changes (see
+        Each unit is one chain of steps (see :meth:`_step`): its AST
+        passes from its identity and parsed AST, then one lowering step
+        (see :meth:`_lower`), then its IR passes.  The program is new,
+        its functions are the cached units' own: the backend replaces a
+        function it changes (see
         :func:`~repro.compiler.passes.spm.allocate_scratchpad`).  Counters
-        are the lowered units' and the steps' summed.
+        are the steps' summed.
         """
         reported, declared = self.pipeline.manager.statistic_names(config)
         statistics = dict.fromkeys(reported, 0)
@@ -149,8 +145,10 @@ class EvaluationEngine:
         # then lacks every entry.
         lowered = Program(source_name=self.module.source_name)
         for identity, module in self._build_units():
-            key, lowered, counters = self._unit(config, "lower", identity,
+            key, module, counters = self._chain(config, "ast", identity,
                                                 module)
+            count(counters)
+            key, lowered, counters = self._lower(config, key, module)
             count(counters)
             _key, function, counters = self._chain(
                 config, "ir", key, next(iter(lowered.functions.values())),
@@ -164,15 +162,16 @@ class EvaluationEngine:
         statistics.update(self.pipeline.backend_passes(program, config))
         return program, statistics
 
-    def _chain(self, config: CompilerConfig, segment: str, key: Tuple,
-               unit, lowered: Optional[Program] = None) -> Tuple:
-        """``(key, unit, statistics)`` after the chain of ``segment``'s
-        enabled passes (a chained segment, see
-        :data:`~repro.compiler.pipeline.passes.CHAINED_SEGMENTS`) from
-        ``unit`` under ``key``, one :meth:`_step` each, with the steps'
-        counters summed."""
+    def _chain(self, config: CompilerConfig, stage: str, key: Tuple, unit,
+               lowered: Optional[Program] = None,
+               until: Optional[Pass] = None) -> Tuple:
+        """``(key, unit, statistics)`` after the chain of ``stage``'s
+        enabled passes (up to ``until``) from ``unit`` under ``key``, one
+        :meth:`_step` each, with the steps' counters summed."""
         statistics: Dict[str, int] = {}
-        for registered in self.pipeline.manager.segment(segment):
+        for registered in self.pipeline.manager.steps(stage):
+            if registered is until:
+                break
             if registered.enabled(config):
                 key, unit, counters = self._step(config, registered, key,
                                                  unit, lowered)
@@ -182,11 +181,10 @@ class EvaluationEngine:
 
     def _step(self, config: CompilerConfig, registered: Pass, key: Tuple,
               unit, lowered: Optional[Program] = None) -> Tuple:
-        """The entry ``(key, unit, statistics)`` of one pass-chain step:
+        """The entry ``(key, unit, statistics)`` of one step of a chain:
         ``registered`` run on ``unit`` (under ``key``), an IR function of
-        ``lowered`` (an ``ir`` step) or, with no ``lowered``, a module
-        holding one function (an ``ast`` step), running the pass on a
-        miss.
+        ``lowered`` (an IR step) or, with no ``lowered``, a module holding
+        one function (an AST step), running the pass on a miss.
 
         A pass whose key says it leaves the input as it is (a
         :meth:`~repro.compiler.pipeline.PassManager.step_key` that is
@@ -194,29 +192,35 @@ class EvaluationEngine:
         the pass runs on a copy: an instruction-sharing clone of the
         function (the IR passes are copy-on-write at instruction
         granularity) in a program with ``lowered``'s globals, or a clone
-        of the module.  A pass that
-        changed nothing hands on the input key and the input itself, so
-        every later step and segment, and every memo kept on the function,
-        is shared with the configurations that skipped the pass; the entry
-        keeps the pass's counters either way.  "Changed" is read off the
-        IR an IR pass ran on (:meth:`~repro.ir.cfg.Function.holds_ir_of`),
-        and off an AST pass's declared ``statistic``: it changed the
-        function iff its counter grew (a pass with none always changes).
+        of the module, holding the callee bodies a pass that
+        ``reads_callees`` reads.  A pass that changed nothing hands on the
+        input key and the input itself, so every later step, and every
+        memo kept on the function, is shared with the configurations that
+        skipped the pass; the entry keeps the pass's counters either way.
+        "Changed" is read off the IR an IR pass ran on
+        (:meth:`~repro.ir.cfg.Function.holds_ir_of`), and off an AST
+        pass's counters: it changed the function iff a counter it
+        reported grew (a pass with no ``statistic`` always changes).
         """
         ast_step = lowered is None
+        source, callee_keys = unit, ()
+        if registered.reads_callees is not None:
+            source, callee_keys = self._with_callees(config, registered,
+                                                     key, unit)
         step_key = self.pipeline.manager.step_key(
-            config, registered, key, unit.functions[0] if ast_step else unit)
+            config, registered, key, unit.functions[0] if ast_step else unit,
+            self.builds.function_keys, callee_keys)
         if step_key is key:
             return key, unit, {}
-        table = self.builds.tables["ast" if ast_step else "ir"]
+        table = self.builds.tables[registered.stage]
         entry = table.get(step_key)
         if entry is not None:
             return entry
         if ast_step:
-            output, statistics = self.pipeline.pre_unroll(unit, config,
+            output, statistics = self.pipeline.pre_unroll(source, config,
                                                           (registered,))
             changed = (registered.statistic is None
-                       or statistics.get(registered.statistic, 0) > 0)
+                       or any(statistics.values()))
         else:
             program = Program(
                 functions={unit.name: unit.clone(share_instructions=True)},
@@ -231,65 +235,32 @@ class EvaluationEngine:
             return table.put(step_key, output, statistics)
         return table.put(step_key, unit, statistics, key)
 
-    def _unit(self, config: CompilerConfig, segment: str, identity: Tuple,
-              module: ast.SourceModule) -> Tuple:
-        """The cache entry ``(key, unit, statistics)`` of one build unit
-        after ``segment`` (up to ``lower``), building it (and the segments
-        before) on a miss.
-
-        The ``ast`` segment is the unit's pass chain from its identity
-        (see :meth:`_chain`).  A unit's key after the ``inline`` segment
-        holds the keys of the callee bodies inlining reads, and its key
-        after ``lower`` reads the function as inlining left it (see
-        :meth:`~repro.compiler.pipeline.PassManager.build_key`).
-        """
-        if segment == "ast":
-            return self._chain(config, "ast", identity, module)
+    def _lower(self, config: CompilerConfig, key: Tuple,
+               module: ast.SourceModule) -> Tuple:
+        """The lowering step's entry ``(key, program, statistics)``: the
+        enabled lowering passes run on ``module``, the AST the unit's
+        chain reached under ``key``, keyed by their step keys in turn.
+        Lowering only reads the AST, so it reads the shared module
+        itself, and it always changes the unit (an AST to IR)."""
         manager = self.pipeline.manager
-        base, source, statistics = self._unit(config, _PREVIOUS[segment],
-                                              identity, module)
-        callee_keys: Tuple = ()
-        if segment == "inline":
-            source, callee_keys = self._with_callees(config, base, source)
-        key = manager.build_key(config, segment, base, source.functions[0],
-                                callee_keys, self.builds.function_keys)
-        table = self.builds.tables[segment]
-        entry = table.get(key)
-        if entry is not None:
-            return entry
-        if segment == "inline":
-            # A pass that reads callees changes a function only by what it
-            # reads: with nothing read and nothing else enabled, the unit
-            # leaves the segment as it entered.
-            unit = source
-            if callee_keys or any(
-                    p.enabled(config) and p.reads_callees is None
-                    for p in manager.segment(segment)):
-                unit, statistics = self.pipeline.pre_unroll(
-                    source, config, manager.segment(segment), statistics)
-        else:
-            # Lowering only reads the AST: with no AST pass left to run,
-            # it reads the shared unit itself.
-            passes = manager.changing_passes(config, segment, base,
-                                             source.functions[0],
-                                             self.builds.function_keys)
-            if any(p.stage == "ast" for p in passes):
-                source = ast.clone_module(source)
-            statistics = dict(statistics)
-            unit = self.pipeline.unroll_and_lower(source, config, statistics,
-                                                  passes)
-        return table.put(key, unit, statistics)
+        passes = [p for p in manager.steps("lower") if p.enabled(config)]
+        for registered in passes:
+            key = manager.step_key(config, registered, key,
+                                   module.functions[0],
+                                   self.builds.function_keys)
+        entry = self.lowering.get(key)
+        if entry is None:
+            statistics: Dict[str, int] = {}
+            entry = self.lowering.put(key, self.pipeline.unroll_and_lower(
+                module, config, statistics, passes), statistics)
+        return entry
 
-    def _with_callees(self, config: CompilerConfig, key: Tuple,
-                      source: ast.SourceModule
+    def _with_callees(self, config: CompilerConfig, registered: Pass,
+                      key: Tuple, source: ast.SourceModule
                       ) -> Tuple[ast.SourceModule, Tuple]:
-        """``source`` (one function after the ``ast`` segment, under
-        ``key``) with the bodies of the callees the ``inline`` segment
-        reads, and their keys.
-        """
-        reads = self.pipeline.manager.callee_reader(config)
-        if reads is None:
-            return source, ()
+        """``source`` (one function, under ``key``) with the bodies of
+        the callees ``registered`` reads, each as its own AST chain
+        reached the pass, and their keys."""
         function = source.functions[0]
         callees = self.builds.callees.get(key)
         if callees is None:
@@ -301,10 +272,10 @@ class EvaluationEngine:
         externals = dict(source.externals)
         callee_keys = []
         for identity, module in callees:
-            callee_key, callee, _statistics = self._unit(
-                config, "ast", identity, module)
+            callee_key, callee, _statistics = self._chain(
+                config, "ast", identity, module, until=registered)
             body = callee.functions[0]
-            if reads(body):
+            if registered.reads_callees(body):
                 externals[body.name] = body
                 callee_keys.append(callee_key)
         if not callee_keys:

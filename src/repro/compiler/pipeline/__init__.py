@@ -9,9 +9,8 @@ call site.  The pipeline makes the path declarative:
     the ordered registry of :class:`Pass` objects — name, stage, enablement
     predicate, cache-key contributions — plus per-pass
     wall-time/invocation counters (``stats()``, engine-cache convention),
-    the build segments and the key derivations the engine caches are
-    keyed by (``build_key`` per function, ``step_key`` per pass-chain step,
-    ``canonical_key`` per variant).
+    and the key derivations the engine caches are keyed by (``step_key``
+    per step of a function's build chain, ``canonical_key`` per variant).
 
 ``CompilationPipeline``
     binds a platform to a manager and runs the stages: ``parse`` →
@@ -30,7 +29,6 @@ from repro.compiler.pipeline.compile import CompilationPipeline
 from repro.compiler.pipeline.manager import PassManager
 from repro.compiler.pipeline.passes import (
     ANALYSIS_PASS,
-    BUILD_SEGMENTS,
     PARSE_PASS,
     STAGES,
     Pass,
@@ -41,7 +39,6 @@ from repro.compiler.pipeline.profile import profile_rows, render_profile
 
 __all__ = [
     "ANALYSIS_PASS",
-    "BUILD_SEGMENTS",
     "CompilationPipeline",
     "PARSE_PASS",
     "Pass",

@@ -3,10 +3,9 @@
 One :class:`CompilationPipeline` binds a platform and a
 :class:`~repro.compiler.pipeline.manager.PassManager` and exposes the
 compile path as *stage runs* over the registered pass list.  The evaluation
-engine runs the stages on each build unit (one function) and caches the
-unit after each build segment under the manager's
-:meth:`~repro.compiler.pipeline.manager.PassManager.build_key`, and
-after each AST pass before inlining and each IR pass under its
+engine builds each build unit (one function) as one chain of steps, each
+AST pass, the lowering passes and each IR pass run through these methods,
+and caches the unit after each step under the manager's
 :meth:`~repro.compiler.pipeline.manager.PassManager.step_key`: a pass
 that changed nothing hands its input on, and one whose key says it
 leaves the function as it is does not run.  The only
@@ -62,9 +61,21 @@ class CompilationPipeline:
         what makes custom passes first-class: a pass registered on this
         pipeline's manager executes here exactly where its position in the
         list says, with no engine changes (see ``docs/passes.md``).
+        Unrolling exposes constant-index expressions, so the folding pass
+        runs a second round right after it when both are enabled (its
+        counter accumulates).
         """
+        manager = self.manager
         for registered in passes:
-            self.manager.run(registered.name, ctx)
+            if manager.run(registered.name, ctx) \
+                    and registered.name == UNROLL_PASS and any(
+                        p.name == FOLD_PASS for p in manager.steps("ast")):
+                manager.run(FOLD_PASS, ctx)
+
+    def _before_unroll(self) -> int:
+        """How many AST passes run before unrolling."""
+        names = [p.name for p in self.manager.steps("ast")]
+        return names.index(UNROLL_PASS) if UNROLL_PASS in names else len(names)
 
     # ----------------------------------------------------------- AST stage --
     def pre_unroll(self, module: ast.SourceModule, config: CompilerConfig,
@@ -73,18 +84,17 @@ class CompilationPipeline:
                    ) -> Tuple[ast.SourceModule, Dict[str, int]]:
         """Loop-bound inference plus the AST passes that run before unrolling.
 
-        These are the ``ast`` (before inlining) and ``inline`` (inlining up
-        to unrolling) build segments; a custom AST pass registered before
-        ``unroll-loops`` joins one of them.  ``passes`` runs only those
-        (the evaluation engine runs one step of the ``ast`` pass chain, or
-        the ``inline`` segment, at a time).  The input module is never
-        modified: the returned module is a fresh clone, and its counters
-        extend a copy of ``statistics``.
+        A custom AST pass registered before ``unroll-loops`` joins them.
+        ``passes`` runs only those AST passes, unrolling (with its folding
+        round) included: the evaluation engine runs one step of a
+        function's chain at a time.  The input module is never modified:
+        the returned module is a fresh clone, and its counters extend a
+        copy of ``statistics``.
         """
         ctx = PassContext(config=config, platform=self.platform,
                           module=ast.clone_module(module),
                           statistics=dict(statistics or {}))
-        self._run(self.manager.segment("ast") + self.manager.segment("inline")
+        self._run(self.manager.steps("ast")[:self._before_unroll()]
                   if passes is None else passes, ctx)
         return ctx.module, ctx.statistics
 
@@ -94,23 +104,17 @@ class CompilationPipeline:
                          passes: Optional[Sequence[Pass]] = None) -> Program:
         """Unroll (mutating ``working`` in place) and lower to IR.
 
-        Unrolling exposes constant-index expressions, so the folding pass
-        runs a second round when both are enabled (its counter
-        accumulates).  AST passes registered *after* ``unroll-loops`` run
-        here, before lowering.  ``passes`` runs only those of the ``lower``
-        segment (the evaluation engine leaves out the ones whose key says
-        they leave the function as it is; with no AST pass left,
-        ``working`` stays unmodified, since lowering only reads it).
-        Counters go to ``statistics``.
+        AST passes registered *after* ``unroll-loops`` run here, before
+        lowering.  ``passes`` runs only those: the evaluation engine
+        passes the lowering passes alone, on the AST its chain reached,
+        which stays unmodified (lowering only reads it).  Counters go to
+        ``statistics``.
         """
         ctx = PassContext(config=config, platform=self.platform,
                           module=working, statistics=statistics)
-        refold = any(p.name == FOLD_PASS for p in self.manager.passes("ast"))
-        for registered in (self.manager.segment("lower") if passes is None
-                           else passes):
-            if self.manager.run(registered.name, ctx) \
-                    and registered.name == UNROLL_PASS and refold:
-                self.manager.run(FOLD_PASS, ctx)
+        self._run(self.manager.steps("ast")[self._before_unroll():]
+                  + self.manager.steps("lower")
+                  if passes is None else passes, ctx)
         return ctx.program
 
     # ------------------------------------------------------------ IR stage --
@@ -124,12 +128,12 @@ class CompilationPipeline:
         historical order, the peephole pass last so it can clean up the
         self-copies and foldable patterns the other three leave behind.
         Custom IR passes run at their registered position.  ``passes``
-        runs only those (the evaluation engine runs one step of a pass
-        chain at a time).
+        runs only those (the evaluation engine runs one step of a
+        function's chain at a time).
         """
         ctx = PassContext(config=config, platform=self.platform,
                           program=program)
-        self._run(self.manager.segment("ir") if passes is None else passes,
+        self._run(self.manager.steps("ir") if passes is None else passes,
                   ctx)
         return ctx.statistics
 

@@ -5,16 +5,15 @@ pipeline.  It answers three questions the compile path used to answer in
 three different places:
 
 * *which passes run, in what order* — :meth:`passes` /
-  :meth:`register` and the build segments (:meth:`segment`), replacing
+  :meth:`register` and each stage's steps (:meth:`steps`), replacing
   the hand-sequenced call sites,
-* *what keys the caches use* — :meth:`build_key` concatenates the
-  registered passes' contributions into the key of one function after
-  one build segment, narrowed to the fields that can change it (for the
-  AST passes before inlining and the IR passes, one :meth:`step_key`
-  per pass that ran), and
-  :meth:`canonical_key` into the engine's ``VariantCache`` key.  They are
-  the only key derivations.  Registering a new configurable pass
-  automatically widens every downstream key,
+* *what keys the caches use* — :meth:`step_key` extends a function's
+  key by one pass's contribution, narrowed to the fields that can change
+  that function, at each step of its build chain, and
+  :meth:`canonical_key` concatenates every registered contribution into
+  the engine's ``VariantCache`` key.  They are the only key derivations.
+  Registering a new configurable pass automatically widens every
+  downstream key,
 * *where the time goes* — every :meth:`run` and :meth:`timed` block feeds
   per-pass wall-time and invocation counters, reported through
   :meth:`stats` in the engine-cache ``stats()`` convention and surfaced by
@@ -25,12 +24,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline.passes import (
-    BUILD_SEGMENTS,
-    CHAINED_SEGMENTS,
     INLINE_PASS,
     STAGES,
     UNROLL_PASS,
@@ -40,7 +37,6 @@ from repro.compiler.pipeline.passes import (
     default_compile_passes,
 )
 from repro.errors import CompilationError
-from repro.frontend import ast_nodes as ast
 
 
 class PassManager:
@@ -59,7 +55,7 @@ class PassManager:
     # ----------------------------------------------------------- registry --
     def _install(self, passes: List[Pass]) -> None:
         """Make ``passes`` the pass list, after checking it, and derive
-        what depends on it: the build segments and the canonical key plan.
+        what depends on it: each stage's steps and the canonical key plan.
 
         The plan holds only the ``cache_key`` callables with a real
         contribution: key derivation runs on every variant-cache get and
@@ -73,36 +69,24 @@ class PassManager:
         names = [p.name for p in passes]
         if len(set(names)) != len(names):
             raise CompilationError(f"duplicate pass names in {names}")
-        segments = self._cut(passes)
-        inline = {p.name for p in segments["inline"]}
-        misplaced = [p.name for p in passes
-                     if p.reads_callees is not None and p.name not in inline]
+        steps = {stage: tuple(p for p in passes
+                              if p.stage == stage and p.apply is not None)
+                 for stage in STAGES}
+        ast_names = [p.name for p in steps["ast"]]
+        unroll = (ast_names.index(UNROLL_PASS) if UNROLL_PASS in ast_names
+                  else len(ast_names))
+        inline = (min(ast_names.index(INLINE_PASS), unroll)
+                  if INLINE_PASS in ast_names else unroll)
+        misplaced = [p.name for p in passes if p.reads_callees is not None
+                     and p.name not in ast_names[inline:unroll]]
         if misplaced:
             raise CompilationError(
-                f"passes {misplaced} read callees outside the 'inline' "
-                f"build segment (from {INLINE_PASS!r} up to {UNROLL_PASS!r})")
+                f"passes {misplaced} read callees outside the AST passes "
+                f"from {INLINE_PASS!r} up to {UNROLL_PASS!r}")
         self._passes = passes
-        self._segments = segments
+        self._steps = steps
         self._canonical = tuple(p.cache_key for p in passes
                                 if p.cache_key is not _no_key)
-
-    @staticmethod
-    def _cut(passes: List[Pass]) -> Dict[str, Tuple[Pass, ...]]:
-        """The build segments of ``passes`` (see :meth:`segment`)."""
-        ast_passes = [p for p in passes
-                      if p.stage == "ast" and p.apply is not None]
-        names = [p.name for p in ast_passes]
-        unroll = (names.index(UNROLL_PASS) if UNROLL_PASS in names
-                  else len(names))
-        inline = (min(names.index(INLINE_PASS), unroll)
-                  if INLINE_PASS in names else unroll)
-        staged = {stage: tuple(p for p in passes
-                               if p.stage == stage and p.apply is not None)
-                  for stage in ("lower", "ir")}
-        return dict(ast=tuple(ast_passes[:inline]),
-                    inline=tuple(ast_passes[inline:unroll]),
-                    lower=tuple(ast_passes[unroll:]) + staged["lower"],
-                    ir=staged["ir"])
 
     def passes(self, stage: Optional[str] = None) -> List[Pass]:
         """The registered passes, optionally restricted to one stage."""
@@ -125,7 +109,7 @@ class PassManager:
 
         ``after``/``before`` name an existing pass to anchor the insertion;
         the resulting list must still be in stage order, and a pass that
-        ``reads_callees`` must land in the ``inline`` segment.  Cache keys
+        ``reads_callees`` must land from inlining up to unrolling.  Cache keys
         widen automatically, so register passes before building engines:
         a build then never mixes entries made under two pass lists.
         """
@@ -146,108 +130,62 @@ class PassManager:
         passes.insert(index, new_pass)
         self._install(passes)
 
-    # ------------------------------------------------------ build segments --
-    def segment(self, name: str) -> Tuple[Pass, ...]:
-        """The passes (markers left out) of one build segment, in order.
-
-        See :data:`~repro.compiler.pipeline.passes.BUILD_SEGMENTS`: the AST
-        stage is cut before inlining and before unrolling, and the
-        lowering stage joins the last AST segment.
-        """
+    def steps(self, stage: str) -> Tuple[Pass, ...]:
+        """The passes (markers left out) of one stage, in order."""
         try:
-            return self._segments[name]
+            return self._steps[stage]
         except KeyError:
-            raise CompilationError(f"unknown build segment {name!r}; "
-                                   f"expected one of {BUILD_SEGMENTS}") from None
+            raise CompilationError(f"unknown stage {stage!r}; "
+                                   f"expected one of {STAGES}") from None
 
     # --------------------------------------------------------- cache keys --
-    def _part(self, config: CompilerConfig, registered: Pass, base: Tuple,
-              function, memo: Optional[Dict[Tuple, Optional[Tuple]]] = None
+    def _part(self, config: CompilerConfig, registered: Pass, key: Tuple,
+              function, memo: Dict[Tuple, Optional[Tuple]]
               ) -> Optional[Tuple]:
-        """``registered``'s contribution to the key of ``function`` after
-        ``base``: its ``function_key`` on the function, or its
+        """``registered``'s contribution to the step on ``function``
+        under ``key``: its ``function_key`` on the function, or its
         ``cache_key``.  ``None`` says the pass leaves the function as it
         is (see :class:`~repro.compiler.pipeline.passes.Pass`).
 
         A ``function_key`` reads the configuration only through its pass's
-        ``cache_key``, so ``memo`` (one per module: ``base`` names
-        functions) keeps each narrowed contribution per
-        ``(pass, base, cache_key)``.
+        ``cache_key``, so ``memo`` (one per module: keys name functions)
+        keeps each narrowed contribution per ``(pass, key, cache_key)``.
         """
         if registered.function_key is None:
             return registered.cache_key(config)
-        if memo is None:
-            return registered.function_key(config, function)
-        memo_key = (registered.name, base, registered.cache_key(config))
+        memo_key = (registered.name, key, registered.cache_key(config))
         try:
             return memo[memo_key]
         except KeyError:
             part = memo[memo_key] = registered.function_key(config, function)
             return part
 
-    def build_key(self, config: CompilerConfig, segment: str, base: Tuple,
-                  function, callee_keys: Tuple = (),
-                  memo: Optional[Dict[Tuple, Optional[Tuple]]] = None
-                  ) -> Tuple:
-        """The key of one function after ``segment``: ``base`` (its key
-        after the segment before, or its identity before the first) plus
-        the segment's contributions.
-
-        ``function`` is the function as the segment receives it (AST, or
-        IR for the ``ir`` segment).  Each pass contributes its
-        ``function_key`` on it, or its ``cache_key`` (see :meth:`_part`;
-        ``memo`` keeps the narrowed ones), and ``callee_keys`` (the keys
-        of the callee bodies the segment's passes read, see
-        :meth:`callee_reader`) join too.
-
-        The ``ast`` and ``ir`` segments are chains of steps, one per
-        enabled pass (see :meth:`step_key`): their key here is the chain's
-        key when every step changes the function.
-        """
-        key = base
-        if segment in CHAINED_SEGMENTS:
-            for registered in self.segment(segment):
-                if registered.enabled(config):
-                    key = self.step_key(config, registered, key, function)
-            return key
-        for registered in self.segment(segment):
-            key += self._part(config, registered, base, function, memo) or ()
-        if callee_keys:
-            key += (callee_keys,)
-        return key
-
     def step_key(self, config: CompilerConfig, registered: Pass,
-                 key: Tuple, function) -> Tuple:
-        """The key of one pass's step in a function's pass chain.
+                 key: Tuple, function, memo: Dict[Tuple, Optional[Tuple]],
+                 callee_keys: Tuple = ()) -> Tuple:
+        """The key of one step of a function's build chain.
 
-        The engine runs the enabled passes of a chained segment (see
-        :data:`~repro.compiler.pipeline.passes.CHAINED_SEGMENTS`) one step
-        each, the ``ast`` chain from the function's identity and parsed
-        AST, the ``ir`` chain from its ``lower`` key and lowered IR.  A
-        step's key is its input's ``key``, the pass's name and the pass's
-        contribution on the input ``function``.  A step whose pass changed
-        nothing hands on its input key and input, so configurations that
-        differ only in passes that changed nothing share every later step.
-        A pass whose contribution says it leaves the function as it is
-        (``None``) changes nothing by its own word: its step key is
-        ``key`` itself, and the step does not run.
+        The engine builds each function as one chain from its identity
+        and parsed AST: one step per enabled AST pass, one lowering step
+        (the lowering passes' keys in turn) and one step per enabled IR
+        pass.  A step's key is its input's ``key``, the pass's name and
+        the pass's contribution on the input ``function`` (see
+        :meth:`_part`; ``memo`` keeps the narrowed ones).  A pass that
+        ``reads_callees`` contributes ``callee_keys`` too: the keys of the
+        callee bodies it reads, each the callee's own chain up to the
+        pass.  A step whose pass changed nothing hands on its input key
+        and input, so configurations that differ only in passes that
+        changed nothing share every later step.  A pass whose
+        contribution says it leaves the function as it is (``None``, or a
+        callee reader that reads nothing) changes nothing by its own
+        word: its step key is ``key`` itself, and the step does not run.
         """
-        part = self._part(config, registered, key, function)
+        part = self._part(config, registered, key, function, memo)
+        if registered.reads_callees is not None and part is not None:
+            part = part + (callee_keys,) if callee_keys else None
         if part is None:
             return key
         return (key, registered.name) + part
-
-    def changing_passes(self, config: CompilerConfig, segment: str,
-                        base: Tuple, function,
-                        memo: Optional[Dict[Tuple, Optional[Tuple]]] = None
-                        ) -> Tuple[Pass, ...]:
-        """The enabled passes of ``segment`` that may change ``function``
-        (after ``base``, as in :meth:`build_key`): those whose
-        contribution is not ``None``."""
-        return tuple(
-            registered for registered in self.segment(segment)
-            if registered.enabled(config) and self._part(
-                config, registered, base, function, memo) is not None)
 
     def canonical_key(self, config: CompilerConfig) -> Tuple:
         """The full-pipeline key (every registered pass's contribution)."""
@@ -256,29 +194,18 @@ class PassManager:
             key += cache_key(config)
         return key
 
-    def callee_reader(self, config: CompilerConfig
-                      ) -> Optional[Callable[[ast.FunctionDef], bool]]:
-        """Which callee bodies (as the ``ast`` segment left them) the
-        enabled ``inline``-segment passes read when they build a caller,
-        or ``None`` when none reads any."""
-        readers = [p.reads_callees for p in self.segment("inline")
-                   if p.reads_callees is not None and p.enabled(config)]
-        if not readers:
-            return None
-        return lambda callee: any(read(callee) for read in readers)
-
     def statistic_names(self, config: CompilerConfig
                         ) -> Tuple[Tuple[str, ...], frozenset]:
         """The declared counters ``config`` reports, in pass order, and
-        every declared counter of the build segments.
+        every declared counter of the AST, lowering and IR passes.
 
         A declared counter is reported iff its pass runs; a function
         shared with a configuration that ran a narrowed pass (one whose
         ``function_key`` leaves it out of that function's key) may carry
         the counter when ``config`` does not run the pass.
         """
-        passes = [p for name in BUILD_SEGMENTS for p in self.segment(name)
-                  if p.statistic is not None]
+        passes = [p for stage in ("ast", "lower", "ir")
+                  for p in self._steps[stage] if p.statistic is not None]
         return (tuple(p.statistic for p in passes if p.enabled(config)),
                 frozenset(p.statistic for p in passes))
 
@@ -290,7 +217,7 @@ class PassManager:
         config-dependent contributions: registering a custom frontend pass
         changes the key and retires every entry parsed without it — the
         same automatic widening the config-keyed caches get from
-        :meth:`build_key`.
+        :meth:`step_key`.
         """
         return tuple(p.name for p in self._passes if p.stage == "frontend")
 
@@ -301,7 +228,7 @@ class PassManager:
         (:mod:`repro.compiler.engine.persist`): registering or removing a
         pass changes every on-disk digest, retiring entries produced by a
         different pipeline — the cross-process analogue of the automatic key
-        widening the in-memory caches get from :meth:`build_key`.
+        widening the in-memory caches get from :meth:`step_key`.
         """
         return tuple((p.stage, p.name) for p in self._passes)
 

@@ -55,22 +55,11 @@ from repro.wcet.loopbounds import infer_loop_bounds
 #: (scratchpad allocation), ``analysis`` the static WCET/WCEC queries.
 STAGES = ("frontend", "ast", "lower", "ir", "backend", "analysis")
 
-#: The passes whose positions cut the build into segments (see
-#: :data:`BUILD_SEGMENTS`), and the folding pass that re-runs after
-#: unrolling.
+#: The passes a callee-reading pass must lie between (see
+#: :class:`Pass`), and the folding pass that re-runs after unrolling.
 INLINE_PASS = "inline-simple-functions"
 UNROLL_PASS = "unroll-loops"
 FOLD_PASS = "constant-folding"
-
-#: The segments the evaluation engine caches a build unit after, in order:
-#: ``ast`` holds the AST passes before inlining, ``inline`` those from
-#: inlining up to unrolling, ``lower`` unrolling, every later AST pass and
-#: lowering, ``ir`` the IR passes.  The backend runs per variant.
-BUILD_SEGMENTS = ("ast", "inline", "lower", "ir")
-
-#: The segments the engine runs as pass chains: cached after each pass
-#: that runs, see :meth:`~repro.compiler.pipeline.PassManager.step_key`.
-CHAINED_SEGMENTS = ("ast", "ir")
 
 
 def _always(config: CompilerConfig) -> bool:
@@ -110,23 +99,24 @@ class Pass:
     ``apply`` may be ``None`` for marker passes timed by their owner (see
     the module docstring).
 
-    The engine builds one function at a time: an AST, lowering or IR pass
-    sees a module or program holding one function, and its counters are
-    summed over functions; ``statistic`` names the one it reports.
-    ``function_key`` narrows the pass's contribution to one function's
-    build key, given the function as its build segment receives it
-    (default: ``cache_key``), reading the configuration only through
-    ``cache_key``; a ``function_key`` of ``None`` says the pass leaves
-    that function as it is, so the engine does not run it there.
-    ``reads_callees`` marks an ``inline``-segment pass that also reads the
-    bodies of the callees it accepts, as the segments before it left them,
-    and changes a function only by what it reads; their keys join the
-    function's key.
+    The engine builds one function at a time, as one chain of cached
+    steps (see :meth:`~repro.compiler.pipeline.PassManager.step_key`):
+    an AST, lowering or IR pass sees a module or program holding one
+    function, and its counters are summed over functions; ``statistic``
+    names the one it reports.  ``function_key`` narrows the pass's
+    contribution to one function's step key, given the function as the
+    step receives it (default: ``cache_key``), reading the configuration
+    only through ``cache_key``; a ``function_key`` of ``None`` says the
+    pass leaves that function as it is, so the engine does not run it
+    there.  ``reads_callees`` marks a pass from inlining up to unrolling
+    that also reads the bodies of the callees it accepts, each as its own
+    chain reached the pass, and changes a function only by what it
+    reads: their keys are its contribution, and with none read it does
+    not run.
 
-    An AST pass before inlining is one step of a pass chain, and counts
-    as having changed a function iff its ``statistic`` grew: such a pass
-    must count every rewrite it makes (one with no ``statistic`` always
-    counts as changed).
+    An AST pass counts as having changed a function iff a counter it
+    reported grew: such a pass must count every rewrite it makes (one
+    with no ``statistic`` always counts as changed).
     """
 
     name: str

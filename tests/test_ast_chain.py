@@ -1,27 +1,29 @@
-"""The AST pass chain: each AST pass before inlining runs once per
-distinct input, and each function is lowered once per distinct AST.
+"""The AST half of the build chain: each AST pass runs once per distinct
+input, and each function is lowered once per distinct AST.
 
-The evaluation engine runs a function's enabled passes of the ``ast``
-build segment (loop-bound inference, hardening, folding) as a chain of
-steps, each cached in ``BuildCache.tables["ast"]`` under
-``PassManager.step_key``, by the same rule as the IR chain
-(``tests/test_ir_chain.py``).  A step whose pass changed nothing hands on
-its input key and the input module itself, so the ``inline`` and
-``lower`` keys after it, and the whole IR chain, are shared with the
-configurations that skipped the pass.  "Changed" is read off the pass's
-declared counter.  A pass whose key contribution says it leaves the
-function as it is (hardening a function without a ``secret`` pragma,
-unrolling that unrolls nothing and refolds nothing) does not run at all.
-These checks pin:
+The evaluation engine builds a function as one chain of steps: one per
+enabled AST pass (loop-bound inference, hardening, folding, inlining,
+unrolling with its folding round), one lowering step and one per enabled
+IR pass, each cached under ``PassManager.step_key``, the AST steps in
+``BuildCache.tables["ast"]``.  A step whose pass changed nothing hands on
+its input key and the input module itself, so the lowering and the whole
+IR chain after it are shared with the configurations that skipped the
+pass (``tests/test_ir_chain.py`` pins the IR steps).  "Changed" is read
+off the counters the pass reported.  A pass whose key contribution says
+it leaves the function as it is (hardening a function without a
+``secret`` pragma, unrolling that unrolls nothing and refolds nothing,
+inlining that reads no callee) does not run at all.  These checks pin:
 
-* the counter contract the chain reads: folding's and hardening's
-  counters are 0 exactly when the AST they return ``==`` their input,
-  and lowering leaves the AST it reads ``==`` to before (the engine
-  lowers the shared AST when no AST pass of the ``lower`` segment runs);
+* the counter contract the chain reads: every AST pass's counters are 0
+  exactly when the AST it returns ``==`` its input, and lowering leaves
+  the AST it reads ``==`` to before (the engine lowers the shared AST);
 * a fold step that folds nothing returns the input key and object;
 * hardening never runs on a function without a ``secret`` pragma;
 * an unroll limit that unrolls nothing shares its lowered entry with
-  ``unroll_limit=0``, and lowers the unit it was handed, uncloned;
+  ``unroll_limit=0``, and lowering reads the AST inlining handed on,
+  uncloned;
+* unrolling's narrowed key is memoised per input, and inlining that
+  reads no callee does not run;
 * the lowering and IR-step miss counts of one fixed search.
 
 ``tests/test_function_builds.py`` holds the chain's builds to the
@@ -38,7 +40,7 @@ from test_unroll_stamping import IR_PIN_SOURCES
 from repro.compiler.config import UNROLL_CHOICES, CompilerConfig
 from repro.compiler.driver import MultiCriteriaCompiler
 from repro.compiler.engine import EvaluationEngine
-from repro.compiler.pipeline import CompilationPipeline
+from repro.compiler.pipeline import CompilationPipeline, passes
 from repro.errors import TeamPlayError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lowering import lower_module
@@ -62,19 +64,24 @@ int guard(int key, int x) { int r = x; if (key > 0) { r = x * 2; }
                             return r + helper(x); }
 """
 
-#: A loop no unroll limit reaches and nothing to fold.
+#: A loop no unroll limit reaches over an inlinable helper, and nothing
+#: to fold.
 LONG_LOOP = """
+int helper(int x) { return x * 4 + 1; }
 int work(int x) { int s = 0;
-                  for (int i = 0; i < 40; i = i + 1) { s = s + x; }
+                  for (int i = 0; i < 40; i = i + 1) { s = s + helper(x); }
                   return s; }
 """
+
+#: ``f`` holds a fold only after inlining ``g``.
+FOLDS_AFTER_INLINING = "int g(int a){return a*3;} int f(int x){return g(2)+x;}"
 
 
 def _engine(source: str, entry: str = "work") -> EvaluationEngine:
     return EvaluationEngine(parse(source), PLATFORM, [entry])
 
 
-def _unit(engine: EvaluationEngine, name: str):
+def _build_unit(engine: EvaluationEngine, name: str):
     """The parsed build unit ``(identity, module)`` of ``name``."""
     return next(unit for unit in engine._build_units()
                 if unit[0] == (name,))
@@ -85,18 +92,22 @@ def _step(engine, config, pass_name, key, module):
     return engine._step(config, registered, key, module)
 
 
-def _counted_passes(pipeline: CompilationPipeline):
-    """The counted passes of the ``ast`` segment: hardening, folding."""
-    return [p for p in pipeline.manager.segment("ast")
-            if p.statistic is not None]
+def _check_step(pipeline, config, registered, unit):
+    """Run ``registered`` on ``unit`` as an AST step does: its counters
+    are all 0 exactly when the output ``==`` the input."""
+    output, statistics = pipeline.pre_unroll(unit, config, (registered,))
+    assert (not any(statistics.values())) == (output == unit), (
+        registered.name, unit.functions[0].name)
+    return output
 
 
 def check_counters(source: str) -> None:
-    """Run each counted pass of the ``ast`` chain on every function of
-    ``source``, as the chain does (the next pass reads the last one's
-    output), and folding again after inlining: each counter is 0 exactly
-    when the output ``==`` the input.  Then lowering leaves the AST it
-    reads, unrolled at every limit, as it was."""
+    """Run each counted AST pass on every function of ``source``, as the
+    chain does (the next pass reads the last one's output): hardening and
+    folding on each build unit, inlining and folding again on the whole
+    module (inlining reads the other functions), then unrolling with its
+    folding round at every limit.  Then lowering leaves the AST it reads,
+    unrolled at every limit, as it was."""
     try:
         module = parse(source)
         units = EvaluationEngine(module, PLATFORM, ["-"])._build_units()
@@ -105,24 +116,20 @@ def check_counters(source: str) -> None:
     pipeline = CompilationPipeline(PLATFORM)
     manager = pipeline.manager
     config = ALL_AST_PASSES.with_(inline_simple_functions=True)
-    bounds = manager.pass_named("loop-bound-inference")
-    fold = manager.pass_named("constant-folding")
+    bounds, harden, fold, inline, unroll = map(manager.pass_named, (
+        "loop-bound-inference", "harden-security", "constant-folding",
+        "inline-simple-functions", "unroll-loops"))
     for _identity, unit in units:
         unit, _ = pipeline.pre_unroll(unit, config, (bounds,))
-        for registered in _counted_passes(pipeline):
-            output, statistics = pipeline.pre_unroll(unit, config,
-                                                     (registered,))
-            assert (statistics[registered.statistic] == 0) \
-                == (output == unit), (registered.name, unit.functions[0].name)
-            unit = output
-    inlined, _ = pipeline.pre_unroll(module, config)
-    output, statistics = pipeline.pre_unroll(inlined, config, (fold,))
-    assert (statistics["constant_folds"] == 0) == (output == inlined)
-    unroll = [p for p in manager.segment("lower") if p.stage == "ast"]
+        for registered in (harden, fold):
+            unit = _check_step(pipeline, config, registered, unit)
+    folded, _ = pipeline.pre_unroll(module, config.with_(
+        inline_simple_functions=False))
+    inlined = _check_step(pipeline, config, inline, folded)
+    inlined = _check_step(pipeline, config, fold, inlined)
     for limit in UNROLL_CHOICES:
-        working = ast.clone_module(inlined)
-        pipeline.unroll_and_lower(working, config.with_(unroll_limit=limit),
-                                  {}, unroll)
+        working = _check_step(pipeline, config.with_(unroll_limit=limit),
+                              unroll, inlined)
         before = ast.clone_module(working)
         try:
             lower_module(working)
@@ -153,7 +160,7 @@ class TestFoldStep:
     def test_a_fold_step_that_folds_nothing_hands_on_its_input(self):
         config = CompilerConfig(constant_folding=True)
         engine = _engine("int work(int x) { return x * 3; }")
-        identity, module = _unit(engine, "work")
+        identity, module = _build_unit(engine, "work")
         key, bounded, _ = _step(engine, config, "loop-bound-inference",
                                 identity, module)
         out_key, out, statistics = _step(engine, config, "constant-folding",
@@ -170,7 +177,7 @@ class TestFoldStep:
     def test_a_fold_step_that_folds_hands_on_its_clone(self):
         config = CompilerConfig(constant_folding=True)
         engine = _engine("int work(int x) { return x * (1 + 2); }")
-        identity, module = _unit(engine, "work")
+        identity, module = _build_unit(engine, "work")
         key, bounded, _ = _step(engine, config, "loop-bound-inference",
                                 identity, module)
         out_key, out, statistics = _step(engine, config, "constant-folding",
@@ -232,18 +239,59 @@ class TestUnrollThatUnrollsNothing:
         monkeypatch.setattr(CompilationPipeline, "unroll_and_lower",
                             recorded)
         engine = _engine(LONG_LOOP)
-        first = engine.evaluate(CompilerConfig(unroll_limit=32))
-        # Lowering read the unit the inline segment handed on, uncloned.
-        inline = [entry[1] for entry
-                  in engine.builds.tables["inline"]._entries.values()]
-        assert len(lowered) == 1 and lowered[0] is inline[0]
+        config = CompilerConfig(inline_simple_functions=True)
+        first = engine.evaluate(config.with_(unroll_limit=32))
+        assert first.pass_statistics["inlined_calls"] == 1
+        # Lowering read the unit the inline step handed on, uncloned.
+        inlined = [entry[1] for key, entry
+                   in engine.builds.tables["ast"]._entries.items()
+                   if key[1] == "inline-simple-functions"]
+        assert len(inlined) == 1
+        assert any(module is inlined[0] for module in lowered)
         for limit in UNROLL_CHOICES:
-            variant = engine.evaluate(CompilerConfig(unroll_limit=limit))
+            variant = engine.evaluate(config.with_(unroll_limit=limit))
             assert variant.pass_statistics.get("unrolled_loops", 0) == 0
             assert variant.program.functions["work"] \
                 is first.program.functions["work"]
-        assert engine.lowering.misses == 1
+        assert engine.lowering.misses == len(lowered) == 2
         assert "unroll-loops" not in engine.pipeline.stats()
+
+
+class TestUnrollStep:
+    def test_its_narrowed_key_is_memoised_per_input(self, monkeypatch):
+        calls = []
+        bound = passes.largest_unrollable_bound
+
+        def counted(function, limit):
+            calls.append((function.name, limit))
+            return bound(function, limit)
+
+        monkeypatch.setattr(passes, "largest_unrollable_bound", counted)
+        engine = _engine(FOLDS_AFTER_INLINING, "f")
+        config = CompilerConfig(constant_folding=True,
+                                inline_simple_functions=True)
+        # The third build differs from the first only in an IR flag: it
+        # reads the first one's memo.
+        for tweaked in (config.with_(unroll_limit=4),
+                        config.with_(unroll_limit=8),
+                        config.with_(unroll_limit=4, enable_cse=True)):
+            engine.evaluate(tweaked)
+        assert sorted(calls) == [("f", 4), ("f", 8), ("g", 4), ("g", 8)]
+        assert len([key for key in engine.builds.function_keys
+                    if key[0] == "unroll-loops"]) == 4
+        # Both limits narrow to the same key on ``f`` (nothing to unroll,
+        # a refold), so the step runs once, and never on ``g``.
+        assert engine.pipeline.stats()["unroll-loops"]["invocations"] == 1
+
+
+class TestInlineStep:
+    def test_inlining_that_reads_no_callee_does_not_run(self):
+        engine = _engine("int work(int x) { return x * 3; }")
+        off = engine.evaluate(CompilerConfig())
+        on = engine.evaluate(CompilerConfig(inline_simple_functions=True))
+        assert on.pass_statistics["inlined_calls"] == 0
+        assert "inline-simple-functions" not in engine.pipeline.stats()
+        assert on.program.functions["work"] is off.program.functions["work"]
 
 
 class TestFixedSearchMissCounts:

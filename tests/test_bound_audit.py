@@ -19,9 +19,9 @@ The same cases also hold the optimisations to program semantics: each
 configuration of a sequence built through one evaluation engine (whose
 variants share every function their pass chains reach equally) returns
 what the unoptimised build returns and leaves the same globals, on one
-core; an input the unoptimised build cannot run either is skipped.  The
-tier-1 semantics check draws the generated sources only; its ``bench``
-twin adds the embedded ones.
+core; an input the unoptimised build cannot run either is skipped.  Both
+tier-1 checks draw the generated sources only (the bound audit adds one
+cheap embedded kernel); their ``bench`` twins add the embedded ones.
 
 Sources come from the generators ``tests/test_function_builds.py``
 combines (branchy, frontend, call-graph and every embedded source); every
@@ -34,15 +34,16 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import build_program
-from test_function_builds import _CALLS, configs, generated_sources, sources
+from test_function_builds import _CALLS, configs, generated_sources
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import EvaluationEngine
 from repro.compiler.engine.cache import AnalysisCache
 from repro.compiler.pipeline import CompilationPipeline
+from repro.dl.kernels import matmul_kernel_source
 from repro.errors import AnalysisError, SimulationError, TeamPlayError
 from repro.frontend.lowering import compile_source
 from repro.frontend.parser import parse
@@ -157,8 +158,15 @@ class TestBoundAudit:
                        if presets.platform_by_name(name).predictable_cores]
         assert sorted(predictable) == sorted(PREDICTABLE_PRESETS)
 
-    @given(source=sources, config=configs, values=arguments)
+    # The generated sources only, as the semantics check below: an
+    # embedded source built at ``unroll_limit=32`` and simulated on every
+    # core at every operating point costs seconds, so those run under
+    # ``bench``.  One cheap embedded kernel, unrolled and inlined, runs
+    # here.
+    @given(source=generated_sources, config=configs, values=arguments)
     @settings(max_examples=25, deadline=None)
+    @example(source=matmul_kernel_source(),
+             config=CompilerConfig.performance(), values=[5, -3, 7])
     def test_simulation_within_the_bound_at_every_opp(self, source, config,
                                                       values):
         check_case(source, config, values)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import evaluate_config
-from test_pipeline import KEY_SOURCE, segment_keys
+from test_pipeline import KEY_SOURCE, chain_keys
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import (
     BatchEvaluator,
@@ -132,7 +132,7 @@ class TestCanonicalKeys:
                       if function.pragmas.get("secret"))
 
         def lowered(config):
-            return segment_keys(MANAGER, config, kernel)["lower"]
+            return chain_keys(MANAGER, config, kernel)["lower"]
 
         base = CompilerConfig.baseline()
         assert (lowered(base)

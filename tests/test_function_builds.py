@@ -192,6 +192,12 @@ class TestEngineMatchesOracle:
         CompilerConfig(inline_simple_functions=True, unroll_limit=4,
                        constant_folding=False),
         CompilerConfig(inline_simple_functions=True, unroll_limit=4)])
+    # The same caller at unroll limits 0 and 4: unrolling unrolls no loop
+    # and only its folding round changes the function, so the unroll
+    # step must read "changed" off every counter it reports.
+    @example(source=_FOLDS_AFTER_INLINING, sequence=[
+        CompilerConfig(inline_simple_functions=True, unroll_limit=0),
+        CompilerConfig(inline_simple_functions=True, unroll_limit=4)])
     # A name defined twice: one unit per function would build both and
     # keep one, where lowering the module reports the duplicate.
     @example(source="int f(int a) { return a; }\n"

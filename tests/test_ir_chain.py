@@ -56,10 +56,12 @@ def _engine(source: str, pipeline=None) -> EvaluationEngine:
 
 
 def _lowered(engine: EvaluationEngine, config: CompilerConfig, name: str):
-    """The ``lower`` entry ``(key, program, statistics)`` of ``name``."""
+    """The lowering step's entry ``(key, program, statistics)`` of
+    ``name``, after its AST chain."""
     identity, module = next(unit for unit in engine._build_units()
                             if unit[0] == (name,))
-    return engine._unit(config, "lower", identity, module)
+    key, module, _ = engine._chain(config, "ast", identity, module)
+    return engine._lower(config, key, module)
 
 
 def _step(engine, config, pass_name, key, function, lowered):
@@ -98,7 +100,8 @@ class TestUnchangedStep:
         assert out.instruction_count < function.instruction_count
         assert out_key == engine.pipeline.manager.step_key(
             config, engine.pipeline.manager.pass_named(
-                "dead-code-elimination"), key, function)
+                "dead-code-elimination"), key, function,
+            engine.builds.function_keys)
         assert out_key != key
 
 

@@ -30,7 +30,7 @@ from oracles import (
     acyclic_longest_path_cost,
     feasible_longest_path_cost,
 )
-from test_pipeline import KEY_SOURCE, segment_keys
+from test_pipeline import KEY_SOURCE, chain_keys
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import EvaluationEngine
 from repro.compiler.pipeline import PassManager
@@ -351,10 +351,10 @@ class TestCacheKeyWidening:
         flipped = config.with_(path_sensitive=True)
         assert manager.canonical_key(config) != manager.canonical_key(flipped)
         # The marker changes no code, so the flag enters no build key:
-        # every function's key after every segment is shared.
+        # every function's key after every step is shared.
         for function in parse(KEY_SOURCE).functions:
-            assert segment_keys(manager, config, function) \
-                == segment_keys(manager, flipped, function)
+            assert chain_keys(manager, config, function) \
+                == chain_keys(manager, flipped, function)
         # Everything else equal, the keys differ only in that flag.
         differing = [a != b for a, b in zip(manager.canonical_key(config),
                                             manager.canonical_key(flipped))]

@@ -18,7 +18,6 @@ from repro.compiler.driver import MultiCriteriaCompiler
 from repro.compiler.engine import EvaluationEngine, program_fingerprint
 from repro.compiler.pipeline import (
     ANALYSIS_PASS,
-    BUILD_SEGMENTS,
     PARSE_PASS,
     STAGES,
     CompilationPipeline,
@@ -106,15 +105,18 @@ int kernel(int key) {
 """
 
 
-def segment_keys(manager, config, function):
-    """``function``'s build key after each build segment, derived the way
-    the engine derives it, but from the parsed function at every segment
-    and with no callee keys."""
-    keys = {}
-    key = (function.name,)
-    for segment in BUILD_SEGMENTS:
-        key = keys[segment] = manager.build_key(config, segment, key,
-                                                function)
+def chain_keys(manager, config, function):
+    """``function``'s key after the AST steps, the lowering step and the
+    IR steps of its build chain, derived by ``step_key`` as the engine
+    derives it, but from the parsed function at every step, reading no
+    callees, and as if every step changed the function."""
+    keys, key, memo = {}, (function.name,), {}
+    for stage in ("ast", "lower", "ir"):
+        for registered in manager.steps(stage):
+            if registered.enabled(config):
+                key = manager.step_key(config, registered, key, function,
+                                       memo)
+        keys[stage] = key
     return keys
 
 
@@ -151,14 +153,14 @@ class TestPassManager:
         with pytest.raises(CompilationError):
             manager.pass_named("no-such-pass")
         with pytest.raises(CompilationError):
-            manager.segment("no-such-segment")
+            manager.steps("no-such-stage")
         with pytest.raises(ValueError):
             Pass("bad", "no-such-stage")
 
     def test_reads_callees_outside_the_inline_segment_raises(self):
-        # Only the inline segment is given callee bodies: anywhere else
-        # the declaration would be silently ignored, and the pass's keys
-        # would miss the callees it reads.
+        # Callee bodies are read only from inlining up to unrolling: an
+        # IR pass is given none, so anywhere else the declaration is
+        # refused rather than silently ignored.
         def reader(name, stage):
             return Pass(name, stage, lambda ctx: None,
                         reads_callees=lambda callee: True)
@@ -175,7 +177,7 @@ class TestPassManager:
             == [p.name for p in PassManager().passes()]
         manager.register(reader("reader", "ast"),
                          after="inline-simple-functions")
-        assert manager.callee_reader(CompilerConfig.baseline()) is not None
+        assert manager.pass_named("reader") in manager.steps("ast")
 
     def test_register_defaults_to_end_of_stage(self):
         manager = PassManager()
@@ -226,7 +228,7 @@ class TestStageKeys:
         manager = PassManager()
         base = CompilerConfig.baseline()
         tweaked = base.with_(unroll_limit=4)
-        # A hypothetical IR pass keyed on the unroll limit: the IR-segment
+        # A hypothetical IR pass keyed on the unroll limit: the IR-step
         # and canonical keys widen.  The function has no loop and nothing
         # to fold, so unrolling leaves it alone and its key after
         # lowering stays shared.
@@ -234,8 +236,8 @@ class TestStageKeys:
             "unroll-aware-ir", "ir", lambda ctx: None,
             cache_key=lambda config: ("unroll-aware", config.unroll_limit)))
         function = parse("int f(int a) { return a * 3; }").functions[0]
-        keys = segment_keys(manager, base, function)
-        tweaked_keys = segment_keys(manager, tweaked, function)
+        keys = chain_keys(manager, base, function)
+        tweaked_keys = chain_keys(manager, tweaked, function)
         assert "unroll-aware" in keys["ir"]
         assert "unroll-aware" in manager.canonical_key(base)
         assert keys["ir"] != tweaked_keys["ir"]
@@ -248,8 +250,8 @@ class TestStageKeys:
         on = CompilerConfig.baseline().with_(dead_code_elimination=True)
         off = on.with_(dead_code_elimination=False)
         for function in parse(KEY_SOURCE).functions:
-            assert segment_keys(manager, on, function)["ir"] \
-                != segment_keys(manager, off, function)["ir"]
+            assert chain_keys(manager, on, function)["ir"] \
+                != chain_keys(manager, off, function)["ir"]
         assert manager.canonical_key(on) != manager.canonical_key(off)
 
 
@@ -511,8 +513,8 @@ class TestNewIrPasses:
         for tweaked in (base.with_(enable_cse=True),
                         base.with_(enable_peephole=True)):
             for function in module.functions:
-                keys = segment_keys(manager, base, function)
-                tweaked_keys = segment_keys(manager, tweaked, function)
+                keys = chain_keys(manager, base, function)
+                tweaked_keys = chain_keys(manager, tweaked, function)
                 assert keys["lower"] == tweaked_keys["lower"]
                 assert keys["ir"] != tweaked_keys["ir"]
             assert manager.canonical_key(base) \
