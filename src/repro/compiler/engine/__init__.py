@@ -18,15 +18,17 @@ pipeline's ``PassManager`` (``canonical_key`` / ``step_key``):
                      │ its contribution) in its stage's table:
                      │   ast     one step per enabled AST pass (bound
                      │           inference, hardening on secret functions
-                     │           only, folding, inlining keyed by the
-                     │           callees it reads, unrolling keyed by the
-                     │           largest unrolled bound and refolding),
+                     │           only, folding where something folds,
+                     │           inlining keyed by the callees it reads,
+                     │           unrolling keyed by the largest unrolled
+                     │           bound, folding again after unrolling),
                      │           run on a clone of the function
                      │   lower   one step: lowering the chain's AST,
                      │           uncloned (``lowering``)
                      │   ir      one step per enabled IR pass (CSE, DCE,
                      │           strength reduction, peephole), run on a
-                     │           sharing clone (``ir_stage``)
+                     │           clone sharing instructions and region
+                     │           tree (``ir_stage``)
                      │ a pass that changed nothing hands on its input
                      │ key and unit; one whose key says it cannot change
                      │ the unit does not run

@@ -189,9 +189,10 @@ class EvaluationEngine:
         A pass whose key says it leaves the input as it is (a
         :meth:`~repro.compiler.pipeline.PassManager.step_key` that is
         ``key`` itself) hands the input on, and nothing runs.  Otherwise
-        the pass runs on a copy: an instruction-sharing clone of the
-        function (the IR passes are copy-on-write at instruction
-        granularity) in a program with ``lowered``'s globals, or a clone
+        the pass runs on a copy: a clone of the function sharing its
+        instructions and region tree (the IR passes are copy-on-write at
+        instruction granularity and never edit a region tree) in a
+        program with ``lowered``'s globals, or a clone
         of the module, holding the callee bodies a pass that
         ``reads_callees`` reads.  A pass that changed nothing hands on the
         input key and the input itself, so every later step, and every

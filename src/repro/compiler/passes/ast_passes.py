@@ -7,7 +7,7 @@ the driver can report which passes were effective for a configuration.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.frontend import ast_nodes as ast
 from repro.ir.instructions import (BINARY_OPCODES, LOGICAL_OPCODES,
@@ -132,16 +132,43 @@ def fold_constants(module: ast.SourceModule) -> int:
     return counter[0]
 
 
-def folds_anything(function: ast.FunctionDef) -> bool:
-    """Whether folding would change ``function`` (it folds a clone).
+def _fact(function: ast.FunctionDef, name: str,
+          derive: Callable[[ast.FunctionDef], object]):
+    """``derive(function)``, memoised on ``function`` under ``name``.
 
-    Every rewrite of the folder counts one fold, and one round reaches a
-    fixed point, so a function folding left as it was folds nothing.
+    The compiler derives these facts from a build chain's step inputs,
+    which are shared and never rewritten, so each distinct input AST
+    derives each fact once; a clone starts without them (see
+    :attr:`~repro.frontend.ast_nodes.FunctionDef.facts`).
     """
+    facts = function.facts
+    if facts is None:
+        facts = function.facts = {}
+    try:
+        return facts[name]
+    except KeyError:
+        value = facts[name] = derive(function)
+        return value
+
+
+def _folds(function: ast.FunctionDef) -> bool:
     counter = [0]
     for stmt in ast.clone_function(function).body:
         _fold_stmt(stmt, counter)
     return counter[0] > 0
+
+
+def folds_anything(function: ast.FunctionDef) -> bool:
+    """Whether folding would change ``function``, memoised on it.
+
+    It folds a clone once per function object: every rewrite of the
+    folder counts one fold, and one round reaches a fixed point, so a
+    function folding left as it was folds nothing.  The engine reads it
+    as folding's step key, so neither folding nor its round after
+    unrolling runs where nothing folds.  Do not rewrite a function after
+    asking: the answer stays on it.
+    """
+    return _fact(function, "folds", _folds)
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +189,26 @@ def _unrollable_bound(stmt: ast.For) -> Optional[int]:
     return static_bound
 
 
+def _unrollable_bounds(function: ast.FunctionDef) -> Tuple[int, ...]:
+    bounds = {_unrollable_bound(stmt) for stmt in ast.walk_stmts(function.body)
+              if isinstance(stmt, ast.For)}
+    bounds.discard(None)
+    return tuple(sorted(bounds))
+
+
 def largest_unrollable_bound(function: ast.FunctionDef, limit: int) -> int:
     """The largest trip count ``<= limit`` of a loop unrolling would unroll
     in ``function`` (0 if none).
 
     Two limits with equal values unroll the same loops of ``function``,
-    so they give equal code.
+    so they give equal code.  The trip counts are walked once per
+    function object and memoised on it, as :func:`folds_anything` is.
     """
     largest = 0
-    for stmt in ast.walk_stmts(function.body):
-        if isinstance(stmt, ast.For):
-            bound = _unrollable_bound(stmt)
-            if bound is not None and largest < bound <= limit:
-                largest = bound
+    for bound in _fact(function, "unrollable_bounds", _unrollable_bounds):
+        if bound > limit:
+            break
+        largest = bound
     return largest
 
 

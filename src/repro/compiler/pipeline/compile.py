@@ -20,7 +20,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline.manager import PassManager
 from repro.compiler.pipeline.passes import (
-    FOLD_PASS,
     PARSE_PASS,
     UNROLL_PASS,
     Pass,
@@ -55,22 +54,21 @@ class CompilationPipeline:
                                 extra_key=self.manager.frontend_key())
 
     def _run(self, passes, ctx: PassContext) -> None:
-        """Run ``passes`` in order through the manager.
+        """Run the enabled steps of ``passes`` in order through the
+        manager.
 
-        Iterating the registered list — not a hard-coded name sequence — is
-        what makes custom passes first-class: a pass registered on this
+        Iterating the manager's steps — not a hard-coded name sequence —
+        is what makes custom passes first-class: a pass registered on this
         pipeline's manager executes here exactly where its position in the
-        list says, with no engine changes (see ``docs/passes.md``).
-        Unrolling exposes constant-index expressions, so the folding pass
-        runs a second round right after it when both are enabled (its
-        counter accumulates).
+        list says, with no engine changes (see ``docs/passes.md``).  The
+        steps hold the folding round after unrolling too (see
+        :meth:`~repro.compiler.pipeline.PassManager.steps`; its counter
+        accumulates).
         """
         manager = self.manager
         for registered in passes:
-            if manager.run(registered.name, ctx) \
-                    and registered.name == UNROLL_PASS and any(
-                        p.name == FOLD_PASS for p in manager.steps("ast")):
-                manager.run(FOLD_PASS, ctx)
+            if registered.enabled(ctx.config):
+                manager.run(registered.name, ctx)
 
     def _before_unroll(self) -> int:
         """How many AST passes run before unrolling."""
@@ -85,8 +83,8 @@ class CompilationPipeline:
         """Loop-bound inference plus the AST passes that run before unrolling.
 
         A custom AST pass registered before ``unroll-loops`` joins them.
-        ``passes`` runs only those AST passes, unrolling (with its folding
-        round) included: the evaluation engine runs one step of a
+        ``passes`` runs only those AST steps, unrolling and the folding
+        round after it included: the evaluation engine runs one step of a
         function's chain at a time.  The input module is never modified:
         the returned module is a fresh clone, and its counters extend a
         copy of ``statistics``.
@@ -104,8 +102,9 @@ class CompilationPipeline:
                          passes: Optional[Sequence[Pass]] = None) -> Program:
         """Unroll (mutating ``working`` in place) and lower to IR.
 
-        AST passes registered *after* ``unroll-loops`` run here, before
-        lowering.  ``passes`` runs only those: the evaluation engine
+        The folding round after unrolling and AST passes registered
+        *after* ``unroll-loops`` run here, before lowering.  ``passes``
+        runs only those: the evaluation engine
         passes the lowering passes alone, on the AST its chain reached,
         which stays unmodified (lowering only reads it).  Counters go to
         ``statistics``.

@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.pipeline.passes import (
+    FOLD_PASS,
     INLINE_PASS,
     STAGES,
     UNROLL_PASS,
@@ -35,6 +36,7 @@ from repro.compiler.pipeline.passes import (
     PassContext,
     _no_key,
     default_compile_passes,
+    refold_after_unrolling,
 )
 from repro.errors import CompilationError
 
@@ -55,7 +57,10 @@ class PassManager:
     # ----------------------------------------------------------- registry --
     def _install(self, passes: List[Pass]) -> None:
         """Make ``passes`` the pass list, after checking it, and derive
-        what depends on it: each stage's steps and the canonical key plan.
+        what depends on it: each stage's steps (the AST steps with the
+        folding round after unrolling, see
+        :func:`~repro.compiler.pipeline.passes.refold_after_unrolling`)
+        and the canonical key plan.
 
         The plan holds only the ``cache_key`` callables with a real
         contribution: key derivation runs on every variant-cache get and
@@ -83,6 +88,11 @@ class PassManager:
             raise CompilationError(
                 f"passes {misplaced} read callees outside the AST passes "
                 f"from {INLINE_PASS!r} up to {UNROLL_PASS!r}")
+        if FOLD_PASS in ast_names and unroll < len(ast_names):
+            ast_steps = list(steps["ast"])
+            ast_steps.insert(unroll + 1, refold_after_unrolling(
+                ast_steps[ast_names.index(FOLD_PASS)], ast_steps[unroll]))
+            steps["ast"] = tuple(ast_steps)
         self._passes = passes
         self._steps = steps
         self._canonical = tuple(p.cache_key for p in passes
@@ -131,7 +141,9 @@ class PassManager:
         self._install(passes)
 
     def steps(self, stage: str) -> Tuple[Pass, ...]:
-        """The passes (markers left out) of one stage, in order."""
+        """The steps of one stage, in order: its passes, markers left
+        out, and in the AST stage the folding round right after
+        unrolling (the folding pass once more, enabled when both are)."""
         try:
             return self._steps[stage]
         except KeyError:

@@ -23,7 +23,7 @@ every other pass (their owners time them through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.compiler.config import CompilerConfig
@@ -56,7 +56,8 @@ from repro.wcet.loopbounds import infer_loop_bounds
 STAGES = ("frontend", "ast", "lower", "ir", "backend", "analysis")
 
 #: The passes a callee-reading pass must lie between (see
-#: :class:`Pass`), and the folding pass that re-runs after unrolling.
+#: :class:`Pass`), and the folding pass that re-runs after unrolling (see
+#: :func:`refold_after_unrolling`).
 INLINE_PASS = "inline-simple-functions"
 UNROLL_PASS = "unroll-loops"
 FOLD_PASS = "constant-folding"
@@ -149,8 +150,8 @@ def _harden_security(ctx: PassContext) -> None:
 
 
 def _fold_constants(ctx: PassContext) -> None:
-    # Accumulates: the pass runs again after unrolling exposes new
-    # constant-index expressions, and both rounds report one counter.
+    # Accumulates: the pass runs again after unrolling (see
+    # `refold_after_unrolling`), and both rounds report one counter.
     ctx.statistics["constant_folds"] = (
         ctx.statistics.get("constant_folds", 0) + fold_constants(ctx.module))
 
@@ -190,17 +191,34 @@ def _allocate_scratchpad(ctx: PassContext) -> None:
     ctx.statistics["spm_functions"] = len(allocation.placed_functions)
 
 
+def _fold_function_key(config: CompilerConfig,
+                       function: ast.FunctionDef) -> Optional[Tuple]:
+    """``None`` when folding leaves ``function`` as it is."""
+    return (config.constant_folding,) if folds_anything(function) else None
+
+
 def _unroll_function_key(config: CompilerConfig,
                          function: ast.FunctionDef) -> Optional[Tuple]:
-    """Limits that unroll the same loops of ``function`` give equal code,
-    apart from the folding round that unrolling re-runs: that round
-    changes the function only if it unrolled a loop or left something to
-    fold (inlining leaves folds behind).  ``None`` when neither happens:
-    the pass leaves the function as it is."""
+    """Limits that unroll the same loops of ``function`` give equal code:
+    the largest bound a limit unrolls is the whole key, ``None`` when it
+    unrolls no loop."""
     bound = largest_unrollable_bound(function, config.unroll_limit)
-    refolds = (config.unroll_limit > 0 and config.constant_folding
-               and (bound > 0 or folds_anything(function)))
-    return (bound, refolds) if bound or refolds else None
+    return (bound,) if bound else None
+
+
+def refold_after_unrolling(fold: Pass, unroll: Pass) -> Pass:
+    """The folding round after unrolling, the one place that says it runs.
+
+    Unrolling exposes constant-index expressions (and inlining may have
+    left folds behind), so the folding pass runs again right after
+    unrolling when both are enabled: the same pass, under the same name
+    and key, as one more step of the AST chain, which the pass manager
+    places after unrolling (see
+    :meth:`~repro.compiler.pipeline.PassManager.steps`).  Like any fold
+    step it does not run where nothing folds.
+    """
+    return replace(fold, enabled=lambda config: (fold.enabled(config)
+                                                 and unroll.enabled(config)))
 
 
 #: Names of the externally-driven marker passes.
@@ -213,8 +231,9 @@ def default_compile_passes() -> Tuple[Pass, ...]:
     """The stock pass list, in execution order.
 
     Loop-bound inference and the pre-unroll AST passes (hardening, folding,
-    inlining), unrolling (with a second folding round, re-run by the
-    pipeline when both are enabled), lowering, the platform-independent IR
+    inlining), unrolling (followed by a second folding round when both are
+    enabled, see :func:`refold_after_unrolling`), lowering, the
+    platform-independent IR
     passes (CSE before DCE so downgraded copies can turn dead, strength
     reduction, peephole cleanups last), and scratchpad allocation after all
     of them.
@@ -234,7 +253,8 @@ def default_compile_passes() -> Tuple[Pass, ...]:
         Pass(FOLD_PASS, "ast", _fold_constants,
              enabled=lambda config: config.constant_folding,
              cache_key=lambda config: (config.constant_folding,),
-             statistic="constant_folds"),
+             statistic="constant_folds",
+             function_key=_fold_function_key),
         # Inlining changes only a function that calls an inlinable one:
         # the keys of the callee bodies it reads are its whole key.
         Pass(INLINE_PASS, "ast", _inline_simple_functions,
@@ -243,11 +263,9 @@ def default_compile_passes() -> Tuple[Pass, ...]:
              statistic="inlined_calls",
              function_key=lambda config, function: (),
              reads_callees=is_inlinable),
-        # Unrolling re-runs folding, so the folding flag is its field too.
         Pass(UNROLL_PASS, "ast", _unroll_loops,
              enabled=lambda config: bool(config.unroll_limit),
-             cache_key=lambda config: (config.unroll_limit,
-                                       config.constant_folding),
+             cache_key=lambda config: (config.unroll_limit,),
              statistic="unrolled_loops",
              function_key=_unroll_function_key),
         Pass("lower-to-ir", "lower", _lower_to_ir),

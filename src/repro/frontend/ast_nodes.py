@@ -242,8 +242,8 @@ Stmt = Union[VarDecl, Assign, If, While, For, Repeat, Return, ExprStmt]
 # Top-level declarations
 # ---------------------------------------------------------------------------
 class FunctionDef(_Node):
-    __slots__ = ("name", "params", "body", "pragmas", "line")
-    _fields = __slots__
+    __slots__ = ("name", "params", "body", "pragmas", "line", "facts")
+    _fields = ("name", "params", "body", "pragmas", "line")
 
     def __init__(self, name: str, params: Optional[List[str]] = None,
                  body: Optional[List[Stmt]] = None,
@@ -254,6 +254,11 @@ class FunctionDef(_Node):
         #: Parsed ``#pragma teamplay`` directives attached to this function.
         self.pragmas = {} if pragmas is None else pragmas
         self.line = line
+        #: Facts the compiler derives from this function, memoised by name
+        #: (see :func:`repro.compiler.passes.ast_passes.folds_anything`);
+        #: ``None`` until the first.  Not a field: a clone starts without
+        #: them, since a pass may rewrite it.
+        self.facts: Optional[Dict[str, object]] = None
 
 
 class GlobalArray(_Node):

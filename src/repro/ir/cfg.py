@@ -201,8 +201,10 @@ class Function:
 
         Shared with the original: operand objects (immutable) and annotation
         *values* (annotations/local_arrays mappings themselves are copied).
-        With ``share_instructions`` the :class:`Instr` objects are shared too
-        (see :meth:`BasicBlock.clone`).
+        With ``share_instructions`` the :class:`Instr` objects and the
+        region tree are shared too (see :meth:`BasicBlock.clone`): the IR
+        passes rewrite instructions within blocks and never edit a region
+        tree.
         """
         from repro.ir.regions import clone_region
         return Function(
@@ -211,7 +213,8 @@ class Function:
             blocks={label: block.clone(share_instructions)
                     for label, block in self.blocks.items()},
             entry=self.entry,
-            region=clone_region(self.region),
+            region=(self.region if share_instructions
+                    else clone_region(self.region)),
             local_arrays=dict(self.local_arrays),
             code_region=self.code_region,
             secret_params=list(self.secret_params),
@@ -221,9 +224,11 @@ class Function:
     def holds_ir_of(self, other: "Function") -> bool:
         """Whether ``self`` holds exactly ``other``'s IR, object for object.
 
-        Every field :meth:`clone` copies compares equal, the blocks have
-        the same labels in the same order, and each block's parts are the
-        same :class:`Instr` and run objects in the same order and form.
+        Every field :meth:`clone` copies compares equal (the region tree
+        is compared by identity first: an instruction-sharing clone shares
+        it), the blocks have the same labels in the same order, and each
+        block's parts are the same :class:`Instr` and run objects in the
+        same order and form.
         The IR passes are copy-on-write, so an instruction they rewrite is
         a new object: this is how the evaluation engine tells whether a
         pass changed the instruction-sharing clone it ran on, without
@@ -236,7 +241,8 @@ class Function:
                 or self.local_arrays != other.local_arrays
                 or self.annotations != other.annotations
                 or list(self.blocks) != list(other.blocks)
-                or self.region != other.region):
+                or (self.region is not other.region
+                    and self.region != other.region)):
             return False
         for block, before in zip(self.blocks.values(),
                                  other.blocks.values()):

@@ -3,27 +3,33 @@ input, and each function is lowered once per distinct AST.
 
 The evaluation engine builds a function as one chain of steps: one per
 enabled AST pass (loop-bound inference, hardening, folding, inlining,
-unrolling with its folding round), one lowering step and one per enabled
-IR pass, each cached under ``PassManager.step_key``, the AST steps in
+unrolling, folding again after unrolling), one lowering step and one per
+enabled IR pass, each cached under ``PassManager.step_key``, the AST steps in
 ``BuildCache.tables["ast"]``.  A step whose pass changed nothing hands on
 its input key and the input module itself, so the lowering and the whole
 IR chain after it are shared with the configurations that skipped the
 pass (``tests/test_ir_chain.py`` pins the IR steps).  "Changed" is read
 off the counters the pass reported.  A pass whose key contribution says
-it leaves the function as it is (hardening a function without a
-``secret`` pragma, unrolling that unrolls nothing and refolds nothing,
-inlining that reads no callee) does not run at all.  These checks pin:
+it leaves the function as it is (folding a function nothing folds in,
+hardening a function without a ``secret`` pragma, unrolling that unrolls
+no loop, inlining that reads no callee) does not run at all.  These
+checks pin:
 
 * the counter contract the chain reads: every AST pass's counters are 0
   exactly when the AST it returns ``==`` its input, and lowering leaves
   the AST it reads ``==`` to before (the engine lowers the shared AST);
-* a fold step that folds nothing returns the input key and object;
+* a fold step that folds nothing does not run and hands on the input
+  key and object;
 * hardening never runs on a function without a ``secret`` pragma;
 * an unroll limit that unrolls nothing shares its lowered entry with
   ``unroll_limit=0``, and lowering reads the AST inlining handed on,
   uncloned;
 * unrolling's narrowed key is memoised per input, and inlining that
   reads no callee does not run;
+* the facts folding's and unrolling's keys read are derived once per
+  distinct input AST, and a clone starts without them;
+* the folding round after unrolling is its own step: it hands on its
+  input where nothing folds, and runs where inlining left a fold;
 * the lowering and IR-step miss counts of one fixed search.
 
 ``tests/test_function_builds.py`` holds the chain's builds to the
@@ -40,6 +46,7 @@ from test_unroll_stamping import IR_PIN_SOURCES
 from repro.compiler.config import UNROLL_CHOICES, CompilerConfig
 from repro.compiler.driver import MultiCriteriaCompiler
 from repro.compiler.engine import EvaluationEngine
+from repro.compiler.passes import ast_passes
 from repro.compiler.pipeline import CompilationPipeline, passes
 from repro.errors import TeamPlayError
 from repro.frontend import ast_nodes as ast
@@ -165,14 +172,16 @@ class TestFoldStep:
                                 identity, module)
         out_key, out, statistics = _step(engine, config, "constant-folding",
                                          key, bounded)
-        assert statistics == {"constant_folds": 0}
+        assert statistics == {}
         assert out is bounded and out_key is key
-        # Cached under its own key all the same: a repeat is a hit that
-        # hands on the same input.
+        # Its key says nothing folds, so the step does not run: a repeat
+        # hands on the same input without a lookup, and only loop-bound
+        # inference was ever stored.
         table = engine.builds.tables["ast"]
         assert _step(engine, config, "constant-folding", key,
                      bounded)[1] is bounded
-        assert (table.misses, table.hits) == (2, 1)
+        assert (table.misses, table.hits) == (1, 0)
+        assert "constant-folding" not in engine.pipeline.stats()
 
     def test_a_fold_step_that_folds_hands_on_its_clone(self):
         config = CompilerConfig(constant_folding=True)
@@ -279,9 +288,13 @@ class TestUnrollStep:
         assert sorted(calls) == [("f", 4), ("f", 8), ("g", 4), ("g", 8)]
         assert len([key for key in engine.builds.function_keys
                     if key[0] == "unroll-loops"]) == 4
-        # Both limits narrow to the same key on ``f`` (nothing to unroll,
-        # a refold), so the step runs once, and never on ``g``.
-        assert engine.pipeline.stats()["unroll-loops"]["invocations"] == 1
+        # Neither limit unrolls a loop, so unrolling never runs; the
+        # folding round after it runs once, on ``f``, where inlining left
+        # ``2 * 3`` (both limits hand it the same input), and never on
+        # ``g``, where nothing folds.
+        rows = engine.pipeline.stats()
+        assert "unroll-loops" not in rows
+        assert rows["constant-folding"]["invocations"] == 1
 
 
 class TestInlineStep:
@@ -304,4 +317,100 @@ class TestFixedSearchMissCounts:
         stats = compiler.cache_stats()
         assert front.evaluations == 12
         assert (stats["lowering"]["misses"], stats["ir_stage"]["misses"]) \
-            == (7, 31)
+            == (6, 28)
+
+
+#: Two counted loops and nothing to fold, before or after unrolling.
+TWO_LOOPS = """
+int g[8];
+int work(int x) { int s = 0;
+                  for (int i = 0; i < 4; i = i + 1) { g[i] = x + i; }
+                  for (int j = 0; j < 8; j = j + 1) { s = s + g[j]; }
+                  return s; }
+"""
+
+
+class TestAstFacts:
+    def test_derived_once_per_distinct_input(self, monkeypatch):
+        derived = {"folds": [], "unrollable_bounds": []}
+        for name in derived:
+            derive = getattr(ast_passes, f"_{name}")
+
+            def counted(function, derive=derive, seen=derived[name]):
+                seen.append(function)
+                return derive(function)
+
+            monkeypatch.setattr(ast_passes, f"_{name}", counted)
+        engine = _engine(TWO_LOOPS)
+        for limit in UNROLL_CHOICES:
+            for folding in (True, False):
+                engine.evaluate(CompilerConfig(unroll_limit=limit,
+                                               constant_folding=folding))
+        for name, functions in derived.items():
+            assert len({id(function) for function in functions}) \
+                == len(functions), name
+        # Unrolling reads one input at every limit and folding flag; the
+        # fold steps read it and the two unrolled ASTs (limit 4, and 8
+        # and above).
+        assert len(derived["unrollable_bounds"]) == 1
+        assert len(derived["folds"]) == 3
+        assert "constant-folding" not in engine.pipeline.stats()
+        assert engine.pipeline.stats()["unroll-loops"]["invocations"] == 2
+
+    def test_a_clone_starts_without_them(self):
+        function = parse(FOLDS_AFTER_INLINING).function("f")
+        assert not ast_passes.folds_anything(function)
+        assert ast_passes.largest_unrollable_bound(function, 32) == 0
+        assert set(function.facts) == {"folds", "unrollable_bounds"}
+        clone = ast.clone_function(function)
+        assert clone.facts is None and clone == function
+        assert ast.clone_module(parse(FOLDS_AFTER_INLINING)) \
+            .functions[1].facts is None
+
+
+class TestRefoldStep:
+    CONFIG = CompilerConfig(constant_folding=True,
+                            inline_simple_functions=True, unroll_limit=4)
+
+    @staticmethod
+    def _refold(engine):
+        steps = engine.pipeline.manager.steps("ast")
+        names = [step.name for step in steps]
+        return steps[names.index("unroll-loops") + 1]
+
+    def test_it_is_folding_once_more_when_both_are_on(self):
+        refold = self._refold(_engine(LONG_LOOP))
+        assert refold.name == "constant-folding"
+        assert refold.enabled(self.CONFIG)
+        assert not refold.enabled(self.CONFIG.with_(unroll_limit=0))
+        assert not refold.enabled(self.CONFIG.with_(constant_folding=False))
+
+    def test_hands_on_its_input_when_nothing_refolds(self):
+        engine = _engine(TWO_LOOPS)
+        refold = self._refold(engine)
+        identity, module = _build_unit(engine, "work")
+        key, unrolled, counters = engine._chain(self.CONFIG, "ast", identity,
+                                                module, until=refold)
+        assert counters == {"unrolled_loops": 1}
+        out_key, out, statistics = engine._step(self.CONFIG, refold, key,
+                                                unrolled)
+        assert (out_key, statistics) == (key, {}) and out is unrolled
+        assert "constant-folding" not in engine.pipeline.stats()
+
+    def test_runs_where_inlining_left_a_fold(self):
+        engine = _engine(FOLDS_AFTER_INLINING, "f")
+        refold = self._refold(engine)
+        identity, module = _build_unit(engine, "f")
+        key, inlined, counters = engine._chain(self.CONFIG, "ast", identity,
+                                               module, until=refold)
+        assert counters == {"inlined_calls": 1}
+        out_key, out, statistics = engine._step(self.CONFIG, refold, key,
+                                                inlined)
+        assert statistics == {"constant_folds": 1}
+        assert out is not inlined and out != inlined
+        assert out_key == (key, "constant-folding", True)
+        assert engine.pipeline.stats()["constant-folding"]["invocations"] \
+            == 1
+        # The whole variant reports the fold the round made.
+        variant = engine.evaluate(self.CONFIG)
+        assert variant.pass_statistics["constant_folds"] == 1

@@ -51,9 +51,11 @@ PATH_ROW_KEYS = PASS_ROW_KEYS | {"paths_enumerated", "paths_pruned",
 #: unhardened configurations share each function's build.  The pass runs
 #: only where a hardened configuration builds a function first, which
 #: this scenario's searches never do.  No ``inline-simple-functions``
-#: either: it runs only on a function that calls an inlinable one.
+#: either: it runs only on a function that calls an inlinable one.  No
+#: ``constant-folding``: it runs only on a function something folds in,
+#: before unrolling or after it, and this scenario's functions have none.
 PASS_NAMES = {
-    "parse", "csl-parse", "constant-folding",
+    "parse", "csl-parse",
     "loop-bound-inference", "unroll-loops",
     "lower-to-ir", "dead-code-elimination", "strength-reduction",
     "spm-allocation", "analysis", "path-feasibility", "schedule",

@@ -163,6 +163,11 @@ int f2(int a, int b) { int acc = 0; for (int i = 0; i < 40; i = i + 1) {
 _FOLDS_AFTER_INLINING = """int g(int a) { return a * 3; }
 int f(int x) { return g(2) + x; }"""
 
+#: ``f1`` unrolls a loop and folds ``3 * 2`` only once ``f0`` is inlined.
+_UNROLLS_THEN_FOLDS = """int f0(int a, int b) { return a * 2 + b; }
+int f1(int a) { int acc = 0; for (int i = 0; i < 2; i = i + 1) {
+  acc = acc + i; } return acc + f0(3, a); }"""
+
 
 class TestEngineMatchesOracle:
     @given(source=sources, sequence=st.lists(configs, min_size=2,
@@ -198,6 +203,13 @@ class TestEngineMatchesOracle:
     @example(source=_FOLDS_AFTER_INLINING, sequence=[
         CompilerConfig(inline_simple_functions=True, unroll_limit=0),
         CompilerConfig(inline_simple_functions=True, unroll_limit=4)])
+    # Folding on and off unroll the same loop: unrolling's key holds no
+    # folding flag, so the fold after it must be a step of its own, or
+    # the build with folding off is served folding's ``6``.
+    @example(source=_UNROLLS_THEN_FOLDS, sequence=[
+        CompilerConfig(inline_simple_functions=True, unroll_limit=4),
+        CompilerConfig(inline_simple_functions=True, unroll_limit=4,
+                       constant_folding=False)])
     # A name defined twice: one unit per function would build both and
     # keep one, where lowering the module reports the duplicate.
     @example(source="int f(int a) { return a; }\n"

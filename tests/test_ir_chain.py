@@ -15,7 +15,10 @@ checks pin that rule:
 * a custom pass that replaces a block's parts, overwrites an instruction
   in place or adds a block is seen as changed; swapping in the same
   objects is not,
-* enabling a DCE that removes nothing adds no later IR-pass run.
+* enabling a DCE that removes nothing adds no later IR-pass run,
+* every stock IR pass leaves its step's output holding the input's
+  region tree object (an instruction-sharing clone shares it, and no IR
+  pass edits a region tree).
 
 ``tests/test_function_builds.py`` holds the chain's builds to the
 uncached ``build_program`` oracle.
@@ -24,10 +27,14 @@ uncached ``build_program`` oracle.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+
+from test_function_builds import generated_sources
 
 from repro.compiler.config import CompilerConfig
 from repro.compiler.engine import EvaluationEngine
 from repro.compiler.pipeline import CompilationPipeline, Pass
+from repro.errors import TeamPlayError
 from repro.frontend.parser import parse
 from repro.hw.presets import nucleo_stm32f091rc
 from repro.ir.cfg import BasicBlock
@@ -227,3 +234,35 @@ class TestNoOpPassAddsNoRun:
         assert engine.ir_stage.misses == 3 * functions
         for name, function in second.program.functions.items():
             assert function is first.program.functions[name]
+
+
+class TestSharedRegion:
+    #: Every stock IR pass on, over unrolled loops.
+    CONFIG = CompilerConfig(unroll_limit=8, enable_cse=True,
+                            strength_reduction=True, enable_peephole=True)
+
+    @given(source=generated_sources)
+    @settings(max_examples=30, deadline=None)
+    def test_every_stock_ir_pass_keeps_the_input_region(self, source):
+        try:
+            module = parse(source)
+            engine = EvaluationEngine(module, PLATFORM,
+                                      [module.functions[0].name])
+            units = engine._build_units()
+        except TeamPlayError:
+            return
+        steps = engine.pipeline.manager.steps("ir")
+        assert len(steps) == 4
+        for identity, unit in units:
+            try:
+                key, unit, _ = engine._chain(self.CONFIG, "ast", identity,
+                                             unit)
+                key, lowered, _ = engine._lower(self.CONFIG, key, unit)
+            except TeamPlayError:
+                continue
+            function = lowered.functions[identity[0]]
+            region = function.region
+            for registered in steps:
+                key, function, _ = engine._step(self.CONFIG, registered, key,
+                                                function, lowered)
+                assert function.region is region, registered.name
