@@ -21,13 +21,15 @@ configurable pass widens every downstream key:
    program is assembled from shared functions.
 3. :class:`AnalysisCache` — worst-case costs, computed on demand: a query
    costs only its entry's call closure.  Each function's cost is memoised
-   across programs per cost scope (analysis kind, core, operating point,
-   path mode) under the function's structural fingerprint and its callees'
-   costs, so a function shared by many variants is costed once per
-   distinct callee costs.  Every further query of the same program — other
-   task entry points, other operating points (cycle counts are
-   frequency-independent), the coordination layer's per-core sweeps — is
-   a lookup in that program's lazily filled table.
+   across programs per cost scope (analysis kind, the core's cost model,
+   operating point, path mode) under the function's structural
+   fingerprint and its callees' costs, so a function shared by many
+   variants is costed once per distinct callee costs, and twin cores share
+   every scope.  What reads no price, a path-sensitive unit's feasible
+   paths, is derived once for every scope.  Every further query of the
+   same program — other task entry points, other operating points (cycle
+   counts are frequency-independent), the coordination layer's per-core
+   sweeps — is a lookup in that program's lazily filled table.
 
 All stages are exact: cached results are bit-for-bit identical to what
 the uncached pipeline produces (covered by ``tests/test_engine.py`` and
@@ -51,7 +53,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
@@ -384,6 +386,19 @@ def _validate_once(function: Function) -> None:
         setattr(function, _FUNCTION_VALIDATED_ATTR, True)
 
 
+def _model_fields(core: Core) -> Tuple:
+    """Every field of ``core`` but its name: its cost model."""
+    return tuple([getattr(core, field.name) for field in fields(core)
+                  if field.name != "name"])
+
+
+def _model_digest(core: Core) -> str:
+    """A digest of ``core``'s cost model, plain JSON for on-disk keys."""
+    model = asdict(core)
+    del model["name"]
+    return _persist.key_digest("core", model)
+
+
 class _StructuralCosts(CalleeKeyedMemo, StructuralCostEngine):
     """The cache's structural engine: function costs from one scope."""
 
@@ -393,8 +408,9 @@ class _PathCosts(CalleeKeyedMemo, PathSensitiveCostEngine):
 
 
 class _Scope:
-    """One cost scope of an :class:`AnalysisCache`: analysis kind, core,
-    operating point and path mode.
+    """One cost scope of an :class:`AnalysisCache`: analysis kind, the
+    core's cost model (:meth:`AnalysisCache._cost_model`), operating point
+    and path mode.
 
     Holds the scope's cost function and memos, and is the function memo of
     its engines (:class:`~repro.wcet.structural.CalleeKeyedMemo`): a
@@ -464,7 +480,10 @@ class AnalysisCache(_BoundedCacheMixin):
     keyed by :func:`program_fingerprint` (:func:`path_fingerprint` in the
     path-sensitive mode) is filled as its functions are queried, so every
     repeated query — other entries, DVFS sweeps, per-core ETS derivation —
-    is a dictionary lookup.
+    is a dictionary lookup.  Scopes and tables are keyed by the core's
+    cost model, never its name, so twin cores share them.  The
+    path-sensitive unit memo is shared by every scope: a unit's feasible
+    paths are enumerated once, and each scope prices them.
 
     ``max_entries`` bounds the cycle and energy program tables
     independently.  The per-instruction cost memos stay unbounded (they are
@@ -503,18 +522,24 @@ class AnalysisCache(_BoundedCacheMixin):
         # Per program and scope: function name -> cost or analysis error.
         self._cycle_tables: "OrderedDict[Tuple, Dict]" = OrderedDict()
         self._energy_tables: "OrderedDict[Tuple, Dict]" = OrderedDict()
-        self._energy_analyzers: Dict[Optional[str], EnergyAnalyzer] = {}
+        # By the key of their core's cost model.
+        self._energy_analyzers: Dict[str, EnergyAnalyzer] = {}
         self._scopes: Dict[Tuple, _Scope] = {}
-        # Per-instruction cost memos, per (kind, core[, OPP]), keyed by
+        # Per-instruction cost memos, per (kind, cost model[, OPP]), keyed by
         # (code region, opcode): all an instruction's worst-case price
         # depends on, so each distinct cost is computed once per scope ever,
         # not once per instruction occurrence per program.
         self._instr_costs: Dict[Tuple, Dict] = {}
-        # Cross-program block-cost memos (call-free blocks only) and
-        # path-sensitive unit outcomes, same scopes; both bounded by
+        # Cross-program block-cost memos (call-free blocks only), same
+        # scopes, and one path-sensitive unit memo for every scope (a
+        # unit's feasible paths read no price); all bounded by
         # ``repro.wcet.structural.MEMO_LIMIT``.
         self._block_costs: Dict[Tuple, Dict[Tuple, float]] = {}
-        self._unit_outcomes: Dict[Tuple, Dict[Tuple, object]] = {}
+        self._unit_outcomes: Dict[Tuple, object] = {}
+        # Per core object (``None``: the default core): the core, its
+        # energy analyser and the key of its cost model.
+        self._analyzers: Dict[int, Tuple[Optional[Core],
+                                         Tuple[EnergyAnalyzer, str]]] = {}
         # Path-feasibility counters, accumulated on computes only (memory and
         # disk hits reuse costs whose pruning already happened elsewhere).
         # The per-thread copy lets one run report only its own pruning work
@@ -609,15 +634,32 @@ class AnalysisCache(_BoundedCacheMixin):
             self.disk_errors += 1
 
     # -- analyzer instances (cost models are deterministic per core) ----------
-    def _energy_analyzer(self, core: Optional[Core]) -> EnergyAnalyzer:
-        """The energy analyser of ``core`` (default: the platform's first
-        predictable core); its ``.wcet`` prices cycles."""
-        key = core and core.name
-        analyzer = self._energy_analyzers.get(key)
-        if analyzer is None:
-            analyzer = EnergyAnalyzer(self.platform, core=core)
-            self._energy_analyzers[key] = analyzer
-        return analyzer
+    def _cost_model(self, core: Core) -> str:
+        """The key of ``core``'s cost model, every field but its name: the
+        name of the platform's first predictable core with that model (the
+        platform digest every on-disk key holds covers it), else a digest
+        of the model.  So twin cores share their scopes, and a core keeping
+        a platform core's name with other tables shares none of them."""
+        model = _model_fields(core)
+        for known in self.platform.predictable_cores:
+            if _model_fields(known) == model:
+                return known.name
+        return _model_digest(core)
+
+    def _energy_analyzer(self, core: Optional[Core]
+                         ) -> Tuple[EnergyAnalyzer, str]:
+        """The energy analyser of ``core``'s cost model (default: the
+        platform's first predictable core), whose ``.wcet`` prices cycles,
+        and the key of that model.  Memoised per core object (a core is not
+        mutated once analysed, like a program)."""
+        entry = self._analyzers.get(id(core))
+        if entry is not None and entry[0] is core:
+            return entry[1]
+        fresh = EnergyAnalyzer(self.platform, core=core)
+        model = self._cost_model(fresh.core)
+        found = self._energy_analyzers.setdefault(model, fresh), model
+        memo_put(self._analyzers, id(core), (core, found))
+        return found
 
     def _check_analysable(self, program: Program, fingerprint: Tuple) -> None:
         """:func:`~repro.wcet.analyzer.check_analysable`, once per distinct
@@ -636,15 +678,16 @@ class AnalysisCache(_BoundedCacheMixin):
             self._checked.popitem(last=False)
 
     # -- costs ------------------------------------------------------------------
-    def _scope(self, core: Core, opp: Optional[OperatingPoint],
+    def _scope(self, core: Core, model: str, opp: Optional[OperatingPoint],
                path_sensitive: bool) -> _Scope:
-        """The cost scope of one analysis; ``opp=None`` selects cycles
-        (cycle bounds are frequency-independent), an operating point
-        energy."""
+        """The cost scope of one analysis on ``core``, whose cost model's
+        key is ``model``; ``opp=None`` selects cycles (cycle bounds are
+        frequency-independent), an operating point energy."""
         # Instruction and block costs are the same in both analysis modes,
-        # so their memos are scoped by kind, core and operating point only.
-        base = (("cycles", core.name) if opp is None
-                else ("energy", core.name, opp.label))
+        # so their memos are scoped by kind, cost model and operating point
+        # only.
+        base = (("cycles", model) if opp is None
+                else ("energy", model, opp.label))
         name = base + ("paths",) if path_sensitive else base
         scope = self._scopes.get(name)
         if scope is not None:
@@ -653,14 +696,14 @@ class AnalysisCache(_BoundedCacheMixin):
                                 self._instr_costs.setdefault(base, {}))
         scope = self._scopes[name] = _Scope(
             self, name, instr_cost, self._block_costs.setdefault(base, {}),
-            self._unit_outcomes.setdefault(base, {}) if path_sensitive
-            else None)
+            self._unit_outcomes if path_sensitive else None)
         return scope
 
-    def _table(self, program: Program, core: Core,
+    def _table(self, program: Program, core: Core, model: str,
                opp: Optional[OperatingPoint], path_sensitive: bool,
                name: str) -> Dict[str, float]:
-        """``program``'s table in one scope, holding ``name``'s cost.
+        """``program``'s table in one scope, holding ``name``'s cost;
+        ``model`` is the key of ``core``'s cost model.
 
         ``opp=None`` selects cycles (cycle bounds are
         frequency-independent), an operating point energy.  A table that
@@ -672,10 +715,10 @@ class AnalysisCache(_BoundedCacheMixin):
         """
         fingerprint = program_fingerprint(program)
         if opp is None:
-            tables, key = self._cycle_tables, (fingerprint, core.name)
+            tables, key = self._cycle_tables, (fingerprint, model)
         else:
             tables = self._energy_tables
-            key = (fingerprint, core.name, opp.label)
+            key = (fingerprint, model, opp.label)
         if path_sensitive:
             key = (path_fingerprint(program), *key[1:], "paths")
         table = self._touch(tables, key)
@@ -688,8 +731,8 @@ class AnalysisCache(_BoundedCacheMixin):
         else:
             self.misses += 1
             self._check_analysable(program, fingerprint)
-            engine = self._scope(core, opp, path_sensitive).engine(program,
-                                                                   table)
+            engine = self._scope(core, model, opp,
+                                 path_sensitive).engine(program, table)
             try:
                 outcome = engine.outcome(name)
             finally:
@@ -711,9 +754,10 @@ class AnalysisCache(_BoundedCacheMixin):
         the default mode's.
         """
         with self._lock:
-            analyzer = self._energy_analyzer(core).wcet
-            table = self._table(program, analyzer.core, None, path_sensitive,
-                                function_name)
+            energy, model = self._energy_analyzer(core)
+            analyzer = energy.wcet
+            table = self._table(program, analyzer.core, model, None,
+                                path_sensitive, function_name)
             # The closure's costs are all in the table once its entry is.
             return analyzer.result(program, function_name, table.__getitem__,
                                    opp, _closure(program, function_name))
@@ -728,9 +772,9 @@ class AnalysisCache(_BoundedCacheMixin):
         WCET bound behind the static-leakage term prune infeasible paths.
         """
         with self._lock:
-            analyzer = self._energy_analyzer(core)
+            analyzer, model = self._energy_analyzer(core)
             opp = opp or analyzer.core.nominal_opp
-            dynamic = self._table(program, analyzer.core, opp,
+            dynamic = self._table(program, analyzer.core, model, opp,
                                   path_sensitive, function_name)[function_name]
             wcet_result = self.wcet(program, function_name, analyzer.core,
                                     opp, path_sensitive)

@@ -32,10 +32,13 @@ never hang, raise, or return a bound below the structural engine's
 assumptions.  Loops keep the structural ``(bound + 1) · cond + bound · body``
 formula with the body itself analysed path-sensitively per iteration.
 
-Every unit is enumerated from the top state, so its outcome depends only on
-its blocks, their costs and the cap: an engine given a ``unit_memo`` keys
-units label-free on exactly that (:func:`_unit_key`) and enumerates each
-distinct unit once.
+Every unit is enumerated from the top state, and no step of the
+enumeration reads a cost, so which paths are feasible depends only on the
+unit's blocks and the cap.  The enumeration keeps those paths
+(:class:`UnitPaths`), and a cost scope prices them apart
+(:func:`_paths_cost`): an engine given a ``unit_memo`` keys units
+label-free and price-free (:func:`_unit_key`), so each distinct unit is
+enumerated once for every scope that shares the memo.
 
 Because every pruned path is genuinely infeasible and per-instruction costs
 are unchanged worst-case costs, the pruned bound is still sound (≥ any
@@ -49,7 +52,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.ir.cfg import Function, Program
 from repro.ir.instructions import (Imm, Instr, Opcode, Operand, Reg,
@@ -606,15 +609,16 @@ class _IrregularFlow(Exception):
 
 
 #: One block of a unit: the instructions before its terminator, the
-#: branch condition (``None`` unless it ends in ``BR``), the unit indices of
-#: its successors (-1: the edge leaves the unit; none: the path ends) and
-#: its cost.
-UnitBlock = Tuple[List[Instr], Optional[Operand], Tuple[int, ...], float]
+#: branch condition (``None`` unless it ends in ``BR``) and the unit
+#: indices of its successors (-1: the edge leaves the unit; none: the path
+#: ends).  Price-free: a cost scope prices the blocks apart.
+UnitBlock = Tuple[List[Instr], Optional[Operand], Tuple[int, ...]]
 
 
-def _unit_blocks(function: Function, labels: Set[str], entry: str,
-                 block_cost: Callable[[str], float]) -> List[UnitBlock]:
-    """The blocks of the unit reachable from ``entry``, in discovery order.
+def _unit_blocks(function: Function, labels: Set[str], entry: str
+                 ) -> Tuple[List[str], List[UnitBlock]]:
+    """The labels and blocks of the unit reachable from ``entry``, in
+    discovery order.
 
     Instructions are read through a local :func:`~repro.ir.runs.flatten`
     list, so a compact block stays compact.
@@ -646,9 +650,8 @@ def _unit_blocks(function: Function, labels: Set[str], entry: str,
                 index[target] = len(order)
                 order.append(target)
             successors.append(index[target])
-        blocks.append((instrs, condition, tuple(successors),
-                       block_cost(label)))
-    return blocks
+        blocks.append((instrs, condition, tuple(successors)))
+    return order, blocks
 
 
 def _operand_key(operand: Operand):
@@ -656,42 +659,63 @@ def _operand_key(operand: Operand):
 
 
 def _unit_key(blocks: List[UnitBlock], size: int, cap: int) -> Tuple:
-    """What an enumeration of ``blocks`` reads, without a label: each
-    block's cost, successor indices, branch condition and instructions
-    (opcode, destination and operands), then the unit's size and cap."""
+    """What an enumeration of ``blocks`` reads, without a label or a
+    price: each block's successor indices, branch condition and
+    instructions (opcode, destination and operands), then the unit's size
+    and cap."""
     return (size, cap, tuple(
-        (cost, successors,
+        (successors,
          None if condition is None else _operand_key(condition),
          tuple([(instr.opcode, instr.dst and instr.dst.name,
                  tuple([_operand_key(op) for op in instr.srcs]))
                 for instr in instrs]))
-        for instrs, condition, successors, cost in blocks))
+        for instrs, condition, successors in blocks))
+
+
+class UnitPaths(NamedTuple):
+    """The feasible paths through one unit, as the enumeration's DFS tree.
+
+    Node ``k`` (from 1; node 0 is the dummy entry) is block
+    ``blocks[k - 1]`` reached from node ``parents[k - 1]``; nodes come in
+    preorder, so a parent precedes its children.  ``ends`` are the nodes
+    at which a feasible path reaches the dummy exit; a node no end
+    descends from lies on pruned paths only.  Price-free:
+    :func:`_paths_cost` prices it in a scope.
+    """
+
+    blocks: Tuple[int, ...]
+    parents: Tuple[int, ...]
+    ends: Tuple[int, ...]
+    enumerated: int
+    pruned: int
 
 
 def _enumerate_paths(blocks: List[UnitBlock], cap: int
-                     ) -> Tuple[Optional[float], int, int, int]:
-    """Max cost over feasible paths through the unit of ``blocks``.
+                     ) -> Tuple[UnitPaths, int]:
+    """The feasible paths through the unit of ``blocks``.
 
     Paths run from a dummy entry node (before block 0) to a dummy exit
     node reached by a path end or by an edge leaving the unit.  Returns
-    ``(best, enumerated, pruned, touched)``: ``best`` is ``None`` when
-    every path was pruned, ``touched`` counts the blocks some feasible path
-    reaches.  Raises :class:`_PathCapExceeded` when completed plus pruned
-    paths exceed ``cap`` and :class:`_IrregularFlow` on a cycle.
+    ``(paths, touched)``: ``paths`` has no ``ends`` when every path was
+    pruned, ``touched`` counts the blocks the enumeration reached.
+    Raises :class:`_PathCapExceeded` when completed plus pruned paths
+    exceed ``cap`` and :class:`_IrregularFlow` on a cycle.
     """
-    best: Optional[float] = None
     enumerated = 0
     pruned = 0
-    touched: Set[int] = set()
-    stack: List[Tuple[int, _State, float, FrozenSet[int]]] = [
-        (0, _State(), 0.0, frozenset())]
+    nodes: List[int] = []
+    parents: List[int] = []
+    ends: List[int] = []
+    stack: List[Tuple[int, _State, int, FrozenSet[int]]] = [
+        (0, _State(), 0, frozenset())]
     while stack:
-        index, state, cost, on_path = stack.pop()
+        index, state, parent, on_path = stack.pop()
         if index in on_path:
             raise _IrregularFlow(index)
-        touched.add(index)
-        instrs, condition, successors, block_cost = blocks[index]
-        cost += block_cost
+        nodes.append(index)
+        parents.append(parent)
+        node = len(nodes)
+        instrs, condition, successors = blocks[index]
         on_path = on_path | {index}
         for instr in instrs:
             _transfer(state, instr)
@@ -701,10 +725,9 @@ def _enumerate_paths(blocks: List[UnitBlock], cap: int
                 enumerated += 1
                 if enumerated + pruned > cap:
                     raise _PathCapExceeded()
-                if best is None or cost > best:
-                    best = cost
+                ends.append(node)
             else:
-                stack.append((successor, state, cost, on_path))
+                stack.append((successor, state, node, on_path))
             continue
         fallthrough_state = state.clone()
         for taken, target, edge_state in (
@@ -719,11 +742,25 @@ def _enumerate_paths(blocks: List[UnitBlock], cap: int
                 enumerated += 1
                 if enumerated + pruned > cap:
                     raise _PathCapExceeded()
-                if best is None or cost > best:
-                    best = cost
+                ends.append(node)
             else:
-                stack.append((target, edge_state, cost, on_path))
-    return best, enumerated, pruned, len(touched)
+                stack.append((target, edge_state, node, on_path))
+    return UnitPaths(tuple(nodes), tuple(parents), tuple(ends), enumerated,
+                     pruned), len(set(nodes))
+
+
+def _paths_cost(paths: UnitPaths, costs: List[float]) -> float:
+    """The costliest of ``paths`` with block ``i`` costing ``costs[i]``.
+
+    Each node's cost is its parent's plus its block's, from ``0.0`` at the
+    dummy entry: the left-to-right sum along every path, as an
+    enumeration that summed while it walked would add.
+    """
+    sums = [0.0]
+    append = sums.append
+    for block, parent in zip(paths.blocks, paths.parents):
+        append(sums[parent] + costs[block])
+    return max([sums[node] for node in paths.ends])
 
 
 #: Unit outcomes that fall back to the structural bound.
@@ -732,20 +769,20 @@ _IRREGULAR_FALLBACK = "irregular"
 
 
 def _unit_outcome(blocks: List[UnitBlock], size: int, cap: int):
-    """``(best, enumerated, pruned)`` for a unit of ``size`` blocks, or the
-    fallback it takes: ``_CAP_FALLBACK``, or ``_IRREGULAR_FALLBACK``
-    for a cycle or a unit block no feasible path reaches (the CFG then
-    disagrees with the region tree, so the enumeration cannot be
-    trusted)."""
+    """The feasible paths of a unit of ``size`` blocks, or the fallback it
+    takes: ``_CAP_FALLBACK``, or ``_IRREGULAR_FALLBACK`` for a cycle, a
+    unit block the enumeration never reaches or a unit without a feasible
+    path (the CFG then disagrees with the region tree, so the enumeration
+    cannot be trusted).  Price-free, so one outcome serves every scope."""
     try:
-        best, enumerated, pruned, touched = _enumerate_paths(blocks, cap)
+        paths, touched = _enumerate_paths(blocks, cap)
     except _PathCapExceeded:
         return _CAP_FALLBACK
     except _IrregularFlow:
         return _IRREGULAR_FALLBACK
-    if touched != size or best is None:
+    if touched != size or not paths.ends:
         return _IRREGULAR_FALLBACK
-    return best, enumerated, pruned
+    return paths
 
 
 # --------------------------------------------------------------------------
@@ -777,10 +814,11 @@ class PathSensitiveCostEngine(StructuralCostEngine):
     :attr:`path_stats`.  Per-block costs are the same in both modes, so a
     ``block_memo`` can be shared with structural engines.
 
-    ``unit_memo`` shares unit outcomes across functions, programs and
-    engines whose block costs agree (one cost scope): a unit starts from
-    the top state, so its outcome depends only on what :func:`_unit_key`
-    reads.  It is bounded like ``block_memo``.
+    ``unit_memo`` shares unit outcomes (feasible paths, or a fallback)
+    across functions, programs, engines and cost scopes: a unit starts
+    from the top state and its enumeration reads no cost, so its outcome
+    depends only on what :func:`_unit_key` reads.  Each scope prices the
+    paths with its own block costs.  It is bounded like ``block_memo``.
     """
 
     def __init__(self, program: Program, instr_cost: InstrCost,
@@ -845,9 +883,8 @@ class PathSensitiveCostEngine(StructuralCostEngine):
         entry = next(iter_block_labels(run[0]))
         started = time.perf_counter()
         try:
-            blocks = _unit_blocks(
-                function, labels, entry,
-                lambda label: self._block_cost(function, label))
+            order, blocks = _unit_blocks(function, labels, entry)
+            costs = [self._block_cost(function, label) for label in order]
             memo = self.unit_memo
             key = outcome = None
             if memo is not None:
@@ -861,14 +898,14 @@ class PathSensitiveCostEngine(StructuralCostEngine):
                 elif outcome is _IRREGULAR_FALLBACK:
                     stats.irregular_fallbacks += 1
                 else:
-                    stats.paths_enumerated += outcome[1]
-                    stats.paths_pruned += outcome[2]
+                    stats.paths_enumerated += outcome.enumerated
+                    stats.paths_pruned += outcome.pruned
                 if memo is not None:
                     memo_put(memo, key, outcome)
             else:
                 stats.unit_hits += 1
-            if outcome.__class__ is tuple:
-                return outcome[0]
+            if outcome.__class__ is UnitPaths:
+                return _paths_cost(outcome, costs)
             return self._structural_cost(function, run)
         finally:
             stats.wall_s += time.perf_counter() - started

@@ -698,10 +698,9 @@ def feasible_longest_path_cost(function: Function, instr_cost: InstrCost,
     }
     stats.units += 1
     started = time.perf_counter()
+    order, blocks = _unit_blocks(function, labels, entry)
     try:
-        best, enumerated, pruned, _ = _enumerate_paths(
-            _unit_blocks(function, labels, entry, block_costs.__getitem__),
-            path_cap)
+        paths, _ = _enumerate_paths(blocks, path_cap)
     except _PathCapExceeded:
         stats.cap_fallbacks += 1
         return None
@@ -710,8 +709,21 @@ def feasible_longest_path_cost(function: Function, instr_cost: InstrCost,
         return None
     finally:
         stats.wall_s += time.perf_counter() - started
-    stats.paths_enumerated += enumerated
-    stats.paths_pruned += pruned
+    stats.paths_enumerated += paths.enumerated
+    stats.paths_pruned += paths.pruned
+    # Each feasible path's blocks, read up its DFS tree from its end, and
+    # summed from the entry as the path runs.
+    best = None
+    for node in paths.ends:
+        path = []
+        while node:
+            path.append(order[paths.blocks[node - 1]])
+            node = paths.parents[node - 1]
+        cost = 0.0
+        for label in reversed(path):
+            cost += block_costs[label]
+        if best is None or cost > best:
+            best = cost
     return best
 
 
@@ -761,9 +773,10 @@ def cache_costs(cache, program: Program, core: Core, opp, path_sensitive: bool,
     scope of ``core`` and ``opp`` (``None``: cycles), tabled in program
     order."""
     outcomes = {}
+    _, model = cache._energy_analyzer(core)
     for name in program.functions if names is None else names:
         try:
-            outcomes[name] = cache._table(program, core, opp,
+            outcomes[name] = cache._table(program, core, model, opp,
                                           path_sensitive, name)[name]
         except AnalysisError as error:
             outcomes[name] = error

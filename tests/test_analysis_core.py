@@ -41,7 +41,7 @@ from repro.energy.static_analyzer import EnergyAnalyzer
 from repro.errors import AnalysisError
 from repro.frontend.lowering import compile_source, lower_module
 from repro.frontend.parser import parse
-from repro.hw.presets import apalis_tk1, nucleo_stm32f091rc
+from repro.hw.presets import apalis_tk1, gr712rc, nucleo_stm32f091rc
 from repro.ir.cfg import Function
 from repro.usecases.camera_pill import CAMERA_PILL_SOURCE
 from repro.wcet.analyzer import WCETAnalyzer, worst_cost
@@ -178,6 +178,69 @@ class TestPathSensitiveKey:
         hits = cache.stats()["hits"]
         cache.wcet(second, "f")
         assert cache.stats()["hits"] == hits + 1
+
+
+class TestScopesByCostModel:
+    """Scopes, tables and analysers are keyed by the core's cost model
+    (every field but its name), never by the name."""
+
+    LOOP = """
+    int data[7];
+    int work(int gain) {
+        int acc = 0;
+        for (int i = 0; i < 7; i = i + 1) { acc = acc + data[i] * gain; }
+        return acc;
+    }
+    """
+
+    @pytest.mark.parametrize("path_sensitive", [False, True])
+    def test_a_retabled_core_keeping_a_platform_core_name(self,
+                                                          path_sensitive):
+        # Keyed by name, a cache that had served the stock m0 served its
+        # 249 cycles for an m0 with every latency tripled, below the
+        # retabled core's worst case.
+        platform = nucleo_stm32f091rc()
+        m0 = platform.predictable_cores[0]
+        tripled = replace(m0, cycle_table={
+            cls: 3 * cycles for cls, cycles in m0.cycle_table.items()})
+        dearer = replace(m0, energy_table={
+            cls: 2.0 * joules for cls, joules in m0.energy_table.items()})
+        program = compile_source(self.LOOP)
+        cache = AnalysisCache(platform)
+        query = (program, "work", None, path_sensitive)
+        assert cache.wcet(program, "work", m0, None,
+                          path_sensitive).cycles == 249
+        for core in (tripled, dearer):
+            assert core.name == m0.name
+            assert _outcome(cache.wcet, program, "work", core, None,
+                            path_sensitive) == \
+                _outcome(WCETAnalyzer(platform, core=core).analyze, *query)
+            assert _outcome(cache.wcec, program, "work", core, None,
+                            path_sensitive) == \
+                _outcome(EnergyAnalyzer(platform, core=core).analyze, *query)
+        assert cache.wcet(program, "work", tripled, None,
+                          path_sensitive).cycles == 471
+
+    def test_twin_cores_share_every_scope(self):
+        platform = gr712rc()
+        first, second = platform.predictable_cores
+        assert first.name != second.name
+        assert replace(first, name=second.name) == second
+        program = compile_source(self.LOOP)
+        cache = AnalysisCache(platform)
+        for core in (first, second):
+            for opp in core.operating_points:
+                for path_sensitive in (False, True):
+                    query = (program, "work", opp, path_sensitive)
+                    assert _outcome(cache.wcec, program, "work", core, opp,
+                                    path_sensitive) == _outcome(
+                        EnergyAnalyzer(platform, core=core).analyze, *query)
+        opps = len(first.operating_points)
+        # One cycles and one energy table per OPP, in each path mode.
+        assert len(cache._cycle_tables) == 2
+        assert len(cache._energy_tables) == 2 * opps
+        assert len(cache._scopes) == 2 * (1 + opps)
+        assert len(cache._energy_analyzers) == 1
 
 
 class TestBothDoorsReject:

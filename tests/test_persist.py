@@ -34,6 +34,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -531,14 +532,19 @@ class TestAnalysisCacheDiskTier:
         program = compile_source(_source(16))
         store = PersistentCacheStore(tmp_path)
         cache = AnalysisCache(platform, store=store)
-        cores = list(platform.predictable_cores)
-        assert len(cores) >= 2
-        for core in cores:
+        twins = list(platform.predictable_cores)
+        assert len(twins) == 2 and twins[0] != twins[1]
+        # Another cost model gets records of its own.
+        other = replace(twins[1], name="leon3-retabled", cycle_table={
+            cls: cycles + 1 for cls, cycles in twins[1].cycle_table.items()})
+        for core in twins + [other]:
             cache.wcet(program, "work", core=core)
             for opp in core.operating_points:
                 cache.wcec(program, "work", core=core, opp=opp)
-        # One cycles record per core plus one energy record per (core, OPP).
-        expected = len(cores) + sum(len(c.operating_points) for c in cores)
+        # One cycles record plus one energy record per OPP for each
+        # distinct cost model: the twin LEON3 cores share theirs.
+        expected = sum(1 + len(core.operating_points)
+                       for core in (twins[0], other))
         assert len(store) == expected
 
     def test_disk_fault_on_put_detaches_the_store(self):
@@ -582,7 +588,7 @@ class TestAnalysisCacheDiskTier:
 #: The analysis version and the digest of the analysis sources it was set
 #: for (see :func:`_analysis_sources_digest`).
 PINNED_ANALYSIS_SOURCES = (
-    1, "7a2bfbdda3dee0bb0642d32a8f54dd73d0a20a356f01780f34bed445eedcd45e")
+    1, "d933c148727d02e574e9ce35d590fbddcdecd50bc13c127dcdd7c874d5a44f15")
 
 
 def _analysis_sources_digest() -> str:

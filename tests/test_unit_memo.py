@@ -1,19 +1,25 @@
 """The path-sensitive unit memo and the bound on the cross-program memos.
 
 A unit of :class:`~repro.wcet.paths.PathSensitiveCostEngine` is enumerated
-from the top state, so its outcome depends only on what the enumeration
-reads; :class:`~repro.compiler.engine.cache.AnalysisCache` shares outcomes
-across programs, per cost scope, keyed label-free on exactly that.  These
-tests hold the memo to the memo-free engine:
+from the top state and its enumeration reads no cost, so its feasible
+paths depend only on the unit's code;
+:class:`~repro.compiler.engine.cache.AnalysisCache` shares them across
+programs and across every cost scope (kind, cost model, operating point)
+in one memo, keyed label-free and price-free on exactly what the
+enumeration reads, and each scope prices the paths with its own block
+costs.  These tests hold the memo to the memo-free engine:
 
-* **soundness pins**: units that differ only in one compared constant, in
-  their successor shape or in one block cost get entries and bounds of
-  their own (a key missing any of them would serve a bound below a worst
-  case, the bug class of the path-sensitive table key);
+* **soundness pins**: units that differ only in one compared constant or
+  in their successor shape get entries and bounds of their own (a key
+  missing either would serve a bound below a worst case, the bug class of
+  the path-sensitive table key); a unit priced dearer in another scope
+  shares its entry and still gets the dearer bound;
 * **differential**: generated branchy programs built across the 10-gene
-  configuration space, analysed through one shared cache, equal a
-  memo-free engine run bit for bit (floats as ``hex``);
-* **work counters**: a memo hit adds to ``unit_hits`` only;
+  configuration space, analysed through one shared cache per predictable
+  preset, on every core, at every operating point and in both path modes,
+  equal a memo-free engine run bit for bit (floats as ``hex``);
+* **work counters**: a memo hit adds to ``unit_hits`` only, and a unit
+  queried in every scope of a core is enumerated once;
 * **bound**: the block-cost, unit and function memos stay within
   :data:`~repro.wcet.structural.MEMO_LIMIT` however many programs arrive;
 * **compact blocks**: path analysis reads a block holding an unrolled run
@@ -25,6 +31,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from oracles import build_program, cache_costs, whole_program_costs
+from test_bound_audit import PREDICTABLE_PRESETS
 from test_path_feasibility import branchy_programs
 
 from repro.compiler.config import (EXTENDED_GENE_LENGTH, UNROLL_CHOICES,
@@ -33,6 +40,7 @@ from repro.compiler.engine.cache import AnalysisCache
 from repro.compiler.pipeline import CompilationPipeline
 from repro.frontend.lowering import compile_source
 from repro.frontend.parser import parse
+from repro.hw import presets
 from repro.hw.presets import nucleo_stm32f091rc
 from repro.ir.cfg import Program
 from repro.ir.instructions import Instr, Opcode
@@ -40,6 +48,7 @@ from repro.ir.runs import Run
 from repro.wcet import structural
 from repro.wcet.analyzer import worst_cost
 from repro.wcet.paths import PathSensitiveCostEngine
+from repro.wcet.structural import StructuralCostEngine
 
 PLATFORM = nucleo_stm32f091rc()
 
@@ -103,13 +112,25 @@ class TestSoundnessPins:
         assert shorter < longer
 
     def test_a_block_cost(self):
+        # The feasible paths read no cost: the dearer scope hits the unit
+        # the cheaper one enumerated, and prices its paths dearer.
         program = compile_source(CHAIN.replace("BOUND", "3"))
 
         def dearer_mul(fn, instr):
             return _cycles(fn, instr) + (5.0 if instr.opcode is Opcode.MUL
                                          else 0.0)
 
-        cheap, dear = _pinned([program, program], [_cycles, dearer_mul], {})
+        memo = {}
+        bounds = []
+        for instr_cost, hits in ((_cycles, 0), (dearer_mul, 1)):
+            engine = _engine(program, instr_cost, memo)
+            assert _hex_table(whole_program_costs(engine)) == \
+                _hex_table(whole_program_costs(_engine(program, instr_cost)))
+            stats = engine.path_stats["f"]
+            assert (stats.units, stats.unit_hits) == (1 - hits, hits)
+            assert len(memo) == 1
+            bounds.append(engine.function_cost("f"))
+        cheap, dear = bounds
         assert cheap < dear
 
     def test_cores_and_operating_points_through_the_cache(self):
@@ -128,8 +149,10 @@ class TestSoundnessPins:
                         program, worst_cost(core, PLATFORM.memory, opp))))
 
 
-#: One cache for every drawn program: its memos carry across draws.
-_SHARED = AnalysisCache(PLATFORM)
+#: One cache per predictable preset for every drawn program: its memos
+#: carry across draws, cores, operating points and path modes.
+_SHARED = [AnalysisCache(presets.platform_by_name(name))
+           for name in PREDICTABLE_PRESETS]
 
 genes = st.lists(st.floats(min_value=0.0, max_value=1.0),
                  min_size=EXTENDED_GENE_LENGTH,
@@ -142,16 +165,19 @@ class TestMemoDifferential:
     def test_shared_memo_matches_memo_free_engine(self, case, vector):
         source, _ = case
         config = CompilerConfig.from_genes(vector)
-        program, _ = build_program(CompilationPipeline(PLATFORM),
-                                   parse(source), config)
-        core = PLATFORM.predictable_cores[0]
-        opp = core.nominal_opp
-        assert _hex_table(cache_costs(_SHARED, program, core, None, True)) \
-            == _hex_table(whole_program_costs(
-                _engine(program, worst_cost(core, PLATFORM.memory))))
-        assert _hex_table(cache_costs(_SHARED, program, core, opp, True)) \
-            == _hex_table(whole_program_costs(_engine(
-                program, worst_cost(core, PLATFORM.memory, opp))))
+        for cache in _SHARED:
+            platform = cache.platform
+            program, _ = build_program(CompilationPipeline(platform),
+                                       parse(source), config)
+            for core in platform.predictable_cores:
+                for opp in (None, *core.operating_points):
+                    instr_cost = worst_cost(core, platform.memory, opp)
+                    for engine in (StructuralCostEngine, _engine):
+                        assert _hex_table(cache_costs(
+                            cache, program, core, opp,
+                            engine is _engine)) == _hex_table(
+                                whole_program_costs(engine(program,
+                                                           instr_cost)))
 
 
 class TestWorkCounters:
@@ -185,6 +211,27 @@ class TestWorkCounters:
         assert (stats["path_units"], stats["path_unit_hits"]) == (1, 1)
         assert cache.path_stats()["totals"]["unit_hits"] == 1
 
+    def test_one_enumeration_serves_every_scope(self):
+        # ``f`` is one unit: cycles, then energy at every operating point,
+        # each a function miss in a scope of its own, enumerate it once.
+        cache = AnalysisCache(PLATFORM)
+        program = compile_source(CHAIN.replace("BOUND", "3"))
+        core = PLATFORM.predictable_cores[0]
+        scopes = (None, *core.operating_points)
+        for opp in scopes:
+            assert _hex_table(cache_costs(cache, program, core, opp, True,
+                                          ["f"])) \
+                == _hex_table(whole_program_costs(_engine(
+                    program, worst_cost(core, PLATFORM.memory, opp))))
+        stats = cache.stats()
+        assert len(scopes) > 2
+        assert (stats["path_units"], stats["path_unit_hits"]) == \
+            (1, len(scopes) - 1)
+        alone = _engine(program)
+        alone.function_cost("f")
+        assert stats["paths_enumerated"] == \
+            alone.path_stats["f"].paths_enumerated > 0
+
 
 class TestMemoBound:
     def test_memos_stay_within_the_limit(self, monkeypatch):
@@ -200,7 +247,7 @@ class TestMemoBound:
                 == _hex_table(whole_program_costs(
                     _engine(program, worst_cost(core, PLATFORM.memory))))
             memos = [*cache._block_costs.values(),
-                     *cache._unit_outcomes.values(),
+                     cache._unit_outcomes,
                      *(scope.functions for scope in cache._scopes.values())]
             assert memos and all(len(memo) <= 6 for memo in memos)
         assert cache.stats()["path_units"] == 20
